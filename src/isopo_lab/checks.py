@@ -219,7 +219,7 @@ def npg_directional_trial(seed: int, m: int = 16, c_scale: float = 1.0):
     for l in range(net.n_layers):
         seq_grads = [r.seq_grads[l] for r in records]
         ntk = isopo.build_ntk(seq_grads)
-        c = max(c_scale * float(ntk.eig.eigenvalues.mean()), 1e-12)
+        c = max(c_scale * ntk.mean_eig, 1e-12)
         pieces.append(isopo.interacting_update(seq_grads, advantages, c, ntk).ravel())
     preconditioned = np.concatenate(pieces)
 

@@ -7,6 +7,7 @@ never silently fall back to a default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -93,6 +94,10 @@ def validate_config(cfg: RunConfig, explicit_keys=()) -> RunConfig:
         raise ConfigError(f"task must be one of {TASKS}, got {cfg.task!r}")
     if cfg.optimizer not in OPTIMIZERS:
         raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {cfg.optimizer!r}")
+    # NaN passes every range check below, and inf would reach the weights
+    for key, kind in _FIELD_TYPES.items():
+        if kind in ("float", float) and not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"key {key!r} must be finite, got {getattr(cfg, key)}")
     for key in explicit_keys:
         if key in ALGO_KEYS and cfg.algo not in ALGO_KEYS[key]:
             raise ConfigError(

@@ -10,6 +10,9 @@ advantages, computes the algorithm-specific gradient, and takes one optimizer
 step (GRPO takes ``inner_epochs`` steps on the same batch). Fisher-norm
 diagnostics are computed for every algorithm from the same shared overlap
 sample, so the logged per-layer statistics are comparable across runs.
+A numeric failure inside a step (any ArithmeticError: a non-finite gradient,
+a Tikhonov system that is not positive definite, GRPO ratio overflow) ends
+the run as ABORTED with the step and the reason.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import baselines, isopo, metrics, policy, tasks
 from .config import RunConfig, serialize_config, validate_config
-from .errors import ConfigError, ContractViolation, CsvFormatError, NonFiniteGradientError
+from .errors import ConfigError, ContractViolation, CsvFormatError
 from .rng import stream
 
 DEFAULT_HIDDEN = (32, 32)
@@ -193,13 +196,11 @@ def _algo_grads(cfg, net, microbatch, overlap, rescale_params, ntk_ema):
         grads = []
         ntk_means = []
         for l in range(len(records[0].seq_grads)):
-            seq_grads = [r.seq_grads[l] for r in records]
-            ntk = isopo.build_ntk(seq_grads)
-            mean_eig = float(ntk.eig.eigenvalues.mean())
-            c = cfg.reg_factor * isopo.ema_update(ntk_ema, (l, "ntk_mean_eig"), mean_eig)
-            ntk.c = c
-            grads.append(isopo.interacting_update(seq_grads, advantages, c, ntk))
-            ntk_means.append(mean_eig)
+            jac = np.stack([r.seq_grads[l] for r in records])
+            ntk = isopo.build_ntk(jac)
+            c = cfg.reg_factor * isopo.ema_update(ntk_ema, (l, "ntk_mean_eig"), ntk.mean_eig)
+            grads.append(isopo.interacting_update(jac, advantages, c, ntk))
+            ntk_means.append(ntk.mean_eig)
         return grads, norms, n_degenerate, ntk_means
     raise ConfigError(f"unhandled algo {cfg.algo!r}")
 
@@ -237,10 +238,12 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
         overlap = isopo.draw_overlap_samples(
             microbatch, cfg.n_overlap, stream(cfg.seed, f"overlap/{step}")
         )
+        diagnostics = None
         try:
             grads, norms, n_degenerate, ntk_means = _algo_grads(
                 cfg, net, microbatch, overlap, rescale_params, ntk_ema
             )
+            diagnostics = (norms, n_degenerate, ntk_means)
             if cfg.algo == "grpo":
                 snapshot = baselines.snapshot_logprobs(microbatch)
                 for _ in range(cfg.inner_epochs):
@@ -250,11 +253,14 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
                     baselines.optimizer_step(optimizer, net, [-g for g in epoch_grads])
             else:
                 baselines.optimizer_step(optimizer, net, [-g for g in grads])
-        except NonFiniteGradientError as exc:
+        except ArithmeticError as exc:
             aborted = True
-            abort_reason = f"step {step}: {exc}"
-            summary = metrics.batch_summary(microbatch, norms, n_degenerate, ntk_means)
-            rows.append(metrics.collect(step, net, init_net, task, summary, cfg.seed, cfg.algo))
+            abort_reason = f"step {step}: {type(exc).__name__}: {exc}"
+            if diagnostics is not None:  # the failure came after _algo_grads
+                summary = metrics.batch_summary(microbatch, *diagnostics)
+                rows.append(
+                    metrics.collect(step, net, init_net, task, summary, cfg.seed, cfg.algo)
+                )
             break
         if step % cfg.eval_every == 0:
             summary = metrics.batch_summary(microbatch, norms, n_degenerate, ntk_means)

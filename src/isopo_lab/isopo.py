@@ -27,6 +27,9 @@ Per layer, the reduced per-sequence gradients are stacked into J and the
 microbatch update is J^T (J J^T + c I)^-1 A, i.e. the advantage vector is
 preconditioned by the layer's empirical neural tangent kernel K = J J^T
 (Tikhonov-regularized by c) before the usual contraction with the gradients.
+K is one matrix product, and (K + c I)^-1 A is a Cholesky solve, so no
+eigendecomposition is needed: the mean NTK eigenvalue that sets c (and that
+the ``l{l}_ntk_eigen_mean`` metrics column logs) is trace(K) / m.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, EstimatorDegenerateError
-from .linalg import SymEig, frobenius_dot, solve_tikhonov, sym_eigh
+from .linalg import solve_tikhonov
 from .policy import PositionGradFactors
 from .tasks import Microbatch
 
@@ -113,11 +116,10 @@ class OverlapSamples:
 
 @dataclass
 class NtkDecomposition:
-    """Empirical NTK of one layer's sequence gradients with its Tikhonov constant."""
+    """Empirical NTK of one layer's sequence gradients and its mean eigenvalue."""
 
     gram: np.ndarray
-    eig: SymEig
-    c: float
+    mean_eig: float
 
 
 @dataclass
@@ -306,39 +308,57 @@ def noninteracting_update(
     return NonInteractingUpdate(grads, norms, n_degenerate)
 
 
-def build_ntk(seq_grads: list[np.ndarray], c: float = 0.0) -> NtkDecomposition:
-    """Gram matrix K_ij = <grad_i, grad_j> of one layer's sequence gradients."""
-    if not seq_grads:
+def _jacobian(seq_grads) -> np.ndarray:
+    """One layer's sequence gradients as J of shape (m, out, in+1).
+
+    A list is stacked; an already stacked array is used as is, so a caller
+    that needs J for both the NTK and the update stacks it once.
+    """
+    if len(seq_grads) == 0:
         raise ContractViolation("need at least one sequence gradient")
-    shape = seq_grads[0].shape
-    for g in seq_grads:
-        if g.shape != shape:
+    if not isinstance(seq_grads, np.ndarray):
+        shape = np.shape(seq_grads[0])
+        if any(np.shape(g) != shape for g in seq_grads):
             raise ContractViolation("sequence gradients must share a shape")
-    m = len(seq_grads)
-    gram = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            gram[i, j] = frobenius_dot(seq_grads[i], seq_grads[j])
-            gram[j, i] = gram[i, j]
-    return NtkDecomposition(gram, sym_eigh(gram), float(c))
+        seq_grads = np.stack(seq_grads)
+    return np.asarray(seq_grads, dtype=float)
+
+
+def build_ntk(seq_grads) -> NtkDecomposition:
+    """Gram matrix K_ij = <grad_i, grad_j> of one layer's sequence gradients.
+
+    ``seq_grads`` is a list of equally shaped gradients or their stack J.
+    K = J J^T is one matrix product of J with its own transpose, which BLAS
+    evaluates as a symmetric rank-k update, so K is exactly symmetric.
+    """
+    jac = _jacobian(seq_grads)
+    m = jac.shape[0]
+    flat = jac.reshape(m, -1)
+    gram = flat @ flat.T
+    return NtkDecomposition(gram, float(np.trace(gram)) / m)
 
 
 def interacting_update(
-    seq_grads: list[np.ndarray],
+    seq_grads,
     advantages,
     c: float,
     ntk: NtkDecomposition | None = None,
 ) -> np.ndarray:
-    """NTK-preconditioned microbatch update sum_i [(K + cI)^-1 A]_i grad_i."""
+    """NTK-preconditioned microbatch update sum_i [(K + cI)^-1 A]_i grad_i.
+
+    ``seq_grads`` is a list of equally shaped gradients or their stack J;
+    ``ntk`` may carry K already built from the same gradients.
+    """
+    jac = _jacobian(seq_grads)
     advantages = np.asarray(advantages, dtype=float)
-    if advantages.shape != (len(seq_grads),):
+    if advantages.shape != (jac.shape[0],):
         raise ContractViolation(
-            f"{len(seq_grads)} gradients but {advantages.shape} advantages"
+            f"{jac.shape[0]} gradients but {advantages.shape} advantages"
         )
     if ntk is None:
-        ntk = build_ntk(seq_grads, c)
-    weights = solve_tikhonov(ntk.eig, c, advantages)
-    return np.einsum("i,ijk->jk", weights, np.stack(seq_grads))
+        ntk = build_ntk(jac)
+    weights = solve_tikhonov(ntk.gram, c, advantages)
+    return np.einsum("i,ijk->jk", weights, jac)
 
 
 __all__ = [

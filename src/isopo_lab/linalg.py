@@ -1,9 +1,11 @@
 """Dense double-precision helpers for microbatch-sized symmetric problems.
 
-Matrices are plain 2-D float64 numpy arrays (row-major). The symmetric
-eigensolver is a cyclic Jacobi iteration: the Gram matrices built from a
-microbatch are at most ~64 x 64, where Jacobi is simple, provably convergent
-and more than fast enough. No attempt is made at general BLAS performance.
+Matrices are plain 2-D float64 numpy arrays (row-major). The Tikhonov solve
+that training uses factors M + c I by Cholesky. The symmetric eigensolver is
+a cyclic Jacobi iteration kept as a checked contract (acceptance criterion
+10): simple and provably convergent, it is not on the training path.
+``frobenius_dot`` is the entry-wise reference that Gram matrices are checked
+against.
 """
 
 from __future__ import annotations
@@ -42,6 +44,17 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _as_symmetric(mat) -> tuple[np.ndarray, float]:
+    """The finite square matrix ``mat``, symmetric to 1e-12 relative, and its norm."""
+    m = _as_matrix(mat)
+    if m.shape[0] != m.shape[1]:
+        raise ContractViolation(f"matrix must be square, got {m.shape}")
+    norm = float(np.linalg.norm(m))
+    if float(np.linalg.norm(m - m.T)) > SYMMETRY_RTOL * max(norm, 1e-300):
+        raise ContractViolation("matrix is not symmetric to 1e-12 relative")
+    return m, norm
+
+
 def frobenius_dot(a, b) -> float:
     """Entry-wise dot product sum_ij A_ij * B_ij of two equally shaped matrices."""
     am = _as_matrix(a, "a")
@@ -58,14 +71,8 @@ def sym_eigh(mat) -> SymEig:
     satisfies ||M U - U diag(D)||_F <= ~1e-12 ||M||_F, well inside the 1e-8
     contract, and U is orthonormal to machine precision.
     """
-    m = _as_matrix(mat)
-    n, n2 = m.shape
-    if n != n2:
-        raise ContractViolation(f"matrix must be square, got {m.shape}")
-    norm = float(np.linalg.norm(m))
-    if float(np.linalg.norm(m - m.T)) > SYMMETRY_RTOL * max(norm, 1e-300):
-        raise ContractViolation("matrix is not symmetric to 1e-12 relative")
-
+    m, norm = _as_symmetric(mat)
+    n = m.shape[0]
     a = 0.5 * (m + m.T)  # exact symmetrization of representable asymmetry
     u = np.eye(n)
     if n == 1:
@@ -126,22 +133,22 @@ def sym_eigh(mat) -> SymEig:
     return SymEig(d[order], u[:, order])
 
 
-def solve_tikhonov(eig: SymEig, c: float, b) -> np.ndarray:
-    """Apply (M + c I)^-1 to ``b`` given the eigendecomposition of M.
+def solve_tikhonov(mat, c: float, b) -> np.ndarray:
+    """Solve (M + c I) x = b for a symmetric positive semi-definite M.
 
-    Returns U diag(1/(D_i + c)) U^T b. Requires c >= 0; if c == 0 every
-    eigenvalue must be strictly positive, otherwise SingularMatrixError.
+    Factors M + c I = L L^T by Cholesky and applies two solves. Requires a
+    finite c >= 0; raises SingularMatrixError when M + c I is not numerically
+    positive definite (for example a rank-deficient M with c == 0).
     """
-    if c < 0:
-        raise ContractViolation(f"regularization must be nonnegative, got {c}")
+    if not (np.isfinite(c) and c >= 0):
+        raise ContractViolation(f"regularization must be finite and nonnegative, got {c}")
+    m, _ = _as_symmetric(mat)
+    n = m.shape[0]
     vec = np.asarray(b, dtype=float)
-    d = eig.eigenvalues
-    if vec.shape != (d.shape[0],):
-        raise ContractViolation(f"rhs shape {vec.shape} does not match dimension {d.shape[0]}")
-    denom = d + c
-    if np.any(denom <= 0.0):
-        raise SingularMatrixError(
-            f"eigenvalue {d.min():.3e} with regularization {c:.3e} is not invertible"
-        )
-    u = eig.eigenvectors
-    return u @ ((u.T @ vec) / denom)
+    if vec.shape != (n,):
+        raise ContractViolation(f"rhs shape {vec.shape} does not match dimension {n}")
+    try:
+        chol = np.linalg.cholesky(m + c * np.eye(n))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"M + cI with c = {c:.3e} is not positive definite") from exc
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, vec))

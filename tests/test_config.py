@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from isopo_lab.config import (
@@ -113,3 +115,27 @@ def test_validate_config_direct():
         validate_config(RunConfig(ema_decay=1.5))
     with pytest.raises(ConfigError):
         validate_config(RunConfig(optimizer="lbfgs"))
+
+
+# an algorithm for which each float key is in scope
+FLOAT_KEY_ALGO = {
+    "p": "isopo-ni",
+    "q": "isopo-ni",
+    "r": "isopo-ni",
+    "reg_strength": "isopo-ni",
+    "reg_factor": "isopo-int",
+    "clip_eps": "grpo",
+    "ema_decay": "isopo-ni",
+    "lr": "reinforce",
+}
+
+
+def test_float_key_table_covers_every_float_field():
+    assert set(FLOAT_KEY_ALGO) == {f.name for f in fields(RunConfig) if f.type == "float"}
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", sorted(FLOAT_KEY_ALGO))
+def test_non_finite_float_rejected_at_parse(key, raw):
+    with pytest.raises(ConfigError, match=f"'{key}' must be finite"):
+        parse_config(f"algo = {FLOAT_KEY_ALGO[key]}\n{key} = {raw}\n")

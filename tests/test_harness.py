@@ -189,6 +189,19 @@ def test_oracle_check_passes():
     assert all(r.passed for r in results)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_singular_ntk_solve_aborts_cleanly(tmp_path, seed):
+    # bandit sequences are one token long, so two draws of one arm for one
+    # prompt have equal gradients and K is singular; with reg_factor = 0 the
+    # Cholesky solve of K + cI fails at step 1
+    cfg = quick_cfg(task="bandit", algo="isopo-int", reg_factor=0.0, seed=seed)
+    res = harness.train(cfg, tmp_path / "r")
+    assert res.aborted
+    assert res.abort_reason.startswith("step 1: SingularMatrixError")
+    assert (tmp_path / "r" / "ABORTED").read_text().startswith("step 1:")
+    assert [row.step for row in res.rows] == [0]
+
+
 def test_aborted_run_recorded_and_excluded(tmp_path, monkeypatch):
     cfg = quick_cfg(steps=3, eval_every=1, seed=1)
     original = baselines.optimizer_step

@@ -7,6 +7,7 @@ import pytest
 
 from isopo_lab import baselines, checks, isopo, oracle, policy, tasks
 from isopo_lab.errors import ContractViolation, EstimatorDegenerateError
+from isopo_lab.linalg import frobenius_dot, sym_eigh
 from isopo_lab.rng import stream
 
 from conftest import make_microbatch
@@ -344,16 +345,37 @@ def test_build_ntk_duplicated_gradient():
     sq = float(np.sum(g * g))
     ntk = isopo.build_ntk([g, g])
     assert np.allclose(ntk.gram, sq * np.array([[1.0, 1.0], [1.0, 1.0]]))
-    assert np.allclose(sorted(ntk.eig.eigenvalues), [0.0, 2.0 * sq], atol=1e-12 * sq)
+    eig = sym_eigh(ntk.gram)
+    assert np.allclose(eig.eigenvalues, [0.0, 2.0 * sq], atol=1e-12 * sq)
+    assert ntk.mean_eig == np.trace(ntk.gram) / 2
 
 
 def test_build_ntk_matches_frobenius_dot(microbatch):
+    # one gemm sums in another order than the entry-wise reference, so entries
+    # agree to rounding relative to the Cauchy-Schwarz bound sqrt(K_ii K_jj)
+    for l in range(len(microbatch.records[0].seq_grads)):
+        seq_grads = [r.seq_grads[l] for r in microbatch.records]
+        gram = isopo.build_ntk(seq_grads).gram
+        assert np.array_equal(gram, gram.T)
+        m = len(seq_grads)
+        for i in range(m):
+            for j in range(m):
+                ref = frobenius_dot(seq_grads[i], seq_grads[j])
+                assert abs(gram[i, j] - ref) <= 1e-14 * np.sqrt(gram[i, i] * gram[j, j])
+
+
+def test_build_ntk_takes_list_or_stack(microbatch):
     seq_grads = [r.seq_grads[0] for r in microbatch.records]
-    ntk = isopo.build_ntk(seq_grads)
-    m = len(seq_grads)
-    for i in range(m):
-        for j in range(m):
-            assert ntk.gram[i, j] == isopo.frobenius_dot(seq_grads[i], seq_grads[j])
+    jac = np.stack(seq_grads)
+    adv = microbatch.advantages
+    assert np.array_equal(isopo.build_ntk(seq_grads).gram, isopo.build_ntk(jac).gram)
+    assert np.array_equal(
+        isopo.interacting_update(seq_grads, adv, 0.3), isopo.interacting_update(jac, adv, 0.3)
+    )
+    with pytest.raises(ContractViolation):
+        isopo.build_ntk([])
+    with pytest.raises(ContractViolation):
+        isopo.build_ntk([np.zeros((2, 3)), np.zeros((3, 2))])
 
 
 def test_interacting_single_sequence():

@@ -84,20 +84,18 @@ def test_gram_eigenvalues_nearly_nonnegative():
 
 
 def test_solve_tikhonov_identity():
-    eig = sym_eigh(np.eye(2))
-    assert np.allclose(solve_tikhonov(eig, 0.0, [1.0, 2.0]), [1.0, 2.0])
+    assert np.allclose(solve_tikhonov(np.eye(2), 0.0, [1.0, 2.0]), [1.0, 2.0])
 
 
 def test_solve_tikhonov_diagonal_componentwise():
-    eig = sym_eigh(np.diag([1.0, 3.0]))
     # eigenvalues 1 and 3 shifted by c=1 invert to 1/2 and 1/4
-    assert np.allclose(solve_tikhonov(eig, 1.0, [2.0, 8.0]), [1.0, 2.0])
+    assert np.allclose(solve_tikhonov(np.diag([1.0, 3.0]), 1.0, [2.0, 8.0]), [1.0, 2.0])
 
 
 def test_solve_tikhonov_against_dense_solve():
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
     b = np.array([1.0, 0.0])
-    got = solve_tikhonov(sym_eigh(m), 0.5, b)
+    got = solve_tikhonov(m, 0.5, b)
     expected = np.linalg.solve(m + 0.5 * np.eye(2), b)
     assert np.allclose(got, expected, atol=1e-10)
 
@@ -110,17 +108,30 @@ def test_solve_tikhonov_random_spd_matches_lu():
         spd = 0.5 * (spd + spd.T)
         b = rng.standard_normal(n)
         for c in (0.0, 0.7):
-            got = solve_tikhonov(sym_eigh(spd), c, b)
+            got = solve_tikhonov(spd, c, b)
             ref = np.linalg.solve(spd + c * np.eye(n), b)
             assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 def test_solve_tikhonov_singular_raises():
-    eig = sym_eigh(np.diag([0.0, 2.0]))
+    m = np.diag([0.0, 2.0])
     with pytest.raises(SingularMatrixError):
-        solve_tikhonov(eig, 0.0, [1.0, 1.0])
+        solve_tikhonov(m, 0.0, [1.0, 1.0])
     with pytest.raises(ContractViolation):
-        solve_tikhonov(eig, -1.0, [1.0, 1.0])
+        solve_tikhonov(m, -1.0, [1.0, 1.0])
+    # M + cI = diag(-0.5, 2.5) is indefinite: Cholesky breaks down
+    with pytest.raises(SingularMatrixError):
+        solve_tikhonov(np.diag([-1.0, 2.0]), 0.5, [1.0, 1.0])
+
+
+def test_solve_tikhonov_rejects_bad_input():
+    for c in (np.nan, np.inf):
+        with pytest.raises(ContractViolation):
+            solve_tikhonov(np.eye(2), c, [1.0, 1.0])
+    with pytest.raises(ContractViolation):
+        solve_tikhonov([[1.0, 2.0], [0.0, 1.0]], 0.5, [1.0, 1.0])
+    with pytest.raises(ContractViolation):
+        solve_tikhonov(np.eye(2), 0.5, [1.0, 1.0, 1.0])
 
 
 def test_frobenius_dot_examples():
