@@ -4,8 +4,11 @@ REINFORCE is the plain advantage-weighted sum of sequence log-probability
 gradients. GRPO reuses the same sampled microbatch over several inner epochs,
 weighting each sequence by its importance ratio to the sampling-time policy
 and dropping (clipping flat) sequences whose ratio left [1-eps, 1+eps] in the
-unfavorable direction. On the first inner epoch the ratio is exactly 1 and
-the two gradients coincide.
+unfavorable direction. Each inner epoch re-scores the whole microbatch in one
+teacher-forced pass. On the first inner epoch the ratio is exactly 1 and the
+two gradients coincide. A ratio that overflows raises FloatingPointError (an
+ArithmeticError), so the training loop aborts instead of silently dropping
+the sequence.
 
 Both optimizers follow the descent convention theta <- theta - lr * g, so the
 training loop passes the negated ascent gradient.
@@ -13,13 +16,12 @@ training loop passes the negated ascent gradient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, NonFiniteGradientError
-from .policy import PolicyNet, score_sequence, sequence_logprob
+from .policy import PolicyNet, score, sequence_logprobs
 from .tasks import Microbatch
 
 
@@ -36,25 +38,20 @@ class OldPolicySnapshot:
 
 
 def snapshot_logprobs(microbatch: Microbatch) -> OldPolicySnapshot:
-    return OldPolicySnapshot(np.array([r.logprob for r in microbatch.records]))
+    return OldPolicySnapshot(microbatch.scored.logprobs.copy())
 
 
 def reinforce_grad(microbatch: Microbatch) -> list[np.ndarray]:
     """Per-layer sum of advantage-weighted sequence gradients."""
-    records = microbatch.records
     advantages = microbatch.advantages
-    grads = [np.zeros_like(g) for g in records[0].seq_grads]
-    for adv, rec in zip(advantages, records):
-        for l, g in enumerate(rec.seq_grads):
-            grads[l] += adv * g
-    return grads
+    return [np.tensordot(advantages, jac, axes=1) for jac in microbatch.scored.seq_grads]
 
 
-def _clip_active(rho: float, advantage: float, clip_eps: float) -> bool:
-    # gradient flows through the min() only while the ratio branch is active
-    if advantage >= 0:
-        return rho <= 1.0 + clip_eps
-    return rho >= 1.0 - clip_eps
+def _ratios(logprobs: np.ndarray, snapshot: OldPolicySnapshot) -> np.ndarray:
+    if snapshot.logprobs.shape != logprobs.shape:
+        raise ContractViolation("snapshot size does not match microbatch")
+    with np.errstate(over="raise"):
+        return np.exp(logprobs - snapshot.logprobs)
 
 
 def grpo_clipped_grad(
@@ -66,21 +63,13 @@ def grpo_clipped_grad(
     """Gradient of sum_o min(rho_o A_o, clip(rho_o, 1-eps, 1+eps) A_o) at ``net``."""
     if clip_eps <= 0:
         raise ContractViolation(f"clip_eps must be positive, got {clip_eps}")
-    records = microbatch.records
-    if snapshot.logprobs.shape != (len(records),):
-        raise ContractViolation("snapshot size does not match microbatch")
+    current = score(net, microbatch.features, microbatch.tokens)
+    rho = _ratios(current.logprobs, snapshot)
     advantages = microbatch.advantages
-    grads = [np.zeros_like(g) for g in records[0].seq_grads]
-    for i, rec in enumerate(records):
-        prompt = microbatch.prompt_for(i)
-        current = score_sequence(net, prompt, rec.tokens)
-        rho = math.exp(current.logprob - snapshot.logprobs[i])
-        if not _clip_active(rho, advantages[i], clip_eps):
-            continue
-        coeff = rho * advantages[i]
-        for l, g in enumerate(current.seq_grads):
-            grads[l] += coeff * g
-    return grads
+    # gradient flows through the min() only while the ratio branch is active
+    active = np.where(advantages >= 0, rho <= 1.0 + clip_eps, rho >= 1.0 - clip_eps)
+    coeff = np.where(active, rho * advantages, 0.0)
+    return [np.tensordot(coeff, jac, axes=1) for jac in current.seq_grads]
 
 
 def grpo_surrogate(
@@ -90,23 +79,16 @@ def grpo_surrogate(
     clip_eps: float,
 ) -> float:
     """Scalar clipped surrogate objective (used by gradient checks)."""
-    total = 0.0
+    rho = _ratios(sequence_logprobs(net, microbatch.features, microbatch.tokens), snapshot)
     advantages = microbatch.advantages
-    for i, rec in enumerate(microbatch.records):
-        prompt = microbatch.prompt_for(i)
-        rho = math.exp(sequence_logprob(net, prompt, rec.tokens) - snapshot.logprobs[i])
-        clipped = min(max(rho, 1.0 - clip_eps), 1.0 + clip_eps)
-        total += min(rho * advantages[i], clipped * advantages[i])
-    return total
+    clipped = np.clip(rho, 1.0 - clip_eps, 1.0 + clip_eps)
+    return float(np.sum(np.minimum(rho * advantages, clipped * advantages)))
 
 
 def reinforce_surrogate(microbatch: Microbatch, net: PolicyNet) -> float:
     """Scalar objective sum_o A_o log pi(o) (used by gradient checks)."""
-    total = 0.0
-    for i, rec in enumerate(microbatch.records):
-        prompt = microbatch.prompt_for(i)
-        total += microbatch.advantages[i] * sequence_logprob(net, prompt, rec.tokens)
-    return total
+    logprobs = sequence_logprobs(net, microbatch.features, microbatch.tokens)
+    return float(microbatch.advantages @ logprobs)
 
 
 @dataclass
@@ -118,7 +100,6 @@ class OptimizerState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    weight_decay: float = 0.0
     step_count: int = 0
     exp_avg: list | None = None
     exp_avg_sq: list | None = None
@@ -137,9 +118,9 @@ def make_optimizer(kind: str = "adamw", lr: float = 3e-4, **kwargs) -> Optimizer
 def optimizer_step(state: OptimizerState, net: PolicyNet, grads: list[np.ndarray]) -> PolicyNet:
     """Apply theta <- theta - lr * (preconditioned) grads in place.
 
-    AdamW uses the standard bias-corrected moment estimates with decoupled
-    weight decay. Raises NonFiniteGradientError (before touching any weight)
-    if a gradient contains NaN or infinities.
+    AdamW uses the standard bias-corrected moment estimates (weight decay
+    zero). Raises NonFiniteGradientError (before touching any weight) if a
+    gradient contains NaN or infinities.
     """
     if len(grads) != net.n_layers:
         raise ContractViolation(f"{len(grads)} gradients for {net.n_layers} layers")
@@ -169,7 +150,5 @@ def optimizer_step(state: OptimizerState, net: PolicyNet, grads: list[np.ndarray
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
-        if state.weight_decay:
-            w -= state.lr * state.weight_decay * w
         w -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     return net

@@ -63,20 +63,16 @@ def _check_net(seed: int) -> tuple[policy.PolicyNet, tasks.SeqAdditionTask]:
 
 
 def _check_microbatch(net, task, seed: int, n_groups: int = 2, group_size: int = 4):
-    groups = []
-    for gi in range(n_groups):
-        prompt = task.train_prompts[(seed + 3 * gi) % len(task.train_prompts)]
-        records = [
-            policy.sample_sequence(net, prompt, stream(seed, f"check/{gi}/{k}"))
-            for k in range(group_size)
-        ]
-        rewards = np.array([task.reward(prompt, r.tokens) for r in records])
-        advantages = tasks.group_advantages(rewards)
-        if not np.any(advantages):
-            advantages = advantages + np.linspace(-0.5, 0.5, group_size)
-            advantages -= advantages.mean()
-        groups.append(tasks.Group(prompt, records, rewards, advantages))
-    return tasks.Microbatch(groups)
+    prompts = [
+        task.train_prompts[(seed + 3 * gi) % len(task.train_prompts)] for gi in range(n_groups)
+    ]
+    rngs = [[stream(seed, f"check/{gi}/{k}") for k in range(group_size)] for gi in range(n_groups)]
+    microbatch = tasks.build_microbatch(net, task, prompts, rngs)
+    for group in microbatch.groups:
+        if not np.any(group.advantages):
+            group.advantages = group.advantages + np.linspace(-0.5, 0.5, group_size)
+            group.advantages -= group.advantages.mean()
+    return microbatch
 
 
 def run_gradcheck(seed: int = 0, grad_tamper=None) -> list[SuiteResult]:
@@ -93,9 +89,13 @@ def run_gradcheck(seed: int = 0, grad_tamper=None) -> list[SuiteResult]:
 
     # 1. manual backward vs central differences of one sequence's log-probability
     prompt = task.train_prompts[0]
-    record = policy.sample_sequence(net, prompt, stream(seed, "gradcheck-seq"))
-    analytic = tamper([g.copy() for g in record.seq_grads])
-    numeric = fd_grad(lambda: policy.sequence_logprob(net, prompt, record.tokens), net)
+    tokens, scored = policy.sample_and_score(
+        net, prompt.features[None], [stream(seed, "gradcheck-seq")]
+    )
+    analytic = tamper([g[0].copy() for g in scored.seq_grads])
+    numeric = fd_grad(
+        lambda: policy.sequence_logprobs(net, prompt.features[None], tokens)[0], net
+    )
     err = max_rel_error(analytic, numeric)
     results.append(SuiteResult("policy-backward-fd", err <= FD_RTOL, err))
 
@@ -125,13 +125,13 @@ def run_gradcheck(seed: int = 0, grad_tamper=None) -> list[SuiteResult]:
     worst = 0.0
     probe_rng = stream(seed, "gradcheck-probe")
     for l in range(net.n_layers):
-        mats = []
-        for rec in microbatch.records:
-            mats.extend(oracle.materialize_position_grads(rec, l))
+        mats = oracle.materialize_position_grads(microbatch.scored, l)
         sampled = [mats[i] for i in overlap.indices]
         for _ in range(5):
             v = probe_rng.standard_normal(net.weights[l].shape)
-            fast = isopo.fisher_norm_estimate(v, overlap.layers[l], overlap.denominators[l])
+            fast = isopo.fisher_norm_estimate(
+                v, overlap.act_in[l], overlap.grad_out[l], overlap.denominators[l]
+            )
             slow = oracle.naive_fisher_norm(v, sampled)
             worst = max(worst, abs(fast - slow) / max(slow, 1e-12))
     results.append(SuiteResult("rank-one-equivalence", worst <= 1e-10, worst))
@@ -139,9 +139,8 @@ def run_gradcheck(seed: int = 0, grad_tamper=None) -> list[SuiteResult]:
     # 5. NTK-preconditioned update vs flattened dense solve
     worst = 0.0
     adv = microbatch.advantages
-    for l in range(net.n_layers):
-        seq_grads = [r.seq_grads[l] for r in microbatch.records]
-        jac = np.stack([g.ravel() for g in seq_grads])
+    for l, seq_grads in enumerate(microbatch.scored.seq_grads):
+        jac = seq_grads.reshape(len(seq_grads), -1)
         c = 0.1 * float(np.mean(np.sum(jac * jac, axis=1))) + 1e-6
         update = isopo.interacting_update(seq_grads, adv, c)
         dense = jac.T @ np.linalg.solve(jac @ jac.T + c * np.eye(len(seq_grads)), adv)
@@ -167,8 +166,10 @@ def rescaling_minimizer_gap(seed: int) -> float:
     the exact-Fisher distance to the natural gradient (positive = strictly optimal)."""
     net, prompt = _tiny_oracle_policy(seed)
     fisher = oracle.exact_fisher(net, [prompt]).matrix
-    rec = policy.sample_sequence(net, prompt, stream(seed, "oracle-sample"))
-    v = oracle.flatten_layer_mats(rec.seq_grads)
+    _, scored = policy.sample_and_score(
+        net, prompt.features[None], [stream(seed, "oracle-sample")]
+    )
+    v = oracle.flatten_layer_mats([g[0] for g in scored.seq_grads])
     adv_rng = stream(seed, "oracle-adv")
     advantage = float(adv_rng.uniform(0.2, 1.0) * (1 if adv_rng.random() < 0.5 else -1))
     g = advantage * v
@@ -198,26 +199,23 @@ def npg_directional_trial(seed: int, m: int = 16, c_scale: float = 1.0):
     net, prompt = _tiny_oracle_policy(seed)
     target_rng = stream(seed, "npg-target")
     target = tuple(int(t) for t in target_rng.integers(0, net.vocab_size, size=2))
-    records = [
-        policy.sample_sequence(net, prompt, stream(seed, f"npg-sample/{k}")) for k in range(m)
-    ]
-    rewards = np.array(
-        [np.mean([t == d for t, d in zip(r.tokens, target)]) for r in records]
+    tokens, scored = policy.sample_and_score(
+        net,
+        np.repeat(prompt.features[None], m, axis=0),
+        [stream(seed, f"npg-sample/{k}") for k in range(m)],
     )
+    rewards = np.mean(tokens == np.array(target), axis=1)
     if np.ptp(rewards) == 0:
         return None
     advantages = tasks.group_advantages(rewards)
 
-    vanilla = sum(
-        a * oracle.flatten_layer_mats(r.seq_grads) for a, r in zip(advantages, records)
-    )
+    vanilla = advantages @ np.concatenate([g.reshape(m, -1) for g in scored.seq_grads], axis=1)
     fisher = oracle.exact_fisher(net, [prompt])
     damping = 1e-6 * np.trace(fisher.matrix) / fisher.n_params
     npg = oracle.exact_npg(fisher, vanilla, damping)
 
     pieces = []
-    for l in range(net.n_layers):
-        seq_grads = [r.seq_grads[l] for r in records]
+    for seq_grads in scored.seq_grads:
         ntk = isopo.build_ntk(seq_grads)
         c = max(c_scale * ntk.mean_eig, 1e-12)
         pieces.append(isopo.interacting_update(seq_grads, advantages, c, ntk).ravel())

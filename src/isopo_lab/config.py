@@ -8,7 +8,7 @@ never silently fall back to a default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -183,6 +183,3 @@ def serialize_config(cfg: RunConfig) -> str:
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
-
-def with_overrides(cfg: RunConfig, **overrides) -> RunConfig:
-    return validate_config(replace(cfg, **overrides))

@@ -17,7 +17,6 @@ the run as ABORTED with the step and the reason.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -73,18 +72,12 @@ def sample_microbatch(net, task, cfg: RunConfig, step: int) -> tasks.Microbatch:
         )
     prompt_rng = stream(cfg.seed, f"prompts/{step}")
     chosen = prompt_rng.choice(len(train), size=cfg.groups_per_microbatch, replace=False)
-    groups = []
-    for idx in chosen:
-        prompt = train[int(idx)]
-        records = [
-            policy.sample_sequence(net, prompt, stream(cfg.seed, f"policy/{step}/{prompt.id}/{k}"))
-            for k in range(cfg.group_size)
-        ]
-        # rewards come from the task verifier and nowhere else
-        rewards = np.array([task.reward(prompt, r.tokens) for r in records])
-        advantages = tasks.group_advantages(rewards, cfg.normalize_std)
-        groups.append(tasks.Group(prompt, records, rewards, advantages))
-    return tasks.Microbatch(groups)
+    prompts = [train[int(idx)] for idx in chosen]
+    rngs = [
+        [stream(cfg.seed, f"policy/{step}/{p.id}/{k}") for k in range(cfg.group_size)]
+        for p in prompts
+    ]
+    return tasks.build_microbatch(net, task, prompts, rngs, cfg.normalize_std)
 
 
 def _format_value(value) -> str:
@@ -191,12 +184,10 @@ def _algo_grads(cfg, net, microbatch, overlap, rescale_params, ntk_ema):
     if cfg.algo == "grpo":
         return None, norms, n_degenerate, None
     if cfg.algo == "isopo-int":
-        records = microbatch.records
         advantages = microbatch.advantages
         grads = []
         ntk_means = []
-        for l in range(len(records[0].seq_grads)):
-            jac = np.stack([r.seq_grads[l] for r in records])
+        for l, jac in enumerate(microbatch.scored.seq_grads):
             ntk = isopo.build_ntk(jac)
             c = cfg.reg_factor * isopo.ema_update(ntk_ema, (l, "ntk_mean_eig"), ntk.mean_eig)
             grads.append(isopo.interacting_update(jac, advantages, c, ntk))

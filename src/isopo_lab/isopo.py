@@ -5,7 +5,7 @@ Non-interacting variant
 Each sequence's per-layer log-probability gradient V is rescaled before being
 weighted by its advantage. The size of V in the Fisher metric is estimated
 from a random subsample of the microbatch's per-position rank-one gradient
-factors (g_j, a_j):
+factors (g_j, a_j), drawn from the flattened (B, T) grid of positions:
 
     F_norm(V) = sqrt( sum_j (g_j . V a_j)^2 ) / sqrt( sum_j (|g_j| |a_j|)^2 )
 
@@ -23,8 +23,9 @@ scalar multiple of V closest to the natural-gradient direction.
 
 Interacting variant
 -------------------
-Per layer, the reduced per-sequence gradients are stacked into J and the
-microbatch update is J^T (J J^T + c I)^-1 A, i.e. the advantage vector is
+Per layer, the microbatch's per-sequence gradients form J (m, out, in + 1),
+one contraction over the scored (B, T) factor arrays, and the microbatch
+update is J^T (J J^T + c I)^-1 A, i.e. the advantage vector is
 preconditioned by the layer's empirical neural tangent kernel K = J J^T
 (Tikhonov-regularized by c) before the usual contraction with the gradients.
 K is one matrix product, and (K + c I)^-1 A is a Cholesky solve, so no
@@ -41,7 +42,6 @@ import numpy as np
 
 from .errors import ContractViolation, EstimatorDegenerateError
 from .linalg import solve_tikhonov
-from .policy import PositionGradFactors
 from .tasks import Microbatch
 
 log = logging.getLogger(__name__)
@@ -97,17 +97,16 @@ class RescalingParams:
 class OverlapSamples:
     """Randomly drawn per-position gradient factors shared across sequences.
 
-    The same position indices are used for every layer (one permutation per
-    microbatch). ``denominators[l]`` caches sqrt(sum_j (|g_j||a_j|)^2) for
-    layer l. ``seq_slices`` maps each sequence to its global position range,
-    which supports optionally excluding a sequence's own positions from its
-    estimate.
+    ``indices`` point into the C-order flattening of the microbatch's (B, T)
+    position grid, and the same positions are used for every layer:
+    ``act_in[l]`` (n, in + 1) and ``grad_out[l]`` (n, out) are their factors
+    in layer l. ``denominators[l]`` caches sqrt(sum_j (|g_j||a_j|)^2).
     """
 
-    layers: list[PositionGradFactors]
+    act_in: list[np.ndarray]
+    grad_out: list[np.ndarray]
     denominators: list[float]
     indices: np.ndarray
-    seq_slices: list[tuple[int, int]]
 
     @property
     def n_samples(self) -> int:
@@ -129,31 +128,36 @@ class NonInteractingUpdate:
     degenerate_sequences: int
 
 
-def _sample_denominator(factors: PositionGradFactors) -> float:
-    scale = np.linalg.norm(factors.grad_out, axis=1) * np.linalg.norm(factors.act_in, axis=1)
+def _sample_denominator(act_in: np.ndarray, grad_out: np.ndarray) -> float:
+    scale = np.linalg.norm(grad_out, axis=1) * np.linalg.norm(act_in, axis=1)
     return float(np.linalg.norm(scale))
 
 
 def fisher_norm_estimate(
     v: np.ndarray,
-    factors: PositionGradFactors,
+    act_in: np.ndarray,
+    grad_out: np.ndarray,
     denominator: float | None = None,
-) -> float:
-    """Stochastic Fisher-norm estimate of a layer-shaped update matrix ``v``."""
+):
+    """Stochastic Fisher-norm estimate of layer-shaped update matrices ``v``.
+
+    ``v`` is one matrix (out, in + 1), giving a float, or a stack of them
+    (..., out, in + 1), giving one estimate per matrix.
+    """
     v = np.asarray(v, dtype=float)
-    if len(factors) == 0:
+    if act_in.shape[0] == 0:
         raise ContractViolation("need at least one overlap sample")
-    if v.shape != (factors.grad_out.shape[1], factors.act_in.shape[1]):
+    if v.shape[-2:] != (grad_out.shape[1], act_in.shape[1]):
         raise ContractViolation(
             f"update shape {v.shape} does not match factors "
-            f"({factors.grad_out.shape[1]}, {factors.act_in.shape[1]})"
+            f"({grad_out.shape[1]}, {act_in.shape[1]})"
         )
     if denominator is None:
-        denominator = _sample_denominator(factors)
+        denominator = _sample_denominator(act_in, grad_out)
     if denominator == 0.0:
         raise EstimatorDegenerateError("all overlap samples are zero")
-    proj = np.einsum("jo,jo->j", factors.grad_out, factors.act_in @ v.T)
-    return float(np.linalg.norm(proj) / denominator)
+    proj = np.einsum("jo,...jo->...j", grad_out, act_in @ np.swapaxes(v, -1, -2))
+    return np.linalg.norm(proj, axis=-1) / denominator
 
 
 def draw_overlap_samples(
@@ -162,74 +166,58 @@ def draw_overlap_samples(
     """Uniform sample (without replacement) over all token positions in the batch."""
     if n_overlap < 1:
         raise ContractViolation("n_overlap must be >= 1")
-    records = microbatch.records
-    if not records:
+    scored = microbatch.scored
+    total = scored.act_in[0].shape[0] * scored.act_in[0].shape[1]
+    if total == 0:
         raise ContractViolation("empty microbatch")
-    n_layers = len(records[0].factors)
-    seq_slices = []
-    start = 0
-    for rec in records:
-        n_pos = len(rec.factors[0])
-        seq_slices.append((start, start + n_pos))
-        start += n_pos
-    total = start
-    take = min(n_overlap, total)
-    indices = np.sort(rng.permutation(total)[:take])
-
-    layers = []
-    denominators = []
-    for l in range(n_layers):
-        act = np.concatenate([rec.factors[l].act_in for rec in records], axis=0)
-        gout = np.concatenate([rec.factors[l].grad_out for rec in records], axis=0)
-        factors = PositionGradFactors(act[indices], gout[indices])
-        layers.append(factors)
-        denominators.append(_sample_denominator(factors))
-    return OverlapSamples(layers, denominators, indices, seq_slices)
+    indices = np.sort(rng.permutation(total)[: min(n_overlap, total)])
+    act_in = [a.reshape(total, -1)[indices] for a in scored.act_in]
+    grad_out = [g.reshape(total, -1)[indices] for g in scored.grad_out]
+    denominators = [_sample_denominator(a, g) for a, g in zip(act_in, grad_out)]
+    return OverlapSamples(act_in, grad_out, denominators, indices)
 
 
 def sequence_fisher_norms(
-    microbatch: Microbatch,
-    samples: OverlapSamples,
-    exclude_own: bool = False,
+    microbatch: Microbatch, samples: OverlapSamples
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-(sequence, layer) Fisher-norm estimates under the shared sample set.
 
     Returns ``(norms, degenerate)`` where ``norms[i, l]`` is NaN when the
     estimate for that pair is degenerate (all-zero sequence gradient, or an
-    empty/zero sample set) and ``degenerate[i]`` flags sequences with at least
+    all-zero sample set) and ``degenerate[i]`` flags sequences with at least
     one degenerate layer.
     """
-    records = microbatch.records
-    n_layers = len(records[0].factors)
-    norms = np.full((len(records), n_layers), np.nan)
-    degenerate = np.zeros(len(records), dtype=bool)
-    for l in range(n_layers):
-        factors = samples.layers[l]
+    seq_grads = microbatch.scored.seq_grads
+    n_seq = seq_grads[0].shape[0]
+    norms = np.full((n_seq, len(seq_grads)), np.nan)
+    degenerate = np.zeros(n_seq, dtype=bool)
+    for l, jac in enumerate(seq_grads):
         denominator = samples.denominators[l]
-        for i, rec in enumerate(records):
-            v = rec.seq_grads[l]
-            if not np.any(v):
-                degenerate[i] = True
-                continue
-            fac, den = factors, denominator
-            if exclude_own:
-                lo, hi = samples.seq_slices[i]
-                keep = (samples.indices < lo) | (samples.indices >= hi)
-                if not np.any(keep):
-                    degenerate[i] = True
-                    continue
-                fac = PositionGradFactors(factors.act_in[keep], factors.grad_out[keep])
-                den = _sample_denominator(fac)
-            if den == 0.0:
-                degenerate[i] = True
-                continue
-            norms[i, l] = fisher_norm_estimate(v, fac, den)
+        if denominator == 0.0:
+            degenerate[:] = True
+            continue
+        live = np.any(jac.reshape(n_seq, -1), axis=1)
+        degenerate |= ~live
+        norms[live, l] = fisher_norm_estimate(
+            jac[live], samples.act_in[l], samples.grad_out[l], denominator
+        )
     return norms, degenerate
 
 
-def _reg2(x: float, key, params: RescalingParams) -> float:
+def _reg2(x, key, params: RescalingParams):
     expectation = params.ema.value(key) if params.reg_strength > 0 else 0.0
-    return float(np.sqrt(max(x * x + params.reg_strength * expectation, RESCALE_FLOOR)))
+    return np.sqrt(np.maximum(x * x + params.reg_strength * expectation, RESCALE_FLOOR))
+
+
+def _scale(f_norm, grads: np.ndarray, params: RescalingParams, layer: int):
+    """reg2(F)^p * reg2(|V|)^q * reg2(F/|V|)^r for matrices V of shape (..., out, in + 1)."""
+    grad_norm = np.sqrt(np.sum(grads * grads, axis=(-2, -1)))
+    rel = np.divide(f_norm, grad_norm, out=np.zeros_like(grad_norm), where=grad_norm > 0)
+    return (
+        _reg2(f_norm, (layer, "fisher_sq"), params) ** params.p
+        * _reg2(grad_norm, (layer, "grad_sq"), params) ** params.q
+        * _reg2(rel, (layer, "rel_sq"), params) ** params.r
+    )
 
 
 def rescaling(
@@ -247,28 +235,18 @@ def rescaling(
     if f_norm < 0:
         raise ContractViolation(f"F_norm must be nonnegative, got {f_norm}")
     grad = np.asarray(grad, dtype=float)
-    grad_norm = float(np.linalg.norm(grad))
-    rel = f_norm / grad_norm if grad_norm > 0 else 0.0
-    scale = (
-        _reg2(f_norm, (layer, "fisher_sq"), params) ** params.p
-        * _reg2(grad_norm, (layer, "grad_sq"), params) ** params.q
-        * _reg2(rel, (layer, "rel_sq"), params) ** params.r
-    )
-    return scale * grad
+    return _scale(f_norm, grad, params, layer) * grad
 
 
 def _refresh_ema(params: RescalingParams, norms: np.ndarray, microbatch: Microbatch) -> None:
     """Fold this minibatch's mean squares of the regulated quantities into the EMA."""
-    records = microbatch.records
-    for l in range(norms.shape[1]):
+    for l, jac in enumerate(microbatch.scored.seq_grads):
         col = norms[:, l]
         valid = ~np.isnan(col)
         if not np.any(valid):
             continue
         f_sq = col[valid] ** 2
-        g_sq = np.array(
-            [np.sum(rec.seq_grads[l] ** 2) for rec, ok in zip(records, valid) if ok]
-        )
+        g_sq = np.sum(jac[valid] ** 2, axis=(1, 2))
         with np.errstate(divide="ignore", invalid="ignore"):
             rel_sq = np.where(g_sq > 0, f_sq / g_sq, 0.0)
         ema_update(params.ema, (l, "fisher_sq"), float(f_sq.mean()))
@@ -280,7 +258,6 @@ def noninteracting_update(
     microbatch: Microbatch,
     samples: OverlapSamples,
     params: RescalingParams,
-    exclude_own: bool = False,
 ) -> NonInteractingUpdate:
     """Advantage-weighted sum of per-sequence rescaled gradients, per layer.
 
@@ -289,49 +266,33 @@ def noninteracting_update(
     With p = q = r = 0 this reduces exactly to the vanilla policy-gradient
     microbatch sum.
     """
-    records = microbatch.records
     advantages = microbatch.advantages
-    norms, degenerate = sequence_fisher_norms(microbatch, samples, exclude_own)
+    norms, degenerate = sequence_fisher_norms(microbatch, samples)
     _refresh_ema(params, norms, microbatch)
-    n_layers = norms.shape[1]
-    grads = [np.zeros_like(records[0].seq_grads[l]) for l in range(n_layers)]
-    for i, rec in enumerate(records):
-        for l in range(n_layers):
-            v = rec.seq_grads[l]
-            if np.isnan(norms[i, l]):
-                grads[l] += advantages[i] * v  # degenerate fallback: no rescaling
-            else:
-                grads[l] += advantages[i] * rescaling(v, norms[i, l], params, l)
+    grads = []
+    for l, jac in enumerate(microbatch.scored.seq_grads):
+        valid = ~np.isnan(norms[:, l])
+        scale = np.ones(len(jac))  # degenerate fallback: no rescaling
+        scale[valid] = _scale(norms[valid, l], jac[valid], params, l)
+        grads.append(np.tensordot(advantages * scale, jac, axes=1))
     n_degenerate = int(np.count_nonzero(degenerate))
     if n_degenerate:
         log.debug("microbatch had %d estimator-degenerate sequences", n_degenerate)
     return NonInteractingUpdate(grads, norms, n_degenerate)
 
 
-def _jacobian(seq_grads) -> np.ndarray:
-    """One layer's sequence gradients as J of shape (m, out, in+1).
-
-    A list is stacked; an already stacked array is used as is, so a caller
-    that needs J for both the NTK and the update stacks it once.
-    """
-    if len(seq_grads) == 0:
-        raise ContractViolation("need at least one sequence gradient")
-    if not isinstance(seq_grads, np.ndarray):
-        shape = np.shape(seq_grads[0])
-        if any(np.shape(g) != shape for g in seq_grads):
-            raise ContractViolation("sequence gradients must share a shape")
-        seq_grads = np.stack(seq_grads)
-    return np.asarray(seq_grads, dtype=float)
-
-
-def build_ntk(seq_grads) -> NtkDecomposition:
+def build_ntk(jac: np.ndarray) -> NtkDecomposition:
     """Gram matrix K_ij = <grad_i, grad_j> of one layer's sequence gradients.
 
-    ``seq_grads`` is a list of equally shaped gradients or their stack J.
-    K = J J^T is one matrix product of J with its own transpose, which BLAS
-    evaluates as a symmetric rank-k update, so K is exactly symmetric.
+    ``jac`` stacks the m gradients as J (m, out, in + 1). K = J J^T is one
+    matrix product of J with its own transpose, which BLAS evaluates as a
+    symmetric rank-k update, so K is exactly symmetric.
     """
-    jac = _jacobian(seq_grads)
+    jac = np.asarray(jac, dtype=float)
+    if jac.ndim != 3 or jac.shape[0] == 0:
+        raise ContractViolation(
+            f"need a stack (m, out, in + 1) of at least one sequence gradient, got {jac.shape}"
+        )
     m = jac.shape[0]
     flat = jac.reshape(m, -1)
     gram = flat @ flat.T
@@ -339,24 +300,24 @@ def build_ntk(seq_grads) -> NtkDecomposition:
 
 
 def interacting_update(
-    seq_grads,
+    jac: np.ndarray,
     advantages,
     c: float,
     ntk: NtkDecomposition | None = None,
 ) -> np.ndarray:
     """NTK-preconditioned microbatch update sum_i [(K + cI)^-1 A]_i grad_i.
 
-    ``seq_grads`` is a list of equally shaped gradients or their stack J;
-    ``ntk`` may carry K already built from the same gradients.
+    ``jac`` stacks the sequence gradients as J (m, out, in + 1); ``ntk`` may
+    carry K already built from the same J.
     """
-    jac = _jacobian(seq_grads)
+    jac = np.asarray(jac, dtype=float)
+    if ntk is None:
+        ntk = build_ntk(jac)
     advantages = np.asarray(advantages, dtype=float)
     if advantages.shape != (jac.shape[0],):
         raise ContractViolation(
             f"{jac.shape[0]} gradients but {advantages.shape} advantages"
         )
-    if ntk is None:
-        ntk = build_ntk(jac)
     weights = solve_tikhonov(ntk.gram, c, advantages)
     return np.einsum("i,ijk->jk", weights, jac)
 

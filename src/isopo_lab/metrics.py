@@ -49,14 +49,12 @@ def batch_summary(microbatch, fisher_norms, degenerate_count: int, ntk_means=Non
     ``fisher_norms`` is the (n_sequences, n_layers) estimate table with NaN
     entries marking degenerate pairs; those are excluded from the mean.
     """
-    records = microbatch.records
-    n_layers = fisher_norms.shape[1]
     stats = []
-    for l in range(n_layers):
+    for l, jac in enumerate(microbatch.scored.seq_grads):
         col = fisher_norms[:, l]
         valid = col[~np.isnan(col)]
         mean_f = float(valid.mean()) if valid.size else 0.0
-        mean_g = float(np.mean([np.linalg.norm(r.seq_grads[l]) for r in records]))
+        mean_g = float(np.mean(np.linalg.norm(jac.reshape(len(jac), -1), axis=1)))
         ntk = float(ntk_means[l]) if ntk_means is not None else None
         stats.append(LayerStats(mean_f, mean_g, ntk))
     return BatchSummary(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, EnumerationBudgetError, SingularMatrixError
-from .policy import PolicyNet, SequenceRecord, score_sequence, seq_len_for
+from .policy import PolicyNet, Scored, score, seq_len_for
 
 MAX_ENUM_OUTPUTS = 10_000
 MAX_ORACLE_PARAMS = 1_000
@@ -59,9 +59,9 @@ def unflatten_params(vec: np.ndarray, layout: list[tuple[int, int]]) -> list[np.
 def _check_budget(net: PolicyNet, prompts) -> int:
     if not prompts:
         raise ContractViolation("need at least one prompt")
-    seq_len = seq_len_for(net, prompts[0])
+    seq_len = seq_len_for(net, prompts[0].features)
     for p in prompts:
-        if seq_len_for(net, p) != seq_len:
+        if seq_len_for(net, p.features) != seq_len:
             raise ContractViolation("prompts imply different sequence lengths")
     n_outputs = net.vocab_size**seq_len
     if n_outputs > MAX_ENUM_OUTPUTS:
@@ -75,12 +75,13 @@ def _check_budget(net: PolicyNet, prompts) -> int:
     return seq_len
 
 
-def enumerate_scored_outputs(net: PolicyNet, prompt):
-    """Yield (tokens, probability, flattened gradient) over all outputs."""
-    seq_len = seq_len_for(net, prompt)
-    for tokens in itertools.product(range(net.vocab_size), repeat=seq_len):
-        rec = score_sequence(net, prompt, tokens)
-        yield tokens, math.exp(rec.logprob), flatten_layer_mats(rec.seq_grads)
+def enumerate_scored_outputs(net: PolicyNet, prompt) -> tuple[np.ndarray, np.ndarray]:
+    """(probabilities, flattened gradients) of every output sequence, in one batch."""
+    seq_len = seq_len_for(net, prompt.features)
+    tokens = np.array(list(itertools.product(range(net.vocab_size), repeat=seq_len)))
+    scored = score(net, np.repeat(prompt.features[None], len(tokens), axis=0), tokens)
+    grads = np.concatenate([g.reshape(len(tokens), -1) for g in scored.seq_grads], axis=1)
+    return np.exp(scored.logprobs), grads
 
 
 def exact_fisher(net: PolicyNet, prompts) -> ExactFisher:
@@ -89,15 +90,9 @@ def exact_fisher(net: PolicyNet, prompts) -> ExactFisher:
     n = net.param_count
     fisher = np.zeros((n, n))
     for prompt in prompts:
-        rows = []
-        probs = []
-        for _, prob, grad in enumerate_scored_outputs(net, prompt):
-            rows.append(grad)
-            probs.append(prob)
-        probs = np.array(probs)
+        probs, g = enumerate_scored_outputs(net, prompt)
         if abs(probs.sum() - 1.0) > 1e-9:
             raise ArithmeticError(f"enumerated probabilities sum to {probs.sum()}")
-        g = np.stack(rows)
         fisher += (g * probs[:, None]).T @ g
     fisher /= len(prompts)
     fisher = 0.5 * (fisher + fisher.T)
@@ -110,25 +105,23 @@ def fisher_quadratic(net: PolicyNet, prompts, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=float)
     total = 0.0
     for prompt in prompts:
-        for _, prob, grad in enumerate_scored_outputs(net, prompt):
-            total += prob * float(grad @ v) ** 2
+        probs, g = enumerate_scored_outputs(net, prompt)
+        total += math.fsum(probs * (g @ v) ** 2)
     return total / len(prompts)
 
 
 def layer_moments(net: PolicyNet, prompts, layer: int) -> tuple[np.ndarray, float]:
     """Exact (F_layer, E|grad_layer|^2) for one layer by enumeration."""
     _check_budget(net, prompts)
-    rows, cols = net.weights[layer].shape
-    size = rows * cols
+    start = sum(w.size for w in net.weights[:layer])
+    size = net.weights[layer].size
     fisher = np.zeros((size, size))
     mean_sq = 0.0
     for prompt in prompts:
-        for tokens in itertools.product(range(net.vocab_size), repeat=seq_len_for(net, prompt)):
-            rec = score_sequence(net, prompt, tokens)
-            g = rec.seq_grads[layer].ravel()
-            prob = math.exp(rec.logprob)
-            fisher += prob * np.outer(g, g)
-            mean_sq += prob * float(g @ g)
+        prob, grads = enumerate_scored_outputs(net, prompt)
+        g = grads[:, start : start + size]
+        fisher += (g * prob[:, None]).T @ g
+        mean_sq += float(prob @ np.sum(g * g, axis=1))
     return fisher / len(prompts), mean_sq / len(prompts)
 
 
@@ -153,10 +146,14 @@ def exact_npg(fisher: ExactFisher, g: np.ndarray, damping: float) -> np.ndarray:
     return v
 
 
-def materialize_position_grads(record: SequenceRecord, layer: int) -> list[np.ndarray]:
-    """Full rank-one matrices outer(g_out_j, a_in_j) for every position."""
-    factors = record.factors[layer]
-    return [np.outer(factors.grad_out[j], factors.act_in[j]) for j in range(len(factors))]
+def materialize_position_grads(scored: Scored, layer: int) -> list[np.ndarray]:
+    """Full rank-one matrices outer(g_out_j, a_in_j) for every position, in the
+    C order of the (B, T) grid."""
+    act_in = scored.act_in[layer]
+    grad_out = scored.grad_out[layer]
+    acts = act_in.reshape(-1, act_in.shape[-1])
+    gouts = grad_out.reshape(-1, grad_out.shape[-1])
+    return [np.outer(g, a) for g, a in zip(gouts, acts)]
 
 
 def naive_fisher_norm(v: np.ndarray, mats: list[np.ndarray]) -> float:

@@ -1,18 +1,26 @@
 """Small autoregressive softmax policies with a hand-written backward pass.
 
 A policy is a stack of linear layers with tanh between them, applied
-independently at each output position. The context fed to the network at
-position ``t`` is
+independently at each output position. The input to the network at
+position ``t`` of a sequence is
 
     [ one-hot(previous token) | one-hot(t) | prompt features ]
 
-and the final layer produces one logit per vocabulary token. Sampled tokens
-are discrete, so the log-probability of a sequence decomposes per position
-and its gradient with respect to a layer's weights is a sum of rank-one
-terms: the outer product of the back-propagated pre-activation gradient and
-the (bias-augmented) layer input at that position. The backward pass records
-exactly those factor pairs; they are the raw material for the Fisher-norm
-estimator and the per-sequence reduced gradients.
+and the final layer produces one logit per vocabulary token.
+
+A batch of B sequences of length T is held as arrays, never as per-position
+objects. ``forward`` maps inputs of any leading shape, so teacher-forced
+scoring runs the whole (B, T) grid at once, and sampling and greedy decoding
+loop only over the T autoregressive positions, each step batched over B.
+
+Sampled tokens are discrete, so a sequence's log-probability is a sum over
+positions and its gradient with respect to layer l's weights is a sum of
+rank-one terms outer(grad_out[l][b, t], act_in[l][b, t]): the
+back-propagated pre-activation gradient times the bias-augmented layer
+input. ``score`` returns those factor arrays, of shapes (B, T, out) and
+(B, T, in + 1), with their contraction over positions, the per-sequence
+gradients seq_grads[l] of shape (B, out, in + 1). They are the raw material
+for the Fisher-norm estimator and the per-sequence reduced gradients.
 
 Biases are handled by augmenting every layer input with a trailing constant
 1, so each position's gradient is a single rank-one matrix with no special
@@ -22,7 +30,7 @@ case for the bias column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,40 +84,23 @@ class PolicyNet:
 
 
 @dataclass
-class PositionGradFactors:
-    """Stacked per-position rank-one gradient factors for one layer.
+class Scored:
+    """Teacher-forced log-probabilities and gradient factors of B sequences.
 
-    Row ``j`` is position ``j``'s pair: ``act_in[j]`` is the layer input at
-    that position augmented with a trailing 1, ``grad_out[j]`` the gradient of
-    the summed log-probability with respect to the layer's pre-activation.
-    The position's full weight gradient is ``outer(grad_out[j], act_in[j])``.
+    Per layer l, ``act_in[l][b, t]`` is the layer input at position t of
+    sequence b augmented with a trailing 1, and ``grad_out[l][b, t]`` the
+    gradient of the sequence's log-probability with respect to the layer's
+    pre-activation there. ``seq_grads[l][b]`` is their sum of outer products
+    over positions, the gradient of ``logprobs[b]`` with respect to layer l.
     """
 
-    act_in: np.ndarray  # (n_positions, in_dim + 1)
-    grad_out: np.ndarray  # (n_positions, out_dim)
+    logprobs: np.ndarray  # (B,)
+    act_in: list[np.ndarray]  # per layer (B, T, in_dim + 1)
+    grad_out: list[np.ndarray]  # per layer (B, T, out_dim)
+    seq_grads: list[np.ndarray] = field(init=False)  # per layer (B, out_dim, in_dim + 1)
 
-    def __len__(self) -> int:
-        return self.act_in.shape[0]
-
-
-@dataclass
-class ForwardTrace:
-    """Activations recorded during one position's forward pass."""
-
-    act_in: list[np.ndarray]  # augmented input per layer
-    hidden: list[np.ndarray]  # tanh output per hidden layer
-    logits: np.ndarray
-
-
-@dataclass
-class SequenceRecord:
-    """One sampled (or teacher-forced) sequence with its gradient factors."""
-
-    prompt_id: str
-    tokens: tuple[int, ...]
-    logprob: float
-    factors: list[PositionGradFactors]  # per layer
-    seq_grads: list[np.ndarray]  # per layer, reduced over positions
+    def __post_init__(self) -> None:
+        self.seq_grads = [np.swapaxes(g, 1, 2) @ a for g, a in zip(self.grad_out, self.act_in)]
 
 
 def init_policy(
@@ -130,171 +121,133 @@ def init_policy(
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits)
+    """Softmax over the last axis."""
+    z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits)
-    return z - np.log(np.sum(np.exp(z)))
-
-
-def forward_logits(net: PolicyNet, context) -> tuple[np.ndarray, ForwardTrace]:
-    """Run the network on one context vector, recording activations."""
-    x = np.asarray(context, dtype=float)
-    if x.shape != (net.context_dim,):
-        raise ContractViolation(f"context shape {x.shape}, expected ({net.context_dim},)")
-    act_in: list[np.ndarray] = []
-    hidden: list[np.ndarray] = []
-    n = net.n_layers
-    z = x
+def forward(net: PolicyNet, x) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Logits and bias-augmented layer inputs for inputs ``x`` of shape (..., context_dim)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (net.context_dim,):
+        raise ContractViolation(f"input shape {x.shape}, expected (..., {net.context_dim})")
+    lead = x.shape[:-1]
+    x = x.reshape(-1, net.context_dim)
+    ones = np.ones((x.shape[0], 1))
+    act_in = []
     for l, w in enumerate(net.weights):
-        a = np.append(x, 1.0)
-        act_in.append(a)
-        z = w @ a
-        if l < n - 1:
-            x = np.tanh(z)
-            hidden.append(x)
-    return z, ForwardTrace(act_in, hidden, z)
+        a = np.concatenate([x, ones], axis=1)
+        act_in.append(a.reshape(lead + a.shape[1:]))
+        x = a @ w.T
+        if l < net.n_layers - 1:
+            x = np.tanh(x)
+    return x.reshape(lead + x.shape[1:]), act_in
 
 
-def seq_len_for(net: PolicyNet, prompt) -> int:
-    """Sequence length implied by the context layout for this prompt."""
-    t = net.context_dim - net.vocab_size - len(prompt.features)
+def seq_len_for(net: PolicyNet, features) -> int:
+    """Sequence length implied by the input layout for prompt features (..., F)."""
+    n_features = np.shape(features)[-1]
+    t = net.context_dim - net.vocab_size - n_features
     if t < 1:
         raise ContractViolation(
             f"context dim {net.context_dim} too small for vocab {net.vocab_size} "
-            f"and {len(prompt.features)} prompt features"
+            f"and {n_features} prompt features"
         )
     return t
 
 
-def build_context(net: PolicyNet, prompt, t: int, prev_token: int | None) -> np.ndarray:
-    seq_len = seq_len_for(net, prompt)
-    if not 0 <= t < seq_len:
-        raise ContractViolation(f"position {t} outside sequence length {seq_len}")
-    ctx = np.zeros(net.context_dim)
-    if prev_token is not None:
-        ctx[prev_token] = 1.0
-    ctx[net.vocab_size + t] = 1.0
-    ctx[net.vocab_size + seq_len :] = prompt.features
-    return ctx
-
-
-def backward_logprob(
-    net: PolicyNet,
-    traces: list[ForwardTrace],
-    tokens,
-    loss_mask=None,
-) -> tuple[list[PositionGradFactors], list[np.ndarray]]:
-    """Gradient of sum_t log softmax(logits_t)[token_t] w.r.t. every layer.
-
-    Returns the per-position factor pairs and the reduced per-layer gradient
-    (the sum of the rank-one terms). ``loss_mask`` optionally weights each
-    position's log-probability term (used to probe which positions a factor
-    aggregates).
-    """
-    tokens = list(tokens)
-    if len(traces) != len(tokens):
+def _contexts(net: PolicyNet, features, tokens) -> np.ndarray:
+    """Teacher-forced inputs (B, T, context_dim): position t sees token t - 1 of its row."""
+    features = np.asarray(features, dtype=float)
+    tokens = np.asarray(tokens)
+    seq_len = seq_len_for(net, features)
+    n = features.shape[0]
+    if features.ndim != 2 or tokens.shape != (n, seq_len):
         raise ContractViolation(
-            f"{len(traces)} recorded positions but {len(tokens)} tokens"
+            f"features {features.shape} and tokens {tokens.shape} do not form "
+            f"(B, F) and (B, {seq_len})"
         )
-    n = net.n_layers
-    act_rows: list[list[np.ndarray]] = [[] for _ in range(n)]
-    gout_rows: list[list[np.ndarray]] = [[] for _ in range(n)]
-    for t, trace in enumerate(traces):
-        token = tokens[t]
-        if not 0 <= token < net.vocab_size:
-            raise ContractViolation(f"token {token} outside vocab {net.vocab_size}")
-        weight = 1.0 if loss_mask is None else float(loss_mask[t])
-        g = -softmax(trace.logits)
-        g[token] += 1.0
-        g *= weight
-        for l in range(n - 1, -1, -1):
-            act_rows[l].append(trace.act_in[l])
-            gout_rows[l].append(g)
-            if l > 0:
-                h = trace.hidden[l - 1]
-                g = (net.weights[l][:, :-1].T @ g) * (1.0 - h * h)
-    factors = [
-        PositionGradFactors(np.array(act_rows[l]), np.array(gout_rows[l]))
-        for l in range(n)
-    ]
-    seq_grads = [f.grad_out.T @ f.act_in for f in factors]
-    return factors, seq_grads
+    if tokens.size and not (0 <= tokens.min() and tokens.max() < net.vocab_size):
+        raise ContractViolation(f"tokens outside vocab {net.vocab_size}")
+    v = net.vocab_size
+    x = np.zeros((n, seq_len, net.context_dim))
+    x[:, 1:, :v] = np.eye(v)[tokens[:, :-1]]
+    x[:, :, v : v + seq_len] = np.eye(seq_len)
+    x[:, :, v + seq_len :] = features[:, None, :]
+    return x
 
 
-def _roll(
-    net: PolicyNet,
-    prompt,
-    tokens=None,
-    rng: np.random.Generator | None = None,
-    greedy: bool = False,
-    keep_trace: bool = True,
-):
-    """Shared forward loop for sampling, greedy decoding and scoring."""
-    seq_len = seq_len_for(net, prompt)
-    if tokens is not None:
-        tokens = list(tokens)
-        if len(tokens) != seq_len:
-            raise ContractViolation(f"expected {seq_len} tokens, got {len(tokens)}")
-    out_tokens: list[int] = []
-    traces: list[ForwardTrace] = []
-    logprob = 0.0
-    prev: int | None = None
-    for t in range(seq_len):
-        ctx = build_context(net, prompt, t, prev)
-        logits, trace = forward_logits(net, ctx)
-        logp = log_softmax(logits)
-        if tokens is not None:
-            token = tokens[t]
-        elif greedy:
-            token = int(np.argmax(logits))
-        else:
-            if rng is None:
-                raise ContractViolation("sampling requires a seeded generator")
-            probs = softmax(logits)
-            cdf = np.cumsum(probs)
-            token = int(min(np.searchsorted(cdf, rng.random(), side="right"),
-                            net.vocab_size - 1))
-        logprob += float(logp[token])
-        out_tokens.append(token)
-        if keep_trace:
-            traces.append(trace)
-        prev = token
-    return out_tokens, logprob, traces
+def _decode(net: PolicyNet, features, choose) -> np.ndarray:
+    """Tokens (B, T) chosen position by position by ``choose(logits, t)``."""
+    features = np.asarray(features, dtype=float)
+    tokens = np.zeros((features.shape[0], seq_len_for(net, features)), dtype=np.int64)
+    x = _contexts(net, features, tokens)
+    for t in range(tokens.shape[1]):
+        if t:  # the previous-token block of position t, now that it is known
+            x[:, t, : net.vocab_size] = np.eye(net.vocab_size)[tokens[:, t - 1]]
+        logits, _ = forward(net, x[:, t])
+        tokens[:, t] = choose(logits, t)
+    return tokens
 
 
-def sample_sequence(net: PolicyNet, prompt, rng: np.random.Generator) -> SequenceRecord:
-    """Draw one sequence token by token from the policy and backprop through it."""
-    tokens, logprob, traces = _roll(net, prompt, rng=rng)
-    factors, seq_grads = backward_logprob(net, traces, tokens)
-    return SequenceRecord(prompt.id, tuple(tokens), logprob, factors, seq_grads)
+def sample(net: PolicyNet, features, u) -> np.ndarray:
+    """Draw token sequences (B, T) from the policy for prompt features (B, F).
+
+    Row b's token at position t is the number of entries of the policy's
+    cumulative distribution at or below ``u[b, t]``, capped at vocab - 1, so
+    each sequence depends only on its own row of uniforms.
+    """
+    u = np.asarray(u, dtype=float)
+    features = np.asarray(features, dtype=float)
+    if u.shape != (features.shape[0], seq_len_for(net, features)):
+        raise ContractViolation(f"uniforms shape {u.shape} does not match (B, T)")
+
+    def choose(logits, t):
+        cdf = np.cumsum(softmax(logits), axis=-1)
+        return np.minimum(np.sum(cdf <= u[:, t, None], axis=-1), net.vocab_size - 1)
+
+    return _decode(net, features, choose)
 
 
-def score_sequence(net: PolicyNet, prompt, tokens) -> SequenceRecord:
-    """Teacher-forced log-probability and gradients of a given token sequence."""
-    toks, logprob, traces = _roll(net, prompt, tokens=tokens)
-    factors, seq_grads = backward_logprob(net, traces, toks)
-    return SequenceRecord(prompt.id, tuple(toks), logprob, factors, seq_grads)
+def greedy(net: PolicyNet, features) -> np.ndarray:
+    """Argmax decoding (B, T) for prompt features (B, F); deterministic."""
+    return _decode(net, features, lambda logits, t: np.argmax(logits, axis=-1))
 
 
-def greedy_sequence(net: PolicyNet, prompt) -> tuple[int, ...]:
-    """Argmax decoding; deterministic."""
-    tokens, _, _ = _roll(net, prompt, greedy=True, keep_trace=False)
-    return tuple(tokens)
+def _token_logprobs(logits: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    z = logits - np.max(logits, axis=-1, keepdims=True)
+    logp = z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    return np.take_along_axis(logp, tokens[..., None], axis=-1)[..., 0]
 
 
-def sequence_logprob(net: PolicyNet, prompt, tokens) -> float:
-    """Log-probability of a given token sequence, no gradients."""
-    _, logprob, _ = _roll(net, prompt, tokens=tokens, keep_trace=False)
-    return logprob
+def sequence_logprobs(net: PolicyNet, features, tokens) -> np.ndarray:
+    """Log-probabilities (B,) of token sequences (B, T), forward pass only."""
+    tokens = np.asarray(tokens)
+    logits, _ = forward(net, _contexts(net, features, tokens))
+    return _token_logprobs(logits, tokens).sum(axis=1)
 
 
-def _sample_tokens(net: PolicyNet, prompt, rng: np.random.Generator) -> tuple[list[int], float]:
-    tokens, logprob, _ = _roll(net, prompt, rng=rng, keep_trace=False)
-    return tokens, logprob
+def score(net: PolicyNet, features, tokens) -> Scored:
+    """Teacher-forced log-probabilities and gradients of token sequences (B, T)."""
+    tokens = np.asarray(tokens)
+    logits, act_in = forward(net, _contexts(net, features, tokens))
+    # d log softmax(z)[token] / dz = onehot(token) - softmax(z)
+    g = np.eye(net.vocab_size)[tokens] - softmax(logits)
+    grad_out = [g]
+    for l in range(net.n_layers - 1, 0, -1):
+        h = act_in[l][..., :-1]
+        g = (g @ net.weights[l][:, :-1]) * (1.0 - h * h)
+        grad_out.insert(0, g)
+    return Scored(_token_logprobs(logits, tokens).sum(axis=1), act_in, grad_out)
+
+
+def sample_and_score(net: PolicyNet, features, rngs) -> tuple[np.ndarray, Scored]:
+    """Sample sequence b for prompt features ``features[b]`` from generator
+    ``rngs[b]`` (T draws of ``random()``), and score the batch."""
+    seq_len = seq_len_for(net, features)
+    tokens = sample(net, features, np.stack([rng.random(seq_len) for rng in rngs]))
+    return tokens, score(net, features, tokens)
 
 
 def kl_from_reference(
@@ -307,18 +260,18 @@ def kl_from_reference(
     """Monte Carlo estimate of KL(net || ref) averaged over prompts.
 
     Samples are allocated round-robin over prompts in sorted-id order, so the
-    estimate does not depend on the order the prompts are passed in.
+    estimate does not depend on the order the prompts are passed in. Sample
+    i uses row i of one ``rng.random((n_samples, T))`` draw.
     """
     if [w.shape for w in net.weights] != [w.shape for w in ref.weights]:
         raise ContractViolation("policies must share an architecture")
     ordered = sorted(prompts, key=lambda p: p.id)
     if not ordered:
         raise ContractViolation("need at least one prompt")
-    diffs = []
-    for i in range(n_samples):
-        prompt = ordered[i % len(ordered)]
-        tokens, lp = _sample_tokens(net, prompt, rng)
-        diffs.append(lp - sequence_logprob(ref, prompt, tokens))
+    features = np.stack([p.features for p in ordered])[np.arange(n_samples) % len(ordered)]
+    u = rng.random((n_samples, seq_len_for(net, features)))
+    tokens = sample(net, features, u)
+    diffs = sequence_logprobs(net, features, tokens) - sequence_logprobs(ref, features, tokens)
     return math.fsum(diffs) / n_samples
 
 

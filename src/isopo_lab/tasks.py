@@ -41,29 +41,49 @@ class Prompt:
 
 @dataclass
 class Group:
-    """G sampled sequences for one prompt with rewards and centered advantages."""
+    """Rewards and centered advantages of the G sequences sampled for one prompt."""
 
     prompt: Prompt
-    records: list
     rewards: np.ndarray
     advantages: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.records) < 2:
+        if len(self.rewards) < 2:
             raise ContractViolation("a group needs at least 2 sequences")
-        if not (len(self.records) == len(self.rewards) == len(self.advantages)):
+        if len(self.rewards) != len(self.advantages):
             raise ContractViolation("group fields disagree on group size")
+
+
+@dataclass(frozen=True)
+class SequenceView:
+    """One sequence of a microbatch: its prompt and its tokens."""
+
+    prompt: Prompt
+    tokens: tuple[int, ...]
 
 
 @dataclass
 class Microbatch:
-    """All groups sampled for one optimization step."""
+    """All groups sampled for one optimization step, held as arrays.
+
+    Row b of ``features`` (B, F), ``tokens`` (B, T) and every array in
+    ``scored`` is the same sequence; rows run through the groups in order.
+    """
 
     groups: list[Group]
+    features: np.ndarray
+    tokens: np.ndarray
+    scored: policy.Scored
+
+    def __post_init__(self) -> None:
+        n = sum(len(g.rewards) for g in self.groups)
+        if not len(self.features) == len(self.tokens) == len(self.scored.logprobs) == n:
+            raise ContractViolation(f"groups hold {n} sequences, arrays disagree")
 
     @property
-    def records(self) -> list:
-        return [r for g in self.groups for r in g.records]
+    def records(self) -> list[SequenceView]:
+        prompts = [g.prompt for g in self.groups for _ in g.rewards]
+        return [SequenceView(p, tuple(row)) for p, row in zip(prompts, self.tokens.tolist())]
 
     @property
     def rewards(self) -> np.ndarray:
@@ -72,17 +92,6 @@ class Microbatch:
     @property
     def advantages(self) -> np.ndarray:
         return np.concatenate([g.advantages for g in self.groups])
-
-    def prompt_for(self, index: int) -> Prompt:
-        for g in self.groups:
-            if index < len(g.records):
-                return g.prompt
-            index -= len(g.records)
-        raise IndexError(index)
-
-    @property
-    def n_sequences(self) -> int:
-        return sum(len(g.records) for g in self.groups)
 
 
 def group_advantages(rewards, normalize_std: bool = False) -> np.ndarray:
@@ -94,6 +103,25 @@ def group_advantages(rewards, normalize_std: bool = False) -> np.ndarray:
     if normalize_std:
         adv = adv / (r.std() + STD_EPS)
     return adv
+
+
+def build_microbatch(net, task, prompts, rngs, normalize_std: bool = False) -> Microbatch:
+    """Sample, reward and score one microbatch.
+
+    Group g holds ``len(rngs[g])`` sequences for ``prompts[g]``; each sequence
+    draws its T uniforms from its own generator, so its tokens depend on that
+    generator and the policy alone.
+    """
+    sizes = [len(group_rngs) for group_rngs in rngs]
+    features = np.repeat(np.stack([p.features for p in prompts]), sizes, axis=0)
+    tokens, scored = policy.sample_and_score(net, features, [r for group in rngs for r in group])
+    groups = []
+    rows = iter(tokens.tolist())
+    for prompt, size in zip(prompts, sizes):
+        # rewards come from the task verifier and nowhere else
+        rewards = np.array([task.reward(prompt, next(rows)) for _ in range(size)])
+        groups.append(Group(prompt, rewards, group_advantages(rewards, normalize_std)))
+    return Microbatch(groups, features, tokens, scored)
 
 
 def _heldout_hash(key: str) -> bool:
@@ -190,17 +218,13 @@ class BanditTask:
         return tuple(tokens) == prompt.target
 
 
-def validation_score(net, task, prompts, n_samples: int | None = None, rng=None) -> float:
-    """Mean exact-match rate under greedy decoding.
-
-    Greedy decoding is deterministic, so ``n_samples`` and ``rng`` are
-    accepted for interface symmetry but unused.
-    """
-    del n_samples, rng
+def validation_score(net, task, prompts) -> float:
+    """Mean exact-match rate under greedy decoding."""
     prompts = list(prompts)
     if not prompts:
         raise ContractViolation("validation needs at least one prompt")
-    hits = sum(1 for p in prompts if task.exact_match(p, policy.greedy_sequence(net, p)))
+    tokens = policy.greedy(net, np.stack([p.features for p in prompts]))
+    hits = sum(1 for p, row in zip(prompts, tokens.tolist()) if task.exact_match(p, row))
     return hits / len(prompts)
 
 

@@ -20,20 +20,24 @@ def small_net(small_task):
 
 def make_microbatch(net, task, seed=0, n_groups=2, group_size=4, force_advantages=True):
     """Sampled microbatch; nudges advantages away from all-zero when asked."""
-    groups = []
-    for gi in range(n_groups):
-        prompt = task.train_prompts[(seed + 5 * gi) % len(task.train_prompts)]
-        records = [
-            policy.sample_sequence(net, prompt, stream(seed, f"mb/{gi}/{k}"))
-            for k in range(group_size)
-        ]
-        rewards = np.array([task.reward(prompt, r.tokens) for r in records])
-        advantages = tasks.group_advantages(rewards)
-        if force_advantages and not np.any(advantages):
-            advantages = np.linspace(-1.0, 1.0, group_size)
-            advantages -= advantages.mean()
-        groups.append(tasks.Group(prompt, records, rewards, advantages))
-    return tasks.Microbatch(groups)
+    prompts = [
+        task.train_prompts[(seed + 5 * gi) % len(task.train_prompts)] for gi in range(n_groups)
+    ]
+    rngs = [[stream(seed, f"mb/{gi}/{k}") for k in range(group_size)] for gi in range(n_groups)]
+    mb = tasks.build_microbatch(net, task, prompts, rngs)
+    for group in mb.groups:
+        if force_advantages and not np.any(group.advantages):
+            group.advantages = np.linspace(-1.0, 1.0, group_size)
+            group.advantages -= group.advantages.mean()
+    return mb
+
+
+def scale_grad_out(mb, s):
+    """Copy of ``mb`` with every position's backpropagated factor scaled by ``s``;
+    keeps the rank-one structure (the sequence gradients are re-contracted)."""
+    scored = mb.scored
+    scored = policy.Scored(scored.logprobs, scored.act_in, [g * s for g in scored.grad_out])
+    return tasks.Microbatch(mb.groups, mb.features, mb.tokens, scored)
 
 
 @pytest.fixture

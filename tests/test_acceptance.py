@@ -31,38 +31,35 @@ def default_setup(seed=0):
 
 
 def default_microbatch(task, net, seed=0, n_groups=2, group_size=4):
-    groups = []
-    for gi in range(n_groups):
-        prompt = task.train_prompts[(7 * gi + seed) % len(task.train_prompts)]
-        records = [
-            policy.sample_sequence(net, prompt, stream(seed, f"acc/{gi}/{k}"))
-            for k in range(group_size)
-        ]
-        rewards = np.array([task.reward(prompt, r.tokens) for r in records])
-        advantages = tasks.group_advantages(rewards)
-        if not np.any(advantages):
-            advantages = np.linspace(-1.0, 1.0, group_size)
-            advantages -= advantages.mean()
-        groups.append(tasks.Group(prompt, records, rewards, advantages))
-    return tasks.Microbatch(groups)
+    prompts = [
+        task.train_prompts[(7 * gi + seed) % len(task.train_prompts)] for gi in range(n_groups)
+    ]
+    rngs = [[stream(seed, f"acc/{gi}/{k}") for k in range(group_size)] for gi in range(n_groups)]
+    mb = tasks.build_microbatch(net, task, prompts, rngs)
+    for group in mb.groups:
+        if not np.any(group.advantages):
+            group.advantages = np.linspace(-1.0, 1.0, group_size)
+            group.advantages -= group.advantages.mean()
+    return mb
 
 
 def test_criterion_01_gradient_exactness():
     start = time.time()
     task, net = default_setup()
     prompt = task.train_prompts[0]
-    record = policy.sample_sequence(net, prompt, stream(0, "c1"))
+    features = prompt.features[None]
+    tokens, scored = policy.sample_and_score(net, features, [stream(0, "c1")])
     h = 1e-5
     worst = 0.0
     for l, w in enumerate(net.weights):
-        analytic = record.seq_grads[l]
+        analytic = scored.seq_grads[l][0]
         for i in range(w.shape[0]):
             for j in range(w.shape[1]):
                 orig = w[i, j]
                 w[i, j] = orig + h
-                up = policy.sequence_logprob(net, prompt, record.tokens)
+                up = policy.sequence_logprobs(net, features, tokens)[0]
                 w[i, j] = orig - h
-                down = policy.sequence_logprob(net, prompt, record.tokens)
+                down = policy.sequence_logprobs(net, features, tokens)[0]
                 w[i, j] = orig
                 fd = (up - down) / (2 * h)
                 denom = max(abs(fd), abs(analytic[i, j]), 1e-3)
@@ -83,14 +80,14 @@ def test_criterion_02_rank_one_estimator_equivalence():
     rng = stream(1, "c2-v")
     worst = 0.0
     for l in range(net.n_layers):
-        mats = []
-        for rec in mb.records:
-            mats.extend(oracle.materialize_position_grads(rec, l))
+        mats = oracle.materialize_position_grads(mb.scored, l)
         for pair in range(100):
             samples = isopo.draw_overlap_samples(mb, 64, stream(pair, f"c2-ov/{l}"))
             sampled = [mats[i] for i in samples.indices]
             v = rng.standard_normal(net.weights[l].shape)
-            fast = isopo.fisher_norm_estimate(v, samples.layers[l], samples.denominators[l])
+            fast = isopo.fisher_norm_estimate(
+                v, samples.act_in[l], samples.grad_out[l], samples.denominators[l]
+            )
             slow = oracle.naive_fisher_norm(v, sampled)
             worst = max(worst, abs(fast - slow) / max(slow, 1e-12))
     elapsed = time.time() - start
@@ -106,7 +103,6 @@ def test_criterion_03_interacting_update_equivalence():
     start = time.time()
     task, net = default_setup(2)
     mb = default_microbatch(task, net, seed=2, n_groups=4, group_size=8)
-    all_grads = [r.seq_grads for r in mb.records]
     adv_all = mb.advantages
     rng = stream(2, "c3")
     worst = 0.0
@@ -124,13 +120,12 @@ def test_criterion_03_interacting_update_equivalence():
             / max(float(np.linalg.norm(dense)), 1e-12),
         )
 
-    for l in range(net.n_layers):
-        grads_l = [g[l] for g in all_grads]
+    for grads_l in mb.scored.seq_grads:
         mean_sq = float(np.mean([np.sum(g * g) for g in grads_l]))
         for m in (1, 2, 8, 32):
             check(grads_l[:m], adv_all[:m] + 0.1, 0.5 * mean_sq + 1e-6)
         # duplicated gradients: K is rank deficient, c > 0 keeps it solvable
-        check([grads_l[0], grads_l[0]], np.array([1.0, -0.5]), 0.3 * mean_sq + 1e-6)
+        check(grads_l[[0, 0]], np.array([1.0, -0.5]), 0.3 * mean_sq + 1e-6)
         check(grads_l[:8], rng.standard_normal(8), 1e-3 * mean_sq + 1e-9)
     elapsed = time.time() - start
     report(
@@ -146,28 +141,22 @@ def test_criterion_04_self_normalization():
     prompt = task.train_prompts[5]
     # scale the backpropagated factors so every estimate keeps F^2 well above the
     # 1e-8 floor of reg2, where p = -1 divides by F exactly
-    records = []
-    for k in range(8):
-        rec = policy.sample_sequence(net, prompt, stream(3, f"c4/{k}"))
-        factors = [
-            policy.PositionGradFactors(f.act_in.copy(), f.grad_out * 12.0)
-            for f in rec.factors
-        ]
-        grads = [f.grad_out.T @ f.act_in for f in factors]
-        records.append(
-            policy.SequenceRecord(rec.prompt_id, rec.tokens, rec.logprob, factors, grads)
-        )
-    mb = tasks.Microbatch(
-        [tasks.Group(prompt, records, np.zeros(8), np.linspace(-1, 1, 8))]
-    )
+    rngs = [stream(3, f"c4/{k}") for k in range(8)]
+    features = np.repeat(prompt.features[None], 8, axis=0)
+    tokens, scored = policy.sample_and_score(net, features, rngs)
+    scaled = policy.Scored(scored.logprobs, scored.act_in, [g * 12.0 for g in scored.grad_out])
+    group = tasks.Group(prompt, np.zeros(8), np.linspace(-1, 1, 8))
+    mb = tasks.Microbatch([group], features, tokens, scaled)
     samples = isopo.draw_overlap_samples(mb, 64, stream(3, "c4-ov"))
     norms, degenerate = isopo.sequence_fisher_norms(mb, samples)
     params = isopo.RescalingParams(p=-1.0, q=0.0, r=0.0, reg_strength=0.0)
     worst = 0.0
-    for i, rec in enumerate(records):
-        for l in range(net.n_layers):
-            w = isopo.rescaling(rec.seq_grads[l], norms[i, l], params, l)
-            f_w = isopo.fisher_norm_estimate(w, samples.layers[l], samples.denominators[l])
+    for l, jac in enumerate(scaled.seq_grads):
+        for i in range(len(jac)):
+            w = isopo.rescaling(jac[i], norms[i, l], params, l)
+            f_w = isopo.fisher_norm_estimate(
+                w, samples.act_in[l], samples.grad_out[l], samples.denominators[l]
+            )
             worst = max(worst, abs(f_w - 1.0))
     min_f = float(np.nanmin(norms))
     report(
@@ -212,8 +201,7 @@ def test_criterion_06_definitional_degeneracies():
     )
 
     worst_angle = 0.0
-    for l in range(net.n_layers):
-        seq_grads = [r.seq_grads[l] for r in mb.records]
+    for seq_grads in mb.scored.seq_grads:
         vanilla = sum(a * g for a, g in zip(mb.advantages, seq_grads)).ravel()
         k_norm = float(np.linalg.norm(isopo.build_ntk(seq_grads).gram))
         update = isopo.interacting_update(seq_grads, mb.advantages, 1e6 * k_norm).ravel()

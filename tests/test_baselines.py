@@ -52,13 +52,11 @@ def test_grpo_clipped_sequence_contributes_nothing(small_net, small_task):
     eps = 0.2
     # ratios rho = 1 + 2 eps for every sequence: pretend old logprobs were lower
     shift = math.log(1.0 + 2.0 * eps)
-    snapshot = baselines.OldPolicySnapshot(
-        np.array([r.logprob - shift for r in mb.records])
-    )
+    snapshot = baselines.OldPolicySnapshot(mb.scored.logprobs - shift)
     mb.groups[0].advantages = np.array([1.0, -1.0])  # A>0 clipped, A<0 active
     grads = baselines.grpo_clipped_grad(mb, snapshot, small_net, eps)
     rho = 1.0 + 2.0 * eps
-    expected = [-(rho * 1.0) * g for g in mb.records[1].seq_grads]
+    expected = [-(rho * 1.0) * g[1] for g in mb.scored.seq_grads]
     for got, exp in zip(grads, expected):
         assert np.allclose(got, exp, rtol=1e-10)
 
@@ -94,6 +92,25 @@ def test_grpo_huge_clip_eps_single_epoch_equals_reinforce(small_net, small_task)
     ref = baselines.reinforce_grad(mb)
     for a, b in zip(grpo, ref):
         assert np.max(np.abs(a - b)) <= 1e-10 * max(np.max(np.abs(b)), 1.0)
+
+
+def test_grpo_ratio_overflow_raises(small_net, small_task):
+    # a snapshot log-probability 1e4 below the current one overflows exp(); the
+    # FloatingPointError is an ArithmeticError, which ends a training run ABORTED
+    mb = make_microbatch(small_net, small_task, seed=7, n_groups=1, group_size=2)
+    snapshot = baselines.OldPolicySnapshot(mb.scored.logprobs - 1e4)
+    with pytest.raises(ArithmeticError):
+        baselines.grpo_clipped_grad(mb, snapshot, small_net, 0.2)
+    with pytest.raises(ArithmeticError):
+        baselines.grpo_surrogate(mb, snapshot, small_net, 0.2)
+
+
+def test_reinforce_grad_matches_per_sequence_sum(small_net, small_task):
+    mb = make_microbatch(small_net, small_task, seed=8)
+    grads = baselines.reinforce_grad(mb)
+    for grad, jac in zip(grads, mb.scored.seq_grads):
+        expected = sum(a * g for a, g in zip(mb.advantages, jac))
+        assert np.allclose(grad, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_grpo_snapshot_size_checked(small_net, small_task):
@@ -143,16 +160,9 @@ def test_adamw_hand_evaluated_second_step():
 
 def test_zero_grad_no_weight_decay_is_noop():
     net = policy.PolicyNet([np.full((2, 3), 0.7)], vocab_size=2, context_dim=2)
-    state = baselines.make_optimizer("adamw", lr=0.5, weight_decay=0.0)
+    state = baselines.make_optimizer("adamw", lr=0.5)
     baselines.optimizer_step(state, net, [np.zeros((2, 3))])
     assert np.allclose(net.weights[0], 0.7)
-
-
-def test_adamw_decoupled_weight_decay():
-    net = policy.PolicyNet([np.full((1, 1), 2.0)], vocab_size=1, context_dim=0)
-    state = baselines.make_optimizer("adamw", lr=0.1, weight_decay=0.5)
-    baselines.optimizer_step(state, net, [np.zeros((1, 1))])
-    assert net.weights[0][0, 0] == pytest.approx(2.0 * (1 - 0.1 * 0.5))
 
 
 def test_nonfinite_gradient_aborts_before_mutation():

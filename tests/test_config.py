@@ -9,7 +9,6 @@ from isopo_lab.config import (
     parse_config,
     serialize_config,
     validate_config,
-    with_overrides,
 )
 from isopo_lab.errors import ConfigError
 
@@ -101,13 +100,6 @@ def test_serialize_omits_out_of_scope_keys():
     text = serialize_config(RunConfig(algo="grpo", task="bandit"))
     assert "clip_eps" in text
     assert "seq_modulus" not in text
-
-
-def test_with_overrides_validates():
-    cfg = RunConfig()
-    assert with_overrides(cfg, seed=9).seed == 9
-    with pytest.raises(ConfigError):
-        with_overrides(cfg, lr=-1.0)
 
 
 def test_validate_config_direct():

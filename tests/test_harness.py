@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from isopo_lab import baselines, checks, harness, policy, tasks
 from isopo_lab.config import RunConfig
 from isopo_lab.errors import ConfigError, CsvFormatError
+from isopo_lab.rng import stream
 
 
 def quick_cfg(**kw):
@@ -57,6 +60,40 @@ def test_same_seed_same_microbatch_across_algorithms(small_task):
         assert np.array_equal(mb.rewards, ref.rewards)
 
 
+# SHA-256 of the tokens sample_microbatch draws at steps 1-3 from the initial
+# policy of seed 0 with the default config; recorded before the batched
+# forward/backward replaced the per-position sampler, which drew the same tokens
+PINNED_TOKENS = {
+    "seqtask": "aba4c840e2fceac97c766e9fe81134efc0a5057eb6dd567ef452ae582713cf63",
+    "bandit": "f1699af739290f4acd51fda86a0168482b0362d504b1b9cac8bb79bdc65c50a7",
+}
+PINNED_KL = 1.2114804858293802
+
+
+@pytest.mark.parametrize("task_name", sorted(PINNED_TOKENS))
+def test_sampled_tokens_pinned(task_name):
+    cfg = RunConfig(task=task_name, seed=0)
+    task = harness.make_task(cfg)
+    net = harness.build_policy(task, cfg.seed)
+    steps = []
+    for step in (1, 2, 3):
+        mb = harness.sample_microbatch(net, task, cfg, step)
+        steps.append(";".join(",".join(str(t) for t in r.tokens) for r in mb.records))
+    digest = hashlib.sha256("/".join(steps).encode("ascii")).hexdigest()
+    assert digest == PINNED_TOKENS[task_name]
+
+
+def test_kl_from_reference_pinned():
+    task = harness.make_task(RunConfig(task="seqtask"))
+    ref = harness.build_policy(task, 0)
+    net = ref.copy()
+    drift = stream(0, "pin-perturb")
+    for w in net.weights:
+        w += 0.3 * drift.standard_normal(w.shape)
+    kl = policy.kl_from_reference(net, ref, task.heldout_prompts[:16], 256, stream(0, "pin-kl"))
+    assert kl == pytest.approx(PINNED_KL, rel=1e-12, abs=0)
+
+
 def test_rewards_are_pure_task_rewards(tmp_path):
     # the reward column must equal the task verifier's output, with no KL term
     cfg = quick_cfg(algo="isopo-ni", p=-1.0, steps=3, eval_every=1, seed=7)
@@ -66,9 +103,7 @@ def test_rewards_are_pure_task_rewards(tmp_path):
     for row in res.rows:
         step = row.step
         mb = harness.sample_microbatch(net, task, cfg, step)
-        raw = np.mean(
-            [task.reward(mb.prompt_for(i), r.tokens) for i, r in enumerate(mb.records)]
-        )
+        raw = np.mean([task.reward(r.prompt, r.tokens) for r in mb.records])
         if step == 0:
             assert row.mean_reward == pytest.approx(float(raw))
         else:

@@ -29,9 +29,7 @@ def test_mean_fisher_norm_matches_manual_average(microbatch):
         col = norms[:, l]
         manual = float(np.mean(col[~np.isnan(col)]))
         assert stats.mean_fisher_norm == pytest.approx(manual, abs=1e-12)
-        manual_g = float(
-            np.mean([np.linalg.norm(r.seq_grads[l]) for r in microbatch.records])
-        )
+        manual_g = float(np.mean([np.linalg.norm(g) for g in microbatch.scored.seq_grads[l]]))
         assert stats.mean_grad_norm == pytest.approx(manual_g, abs=1e-12)
 
 

@@ -112,11 +112,12 @@ def test_exact_npg_singular_raises():
 
 def test_materialized_position_grads(small_net, small_task):
     prompt = small_task.train_prompts[0]
-    rec = policy.sample_sequence(small_net, prompt, stream(0, "m"))
+    _, scored = policy.sample_and_score(small_net, prompt.features[None], [stream(0, "m")])
     for l in range(small_net.n_layers):
-        mats = oracle.materialize_position_grads(rec, l)
+        mats = oracle.materialize_position_grads(scored, l)
+        assert len(mats) == small_net.context_dim - small_net.vocab_size - prompt.features.size
         total = sum(mats)
-        assert np.allclose(total, rec.seq_grads[l], atol=1e-12)
+        assert np.allclose(total, scored.seq_grads[l][0], atol=1e-12)
         for m in mats:
             s = np.linalg.svd(m, compute_uv=False)
             if s[0] > 0:

@@ -25,8 +25,13 @@ def single_step_prompt(net):
     return tasks.Prompt(id="p", features=feat, target=(0,))
 
 
+def sample_one(net, prompt, rng):
+    """Tokens (1, T) and scores of one sequence sampled for ``prompt``."""
+    return policy.sample_and_score(net, prompt.features[None], [rng])
+
+
 def test_forward_zero_weights_zero_logits(small_net):
-    logits, _ = policy.forward_logits(
+    logits, _ = policy.forward(
         policy.PolicyNet(
             [np.zeros_like(w) for w in small_net.weights],
             small_net.vocab_size,
@@ -43,14 +48,14 @@ def test_forward_single_layer_basis_vector():
     net = policy.PolicyNet([w.copy()], vocab_size=4, context_dim=5)
     context = np.zeros(5)
     context[0] = 1.0
-    logits, _ = policy.forward_logits(net, context)
+    logits, _ = policy.forward(net, context)
     assert np.allclose(logits, w[:, 0] + w[:, -1])
 
 
 def test_forward_matches_direct_reimplementation(small_net):
     rng = np.random.default_rng(1)
     context = rng.standard_normal(small_net.context_dim)
-    logits, _ = policy.forward_logits(small_net, context)
+    logits, _ = policy.forward(small_net, context)
     # straightforward duplicate of the forward map
     x = context
     for i, w in enumerate(small_net.weights):
@@ -59,20 +64,31 @@ def test_forward_matches_direct_reimplementation(small_net):
     assert np.allclose(logits, x, atol=1e-12)
 
 
+def test_forward_any_leading_shape(small_net):
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((2, 3, small_net.context_dim))
+    logits, act_in = policy.forward(small_net, x)
+    assert logits.shape == (2, 3, small_net.vocab_size)
+    for b in range(2):
+        for t in range(3):
+            row_logits, row_act = policy.forward(small_net, x[b, t])
+            assert np.allclose(logits[b, t], row_logits, rtol=1e-14, atol=1e-15)
+            for a, ra in zip(act_in, row_act):
+                assert np.allclose(a[b, t], ra, rtol=1e-14, atol=1e-15)
+
+
 def test_forward_dimension_mismatch(small_net):
     with pytest.raises(ContractViolation):
-        policy.forward_logits(small_net, np.zeros(small_net.context_dim + 1))
+        policy.forward(small_net, np.zeros(small_net.context_dim + 1))
 
 
 def test_sampling_uniform_under_zero_weights():
     net = bias_only_net(np.zeros(4))
     prompt = single_step_prompt(net)
-    rng = stream(0, "uniform-check")
     n = 10_000
-    counts = np.zeros(4)
-    for _ in range(n):
-        rec_tokens, _ = policy._sample_tokens(net, prompt, rng)
-        counts[rec_tokens[0]] += 1
+    features = np.repeat(prompt.features[None], n, axis=0)
+    tokens = policy.sample(net, features, stream(0, "uniform-check").random((n, 1)))
+    counts = np.bincount(tokens[:, 0], minlength=4)
     p = 0.25
     sigma = math.sqrt(p * (1 - p) / n)
     assert np.all(np.abs(counts / n - p) < 3 * sigma)
@@ -84,34 +100,72 @@ def test_sampling_saturated_logits():
     net = bias_only_net(logits)
     prompt = single_step_prompt(net)
     assert policy.softmax(logits)[2] >= 0.999
-    rng = stream(1, "saturated")
-    draws = [policy._sample_tokens(net, prompt, rng)[0][0] for _ in range(2000)]
-    assert np.mean(np.array(draws) == 2) >= 0.999
+    features = np.repeat(prompt.features[None], 2000, axis=0)
+    draws = policy.sample(net, features, stream(1, "saturated").random((2000, 1)))
+    assert np.mean(draws == 2) >= 0.999
+
+
+def test_sample_rows_are_independent_of_the_batch(small_net, small_task):
+    # each row depends only on its own prompt and uniforms: sampling the rows
+    # one at a time draws the same tokens as sampling them as one batch
+    prompts = small_task.train_prompts[:6]
+    features = np.stack([p.features for p in prompts])
+    u = stream(4, "rows").random((6, small_task.seq_len))
+    batch = policy.sample(small_net, features, u)
+    for b in range(6):
+        alone = policy.sample(small_net, features[b : b + 1], u[b : b + 1])
+        assert np.array_equal(batch[b], alone[0])
+    assert np.array_equal(
+        policy.greedy(small_net, features),
+        np.concatenate([policy.greedy(small_net, features[b : b + 1]) for b in range(6)]),
+    )
+
+
+def test_sample_and_score_uses_successive_draws(small_net, small_task):
+    # a sequence's T uniforms are T successive random() calls on its generator
+    prompt = small_task.train_prompts[3]
+    rng = stream(7, "successive")
+    u = np.array([[rng.random() for _ in range(small_task.seq_len)]])
+    tokens, _ = policy.sample_and_score(small_net, prompt.features[None], [stream(7, "successive")])
+    assert np.array_equal(tokens, policy.sample(small_net, prompt.features[None], u))
 
 
 def test_sample_sequence_deterministic_for_fixed_seed(small_net, small_task):
     prompt = small_task.train_prompts[3]
-    r1 = policy.sample_sequence(small_net, prompt, stream(7, "s"))
-    r2 = policy.sample_sequence(small_net, prompt, stream(7, "s"))
-    assert r1.tokens == r2.tokens
-    assert r1.logprob == r2.logprob
-    for a, b in zip(r1.seq_grads, r2.seq_grads):
+    t1, s1 = sample_one(small_net, prompt, stream(7, "s"))
+    t2, s2 = sample_one(small_net, prompt, stream(7, "s"))
+    assert np.array_equal(t1, t2)
+    assert np.array_equal(s1.logprobs, s2.logprobs)
+    for a, b in zip(s1.seq_grads, s2.seq_grads):
         assert np.array_equal(a, b)
+
+
+def test_score_rows_match_scoring_each_alone(small_net, small_task):
+    prompts = small_task.train_prompts[:5]
+    features = np.stack([p.features for p in prompts])
+    tokens = policy.sample(small_net, features, stream(5, "alone").random((5, 2)))
+    batch = policy.score(small_net, features, tokens)
+    assert np.array_equal(batch.logprobs, policy.sequence_logprobs(small_net, features, tokens))
+    for b in range(5):
+        alone = policy.score(small_net, features[b : b + 1], tokens[b : b + 1])
+        assert alone.logprobs[0] == pytest.approx(batch.logprobs[b], rel=1e-14)
+        for g, ga in zip(batch.seq_grads, alone.seq_grads):
+            assert np.allclose(g[b], ga[0], rtol=1e-13, atol=1e-15)
 
 
 def test_backward_matches_finite_differences(small_net, small_task):
     prompt = small_task.train_prompts[0]
-    rec = policy.sample_sequence(small_net, prompt, stream(0, "fd"))
+    tokens, scored = sample_one(small_net, prompt, stream(0, "fd"))
     h = 1e-5
     for l, w in enumerate(small_net.weights):
-        analytic = rec.seq_grads[l]
+        analytic = scored.seq_grads[l][0]
         for i in range(w.shape[0]):
             for j in range(w.shape[1]):
                 orig = w[i, j]
                 w[i, j] = orig + h
-                up = policy.sequence_logprob(small_net, prompt, rec.tokens)
+                up = policy.sequence_logprobs(small_net, prompt.features[None], tokens)[0]
                 w[i, j] = orig - h
-                down = policy.sequence_logprob(small_net, prompt, rec.tokens)
+                down = policy.sequence_logprobs(small_net, prompt.features[None], tokens)[0]
                 w[i, j] = orig
                 fd = (up - down) / (2 * h)
                 denom = max(abs(fd), abs(analytic[i, j]), 1e-3)
@@ -122,8 +176,8 @@ def test_softmax_gradient_at_uniform_logits():
     vocab = 6
     net = bias_only_net(np.zeros(vocab))
     prompt = single_step_prompt(net)
-    rec = policy.score_sequence(net, prompt, [4])
-    g = rec.factors[0].grad_out[0]
+    scored = policy.score(net, prompt.features[None], [[4]])
+    g = scored.grad_out[0][0, 0]
     expected = -np.full(vocab, 1.0 / vocab)
     expected[4] += 1.0
     assert np.allclose(g, expected, atol=1e-12)
@@ -131,40 +185,24 @@ def test_softmax_gradient_at_uniform_logits():
 
 def test_rank_one_sum_equals_reduced_grad(small_net, small_task):
     prompt = small_task.train_prompts[1]
-    rec = policy.sample_sequence(small_net, prompt, stream(2, "rank1"))
+    _, scored = sample_one(small_net, prompt, stream(2, "rank1"))
     for l in range(small_net.n_layers):
-        fac = rec.factors[l]
-        total = sum(np.outer(fac.grad_out[j], fac.act_in[j]) for j in range(len(fac)))
-        assert np.linalg.norm(total - rec.seq_grads[l]) <= 1e-10 * max(
+        act, gout = scored.act_in[l][0], scored.grad_out[l][0]
+        total = sum(np.outer(gout[t], act[t]) for t in range(len(act)))
+        assert np.linalg.norm(total - scored.seq_grads[l][0]) <= 1e-10 * max(
             np.linalg.norm(total), 1e-12
         )
-        assert np.all(fac.act_in[:, -1] == 1.0)
+        assert np.all(act[:, -1] == 1.0)
 
 
-def test_masking_last_position_only_changes_last_factor():
-    # single-layer net: position factors decouple because sampled tokens are constants
-    rng = np.random.default_rng(5)
-    vocab, seq_len = 4, 3
-    context_dim = vocab + seq_len
-    net = policy.PolicyNet(
-        [rng.standard_normal((vocab, context_dim + 1))], vocab, context_dim
-    )
-    prompt = tasks.Prompt(id="m", features=np.zeros(0), target=(0,) * seq_len)
-    tokens = [1, 3, 2]
-    _, _, traces = policy._roll(net, prompt, tokens=tokens)
-    full, _ = policy.backward_logprob(net, traces, tokens)
-    masked, _ = policy.backward_logprob(net, traces, tokens, loss_mask=[1.0, 1.0, 0.0])
-    for j in range(seq_len - 1):
-        assert np.array_equal(full[0].grad_out[j], masked[0].grad_out[j])
-    assert np.all(masked[0].grad_out[-1] == 0.0)
-    assert np.any(full[0].grad_out[-1] != 0.0)
-
-
-def test_backward_trace_token_mismatch(small_net, small_task):
-    prompt = small_task.train_prompts[0]
-    _, _, traces = policy._roll(small_net, prompt, tokens=[0, 1])
+def test_score_rejects_bad_tokens(small_net, small_task):
+    features = small_task.train_prompts[0].features[None]
     with pytest.raises(ContractViolation):
-        policy.backward_logprob(small_net, traces, [0])
+        policy.score(small_net, features, [[0]])  # seq_len is 2
+    with pytest.raises(ContractViolation):
+        policy.score(small_net, features, [[0, small_net.vocab_size]])
+    with pytest.raises(ContractViolation):
+        policy.sample(small_net, features, np.zeros((1, 3)))
 
 
 def test_kl_identical_nets_is_exactly_zero(small_net, small_task):
@@ -232,7 +270,5 @@ def test_init_policy_shapes_and_bias():
 
 
 def test_greedy_sequence_deterministic(small_net, small_task):
-    prompt = small_task.heldout_prompts[0]
-    assert policy.greedy_sequence(small_net, prompt) == policy.greedy_sequence(
-        small_net, prompt
-    )
+    features = np.stack([p.features for p in small_task.heldout_prompts])
+    assert np.array_equal(policy.greedy(small_net, features), policy.greedy(small_net, features))
