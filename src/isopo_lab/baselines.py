@@ -4,7 +4,9 @@ REINFORCE is the plain advantage-weighted sum of sequence log-probability
 gradients. GRPO reuses the same sampled microbatch over several inner epochs,
 weighting each sequence by its importance ratio to the sampling-time policy
 and dropping (clipping flat) sequences whose ratio left [1-eps, 1+eps] in the
-unfavorable direction. Each inner epoch re-scores the whole microbatch in one
+unfavorable direction. The sampling-time policy is held as a snapshot array
+of per-sequence log-probabilities, the microbatch's own
+``scored.logprobs``. Each inner epoch re-scores the whole microbatch in one
 teacher-forced pass. On the first inner epoch the ratio is exactly 1 and the
 two gradients coincide. A ratio that overflows raises FloatingPointError (an
 ArithmeticError), so the training loop aborts instead of silently dropping
@@ -25,42 +27,29 @@ from .policy import PolicyNet, score, sequence_logprobs
 from .tasks import Microbatch
 
 
-@dataclass
-class OldPolicySnapshot:
-    """Per-sequence log-probabilities under the policy that sampled them."""
-
-    logprobs: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.logprobs = np.asarray(self.logprobs, dtype=float)
-        if not np.all(np.isfinite(self.logprobs)):
-            raise ContractViolation("snapshot log-probabilities must be finite")
-
-
-def snapshot_logprobs(microbatch: Microbatch) -> OldPolicySnapshot:
-    return OldPolicySnapshot(microbatch.scored.logprobs.copy())
-
-
 def reinforce_grad(microbatch: Microbatch) -> list[np.ndarray]:
     """Per-layer sum of advantage-weighted sequence gradients."""
     advantages = microbatch.advantages
     return [np.tensordot(advantages, jac, axes=1) for jac in microbatch.scored.seq_grads]
 
 
-def _ratios(logprobs: np.ndarray, snapshot: OldPolicySnapshot) -> np.ndarray:
-    if snapshot.logprobs.shape != logprobs.shape:
+def _ratios(logprobs: np.ndarray, snapshot: np.ndarray) -> np.ndarray:
+    if snapshot.shape != logprobs.shape:
         raise ContractViolation("snapshot size does not match microbatch")
     with np.errstate(over="raise"):
-        return np.exp(logprobs - snapshot.logprobs)
+        return np.exp(logprobs - snapshot)
 
 
 def grpo_clipped_grad(
     microbatch: Microbatch,
-    snapshot: OldPolicySnapshot,
+    snapshot: np.ndarray,
     net: PolicyNet,
     clip_eps: float,
 ) -> list[np.ndarray]:
-    """Gradient of sum_o min(rho_o A_o, clip(rho_o, 1-eps, 1+eps) A_o) at ``net``."""
+    """Gradient of sum_o min(rho_o A_o, clip(rho_o, 1-eps, 1+eps) A_o) at ``net``.
+
+    ``snapshot`` holds the sampling-time log-probabilities, one per sequence.
+    """
     if clip_eps <= 0:
         raise ContractViolation(f"clip_eps must be positive, got {clip_eps}")
     current = score(net, microbatch.features, microbatch.tokens)
@@ -74,7 +63,7 @@ def grpo_clipped_grad(
 
 def grpo_surrogate(
     microbatch: Microbatch,
-    snapshot: OldPolicySnapshot,
+    snapshot: np.ndarray,
     net: PolicyNet,
     clip_eps: float,
 ) -> float:
@@ -109,10 +98,6 @@ class OptimizerState:
             raise ContractViolation(f"unknown optimizer kind {self.kind!r}")
         if self.lr <= 0:
             raise ContractViolation("learning rate must be positive")
-
-
-def make_optimizer(kind: str = "adamw", lr: float = 3e-4, **kwargs) -> OptimizerState:
-    return OptimizerState(kind=kind, lr=lr, **kwargs)
 
 
 def optimizer_step(state: OptimizerState, net: PolicyNet, grads: list[np.ndarray]) -> PolicyNet:

@@ -29,7 +29,7 @@ class SuiteResult:
     detail: str = ""
 
 
-def fd_grad(objective, net: policy.PolicyNet, step: float = FD_STEP) -> list[np.ndarray]:
+def fd_grad(objective, net: policy.PolicyNet) -> list[np.ndarray]:
     """Central finite differences of a scalar objective over every weight."""
     grads = []
     for w in net.weights:
@@ -37,12 +37,12 @@ def fd_grad(objective, net: policy.PolicyNet, step: float = FD_STEP) -> list[np.
         for i in range(w.shape[0]):
             for j in range(w.shape[1]):
                 orig = w[i, j]
-                w[i, j] = orig + step
+                w[i, j] = orig + FD_STEP
                 up = objective()
-                w[i, j] = orig - step
+                w[i, j] = orig - FD_STEP
                 down = objective()
                 w[i, j] = orig
-                g[i, j] = (up - down) / (2.0 * step)
+                g[i, j] = (up - down) / (2.0 * FD_STEP)
         grads.append(g)
     return grads
 
@@ -107,7 +107,7 @@ def run_gradcheck(seed: int = 0, grad_tamper=None) -> list[SuiteResult]:
     results.append(SuiteResult("reinforce-surrogate-fd", err <= FD_RTOL, err))
 
     # 3. GRPO clipped-surrogate gradient, away from the sampling policy (rho != 1)
-    snapshot = baselines.snapshot_logprobs(microbatch)
+    snapshot = microbatch.scored.logprobs
     shifted = net.copy()
     drift = stream(seed, "gradcheck-drift")
     for w in shifted.weights:
@@ -186,8 +186,8 @@ def rescaling_minimizer_gap(seed: int) -> float:
     return min(objective(lam_star + delta) - base, objective(lam_star - delta) - base)
 
 
-def npg_directional_trial(seed: int, m: int = 16, c_scale: float = 1.0):
-    """One comparison of layer-NTK-preconditioned vs vanilla direction.
+def npg_directional_trial(seed: int):
+    """One comparison of layer-NTK-preconditioned vs vanilla direction over 16 samples.
 
     Returns (cosine of preconditioned update to exact NPG, cosine of vanilla
     gradient to exact NPG), or None when the trial is degenerate (all rewards
@@ -197,6 +197,7 @@ def npg_directional_trial(seed: int, m: int = 16, c_scale: float = 1.0):
     washes out the directional comparison.
     """
     net, prompt = _tiny_oracle_policy(seed)
+    m = 16
     target_rng = stream(seed, "npg-target")
     target = tuple(int(t) for t in target_rng.integers(0, net.vocab_size, size=2))
     tokens, scored = policy.sample_and_score(
@@ -216,9 +217,8 @@ def npg_directional_trial(seed: int, m: int = 16, c_scale: float = 1.0):
 
     pieces = []
     for seq_grads in scored.seq_grads:
-        ntk = isopo.build_ntk(seq_grads)
-        c = max(c_scale * ntk.mean_eig, 1e-12)
-        pieces.append(isopo.interacting_update(seq_grads, advantages, c, ntk).ravel())
+        c = max(float(np.trace(isopo.build_ntk(seq_grads))) / m, 1e-12)
+        pieces.append(isopo.interacting_update(seq_grads, advantages, c).ravel())
     preconditioned = np.concatenate(pieces)
 
     def cosine(a, b):

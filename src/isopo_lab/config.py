@@ -24,7 +24,6 @@ ALGO_KEYS = {
     "q": {"isopo-ni"},
     "r": {"isopo-ni"},
     "reg_strength": {"isopo-ni"},
-    "n_overlap": {"isopo-ni"},
     "reg_factor": {"isopo-int"},
     "ema_decay": {"isopo-ni", "isopo-int"},
 }

@@ -1,18 +1,22 @@
-"""Seeded training loops, CSV logging and multi-run comparison.
+"""Seeded training loops, CSV metrics files and multi-run comparison.
 
 A run is fully determined by (config, seed): every random draw comes from a
 named counter-based stream, the metrics CSV prints floats with 17 significant
 digits, and repeated runs produce byte-identical files.
 
-Per step the loop samples a microbatch of groups, scores them with the task's
-reward (no KL penalty anywhere near the reward path), forms group-relative
-advantages, computes the algorithm-specific gradient, and takes one optimizer
-step (GRPO takes ``inner_epochs`` steps on the same batch). Fisher-norm
-diagnostics are computed for every algorithm from the same shared overlap
-sample, so the logged per-layer statistics are comparable across runs.
-A numeric failure inside a step (any ArithmeticError: a non-finite gradient,
-a Tikhonov system that is not positive definite, GRPO ratio overflow) ends
-the run as ABORTED with the step and the reason.
+Every step, step 0 included, takes one path: sample a microbatch of groups
+(scored by the task's reward, with no KL penalty anywhere near the reward
+path, and given group-relative advantages), draw the shared overlap sample,
+estimate every sequence's per-layer Fisher norm, and summarize the batch; the
+same diagnostics are logged for every algorithm, so the per-layer statistics
+are comparable across runs. Steps 1 and later then apply the algorithm's
+update: one optimizer step for reinforce, isopo-ni and isopo-int, and
+``inner_epochs`` steps on the same batch for GRPO. Step 0 only probes the
+initial policy. A row is written on every ``eval_every``-th step and on the
+step that aborts: a numeric failure inside the update (any ArithmeticError:
+a non-finite gradient, a Tikhonov system that is not positive definite, GRPO
+ratio overflow) ends the run as ABORTED with the step and the reason, and
+the failing step's row still holds its batch's diagnostics.
 """
 
 from __future__ import annotations
@@ -115,7 +119,7 @@ def metrics_to_row(sm: metrics.StepMetrics, include_ntk: bool) -> str:
         vals.append(ls.mean_fisher_norm)
         vals.append(ls.mean_grad_norm)
         if include_ntk:
-            vals.append(0.0 if ls.ntk_eigen_mean is None else ls.ntk_eigen_mean)
+            vals.append(ls.ntk_eigen_mean)
     return ",".join(_format_value(v) for v in vals)
 
 
@@ -167,33 +171,24 @@ def read_metrics_csv(path) -> list[dict]:
     return rows
 
 
-def _algo_grads(cfg, net, microbatch, overlap, rescale_params, ntk_ema):
-    """Gradient(s) for one step plus diagnostics shared across algorithms.
-
-    Returns (ascent_grads or None, fisher_norms, degenerate_count, ntk_means).
-    GRPO applies its optimizer steps itself (inner epochs), signalled by None.
-    """
-    if cfg.algo == "isopo-ni":
-        upd = isopo.noninteracting_update(microbatch, overlap, rescale_params)
-        return upd.layer_grads, upd.fisher_norms, upd.degenerate_sequences, None
-
-    norms, degenerate = isopo.sequence_fisher_norms(microbatch, overlap)
-    n_degenerate = int(np.count_nonzero(degenerate))
-    if cfg.algo == "reinforce":
-        return baselines.reinforce_grad(microbatch), norms, n_degenerate, None
-    if cfg.algo == "grpo":
-        return None, norms, n_degenerate, None
-    if cfg.algo == "isopo-int":
-        advantages = microbatch.advantages
-        grads = []
-        ntk_means = []
-        for l, jac in enumerate(microbatch.scored.seq_grads):
-            ntk = isopo.build_ntk(jac)
-            c = cfg.reg_factor * isopo.ema_update(ntk_ema, (l, "ntk_mean_eig"), ntk.mean_eig)
-            grads.append(isopo.interacting_update(jac, advantages, c, ntk))
-            ntk_means.append(ntk.mean_eig)
-        return grads, norms, n_degenerate, ntk_means
-    raise ConfigError(f"unhandled algo {cfg.algo!r}")
+def _update(cfg, net, optimizer, microbatch, norms, summary, rescale_params, ntk_ema) -> None:
+    """Apply the step's optimizer steps: ``inner_epochs`` for GRPO, one otherwise."""
+    for _ in range(cfg.inner_epochs if cfg.algo == "grpo" else 1):
+        if cfg.algo == "reinforce":
+            grads = baselines.reinforce_grad(microbatch)
+        elif cfg.algo == "grpo":
+            grads = baselines.grpo_clipped_grad(
+                microbatch, microbatch.scored.logprobs, net, cfg.clip_eps
+            )
+        elif cfg.algo == "isopo-ni":
+            grads = isopo.noninteracting_update(microbatch, norms, rescale_params)
+        else:
+            grads = []
+            for l, jac in enumerate(microbatch.scored.seq_grads):
+                mean_eig = summary.layer_stats[l].ntk_eigen_mean
+                c = cfg.reg_factor * isopo.ema_update(ntk_ema, (l, "ntk_mean_eig"), mean_eig)
+                grads.append(isopo.interacting_update(jac, microbatch.advantages, c))
+        baselines.optimizer_step(optimizer, net, [-g for g in grads])
 
 
 def train(cfg: RunConfig, out_dir=None) -> RunResult:
@@ -206,7 +201,7 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
     tasks.assert_disjoint_split(task)
     net = build_policy(task, cfg.seed)
     init_net = net.copy()
-    optimizer = baselines.make_optimizer(cfg.optimizer, cfg.lr)
+    optimizer = baselines.OptimizerState(cfg.optimizer, cfg.lr)
     rescale_params = isopo.RescalingParams(
         cfg.p, cfg.q, cfg.r, cfg.reg_strength, isopo.RegEmaState(cfg.ema_decay)
     )
@@ -216,46 +211,23 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
     rows: list[metrics.StepMetrics] = []
     aborted = False
     abort_reason = ""
-
-    # step-0 row: diagnostics from a probe batch, KL identically zero
-    probe = sample_microbatch(net, task, cfg, 0)
-    probe_overlap = isopo.draw_overlap_samples(probe, cfg.n_overlap, stream(cfg.seed, "overlap/0"))
-    norms, degenerate = isopo.sequence_fisher_norms(probe, probe_overlap)
-    summary = metrics.batch_summary(probe, norms, int(np.count_nonzero(degenerate)))
-    rows.append(metrics.collect(0, net, init_net, task, summary, cfg.seed, cfg.algo))
-
-    for step in range(1, cfg.steps + 1):
+    for step in range(cfg.steps + 1):
         microbatch = sample_microbatch(net, task, cfg, step)
         overlap = isopo.draw_overlap_samples(
             microbatch, cfg.n_overlap, stream(cfg.seed, f"overlap/{step}")
         )
-        diagnostics = None
-        try:
-            grads, norms, n_degenerate, ntk_means = _algo_grads(
-                cfg, net, microbatch, overlap, rescale_params, ntk_ema
-            )
-            diagnostics = (norms, n_degenerate, ntk_means)
-            if cfg.algo == "grpo":
-                snapshot = baselines.snapshot_logprobs(microbatch)
-                for _ in range(cfg.inner_epochs):
-                    epoch_grads = baselines.grpo_clipped_grad(
-                        microbatch, snapshot, net, cfg.clip_eps
-                    )
-                    baselines.optimizer_step(optimizer, net, [-g for g in epoch_grads])
-            else:
-                baselines.optimizer_step(optimizer, net, [-g for g in grads])
-        except ArithmeticError as exc:
-            aborted = True
-            abort_reason = f"step {step}: {type(exc).__name__}: {exc}"
-            if diagnostics is not None:  # the failure came after _algo_grads
-                summary = metrics.batch_summary(microbatch, *diagnostics)
-                rows.append(
-                    metrics.collect(step, net, init_net, task, summary, cfg.seed, cfg.algo)
-                )
-            break
-        if step % cfg.eval_every == 0:
-            summary = metrics.batch_summary(microbatch, norms, n_degenerate, ntk_means)
+        norms, degenerate = isopo.sequence_fisher_norms(microbatch, overlap)
+        summary = metrics.batch_summary(microbatch, norms, int(np.count_nonzero(degenerate)))
+        if step > 0:
+            try:
+                _update(cfg, net, optimizer, microbatch, norms, summary, rescale_params, ntk_ema)
+            except ArithmeticError as exc:
+                aborted = True
+                abort_reason = f"step {step}: {type(exc).__name__}: {exc}"
+        if aborted or step % cfg.eval_every == 0:
             rows.append(metrics.collect(step, net, init_net, task, summary, cfg.seed, cfg.algo))
+        if aborted:
+            break
 
     csv_path = out / "metrics.csv"
     write_metrics_csv(csv_path, rows, include_ntk)

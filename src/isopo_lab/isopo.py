@@ -29,13 +29,14 @@ update is J^T (J J^T + c I)^-1 A, i.e. the advantage vector is
 preconditioned by the layer's empirical neural tangent kernel K = J J^T
 (Tikhonov-regularized by c) before the usual contraction with the gradients.
 K is one matrix product, and (K + c I)^-1 A is a Cholesky solve, so no
-eigendecomposition is needed: the mean NTK eigenvalue that sets c (and that
-the ``l{l}_ntk_eigen_mean`` metrics column logs) is trace(K) / m.
+eigendecomposition is needed. The mean NTK eigenvalue that sets c is
+trace(K) / m = mean_i |J_i|^2; ``metrics.batch_summary`` computes it once per
+batch for every algorithm (it is the ``l{l}_ntk_eigen_mean`` metrics column),
+and the training loop derives c from that one value.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +44,6 @@ import numpy as np
 from .errors import ContractViolation, EstimatorDegenerateError
 from .linalg import solve_tikhonov
 from .tasks import Microbatch
-
-log = logging.getLogger(__name__)
 
 RESCALE_FLOOR = 1e-8
 
@@ -111,21 +110,6 @@ class OverlapSamples:
     @property
     def n_samples(self) -> int:
         return int(self.indices.size)
-
-
-@dataclass
-class NtkDecomposition:
-    """Empirical NTK of one layer's sequence gradients and its mean eigenvalue."""
-
-    gram: np.ndarray
-    mean_eig: float
-
-
-@dataclass
-class NonInteractingUpdate:
-    layer_grads: list[np.ndarray]
-    fisher_norms: np.ndarray  # (n_sequences, n_layers), NaN where degenerate
-    degenerate_sequences: int
 
 
 def _sample_denominator(act_in: np.ndarray, grad_out: np.ndarray) -> float:
@@ -256,18 +240,18 @@ def _refresh_ema(params: RescalingParams, norms: np.ndarray, microbatch: Microba
 
 def noninteracting_update(
     microbatch: Microbatch,
-    samples: OverlapSamples,
+    norms: np.ndarray,
     params: RescalingParams,
-) -> NonInteractingUpdate:
+) -> list[np.ndarray]:
     """Advantage-weighted sum of per-sequence rescaled gradients, per layer.
 
-    Sequences whose estimate is degenerate contribute their advantage-weighted
-    gradient unrescaled and are counted (and logged) rather than dropped.
+    ``norms`` is the ``sequence_fisher_norms`` table of this microbatch.
+    Sequences whose estimate is degenerate (NaN) contribute their
+    advantage-weighted gradient unrescaled rather than being dropped.
     With p = q = r = 0 this reduces exactly to the vanilla policy-gradient
     microbatch sum.
     """
     advantages = microbatch.advantages
-    norms, degenerate = sequence_fisher_norms(microbatch, samples)
     _refresh_ema(params, norms, microbatch)
     grads = []
     for l, jac in enumerate(microbatch.scored.seq_grads):
@@ -275,13 +259,10 @@ def noninteracting_update(
         scale = np.ones(len(jac))  # degenerate fallback: no rescaling
         scale[valid] = _scale(norms[valid, l], jac[valid], params, l)
         grads.append(np.tensordot(advantages * scale, jac, axes=1))
-    n_degenerate = int(np.count_nonzero(degenerate))
-    if n_degenerate:
-        log.debug("microbatch had %d estimator-degenerate sequences", n_degenerate)
-    return NonInteractingUpdate(grads, norms, n_degenerate)
+    return grads
 
 
-def build_ntk(jac: np.ndarray) -> NtkDecomposition:
+def build_ntk(jac: np.ndarray) -> np.ndarray:
     """Gram matrix K_ij = <grad_i, grad_j> of one layer's sequence gradients.
 
     ``jac`` stacks the m gradients as J (m, out, in + 1). K = J J^T is one
@@ -293,32 +274,23 @@ def build_ntk(jac: np.ndarray) -> NtkDecomposition:
         raise ContractViolation(
             f"need a stack (m, out, in + 1) of at least one sequence gradient, got {jac.shape}"
         )
-    m = jac.shape[0]
-    flat = jac.reshape(m, -1)
-    gram = flat @ flat.T
-    return NtkDecomposition(gram, float(np.trace(gram)) / m)
+    flat = jac.reshape(jac.shape[0], -1)
+    return flat @ flat.T
 
 
-def interacting_update(
-    jac: np.ndarray,
-    advantages,
-    c: float,
-    ntk: NtkDecomposition | None = None,
-) -> np.ndarray:
+def interacting_update(jac: np.ndarray, advantages, c: float) -> np.ndarray:
     """NTK-preconditioned microbatch update sum_i [(K + cI)^-1 A]_i grad_i.
 
-    ``jac`` stacks the sequence gradients as J (m, out, in + 1); ``ntk`` may
-    carry K already built from the same J.
+    ``jac`` stacks the sequence gradients as J (m, out, in + 1), and K = J J^T.
     """
     jac = np.asarray(jac, dtype=float)
-    if ntk is None:
-        ntk = build_ntk(jac)
+    gram = build_ntk(jac)
     advantages = np.asarray(advantages, dtype=float)
     if advantages.shape != (jac.shape[0],):
         raise ContractViolation(
             f"{jac.shape[0]} gradients but {advantages.shape} advantages"
         )
-    weights = solve_tikhonov(ntk.gram, c, advantages)
+    weights = solve_tikhonov(gram, c, advantages)
     return np.einsum("i,ijk->jk", weights, jac)
 
 
@@ -327,8 +299,6 @@ __all__ = [
     "RegEmaState",
     "RescalingParams",
     "OverlapSamples",
-    "NtkDecomposition",
-    "NonInteractingUpdate",
     "ema_update",
     "fisher_norm_estimate",
     "draw_overlap_samples",

@@ -16,9 +16,16 @@ KL_PROMPTS = 16
 
 @dataclass
 class LayerStats:
+    """Per-layer means over the microbatch's sequences.
+
+    ``ntk_eigen_mean`` is the mean eigenvalue of the layer's empirical NTK
+    K = J J^T, i.e. trace(K) / m = mean_i |J_i|^2; interacting ISOPO sets its
+    Tikhonov constant from it, and only isopo-int runs write it to the CSV.
+    """
+
     mean_fisher_norm: float
     mean_grad_norm: float
-    ntk_eigen_mean: float | None = None
+    ntk_eigen_mean: float
 
 
 @dataclass
@@ -43,7 +50,7 @@ class StepMetrics:
     layer_stats: list[LayerStats]
 
 
-def batch_summary(microbatch, fisher_norms, degenerate_count: int, ntk_means=None) -> BatchSummary:
+def batch_summary(microbatch, fisher_norms, degenerate_count: int) -> BatchSummary:
     """Aggregate per-sequence diagnostics into per-layer means.
 
     ``fisher_norms`` is the (n_sequences, n_layers) estimate table with NaN
@@ -54,9 +61,10 @@ def batch_summary(microbatch, fisher_norms, degenerate_count: int, ntk_means=Non
         col = fisher_norms[:, l]
         valid = col[~np.isnan(col)]
         mean_f = float(valid.mean()) if valid.size else 0.0
-        mean_g = float(np.mean(np.linalg.norm(jac.reshape(len(jac), -1), axis=1)))
-        ntk = float(ntk_means[l]) if ntk_means is not None else None
-        stats.append(LayerStats(mean_f, mean_g, ntk))
+        flat = jac.reshape(len(jac), -1)
+        sq_norms = np.sum(flat * flat, axis=1)  # |J_i|^2, the diagonal of K
+        mean_g = float(np.mean(np.sqrt(sq_norms)))
+        stats.append(LayerStats(mean_f, mean_g, float(np.mean(sq_norms))))
     return BatchSummary(
         mean_reward=float(microbatch.rewards.mean()),
         degenerate_sequences=int(degenerate_count),

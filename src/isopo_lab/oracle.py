@@ -43,19 +43,6 @@ def flatten_layer_mats(mats: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.asarray(m, dtype=float).ravel() for m in mats])
 
 
-def unflatten_params(vec: np.ndarray, layout: list[tuple[int, int]]) -> list[np.ndarray]:
-    total = sum(rows * cols for rows, cols in layout)
-    if vec.size != total:
-        raise ContractViolation(f"vector of size {vec.size} does not match layout ({total})")
-    mats = []
-    pos = 0
-    for rows, cols in layout:
-        size = rows * cols
-        mats.append(vec[pos : pos + size].reshape(rows, cols).copy())
-        pos += size
-    return mats
-
-
 def _check_budget(net: PolicyNet, prompts) -> int:
     if not prompts:
         raise ContractViolation("need at least one prompt")

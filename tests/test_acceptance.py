@@ -184,17 +184,17 @@ def test_criterion_06_definitional_degeneracies():
     mb = default_microbatch(task, net, seed=4, n_groups=4, group_size=8)
     samples = isopo.draw_overlap_samples(mb, 64, stream(4, "c6"))
 
+    norms, _ = isopo.sequence_fisher_norms(mb, samples)
     upd = isopo.noninteracting_update(
-        mb, samples, isopo.RescalingParams(p=0.0, q=0.0, r=0.0)
+        mb, norms, isopo.RescalingParams(p=0.0, q=0.0, r=0.0)
     )
     ref = baselines.reinforce_grad(mb)
     err_a = max(
         float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), 1.0)
-        for a, b in zip(upd.layer_grads, ref)
+        for a, b in zip(upd, ref)
     )
 
-    snapshot = baselines.snapshot_logprobs(mb)
-    grpo = baselines.grpo_clipped_grad(mb, snapshot, net, clip_eps=0.2)
+    grpo = baselines.grpo_clipped_grad(mb, mb.scored.logprobs, net, clip_eps=0.2)
     err_b = max(
         float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), 1.0)
         for a, b in zip(grpo, ref)
@@ -203,7 +203,7 @@ def test_criterion_06_definitional_degeneracies():
     worst_angle = 0.0
     for seq_grads in mb.scored.seq_grads:
         vanilla = sum(a * g for a, g in zip(mb.advantages, seq_grads)).ravel()
-        k_norm = float(np.linalg.norm(isopo.build_ntk(seq_grads).gram))
+        k_norm = float(np.linalg.norm(isopo.build_ntk(seq_grads)))
         update = isopo.interacting_update(seq_grads, mb.advantages, 1e6 * k_norm).ravel()
         cos = float(
             update @ vanilla / (np.linalg.norm(update) * np.linalg.norm(vanilla))

@@ -40,7 +40,7 @@ def test_reinforce_matches_finite_differences(small_net, small_task):
 
 def test_grpo_first_epoch_equals_reinforce(small_net, small_task):
     mb = make_microbatch(small_net, small_task, seed=2)
-    snapshot = baselines.snapshot_logprobs(mb)
+    snapshot = mb.scored.logprobs
     grpo = baselines.grpo_clipped_grad(mb, snapshot, small_net, clip_eps=0.2)
     ref = baselines.reinforce_grad(mb)
     for a, b in zip(grpo, ref):
@@ -52,7 +52,7 @@ def test_grpo_clipped_sequence_contributes_nothing(small_net, small_task):
     eps = 0.2
     # ratios rho = 1 + 2 eps for every sequence: pretend old logprobs were lower
     shift = math.log(1.0 + 2.0 * eps)
-    snapshot = baselines.OldPolicySnapshot(mb.scored.logprobs - shift)
+    snapshot = mb.scored.logprobs - shift
     mb.groups[0].advantages = np.array([1.0, -1.0])  # A>0 clipped, A<0 active
     grads = baselines.grpo_clipped_grad(mb, snapshot, small_net, eps)
     rho = 1.0 + 2.0 * eps
@@ -63,7 +63,7 @@ def test_grpo_clipped_sequence_contributes_nothing(small_net, small_task):
 
 def test_grpo_matches_finite_differences_off_policy(small_net, small_task):
     mb = make_microbatch(small_net, small_task, seed=4, n_groups=1, group_size=3)
-    snapshot = baselines.snapshot_logprobs(mb)
+    snapshot = mb.scored.logprobs
     shifted = small_net.copy()
     drift = stream(4, "drift")
     for w in shifted.weights:
@@ -87,7 +87,7 @@ def test_grpo_matches_finite_differences_off_policy(small_net, small_task):
 
 def test_grpo_huge_clip_eps_single_epoch_equals_reinforce(small_net, small_task):
     mb = make_microbatch(small_net, small_task, seed=5)
-    snapshot = baselines.snapshot_logprobs(mb)
+    snapshot = mb.scored.logprobs
     grpo = baselines.grpo_clipped_grad(mb, snapshot, small_net, clip_eps=1e9)
     ref = baselines.reinforce_grad(mb)
     for a, b in zip(grpo, ref):
@@ -98,7 +98,7 @@ def test_grpo_ratio_overflow_raises(small_net, small_task):
     # a snapshot log-probability 1e4 below the current one overflows exp(); the
     # FloatingPointError is an ArithmeticError, which ends a training run ABORTED
     mb = make_microbatch(small_net, small_task, seed=7, n_groups=1, group_size=2)
-    snapshot = baselines.OldPolicySnapshot(mb.scored.logprobs - 1e4)
+    snapshot = mb.scored.logprobs - 1e4
     with pytest.raises(ArithmeticError):
         baselines.grpo_clipped_grad(mb, snapshot, small_net, 0.2)
     with pytest.raises(ArithmeticError):
@@ -116,14 +116,12 @@ def test_reinforce_grad_matches_per_sequence_sum(small_net, small_task):
 def test_grpo_snapshot_size_checked(small_net, small_task):
     mb = make_microbatch(small_net, small_task, seed=6)
     with pytest.raises(ContractViolation):
-        baselines.grpo_clipped_grad(
-            mb, baselines.OldPolicySnapshot(np.zeros(2)), small_net, 0.2
-        )
+        baselines.grpo_clipped_grad(mb, np.zeros(2), small_net, 0.2)
 
 
 def test_sgd_step():
     net = policy.PolicyNet([np.ones((2, 3))], vocab_size=2, context_dim=2)
-    state = baselines.make_optimizer("sgd", lr=0.1)
+    state = baselines.OptimizerState("sgd", lr=0.1)
     baselines.optimizer_step(state, net, [np.full((2, 3), 2.0)])
     assert np.allclose(net.weights[0], 0.8)
 
@@ -133,7 +131,7 @@ def test_adamw_first_step_magnitude():
     g = rng.uniform(0.5, 2.0, size=(3, 4)) * np.sign(rng.standard_normal((3, 4)))
     net = policy.PolicyNet([np.zeros((3, 4))], vocab_size=3, context_dim=3)
     lr = 1e-3
-    state = baselines.make_optimizer("adamw", lr=lr)
+    state = baselines.OptimizerState("adamw", lr=lr)
     baselines.optimizer_step(state, net, [g.copy()])
     # bias correction makes the first update lr * g/|g| up to epsilon
     expected = -lr * np.sign(g)
@@ -145,7 +143,7 @@ def test_adamw_hand_evaluated_second_step():
     g2 = np.array([[-0.5]])
     net = policy.PolicyNet([np.zeros((1, 1))], vocab_size=1, context_dim=0)
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    state = baselines.make_optimizer("adamw", lr=lr, beta1=b1, beta2=b2, eps=eps)
+    state = baselines.OptimizerState("adamw", lr=lr, beta1=b1, beta2=b2, eps=eps)
     baselines.optimizer_step(state, net, [g1])
     baselines.optimizer_step(state, net, [g2])
     # replay the published update rule by hand
@@ -160,14 +158,14 @@ def test_adamw_hand_evaluated_second_step():
 
 def test_zero_grad_no_weight_decay_is_noop():
     net = policy.PolicyNet([np.full((2, 3), 0.7)], vocab_size=2, context_dim=2)
-    state = baselines.make_optimizer("adamw", lr=0.5)
+    state = baselines.OptimizerState("adamw", lr=0.5)
     baselines.optimizer_step(state, net, [np.zeros((2, 3))])
     assert np.allclose(net.weights[0], 0.7)
 
 
 def test_nonfinite_gradient_aborts_before_mutation():
     net = policy.PolicyNet([np.full((2, 3), 0.3)], vocab_size=2, context_dim=2)
-    state = baselines.make_optimizer("sgd", lr=0.1)
+    state = baselines.OptimizerState("sgd", lr=0.1)
     bad = np.full((2, 3), 1.0)
     bad[1, 2] = np.nan
     with pytest.raises(NonFiniteGradientError):
@@ -178,8 +176,8 @@ def test_nonfinite_gradient_aborts_before_mutation():
 
 def test_optimizer_rejects_bad_shapes():
     net = policy.PolicyNet([np.zeros((2, 3))], vocab_size=2, context_dim=2)
-    state = baselines.make_optimizer("sgd")
+    state = baselines.OptimizerState("sgd")
     with pytest.raises(ContractViolation):
         baselines.optimizer_step(state, net, [np.zeros((3, 2))])
     with pytest.raises(ContractViolation):
-        baselines.make_optimizer("rmsprop")
+        baselines.OptimizerState("rmsprop")

@@ -93,10 +93,21 @@ def test_round_trip_identity():
         assert serialize_config(parse_config(text)) == text
 
 
+def test_n_overlap_applies_to_every_algorithm():
+    # every algorithm logs per-layer Fisher norms from an n_overlap-position sample
+    for algo in ("reinforce", "grpo", "isopo-ni", "isopo-int"):
+        cfg = parse_config(f"algo = {algo}\nn_overlap = 16\n")
+        assert cfg.n_overlap == 16
+        text = serialize_config(cfg)
+        assert "n_overlap = 16" in text
+        assert parse_config(text) == cfg
+
+
 def test_serialize_omits_out_of_scope_keys():
     text = serialize_config(RunConfig(algo="reinforce"))
     assert "clip_eps" not in text
-    assert "p =" not in text
+    # "p =" alone would also match "n_overlap = ", so compare whole keys
+    assert "p" not in {line.split(" = ")[0] for line in text.splitlines()}
     text = serialize_config(RunConfig(algo="grpo", task="bandit"))
     assert "clip_eps" in text
     assert "seq_modulus" not in text

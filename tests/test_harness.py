@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from isopo_lab import baselines, checks, harness, policy, tasks
+from isopo_lab import baselines, checks, harness, isopo, policy
 from isopo_lab.config import RunConfig
 from isopo_lab.errors import ConfigError, CsvFormatError
 from isopo_lab.rng import stream
@@ -234,7 +234,55 @@ def test_singular_ntk_solve_aborts_cleanly(tmp_path, seed):
     assert res.aborted
     assert res.abort_reason.startswith("step 1: SingularMatrixError")
     assert (tmp_path / "r" / "ABORTED").read_text().startswith("step 1:")
-    assert [row.step for row in res.rows] == [0]
+    # the failing step still gets its row; the failed solve left the weights untouched
+    assert [row.step for row in res.rows] == [0, 1]
+    assert res.rows[1].kl_from_init == 0.0
+
+
+@pytest.mark.parametrize(
+    "algo, module, name",
+    [
+        ("reinforce", "baselines", "reinforce_grad"),
+        ("grpo", "baselines", "grpo_clipped_grad"),
+        ("isopo-ni", "isopo", "noninteracting_update"),
+        ("isopo-int", "isopo", "interacting_update"),
+    ],
+)
+def test_failure_inside_update_aborts_with_row(tmp_path, monkeypatch, algo, module, name):
+    module = getattr(harness, module)
+    # step 2 is not an eval step, so its row is there only because the run aborted there
+    cfg = quick_cfg(algo=algo, steps=4, eval_every=3, seed=4)
+    current = {}
+    sample, grad = harness.sample_microbatch, getattr(module, name)
+
+    def tracked_sample(net, task, cfg, step):
+        current["step"] = step
+        return sample(net, task, cfg, step)
+
+    def failing_grad(*args, **kwargs):
+        if current["step"] == 2:
+            raise FloatingPointError("injected")
+        return grad(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "sample_microbatch", tracked_sample)
+    monkeypatch.setattr(module, name, failing_grad)
+    res = harness.train(cfg, tmp_path / "r")
+    assert res.aborted
+    assert res.abort_reason.startswith("step 2: FloatingPointError")
+    assert [row.step for row in res.rows] == [0, 2]
+    assert [r["step"] for r in harness.read_metrics_csv(res.csv_path)] == [0, 2]
+
+
+def test_ntk_column_is_mean_ntk_eigenvalue(tmp_path):
+    cfg = quick_cfg(algo="isopo-int", steps=1)
+    res = harness.train(cfg, tmp_path / "r")
+    row = harness.read_metrics_csv(res.csv_path)[0]
+    task = harness.make_task(cfg)
+    mb = harness.sample_microbatch(harness.build_policy(task, cfg.seed), task, cfg, 0)
+    for l, jac in enumerate(mb.scored.seq_grads):
+        expected = float(np.trace(isopo.build_ntk(jac))) / len(jac)
+        assert row[f"l{l}_ntk_eigen_mean"] == pytest.approx(expected, rel=1e-12, abs=0)
+        assert row[f"l{l}_ntk_eigen_mean"] > 0
 
 
 def test_aborted_run_recorded_and_excluded(tmp_path, monkeypatch):
