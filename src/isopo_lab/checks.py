@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, isopo, oracle, policy, tasks
-from .rng import stream
+from .rng import stream, uniforms
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-5
@@ -66,8 +66,8 @@ def _check_microbatch(net, task, seed: int, n_groups: int = 2, group_size: int =
     prompts = [
         task.train_prompts[(seed + 3 * gi) % len(task.train_prompts)] for gi in range(n_groups)
     ]
-    rngs = [[stream(seed, f"check/{gi}/{k}") for k in range(group_size)] for gi in range(n_groups)]
-    microbatch = tasks.build_microbatch(net, task, prompts, rngs)
+    labels = [f"check/{gi}/{k}" for gi in range(n_groups) for k in range(group_size)]
+    microbatch = tasks.build_microbatch(net, task, prompts, uniforms(seed, labels, task.seq_len))
     for group in microbatch.groups:
         if not np.any(group.advantages):
             group.advantages = group.advantages + np.linspace(-0.5, 0.5, group_size)
@@ -90,7 +90,7 @@ def run_gradcheck(seed: int = 0, grad_tamper=None) -> list[SuiteResult]:
     # 1. manual backward vs central differences of one sequence's log-probability
     prompt = task.train_prompts[0]
     tokens, scored = policy.sample_and_score(
-        net, prompt.features[None], [stream(seed, "gradcheck-seq")]
+        net, prompt.features[None], uniforms(seed, ["gradcheck-seq"], task.seq_len)
     )
     analytic = tamper([g[0].copy() for g in scored.seq_grads])
     numeric = fd_grad(
@@ -166,9 +166,8 @@ def rescaling_minimizer_gap(seed: int) -> float:
     the exact-Fisher distance to the natural gradient (positive = strictly optimal)."""
     net, prompt = _tiny_oracle_policy(seed)
     fisher = oracle.exact_fisher(net, [prompt]).matrix
-    _, scored = policy.sample_and_score(
-        net, prompt.features[None], [stream(seed, "oracle-sample")]
-    )
+    u = uniforms(seed, ["oracle-sample"], len(prompt.target))
+    _, scored = policy.sample_and_score(net, prompt.features[None], u)
     v = oracle.flatten_layer_mats([g[0] for g in scored.seq_grads])
     adv_rng = stream(seed, "oracle-adv")
     advantage = float(adv_rng.uniform(0.2, 1.0) * (1 if adv_rng.random() < 0.5 else -1))
@@ -203,7 +202,7 @@ def npg_directional_trial(seed: int):
     tokens, scored = policy.sample_and_score(
         net,
         np.repeat(prompt.features[None], m, axis=0),
-        [stream(seed, f"npg-sample/{k}") for k in range(m)],
+        uniforms(seed, [f"npg-sample/{k}" for k in range(m)], len(prompt.target)),
     )
     rewards = np.mean(tokens == np.array(target), axis=1)
     if np.ptp(rewards) == 0:

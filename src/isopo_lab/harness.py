@@ -2,7 +2,11 @@
 
 A run is fully determined by (config, seed): every random draw comes from a
 named counter-based stream, the metrics CSV prints floats with 17 significant
-digits, and repeated runs produce byte-identical files.
+digits, and repeated runs produce byte-identical files. Which prompts a step
+samples and the uniforms its sequences are sampled from do not depend on the
+policy, so ``train`` derives them for every step before the first step, in
+one vectorized pass (``draw_steps``), and before it creates the output
+directory; they equal what each step's own named streams give.
 
 Every step, step 0 included, takes one path: sample a microbatch of groups
 (scored by the task's reward, with no KL penalty anywhere near the reward
@@ -11,12 +15,15 @@ estimate every sequence's per-layer Fisher norm, and summarize the batch; the
 same diagnostics are logged for every algorithm, so the per-layer statistics
 are comparable across runs. Steps 1 and later then apply the algorithm's
 update: one optimizer step for reinforce, isopo-ni and isopo-int, and
-``inner_epochs`` steps on the same batch for GRPO. Step 0 only probes the
-initial policy. A row is written on every ``eval_every``-th step and on the
-step that aborts: a numeric failure inside the update (any ArithmeticError:
-a non-finite gradient, a Tikhonov system that is not positive definite, GRPO
-ratio overflow) ends the run as ABORTED with the step and the reason, and
-the failing step's row still holds its batch's diagnostics.
+``inner_epochs`` steps on the same batch for GRPO. GRPO's first step runs at
+the sampling weights, where every ratio is exactly 1 and the clipped
+gradient is the REINFORCE gradient, so it takes that without re-scoring the
+batch. Step 0 only probes the initial policy. A row is written on every
+``eval_every``-th step and on the step that aborts: a numeric failure inside
+the update (any ArithmeticError: a non-finite gradient, a Tikhonov system
+that is not positive definite, GRPO ratio overflow) ends the run as ABORTED
+with the step and the reason, and the failing step's row still holds its
+batch's diagnostics.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 from . import baselines, isopo, metrics, policy, tasks
 from .config import RunConfig, serialize_config, validate_config
 from .errors import ConfigError, ContractViolation, CsvFormatError
-from .rng import stream
+from .rng import stream, uniforms
 
 DEFAULT_HIDDEN = (32, 32)
 FIXED_COLUMNS = (
@@ -66,22 +73,48 @@ def build_policy(task, seed: int) -> policy.PolicyNet:
     return policy.init_policy(task.vocab_size, context_dim, DEFAULT_HIDDEN, stream(seed, "init"))
 
 
-def sample_microbatch(net, task, cfg: RunConfig, step: int) -> tasks.Microbatch:
-    """Groups for one step; each sequence gets its own (step, prompt, index) stream."""
+def draw_steps(task, cfg: RunConfig, steps) -> dict[int, tuple[list[tasks.Prompt], np.ndarray]]:
+    """Each step's prompts and sampling uniforms (B, T), derived in one pass.
+
+    Step s draws its prompts from the ``prompts/{s}`` stream, and sequence k
+    of prompt p's group samples from the first T uniforms of the stream
+    ``policy/{s}/{p.id}/{k}``. Neither depends on the policy, so a run draws
+    every step's before it trains, with one ``rng.uniforms`` call.
+    """
     train = task.train_prompts
     if cfg.groups_per_microbatch > len(train):
         raise ConfigError(
             f"groups_per_microbatch={cfg.groups_per_microbatch} exceeds "
             f"{len(train)} training prompts"
         )
-    prompt_rng = stream(cfg.seed, f"prompts/{step}")
-    chosen = prompt_rng.choice(len(train), size=cfg.groups_per_microbatch, replace=False)
-    prompts = [train[int(idx)] for idx in chosen]
-    rngs = [
-        [stream(cfg.seed, f"policy/{step}/{p.id}/{k}") for k in range(cfg.group_size)]
-        for p in prompts
+    steps = list(steps)
+    prompts = []
+    for step in steps:
+        chosen = stream(cfg.seed, f"prompts/{step}").choice(
+            len(train), size=cfg.groups_per_microbatch, replace=False
+        )
+        prompts.append([train[int(idx)] for idx in chosen])
+    labels = [
+        f"policy/{step}/{p.id}/{k}"
+        for step, chosen in zip(steps, prompts)
+        for p in chosen
+        for k in range(cfg.group_size)
     ]
-    return tasks.build_microbatch(net, task, prompts, rngs, cfg.normalize_std)
+    n_seqs = cfg.groups_per_microbatch * cfg.group_size
+    u = uniforms(cfg.seed, labels, task.seq_len).reshape(len(steps), n_seqs, task.seq_len)
+    return {step: (chosen, step_u) for step, chosen, step_u in zip(steps, prompts, u)}
+
+
+def sample_microbatch(net, task, cfg: RunConfig, step: int, draws=None) -> tasks.Microbatch:
+    """Groups for one step; each sequence gets its own (step, prompt, index) stream.
+
+    ``draws`` is the run's ``draw_steps`` table; without it, the step's
+    prompts and uniforms are drawn here, and are the same.
+    """
+    if draws is None:
+        draws = draw_steps(task, cfg, [step])
+    prompts, u = draws[step]
+    return tasks.build_microbatch(net, task, prompts, u, cfg.normalize_std)
 
 
 def _format_value(value) -> str:
@@ -173,8 +206,10 @@ def read_metrics_csv(path) -> list[dict]:
 
 def _update(cfg, net, optimizer, microbatch, norms, summary, rescale_params, ntk_ema) -> None:
     """Apply the step's optimizer steps: ``inner_epochs`` for GRPO, one otherwise."""
-    for _ in range(cfg.inner_epochs if cfg.algo == "grpo" else 1):
-        if cfg.algo == "reinforce":
+    for epoch in range(cfg.inner_epochs if cfg.algo == "grpo" else 1):
+        if cfg.algo == "reinforce" or (cfg.algo == "grpo" and epoch == 0):
+            # GRPO's first epoch runs at the sampling weights: every ratio is
+            # exactly 1, so its clipped gradient is the REINFORCE gradient
             grads = baselines.reinforce_grad(microbatch)
         elif cfg.algo == "grpo":
             grads = baselines.grpo_clipped_grad(
@@ -194,11 +229,12 @@ def _update(cfg, net, optimizer, microbatch, norms, summary, rescale_params, ntk
 def train(cfg: RunConfig, out_dir=None) -> RunResult:
     """Run one seeded training loop and write metrics.csv plus a checkpoint."""
     cfg = validate_config(cfg)
+    task = make_task(cfg)
+    tasks.assert_disjoint_split(task)
+    draws = draw_steps(task, cfg, range(cfg.steps + 1))
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    task = make_task(cfg)
-    tasks.assert_disjoint_split(task)
     net = build_policy(task, cfg.seed)
     init_net = net.copy()
     optimizer = baselines.OptimizerState(cfg.optimizer, cfg.lr)
@@ -212,7 +248,7 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
     aborted = False
     abort_reason = ""
     for step in range(cfg.steps + 1):
-        microbatch = sample_microbatch(net, task, cfg, step)
+        microbatch = sample_microbatch(net, task, cfg, step, draws)
         overlap = isopo.draw_overlap_samples(
             microbatch, cfg.n_overlap, stream(cfg.seed, f"overlap/{step}")
         )

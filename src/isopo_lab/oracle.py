@@ -28,10 +28,9 @@ MAX_ORACLE_PARAMS = 1_000
 
 @dataclass
 class ExactFisher:
-    """Dense Fisher matrix over flattened parameters plus the layer layout."""
+    """Dense Fisher matrix over flattened parameters."""
 
     matrix: np.ndarray
-    layout: list[tuple[int, int]]
 
     @property
     def n_params(self) -> int:
@@ -83,7 +82,7 @@ def exact_fisher(net: PolicyNet, prompts) -> ExactFisher:
         fisher += (g * probs[:, None]).T @ g
     fisher /= len(prompts)
     fisher = 0.5 * (fisher + fisher.T)
-    return ExactFisher(fisher, [w.shape for w in net.weights])
+    return ExactFisher(fisher)
 
 
 def fisher_quadratic(net: PolicyNet, prompts, v: np.ndarray) -> float:

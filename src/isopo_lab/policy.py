@@ -12,6 +12,9 @@ A batch of B sequences of length T is held as arrays, never as per-position
 objects. ``forward`` maps inputs of any leading shape, so teacher-forced
 scoring runs the whole (B, T) grid at once, and sampling and greedy decoding
 loop only over the T autoregressive positions, each step batched over B.
+Sampling takes its randomness as an array of uniforms (B, T), one row per
+sequence; the caller derives the rows (``rng.uniforms``), so no generator
+enters this module's sampling path.
 
 Sampled tokens are discrete, so a sequence's log-probability is a sum over
 positions and its gradient with respect to layer l's weights is a sum of
@@ -242,11 +245,10 @@ def score(net: PolicyNet, features, tokens) -> Scored:
     return Scored(_token_logprobs(logits, tokens).sum(axis=1), act_in, grad_out)
 
 
-def sample_and_score(net: PolicyNet, features, rngs) -> tuple[np.ndarray, Scored]:
-    """Sample sequence b for prompt features ``features[b]`` from generator
-    ``rngs[b]`` (T draws of ``random()``), and score the batch."""
-    seq_len = seq_len_for(net, features)
-    tokens = sample(net, features, np.stack([rng.random(seq_len) for rng in rngs]))
+def sample_and_score(net: PolicyNet, features, u) -> tuple[np.ndarray, Scored]:
+    """Sample sequences (B, T) for prompt features (B, F) from uniforms ``u``
+    (B, T), as ``sample`` does, and score them."""
+    tokens = sample(net, features, u)
     return tokens, score(net, features, tokens)
 
 

@@ -12,7 +12,10 @@ hash so the split never depends on interpreter state.
 
 Advantages are group-relative: each sampled group of G sequences for one
 prompt is scored, and every sequence's advantage is its reward minus the
-group mean (optionally divided by the group standard deviation).
+group mean (optionally divided by the group standard deviation). A
+microbatch is sampled from one row of uniforms per sequence, which callers
+derive from the sequences' named streams with ``rng.uniforms``; a training
+run derives the rows of all its steps at once.
 """
 
 from __future__ import annotations
@@ -105,19 +108,22 @@ def group_advantages(rewards, normalize_std: bool = False) -> np.ndarray:
     return adv
 
 
-def build_microbatch(net, task, prompts, rngs, normalize_std: bool = False) -> Microbatch:
+def build_microbatch(net, task, prompts, u, normalize_std: bool = False) -> Microbatch:
     """Sample, reward and score one microbatch.
 
-    Group g holds ``len(rngs[g])`` sequences for ``prompts[g]``; each sequence
-    draws its T uniforms from its own generator, so its tokens depend on that
-    generator and the policy alone.
+    ``u`` holds one row of T uniforms per sequence, G = len(u) / len(prompts)
+    rows per group: group g holds rows g·G to g·G + G - 1, sampled for
+    ``prompts[g]``. Each sequence's tokens depend on its row and the policy
+    alone.
     """
-    sizes = [len(group_rngs) for group_rngs in rngs]
-    features = np.repeat(np.stack([p.features for p in prompts]), sizes, axis=0)
-    tokens, scored = policy.sample_and_score(net, features, [r for group in rngs for r in group])
+    if not prompts or len(u) % len(prompts):
+        raise ContractViolation(f"{len(u)} uniform rows do not split into {len(prompts)} groups")
+    size = len(u) // len(prompts)
+    features = np.repeat(np.stack([p.features for p in prompts]), size, axis=0)
+    tokens, scored = policy.sample_and_score(net, features, u)
     groups = []
     rows = iter(tokens.tolist())
-    for prompt, size in zip(prompts, sizes):
+    for prompt in prompts:
         # rewards come from the task verifier and nowhere else
         rewards = np.array([task.reward(prompt, next(rows)) for _ in range(size)])
         groups.append(Group(prompt, rewards, group_advantages(rewards, normalize_std)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isopo_lab import policy, tasks
-from isopo_lab.rng import stream
+from isopo_lab.rng import stream, uniforms
 
 
 @pytest.fixture
@@ -23,8 +23,8 @@ def make_microbatch(net, task, seed=0, n_groups=2, group_size=4, force_advantage
     prompts = [
         task.train_prompts[(seed + 5 * gi) % len(task.train_prompts)] for gi in range(n_groups)
     ]
-    rngs = [[stream(seed, f"mb/{gi}/{k}") for k in range(group_size)] for gi in range(n_groups)]
-    mb = tasks.build_microbatch(net, task, prompts, rngs)
+    labels = [f"mb/{gi}/{k}" for gi in range(n_groups) for k in range(group_size)]
+    mb = tasks.build_microbatch(net, task, prompts, uniforms(seed, labels, task.seq_len))
     for group in mb.groups:
         if force_advantages and not np.any(group.advantages):
             group.advantages = np.linspace(-1.0, 1.0, group_size)

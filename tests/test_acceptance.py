@@ -15,7 +15,7 @@ import pytest
 
 from isopo_lab import baselines, checks, harness, isopo, oracle, policy, tasks
 from isopo_lab.config import RunConfig
-from isopo_lab.rng import stream
+from isopo_lab.rng import stream, uniforms
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -34,8 +34,8 @@ def default_microbatch(task, net, seed=0, n_groups=2, group_size=4):
     prompts = [
         task.train_prompts[(7 * gi + seed) % len(task.train_prompts)] for gi in range(n_groups)
     ]
-    rngs = [[stream(seed, f"acc/{gi}/{k}") for k in range(group_size)] for gi in range(n_groups)]
-    mb = tasks.build_microbatch(net, task, prompts, rngs)
+    labels = [f"acc/{gi}/{k}" for gi in range(n_groups) for k in range(group_size)]
+    mb = tasks.build_microbatch(net, task, prompts, uniforms(seed, labels, task.seq_len))
     for group in mb.groups:
         if not np.any(group.advantages):
             group.advantages = np.linspace(-1.0, 1.0, group_size)
@@ -48,7 +48,7 @@ def test_criterion_01_gradient_exactness():
     task, net = default_setup()
     prompt = task.train_prompts[0]
     features = prompt.features[None]
-    tokens, scored = policy.sample_and_score(net, features, [stream(0, "c1")])
+    tokens, scored = policy.sample_and_score(net, features, uniforms(0, ["c1"], task.seq_len))
     h = 1e-5
     worst = 0.0
     for l, w in enumerate(net.weights):
@@ -141,9 +141,9 @@ def test_criterion_04_self_normalization():
     prompt = task.train_prompts[5]
     # scale the backpropagated factors so every estimate keeps F^2 well above the
     # 1e-8 floor of reg2, where p = -1 divides by F exactly
-    rngs = [stream(3, f"c4/{k}") for k in range(8)]
+    u = uniforms(3, [f"c4/{k}" for k in range(8)], task.seq_len)
     features = np.repeat(prompt.features[None], 8, axis=0)
-    tokens, scored = policy.sample_and_score(net, features, rngs)
+    tokens, scored = policy.sample_and_score(net, features, u)
     scaled = policy.Scored(scored.logprobs, scored.act_in, [g * 12.0 for g in scored.grad_out])
     group = tasks.Group(prompt, np.zeros(8), np.linspace(-1, 1, 8))
     mb = tasks.Microbatch([group], features, tokens, scaled)

@@ -110,10 +110,25 @@ def test_rewards_are_pure_task_rewards(tmp_path):
             break  # later steps use updated weights; step-0 equality pins provenance
 
 
-def test_groups_exceeding_train_prompts_rejected():
+def test_run_table_equals_each_steps_own_streams():
+    cfg = quick_cfg(seed=3)
+    task = harness.make_task(cfg)
+    table = harness.draw_steps(task, cfg, range(5))
+    for step in range(5):
+        prompts, u = table[step]
+        alone_prompts, alone_u = harness.draw_steps(task, cfg, [step])[step]
+        assert [p.id for p in prompts] == [p.id for p in alone_prompts]
+        assert np.array_equal(u, alone_u)
+        # row 5 is sequence 1 of group 1 (group size 4)
+        label = f"policy/{step}/{prompts[1].id}/1"
+        assert np.array_equal(u[5], stream(cfg.seed, label).random(task.seq_len))
+
+
+def test_groups_exceeding_train_prompts_rejected(tmp_path):
     cfg = quick_cfg(task="bandit", groups_per_microbatch=50)
     with pytest.raises(ConfigError):
-        harness.train(cfg, "unused")
+        harness.train(cfg, tmp_path / "r")
+    assert not (tmp_path / "r").exists()
 
 
 def test_all_algorithms_run_and_write(tmp_path):
@@ -255,9 +270,9 @@ def test_failure_inside_update_aborts_with_row(tmp_path, monkeypatch, algo, modu
     current = {}
     sample, grad = harness.sample_microbatch, getattr(module, name)
 
-    def tracked_sample(net, task, cfg, step):
+    def tracked_sample(net, task, cfg, step, draws=None):
         current["step"] = step
-        return sample(net, task, cfg, step)
+        return sample(net, task, cfg, step, draws)
 
     def failing_grad(*args, **kwargs):
         if current["step"] == 2:
@@ -271,6 +286,21 @@ def test_failure_inside_update_aborts_with_row(tmp_path, monkeypatch, algo, modu
     assert res.abort_reason.startswith("step 2: FloatingPointError")
     assert [row.step for row in res.rows] == [0, 2]
     assert [r["step"] for r in harness.read_metrics_csv(res.csv_path)] == [0, 2]
+
+
+def test_grpo_rescores_only_after_its_first_epoch(tmp_path, monkeypatch):
+    # the first inner epoch takes reinforce_grad, which equals the clipped
+    # gradient at the sampling weights bit for bit, so it scores nothing
+    calls = []
+    original = baselines.grpo_clipped_grad
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(baselines, "grpo_clipped_grad", counted)
+    harness.train(quick_cfg(algo="grpo", inner_epochs=4, steps=3), tmp_path / "r")
+    assert len(calls) == 3 * 3
 
 
 def test_ntk_column_is_mean_ntk_eigenvalue(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from isopo_lab import baselines, checks, isopo, oracle, policy, tasks
 from isopo_lab.errors import ContractViolation, EstimatorDegenerateError
 from isopo_lab.linalg import frobenius_dot, sym_eigh
-from isopo_lab.rng import stream
+from isopo_lab.rng import stream, uniforms
 
 from conftest import make_microbatch, scale_grad_out
 
@@ -204,8 +204,8 @@ def test_batched_estimates_match_per_sequence_loop(small_net, small_task):
 
 def test_noninteracting_single_sequence_composition(small_net, small_task):
     prompt = small_task.train_prompts[2]
-    rngs = [[stream(9, f"c/{k}") for k in range(2)]]
-    mb = tasks.build_microbatch(small_net, small_task, [prompt], rngs)
+    u = uniforms(9, [f"c/{k}" for k in range(2)], small_task.seq_len)
+    mb = tasks.build_microbatch(small_net, small_task, [prompt], u)
     adv = np.array([1.7, 0.0])
     mb.groups[0].advantages = adv
     samples = isopo.draw_overlap_samples(mb, 8, stream(2, "o"))
@@ -261,8 +261,8 @@ def test_noninteracting_degenerate_fallback(small_net, small_task):
 def test_self_normalization_under_shared_samples(small_net, small_task):
     # grad_out scaled so every Fisher-norm estimate keeps F^2 far above the 1e-8 floor
     prompt = small_task.train_prompts[0]
-    rngs = [[stream(0, f"p/{k}") for k in range(8)]]
-    mb = tasks.build_microbatch(small_net, small_task, [prompt], rngs)
+    u = uniforms(0, [f"p/{k}" for k in range(8)], small_task.seq_len)
+    mb = tasks.build_microbatch(small_net, small_task, [prompt], u)
     mb.groups[0].advantages = np.linspace(-1, 1, 8)
     mb = scale_grad_out(mb, 12.0)
     samples = isopo.draw_overlap_samples(mb, 64, stream(0, "ov"))
@@ -307,7 +307,10 @@ def test_estimator_consistent_with_exact_fisher():
     # sequence-level exact moments vs the position-subsampled estimate
     seed = 0
     net, prompt = checks._tiny_oracle_policy(seed)
-    _, v_scored = policy.sample_and_score(net, prompt.features[None], [stream(seed, "v")])
+    seq_len = len(prompt.target)
+    _, v_scored = policy.sample_and_score(
+        net, prompt.features[None], uniforms(seed, ["v"], seq_len)
+    )
     features = np.repeat(prompt.features[None], 256, axis=0)
     for l in range(net.n_layers):
         fisher_l, mean_sq = oracle.layer_moments(net, [prompt], l)
@@ -315,8 +318,8 @@ def test_estimator_consistent_with_exact_fisher():
         oracle_val = float(v.ravel() @ fisher_l @ v.ravel()) / mean_sq
         estimates = []
         for redraw in range(20):
-            rngs = [stream(1000 + redraw, f"r/{k}") for k in range(256)]
-            tokens, scored = policy.sample_and_score(net, features, rngs)
+            u = uniforms(1000 + redraw, [f"r/{k}" for k in range(256)], seq_len)
+            tokens, scored = policy.sample_and_score(net, features, u)
             group = tasks.Group(prompt, np.zeros(256), np.zeros(256))
             mb = tasks.Microbatch([group], features, tokens, scored)
             ov = isopo.draw_overlap_samples(mb, 512, stream(redraw, "ov"))

@@ -5,7 +5,7 @@ import pytest
 
 from isopo_lab import checks, oracle, policy, tasks
 from isopo_lab.errors import ContractViolation, EnumerationBudgetError, SingularMatrixError
-from isopo_lab.rng import stream
+from isopo_lab.rng import stream, uniforms
 
 
 def tiny_net(seed=0, seq_len=2):
@@ -70,10 +70,10 @@ def test_exact_fisher_budget_refusal():
 
 
 def test_exact_npg_identity_and_diagonal():
-    eye = oracle.ExactFisher(np.eye(3), [(3, 1)])
+    eye = oracle.ExactFisher(np.eye(3))
     g = np.array([1.0, 2.0, 3.0])
     assert np.allclose(oracle.exact_npg(eye, g, 0.0), g)
-    diag = oracle.ExactFisher(np.diag([2.0, 4.0]), [(2, 1)])
+    diag = oracle.ExactFisher(np.diag([2.0, 4.0]))
     assert np.allclose(oracle.exact_npg(diag, np.array([2.0, 4.0]), 0.0), [1.0, 1.0])
 
 
@@ -82,7 +82,7 @@ def test_exact_npg_residual_on_random_spd():
     for n in (5, 20):
         a = rng.standard_normal((n, n))
         spd = a @ a.T + 0.5 * np.eye(n)
-        fisher = oracle.ExactFisher(0.5 * (spd + spd.T), [(n, 1)])
+        fisher = oracle.ExactFisher(0.5 * (spd + spd.T))
         g = rng.standard_normal(n)
         for damping in (1e-3, 0.0):
             v = oracle.exact_npg(fisher, g, damping)
@@ -94,7 +94,7 @@ def test_exact_npg_damping_to_zero_well_conditioned():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((6, 6))
     spd = a @ a.T + np.eye(6)
-    fisher = oracle.ExactFisher(0.5 * (spd + spd.T), [(6, 1)])
+    fisher = oracle.ExactFisher(0.5 * (spd + spd.T))
     g = rng.standard_normal(6)
     base = oracle.exact_npg(fisher, g, 0.0)
     for damping in (1e-8, 1e-10, 1e-12):
@@ -103,7 +103,7 @@ def test_exact_npg_damping_to_zero_well_conditioned():
 
 
 def test_exact_npg_singular_raises():
-    singular = oracle.ExactFisher(np.zeros((2, 2)), [(2, 1)])
+    singular = oracle.ExactFisher(np.zeros((2, 2)))
     with pytest.raises(SingularMatrixError):
         oracle.exact_npg(singular, np.array([1.0, 0.0]), 0.0)
     with pytest.raises(ContractViolation):
@@ -112,7 +112,8 @@ def test_exact_npg_singular_raises():
 
 def test_materialized_position_grads(small_net, small_task):
     prompt = small_task.train_prompts[0]
-    _, scored = policy.sample_and_score(small_net, prompt.features[None], [stream(0, "m")])
+    u = uniforms(0, ["m"], small_task.seq_len)
+    _, scored = policy.sample_and_score(small_net, prompt.features[None], u)
     for l in range(small_net.n_layers):
         mats = oracle.materialize_position_grads(scored, l)
         assert len(mats) == small_net.context_dim - small_net.vocab_size - prompt.features.size

@@ -7,7 +7,7 @@ import pytest
 
 from isopo_lab import policy, tasks
 from isopo_lab.errors import ContractViolation
-from isopo_lab.rng import stream
+from isopo_lab.rng import stream, uniforms
 
 
 def bias_only_net(bias):
@@ -25,9 +25,10 @@ def single_step_prompt(net):
     return tasks.Prompt(id="p", features=feat, target=(0,))
 
 
-def sample_one(net, prompt, rng):
-    """Tokens (1, T) and scores of one sequence sampled for ``prompt``."""
-    return policy.sample_and_score(net, prompt.features[None], [rng])
+def sample_one(net, prompt, seed, label):
+    """Tokens (1, T) and scores of one sequence sampled for ``prompt`` from (seed, label)."""
+    u = uniforms(seed, [label], policy.seq_len_for(net, prompt.features))
+    return policy.sample_and_score(net, prompt.features[None], u)
 
 
 def test_forward_zero_weights_zero_logits(small_net):
@@ -121,19 +122,10 @@ def test_sample_rows_are_independent_of_the_batch(small_net, small_task):
     )
 
 
-def test_sample_and_score_uses_successive_draws(small_net, small_task):
-    # a sequence's T uniforms are T successive random() calls on its generator
-    prompt = small_task.train_prompts[3]
-    rng = stream(7, "successive")
-    u = np.array([[rng.random() for _ in range(small_task.seq_len)]])
-    tokens, _ = policy.sample_and_score(small_net, prompt.features[None], [stream(7, "successive")])
-    assert np.array_equal(tokens, policy.sample(small_net, prompt.features[None], u))
-
-
 def test_sample_sequence_deterministic_for_fixed_seed(small_net, small_task):
     prompt = small_task.train_prompts[3]
-    t1, s1 = sample_one(small_net, prompt, stream(7, "s"))
-    t2, s2 = sample_one(small_net, prompt, stream(7, "s"))
+    t1, s1 = sample_one(small_net, prompt, 7, "s")
+    t2, s2 = sample_one(small_net, prompt, 7, "s")
     assert np.array_equal(t1, t2)
     assert np.array_equal(s1.logprobs, s2.logprobs)
     for a, b in zip(s1.seq_grads, s2.seq_grads):
@@ -155,7 +147,7 @@ def test_score_rows_match_scoring_each_alone(small_net, small_task):
 
 def test_backward_matches_finite_differences(small_net, small_task):
     prompt = small_task.train_prompts[0]
-    tokens, scored = sample_one(small_net, prompt, stream(0, "fd"))
+    tokens, scored = sample_one(small_net, prompt, 0, "fd")
     h = 1e-5
     for l, w in enumerate(small_net.weights):
         analytic = scored.seq_grads[l][0]
@@ -185,7 +177,7 @@ def test_softmax_gradient_at_uniform_logits():
 
 def test_rank_one_sum_equals_reduced_grad(small_net, small_task):
     prompt = small_task.train_prompts[1]
-    _, scored = sample_one(small_net, prompt, stream(2, "rank1"))
+    _, scored = sample_one(small_net, prompt, 2, "rank1")
     for l in range(small_net.n_layers):
         act, gout = scored.act_in[l][0], scored.grad_out[l][0]
         total = sum(np.outer(gout[t], act[t]) for t in range(len(act)))

@@ -152,3 +152,14 @@ def test_group_requires_two_records(small_task):
     prompt = small_task.train_prompts[0]
     with pytest.raises(ContractViolation):
         tasks.Group(prompt, np.array([1.0]), np.array([0.0]))
+
+
+def test_build_microbatch_needs_equal_groups(small_net, small_task):
+    prompts = small_task.train_prompts[:2]
+    u = np.full((5, small_task.seq_len), 0.5)
+    with pytest.raises(ContractViolation):
+        tasks.build_microbatch(small_net, small_task, prompts, u)
+    with pytest.raises(ContractViolation):
+        tasks.build_microbatch(small_net, small_task, [], u)
+    mb = tasks.build_microbatch(small_net, small_task, prompts, u[:4])
+    assert [len(g.rewards) for g in mb.groups] == [2, 2]
