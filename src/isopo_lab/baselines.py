@@ -1,7 +1,10 @@
 """REINFORCE and sequence-level clipped-GRPO references, plus optimizers.
 
 REINFORCE is the plain advantage-weighted sum of sequence log-probability
-gradients. GRPO reuses the same sampled microbatch over several inner epochs,
+gradients. Both gradients are weighted sums sum_b w_b V_b of the sequence
+gradients, and both are taken from the scored factors as one gemm per layer
+over the microbatch's B T positions (``policy.grad_sum``), without forming
+any V_b. GRPO reuses the same sampled microbatch over several inner epochs,
 weighting each sequence by its importance ratio to the sampling-time policy
 and dropping (clipping flat) sequences whose ratio left [1-eps, 1+eps] in the
 unfavorable direction. The sampling-time policy is held as a snapshot array
@@ -23,14 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, NonFiniteGradientError
-from .policy import PolicyNet, score, sequence_logprobs
+from .policy import PolicyNet, Scored, grad_sum, score, sequence_logprobs
 from .tasks import Microbatch
+
+
+def _weighted_grads(scored: Scored, weights: np.ndarray) -> list[np.ndarray]:
+    return [grad_sum(g, a, weights) for g, a in zip(scored.grad_out, scored.act_in)]
 
 
 def reinforce_grad(microbatch: Microbatch) -> list[np.ndarray]:
     """Per-layer sum of advantage-weighted sequence gradients."""
-    advantages = microbatch.advantages
-    return [np.tensordot(advantages, jac, axes=1) for jac in microbatch.scored.seq_grads]
+    return _weighted_grads(microbatch.scored, microbatch.advantages)
 
 
 def _ratios(logprobs: np.ndarray, snapshot: np.ndarray) -> np.ndarray:
@@ -58,7 +64,7 @@ def grpo_clipped_grad(
     # gradient flows through the min() only while the ratio branch is active
     active = np.where(advantages >= 0, rho <= 1.0 + clip_eps, rho >= 1.0 - clip_eps)
     coeff = np.where(active, rho * advantages, 0.0)
-    return [np.tensordot(coeff, jac, axes=1) for jac in current.seq_grads]
+    return _weighted_grads(current, coeff)
 
 
 def grpo_surrogate(

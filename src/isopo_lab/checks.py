@@ -1,9 +1,9 @@
 """Self-check suites behind the ``gradcheck`` and ``oracle-check`` commands.
 
 Each suite compares an implementation path against an independent reference
-(central finite differences, fully materialized position gradients, a dense
-flattened solve, or exact enumeration) and reports its worst error. The CLI
-exits nonzero if any suite fails.
+(central finite differences, fully materialized position and sequence
+gradients, a dense flattened solve, or exact enumeration) and reports its
+worst error. The CLI exits nonzero if any suite fails.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def run_gradcheck(seed: int = 0, grad_tamper=None) -> list[SuiteResult]:
     tokens, scored = policy.sample_and_score(
         net, prompt.features[None], uniforms(seed, ["gradcheck-seq"], task.seq_len)
     )
-    analytic = tamper([g[0].copy() for g in scored.seq_grads])
+    analytic = tamper([g[0] for g in scored.seq_grads])
     numeric = fd_grad(
         lambda: policy.sequence_logprobs(net, prompt.features[None], tokens)[0], net
     )
@@ -120,29 +120,37 @@ def run_gradcheck(seed: int = 0, grad_tamper=None) -> list[SuiteResult]:
     err = max_rel_error(analytic, numeric)
     results.append(SuiteResult("grpo-surrogate-fd", err <= FD_RTOL, err))
 
-    # 4. factor-form Fisher-norm estimate vs fully materialized position gradients
+    # 4. factor-form Fisher-norm estimates vs fully materialized position
+    # gradients: the training path's estimate of every sequence gradient, and
+    # the matrix-form estimator on random probes (a NaN estimate fails)
+    scored = microbatch.scored
     overlap = isopo.draw_overlap_samples(microbatch, 16, stream(seed, "gradcheck-overlap"))
-    worst = 0.0
+    norms, _ = isopo.sequence_fisher_norms(microbatch, overlap)
+    errors = []
     probe_rng = stream(seed, "gradcheck-probe")
-    for l in range(net.n_layers):
-        mats = oracle.materialize_position_grads(microbatch.scored, l)
+    for l, seq_grads in enumerate(scored.seq_grads):
+        mats = oracle.materialize_position_grads(scored, l)
         sampled = [mats[i] for i in overlap.indices]
+        for b, v in enumerate(seq_grads):
+            slow = oracle.naive_fisher_norm(v, sampled)
+            errors.append(abs(norms[b, l] - slow) / max(slow, 1e-12))
         for _ in range(5):
             v = probe_rng.standard_normal(net.weights[l].shape)
             fast = isopo.fisher_norm_estimate(
                 v, overlap.act_in[l], overlap.grad_out[l], overlap.denominators[l]
             )
             slow = oracle.naive_fisher_norm(v, sampled)
-            worst = max(worst, abs(fast - slow) / max(slow, 1e-12))
+            errors.append(abs(fast - slow) / max(slow, 1e-12))
+    worst = float(np.max(errors))
     results.append(SuiteResult("rank-one-equivalence", worst <= 1e-10, worst))
 
-    # 5. NTK-preconditioned update vs flattened dense solve
+    # 5. factor-form NTK-preconditioned update vs flattened dense solve
     worst = 0.0
     adv = microbatch.advantages
-    for l, seq_grads in enumerate(microbatch.scored.seq_grads):
+    for l, seq_grads in enumerate(scored.seq_grads):
         jac = seq_grads.reshape(len(seq_grads), -1)
         c = 0.1 * float(np.mean(np.sum(jac * jac, axis=1))) + 1e-6
-        update = isopo.interacting_update(seq_grads, adv, c)
+        update = isopo.interacting_update(scored.grad_out[l], scored.act_in[l], adv, c)
         dense = jac.T @ np.linalg.solve(jac @ jac.T + c * np.eye(len(seq_grads)), adv)
         scale = max(float(np.linalg.norm(dense)), 1e-12)
         worst = max(worst, float(np.linalg.norm(update.ravel() - dense)) / scale)
@@ -215,9 +223,9 @@ def npg_directional_trial(seed: int):
     npg = oracle.exact_npg(fisher, vanilla, damping)
 
     pieces = []
-    for seq_grads in scored.seq_grads:
-        c = max(float(np.trace(isopo.build_ntk(seq_grads))) / m, 1e-12)
-        pieces.append(isopo.interacting_update(seq_grads, advantages, c).ravel())
+    for g, a in zip(scored.grad_out, scored.act_in):
+        c = max(float(np.trace(isopo.build_ntk(g, a))) / m, 1e-12)
+        pieces.append(isopo.interacting_update(g, a, advantages, c).ravel())
     preconditioned = np.concatenate(pieces)
 
     def cosine(a, b):

@@ -218,11 +218,12 @@ def _update(cfg, net, optimizer, microbatch, norms, summary, rescale_params, ntk
         elif cfg.algo == "isopo-ni":
             grads = isopo.noninteracting_update(microbatch, norms, rescale_params)
         else:
+            scored = microbatch.scored
             grads = []
-            for l, jac in enumerate(microbatch.scored.seq_grads):
+            for l, (g, a) in enumerate(zip(scored.grad_out, scored.act_in)):
                 mean_eig = summary.layer_stats[l].ntk_eigen_mean
                 c = cfg.reg_factor * isopo.ema_update(ntk_ema, (l, "ntk_mean_eig"), mean_eig)
-                grads.append(isopo.interacting_update(jac, microbatch.advantages, c))
+                grads.append(isopo.interacting_update(g, a, microbatch.advantages, c))
         baselines.optimizer_step(optimizer, net, [-g for g in grads])
 
 

@@ -21,18 +21,26 @@ regularized square clears the floor, which bounds every sequence's
 contribution to the KL movement of the policy; r = -2 instead matches the
 scalar multiple of V closest to the natural-gradient direction.
 
+Training never forms a sequence gradient V_b = sum_t outer(g_bt, a_bt). The
+projections g_j . V_b a_j = sum_t (g_j . g_bt)(a_bt . a_j) come from two
+gemms over the B T positions, |V_b|^2 from per-sequence (T, T) Grams (shared
+by the degenerate test, the rescaling, its EMA and the batch summary through
+``Scored.sq_norms``), and the rescaled, advantage-weighted sum from one gemm
+over the positions (``policy.grad_sum``). A sequence is degenerate in a layer
+when |V_b|^2 == 0, or when every overlap sample is zero.
+
 Interacting variant
 -------------------
-Per layer, the microbatch's per-sequence gradients form J (m, out, in + 1),
-one contraction over the scored (B, T) factor arrays, and the microbatch
-update is J^T (J J^T + c I)^-1 A, i.e. the advantage vector is
-preconditioned by the layer's empirical neural tangent kernel K = J J^T
-(Tikhonov-regularized by c) before the usual contraction with the gradients.
-K is one matrix product, and (K + c I)^-1 A is a Cholesky solve, so no
-eigendecomposition is needed. The mean NTK eigenvalue that sets c is
-trace(K) / m = mean_i |J_i|^2; ``metrics.batch_summary`` computes it once per
-batch for every algorithm (it is the ``l{l}_ntk_eigen_mean`` metrics column),
-and the training loop derives c from that one value.
+Per layer, the microbatch update is sum_i [(K + c I)^-1 A]_i V_i: the
+advantage vector is preconditioned by the layer's empirical neural tangent
+kernel K_ij = <V_i, V_j> (Tikhonov-regularized by c) before the usual
+weighted sum of gradients. K is the block sum over positions (t, s) of
+(G G^T) * (A A^T), where G and A stack the factors of all B T positions, and
+(K + c I)^-1 A is a Cholesky solve, so no eigendecomposition is needed. The
+mean NTK eigenvalue that sets c is trace(K) / m = mean_i |V_i|^2;
+``metrics.batch_summary`` computes it once per batch for every algorithm (it
+is the ``l{l}_ntk_eigen_mean`` metrics column), and the training loop derives
+c from that one value.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ import numpy as np
 
 from .errors import ContractViolation, EstimatorDegenerateError
 from .linalg import solve_tikhonov
+from .policy import grad_projections, grad_sum
 from .tasks import Microbatch
 
 RESCALE_FLOOR = 1e-8
@@ -167,24 +176,25 @@ def sequence_fisher_norms(
     """Per-(sequence, layer) Fisher-norm estimates under the shared sample set.
 
     Returns ``(norms, degenerate)`` where ``norms[i, l]`` is NaN when the
-    estimate for that pair is degenerate (all-zero sequence gradient, or an
+    estimate for that pair is degenerate (|V_i|^2 == 0 in layer l, or an
     all-zero sample set) and ``degenerate[i]`` flags sequences with at least
     one degenerate layer.
     """
-    seq_grads = microbatch.scored.seq_grads
-    n_seq = seq_grads[0].shape[0]
-    norms = np.full((n_seq, len(seq_grads)), np.nan)
+    scored = microbatch.scored
+    n_seq = len(scored.logprobs)
+    norms = np.full((n_seq, len(scored.grad_out)), np.nan)
     degenerate = np.zeros(n_seq, dtype=bool)
-    for l, jac in enumerate(seq_grads):
+    for l, sq_norms in enumerate(scored.sq_norms):
         denominator = samples.denominators[l]
         if denominator == 0.0:
             degenerate[:] = True
             continue
-        live = np.any(jac.reshape(n_seq, -1), axis=1)
+        live = sq_norms > 0.0
         degenerate |= ~live
-        norms[live, l] = fisher_norm_estimate(
-            jac[live], samples.act_in[l], samples.grad_out[l], denominator
+        proj = grad_projections(
+            scored.grad_out[l], scored.act_in[l], samples.grad_out[l], samples.act_in[l]
         )
+        norms[live, l] = np.linalg.norm(proj[live], axis=1) / denominator
     return norms, degenerate
 
 
@@ -193,9 +203,8 @@ def _reg2(x, key, params: RescalingParams):
     return np.sqrt(np.maximum(x * x + params.reg_strength * expectation, RESCALE_FLOOR))
 
 
-def _scale(f_norm, grads: np.ndarray, params: RescalingParams, layer: int):
-    """reg2(F)^p * reg2(|V|)^q * reg2(F/|V|)^r for matrices V of shape (..., out, in + 1)."""
-    grad_norm = np.sqrt(np.sum(grads * grads, axis=(-2, -1)))
+def _scale(f_norm, grad_norm, params: RescalingParams, layer: int):
+    """reg2(F)^p * reg2(|V|)^q * reg2(F/|V|)^r for Fisher norms F and Frobenius norms |V|."""
     rel = np.divide(f_norm, grad_norm, out=np.zeros_like(grad_norm), where=grad_norm > 0)
     return (
         _reg2(f_norm, (layer, "fisher_sq"), params) ** params.p
@@ -219,18 +228,18 @@ def rescaling(
     if f_norm < 0:
         raise ContractViolation(f"F_norm must be nonnegative, got {f_norm}")
     grad = np.asarray(grad, dtype=float)
-    return _scale(f_norm, grad, params, layer) * grad
+    return _scale(f_norm, np.sqrt(np.sum(grad * grad)), params, layer) * grad
 
 
 def _refresh_ema(params: RescalingParams, norms: np.ndarray, microbatch: Microbatch) -> None:
     """Fold this minibatch's mean squares of the regulated quantities into the EMA."""
-    for l, jac in enumerate(microbatch.scored.seq_grads):
+    for l, sq_norms in enumerate(microbatch.scored.sq_norms):
         col = norms[:, l]
         valid = ~np.isnan(col)
         if not np.any(valid):
             continue
         f_sq = col[valid] ** 2
-        g_sq = np.sum(jac[valid] ** 2, axis=(1, 2))
+        g_sq = sq_norms[valid]
         with np.errstate(divide="ignore", invalid="ignore"):
             rel_sq = np.where(g_sq > 0, f_sq / g_sq, 0.0)
         ema_update(params.ema, (l, "fisher_sq"), float(f_sq.mean()))
@@ -252,46 +261,52 @@ def noninteracting_update(
     microbatch sum.
     """
     advantages = microbatch.advantages
+    scored = microbatch.scored
     _refresh_ema(params, norms, microbatch)
     grads = []
-    for l, jac in enumerate(microbatch.scored.seq_grads):
+    for l, sq_norms in enumerate(scored.sq_norms):
         valid = ~np.isnan(norms[:, l])
-        scale = np.ones(len(jac))  # degenerate fallback: no rescaling
-        scale[valid] = _scale(norms[valid, l], jac[valid], params, l)
-        grads.append(np.tensordot(advantages * scale, jac, axes=1))
+        scale = np.ones(len(sq_norms))  # degenerate fallback: no rescaling
+        scale[valid] = _scale(norms[valid, l], np.sqrt(sq_norms[valid]), params, l)
+        grads.append(grad_sum(scored.grad_out[l], scored.act_in[l], advantages * scale))
     return grads
 
 
-def build_ntk(jac: np.ndarray) -> np.ndarray:
-    """Gram matrix K_ij = <grad_i, grad_j> of one layer's sequence gradients.
-
-    ``jac`` stacks the m gradients as J (m, out, in + 1). K = J J^T is one
-    matrix product of J with its own transpose, which BLAS evaluates as a
-    symmetric rank-k update, so K is exactly symmetric.
-    """
-    jac = np.asarray(jac, dtype=float)
-    if jac.ndim != 3 or jac.shape[0] == 0:
+def _as_factors(grad_out, act_in) -> tuple[np.ndarray, np.ndarray]:
+    grad_out = np.asarray(grad_out, dtype=float)
+    act_in = np.asarray(act_in, dtype=float)
+    if (grad_out.ndim, act_in.ndim) != (3, 3) or act_in.shape[:2] != grad_out.shape[:2]:
         raise ContractViolation(
-            f"need a stack (m, out, in + 1) of at least one sequence gradient, got {jac.shape}"
+            f"need factors (m, T, out) and (m, T, in + 1), got {grad_out.shape} and {act_in.shape}"
         )
-    flat = jac.reshape(jac.shape[0], -1)
-    return flat @ flat.T
+    if not len(grad_out):
+        raise ContractViolation("need at least one sequence")
+    return grad_out, act_in
 
 
-def interacting_update(jac: np.ndarray, advantages, c: float) -> np.ndarray:
-    """NTK-preconditioned microbatch update sum_i [(K + cI)^-1 A]_i grad_i.
+def build_ntk(grad_out, act_in) -> np.ndarray:
+    """Gram matrix K_ij = <V_i, V_j> of one layer's sequence gradients, from their
+    factors grad_out (m, T, out) and act_in (m, T, in + 1).
 
-    ``jac`` stacks the sequence gradients as J (m, out, in + 1), and K = J J^T.
+    K is the block sum over positions (t, s) of (G G^T) * (A A^T), with G and
+    A stacking the factors of all m T positions; it is symmetrized exactly,
+    since block sums in different orders round differently.
     """
-    jac = np.asarray(jac, dtype=float)
-    gram = build_ntk(jac)
-    advantages = np.asarray(advantages, dtype=float)
-    if advantages.shape != (jac.shape[0],):
-        raise ContractViolation(
-            f"{jac.shape[0]} gradients but {advantages.shape} advantages"
-        )
-    weights = solve_tikhonov(gram, c, advantages)
-    return np.einsum("i,ijk->jk", weights, jac)
+    grad_out, act_in = _as_factors(grad_out, act_in)
+    m, seq_len = grad_out.shape[:2]
+    g = grad_out.reshape(m * seq_len, -1)
+    a = act_in.reshape(m * seq_len, -1)
+    blocks = ((g @ g.T) * (a @ a.T)).reshape(m, seq_len, m * seq_len).sum(axis=1)
+    gram = blocks.reshape(m, m, seq_len).sum(axis=2)
+    return 0.5 * (gram + gram.T)
+
+
+def interacting_update(grad_out, act_in, advantages, c: float) -> np.ndarray:
+    """NTK-preconditioned microbatch update sum_i [(K + cI)^-1 A]_i V_i of one
+    layer, from the factors of its sequence gradients (see ``build_ntk``)."""
+    grad_out, act_in = _as_factors(grad_out, act_in)
+    weights = solve_tikhonov(build_ntk(grad_out, act_in), c, advantages)
+    return grad_sum(grad_out, act_in, weights)
 
 
 __all__ = [

@@ -18,9 +18,12 @@ KL_PROMPTS = 16
 class LayerStats:
     """Per-layer means over the microbatch's sequences.
 
-    ``ntk_eigen_mean`` is the mean eigenvalue of the layer's empirical NTK
-    K = J J^T, i.e. trace(K) / m = mean_i |J_i|^2; interacting ISOPO sets its
-    Tikhonov constant from it, and only isopo-int runs write it to the CSV.
+    ``mean_grad_norm`` is the mean of |V_b| and ``ntk_eigen_mean`` the mean
+    eigenvalue of the layer's empirical NTK K_ij = <V_i, V_j>, i.e.
+    trace(K) / m = mean_b |V_b|^2; both come from the |V_b|^2 that the
+    Fisher-norm estimator already computed from the position factors
+    (``Scored.sq_norms``). Interacting ISOPO sets its Tikhonov constant from
+    ``ntk_eigen_mean``, and only isopo-int runs write it to the CSV.
     """
 
     mean_fisher_norm: float
@@ -57,12 +60,10 @@ def batch_summary(microbatch, fisher_norms, degenerate_count: int) -> BatchSumma
     entries marking degenerate pairs; those are excluded from the mean.
     """
     stats = []
-    for l, jac in enumerate(microbatch.scored.seq_grads):
+    for l, sq_norms in enumerate(microbatch.scored.sq_norms):  # |V_b|^2, the diagonal of K
         col = fisher_norms[:, l]
         valid = col[~np.isnan(col)]
         mean_f = float(valid.mean()) if valid.size else 0.0
-        flat = jac.reshape(len(jac), -1)
-        sq_norms = np.sum(flat * flat, axis=1)  # |J_i|^2, the diagonal of K
         mean_g = float(np.mean(np.sqrt(sq_norms)))
         stats.append(LayerStats(mean_f, mean_g, float(np.mean(sq_norms))))
     return BatchSummary(

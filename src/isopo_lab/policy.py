@@ -18,12 +18,20 @@ enters this module's sampling path.
 
 Sampled tokens are discrete, so a sequence's log-probability is a sum over
 positions and its gradient with respect to layer l's weights is a sum of
-rank-one terms outer(grad_out[l][b, t], act_in[l][b, t]): the
-back-propagated pre-activation gradient times the bias-augmented layer
-input. ``score`` returns those factor arrays, of shapes (B, T, out) and
-(B, T, in + 1), with their contraction over positions, the per-sequence
-gradients seq_grads[l] of shape (B, out, in + 1). They are the raw material
-for the Fisher-norm estimator and the per-sequence reduced gradients.
+rank-one terms, V_b = sum_t outer(g_bt, a_bt): the back-propagated
+pre-activation gradient g times the bias-augmented layer input a. ``score``
+returns those factor arrays, grad_out[l] (B, T, out) and act_in[l]
+(B, T, in + 1), and every per-sequence quantity the estimators need comes
+from small Gram products of them, so training never forms a V_b:
+
+    |V_b|^2            = sum_{t,s} (g_bt . g_bs)(a_bt . a_bs)    (``grad_sq_norms``)
+    g_j . V_b a_j      = sum_t (g_j . g_bt)(a_bt . a_j)          (``grad_projections``)
+    sum_b w_b V_b      = G^T diag(w (x) 1_T) A                   (``grad_sum``)
+    <V_i, V_j>         = sum_{t,s} (g_it . g_js)(a_it . a_js)    (``isopo.build_ntk``)
+
+where G (B T, out) and A (B T, in + 1) stack the factors of all positions.
+``Scored.seq_grads`` materializes the V_b on demand, as the reference the
+self-checks and tests compare these identities against.
 
 Biases are handled by augmenting every layer input with a trailing constant
 1, so each position's gradient is a single rank-one matrix with no special
@@ -33,7 +41,8 @@ case for the bias column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,17 +102,58 @@ class Scored:
     Per layer l, ``act_in[l][b, t]`` is the layer input at position t of
     sequence b augmented with a trailing 1, and ``grad_out[l][b, t]`` the
     gradient of the sequence's log-probability with respect to the layer's
-    pre-activation there. ``seq_grads[l][b]`` is their sum of outer products
-    over positions, the gradient of ``logprobs[b]`` with respect to layer l.
+    pre-activation there; the gradient of ``logprobs[b]`` with respect to
+    layer l is V_b = sum_t outer(grad_out[l][b, t], act_in[l][b, t]).
+    ``sq_norms`` caches every |V_b|^2 on first use, so the factor arrays are
+    not to be changed after it is read.
     """
 
     logprobs: np.ndarray  # (B,)
     act_in: list[np.ndarray]  # per layer (B, T, in_dim + 1)
     grad_out: list[np.ndarray]  # per layer (B, T, out_dim)
-    seq_grads: list[np.ndarray] = field(init=False)  # per layer (B, out_dim, in_dim + 1)
 
-    def __post_init__(self) -> None:
-        self.seq_grads = [np.swapaxes(g, 1, 2) @ a for g, a in zip(self.grad_out, self.act_in)]
+    @cached_property
+    def sq_norms(self) -> list[np.ndarray]:
+        """Per layer (B,): the squared Frobenius norms |V_b|^2."""
+        return [grad_sq_norms(g, a) for g, a in zip(self.grad_out, self.act_in)]
+
+    @property
+    def seq_grads(self) -> list[np.ndarray]:
+        """Per layer (B, out_dim, in_dim + 1): every V_b, materialized on each access."""
+        return [np.swapaxes(g, 1, 2) @ a for g, a in zip(self.grad_out, self.act_in)]
+
+
+def grad_sq_norms(grad_out: np.ndarray, act_in: np.ndarray) -> np.ndarray:
+    """|V_b|^2 for one layer's factors, from per-sequence (T, T) Gram matrices.
+
+    A sum of Gram products can round below zero when V_b cancels, so it is
+    clamped at 0; V_b counts as zero exactly when this returns 0.
+    """
+    gg = grad_out @ np.swapaxes(grad_out, 1, 2)
+    aa = act_in @ np.swapaxes(act_in, 1, 2)
+    return np.maximum(np.sum(gg * aa, axis=(1, 2)), 0.0)
+
+
+def grad_projections(
+    grad_out: np.ndarray, act_in: np.ndarray, g: np.ndarray, a: np.ndarray
+) -> np.ndarray:
+    """(B, n) projections g_j . V_b a_j of every V_b onto n rank-one factors
+    (g (n, out), a (n, in + 1)): two gemms over the B T positions."""
+    n_seq, seq_len = grad_out.shape[:2]
+    prod = (grad_out.reshape(n_seq * seq_len, -1) @ g.T) * (
+        act_in.reshape(n_seq * seq_len, -1) @ a.T
+    )
+    return prod.reshape(n_seq, seq_len, -1).sum(axis=1)
+
+
+def grad_sum(grad_out: np.ndarray, act_in: np.ndarray, weights) -> np.ndarray:
+    """sum_b weights[b] V_b for one layer's factors, as one gemm over the B T positions."""
+    weights = np.asarray(weights, dtype=float)
+    n_seq, seq_len, out_dim = grad_out.shape
+    if weights.shape != (n_seq,):
+        raise ContractViolation(f"{n_seq} sequences but weights of shape {weights.shape}")
+    weighted = (grad_out * weights[:, None, None]).reshape(n_seq * seq_len, out_dim)
+    return weighted.T @ act_in.reshape(n_seq * seq_len, -1)
 
 
 def init_policy(

@@ -32,6 +32,14 @@ def make_microbatch(net, task, seed=0, n_groups=2, group_size=4, force_advantage
     return mb
 
 
+def as_factors(jac):
+    """Rank-one factors (grad_out, act_in) of a stack of matrices V (m, out, in + 1):
+    position k of sequence i is (V_i[:, k], e_k), so V_i = sum_k outer(V_i[:, k], e_k)."""
+    jac = np.asarray(jac, dtype=float)
+    m, _, cols = jac.shape
+    return np.swapaxes(jac, 1, 2), np.broadcast_to(np.eye(cols), (m, cols, cols))
+
+
 def scale_grad_out(mb, s):
     """Copy of ``mb`` with every position's backpropagated factor scaled by ``s``;
     keeps the rank-one structure (the sequence gradients are re-contracted)."""

@@ -107,26 +107,29 @@ def test_criterion_03_interacting_update_equivalence():
     rng = stream(2, "c3")
     worst = 0.0
 
-    def check(seq_grads, advantages, c):
+    def check(l, rows, advantages, c):
         nonlocal worst
+        seq_grads = mb.scored.seq_grads[l][rows]
         jac = np.stack([g.ravel() for g in seq_grads])
         dense = jac.T @ np.linalg.solve(
             jac @ jac.T + c * np.eye(len(seq_grads)), advantages
         )
-        update = isopo.interacting_update(seq_grads, advantages, c)
+        update = isopo.interacting_update(
+            mb.scored.grad_out[l][rows], mb.scored.act_in[l][rows], advantages, c
+        )
         worst = max(
             worst,
             float(np.linalg.norm(update.ravel() - dense))
             / max(float(np.linalg.norm(dense)), 1e-12),
         )
 
-    for grads_l in mb.scored.seq_grads:
+    for l, grads_l in enumerate(mb.scored.seq_grads):
         mean_sq = float(np.mean([np.sum(g * g) for g in grads_l]))
         for m in (1, 2, 8, 32):
-            check(grads_l[:m], adv_all[:m] + 0.1, 0.5 * mean_sq + 1e-6)
+            check(l, slice(m), adv_all[:m] + 0.1, 0.5 * mean_sq + 1e-6)
         # duplicated gradients: K is rank deficient, c > 0 keeps it solvable
-        check(grads_l[[0, 0]], np.array([1.0, -0.5]), 0.3 * mean_sq + 1e-6)
-        check(grads_l[:8], rng.standard_normal(8), 1e-3 * mean_sq + 1e-9)
+        check(l, [0, 0], np.array([1.0, -0.5]), 0.3 * mean_sq + 1e-6)
+        check(l, slice(8), rng.standard_normal(8), 1e-3 * mean_sq + 1e-9)
     elapsed = time.time() - start
     report(
         3,
@@ -201,10 +204,11 @@ def test_criterion_06_definitional_degeneracies():
     )
 
     worst_angle = 0.0
-    for seq_grads in mb.scored.seq_grads:
+    scored = mb.scored
+    for seq_grads, gout, act in zip(scored.seq_grads, scored.grad_out, scored.act_in):
         vanilla = sum(a * g for a, g in zip(mb.advantages, seq_grads)).ravel()
-        k_norm = float(np.linalg.norm(isopo.build_ntk(seq_grads)))
-        update = isopo.interacting_update(seq_grads, mb.advantages, 1e6 * k_norm).ravel()
+        k_norm = float(np.linalg.norm(isopo.build_ntk(gout, act)))
+        update = isopo.interacting_update(gout, act, mb.advantages, 1e6 * k_norm).ravel()
         cos = float(
             update @ vanilla / (np.linalg.norm(update) * np.linalg.norm(vanilla))
         )

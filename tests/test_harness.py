@@ -288,6 +288,22 @@ def test_failure_inside_update_aborts_with_row(tmp_path, monkeypatch, algo, modu
     assert [r["step"] for r in harness.read_metrics_csv(res.csv_path)] == [0, 2]
 
 
+@pytest.mark.parametrize("algo", ["reinforce", "grpo", "isopo-ni", "isopo-int"])
+def test_training_never_materializes_sequence_gradients(tmp_path, monkeypatch, algo):
+    # every per-sequence quantity comes from the position factors, so a run
+    # that cannot read Scored.seq_grads finishes and writes the same file
+    cfg = quick_cfg(task="seqtask", algo=algo, steps=10, eval_every=1, seed=2)
+    reference = harness.train(cfg, tmp_path / "reference").csv_path.read_bytes()
+
+    def refuse(self):
+        raise AssertionError("training read Scored.seq_grads")
+
+    monkeypatch.setattr(policy.Scored, "seq_grads", property(refuse))
+    res = harness.train(cfg, tmp_path / "guarded")
+    assert not res.aborted
+    assert res.csv_path.read_bytes() == reference
+
+
 def test_grpo_rescores_only_after_its_first_epoch(tmp_path, monkeypatch):
     # the first inner epoch takes reinforce_grad, which equals the clipped
     # gradient at the sampling weights bit for bit, so it scores nothing
@@ -309,8 +325,8 @@ def test_ntk_column_is_mean_ntk_eigenvalue(tmp_path):
     row = harness.read_metrics_csv(res.csv_path)[0]
     task = harness.make_task(cfg)
     mb = harness.sample_microbatch(harness.build_policy(task, cfg.seed), task, cfg, 0)
-    for l, jac in enumerate(mb.scored.seq_grads):
-        expected = float(np.trace(isopo.build_ntk(jac))) / len(jac)
+    for l, (gout, act) in enumerate(zip(mb.scored.grad_out, mb.scored.act_in)):
+        expected = float(np.trace(isopo.build_ntk(gout, act))) / len(gout)
         assert row[f"l{l}_ntk_eigen_mean"] == pytest.approx(expected, rel=1e-12, abs=0)
         assert row[f"l{l}_ntk_eigen_mean"] > 0
 

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from isopo_lab import baselines, checks, isopo, oracle, policy, tasks
+from isopo_lab import baselines, checks, isopo, metrics, oracle, policy, tasks
 from isopo_lab.errors import ContractViolation, EstimatorDegenerateError
 from isopo_lab.linalg import frobenius_dot, sym_eigh
 from isopo_lab.rng import stream, uniforms
 
-from conftest import make_microbatch, scale_grad_out
+from conftest import as_factors, make_microbatch, scale_grad_out
 
 
 def random_factors(rng, n, out_dim, in_dim):
@@ -247,8 +247,7 @@ def test_noninteracting_linear_in_advantages(small_net, small_task):
 def test_noninteracting_degenerate_fallback(small_net, small_task):
     mb = make_microbatch(small_net, small_task, seed=5, n_groups=1, group_size=3)
     # zero out one sequence's gradients entirely
-    for jac, gout in zip(mb.scored.seq_grads, mb.scored.grad_out):
-        jac[1] = 0.0
+    for gout in mb.scored.grad_out:
         gout[1] = 0.0
     samples = isopo.draw_overlap_samples(mb, 6, stream(5, "o"))
     norms, degenerate = isopo.sequence_fisher_norms(mb, samples)
@@ -256,6 +255,33 @@ def test_noninteracting_degenerate_fallback(small_net, small_task):
     assert np.count_nonzero(degenerate) == 1
     assert np.all(np.isnan(norms[1]))
     assert np.all(np.isfinite([np.max(np.abs(g)) for g in upd]))
+
+
+def test_cancelling_positions_give_finite_updates(small_net, small_task):
+    # positions 0 and 1 of sequence 1 share their input and have opposite
+    # gradients, so V_1 = 0 in every layer while its (T, T) Gram products do
+    # not vanish; |V_1|^2 is clamped at 0, and no square root sees a negative
+    mb = make_microbatch(small_net, small_task, seed=6, n_groups=1, group_size=3)
+    for act, gout in zip(mb.scored.act_in, mb.scored.grad_out):
+        act[1, 1] = act[1, 0]
+        gout[1, 1] = -gout[1, 0]
+    assert all(np.all(sq >= 0.0) for sq in mb.scored.sq_norms)
+    samples = isopo.draw_overlap_samples(mb, 6, stream(6, "o"))
+    norms, degenerate = isopo.sequence_fisher_norms(mb, samples)
+    assert not np.any(np.isnan(np.delete(norms, 1, axis=0)))
+    for l, sq in enumerate(mb.scored.sq_norms):
+        # degenerate exactly when |V_1|^2 came out as 0; otherwise a finite estimate
+        assert np.isnan(norms[1, l]) == (sq[1] == 0.0)
+    assert degenerate[1] == any(sq[1] == 0.0 for sq in mb.scored.sq_norms)
+    summary = metrics.batch_summary(mb, norms, int(np.count_nonzero(degenerate)))
+    assert np.all(np.isfinite([ls.mean_grad_norm for ls in summary.layer_stats]))
+    for params in (isopo.RescalingParams(p=-1.0), isopo.RescalingParams(p=-1.0, q=0.5, r=-2.0)):
+        upd = isopo.noninteracting_update(mb, norms, params)
+        assert np.all(np.isfinite(np.concatenate([g.ravel() for g in upd])))
+    for gout, act in zip(mb.scored.grad_out, mb.scored.act_in):
+        c = float(np.trace(isopo.build_ntk(gout, act))) / len(gout)
+        upd = isopo.interacting_update(gout, act, mb.advantages, c)
+        assert np.all(np.isfinite(upd))
 
 
 def test_self_normalization_under_shared_samples(small_net, small_task):
@@ -339,14 +365,14 @@ def test_build_ntk_orthonormal_grads():
     grads[0, 0, 0] = 1.0
     grads[1, 0, 1] = 1.0
     grads[2, 1, 2] = 1.0
-    assert np.array_equal(isopo.build_ntk(grads), np.eye(3))
+    assert np.array_equal(isopo.build_ntk(*as_factors(grads)), np.eye(3))
 
 
 def test_build_ntk_duplicated_gradient():
     rng = np.random.default_rng(10)
     g = rng.standard_normal((3, 4))
     sq = float(np.sum(g * g))
-    gram = isopo.build_ntk(np.stack([g, g]))
+    gram = isopo.build_ntk(*as_factors(np.stack([g, g])))
     assert np.allclose(gram, sq * np.array([[1.0, 1.0], [1.0, 1.0]]))
     eig = sym_eigh(gram)
     assert np.allclose(eig.eigenvalues, [0.0, 2.0 * sq], atol=1e-12 * sq)
@@ -357,8 +383,9 @@ def test_build_ntk_duplicated_gradient():
 def test_build_ntk_matches_frobenius_dot(microbatch):
     # one gemm sums in another order than the entry-wise reference, so entries
     # agree to rounding relative to the Cauchy-Schwarz bound sqrt(K_ii K_jj)
-    for seq_grads in microbatch.scored.seq_grads:
-        gram = isopo.build_ntk(seq_grads)
+    scored = microbatch.scored
+    for seq_grads, gout, act in zip(scored.seq_grads, scored.grad_out, scored.act_in):
+        gram = isopo.build_ntk(gout, act)
         assert np.array_equal(gram, gram.T)
         m = len(seq_grads)
         for i in range(m):
@@ -368,11 +395,16 @@ def test_build_ntk_matches_frobenius_dot(microbatch):
 
 
 def test_build_ntk_rejects_bad_input():
-    for bad in (np.zeros((0, 2, 3)), np.zeros((2, 3))):
+    bad_pairs = [
+        (np.zeros((0, 1, 2)), np.zeros((0, 1, 3))),  # no sequences
+        (np.zeros((2, 3)), np.zeros((2, 4))),  # not (m, T, dim)
+        (np.zeros((2, 1, 3)), np.zeros((3, 1, 4))),  # sequence counts disagree
+    ]
+    for gout, act in bad_pairs:
         with pytest.raises(ContractViolation):
-            isopo.build_ntk(bad)
+            isopo.build_ntk(gout, act)
         with pytest.raises(ContractViolation):
-            isopo.interacting_update(bad, np.zeros(len(bad)), 0.3)
+            isopo.interacting_update(gout, act, np.zeros(len(gout)), 0.3)
 
 
 def test_interacting_single_sequence():
@@ -380,7 +412,7 @@ def test_interacting_single_sequence():
     g = rng.standard_normal((2, 5))
     sq = float(np.sum(g * g))
     a1, c = 0.8, 0.3
-    upd = isopo.interacting_update(g[None], np.array([a1]), c)
+    upd = isopo.interacting_update(*as_factors(g[None]), np.array([a1]), c)
     assert np.allclose(upd, a1 / (sq + c) * g, rtol=1e-12)
 
 
@@ -390,27 +422,30 @@ def test_interacting_orthonormal_grads_diagonal():
         grads[i, r, c] = 1.0
     adv = np.array([1.0, -2.0, 0.5, 3.0])
     c = 0.7
-    upd = isopo.interacting_update(grads, adv, c)
+    upd = isopo.interacting_update(*as_factors(grads), adv, c)
     expected = sum(a / (1.0 + c) * g for a, g in zip(adv, grads))
     assert np.allclose(upd, expected, rtol=1e-12)
 
 
 def test_interacting_matches_flattened_dense_oracle(microbatch):
     adv = microbatch.advantages
-    for seq_grads in microbatch.scored.seq_grads:
+    scored = microbatch.scored
+    for seq_grads, gout, act in zip(scored.seq_grads, scored.grad_out, scored.act_in):
         jac = seq_grads.reshape(len(seq_grads), -1)
         c = 0.05 * float(np.trace(jac @ jac.T)) / len(seq_grads) + 1e-9
-        upd = isopo.interacting_update(seq_grads, adv, c)
+        upd = isopo.interacting_update(gout, act, adv, c)
         dense = jac.T @ np.linalg.solve(jac @ jac.T + c * np.eye(len(seq_grads)), adv)
         assert np.linalg.norm(upd.ravel() - dense) <= 1e-9 * np.linalg.norm(dense)
 
 
 def test_interacting_large_c_approaches_vanilla(microbatch):
     adv = microbatch.advantages
-    seq_grads = microbatch.scored.seq_grads[0]
+    scored = microbatch.scored
+    seq_grads = scored.seq_grads[0]
     vanilla = sum(a * g for a, g in zip(adv, seq_grads)).ravel()
-    k_norm = float(np.linalg.norm(isopo.build_ntk(seq_grads)))
-    upd = isopo.interacting_update(seq_grads, adv, 1e6 * k_norm).ravel()
+    k_norm = float(np.linalg.norm(isopo.build_ntk(scored.grad_out[0], scored.act_in[0])))
+    upd = isopo.interacting_update(scored.grad_out[0], scored.act_in[0], adv, 1e6 * k_norm)
+    upd = upd.ravel()
     cos = upd @ vanilla / (np.linalg.norm(upd) * np.linalg.norm(vanilla))
     assert math.acos(min(cos, 1.0)) < 1e-3
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from isopo_lab import linalg
 from isopo_lab.errors import ContractViolation, SingularMatrixError
 from isopo_lab.linalg import frobenius_dot, solve_tikhonov, sym_eigh
 
@@ -149,3 +150,10 @@ def test_frobenius_dot_matches_flattened_dot():
 def test_frobenius_dot_shape_mismatch():
     with pytest.raises(ContractViolation):
         frobenius_dot(np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+def test_sym_eigh_reports_non_convergence(monkeypatch):
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    m = np.random.default_rng(4).standard_normal((6, 6))
+    with pytest.raises(ArithmeticError, match="did not converge in 1 sweeps"):
+        sym_eigh(m + m.T)

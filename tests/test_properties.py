@@ -1,4 +1,5 @@
-"""Property-based checks (Hypothesis) of the batched estimators and of config I/O."""
+"""Property-based checks (Hypothesis) of the factor identities, the batched
+estimators and config I/O."""
 
 from __future__ import annotations
 
@@ -47,9 +48,9 @@ def assert_close(a, b):
 
 def int_update(mb):
     grads = []
-    for jac in mb.scored.seq_grads:
-        c = float(np.trace(isopo.build_ntk(jac))) / len(jac)
-        grads.append(isopo.interacting_update(jac, mb.advantages, c))
+    for gout, act in zip(mb.scored.grad_out, mb.scored.act_in):
+        c = float(np.trace(isopo.build_ntk(gout, act))) / len(gout)
+        grads.append(isopo.interacting_update(gout, act, mb.advantages, c))
     return grads
 
 
@@ -75,6 +76,77 @@ def test_sequence_permutation_equivariance(seed, perm):
         assert_close(a, b)
     for a, b in zip(int_update(other), int_update(mb)):
         assert_close(a, b)
+
+
+@st.composite
+def factor_arrays(draw, cancel=False):
+    """One layer's position factors grad_out (B, T, out) and act_in (B, T, in + 1)
+    with B in 1-6 and T in 1-4 (T = 1 is the bandit shape). With ``cancel``,
+    every sequence's positions share one input and their gradients sum to
+    zero, so V_b = 0 up to rounding."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_seq, seq_len = draw(st.integers(1, 6)), draw(st.integers(2 if cancel else 1, 4))
+    out_dim, in_dim = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    grad_out = rng.standard_normal((n_seq, seq_len, out_dim))
+    act_in = rng.standard_normal((n_seq, seq_len, in_dim + 1))
+    act_in[..., -1] = 1.0
+    if cancel:
+        grad_out[:, -1] = -grad_out[:, :-1].sum(axis=1)
+        act_in[:] = act_in[:, :1]
+    return grad_out, act_in, rng
+
+
+def term_scales(grad_out, act_in):
+    """sum_t |g_bt| |a_bt| per sequence: the size of the rank-one terms summed into
+    V_b. The factor forms round relative to it, not to the result, which
+    cancellation inside V_b can make arbitrarily smaller."""
+    return np.sum(
+        np.linalg.norm(grad_out, axis=-1) * np.linalg.norm(act_in, axis=-1), axis=1
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(factors=factor_arrays())
+def test_factor_identities_match_materialized_gradients(factors):
+    grad_out, act_in, rng = factors
+    seq_grads = policy.Scored(np.zeros(len(grad_out)), [act_in], [grad_out]).seq_grads[0]
+    scale = term_scales(grad_out, act_in)
+
+    # |V_b|^2 from per-sequence (T, T) Grams
+    ref_sq = np.sum(seq_grads * seq_grads, axis=(1, 2))
+    assert np.all(np.abs(policy.grad_sq_norms(grad_out, act_in) - ref_sq) <= 1e-13 * scale**2)
+
+    # sum_b w_b V_b as one gemm; entry-wise against the sum of |terms|
+    w = rng.standard_normal(len(grad_out))
+    ref_sum = np.tensordot(w, seq_grads, axes=1)
+    bound = policy.grad_sum(np.abs(grad_out), np.abs(act_in), np.abs(w))
+    assert np.all(np.abs(policy.grad_sum(grad_out, act_in, w) - ref_sum) <= 1e-13 * bound)
+
+    # NTK entries, against the Cauchy-Schwarz scale of the summed terms
+    flat = seq_grads.reshape(len(seq_grads), -1)
+    gram = isopo.build_ntk(grad_out, act_in)
+    assert np.array_equal(gram, gram.T)
+    assert np.all(np.abs(gram - flat @ flat.T) <= 1e-14 * np.outer(scale, scale))
+
+    # Fisher-norm estimates from the projections g_j . V_b a_j
+    n = int(rng.integers(1, 9))
+    g = rng.standard_normal((n, grad_out.shape[2]))
+    a = rng.standard_normal((n, act_in.shape[2]))
+    denominator = np.linalg.norm(np.linalg.norm(g, axis=1) * np.linalg.norm(a, axis=1))
+    fast = np.linalg.norm(policy.grad_projections(grad_out, act_in, g, a), axis=1) / denominator
+    slow = isopo.fisher_norm_estimate(seq_grads, a, g, denominator)
+    assert np.all(np.abs(fast - slow) <= 1e-12 * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(factors=factor_arrays(cancel=True))
+def test_squared_norm_of_cancelling_factors_is_clamped(factors):
+    # the Gram sum of a V_b that cancels rounds to either side of 0; the
+    # clamp keeps every |V_b|^2 a valid square, next to 0 on the terms' scale
+    grad_out, act_in, _ = factors
+    sq_norms = policy.grad_sq_norms(grad_out, act_in)
+    assert np.all(sq_norms >= 0.0)
+    assert np.all(sq_norms <= 1e-13 * term_scales(grad_out, act_in) ** 2)
 
 
 @settings(max_examples=100, deadline=None)
