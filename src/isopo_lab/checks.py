@@ -173,7 +173,7 @@ def rescaling_minimizer_gap(seed: int) -> float:
     """Worst margin by which a +-1% move off the optimal scalar fails to increase
     the exact-Fisher distance to the natural gradient (positive = strictly optimal)."""
     net, prompt = _tiny_oracle_policy(seed)
-    fisher = oracle.exact_fisher(net, [prompt]).matrix
+    fisher = oracle.exact_fisher(net, [prompt])
     u = uniforms(seed, ["oracle-sample"], len(prompt.target))
     _, scored = policy.sample_and_score(net, prompt.features[None], u)
     v = oracle.flatten_layer_mats([g[0] for g in scored.seq_grads])
@@ -219,7 +219,7 @@ def npg_directional_trial(seed: int):
 
     vanilla = advantages @ np.concatenate([g.reshape(m, -1) for g in scored.seq_grads], axis=1)
     fisher = oracle.exact_fisher(net, [prompt])
-    damping = 1e-6 * np.trace(fisher.matrix) / fisher.n_params
+    damping = 1e-6 * np.trace(fisher) / len(fisher)
     npg = oracle.exact_npg(fisher, vanilla, damping)
 
     pieces = []
@@ -242,9 +242,9 @@ def run_oracle_check(seed: int = 0) -> list[SuiteResult]:
     net, prompt = _tiny_oracle_policy(seed)
     fisher = oracle.exact_fisher(net, [prompt])
 
-    asym = float(np.linalg.norm(fisher.matrix - fisher.matrix.T))
-    min_eig = float(np.linalg.eigvalsh(fisher.matrix).min())
-    floor = -1e-12 * max(1.0, float(np.linalg.norm(fisher.matrix)))
+    asym = float(np.linalg.norm(fisher - fisher.T))
+    min_eig = float(np.linalg.eigvalsh(fisher).min())
+    floor = -1e-12 * max(1.0, float(np.linalg.norm(fisher)))
     results.append(
         SuiteResult("fisher-psd", asym == 0.0 and min_eig >= floor, max(asym, -min_eig))
     )
@@ -252,16 +252,16 @@ def run_oracle_check(seed: int = 0) -> list[SuiteResult]:
     probe = stream(seed, "oracle-probe")
     worst = 0.0
     for _ in range(5):
-        v = probe.standard_normal(fisher.n_params)
-        quad_matrix = float(v @ fisher.matrix @ v)
+        v = probe.standard_normal(len(fisher))
+        quad_matrix = float(v @ fisher @ v)
         quad_enum = oracle.fisher_quadratic(net, [prompt], v)
         worst = max(worst, abs(quad_matrix - quad_enum) / max(quad_enum, 1e-300))
     results.append(SuiteResult("fisher-quadratic-enumeration", worst <= 1e-12, worst))
 
-    g = probe.standard_normal(fisher.n_params)
-    damping = 1e-6 * np.trace(fisher.matrix) / fisher.n_params
+    g = probe.standard_normal(len(fisher))
+    damping = 1e-6 * np.trace(fisher) / len(fisher)
     v = oracle.exact_npg(fisher, g, damping)
-    system = fisher.matrix + damping * np.eye(fisher.n_params)
+    system = fisher + damping * np.eye(len(fisher))
     residual = float(np.linalg.norm(system @ v - g) / np.linalg.norm(g))
     results.append(SuiteResult("npg-residual", residual <= 1e-9, residual))
 

@@ -64,8 +64,8 @@ def main(argv=None) -> int:
         last = result.rows[-1]
         print(f"wrote {result.csv_path}")
         print(
-            f"final step {last.step}: validation {last.validation:.4f}, "
-            f"kl_from_init {last.kl_from_init:.6f}"
+            f"final step {last['step']}: validation {last['validation']:.4f}, "
+            f"kl_from_init {last['kl_from_init']:.6f}"
         )
         if result.aborted:
             print(f"ABORTED: {result.abort_reason}")
@@ -77,9 +77,12 @@ def main(argv=None) -> int:
         labels = [Path(path).stem for path in args.configs]
         if len(set(labels)) != len(labels):
             labels = [f"{label}-{i}" for i, label in enumerate(labels)]
-        rows, _ = harness.compare(configs, args.seeds, args.out, labels)
+        rows, results = harness.compare(configs, args.seeds, args.out, labels)
         print(f"wrote {Path(args.out) / 'aggregate.csv'} ({len(rows)} aggregate rows)")
-        return 0
+        aborted = [(label, r) for label, runs in results.items() for r in runs if r.aborted]
+        for label, r in aborted:
+            print(f"ABORTED: {label} seed {r.config.seed}: {r.abort_reason}")
+        return 1 if aborted else 0
 
     if args.command == "gradcheck":
         return _print_suites(checks.run_gradcheck(seed=args.seed))

@@ -36,19 +36,10 @@ import numpy as np
 from . import baselines, isopo, metrics, policy, tasks
 from .config import RunConfig, serialize_config, validate_config
 from .errors import ConfigError, ContractViolation, CsvFormatError
+from .metrics import FIXED_COLUMNS
 from .rng import stream, uniforms
 
 DEFAULT_HIDDEN = (32, 32)
-FIXED_COLUMNS = (
-    "step",
-    "algo",
-    "task",
-    "seed",
-    "mean_reward",
-    "validation",
-    "kl_from_init",
-    "degenerate_sequences",
-)
 
 
 @dataclass
@@ -57,7 +48,7 @@ class RunResult:
     out_dir: Path
     csv_path: Path
     checkpoint_path: Path
-    rows: list[metrics.StepMetrics]
+    rows: list[dict]
     aborted: bool = False
     abort_reason: str = ""
 
@@ -118,61 +109,28 @@ def sample_microbatch(net, task, cfg: RunConfig, step: int, draws=None) -> tasks
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
-def csv_header(n_layers: int, include_ntk: bool) -> str:
-    cols = list(FIXED_COLUMNS)
-    for l in range(n_layers):
-        cols.append(f"l{l}_mean_F_norm")
-        cols.append(f"l{l}_mean_grad_norm")
-        if include_ntk:
-            cols.append(f"l{l}_ntk_eigen_mean")
-    return ",".join(cols)
-
-
-def metrics_to_row(sm: metrics.StepMetrics, include_ntk: bool) -> str:
-    vals = [
-        sm.step,
-        sm.algo,
-        sm.task,
-        sm.seed,
-        sm.mean_reward,
-        sm.validation,
-        sm.kl_from_init,
-        sm.degenerate_sequences,
-    ]
-    for ls in sm.layer_stats:
-        vals.append(ls.mean_fisher_norm)
-        vals.append(ls.mean_grad_norm)
-        if include_ntk:
-            vals.append(ls.ntk_eigen_mean)
-    return ",".join(_format_value(v) for v in vals)
-
-
-def write_metrics_csv(path, rows: list[metrics.StepMetrics], include_ntk: bool) -> None:
-    n_layers = len(rows[0].layer_stats) if rows else 0
-    lines = [csv_header(n_layers, include_ntk)]
-    lines.extend(metrics_to_row(r, include_ntk) for r in rows)
+def write_metrics_csv(path, rows: list[dict]) -> None:
+    """Header from the first row's keys (``FIXED_COLUMNS`` without rows), one line per row."""
+    columns = list(rows[0]) if rows else FIXED_COLUMNS
+    lines = [",".join(columns)]
+    lines.extend(",".join(_format_value(row[c]) for c in columns) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_metrics_csv(path) -> list[dict]:
     """Parse a metrics CSV back into dict rows; malformed input names the line."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise CsvFormatError(f"{path}: line 1: empty file")
     header = lines[0].split(",")
-    for i, expected in enumerate(FIXED_COLUMNS):
-        if i >= len(header) or header[i] != expected:
-            raise CsvFormatError(f"{path}: line 1: expected column {expected!r} at position {i}")
+    if header[: len(FIXED_COLUMNS)] != list(FIXED_COLUMNS):
+        raise CsvFormatError(f"{path}: line 1: header must start {','.join(FIXED_COLUMNS)}")
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise CsvFormatError(f"{path}: line 1: repeated columns {repeated}")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -182,24 +140,16 @@ def read_metrics_csv(path) -> list[dict]:
             raise CsvFormatError(
                 f"{path}: line {lineno}: {len(parts)} fields, header has {len(header)}"
             )
-        row: dict = {}
+        row = {}
         for name, raw in zip(header, parts):
-            if name in ("algo", "task"):
-                row[name] = raw
-            elif name in ("step", "seed", "degenerate_sequences"):
-                try:
-                    row[name] = int(raw)
-                except ValueError as exc:
-                    raise CsvFormatError(
-                        f"{path}: line {lineno}: column {name!r}: {raw!r} is not an integer"
-                    ) from exc
-            else:
-                try:
-                    row[name] = float(raw)
-                except ValueError as exc:
-                    raise CsvFormatError(
-                        f"{path}: line {lineno}: column {name!r}: {raw!r} is not a number"
-                    ) from exc
+            parse = FIXED_COLUMNS.get(name, float)
+            try:
+                row[name] = parse(raw)
+            except ValueError as exc:
+                raise CsvFormatError(
+                    f"{path}: line {lineno}: column {name!r}: "
+                    f"{raw!r} is not a valid {parse.__name__}"
+                ) from exc
         rows.append(row)
     return rows
 
@@ -221,7 +171,7 @@ def _update(cfg, net, optimizer, microbatch, norms, summary, rescale_params, ntk
             scored = microbatch.scored
             grads = []
             for l, (g, a) in enumerate(zip(scored.grad_out, scored.act_in)):
-                mean_eig = summary.layer_stats[l].ntk_eigen_mean
+                mean_eig = summary[f"l{l}_ntk_eigen_mean"]
                 c = cfg.reg_factor * isopo.ema_update(ntk_ema, (l, "ntk_mean_eig"), mean_eig)
                 grads.append(isopo.interacting_update(g, a, microbatch.advantages, c))
         baselines.optimizer_step(optimizer, net, [-g for g in grads])
@@ -243,9 +193,8 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
         cfg.p, cfg.q, cfg.r, cfg.reg_strength, isopo.RegEmaState(cfg.ema_decay)
     )
     ntk_ema = isopo.RegEmaState(cfg.ema_decay)
-    include_ntk = cfg.algo == "isopo-int"
 
-    rows: list[metrics.StepMetrics] = []
+    rows: list[dict] = []
     aborted = False
     abort_reason = ""
     for step in range(cfg.steps + 1):
@@ -254,7 +203,9 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
             microbatch, cfg.n_overlap, stream(cfg.seed, f"overlap/{step}")
         )
         norms, degenerate = isopo.sequence_fisher_norms(microbatch, overlap)
-        summary = metrics.batch_summary(microbatch, norms, int(np.count_nonzero(degenerate)))
+        summary = metrics.batch_summary(
+            microbatch, norms, int(np.count_nonzero(degenerate)), cfg.algo
+        )
         if step > 0:
             try:
                 _update(cfg, net, optimizer, microbatch, norms, summary, rescale_params, ntk_ema)
@@ -267,7 +218,7 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
             break
 
     csv_path = out / "metrics.csv"
-    write_metrics_csv(csv_path, rows, include_ntk)
+    write_metrics_csv(csv_path, rows)
     checkpoint_path = out / "checkpoint.txt"
     policy.save_checkpoint(net, checkpoint_path)
     (out / "config.txt").write_text(serialize_config(cfg), encoding="utf-8")
@@ -301,12 +252,10 @@ def aggregate_runs(results_by_label: dict[str, list[RunResult]]) -> list[dict]:
     for label, results in results_by_label.items():
         live = [r for r in results if not r.aborted]
         aborted = len(results) - len(live)
-        steps = sorted({m.step for r in live for m in r.rows})
+        steps = sorted({m["step"] for r in live for m in r.rows})
         for step in steps:
-            vals = [m.validation for r in live for m in r.rows if m.step == step]
-            kls = [m.kl_from_init for r in live for m in r.rows if m.step == step]
-            if not vals:
-                continue
+            vals = [m["validation"] for r in live for m in r.rows if m["step"] == step]
+            kls = [m["kl_from_init"] for r in live for m in r.rows if m["step"] == step]
             rows.append(
                 {
                     "label": label,

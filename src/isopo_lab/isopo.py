@@ -37,10 +37,9 @@ kernel K_ij = <V_i, V_j> (Tikhonov-regularized by c) before the usual
 weighted sum of gradients. K is the block sum over positions (t, s) of
 (G G^T) * (A A^T), where G and A stack the factors of all B T positions, and
 (K + c I)^-1 A is a Cholesky solve, so no eigendecomposition is needed. The
-mean NTK eigenvalue that sets c is trace(K) / m = mean_i |V_i|^2;
-``metrics.batch_summary`` computes it once per batch for every algorithm (it
-is the ``l{l}_ntk_eigen_mean`` metrics column), and the training loop derives
-c from that one value.
+mean NTK eigenvalue that sets c is trace(K) / m = mean_i |V_i|^2, the
+batch's ``l{l}_ntk_eigen_mean`` column (see ``metrics``); the training loop
+derives c from that one value.
 """
 
 from __future__ import annotations

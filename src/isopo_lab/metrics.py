@@ -1,8 +1,31 @@
-"""Per-step diagnostics: KL drift, validation score, reward and layer stats."""
+"""Per-step diagnostics and the metrics CSV schema.
+
+A metrics row is one dict from column name to value, in CSV column order.
+``collect`` builds it, ``harness.write_metrics_csv`` writes its keys as the
+header and its values as a line, and ``harness.read_metrics_csv`` reads back
+an equal dict. The columns are ``FIXED_COLUMNS``
+
+    step, algo, task, seed, mean_reward, validation, kl_from_init,
+    degenerate_sequences
+
+followed, for each layer l of the policy, by
+
+    l{l}_mean_F_norm     mean estimated Fisher norm over the batch's
+                         non-degenerate (sequence, layer) pairs; 0 if none
+    l{l}_mean_grad_norm  mean_b |V_b|, V_b the layer gradient of sequence b
+    l{l}_ntk_eigen_mean  isopo-int only: mean eigenvalue of the layer's
+                         empirical NTK K_ij = <V_i, V_j>, which is
+                         trace(K) / m = mean_b |V_b|^2; interacting ISOPO
+                         sets its Tikhonov constant from this value
+
+Every |V_b|^2 comes from ``Scored.sq_norms``, which the Fisher-norm
+estimator already computed from the position factors. ``step``, ``seed``
+and ``degenerate_sequences`` are integers, ``algo`` and ``task`` text, and
+every other value is a float written with 17 significant digits (``.17g``),
+so a row survives the round trip through the file exactly.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,65 +35,37 @@ from .tasks import validation_score
 
 KL_SAMPLES = 256
 KL_PROMPTS = 16
+# the leading columns, in order, with the type of their values
+FIXED_COLUMNS = {
+    "step": int,
+    "algo": str,
+    "task": str,
+    "seed": int,
+    "mean_reward": float,
+    "validation": float,
+    "kl_from_init": float,
+    "degenerate_sequences": int,
+}
 
 
-@dataclass
-class LayerStats:
-    """Per-layer means over the microbatch's sequences.
-
-    ``mean_grad_norm`` is the mean of |V_b| and ``ntk_eigen_mean`` the mean
-    eigenvalue of the layer's empirical NTK K_ij = <V_i, V_j>, i.e.
-    trace(K) / m = mean_b |V_b|^2; both come from the |V_b|^2 that the
-    Fisher-norm estimator already computed from the position factors
-    (``Scored.sq_norms``). Interacting ISOPO sets its Tikhonov constant from
-    ``ntk_eigen_mean``, and only isopo-int runs write it to the CSV.
-    """
-
-    mean_fisher_norm: float
-    mean_grad_norm: float
-    ntk_eigen_mean: float
-
-
-@dataclass
-class BatchSummary:
-    """Microbatch-level quantities carried into a metrics row."""
-
-    mean_reward: float
-    degenerate_sequences: int
-    layer_stats: list[LayerStats]
-
-
-@dataclass
-class StepMetrics:
-    step: int
-    algo: str
-    task: str
-    seed: int
-    mean_reward: float
-    validation: float
-    kl_from_init: float
-    degenerate_sequences: int
-    layer_stats: list[LayerStats]
-
-
-def batch_summary(microbatch, fisher_norms, degenerate_count: int) -> BatchSummary:
-    """Aggregate per-sequence diagnostics into per-layer means.
+def batch_summary(microbatch, fisher_norms, degenerate_count: int, algo: str) -> dict:
+    """The batch's columns: mean reward, degenerate count and the layer columns.
 
     ``fisher_norms`` is the (n_sequences, n_layers) estimate table with NaN
     entries marking degenerate pairs; those are excluded from the mean.
     """
-    stats = []
-    for l, sq_norms in enumerate(microbatch.scored.sq_norms):  # |V_b|^2, the diagonal of K
+    summary = {
+        "mean_reward": float(microbatch.rewards.mean()),
+        "degenerate_sequences": int(degenerate_count),
+    }
+    for l, sq_norms in enumerate(microbatch.scored.sq_norms):
         col = fisher_norms[:, l]
         valid = col[~np.isnan(col)]
-        mean_f = float(valid.mean()) if valid.size else 0.0
-        mean_g = float(np.mean(np.sqrt(sq_norms)))
-        stats.append(LayerStats(mean_f, mean_g, float(np.mean(sq_norms))))
-    return BatchSummary(
-        mean_reward=float(microbatch.rewards.mean()),
-        degenerate_sequences=int(degenerate_count),
-        layer_stats=stats,
-    )
+        summary[f"l{l}_mean_F_norm"] = float(valid.mean()) if valid.size else 0.0
+        summary[f"l{l}_mean_grad_norm"] = float(np.mean(np.sqrt(sq_norms)))
+        if algo == "isopo-int":
+            summary[f"l{l}_ntk_eigen_mean"] = float(np.mean(sq_norms))
+    return summary
 
 
 def collect(
@@ -78,10 +73,10 @@ def collect(
     net: PolicyNet,
     init_net: PolicyNet,
     task,
-    summary: BatchSummary,
+    summary: dict,
     seed: int,
     algo: str,
-) -> StepMetrics:
+) -> dict:
     """One metrics row; never mutates the policy.
 
     The KL estimate uses its own stream derived from (run seed, step) so the
@@ -92,14 +87,14 @@ def collect(
     validation = validation_score(net, task, heldout)
     kl_rng = stream(seed, f"kl/{step}")
     kl = kl_from_reference(net, init_net, heldout[:KL_PROMPTS], KL_SAMPLES, kl_rng)
-    return StepMetrics(
-        step=step,
-        algo=algo,
-        task=task.name,
-        seed=seed,
-        mean_reward=summary.mean_reward,
-        validation=validation,
-        kl_from_init=kl,
-        degenerate_sequences=summary.degenerate_sequences,
-        layer_stats=summary.layer_stats,
-    )
+    row = {
+        "step": step,
+        "algo": algo,
+        "task": task.name,
+        "seed": seed,
+        "mean_reward": summary["mean_reward"],
+        "validation": validation,
+        "kl_from_init": kl,
+    }
+    # mean_reward keeps its place; the other summary columns follow in order
+    return row | summary

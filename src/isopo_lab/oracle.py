@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,17 +23,6 @@ from .policy import PolicyNet, Scored, score, seq_len_for
 
 MAX_ENUM_OUTPUTS = 10_000
 MAX_ORACLE_PARAMS = 1_000
-
-
-@dataclass
-class ExactFisher:
-    """Dense Fisher matrix over flattened parameters."""
-
-    matrix: np.ndarray
-
-    @property
-    def n_params(self) -> int:
-        return self.matrix.shape[0]
 
 
 def flatten_layer_mats(mats: list[np.ndarray]) -> np.ndarray:
@@ -70,8 +58,9 @@ def enumerate_scored_outputs(net: PolicyNet, prompt) -> tuple[np.ndarray, np.nda
     return np.exp(scored.logprobs), grads
 
 
-def exact_fisher(net: PolicyNet, prompts) -> ExactFisher:
-    """F = mean over prompts of sum_o pi(o|q) grad(o) grad(o)^T, exactly."""
+def exact_fisher(net: PolicyNet, prompts) -> np.ndarray:
+    """Dense symmetric F = mean over prompts of sum_o pi(o|q) grad(o) grad(o)^T,
+    exactly, over the flattened parameters."""
     _check_budget(net, prompts)
     n = net.param_count
     fisher = np.zeros((n, n))
@@ -81,8 +70,7 @@ def exact_fisher(net: PolicyNet, prompts) -> ExactFisher:
             raise ArithmeticError(f"enumerated probabilities sum to {probs.sum()}")
         fisher += (g * probs[:, None]).T @ g
     fisher /= len(prompts)
-    fisher = 0.5 * (fisher + fisher.T)
-    return ExactFisher(fisher)
+    return 0.5 * (fisher + fisher.T)
 
 
 def fisher_quadratic(net: PolicyNet, prompts, v: np.ndarray) -> float:
@@ -111,15 +99,15 @@ def layer_moments(net: PolicyNet, prompts, layer: int) -> tuple[np.ndarray, floa
     return fisher / len(prompts), mean_sq / len(prompts)
 
 
-def exact_npg(fisher: ExactFisher, g: np.ndarray, damping: float) -> np.ndarray:
+def exact_npg(fisher: np.ndarray, g: np.ndarray, damping: float) -> np.ndarray:
     """Solve (F + damping I) v = g densely; the natural-gradient reference."""
     if damping < 0:
         raise ContractViolation(f"damping must be nonnegative, got {damping}")
     g = np.asarray(g, dtype=float)
-    n = fisher.n_params
+    n = fisher.shape[0]
     if g.shape != (n,):
         raise ContractViolation(f"gradient shape {g.shape} != ({n},)")
-    system = fisher.matrix + damping * np.eye(n)
+    system = fisher + damping * np.eye(n)
     try:
         v = np.linalg.solve(system, g)
     except np.linalg.LinAlgError as exc:

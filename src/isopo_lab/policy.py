@@ -342,28 +342,35 @@ def save_checkpoint(net: PolicyNet, path) -> None:
 
 
 def load_checkpoint(path) -> PolicyNet:
+    """Read a ``save_checkpoint`` file. A short, malformed or non-numeric line,
+    or a line after the last layer, raises ContractViolation naming the line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    header = lines[0].split()
-    if header[0] != CHECKPOINT_MAGIC or int(header[1]) != CHECKPOINT_VERSION:
-        raise ContractViolation(f"unrecognized checkpoint header: {lines[0]!r}")
-    vocab = int(lines[1].split()[1])
-    context_dim = int(lines[2].split()[1])
-    n_layers = int(lines[3].split()[1])
-    weights = []
-    pos = 4
-    for i in range(n_layers):
-        tag, idx, rows, cols = lines[pos].split()
-        if tag != "layer" or int(idx) != i:
-            raise ContractViolation(f"malformed checkpoint at line {pos + 1}")
-        rows, cols = int(rows), int(cols)
+    pos = 0
+
+    def fields(tag: str | None, n: int, parse):
+        nonlocal pos
         pos += 1
-        w = np.empty((rows, cols))
-        for r in range(rows):
-            vals = [float.fromhex(tok) for tok in lines[pos].split()]
-            if len(vals) != cols:
-                raise ContractViolation(f"checkpoint row width mismatch at line {pos + 1}")
-            w[r] = vals
-            pos += 1
-        weights.append(w)
+        parts = lines[pos - 1].split() if pos <= len(lines) else []
+        if len(parts) != n or (tag is not None and parts[0] != tag):
+            start = f" starting with {tag!r}" if tag else ""
+            raise ContractViolation(f"{path}: line {pos}: expected {n} fields{start}")
+        try:
+            return [parse(v) for v in (parts[1:] if tag else parts)]
+        except ValueError as exc:
+            raise ContractViolation(f"{path}: line {pos}: {exc}") from exc
+
+    if fields(CHECKPOINT_MAGIC, 2, int) != [CHECKPOINT_VERSION]:
+        raise ContractViolation(f"{path}: line 1: unrecognized checkpoint version")
+    (vocab,) = fields("vocab_size", 2, int)
+    (context_dim,) = fields("context_dim", 2, int)
+    (n_layers,) = fields("layers", 2, int)
+    weights = []
+    for i in range(n_layers):
+        idx, rows, cols = fields("layer", 4, int)
+        if idx != i or min(rows, cols) < 1:
+            raise ContractViolation(f"{path}: line {pos}: bad header for layer {i}")
+        weights.append(np.array([fields(None, cols, float.fromhex) for _ in range(rows)]))
+    if pos < len(lines):
+        raise ContractViolation(f"{path}: line {pos + 1}: unexpected line after the last layer")
     return PolicyNet(weights, vocab, context_dim)

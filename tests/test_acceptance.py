@@ -263,9 +263,9 @@ def test_criterion_08_desk_scale_comparison(tmp_path):
             res = harness.train(cfg, tmp_path / f"{label}-{seed}")
             assert not res.aborted
             last = res.rows[-1]
-            assert last.step == 200
-            vals.append(last.validation)
-            kls.append(last.kl_from_init)
+            assert last["step"] == 200
+            vals.append(last["validation"])
+            kls.append(last["kl_from_init"])
         finals[label] = (vals, kls)
     med_val = {k: float(np.median(v[0])) for k, v in finals.items()}
     med_kl = {k: float(np.median(v[1])) for k, v in finals.items()}

@@ -66,6 +66,31 @@ def test_cli_compare(tmp_path, capsys):
     assert header.startswith("label,step,n_runs,aborted_runs,validation_best")
 
 
+def test_cli_compare_reports_aborted_runs(tmp_path, capsys):
+    ok = write_config(
+        tmp_path / "ok.cfg",
+        "algo = reinforce\nsteps = 1\neval_every = 1\ngroup_size = 4\n"
+        "groups_per_microbatch = 2\n",
+    )
+    # bandit sequences are one token long, so the NTK is singular and with
+    # reg_factor = 0 every run aborts at step 1
+    singular = write_config(
+        tmp_path / "singular.cfg",
+        "task = bandit\nalgo = isopo-int\nreg_factor = 0.0\nsteps = 2\n"
+        "group_size = 4\ngroups_per_microbatch = 2\n",
+    )
+    out = tmp_path / "cmp"
+    code = cli.main(["compare", "--config", ok, "--config", singular, "--seeds", "2",
+                     "--out", str(out)])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    aborted = [line for line in lines if line.startswith("ABORTED: ")]
+    assert [line.split(": ")[1] for line in aborted] == ["singular seed 0", "singular seed 1"]
+    assert all("step 1: SingularMatrixError" in line for line in aborted)
+    header = (out / "aggregate.csv").read_text().splitlines()[0]
+    assert header.startswith("label,step,n_runs,aborted_runs,validation_best")
+
+
 def test_cli_gradcheck_pass(capsys):
     assert cli.main(["gradcheck", "--seed", "0"]) == 0
     out = capsys.readouterr().out

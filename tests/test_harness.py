@@ -20,8 +20,8 @@ def quick_cfg(**kw):
 def test_steps_zero_writes_single_row(tmp_path):
     res = harness.train(quick_cfg(steps=0), tmp_path / "r")
     assert len(res.rows) == 1
-    assert res.rows[0].step == 0
-    assert res.rows[0].kl_from_init == 0.0
+    assert res.rows[0]["step"] == 0
+    assert res.rows[0]["kl_from_init"] == 0.0
     rows = harness.read_metrics_csv(res.csv_path)
     assert len(rows) == 1 and rows[0]["step"] == 0
 
@@ -101,11 +101,11 @@ def test_rewards_are_pure_task_rewards(tmp_path):
     task = harness.make_task(cfg)
     net = harness.build_policy(task, cfg.seed)
     for row in res.rows:
-        step = row.step
+        step = row["step"]
         mb = harness.sample_microbatch(net, task, cfg, step)
         raw = np.mean([task.reward(r.prompt, r.tokens) for r in mb.records])
         if step == 0:
-            assert row.mean_reward == pytest.approx(float(raw))
+            assert row["mean_reward"] == pytest.approx(float(raw))
         else:
             break  # later steps use updated weights; step-0 equality pins provenance
 
@@ -177,6 +177,31 @@ def test_csv_round_trip_and_malformed_errors(tmp_path):
         harness.read_metrics_csv(bad)
 
 
+def test_repeated_csv_column_is_rejected(tmp_path):
+    res = harness.train(quick_cfg(steps=0), tmp_path / "r")
+    header, row = res.csv_path.read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"{header},l0_mean_F_norm\n{row},1.5\n")
+    with pytest.raises(CsvFormatError, match="line 1: .*l0_mean_F_norm"):
+        harness.read_metrics_csv(bad)
+
+
+@pytest.mark.parametrize(
+    "algo, extra",
+    [
+        ("reinforce", {}),
+        ("grpo", {"inner_epochs": 2}),
+        ("isopo-ni", {"p": -1.0}),
+        ("isopo-int", {}),
+        ("isopo-int", {"task": "bandit", "reg_factor": 0.0}),  # aborts at step 1
+    ],
+)
+def test_csv_reads_back_the_run_rows(tmp_path, algo, extra):
+    res = harness.train(quick_cfg(algo=algo, steps=3, eval_every=2, **extra), tmp_path / "r")
+    assert res.aborted == (extra.get("reg_factor") == 0.0)
+    assert harness.read_metrics_csv(res.csv_path) == res.rows
+
+
 def test_compare_single_run_median_equals_best(tmp_path):
     cfg = quick_cfg(steps=2, eval_every=1)
     rows, _ = harness.compare([cfg], 1, tmp_path / "cmp", ["only"])
@@ -195,7 +220,7 @@ def test_compare_best_is_elementwise_max(tmp_path):
     assert sorted(r.config.seed for r in runs) == [0, 1, 2]
     for row in rows:
         step = row["step"]
-        vals = [m.validation for r in runs for m in r.rows if m.step == step]
+        vals = [m["validation"] for r in runs for m in r.rows if m["step"] == step]
         assert row["validation_best"] == max(vals)
         assert row["validation_median"] == float(np.median(vals))
         assert row["validation_min"] == min(vals)
@@ -250,8 +275,8 @@ def test_singular_ntk_solve_aborts_cleanly(tmp_path, seed):
     assert res.abort_reason.startswith("step 1: SingularMatrixError")
     assert (tmp_path / "r" / "ABORTED").read_text().startswith("step 1:")
     # the failing step still gets its row; the failed solve left the weights untouched
-    assert [row.step for row in res.rows] == [0, 1]
-    assert res.rows[1].kl_from_init == 0.0
+    assert [row["step"] for row in res.rows] == [0, 1]
+    assert res.rows[1]["kl_from_init"] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -284,7 +309,7 @@ def test_failure_inside_update_aborts_with_row(tmp_path, monkeypatch, algo, modu
     res = harness.train(cfg, tmp_path / "r")
     assert res.aborted
     assert res.abort_reason.startswith("step 2: FloatingPointError")
-    assert [row.step for row in res.rows] == [0, 2]
+    assert [row["step"] for row in res.rows] == [0, 2]
     assert [r["step"] for r in harness.read_metrics_csv(res.csv_path)] == [0, 2]
 
 

@@ -273,8 +273,9 @@ def test_cancelling_positions_give_finite_updates(small_net, small_task):
         # degenerate exactly when |V_1|^2 came out as 0; otherwise a finite estimate
         assert np.isnan(norms[1, l]) == (sq[1] == 0.0)
     assert degenerate[1] == any(sq[1] == 0.0 for sq in mb.scored.sq_norms)
-    summary = metrics.batch_summary(mb, norms, int(np.count_nonzero(degenerate)))
-    assert np.all(np.isfinite([ls.mean_grad_norm for ls in summary.layer_stats]))
+    summary = metrics.batch_summary(mb, norms, int(np.count_nonzero(degenerate)), "isopo-ni")
+    for l in range(len(mb.scored.sq_norms)):
+        assert np.isfinite(summary[f"l{l}_mean_grad_norm"])
     for params in (isopo.RescalingParams(p=-1.0), isopo.RescalingParams(p=-1.0, q=0.5, r=-2.0)):
         upd = isopo.noninteracting_update(mb, norms, params)
         assert np.all(np.isfinite(np.concatenate([g.ravel() for g in upd])))

@@ -30,20 +30,20 @@ def test_exact_fisher_two_class_closed_form():
     a[vocab] = 1.0  # position one-hot
     a[-1] = 1.0  # bias augmentation
     expected = np.kron(c, np.outer(a, a))
-    assert np.allclose(fisher.matrix, expected, atol=1e-10)
+    assert np.allclose(fisher, expected, atol=1e-10)
     assert np.allclose(c, p[0] * p[1] * np.array([[1.0, -1.0], [-1.0, 1.0]]), atol=1e-12)
 
 
 def test_exact_fisher_symmetric_psd():
     net, prompt = tiny_net(1)
     fisher = oracle.exact_fisher(net, [prompt])
-    assert np.array_equal(fisher.matrix, fisher.matrix.T)
-    eigs = np.linalg.eigvalsh(fisher.matrix)
-    assert eigs.min() >= -1e-12 * max(np.linalg.norm(fisher.matrix), 1.0)
+    assert np.array_equal(fisher, fisher.T)
+    eigs = np.linalg.eigvalsh(fisher)
+    assert eigs.min() >= -1e-12 * max(np.linalg.norm(fisher), 1.0)
     rng = np.random.default_rng(0)
     for _ in range(100):
-        v = rng.standard_normal(fisher.n_params)
-        assert float(v @ fisher.matrix @ v) >= -1e-12
+        v = rng.standard_normal(len(fisher))
+        assert float(v @ fisher @ v) >= -1e-12
 
 
 def test_exact_fisher_quadratic_matches_enumeration():
@@ -51,9 +51,9 @@ def test_exact_fisher_quadratic_matches_enumeration():
     fisher = oracle.exact_fisher(net, [prompt])
     rng = np.random.default_rng(1)
     for _ in range(5):
-        v = rng.standard_normal(fisher.n_params)
+        v = rng.standard_normal(len(fisher))
         direct = oracle.fisher_quadratic(net, [prompt], v)
-        assert float(v @ fisher.matrix @ v) == pytest.approx(direct, rel=1e-12)
+        assert float(v @ fisher @ v) == pytest.approx(direct, rel=1e-12)
 
 
 def test_exact_fisher_budget_refusal():
@@ -70,10 +70,10 @@ def test_exact_fisher_budget_refusal():
 
 
 def test_exact_npg_identity_and_diagonal():
-    eye = oracle.ExactFisher(np.eye(3))
+    eye = np.eye(3)
     g = np.array([1.0, 2.0, 3.0])
     assert np.allclose(oracle.exact_npg(eye, g, 0.0), g)
-    diag = oracle.ExactFisher(np.diag([2.0, 4.0]))
+    diag = np.diag([2.0, 4.0])
     assert np.allclose(oracle.exact_npg(diag, np.array([2.0, 4.0]), 0.0), [1.0, 1.0])
 
 
@@ -82,11 +82,11 @@ def test_exact_npg_residual_on_random_spd():
     for n in (5, 20):
         a = rng.standard_normal((n, n))
         spd = a @ a.T + 0.5 * np.eye(n)
-        fisher = oracle.ExactFisher(0.5 * (spd + spd.T))
+        fisher = 0.5 * (spd + spd.T)
         g = rng.standard_normal(n)
         for damping in (1e-3, 0.0):
             v = oracle.exact_npg(fisher, g, damping)
-            system = fisher.matrix + damping * np.eye(n)
+            system = fisher + damping * np.eye(n)
             assert np.linalg.norm(system @ v - g) <= 1e-9 * np.linalg.norm(g)
 
 
@@ -94,7 +94,7 @@ def test_exact_npg_damping_to_zero_well_conditioned():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((6, 6))
     spd = a @ a.T + np.eye(6)
-    fisher = oracle.ExactFisher(0.5 * (spd + spd.T))
+    fisher = 0.5 * (spd + spd.T)
     g = rng.standard_normal(6)
     base = oracle.exact_npg(fisher, g, 0.0)
     for damping in (1e-8, 1e-10, 1e-12):
@@ -103,7 +103,7 @@ def test_exact_npg_damping_to_zero_well_conditioned():
 
 
 def test_exact_npg_singular_raises():
-    singular = oracle.ExactFisher(np.zeros((2, 2)))
+    singular = np.zeros((2, 2))
     with pytest.raises(SingularMatrixError):
         oracle.exact_npg(singular, np.array([1.0, 0.0]), 0.0)
     with pytest.raises(ContractViolation):

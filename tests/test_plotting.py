@@ -18,7 +18,7 @@ def parse_svg(path):
 
 
 def write_csv(path, rows, algo="reinforce", seed=0):
-    header = harness.csv_header(1, include_ntk=False)
+    header = ",".join([*harness.FIXED_COLUMNS, "l0_mean_F_norm", "l0_mean_grad_norm"])
     lines = [header]
     for step, val, kl in rows:
         lines.append(

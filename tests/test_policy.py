@@ -253,6 +253,27 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, small_net):
     assert path.read_bytes() == path2.read_bytes()
 
 
+CHECKPOINT_CORRUPTIONS = {
+    # name: lines of a good checkpoint -> (corrupted lines, line the error names)
+    "empty": lambda lines: ([], 1),
+    "truncated": lambda lines: (lines[:-1], len(lines)),
+    "short-row": lambda lines: (lines[:5] + [lines[5].rsplit(" ", 1)[0]] + lines[6:], 6),
+    "non-integer": lambda lines: ([lines[0], "vocab_size five"] + lines[2:], 2),
+    "non-hex": lambda lines: (lines[:5] + ["zz" + lines[5]] + lines[6:], 6),
+    "trailing": lambda lines: (lines + ["extra"], len(lines) + 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
+def test_malformed_checkpoint_names_the_line(tmp_path, small_net, case):
+    path = tmp_path / "ckpt.txt"
+    policy.save_checkpoint(small_net, path)
+    lines, bad_line = CHECKPOINT_CORRUPTIONS[case](path.read_text().splitlines())
+    path.write_text("".join(f"{text}\n" for text in lines))
+    with pytest.raises(ContractViolation, match=f": line {bad_line}: "):
+        policy.load_checkpoint(path)
+
+
 def test_init_policy_shapes_and_bias():
     net = policy.init_policy(7, 12, (5, 4), stream(0, "init-shapes"))
     assert [w.shape for w in net.weights] == [(5, 13), (4, 6), (7, 5)]
