@@ -57,8 +57,9 @@ def max_rel_error(analytic: list[np.ndarray], numeric: list[np.ndarray]) -> floa
 
 def _check_net(seed: int) -> tuple[policy.PolicyNet, tasks.SeqAdditionTask]:
     task = tasks.SeqAdditionTask(modulus=5, seq_len=2)
-    context_dim = task.vocab_size + task.seq_len + task.feature_dim
-    net = policy.init_policy(task.vocab_size, context_dim, (6,), stream(seed, "check-init"))
+    net = policy.init_policy(
+        task.vocab_size, task.seq_len, task.feature_dim, (6,), stream(seed, "check-init")
+    )
     return net, task
 
 
@@ -164,8 +165,7 @@ def _tiny_oracle_policy(seed: int, seq_len: int = 2):
     vocab = 4
     feat = stream(seed, "oracle-feat").uniform(-1.0, 1.0, size=2)
     prompt = tasks.Prompt(id=f"tiny{seed}", features=feat, target=(0,) * seq_len)
-    context_dim = vocab + seq_len + feat.size
-    net = policy.init_policy(vocab, context_dim, (4,), stream(seed, "oracle-init"))
+    net = policy.init_policy(vocab, seq_len, feat.size, (4,), stream(seed, "oracle-init"))
     return net, prompt
 
 

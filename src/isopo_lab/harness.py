@@ -60,8 +60,9 @@ def make_task(cfg: RunConfig):
 
 
 def build_policy(task, seed: int) -> policy.PolicyNet:
-    context_dim = task.vocab_size + task.seq_len + task.feature_dim
-    return policy.init_policy(task.vocab_size, context_dim, DEFAULT_HIDDEN, stream(seed, "init"))
+    return policy.init_policy(
+        task.vocab_size, task.seq_len, task.feature_dim, DEFAULT_HIDDEN, stream(seed, "init")
+    )
 
 
 def draw_steps(task, cfg: RunConfig, steps) -> dict[int, tuple[list[tasks.Prompt], np.ndarray]]:
@@ -154,7 +155,7 @@ def read_metrics_csv(path) -> list[dict]:
     return rows
 
 
-def _update(cfg, net, optimizer, microbatch, norms, summary, rescale_params, ntk_ema) -> None:
+def _update(cfg, net, optimizer, microbatch, norms, rescale_params, ntk_ema) -> None:
     """Apply the step's optimizer steps: ``inner_epochs`` for GRPO, one otherwise."""
     for epoch in range(cfg.inner_epochs if cfg.algo == "grpo" else 1):
         if cfg.algo == "reinforce" or (cfg.algo == "grpo" and epoch == 0):
@@ -168,12 +169,7 @@ def _update(cfg, net, optimizer, microbatch, norms, summary, rescale_params, ntk
         elif cfg.algo == "isopo-ni":
             grads = isopo.noninteracting_update(microbatch, norms, rescale_params)
         else:
-            scored = microbatch.scored
-            grads = []
-            for l, (g, a) in enumerate(zip(scored.grad_out, scored.act_in)):
-                mean_eig = summary[f"l{l}_ntk_eigen_mean"]
-                c = cfg.reg_factor * isopo.ema_update(ntk_ema, (l, "ntk_mean_eig"), mean_eig)
-                grads.append(isopo.interacting_update(g, a, microbatch.advantages, c))
+            grads = isopo.interacting_microbatch_update(microbatch, cfg.reg_factor, ntk_ema)
         baselines.optimizer_step(optimizer, net, [-g for g in grads])
 
 
@@ -208,7 +204,7 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
         )
         if step > 0:
             try:
-                _update(cfg, net, optimizer, microbatch, norms, summary, rescale_params, ntk_ema)
+                _update(cfg, net, optimizer, microbatch, norms, rescale_params, ntk_ema)
             except ArithmeticError as exc:
                 aborted = True
                 abort_reason = f"step {step}: {type(exc).__name__}: {exc}"
@@ -222,8 +218,11 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
     checkpoint_path = out / "checkpoint.txt"
     policy.save_checkpoint(net, checkpoint_path)
     (out / "config.txt").write_text(serialize_config(cfg), encoding="utf-8")
+    marker = out / "ABORTED"
     if aborted:
-        (out / "ABORTED").write_text(abort_reason + "\n", encoding="utf-8")
+        marker.write_text(abort_reason + "\n", encoding="utf-8")
+    else:  # a clean rerun into the directory of an aborted run
+        marker.unlink(missing_ok=True)
     return RunResult(cfg, out, csv_path, checkpoint_path, rows, aborted, abort_reason)
 
 
@@ -246,31 +245,29 @@ def aggregate_runs(results_by_label: dict[str, list[RunResult]]) -> list[dict]:
     """Per-label, per-step best/median/min/max of validation and KL.
 
     Aborted runs are excluded from the statistics but counted in the
-    ``aborted_runs`` column.
+    ``aborted_runs`` column. A label whose runs all aborted still gets a row
+    for each step its runs logged, with ``n_runs`` 0 and empty statistics.
     """
     rows = []
     for label, results in results_by_label.items():
         live = [r for r in results if not r.aborted]
         aborted = len(results) - len(live)
-        steps = sorted({m["step"] for r in live for m in r.rows})
+        steps = sorted({m["step"] for r in (live or results) for m in r.rows})
         for step in steps:
+            row = {"label": label, "step": step, "n_runs": len(live), "aborted_runs": aborted}
+            if not live:
+                rows.append(row | dict.fromkeys(AGGREGATE_COLUMNS[len(row) :], ""))
+                continue
             vals = [m["validation"] for r in live for m in r.rows if m["step"] == step]
             kls = [m["kl_from_init"] for r in live for m in r.rows if m["step"] == step]
-            rows.append(
-                {
-                    "label": label,
-                    "step": step,
-                    "n_runs": len(live),
-                    "aborted_runs": aborted,
-                    "validation_best": max(vals),
-                    "validation_median": float(np.median(vals)),
-                    "validation_min": min(vals),
-                    "validation_max": max(vals),
-                    "kl_median": float(np.median(kls)),
-                    "kl_min": min(kls),
-                    "kl_max": max(kls),
-                }
-            )
+            row["validation_best"] = max(vals)
+            row["validation_median"] = float(np.median(vals))
+            row["validation_min"] = min(vals)
+            row["validation_max"] = max(vals)
+            row["kl_median"] = float(np.median(kls))
+            row["kl_min"] = min(kls)
+            row["kl_max"] = max(kls)
+            rows.append(row)
     return rows
 
 
@@ -298,8 +295,5 @@ def compare(
             runs.append(train(run_cfg, out / f"{label}-seed{seed}"))
         results_by_label[label] = runs
     agg_rows = aggregate_runs(results_by_label)
-    lines = [",".join(AGGREGATE_COLUMNS)]
-    for row in agg_rows:
-        lines.append(",".join(_format_value(row[c]) for c in AGGREGATE_COLUMNS))
-    (out / "aggregate.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_metrics_csv(out / "aggregate.csv", agg_rows)
     return agg_rows, results_by_label

@@ -36,10 +36,10 @@ advantage vector is preconditioned by the layer's empirical neural tangent
 kernel K_ij = <V_i, V_j> (Tikhonov-regularized by c) before the usual
 weighted sum of gradients. K is the block sum over positions (t, s) of
 (G G^T) * (A A^T), where G and A stack the factors of all B T positions, and
-(K + c I)^-1 A is a Cholesky solve, so no eigendecomposition is needed. The
-mean NTK eigenvalue that sets c is trace(K) / m = mean_i |V_i|^2, the
-batch's ``l{l}_ntk_eigen_mean`` column (see ``metrics``); the training loop
-derives c from that one value.
+(K + c I)^-1 A is a Cholesky solve, so no eigendecomposition is needed.
+``interacting_microbatch_update`` sets each layer's c here, from
+``Scored.sq_norms``: c = reg_factor * EMA over steps of the mean NTK
+eigenvalue trace(K) / m = mean_i |V_i|^2.
 """
 
 from __future__ import annotations
@@ -198,8 +198,7 @@ def sequence_fisher_norms(
 
 
 def _reg2(x, key, params: RescalingParams):
-    expectation = params.ema.value(key) if params.reg_strength > 0 else 0.0
-    return np.sqrt(np.maximum(x * x + params.reg_strength * expectation, RESCALE_FLOOR))
+    return np.sqrt(np.maximum(x * x + params.reg_strength * params.ema.value(key), RESCALE_FLOOR))
 
 
 def _scale(f_norm, grad_norm, params: RescalingParams, layer: int):
@@ -257,11 +256,13 @@ def noninteracting_update(
     Sequences whose estimate is degenerate (NaN) contribute their
     advantage-weighted gradient unrescaled rather than being dropped.
     With p = q = r = 0 this reduces exactly to the vanilla policy-gradient
-    microbatch sum.
+    microbatch sum. The EMA that regularizes the rescaling is kept up only
+    when ``reg_strength > 0``, the only case that reads it.
     """
     advantages = microbatch.advantages
     scored = microbatch.scored
-    _refresh_ema(params, norms, microbatch)
+    if params.reg_strength > 0:
+        _refresh_ema(params, norms, microbatch)
     grads = []
     for l, sq_norms in enumerate(scored.sq_norms):
         valid = ~np.isnan(norms[:, l])
@@ -293,9 +294,10 @@ def build_ntk(grad_out, act_in) -> np.ndarray:
     """
     grad_out, act_in = _as_factors(grad_out, act_in)
     m, seq_len = grad_out.shape[:2]
-    g = grad_out.reshape(m * seq_len, -1)
-    a = act_in.reshape(m * seq_len, -1)
-    blocks = ((g @ g.T) * (a @ a.T)).reshape(m, seq_len, m * seq_len).sum(axis=1)
+    # (m, m T): the projections of every V_i onto the factors of every position
+    blocks = grad_projections(
+        grad_out, act_in, grad_out.reshape(m * seq_len, -1), act_in.reshape(m * seq_len, -1)
+    )
     gram = blocks.reshape(m, m, seq_len).sum(axis=2)
     return 0.5 * (gram + gram.T)
 
@@ -308,17 +310,20 @@ def interacting_update(grad_out, act_in, advantages, c: float) -> np.ndarray:
     return grad_sum(grad_out, act_in, weights)
 
 
-__all__ = [
-    "RESCALE_FLOOR",
-    "RegEmaState",
-    "RescalingParams",
-    "OverlapSamples",
-    "ema_update",
-    "fisher_norm_estimate",
-    "draw_overlap_samples",
-    "sequence_fisher_norms",
-    "rescaling",
-    "noninteracting_update",
-    "build_ntk",
-    "interacting_update",
-]
+def mean_ntk_eigenvalue(sq_norms) -> float:
+    """The mean eigenvalue trace(K) / m = mean_i |V_i|^2 of a layer's NTK."""
+    return float(np.mean(sq_norms))
+
+
+def interacting_microbatch_update(
+    microbatch: Microbatch, reg_factor: float, ema: RegEmaState
+) -> list[np.ndarray]:
+    """Every layer's ``interacting_update`` with c = reg_factor * ``ema`` over steps
+    of the layer's mean NTK eigenvalue mean_i |V_i|^2 (``Scored.sq_norms``)."""
+    advantages = microbatch.advantages
+    scored = microbatch.scored
+    grads = []
+    for l, sq_norms in enumerate(scored.sq_norms):
+        c = reg_factor * ema_update(ema, (l, "ntk_mean_eig"), mean_ntk_eigenvalue(sq_norms))
+        grads.append(interacting_update(scored.grad_out[l], scored.act_in[l], advantages, c))
+    return grads

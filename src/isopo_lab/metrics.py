@@ -13,10 +13,11 @@ followed, for each layer l of the policy, by
     l{l}_mean_F_norm     mean estimated Fisher norm over the batch's
                          non-degenerate (sequence, layer) pairs; 0 if none
     l{l}_mean_grad_norm  mean_b |V_b|, V_b the layer gradient of sequence b
-    l{l}_ntk_eigen_mean  isopo-int only: mean eigenvalue of the layer's
-                         empirical NTK K_ij = <V_i, V_j>, which is
-                         trace(K) / m = mean_b |V_b|^2; interacting ISOPO
-                         sets its Tikhonov constant from this value
+    l{l}_ntk_eigen_mean  isopo-int only, a diagnostic: mean eigenvalue of
+                         the layer's empirical NTK K_ij = <V_i, V_j>, which
+                         is trace(K) / m = mean_b |V_b|^2, taken from
+                         ``isopo.mean_ntk_eigenvalue``, which also sets
+                         interacting ISOPO's Tikhonov constant
 
 Every |V_b|^2 comes from ``Scored.sq_norms``, which the Fisher-norm
 estimator already computed from the position factors. ``step``, ``seed``
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .isopo import mean_ntk_eigenvalue
 from .policy import PolicyNet, kl_from_reference
 from .rng import stream
 from .tasks import validation_score
@@ -64,7 +66,7 @@ def batch_summary(microbatch, fisher_norms, degenerate_count: int, algo: str) ->
         summary[f"l{l}_mean_F_norm"] = float(valid.mean()) if valid.size else 0.0
         summary[f"l{l}_mean_grad_norm"] = float(np.mean(np.sqrt(sq_norms)))
         if algo == "isopo-int":
-            summary[f"l{l}_ntk_eigen_mean"] = float(np.mean(sq_norms))
+            summary[f"l{l}_ntk_eigen_mean"] = mean_ntk_eigenvalue(sq_norms)
     return summary
 
 
@@ -84,7 +86,7 @@ def collect(
     steps consumed.
     """
     heldout = task.heldout_prompts
-    validation = validation_score(net, task, heldout)
+    validation = validation_score(net, heldout)
     kl_rng = stream(seed, f"kl/{step}")
     kl = kl_from_reference(net, init_net, heldout[:KL_PROMPTS], KL_SAMPLES, kl_rng)
     row = {

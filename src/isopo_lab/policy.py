@@ -27,9 +27,10 @@ from small Gram products of them, so training never forms a V_b:
     |V_b|^2            = sum_{t,s} (g_bt . g_bs)(a_bt . a_bs)    (``grad_sq_norms``)
     g_j . V_b a_j      = sum_t (g_j . g_bt)(a_bt . a_j)          (``grad_projections``)
     sum_b w_b V_b      = G^T diag(w (x) 1_T) A                   (``grad_sum``)
-    <V_i, V_j>         = sum_{t,s} (g_it . g_js)(a_it . a_js)    (``isopo.build_ntk``)
+    <V_i, V_j>         = sum_s g_js . V_i a_js                   (``isopo.build_ntk``)
 
-where G (B T, out) and A (B T, in + 1) stack the factors of all positions.
+where G (B T, out) and A (B T, in + 1) stack the factors of all positions;
+``isopo.build_ntk`` sums the ``grad_projections`` onto their rows by sequence.
 ``Scored.seq_grads`` materializes the V_b on demand, as the reference the
 self-checks and tests compare these identities against.
 
@@ -158,11 +159,14 @@ def grad_sum(grad_out: np.ndarray, act_in: np.ndarray, weights) -> np.ndarray:
 
 def init_policy(
     vocab_size: int,
-    context_dim: int,
+    seq_len: int,
+    n_features: int,
     hidden: tuple[int, ...],
     rng: np.random.Generator,
 ) -> PolicyNet:
-    """Fresh policy with weights ~ U(-1/sqrt(in_dim), 1/sqrt(in_dim)), zero bias."""
+    """Fresh policy, input layout above, for ``seq_len`` tokens and ``n_features``
+    prompt features: weights ~ U(-1/sqrt(in_dim), 1/sqrt(in_dim)), zero bias."""
+    context_dim = vocab_size + seq_len + n_features
     dims = [context_dim, *hidden, vocab_size]
     weights = []
     for in_dim, out_dim in zip(dims[:-1], dims[1:]):

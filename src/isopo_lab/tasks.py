@@ -178,9 +178,6 @@ class SeqAdditionTask:
             return 1.0 if correct == self.seq_len else 0.0
         return correct / self.seq_len
 
-    def exact_match(self, prompt: Prompt, tokens) -> bool:
-        return tuple(tokens) == prompt.target
-
 
 class BanditTask:
     """Single-step task: reward of arm k for prompt p is a fixed table entry."""
@@ -220,17 +217,14 @@ class BanditTask:
             raise ContractViolation("bandit sequences have exactly one token")
         return float(self._rows[prompt.id][tokens[0]])
 
-    def exact_match(self, prompt: Prompt, tokens) -> bool:
-        return tuple(tokens) == prompt.target
 
-
-def validation_score(net, task, prompts) -> float:
+def validation_score(net, prompts) -> float:
     """Mean exact-match rate under greedy decoding."""
     prompts = list(prompts)
     if not prompts:
         raise ContractViolation("validation needs at least one prompt")
     tokens = policy.greedy(net, np.stack([p.features for p in prompts]))
-    hits = sum(1 for p, row in zip(prompts, tokens.tolist()) if task.exact_match(p, row))
+    hits = sum(1 for p, row in zip(prompts, tokens.tolist()) if tuple(row) == p.target)
     return hits / len(prompts)
 
 

@@ -14,8 +14,10 @@ def small_task():
 
 @pytest.fixture
 def small_net(small_task):
-    ctx = small_task.vocab_size + small_task.seq_len + small_task.feature_dim
-    return policy.init_policy(small_task.vocab_size, ctx, (6,), stream(0, "test-init"))
+    return policy.init_policy(
+        small_task.vocab_size, small_task.seq_len, small_task.feature_dim, (6,),
+        stream(0, "test-init"),
+    )
 
 
 def make_microbatch(net, task, seed=0, n_groups=2, group_size=4, force_advantages=True):

@@ -87,8 +87,13 @@ def test_cli_compare_reports_aborted_runs(tmp_path, capsys):
     aborted = [line for line in lines if line.startswith("ABORTED: ")]
     assert [line.split(": ")[1] for line in aborted] == ["singular seed 0", "singular seed 1"]
     assert all("step 1: SingularMatrixError" in line for line in aborted)
-    header = (out / "aggregate.csv").read_text().splitlines()[0]
+    header, *rows = (out / "aggregate.csv").read_text().splitlines()
     assert header.startswith("label,step,n_runs,aborted_runs,validation_best")
+    # the all-aborted label keeps its rows: no live run, two aborted, no statistics
+    assert [row for row in rows if row.startswith("singular,")] == [
+        "singular,0,0,2,,,,,,,",
+        "singular,1,0,2,,,,,,,",
+    ]
 
 
 def test_cli_gradcheck_pass(capsys):

@@ -279,6 +279,15 @@ def test_singular_ntk_solve_aborts_cleanly(tmp_path, seed):
     assert res.rows[1]["kl_from_init"] == 0.0
 
 
+def test_clean_rerun_removes_stale_abort_marker(tmp_path):
+    out = tmp_path / "r"
+    failed = harness.train(quick_cfg(task="bandit", algo="isopo-int", reg_factor=0.0), out)
+    assert failed.aborted and (out / "ABORTED").exists()
+    clean = harness.train(quick_cfg(task="bandit", algo="isopo-int", reg_factor=1.0), out)
+    assert not clean.aborted
+    assert not (out / "ABORTED").exists()
+
+
 @pytest.mark.parametrize(
     "algo, module, name",
     [
@@ -344,6 +353,22 @@ def test_grpo_rescores_only_after_its_first_epoch(tmp_path, monkeypatch):
     assert len(calls) == 3 * 3
 
 
+def test_ntk_column_is_only_a_diagnostic(tmp_path, monkeypatch):
+    # isopo-int derives its Tikhonov constant itself, so a run whose summary
+    # lacks the NTK column trains to the same weights
+    cfg = quick_cfg(algo="isopo-int", steps=3)
+    reference = harness.train(cfg, tmp_path / "reference").checkpoint_path.read_bytes()
+    summarize = harness.metrics.batch_summary
+
+    def without_ntk(*args):
+        return {k: v for k, v in summarize(*args).items() if "ntk" not in k}
+
+    monkeypatch.setattr(harness.metrics, "batch_summary", without_ntk)
+    res = harness.train(cfg, tmp_path / "r")
+    assert "l0_ntk_eigen_mean" not in res.rows[0]
+    assert res.checkpoint_path.read_bytes() == reference
+
+
 def test_ntk_column_is_mean_ntk_eigenvalue(tmp_path):
     cfg = quick_cfg(algo="isopo-int", steps=1)
     res = harness.train(cfg, tmp_path / "r")
@@ -373,6 +398,11 @@ def test_aborted_run_recorded_and_excluded(tmp_path, monkeypatch):
     assert res.aborted
     assert "step 2" in res.abort_reason
     assert (tmp_path / "boom" / "ABORTED").exists()
-    # aggregate excludes the aborted run but flags it
+    # aggregate excludes the aborted run but flags it, one row per logged step
     agg = harness.aggregate_runs({"z": [res]})
-    assert agg == [] or all(r["n_runs"] == 0 for r in agg)
+    assert [(r["step"], r["n_runs"], r["aborted_runs"]) for r in agg] == [
+        (0, 0, 1),
+        (1, 0, 1),
+        (2, 0, 1),
+    ]
+    assert all(r[c] == "" for r in agg for c in harness.AGGREGATE_COLUMNS[4:])

@@ -202,6 +202,29 @@ def test_batched_estimates_match_per_sequence_loop(small_net, small_task):
         assert np.allclose(upd[l], expected, rtol=1e-12, atol=1e-15)
 
 
+def test_rescaling_ema_kept_only_when_read(small_net, small_task):
+    mb = make_microbatch(small_net, small_task, seed=7)
+    samples = isopo.draw_overlap_samples(mb, 12, stream(7, "o"))
+    norms, degenerate = isopo.sequence_fisher_norms(mb, samples)
+    assert not degenerate.any()
+    idle = isopo.RescalingParams(p=-1.0, q=0.5, r=-0.5, reg_strength=0.0)
+    isopo.noninteracting_update(mb, norms, idle)
+    assert idle.ema.values == {}
+    # with reg_strength > 0 the step first folds its own mean squares into
+    # the EMA, then rescales against them: the per-sequence loop is the reference
+    used = isopo.RescalingParams(p=-1.0, q=0.5, r=-0.5, reg_strength=0.3)
+    upd = isopo.noninteracting_update(mb, norms, used)
+    for l, (jac, sq_norms) in enumerate(zip(mb.scored.seq_grads, mb.scored.sq_norms)):
+        f_sq = norms[:, l] ** 2
+        assert used.ema.value((l, "fisher_sq")) == float(f_sq.mean())
+        assert used.ema.value((l, "grad_sq")) == float(sq_norms.mean())
+        assert used.ema.value((l, "rel_sq")) == float((f_sq / sq_norms).mean())
+        expected = sum(
+            a * isopo.rescaling(v, f, used, l) for a, v, f in zip(mb.advantages, jac, norms[:, l])
+        )
+        assert np.allclose(upd[l], expected, rtol=1e-12, atol=1e-15)
+
+
 def test_noninteracting_single_sequence_composition(small_net, small_task):
     prompt = small_task.train_prompts[2]
     u = uniforms(9, [f"c/{k}" for k in range(2)], small_task.seq_len)
@@ -449,6 +472,20 @@ def test_interacting_large_c_approaches_vanilla(microbatch):
     upd = upd.ravel()
     cos = upd @ vanilla / (np.linalg.norm(upd) * np.linalg.norm(vanilla))
     assert math.acos(min(cos, 1.0)) < 1e-3
+
+
+def test_interacting_microbatch_update_sets_c_from_ntk_trace(microbatch):
+    # c = reg_factor * EMA of trace(K) / m; a second step on the same batch
+    # blends the EMA with an equal mean, so c stays put up to rounding
+    ema = isopo.RegEmaState(decay=0.9)
+    for _ in range(2):
+        upd = isopo.interacting_microbatch_update(microbatch, 0.5, ema)
+    scored = microbatch.scored
+    for l, (g, a) in enumerate(zip(scored.grad_out, scored.act_in)):
+        mean_eig = float(np.trace(isopo.build_ntk(g, a))) / len(g)
+        assert ema.value((l, "ntk_mean_eig")) == pytest.approx(mean_eig, rel=1e-12)
+        expected = isopo.interacting_update(g, a, microbatch.advantages, 0.5 * mean_eig)
+        assert np.allclose(upd[l], expected, rtol=1e-9, atol=1e-15)
 
 
 # ----------------------------------------------------------------------- EMA

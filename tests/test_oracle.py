@@ -59,12 +59,12 @@ def test_exact_fisher_quadratic_matches_enumeration():
 def test_exact_fisher_budget_refusal():
     net, prompt = tiny_net(3, seq_len=2)
     big = policy.init_policy(
-        net.vocab_size, net.context_dim, (40, 40), stream(0, "big")
+        net.vocab_size, len(prompt.target), prompt.features.size, (40, 40), stream(0, "big")
     )
     with pytest.raises(EnumerationBudgetError):
         oracle.exact_fisher(big, [prompt])
     wide_task_prompt = tasks.Prompt(id="w", features=np.zeros(0), target=(0,) * 8)
-    wide = policy.init_policy(8, 8 + 8, (4,), stream(0, "wide"))
+    wide = policy.init_policy(8, 8, 0, (4,), stream(0, "wide"))
     with pytest.raises(EnumerationBudgetError):
         oracle.exact_fisher(wide, [wide_task_prompt])
 

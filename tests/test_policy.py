@@ -275,7 +275,8 @@ def test_malformed_checkpoint_names_the_line(tmp_path, small_net, case):
 
 
 def test_init_policy_shapes_and_bias():
-    net = policy.init_policy(7, 12, (5, 4), stream(0, "init-shapes"))
+    # context 7 + 2 + 3 = 12 inputs
+    net = policy.init_policy(7, 2, 3, (5, 4), stream(0, "init-shapes"))
     assert [w.shape for w in net.weights] == [(5, 13), (4, 6), (7, 5)]
     for w in net.weights:
         assert np.all(w[:, -1] == 0.0)

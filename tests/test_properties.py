@@ -26,7 +26,7 @@ from conftest import make_microbatch
 
 TASK = tasks.SeqAdditionTask(modulus=5, seq_len=2)
 NET = policy.init_policy(
-    TASK.vocab_size, TASK.vocab_size + TASK.seq_len + TASK.feature_dim, (6,), stream(0, "prop")
+    TASK.vocab_size, TASK.seq_len, TASK.feature_dim, (6,), stream(0, "prop")
 )
 N_SEQ = 8  # make_microbatch default: 2 groups of 4
 

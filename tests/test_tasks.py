@@ -104,7 +104,7 @@ def test_validation_perfect_policy_scores_one():
         w[i, task.vocab_size + task.seq_len + i] = 50.0
     net = policy.PolicyNet([w], vocab_size=4, context_dim=context_dim)
     prompts = task.train_prompts + task.heldout_prompts
-    assert tasks.validation_score(net, task, prompts) == 1.0
+    assert tasks.validation_score(net, prompts) == 1.0
 
 
 def test_validation_zero_weight_net_base_rate():
@@ -116,18 +116,17 @@ def test_validation_zero_weight_net_base_rate():
     prompts = task.train_prompts + task.heldout_prompts
     # zero logits decode greedily to token 0; exactly the (a, b) with (a+b)%10 == 0 match
     expected = sum(1 for p in prompts if p.target == (0,)) / len(prompts)
-    got = tasks.validation_score(net, task, prompts)
+    got = tasks.validation_score(net, prompts)
     assert got == pytest.approx(expected)
     assert got == pytest.approx(0.1)
 
 
 def test_validation_ignores_rng():
     task = tasks.SeqAdditionTask(modulus=5, seq_len=2)
-    ctx = task.vocab_size + task.seq_len + task.feature_dim
-    net = policy.init_policy(task.vocab_size, ctx, (6,), stream(0, "v"))
+    net = policy.init_policy(task.vocab_size, task.seq_len, task.feature_dim, (6,), stream(0, "v"))
     # greedy decoding draws no random numbers, so repeated calls agree exactly
-    a = tasks.validation_score(net, task, task.heldout_prompts)
-    b = tasks.validation_score(net, task, task.heldout_prompts)
+    a = tasks.validation_score(net, task.heldout_prompts)
+    b = tasks.validation_score(net, task.heldout_prompts)
     assert a == b
 
 
