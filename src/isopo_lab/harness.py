@@ -10,20 +10,25 @@ directory; they equal what each step's own named streams give.
 
 Every step, step 0 included, takes one path: sample a microbatch of groups
 (scored by the task's reward, with no KL penalty anywhere near the reward
-path, and given group-relative advantages), draw the shared overlap sample,
-estimate every sequence's per-layer Fisher norm, and summarize the batch; the
-same diagnostics are logged for every algorithm, so the per-layer statistics
-are comparable across runs. Steps 1 and later then apply the algorithm's
-update: one optimizer step for reinforce, isopo-ni and isopo-int, and
-``inner_epochs`` steps on the same batch for GRPO. GRPO's first step runs at
-the sampling weights, where every ratio is exactly 1 and the clipped
-gradient is the REINFORCE gradient, so it takes that without re-scoring the
-batch. Step 0 only probes the initial policy. A row is written on every
-``eval_every``-th step and on the step that aborts: a numeric failure inside
-the update (any ArithmeticError: a non-finite gradient, a Tikhonov system
-that is not positive definite, GRPO ratio overflow) ends the run as ABORTED
-with the step and the reason, and the failing step's row still holds its
-batch's diagnostics.
+path, and given group-relative advantages), then, from step 1 on, apply the
+algorithm's update: one optimizer step for reinforce, isopo-ni and
+isopo-int, and ``inner_epochs`` steps on the same batch for GRPO. GRPO's
+first step runs at the sampling weights, where every ratio is exactly 1 and
+the clipped gradient is the REINFORCE gradient, so it takes that without
+re-scoring the batch. Step 0 only probes the initial policy.
+
+A row is written on every ``eval_every``-th step and on the step that
+aborts: a numeric failure inside the update (any ArithmeticError: a
+non-finite gradient, a Tikhonov system that is not positive definite, GRPO
+ratio overflow) ends the run as ABORTED with the step and the reason. A
+row's batch diagnostics are the same for every algorithm, so the per-layer
+statistics are comparable across runs: the step draws its overlap sample
+from its own ``overlap/{step}`` stream, estimates every sequence's
+per-layer Fisher norm and summarizes the batch. Only isopo-ni's update reads
+the norms, so it estimates them on every step; the other algorithms do so
+only on steps that write a row (the aborting step after its failure, from
+its unchanged microbatch), and the batch is summarized only for a written
+row. Skipping a step's diagnostics changes no other step.
 """
 
 from __future__ import annotations
@@ -173,6 +178,14 @@ def _update(cfg, net, optimizer, microbatch, norms, rescale_params, ntk_ema) -> 
         baselines.optimizer_step(optimizer, net, [-g for g in grads])
 
 
+def _fisher_norms(microbatch, cfg: RunConfig, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """The step's Fisher-norm table and degenerate mask, from its ``overlap/{step}`` sample."""
+    overlap = isopo.draw_overlap_samples(
+        microbatch, cfg.n_overlap, stream(cfg.seed, f"overlap/{step}")
+    )
+    return isopo.sequence_fisher_norms(microbatch, overlap)
+
+
 def train(cfg: RunConfig, out_dir=None) -> RunResult:
     """Run one seeded training loop and write metrics.csv plus a checkpoint."""
     cfg = validate_config(cfg)
@@ -195,13 +208,9 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
     abort_reason = ""
     for step in range(cfg.steps + 1):
         microbatch = sample_microbatch(net, task, cfg, step, draws)
-        overlap = isopo.draw_overlap_samples(
-            microbatch, cfg.n_overlap, stream(cfg.seed, f"overlap/{step}")
-        )
-        norms, degenerate = isopo.sequence_fisher_norms(microbatch, overlap)
-        summary = metrics.batch_summary(
-            microbatch, norms, int(np.count_nonzero(degenerate)), cfg.algo
-        )
+        norms = degenerate = None
+        if cfg.algo == "isopo-ni":  # the only update that reads the norms
+            norms, degenerate = _fisher_norms(microbatch, cfg, step)
         if step > 0:
             try:
                 _update(cfg, net, optimizer, microbatch, norms, rescale_params, ntk_ema)
@@ -209,6 +218,11 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
                 aborted = True
                 abort_reason = f"step {step}: {type(exc).__name__}: {exc}"
         if aborted or step % cfg.eval_every == 0:
+            if norms is None:  # an update leaves its microbatch as it was sampled
+                norms, degenerate = _fisher_norms(microbatch, cfg, step)
+            summary = metrics.batch_summary(
+                microbatch, norms, int(np.count_nonzero(degenerate)), cfg.algo
+            )
             rows.append(metrics.collect(step, net, init_net, task, summary, cfg.seed, cfg.algo))
         if aborted:
             break

@@ -19,8 +19,9 @@ followed, for each layer l of the policy, by
                          ``isopo.mean_ntk_eigenvalue``, which also sets
                          interacting ISOPO's Tikhonov constant
 
-Every |V_b|^2 comes from ``Scored.sq_norms``, which the Fisher-norm
-estimator already computed from the position factors. ``step``, ``seed``
+``batch_summary`` runs only for a row that is written. Every |V_b|^2 comes
+from ``Scored.sq_norms``, which the step's Fisher-norm estimate already
+computed from the position factors. ``step``, ``seed``
 and ``degenerate_sequences`` are integers, ``algo`` and ``task`` text, and
 every other value is a float written with 17 significant digits (``.17g``),
 so a row survives the round trip through the file exactly.

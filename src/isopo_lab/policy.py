@@ -14,7 +14,14 @@ scoring runs the whole (B, T) grid at once, and sampling and greedy decoding
 loop only over the T autoregressive positions, each step batched over B.
 Sampling takes its randomness as an array of uniforms (B, T), one row per
 sequence; the caller derives the rows (``rng.uniforms``), so no generator
-enters this module's sampling path.
+enters this module's sampling path. Decoding keeps the logits (B, T, vocab)
+it chose each token from, and ``kl_from_reference`` reads the sampled
+sequences' log-probabilities off them; only the reference policy scores the
+sequences by teacher forcing. For the eval rows' 256 sequences this equals
+scoring them again bit for bit: OpenBLAS rounds each row of a gemm of 64 or
+more rows the same way, whether it has 256 rows (one decoding step) or 768
+(all positions). Below 64 rows its small-matrix path may round the last bits
+differently.
 
 Sampled tokens are discrete, so a sequence's log-probability is a sum over
 positions and its gradient with respect to layer l's weights is a sum of
@@ -235,26 +242,24 @@ def _contexts(net: PolicyNet, features, tokens) -> np.ndarray:
     return x
 
 
-def _decode(net: PolicyNet, features, choose) -> np.ndarray:
-    """Tokens (B, T) chosen position by position by ``choose(logits, t)``."""
+def _decode(net: PolicyNet, features, choose) -> tuple[np.ndarray, np.ndarray]:
+    """Tokens (B, T) chosen position by position by ``choose(logits, t)``, and
+    the logits (B, T, vocab) each position's choice was made from."""
     features = np.asarray(features, dtype=float)
     tokens = np.zeros((features.shape[0], seq_len_for(net, features)), dtype=np.int64)
+    logits = np.empty(tokens.shape + (net.vocab_size,))
     x = _contexts(net, features, tokens)
     for t in range(tokens.shape[1]):
         if t:  # the previous-token block of position t, now that it is known
             x[:, t, : net.vocab_size] = np.eye(net.vocab_size)[tokens[:, t - 1]]
-        logits, _ = forward(net, x[:, t])
-        tokens[:, t] = choose(logits, t)
-    return tokens
+        step_logits, _ = forward(net, x[:, t])
+        logits[:, t] = step_logits
+        tokens[:, t] = choose(step_logits, t)
+    return tokens, logits
 
 
-def sample(net: PolicyNet, features, u) -> np.ndarray:
-    """Draw token sequences (B, T) from the policy for prompt features (B, F).
-
-    Row b's token at position t is the number of entries of the policy's
-    cumulative distribution at or below ``u[b, t]``, capped at vocab - 1, so
-    each sequence depends only on its own row of uniforms.
-    """
+def _sample_decode(net: PolicyNet, features, u) -> tuple[np.ndarray, np.ndarray]:
+    """``sample``'s tokens (B, T) with the logits (B, T, vocab) they were drawn from."""
     u = np.asarray(u, dtype=float)
     features = np.asarray(features, dtype=float)
     if u.shape != (features.shape[0], seq_len_for(net, features)):
@@ -267,9 +272,19 @@ def sample(net: PolicyNet, features, u) -> np.ndarray:
     return _decode(net, features, choose)
 
 
+def sample(net: PolicyNet, features, u) -> np.ndarray:
+    """Draw token sequences (B, T) from the policy for prompt features (B, F).
+
+    Row b's token at position t is the number of entries of the policy's
+    cumulative distribution at or below ``u[b, t]``, capped at vocab - 1, so
+    each sequence depends only on its own row of uniforms.
+    """
+    return _sample_decode(net, features, u)[0]
+
+
 def greedy(net: PolicyNet, features) -> np.ndarray:
     """Argmax decoding (B, T) for prompt features (B, F); deterministic."""
-    return _decode(net, features, lambda logits, t: np.argmax(logits, axis=-1))
+    return _decode(net, features, lambda logits, t: np.argmax(logits, axis=-1))[0]
 
 
 def _token_logprobs(logits: np.ndarray, tokens: np.ndarray) -> np.ndarray:
@@ -317,7 +332,9 @@ def kl_from_reference(
 
     Samples are allocated round-robin over prompts in sorted-id order, so the
     estimate does not depend on the order the prompts are passed in. Sample
-    i uses row i of one ``rng.random((n_samples, T))`` draw.
+    i uses row i of one ``rng.random((n_samples, T))`` draw. ``net``'s
+    log-probabilities come from the logits the samples were drawn from;
+    ``ref`` scores the samples in one teacher-forced pass.
     """
     if [w.shape for w in net.weights] != [w.shape for w in ref.weights]:
         raise ContractViolation("policies must share an architecture")
@@ -326,9 +343,9 @@ def kl_from_reference(
         raise ContractViolation("need at least one prompt")
     features = np.stack([p.features for p in ordered])[np.arange(n_samples) % len(ordered)]
     u = rng.random((n_samples, seq_len_for(net, features)))
-    tokens = sample(net, features, u)
-    diffs = sequence_logprobs(net, features, tokens) - sequence_logprobs(ref, features, tokens)
-    return math.fsum(diffs) / n_samples
+    tokens, logits = _sample_decode(net, features, u)
+    logprobs = _token_logprobs(logits, tokens).sum(axis=1)
+    return math.fsum(logprobs - sequence_logprobs(ref, features, tokens)) / n_samples
 
 
 def save_checkpoint(net: PolicyNet, path) -> None:
@@ -339,8 +356,7 @@ def save_checkpoint(net: PolicyNet, path) -> None:
     lines.append(f"layers {net.n_layers}")
     for i, w in enumerate(net.weights):
         lines.append(f"layer {i} {w.shape[0]} {w.shape[1]}")
-        for row in w:
-            lines.append(" ".join(v.hex() for v in row))
+        lines.extend(" ".join(map(float.hex, row)) for row in w.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

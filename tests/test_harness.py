@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from isopo_lab import baselines, checks, harness, isopo, policy
+from isopo_lab import baselines, checks, harness, isopo, metrics, policy
 from isopo_lab.config import RunConfig
 from isopo_lab.errors import ConfigError, CsvFormatError
 from isopo_lab.rng import stream
@@ -299,14 +299,16 @@ def test_clean_rerun_removes_stale_abort_marker(tmp_path):
 )
 def test_failure_inside_update_aborts_with_row(tmp_path, monkeypatch, algo, module, name):
     module = getattr(harness, module)
-    # step 2 is not an eval step, so its row is there only because the run aborted there
-    cfg = quick_cfg(algo=algo, steps=4, eval_every=3, seed=4)
+    # step 2 is not an eval step, so its row is there only because the run aborted
+    # there; 8 overlap samples of the 24 positions make the row depend on which 8
+    cfg = quick_cfg(algo=algo, steps=4, eval_every=3, seed=4, n_overlap=8)
     current = {}
     sample, grad = harness.sample_microbatch, getattr(module, name)
 
     def tracked_sample(net, task, cfg, step, draws=None):
         current["step"] = step
-        return sample(net, task, cfg, step, draws)
+        current["batch"] = sample(net, task, cfg, step, draws)
+        return current["batch"]
 
     def failing_grad(*args, **kwargs):
         if current["step"] == 2:
@@ -320,6 +322,17 @@ def test_failure_inside_update_aborts_with_row(tmp_path, monkeypatch, algo, modu
     assert res.abort_reason.startswith("step 2: FloatingPointError")
     assert [row["step"] for row in res.rows] == [0, 2]
     assert [r["step"] for r in harness.read_metrics_csv(res.csv_path)] == [0, 2]
+    # the row's diagnostics are those of step 2's microbatch and its overlap/2 sample
+    mb = current["batch"]
+    overlap = isopo.draw_overlap_samples(mb, cfg.n_overlap, stream(cfg.seed, "overlap/2"))
+    norms, degenerate = isopo.sequence_fisher_norms(mb, overlap)
+    row = res.rows[1]
+    assert row["mean_reward"] == float(mb.rewards.mean())
+    assert row["degenerate_sequences"] == int(np.count_nonzero(degenerate))
+    for l, sq_norms in enumerate(mb.scored.sq_norms):
+        col = norms[:, l]
+        assert row[f"l{l}_mean_F_norm"] == float(col[~np.isnan(col)].mean())
+        assert row[f"l{l}_mean_grad_norm"] == float(np.mean(np.sqrt(sq_norms)))
 
 
 @pytest.mark.parametrize("algo", ["reinforce", "grpo", "isopo-ni", "isopo-int"])
@@ -406,3 +419,51 @@ def test_aborted_run_recorded_and_excluded(tmp_path, monkeypatch):
         (2, 0, 1),
     ]
     assert all(r[c] == "" for r in agg for c in harness.AGGREGATE_COLUMNS[4:])
+
+
+@pytest.mark.parametrize("algo", ["reinforce", "grpo", "isopo-ni", "isopo-int"])
+@pytest.mark.parametrize("abort_step", [None, 5])
+def test_diagnostics_only_where_read(tmp_path, monkeypatch, algo, abort_step):
+    # the Fisher norms are estimated for isopo-ni's update on every step and
+    # otherwise only for a written row; the batch is summarized only for a row
+    cfg = quick_cfg(algo=algo, steps=7, eval_every=3, seed=1)
+    current, norm_steps, summary_steps = {}, [], []
+    sample, estimate = harness.sample_microbatch, isopo.sequence_fisher_norms
+    summarize, optimizer_step = metrics.batch_summary, baselines.optimizer_step
+
+    def tracked_sample(net, task, cfg, step, draws=None):
+        current["step"] = step
+        return sample(net, task, cfg, step, draws)
+
+    def counted_norms(*args):
+        norm_steps.append(current["step"])
+        return estimate(*args)
+
+    def counted_summary(*args):
+        summary_steps.append(current["step"])
+        return summarize(*args)
+
+    def failing_step(*args):
+        if current["step"] == abort_step:
+            raise FloatingPointError("injected")
+        return optimizer_step(*args)
+
+    monkeypatch.setattr(harness, "sample_microbatch", tracked_sample)
+    monkeypatch.setattr(isopo, "sequence_fisher_norms", counted_norms)
+    monkeypatch.setattr(metrics, "batch_summary", counted_summary)
+    monkeypatch.setattr(baselines, "optimizer_step", failing_step)
+    res = harness.train(cfg, tmp_path / "r")
+    written = [0, 3, 5] if abort_step else [0, 3, 6]
+    assert [row["step"] for row in res.rows] == written
+    assert summary_steps == written
+    every_step = list(range((abort_step or cfg.steps) + 1))
+    assert norm_steps == (every_step if algo == "isopo-ni" else written)
+
+
+@pytest.mark.parametrize("algo", ["reinforce", "grpo", "isopo-ni", "isopo-int"])
+def test_logging_frequency_does_not_change_training(tmp_path, algo):
+    every = harness.train(quick_cfg(algo=algo, steps=10, eval_every=1, seed=6), tmp_path / "e1")
+    fifth = harness.train(quick_cfg(algo=algo, steps=10, eval_every=5, seed=6), tmp_path / "e5")
+    assert every.checkpoint_path.read_bytes() == fifth.checkpoint_path.read_bytes()
+    assert [row["step"] for row in fifth.rows] == [0, 5, 10]
+    assert [row for row in every.rows if row["step"] % 5 == 0] == fifth.rows

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from isopo_lab import policy, tasks
+from isopo_lab import harness, metrics, policy, tasks
+from isopo_lab.config import RunConfig
 from isopo_lab.errors import ContractViolation
 from isopo_lab.rng import stream, uniforms
 
@@ -229,6 +230,38 @@ def test_kl_invariant_to_prompt_ordering(small_net, small_task):
     a = policy.kl_from_reference(small_net, ref, prompts, 40, stream(0, "kl-ord"))
     b = policy.kl_from_reference(small_net, ref, prompts[::-1], 40, stream(0, "kl-ord"))
     assert a == b
+
+
+def two_pass_kl(net, ref, prompts, n_samples, rng):
+    """The MC KL as two teacher-forced passes over the samples, one per policy."""
+    ordered = sorted(prompts, key=lambda p: p.id)
+    features = np.stack([p.features for p in ordered])[np.arange(n_samples) % len(ordered)]
+    u = rng.random((n_samples, policy.seq_len_for(net, features)))
+    tokens = policy.sample(net, features, u)
+    diffs = policy.sequence_logprobs(net, features, tokens) - policy.sequence_logprobs(
+        ref, features, tokens
+    )
+    return math.fsum(diffs) / n_samples
+
+
+@pytest.mark.parametrize("n_samples", [16, 40, metrics.KL_SAMPLES])
+def test_kl_reads_the_sampling_logits_like_a_second_pass(n_samples):
+    task = harness.make_task(RunConfig(task="seqtask"))
+    ref = harness.build_policy(task, 0)
+    net = ref.copy()
+    drift = stream(1, "kl-two-pass-perturb")
+    for w in net.weights:
+        w += 0.3 * drift.standard_normal(w.shape)
+    prompts = task.heldout_prompts[: metrics.KL_PROMPTS]
+    kl = policy.kl_from_reference(net, ref, prompts, n_samples, stream(0, "kl-two-pass"))
+    expected = two_pass_kl(net, ref, prompts, n_samples, stream(0, "kl-two-pass"))
+    if n_samples >= 64:
+        assert kl == expected
+    else:
+        # below 64 rows OpenBLAS takes a small-matrix gemm path whose rounding
+        # differs from the teacher-forced pass's (3 n rows), so the decoding
+        # logits may differ from the second pass's in the last bits
+        assert kl == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_kl_architecture_mismatch(small_net, small_task):
