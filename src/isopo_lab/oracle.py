@@ -7,8 +7,8 @@ oracles exist to test the stochastic estimators and layer-wise preconditioned
 updates against, and are shipped in the library (not in the test tree) so the
 CLI can expose them as a self-check.
 
-Dense solves in this module deliberately go through numpy's LAPACK bindings
-rather than the package's own eigensolver, so the two routes stay independent.
+Dense solves in this module go through numpy's LAPACK LU solve, a route
+independent of the Cholesky solve that training uses.
 """
 
 from __future__ import annotations
@@ -82,21 +82,6 @@ def fisher_quadratic(net: PolicyNet, prompts, v: np.ndarray) -> float:
         probs, g = enumerate_scored_outputs(net, prompt)
         total += math.fsum(probs * (g @ v) ** 2)
     return total / len(prompts)
-
-
-def layer_moments(net: PolicyNet, prompts, layer: int) -> tuple[np.ndarray, float]:
-    """Exact (F_layer, E|grad_layer|^2) for one layer by enumeration."""
-    _check_budget(net, prompts)
-    start = sum(w.size for w in net.weights[:layer])
-    size = net.weights[layer].size
-    fisher = np.zeros((size, size))
-    mean_sq = 0.0
-    for prompt in prompts:
-        prob, grads = enumerate_scored_outputs(net, prompt)
-        g = grads[:, start : start + size]
-        fisher += (g * prob[:, None]).T @ g
-        mean_sq += float(prob @ np.sum(g * g, axis=1))
-    return fisher / len(prompts), mean_sq / len(prompts)
 
 
 def exact_npg(fisher: np.ndarray, g: np.ndarray, damping: float) -> np.ndarray:

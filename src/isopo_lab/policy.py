@@ -334,13 +334,16 @@ def kl_from_reference(
     estimate does not depend on the order the prompts are passed in. Sample
     i uses row i of one ``rng.random((n_samples, T))`` draw. ``net``'s
     log-probabilities come from the logits the samples were drawn from;
-    ``ref`` scores the samples in one teacher-forced pass.
+    ``ref`` scores the samples in one teacher-forced pass. Policies with
+    equal weights give exactly 0.0, however the two passes round.
     """
     if [w.shape for w in net.weights] != [w.shape for w in ref.weights]:
         raise ContractViolation("policies must share an architecture")
     ordered = sorted(prompts, key=lambda p: p.id)
     if not ordered:
         raise ContractViolation("need at least one prompt")
+    if all(np.array_equal(w, r) for w, r in zip(net.weights, ref.weights)):
+        return 0.0
     features = np.stack([p.features for p in ordered])[np.arange(n_samples) % len(ordered)]
     u = rng.random((n_samples, seq_len_for(net, features)))
     tokens, logits = _sample_decode(net, features, u)

@@ -1,8 +1,21 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
+1. gradient exactness against central differences, every layer
+2. the factor-form Fisher-norm estimator equals materialized matrices
+3. the layer-NTK update equals a flattened dense solve
+4. p = -1 rescaled gradients have unit Fisher-norm estimate
+5. A|v|^2/|v|_F^2 strictly minimizes the exact-Fisher objective
+6. definitional degeneracies: identity rescaling and rho = 1 GRPO equal
+   REINFORCE, and a huge Tikhonov c turns the NTK update into the vanilla one
+7. the layer-NTK update is closer to the exact natural gradient than the
+   vanilla gradient
+8. desk-scale 5-seed comparison: ISOPO validation >= REINFORCE, and p = -1
+   moves less KL than q = -1
+9. identical config and seed give byte-identical CSVs
+
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines. The full-system comparison in criterion 8 trains 15 small runs and
-dominates the suite's runtime (a few minutes on one CPU core).
+lines. Criterion 8 trains 15 small runs and dominates the suite's runtime
+(about 7 s on one CPU core).
 """
 
 from __future__ import annotations
@@ -292,35 +305,3 @@ def test_criterion_09_determinism(tmp_path):
     b = harness.train(cfg, tmp_path / "b")
     identical = a.csv_path.read_bytes() == b.csv_path.read_bytes()
     report(9, "identical config+seed give byte-identical CSVs", identical)
-
-
-def test_criterion_10_eigensolver():
-    from isopo_lab.linalg import sym_eigh
-
-    start = time.time()
-    rng = np.random.default_rng(123)
-    sizes = [2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48, 56, 64]
-    worst_rec = 0.0
-    for k in range(1000):
-        n = sizes[k % len(sizes)]
-        m = rng.standard_normal((n, n))
-        m = m + m.T
-        eig = sym_eigh(m)
-        rec = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.T
-        worst_rec = max(worst_rec, float(np.linalg.norm(rec - m) / np.linalg.norm(m)))
-    worst_gram = 0.0
-    for k in range(50):
-        n = sizes[k % len(sizes)]
-        j = rng.standard_normal((n, max(1, n // 2)))
-        gram = j @ j.T
-        eig = sym_eigh(0.5 * (gram + gram.T))
-        worst_gram = max(
-            worst_gram, -float(eig.eigenvalues.min()) / float(np.linalg.norm(gram))
-        )
-    elapsed = time.time() - start
-    report(
-        10,
-        "Jacobi eigensolver: 1000-matrix reconstruction and Gram nonnegativity",
-        worst_rec <= 1e-8 and worst_gram <= 1e-10,
-        f"worst recon {worst_rec:.2e}, worst gram deficit {worst_gram:.2e}, {elapsed:.0f}s",
-    )

@@ -203,6 +203,12 @@ def test_kl_identical_nets_is_exactly_zero(small_net, small_task):
         small_net, small_net.copy(), small_task.heldout_prompts[:3], 32, stream(0, "kl")
     )
     assert kl == 0.0
+    # default seqtask policy: its 24-row decoding gemm and 72-row scoring gemm
+    # need not round alike
+    task = tasks.SeqAdditionTask(modulus=16, seq_len=3)
+    net = harness.build_policy(task, 0)
+    prompts = task.heldout_prompts[:16]
+    assert policy.kl_from_reference(net, net.copy(), prompts, 24, stream(0, "kl/0")) == 0.0
 
 
 def test_kl_matches_closed_form_categorical():
