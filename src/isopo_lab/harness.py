@@ -28,7 +28,10 @@ per-layer Fisher norm and summarizes the batch. Only isopo-ni's update reads
 the norms, so it estimates them on every step; the other algorithms do so
 only on steps that write a row (the aborting step after its failure, from
 its unchanged microbatch), and the batch is summarized only for a written
-row. Skipping a step's diagnostics changes no other step.
+row. Skipping a step's diagnostics changes no other step. Each row's
+``kl_from_init`` is read against the initial policy's table of the KL
+prompts, which ``train`` builds once, before the first step
+(``metrics.reference_table``), so no copy of the initial weights is kept.
 """
 
 from __future__ import annotations
@@ -196,7 +199,7 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
     out.mkdir(parents=True, exist_ok=True)
 
     net = build_policy(task, cfg.seed)
-    init_net = net.copy()
+    kl_ref = metrics.reference_table(net, task)
     optimizer = baselines.OptimizerState(cfg.optimizer, cfg.lr)
     rescale_params = isopo.RescalingParams(
         cfg.p, cfg.q, cfg.r, cfg.reg_strength, isopo.RegEmaState(cfg.ema_decay)
@@ -223,7 +226,7 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
             summary = metrics.batch_summary(
                 microbatch, norms, int(np.count_nonzero(degenerate)), cfg.algo
             )
-            rows.append(metrics.collect(step, net, init_net, task, summary, cfg.seed, cfg.algo))
+            rows.append(metrics.collect(step, net, kl_ref, task, summary, cfg.seed, cfg.algo))
         if aborted:
             break
 

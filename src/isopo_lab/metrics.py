@@ -19,6 +19,12 @@ followed, for each layer l of the policy, by
                          ``isopo.mean_ntk_eigenvalue``, which also sets
                          interacting ISOPO's Tikhonov constant
 
+``kl_from_init`` is a ``KL_SAMPLES``-sample Monte Carlo KL of the current
+policy from the initial one over the first ``KL_PROMPTS`` heldout prompts.
+The initial policy never changes, so ``harness.train`` builds its table of
+those prompts once (``reference_table``), and a row's KL costs one forward,
+the current policy's table.
+
 ``batch_summary`` runs only for a row that is written. Every |V_b|^2 comes
 from ``Scored.sq_norms``, which the step's Fisher-norm estimate already
 computed from the position factors. ``step``, ``seed``
@@ -32,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .isopo import mean_ntk_eigenvalue
-from .policy import PolicyNet, kl_from_reference
+from .policy import ContextTable, PolicyNet, kl_from_reference, kl_reference
 from .rng import stream
 from .tasks import validation_score
 
@@ -71,10 +77,19 @@ def batch_summary(microbatch, fisher_norms, degenerate_count: int, algo: str) ->
     return summary
 
 
+def reference_table(init_net: PolicyNet, task) -> ContextTable:
+    """The initial policy's table of the KL prompts, ``collect``'s ``ref``.
+
+    The initial policy never changes, so ``harness.train`` builds it once
+    per run, and each row's KL costs one ``forward``, of the current policy.
+    """
+    return kl_reference(init_net, task.heldout_prompts[:KL_PROMPTS])
+
+
 def collect(
     step: int,
     net: PolicyNet,
-    init_net: PolicyNet,
+    ref: PolicyNet | ContextTable,
     task,
     summary: dict,
     seed: int,
@@ -82,14 +97,15 @@ def collect(
 ) -> dict:
     """One metrics row; never mutates the policy.
 
-    The KL estimate uses its own stream derived from (run seed, step) so the
-    value at a given step does not depend on how much randomness earlier
-    steps consumed.
+    ``kl_from_init`` is the KL from ``ref``: the initial policy, or its
+    ``reference_table``. The KL estimate uses its own stream derived from
+    (run seed, step) so the value at a given step does not depend on how
+    much randomness earlier steps consumed.
     """
     heldout = task.heldout_prompts
     validation = validation_score(net, heldout)
     kl_rng = stream(seed, f"kl/{step}")
-    kl = kl_from_reference(net, init_net, heldout[:KL_PROMPTS], KL_SAMPLES, kl_rng)
+    kl = kl_from_reference(net, ref, heldout[:KL_PROMPTS], KL_SAMPLES, kl_rng)
     row = {
         "step": step,
         "algo": algo,

@@ -9,19 +9,36 @@ position ``t`` of a sequence is
 and the final layer produces one logit per vocabulary token.
 
 A batch of B sequences of length T is held as arrays, never as per-position
-objects. ``forward`` maps inputs of any leading shape, so teacher-forced
-scoring runs the whole (B, T) grid at once, and sampling and greedy decoding
-loop only over the T autoregressive positions, each step batched over B.
-Sampling takes its randomness as an array of uniforms (B, T), one row per
-sequence; the caller derives the rows (``rng.uniforms``), so no generator
-enters this module's sampling path. Decoding keeps the logits (B, T, vocab)
-it chose each token from, and ``kl_from_reference`` reads the sampled
-sequences' log-probabilities off them; only the reference policy scores the
-sequences by teacher forcing. For the eval rows' 256 sequences this equals
-scoring them again bit for bit: OpenBLAS rounds each row of a gemm of 64 or
-more rows the same way, whether it has 256 rows (one decoding step) or 768
-(all positions). Below 64 rows its small-matrix path may round the last bits
-differently.
+objects, and ``forward`` maps inputs of any leading shape. The input at
+position t is fixed by the prompt, t and the previous token alone, so the
+policy is first-order Markov: a prompt presents only 1 + (T - 1) V distinct
+contexts, position 0 and every (t >= 1, previous token) pair.
+``context_table`` runs one ``forward`` over all of them for P prompts,
+P (1 + (T - 1) V) rows, keeping the logits and the layer inputs.
+
+``sample_and_score`` builds one table for the microbatch's prompts (rows
+of ``features`` equal to the row before them, as the G rows of a group are,
+share an entry), draws each position's token from the CDF row of its
+context, and gathers the logits and layer inputs of the sampled contexts
+for the backward pass, which teacher-forced ``score`` shares; there is no
+second forward. ``kl_from_reference`` samples from the policy's table of
+the KL prompts and reads both policies' log-probabilities off their tables,
+so a run builds the reference policy's table once. Sampling takes its
+randomness as an array of uniforms (B, T), one row per sequence; the caller
+derives the rows (``rng.uniforms``), so no generator enters this module's
+sampling path.
+
+The table costs P (1 + (T - 1) V) rows against 2 B T for decoding the
+sequences position by position and then scoring them: 132 against 192 for a
+default seqtask microbatch (P = 4 prompts, B = 32, T = 3, V = 16), in one
+pass instead of T + 1, and 528 against 1536 for the eval KL's 256 samples
+over 16 prompts. It pays when groups share prompts. ``greedy`` decodes
+position by position, since validation's 54 prompts with one sequence each
+would need 1782 table rows against 162 decoded, and GRPO re-scores its
+fixed batch by teacher forcing (96 rows against a 132-row table). Every
+gemm of the seqtask tables has 64 rows or more, where OpenBLAS rounds each
+row the same way at any row count, so a gathered row equals the one a
+teacher-forced pass computes bit for bit.
 
 Sampled tokens are discrete, so a sequence's log-probability is a sum over
 positions and its gradient with respect to layer l's weights is a sum of
@@ -49,7 +66,7 @@ case for the bias column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -242,55 +259,38 @@ def _contexts(net: PolicyNet, features, tokens) -> np.ndarray:
     return x
 
 
-def _decode(net: PolicyNet, features, choose) -> tuple[np.ndarray, np.ndarray]:
-    """Tokens (B, T) chosen position by position by ``choose(logits, t)``, and
-    the logits (B, T, vocab) each position's choice was made from."""
+def greedy(net: PolicyNet, features) -> np.ndarray:
+    """Argmax decoding (B, T) for prompt features (B, F), position by position; deterministic."""
     features = np.asarray(features, dtype=float)
     tokens = np.zeros((features.shape[0], seq_len_for(net, features)), dtype=np.int64)
-    logits = np.empty(tokens.shape + (net.vocab_size,))
     x = _contexts(net, features, tokens)
     for t in range(tokens.shape[1]):
         if t:  # the previous-token block of position t, now that it is known
             x[:, t, : net.vocab_size] = np.eye(net.vocab_size)[tokens[:, t - 1]]
-        step_logits, _ = forward(net, x[:, t])
-        logits[:, t] = step_logits
-        tokens[:, t] = choose(step_logits, t)
-    return tokens, logits
+        tokens[:, t] = np.argmax(forward(net, x[:, t])[0], axis=-1)
+    return tokens
 
 
-def _sample_decode(net: PolicyNet, features, u) -> tuple[np.ndarray, np.ndarray]:
-    """``sample``'s tokens (B, T) with the logits (B, T, vocab) they were drawn from."""
-    u = np.asarray(u, dtype=float)
-    features = np.asarray(features, dtype=float)
-    if u.shape != (features.shape[0], seq_len_for(net, features)):
-        raise ContractViolation(f"uniforms shape {u.shape} does not match (B, T)")
-
-    def choose(logits, t):
-        cdf = np.cumsum(softmax(logits), axis=-1)
-        return np.minimum(np.sum(cdf <= u[:, t, None], axis=-1), net.vocab_size - 1)
-
-    return _decode(net, features, choose)
-
-
-def sample(net: PolicyNet, features, u) -> np.ndarray:
-    """Draw token sequences (B, T) from the policy for prompt features (B, F).
-
-    Row b's token at position t is the number of entries of the policy's
-    cumulative distribution at or below ``u[b, t]``, capped at vocab - 1, so
-    each sequence depends only on its own row of uniforms.
-    """
-    return _sample_decode(net, features, u)[0]
-
-
-def greedy(net: PolicyNet, features) -> np.ndarray:
-    """Argmax decoding (B, T) for prompt features (B, F); deterministic."""
-    return _decode(net, features, lambda logits, t: np.argmax(logits, axis=-1))[0]
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - np.max(logits, axis=-1, keepdims=True)
+    return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
 
 
 def _token_logprobs(logits: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    logp = z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
-    return np.take_along_axis(logp, tokens[..., None], axis=-1)[..., 0]
+    return np.take_along_axis(_log_softmax(logits), tokens[..., None], axis=-1)[..., 0]
+
+
+def _backward(net: PolicyNet, logits, act_in, tokens) -> Scored:
+    """``Scored`` of sequences (B, T) from their positions' logits (B, T, vocab)
+    and bias-augmented layer inputs (B, T, in + 1)."""
+    # d log softmax(z)[token] / dz = onehot(token) - softmax(z)
+    g = np.eye(net.vocab_size)[tokens] - softmax(logits)
+    grad_out = [g]
+    for l in range(net.n_layers - 1, 0, -1):
+        h = act_in[l][..., :-1]
+        g = (g @ net.weights[l][:, :-1]) * (1.0 - h * h)
+        grad_out.insert(0, g)
+    return Scored(_token_logprobs(logits, tokens).sum(axis=1), act_in, grad_out)
 
 
 def sequence_logprobs(net: PolicyNet, features, tokens) -> np.ndarray:
@@ -304,26 +304,133 @@ def score(net: PolicyNet, features, tokens) -> Scored:
     """Teacher-forced log-probabilities and gradients of token sequences (B, T)."""
     tokens = np.asarray(tokens)
     logits, act_in = forward(net, _contexts(net, features, tokens))
-    # d log softmax(z)[token] / dz = onehot(token) - softmax(z)
-    g = np.eye(net.vocab_size)[tokens] - softmax(logits)
-    grad_out = [g]
-    for l in range(net.n_layers - 1, 0, -1):
-        h = act_in[l][..., :-1]
-        g = (g @ net.weights[l][:, :-1]) * (1.0 - h * h)
-        grad_out.insert(0, g)
-    return Scored(_token_logprobs(logits, tokens).sum(axis=1), act_in, grad_out)
+    return _backward(net, logits, act_in, tokens)
+
+
+@dataclass
+class ContextTable:
+    """A policy's logits and layer inputs at every context of P prompts.
+
+    Entry ``[p, r]`` of ``logits`` (P, R, vocab) and of every ``act_in[l]``
+    (P, R, in + 1) belongs to prompt p (``features[p]``) in context r:
+    r = 0 is position 0, and r = 1 + (t - 1) vocab + prev is position t >= 1
+    after token ``prev``, so R = 1 + (T - 1) vocab. A sequence b of prompt
+    ``which[b]`` reads row ``which[b]`` at the contexts its tokens select.
+    """
+
+    features: np.ndarray  # (P, F)
+    logits: np.ndarray  # (P, R, vocab)
+    act_in: list[np.ndarray]  # per layer (P, R, in_dim + 1)
+
+    @property
+    def seq_len(self) -> int:
+        return (self.logits.shape[1] - 1) // self.logits.shape[2] + 1
+
+    @cached_property
+    def _logp(self) -> np.ndarray:
+        return _log_softmax(self.logits)
+
+    def _index(self, which, tokens) -> tuple[np.ndarray, np.ndarray]:
+        """Index pair selecting the (B, T) entries sequences ``tokens`` of
+        prompts ``which`` read."""
+        vocab = self.logits.shape[-1]
+        rows = np.zeros(tokens.shape, dtype=np.int64)
+        rows[:, 1:] = 1 + vocab * np.arange(tokens.shape[1] - 1) + tokens[:, :-1]
+        return np.asarray(which)[:, None], rows
+
+    def sample(self, which, u) -> np.ndarray:
+        """Tokens (B, T) of sequences of prompts ``which`` (B,) from uniforms (B, T).
+
+        The token at position t is the number of entries of its context's
+        cumulative distribution at or below ``u[b, t]``, capped at vocab - 1,
+        so each sequence depends only on its own row of uniforms.
+        """
+        u = np.asarray(u, dtype=float)
+        vocab = self.logits.shape[-1]
+        if u.shape != (len(which), self.seq_len):
+            raise ContractViolation(f"uniforms shape {u.shape} does not match (B, T)")
+        cdf = np.cumsum(softmax(self.logits), axis=-1)
+        tokens = np.zeros(u.shape, dtype=np.int64)
+        rows = np.zeros(len(u), dtype=np.int64)
+        for t in range(u.shape[1]):
+            if t:
+                rows = 1 + (t - 1) * vocab + tokens[:, t - 1]
+            below = cdf[which, rows] <= u[:, t, None]
+            tokens[:, t] = np.minimum(np.sum(below, axis=-1), vocab - 1)
+        return tokens
+
+    def logprobs(self, which, tokens) -> np.ndarray:
+        """Log-probabilities (B,) of sequences ``tokens`` (B, T) of prompts ``which``."""
+        index = self._index(which, tokens)
+        return self._logp[index + (tokens,)].sum(axis=1)
+
+    def score(self, net: PolicyNet, which, tokens) -> Scored:
+        """``score`` of sequences ``tokens`` of prompts ``which``, from the
+        entries they read; ``net`` must be the policy the table was built from."""
+        if len(self.act_in) != net.n_layers:
+            raise ContractViolation("table holds no layer inputs of this policy")
+        index = self._index(which, tokens)
+        return _backward(net, self.logits[index], [a[index] for a in self.act_in], tokens)
+
+
+def context_table(net: PolicyNet, prompt_features) -> ContextTable:
+    """The ``ContextTable`` of prompts (P, F): one ``forward`` over P (1 + (T - 1) V) rows."""
+    features = np.asarray(prompt_features, dtype=float)
+    seq_len = seq_len_for(net, features)
+    if features.ndim != 2:
+        raise ContractViolation(f"prompt features {features.shape} are not (P, F)")
+    v = net.vocab_size
+    n_rows = 1 + (seq_len - 1) * v
+    x = np.zeros((len(features), n_rows, net.context_dim))
+    x[:, 1:, :v] = np.tile(np.eye(v), (seq_len - 1, 1))
+    position = np.concatenate([[0], np.repeat(np.arange(1, seq_len), v)])
+    x[:, np.arange(n_rows), v + position] = 1.0
+    x[:, :, v + seq_len :] = features[:, None, :]
+    logits, act_in = forward(net, x)
+    return ContextTable(features, logits, act_in)
+
+
+def _prompt_table(net: PolicyNet, features) -> tuple[ContextTable, np.ndarray]:
+    """The table of the prompts of sequences (B, F), one entry per run of equal
+    rows, and each sequence's entry (B,)."""
+    features = np.asarray(features, dtype=float)
+    new = np.ones(len(features), dtype=bool)
+    new[1:] = np.any(features[1:] != features[:-1], axis=-1)
+    return context_table(net, features[new]), np.cumsum(new) - 1
+
+
+def sample(net: PolicyNet, features, u) -> np.ndarray:
+    """Draw token sequences (B, T) from the policy for prompt features (B, F)
+    and uniforms ``u`` (B, T), by ``ContextTable.sample``'s rule."""
+    table, which = _prompt_table(net, features)
+    return table.sample(which, u)
 
 
 def sample_and_score(net: PolicyNet, features, u) -> tuple[np.ndarray, Scored]:
     """Sample sequences (B, T) for prompt features (B, F) from uniforms ``u``
-    (B, T), as ``sample`` does, and score them."""
-    tokens = sample(net, features, u)
-    return tokens, score(net, features, tokens)
+    (B, T), as ``sample`` does, and score them off the same table."""
+    table, which = _prompt_table(net, features)
+    tokens = table.sample(which, u)
+    return tokens, table.score(net, which, tokens)
+
+
+def kl_reference(ref: PolicyNet, prompts) -> ContextTable:
+    """``ref``'s table of ``prompts`` in sorted-id order, which
+    ``kl_from_reference`` accepts in place of ``ref`` for the same prompts.
+
+    It keeps no layer inputs, which only scoring reads, so a table kept for a
+    whole run holds just its logits.
+    """
+    ordered = sorted(prompts, key=lambda p: p.id)
+    if not ordered:
+        raise ContractViolation("need at least one prompt")
+    table = context_table(ref, np.stack([p.features for p in ordered]))
+    return replace(table, act_in=[])
 
 
 def kl_from_reference(
     net: PolicyNet,
-    ref: PolicyNet,
+    ref: PolicyNet | ContextTable,
     prompts,
     n_samples: int,
     rng: np.random.Generator,
@@ -332,23 +439,24 @@ def kl_from_reference(
 
     Samples are allocated round-robin over prompts in sorted-id order, so the
     estimate does not depend on the order the prompts are passed in. Sample
-    i uses row i of one ``rng.random((n_samples, T))`` draw. ``net``'s
-    log-probabilities come from the logits the samples were drawn from;
-    ``ref`` scores the samples in one teacher-forced pass. Policies with
-    equal weights give exactly 0.0, however the two passes round.
+    i uses row i of one ``rng.random((n_samples, T))`` draw. Both policies'
+    log-probabilities are read off their tables of the prompts, built by the
+    same ``forward`` over the same rows, so policies with equal weights give
+    exactly 0.0. ``ref`` is the reference policy or its ``kl_reference`` table
+    of the same prompts, which repeated estimates against one policy share.
     """
-    if [w.shape for w in net.weights] != [w.shape for w in ref.weights]:
-        raise ContractViolation("policies must share an architecture")
-    ordered = sorted(prompts, key=lambda p: p.id)
-    if not ordered:
-        raise ContractViolation("need at least one prompt")
-    if all(np.array_equal(w, r) for w, r in zip(net.weights, ref.weights)):
-        return 0.0
-    features = np.stack([p.features for p in ordered])[np.arange(n_samples) % len(ordered)]
-    u = rng.random((n_samples, seq_len_for(net, features)))
-    tokens, logits = _sample_decode(net, features, u)
-    logprobs = _token_logprobs(logits, tokens).sum(axis=1)
-    return math.fsum(logprobs - sequence_logprobs(ref, features, tokens)) / n_samples
+    if isinstance(ref, PolicyNet):
+        if [w.shape for w in net.weights] != [w.shape for w in ref.weights]:
+            raise ContractViolation("policies must share an architecture")
+        ref = kl_reference(ref, prompts)
+    table = kl_reference(net, prompts)
+    if table.logits.shape != ref.logits.shape or not np.array_equal(
+        table.features, ref.features
+    ):
+        raise ContractViolation("reference table is not of these prompts and this architecture")
+    which = np.arange(n_samples) % len(table.features)
+    tokens = table.sample(which, rng.random((n_samples, table.seq_len)))
+    return math.fsum(table.logprobs(which, tokens) - ref.logprobs(which, tokens)) / n_samples
 
 
 def save_checkpoint(net: PolicyNet, path) -> None:

@@ -94,6 +94,134 @@ def test_kl_from_reference_pinned():
     assert kl == pytest.approx(PINNED_KL, rel=1e-12, abs=0)
 
 
+# Every row of a 20-step default seqtask run (seed 0, eval_every 5), as the
+# values of its columns other than algo, task and seed, in CSV order; recorded
+# when sampling decoded position by position, training re-scored the sampled
+# batch by teacher forcing and the eval KL ran the reference's own pass
+PINNED_ROWS = {
+    "reinforce": [
+        (
+            0, 0.07291666666666666, 0.0, 0.0, 0, 0.2237289930981002, 1.1893758812127062,
+            0.2964362433906842, 1.2760442345998055, 0.42608026234611884,
+            1.807105178459847,
+        ),
+        (
+            5, 0.08333333333333333, 0.0, -0.0003432759732226037, 0, 0.23498757660576916,
+            1.224239435795969, 0.31450909777799296, 1.3209881438646167,
+            0.46199372666832494, 1.8529171982674346,
+        ),
+        (
+            10, 0.09375, 0.0, -0.000259148953467854, 0, 0.21226242631537956,
+            1.1918860296720875, 0.2888539811153691, 1.2841324649551713,
+            0.434088376110464, 1.8237530546067728,
+        ),
+        (
+            15, 0.020833333333333332, 0.0, 0.0002571015808559285, 0,
+            0.20263684487808542, 1.166667514437557, 0.2744919806319596,
+            1.2379815980158648, 0.42565716644898366, 1.8189030424446704,
+        ),
+        (
+            20, 0.07291666666666666, 0.0, 0.00044856841968007877, 0, 0.2113016725336602,
+            1.188038224234489, 0.28383413998614304, 1.2440334075666668,
+            0.4282148972325701, 1.8026287448320528,
+        ),
+    ],
+    "grpo": [
+        (
+            0, 0.07291666666666666, 0.0, 0.0, 0, 0.2237289930981002, 1.1893758812127062,
+            0.2964362433906842, 1.2760442345998055, 0.42608026234611884,
+            1.807105178459847,
+        ),
+        (
+            5, 0.08333333333333333, 0.0, -0.0012841028847902919, 0, 0.23746032570292686,
+            1.2325168430583422, 0.3149425694295157, 1.3226567025154796,
+            0.4619562522330851, 1.8559822935547503,
+        ),
+        (
+            10, 0.09375, 0.0, -1.5279272605230043e-05, 0, 0.2176737373751391,
+            1.2130210376997668, 0.29293695101269035, 1.2932132530738514,
+            0.4377016141555755, 1.8335981514362458,
+        ),
+        (
+            15, 0.041666666666666664, 0.0, 0.006200941316225873, 0, 0.21336323183105543,
+            1.2149056927070807, 0.2839450600844503, 1.274532218222918,
+            0.4361685104857624, 1.8716031685552443,
+        ),
+        (
+            20, 0.08333333333333333, 0.0, 0.0002917625574571925, 0, 0.23203209653662868,
+            1.247381492040406, 0.3122157178535314, 1.303998667491614,
+            0.45267277866267375, 1.8791099197857224,
+        ),
+    ],
+    "isopo-ni": [
+        (
+            0, 0.07291666666666666, 0.0, 0.0, 0, 0.2237289930981002, 1.1893758812127062,
+            0.2964362433906842, 1.2760442345998055, 0.42608026234611884,
+            1.807105178459847,
+        ),
+        (
+            5, 0.08333333333333333, 0.0, -0.00045583002889094254, 0, 0.2350668659018948,
+            1.2244836415146063, 0.31453507527008623, 1.3210934029177601,
+            0.461977696845023, 1.8528939210035549,
+        ),
+        (
+            10, 0.09375, 0.0, -0.00016634927329829685, 0, 0.2122613168302838,
+            1.191955135910509, 0.2888740187588898, 1.2842492373039098,
+            0.4340379176546387, 1.8239585532682157,
+        ),
+        (
+            15, 0.020833333333333332, 0.0, 0.00013853942993142382, 0,
+            0.20272656094759656, 1.1671692602180548, 0.27451746445417136,
+            1.2381993701552594, 0.42566356779341114, 1.819250627876098,
+        ),
+        (
+            20, 0.07291666666666666, 0.0, 0.00023828133527394046, 0,
+            0.21145892581327297, 1.1884503726218505, 0.28389083948586974,
+            1.2444787589620752, 0.4281763770695351, 1.802543797199827,
+        ),
+    ],
+    "isopo-int": [
+        (
+            0, 0.07291666666666666, 0.0, 0.0, 0, 0.2237289930981002, 1.1893758812127062,
+            1.4293925031055934, 0.2964362433906842, 1.2760442345998055,
+            1.6576472760851046, 0.42608026234611884, 1.807105178459847,
+            3.3039132765239305,
+        ),
+        (
+            5, 0.08333333333333333, 0.0, -0.0002318557479522726, 0, 0.23509124160659922,
+            1.2246237654674252, 1.5281740325534052, 0.3145079690470842,
+            1.321260630341178, 1.7720650439063297, 0.4619581843207444,
+            1.8528514661879847, 3.4790248686908587,
+        ),
+        (
+            10, 0.09375, 0.0, -0.000300874516135724, 0, 0.2122139284144782,
+            1.1922074948748946, 1.4341316529937738, 0.2888823041470459,
+            1.2847483429403082, 1.6768453406053494, 0.43394442706511416,
+            1.823492334911865, 3.368548459577932,
+        ),
+        (
+            15, 0.020833333333333332, 0.0, 0.0005978154777106469, 0, 0.2028680031806399,
+            1.1672977441180037, 1.3764652291551327, 0.2742609284237967,
+            1.238032959206725, 1.5659424408159528, 0.4253032448746157,
+            1.8186807426534586, 3.3464828599839995,
+        ),
+        (
+            20, 0.07291666666666666, 0.0, -0.00022915147556081678, 0, 0.212684383821016,
+            1.19064317457527, 1.4291857683537468, 0.28153599943746477,
+            1.2402379980061462, 1.549528092973759, 0.42566058153884156,
+            1.80104727731903, 3.2695469056841433,
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("algo", sorted(PINNED_ROWS))
+def test_eval_rows_pinned(tmp_path, algo):
+    res = harness.train(RunConfig(algo=algo, steps=20, eval_every=5, seed=0), tmp_path / "r")
+    kept = [[v for k, v in row.items() if k not in ("algo", "task", "seed")] for row in res.rows]
+    assert kept == [pytest.approx(list(row), rel=1e-9, abs=0) for row in PINNED_ROWS[algo]]
+
+
 def test_rewards_are_pure_task_rewards(tmp_path):
     # the reward column must equal the task verifier's output, with no KL term
     cfg = quick_cfg(algo="isopo-ni", p=-1.0, steps=3, eval_every=1, seed=7)
@@ -458,6 +586,44 @@ def test_diagnostics_only_where_read(tmp_path, monkeypatch, algo, abort_step):
     assert summary_steps == written
     every_step = list(range((abort_step or cfg.steps) + 1))
     assert norm_steps == (every_step if algo == "isopo-ni" else written)
+
+
+@pytest.mark.parametrize("algo", ["reinforce", "grpo", "isopo-ni", "isopo-int"])
+def test_one_forward_per_sampled_batch_and_kl(tmp_path, monkeypatch, algo):
+    # a sampled microbatch costs one forward (its context table), a row's KL
+    # one more (the current policy's table), and the initial policy's table is
+    # built once per run; greedy validation decodes position by position and
+    # GRPO re-scores its batch by teacher forcing after the first epoch
+    cfg = quick_cfg(algo=algo, steps=7, eval_every=3, seed=1)
+    active, counts = ["other"], dict.fromkeys(["sample", "kl", "reference", "other"], 0)
+    forward = policy.forward
+
+    def counted_forward(*args):
+        counts[active[-1]] += 1
+        return forward(*args)
+
+    def tracked(name, fn):
+        def run(*args):
+            active.append(name)
+            try:
+                return fn(*args)
+            finally:
+                active.pop()
+
+        return run
+
+    monkeypatch.setattr(policy, "forward", counted_forward)
+    monkeypatch.setattr(harness, "sample_microbatch", tracked("sample", harness.sample_microbatch))
+    monkeypatch.setattr(metrics, "kl_from_reference", tracked("kl", metrics.kl_from_reference))
+    monkeypatch.setattr(metrics, "reference_table", tracked("reference", metrics.reference_table))
+    res = harness.train(cfg, tmp_path / "r")
+    rescoring = cfg.steps * (cfg.inner_epochs - 1) if algo == "grpo" else 0
+    assert counts == {
+        "sample": cfg.steps + 1,
+        "kl": len(res.rows),
+        "reference": 1,
+        "other": len(res.rows) * harness.make_task(cfg).seq_len + rescoring,
+    }
 
 
 @pytest.mark.parametrize("algo", ["reinforce", "grpo", "isopo-ni", "isopo-int"])

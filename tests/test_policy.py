@@ -146,6 +146,63 @@ def test_score_rows_match_scoring_each_alone(small_net, small_task):
             assert np.allclose(g[b], ga[0], rtol=1e-13, atol=1e-15)
 
 
+def assert_scored_equal(got, expected, rel):
+    pairs = [(got.logprobs, expected.logprobs)]
+    pairs += list(zip(got.act_in, expected.act_in)) + list(zip(got.grad_out, expected.grad_out))
+    for a, b in pairs:
+        assert a.shape == b.shape
+        if rel == 0:
+            assert np.array_equal(a, b)
+        else:
+            assert np.allclose(a, b, rtol=rel, atol=0)
+
+
+def test_table_scores_like_teacher_forcing():
+    # every gemm of a default seqtask microbatch has 64 rows or more (132 in the
+    # table, 96 teacher-forced), which OpenBLAS rounds row by row alike
+    cfg = RunConfig(seed=0)
+    task = harness.make_task(cfg)
+    net = harness.build_policy(task, cfg.seed)
+    for step in (0, 1):
+        mb = harness.sample_microbatch(net, task, cfg, step)
+        assert_scored_equal(mb.scored, policy.score(net, mb.features, mb.tokens), rel=0)
+
+
+def test_table_scores_like_teacher_forcing_small_net(small_net, microbatch):
+    expected = policy.score(small_net, microbatch.features, microbatch.tokens)
+    assert_scored_equal(microbatch.scored, expected, rel=1e-12)
+
+
+def test_context_table_rows(small_net, small_task):
+    # entry [p, r] is the forward of prompt p's context r: position 0, or
+    # position t after token prev at r = 1 + (t - 1) V + prev
+    prompts = small_task.train_prompts[:3]
+    features = np.stack([p.features for p in prompts])
+    table = policy.context_table(small_net, features)
+    v, seq_len = small_net.vocab_size, small_task.seq_len
+    assert table.logits.shape == (3, 1 + (seq_len - 1) * v, v)
+    assert table.seq_len == seq_len
+    for prev in range(v):
+        tokens = np.array([[prev, 0]] * 3)
+        logits, act_in = policy.forward(small_net, policy._contexts(small_net, features, tokens))
+        assert np.allclose(table.logits[:, 0], logits[:, 0], rtol=1e-14, atol=1e-15)
+        assert np.allclose(table.logits[:, 1 + prev], logits[:, 1], rtol=1e-14, atol=1e-15)
+        assert np.array_equal(table.act_in[0][:, 1 + prev], act_in[0][:, 1])
+        for a, b in zip(table.act_in, act_in):
+            assert np.allclose(a[:, 1 + prev], b[:, 1], rtol=1e-14, atol=1e-15)
+
+
+def test_reference_table_must_match_the_prompts(small_net, small_task):
+    prompts = small_task.heldout_prompts[:4]
+    ref = policy.kl_reference(small_net, prompts)
+    kl = policy.kl_from_reference(small_net, ref, prompts[::-1], 40, stream(0, "kl-table"))
+    assert kl == 0.0
+    with pytest.raises(ContractViolation):
+        policy.kl_from_reference(small_net, ref, prompts[:3], 40, stream(0, "kl-table"))
+    with pytest.raises(ContractViolation):  # kept for the KL, it cannot score
+        ref.score(small_net, np.zeros(1, dtype=np.int64), np.zeros((1, 2), dtype=np.int64))
+
+
 def test_backward_matches_finite_differences(small_net, small_task):
     prompt = small_task.train_prompts[0]
     tokens, scored = sample_one(small_net, prompt, 0, "fd")
@@ -203,8 +260,8 @@ def test_kl_identical_nets_is_exactly_zero(small_net, small_task):
         small_net, small_net.copy(), small_task.heldout_prompts[:3], 32, stream(0, "kl")
     )
     assert kl == 0.0
-    # default seqtask policy: its 24-row decoding gemm and 72-row scoring gemm
-    # need not round alike
+    # default seqtask policy: both policies are read off 528-row tables built
+    # by the same forward, so equal weights cancel on any BLAS
     task = tasks.SeqAdditionTask(modulus=16, seq_len=3)
     net = harness.build_policy(task, 0)
     prompts = task.heldout_prompts[:16]
@@ -264,9 +321,9 @@ def test_kl_reads_the_sampling_logits_like_a_second_pass(n_samples):
     if n_samples >= 64:
         assert kl == expected
     else:
-        # below 64 rows OpenBLAS takes a small-matrix gemm path whose rounding
-        # differs from the teacher-forced pass's (3 n rows), so the decoding
-        # logits may differ from the second pass's in the last bits
+        # the second pass's gemm has 3 n rows; below 64 OpenBLAS takes a
+        # small-matrix path that may round the last bits differently from the
+        # table's 528-row gemm
         assert kl == pytest.approx(expected, rel=1e-12, abs=0)
 
 
