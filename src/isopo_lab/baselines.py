@@ -10,13 +10,19 @@ and dropping (clipping flat) sequences whose ratio left [1-eps, 1+eps] in the
 unfavorable direction. The sampling-time policy is held as a snapshot array
 of per-sequence log-probabilities, the microbatch's own
 ``scored.logprobs``. Each inner epoch re-scores the whole microbatch in one
-teacher-forced pass. On the first inner epoch the ratio is exactly 1 and the
-two gradients coincide. A ratio that overflows raises FloatingPointError (an
-ArithmeticError), so the training loop aborts instead of silently dropping
-the sequence.
+teacher-forced pass, from inputs the step builds once
+(``policy.teacher_forced_inputs``) and its epochs share. On the first
+inner epoch the ratio is exactly 1 and the two gradients coincide. A ratio
+that overflows raises FloatingPointError (an ArithmeticError), so the
+training loop aborts instead of silently dropping the sequence.
 
 Both optimizers follow the descent convention theta <- theta - lr * g, so the
-training loop passes the negated ascent gradient.
+training loop passes the negated ascent gradient. Their update is
+elementwise, so ``optimizer_step`` runs it once over all layers: it
+concatenates the gradients, checks them for finiteness in one pass, keeps
+AdamW's two moments as one flat vector each over the layers in order, and
+writes each layer's slice of the update back into its weight matrix. Per
+element this is the per-layer rule, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,14 +57,17 @@ def grpo_clipped_grad(
     snapshot: np.ndarray,
     net: PolicyNet,
     clip_eps: float,
+    inputs: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Gradient of sum_o min(rho_o A_o, clip(rho_o, 1-eps, 1+eps) A_o) at ``net``.
 
     ``snapshot`` holds the sampling-time log-probabilities, one per sequence.
+    ``inputs``, when given, are the microbatch's ``teacher_forced_inputs``,
+    which the inner epochs of one step share.
     """
     if clip_eps <= 0:
         raise ContractViolation(f"clip_eps must be positive, got {clip_eps}")
-    current = score(net, microbatch.features, microbatch.tokens)
+    current = score(net, microbatch.features, microbatch.tokens, inputs)
     rho = _ratios(current.logprobs, snapshot)
     advantages = microbatch.advantages
     # gradient flows through the min() only while the ratio branch is active
@@ -88,7 +97,10 @@ def reinforce_surrogate(microbatch: Microbatch, net: PolicyNet) -> float:
 
 @dataclass
 class OptimizerState:
-    """SGD or AdamW state over the policy's list-of-matrices parameters."""
+    """SGD or AdamW state over the policy's list-of-matrices parameters.
+
+    AdamW's moments are flat vectors over all layers, in layer order.
+    """
 
     kind: str = "adamw"
     lr: float = 3e-4
@@ -96,8 +108,8 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    exp_avg: list | None = None
-    exp_avg_sq: list | None = None
+    exp_avg: np.ndarray | None = None
+    exp_avg_sq: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("sgd", "adamw"):
@@ -110,36 +122,42 @@ def optimizer_step(state: OptimizerState, net: PolicyNet, grads: list[np.ndarray
     """Apply theta <- theta - lr * (preconditioned) grads in place.
 
     AdamW uses the standard bias-corrected moment estimates (weight decay
-    zero). Raises NonFiniteGradientError (before touching any weight) if a
-    gradient contains NaN or infinities.
+    zero). Raises NonFiniteGradientError (before touching any weight or
+    moment) if a gradient contains NaN or infinities. The update is
+    elementwise, so it runs once over the gradients concatenated in layer
+    order and is written back to each layer through its slice.
     """
     if len(grads) != net.n_layers:
         raise ContractViolation(f"{len(grads)} gradients for {net.n_layers} layers")
     for l, (w, g) in enumerate(zip(net.weights, grads)):
         if g.shape != w.shape:
             raise ContractViolation(f"layer {l} gradient shape {g.shape} != {w.shape}")
-        if not np.all(np.isfinite(g)):
+    flat = np.concatenate([g.ravel() for g in grads])
+    if not np.all(np.isfinite(flat)):
+        for l, g in enumerate(grads):
             bad = int(np.count_nonzero(~np.isfinite(g)))
-            raise NonFiniteGradientError(
-                f"layer {l} gradient has {bad} non-finite entries at step {state.step_count + 1}"
-            )
-    if state.kind == "sgd":
-        for w, g in zip(net.weights, grads):
-            w -= state.lr * g
-        state.step_count += 1
-        return net
-
-    if state.exp_avg is None:
-        state.exp_avg = [np.zeros_like(w) for w in net.weights]
-        state.exp_avg_sq = [np.zeros_like(w) for w in net.weights]
+            if bad:
+                raise NonFiniteGradientError(
+                    f"layer {l} gradient has {bad} non-finite entries at step {state.step_count + 1}"
+                )
     state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for w, g, m, v in zip(net.weights, grads, state.exp_avg, state.exp_avg_sq):
+    if state.kind == "sgd":
+        delta = state.lr * flat
+    else:
+        if state.exp_avg is None:
+            state.exp_avg = np.zeros_like(flat)
+            state.exp_avg_sq = np.zeros_like(flat)
+        t = state.step_count
+        bc1 = 1.0 - state.beta1**t
+        bc2 = 1.0 - state.beta2**t
+        m, v = state.exp_avg, state.exp_avg_sq
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += (1.0 - state.beta1) * flat
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        w -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        v += (1.0 - state.beta2) * flat * flat
+        delta = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    start = 0
+    for w in net.weights:
+        w -= delta[start : start + w.size].reshape(w.shape)
+        start += w.size
     return net

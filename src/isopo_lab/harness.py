@@ -15,7 +15,8 @@ algorithm's update: one optimizer step for reinforce, isopo-ni and
 isopo-int, and ``inner_epochs`` steps on the same batch for GRPO. GRPO's
 first step runs at the sampling weights, where every ratio is exactly 1 and
 the clipped gradient is the REINFORCE gradient, so it takes that without
-re-scoring the batch. Step 0 only probes the initial policy.
+re-scoring the batch; the later ones re-score it from teacher-forced inputs
+that the step builds once. Step 0 only probes the initial policy.
 
 A row is written on every ``eval_every``-th step and on the step that
 aborts: a numeric failure inside the update (any ArithmeticError: a
@@ -31,7 +32,8 @@ its unchanged microbatch), and the batch is summarized only for a written
 row. Skipping a step's diagnostics changes no other step. Each row's
 ``kl_from_init`` is read against the initial policy's table of the KL
 prompts, which ``train`` builds once, before the first step
-(``metrics.reference_table``), so no copy of the initial weights is kept.
+(``metrics.reference_table``), so no copy of the initial weights is kept;
+the step-0 row reads it as the current policy's table as well.
 """
 
 from __future__ import annotations
@@ -165,6 +167,9 @@ def read_metrics_csv(path) -> list[dict]:
 
 def _update(cfg, net, optimizer, microbatch, norms, rescale_params, ntk_ema) -> None:
     """Apply the step's optimizer steps: ``inner_epochs`` for GRPO, one otherwise."""
+    inputs = None
+    if cfg.algo == "grpo" and cfg.inner_epochs > 1:  # the later epochs re-score one batch
+        inputs = policy.teacher_forced_inputs(net, microbatch.features, microbatch.tokens)
     for epoch in range(cfg.inner_epochs if cfg.algo == "grpo" else 1):
         if cfg.algo == "reinforce" or (cfg.algo == "grpo" and epoch == 0):
             # GRPO's first epoch runs at the sampling weights: every ratio is
@@ -172,7 +177,7 @@ def _update(cfg, net, optimizer, microbatch, norms, rescale_params, ntk_ema) -> 
             grads = baselines.reinforce_grad(microbatch)
         elif cfg.algo == "grpo":
             grads = baselines.grpo_clipped_grad(
-                microbatch, microbatch.scored.logprobs, net, cfg.clip_eps
+                microbatch, microbatch.scored.logprobs, net, cfg.clip_eps, inputs
             )
         elif cfg.algo == "isopo-ni":
             grads = isopo.noninteracting_update(microbatch, norms, rescale_params)
@@ -226,7 +231,10 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
             summary = metrics.batch_summary(
                 microbatch, norms, int(np.count_nonzero(degenerate)), cfg.algo
             )
-            rows.append(metrics.collect(step, net, kl_ref, task, summary, cfg.seed, cfg.algo))
+            current = kl_ref if step == 0 else None  # no update has run yet
+            rows.append(
+                metrics.collect(step, net, kl_ref, task, summary, cfg.seed, cfg.algo, current)
+            )
         if aborted:
             break
 

@@ -23,7 +23,8 @@ followed, for each layer l of the policy, by
 policy from the initial one over the first ``KL_PROMPTS`` heldout prompts.
 The initial policy never changes, so ``harness.train`` builds its table of
 those prompts once (``reference_table``), and a row's KL costs one forward,
-the current policy's table.
+the current policy's table; the step-0 row, whose weights are the initial
+ones, reads that table too and costs none.
 
 ``batch_summary`` runs only for a row that is written. Every |V_b|^2 comes
 from ``Scored.sq_norms``, which the step's Fisher-norm estimate already
@@ -94,18 +95,23 @@ def collect(
     summary: dict,
     seed: int,
     algo: str,
+    current: ContextTable | None = None,
 ) -> dict:
     """One metrics row; never mutates the policy.
 
     ``kl_from_init`` is the KL from ``ref``: the initial policy, or its
-    ``reference_table``. The KL estimate uses its own stream derived from
-    (run seed, step) so the value at a given step does not depend on how
-    much randomness earlier steps consumed.
+    ``reference_table``. ``current``, when given, is ``net``'s own table of
+    the KL prompts, which the KL then reads instead of building it; at step
+    0 the weights are the initial ones, so ``harness.train`` passes ``ref``.
+    The KL estimate uses its own stream derived from (run seed, step) so the
+    value at a given step does not depend on how much randomness earlier
+    steps consumed.
     """
     heldout = task.heldout_prompts
     validation = validation_score(net, heldout)
     kl_rng = stream(seed, f"kl/{step}")
-    kl = kl_from_reference(net, ref, heldout[:KL_PROMPTS], KL_SAMPLES, kl_rng)
+    kl_net = net if current is None else current
+    kl = kl_from_reference(kl_net, ref, heldout[:KL_PROMPTS], KL_SAMPLES, kl_rng)
     row = {
         "step": step,
         "algo": algo,

@@ -6,6 +6,9 @@ prompt indexes a fixed reward row and the reward is the chosen arm's entry.
 (a, b) as two one-hot blocks and the target output is the base-M digit
 expansion of (a + b), least significant digit first, over T positions. The
 reward is the fraction of correct positions (or exact match, behind a flag).
+Each task's verifier, ``rewards``, scores a whole batch of sequences in one
+call, so a microbatch's rewards cost one call per task, not one per
+sequence.
 
 Both tasks pre-split their prompts into train and heldout sets by a stable
 hash so the split never depends on interpreter state.
@@ -121,12 +124,12 @@ def build_microbatch(net, task, prompts, u, normalize_std: bool = False) -> Micr
     size = len(u) // len(prompts)
     features = np.repeat(np.stack([p.features for p in prompts]), size, axis=0)
     tokens, scored = policy.sample_and_score(net, features, u)
-    groups = []
-    rows = iter(tokens.tolist())
-    for prompt in prompts:
-        # rewards come from the task verifier and nowhere else
-        rewards = np.array([task.reward(prompt, next(rows)) for _ in range(size)])
-        groups.append(Group(prompt, rewards, group_advantages(rewards, normalize_std)))
+    # rewards come from the task verifier and nowhere else
+    rewards = task.rewards([p for p in prompts for _ in range(size)], tokens)
+    groups = [
+        Group(prompt, r, group_advantages(r, normalize_std))
+        for prompt, r in zip(prompts, np.split(rewards, len(prompts)))
+    ]
     return Microbatch(groups, features, tokens, scored)
 
 
@@ -169,13 +172,14 @@ class SeqAdditionTask:
             total //= self.modulus
         return Prompt(id=f"{a}+{b}", features=features, target=tuple(digits))
 
-    def reward(self, prompt: Prompt, tokens) -> float:
-        tokens = tuple(tokens)
-        if len(tokens) != self.seq_len:
-            raise ContractViolation(f"expected {self.seq_len} tokens, got {len(tokens)}")
-        correct = sum(1 for t, d in zip(tokens, prompt.target) if t == d)
+    def rewards(self, prompts, tokens) -> np.ndarray:
+        """Rewards (B,) of sequences ``tokens`` (B, T), row b answering
+        ``prompts[b]``: the fraction of positions equal to the target's
+        digit, or 1.0 for an exact match and 0.0 otherwise."""
+        tokens = _check_tokens(prompts, tokens, self.seq_len)
+        correct = np.count_nonzero(tokens == np.array([p.target for p in prompts]), axis=1)
         if self.exact_match_reward:
-            return 1.0 if correct == self.seq_len else 0.0
+            return (correct == self.seq_len).astype(float)
         return correct / self.seq_len
 
 
@@ -197,25 +201,36 @@ class BanditTask:
         if table.shape != (n_prompts, n_arms):
             raise ContractViolation(f"table shape {table.shape} != ({n_prompts}, {n_arms})")
         self.table = table
-        self._rows: dict[str, np.ndarray] = {}
+        self._row_of: dict[str, int] = {}
         self.train_prompts: list[Prompt] = []
         self.heldout_prompts: list[Prompt] = []
         for i in range(n_prompts):
             features = np.zeros(n_prompts)
             features[i] = 1.0
             prompt = Prompt(id=f"arm{i}", features=features, target=(int(np.argmax(table[i])),))
-            self._rows[prompt.id] = table[i]
+            self._row_of[prompt.id] = i
             # every 4th prompt held out: keeps both splits nonempty for small tables
             if i % 4 == 3:
                 self.heldout_prompts.append(prompt)
             else:
                 self.train_prompts.append(prompt)
 
-    def reward(self, prompt: Prompt, tokens) -> float:
-        tokens = tuple(tokens)
-        if len(tokens) != 1:
-            raise ContractViolation("bandit sequences have exactly one token")
-        return float(self._rows[prompt.id][tokens[0]])
+    def rewards(self, prompts, tokens) -> np.ndarray:
+        """Rewards (B,) of one-token sequences ``tokens`` (B, 1), row b
+        answering ``prompts[b]``: the chosen arm's entry of the prompt's row."""
+        tokens = _check_tokens(prompts, tokens, 1)
+        rows = [self._row_of[p.id] for p in prompts]
+        return self.table[rows, tokens[:, 0]]
+
+
+def _check_tokens(prompts, tokens, seq_len: int) -> np.ndarray:
+    """``tokens`` as a (len(prompts), seq_len) array, or ContractViolation."""
+    tokens = np.asarray(tokens)
+    if tokens.shape != (len(prompts), seq_len):
+        raise ContractViolation(
+            f"tokens {tokens.shape} are not {len(prompts)} sequences of {seq_len} tokens"
+        )
+    return tokens
 
 
 def validation_score(net, prompts) -> float:

@@ -157,6 +157,57 @@ def test_adamw_hand_evaluated_second_step():
     assert net.weights[0][0, 0] == pytest.approx(w, rel=1e-12)
 
 
+def three_layer_net():
+    # distinct shapes, so a moment slice put on the wrong layer cannot fit
+    shapes = [(5, 4), (3, 6), (2, 4)]
+    rng = np.random.default_rng(3)
+    weights = [rng.standard_normal(shape) for shape in shapes]
+    return policy.PolicyNet(weights, vocab_size=2, context_dim=3)
+
+
+def test_adamw_three_layers_equal_the_per_layer_rule():
+    net = three_layer_net()
+    expected = [w.copy() for w in net.weights]
+    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    state = baselines.OptimizerState("adamw", lr=lr, beta1=b1, beta2=b2, eps=eps)
+    rng = np.random.default_rng(4)
+    m = [np.zeros_like(w) for w in expected]
+    v = [np.zeros_like(w) for w in expected]
+    for t in range(1, 4):
+        grads = [rng.standard_normal(w.shape) for w in expected]
+        baselines.optimizer_step(state, net, grads)
+        # AdamW on each layer by itself, with that layer's own moments
+        for w, g, ml, vl in zip(expected, grads, m, v):
+            ml *= b1
+            ml += (1.0 - b1) * g
+            vl *= b2
+            vl += (1.0 - b2) * g * g
+            w -= lr * (ml / (1.0 - b1**t)) / (np.sqrt(vl / (1.0 - b2**t)) + eps)
+        for got, want in zip(net.weights, expected):
+            assert np.array_equal(got, want)
+    assert state.step_count == 3
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adamw"])
+def test_nonfinite_gradient_in_a_later_layer_names_it_and_mutates_nothing(kind):
+    net = three_layer_net()
+    state = baselines.OptimizerState(kind, lr=0.1)
+    rng = np.random.default_rng(5)
+    baselines.optimizer_step(state, net, [rng.standard_normal(w.shape) for w in net.weights])
+    weights = [w.copy() for w in net.weights]
+    moments = [None if m is None else m.copy() for m in (state.exp_avg, state.exp_avg_sq)]
+    grads = [rng.standard_normal(w.shape) for w in net.weights]
+    grads[2][1, 3] = np.nan
+    grads[2][0, 0] = np.inf
+    with pytest.raises(NonFiniteGradientError, match="layer 2 gradient has 2 non-finite"):
+        baselines.optimizer_step(state, net, grads)
+    for got, want in zip(net.weights, weights):
+        assert np.array_equal(got, want)
+    for got, want in zip((state.exp_avg, state.exp_avg_sq), moments):
+        assert (got is None and want is None) or np.array_equal(got, want)
+    assert state.step_count == 1
+
+
 def test_zero_grad_no_weight_decay_is_noop():
     net = policy.PolicyNet([np.full((2, 3), 0.7)], vocab_size=2, context_dim=2)
     state = baselines.OptimizerState("adamw", lr=0.5)

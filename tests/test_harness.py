@@ -215,11 +215,133 @@ PINNED_ROWS = {
 }
 
 
+# The same for a 20-step default bandit run, recorded while the backward ran
+# per sequence. Bandit's backward runs its gemms on a microbatch's 32
+# one-token rows, where one flat gemm in place of the per-sequence ones rounds
+# differently; that drift stays far below rel 1e-9 (test_policy's two-pass
+# test catches it), and these rows catch anything larger
+PINNED_BANDIT_ROWS = {
+    "grpo": [
+        (
+            0, 0.4232432339523835, 0.0, 0.0, 0, 0.19171985829325003, 0.5017862265429511,
+            0.3026911133060831, 0.8137859019139806, 0.41776788093459133, 1.1007841798539242,
+        ),
+        (
+            5, 0.36749386966397385, 0.0, -0.00035151885495671685, 0, 0.20664657850681273,
+            0.5266623522475371, 0.3158975721205149, 0.8320540693323566, 0.42868864876280743,
+            1.1443277507940475,
+        ),
+        (
+            10, 0.36859924339207206, 0.0, 0.005169714102942166, 0, 0.19570007908892173,
+            0.5196620063897398, 0.31781674758210854, 0.8664626332799208, 0.42801006602766056,
+            1.1762524735574762,
+        ),
+        (
+            15, 0.3868023855111329, 0.0, 0.005869646655359073, 0, 0.2554358958968924,
+            0.6032038966266792, 0.3638921193154174, 0.8991832929604485, 0.48393137532982067,
+            1.187733140761195,
+        ),
+        (
+            20, 0.49387620922760206, 0.0, -0.0007227211965555921, 0, 0.2622750756265134,
+            0.6065737256219412, 0.34853588154987003, 0.9035835960616347, 0.48677869796973294,
+            1.2761124993290869,
+        ),
+    ],
+    "isopo-int": [
+        (
+            0, 0.4232432339523835, 0.0, 0.0, 0, 0.19171985829325003, 0.5017862265429511,
+            0.25643506648285846, 0.3026911133060831, 0.8137859019139806, 0.667656596036873,
+            0.41776788093459133, 1.1007841798539242, 1.211916838084151,
+        ),
+        (
+            5, 0.36749386966397385, 0.0, -0.00023925243728175737, 0, 0.2015232513845383,
+            0.5148433201872502, 0.26930818408428303, 0.31192426159978914, 0.8227196723717934,
+            0.6824588844020597, 0.41862000760070006, 1.118281022316133, 1.2512830349486102,
+        ),
+        (
+            10, 0.3386996833835419, 0.0, -0.0002319501103421719, 0, 0.18338172697046523,
+            0.48653528375269944, 0.2425624170383997, 0.3161900922442499, 0.8392579067908525,
+            0.7085056208952072, 0.4193832233515716, 1.1198563733384903, 1.2549509795613556,
+        ),
+        (
+            15, 0.3594483787587245, 0.0, 0.000613229162385394, 0, 0.2090162956989863,
+            0.5293662647793396, 0.2839597343059399, 0.33047883136529105, 0.8564549517630694,
+            0.7369870458420553, 0.43012141660372133, 1.110018815904733, 1.232550489146256,
+        ),
+        (
+            20, 0.4725686069265762, 0.0, -0.0015669808210116492, 0, 0.19959795748097175,
+            0.5068154962738729, 0.2645930442143516, 0.31669930016641135, 0.8388952382086597,
+            0.7095332386702682, 0.42569159943391144, 1.1271675097476175, 1.2712879105836903,
+        ),
+    ],
+    "isopo-ni": [
+        (
+            0, 0.4232432339523835, 0.0, 0.0, 0, 0.19171985829325003, 0.5017862265429511,
+            0.3026911133060831, 0.8137859019139806, 0.41776788093459133, 1.1007841798539242,
+        ),
+        (
+            5, 0.36749386966397385, 0.0, -0.00017602220970355797, 0, 0.20127245855733888,
+            0.5149742284716904, 0.31205399063517847, 0.8233151716581218, 0.41940347851233006,
+            1.1197965336451603,
+        ),
+        (
+            10, 0.3386996833835419, 0.0, -0.0003192433853118938, 0, 0.18366622613523687,
+            0.48749630094113205, 0.3166777134120893, 0.8406830651305478, 0.4208461435300881,
+            1.1227654329091774,
+        ),
+        (
+            15, 0.36165227035857467, 0.0, 0.0008476861653382, 0, 0.2155302598354505,
+            0.5413135240975083, 0.3376896108773659, 0.8607673468381124, 0.4409392033323389,
+            1.1115207528533686,
+        ),
+        (
+            20, 0.4725686069265762, 0.0, -0.0023272429294097135, 0, 0.20106800837999608,
+            0.5089460275838797, 0.31758733308935516, 0.8407953669369059, 0.4288611052321038,
+            1.1321640696139625,
+        ),
+    ],
+    "reinforce": [
+        (
+            0, 0.4232432339523835, 0.0, 0.0, 0, 0.19171985829325003, 0.5017862265429511,
+            0.3026911133060831, 0.8137859019139806, 0.41776788093459133, 1.1007841798539242,
+        ),
+        (
+            5, 0.36749386966397385, 0.0, -0.00016215150418539062, 0, 0.20121752740804635,
+            0.5149091170812656, 0.3120058329509916, 0.8231833102288428, 0.4193606673519972,
+            1.1196471863566404,
+        ),
+        (
+            10, 0.3386996833835419, 0.0, -0.00022213724611330234, 0, 0.18377818861784218,
+            0.48758302449279006, 0.31667773168881874, 0.8405190956027031, 0.4206405730793194,
+            1.122183934081686,
+        ),
+        (
+            15, 0.36165227035857467, 0.0, 0.001149022716855081, 0, 0.21569726228797084,
+            0.5415850900722871, 0.3376997064051138, 0.8607559159253289, 0.44053466484547504,
+            1.110727880479761,
+        ),
+        (
+            20, 0.4725686069265762, 0.0, -0.0021136997986587044, 0, 0.20108768620469877,
+            0.5089796050074873, 0.3173128549574456, 0.8405227534147154, 0.4281490147762548,
+            1.131068024981577,
+        ),
+    ],
+}
+
+
 @pytest.mark.parametrize("algo", sorted(PINNED_ROWS))
 def test_eval_rows_pinned(tmp_path, algo):
     res = harness.train(RunConfig(algo=algo, steps=20, eval_every=5, seed=0), tmp_path / "r")
     kept = [[v for k, v in row.items() if k not in ("algo", "task", "seed")] for row in res.rows]
     assert kept == [pytest.approx(list(row), rel=1e-9, abs=0) for row in PINNED_ROWS[algo]]
+
+
+@pytest.mark.parametrize("algo", sorted(PINNED_BANDIT_ROWS))
+def test_bandit_eval_rows_pinned(tmp_path, algo):
+    cfg = RunConfig(task="bandit", algo=algo, steps=20, eval_every=5, seed=0)
+    res = harness.train(cfg, tmp_path / "r")
+    kept = [[v for k, v in row.items() if k not in ("algo", "task", "seed")] for row in res.rows]
+    assert kept == [pytest.approx(list(row), rel=1e-9, abs=0) for row in PINNED_BANDIT_ROWS[algo]]
 
 
 def test_rewards_are_pure_task_rewards(tmp_path):
@@ -231,7 +353,7 @@ def test_rewards_are_pure_task_rewards(tmp_path):
     for row in res.rows:
         step = row["step"]
         mb = harness.sample_microbatch(net, task, cfg, step)
-        raw = np.mean([task.reward(r.prompt, r.tokens) for r in mb.records])
+        raw = np.mean(task.rewards([r.prompt for r in mb.records], mb.tokens))
         if step == 0:
             assert row["mean_reward"] == pytest.approx(float(raw))
         else:
@@ -591,9 +713,10 @@ def test_diagnostics_only_where_read(tmp_path, monkeypatch, algo, abort_step):
 @pytest.mark.parametrize("algo", ["reinforce", "grpo", "isopo-ni", "isopo-int"])
 def test_one_forward_per_sampled_batch_and_kl(tmp_path, monkeypatch, algo):
     # a sampled microbatch costs one forward (its context table), a row's KL
-    # one more (the current policy's table), and the initial policy's table is
-    # built once per run; greedy validation decodes position by position and
-    # GRPO re-scores its batch by teacher forcing after the first epoch
+    # one more (the current policy's table) except at step 0, which reads the
+    # initial policy's table, built once per run; greedy validation decodes
+    # position by position and GRPO re-scores its batch by teacher forcing
+    # after the first epoch
     cfg = quick_cfg(algo=algo, steps=7, eval_every=3, seed=1)
     active, counts = ["other"], dict.fromkeys(["sample", "kl", "reference", "other"], 0)
     forward = policy.forward
@@ -620,10 +743,35 @@ def test_one_forward_per_sampled_batch_and_kl(tmp_path, monkeypatch, algo):
     rescoring = cfg.steps * (cfg.inner_epochs - 1) if algo == "grpo" else 0
     assert counts == {
         "sample": cfg.steps + 1,
-        "kl": len(res.rows),
+        "kl": len(res.rows) - 1,
         "reference": 1,
         "other": len(res.rows) * harness.make_task(cfg).seq_len + rescoring,
     }
+
+
+def test_grpo_step_builds_teacher_forced_inputs_once(tmp_path, monkeypatch):
+    # the inner epochs after the first re-score one batch at new weights, from
+    # the inputs the step built once
+    cfg = quick_cfg(algo="grpo", steps=5, inner_epochs=4, seed=2)
+    updating, built = [False], []
+    build = policy.teacher_forced_inputs
+    update = harness._update
+
+    def counted_build(*args):
+        built.append(updating[0])
+        return build(*args)
+
+    def tracked_update(*args):
+        updating[0] = True
+        try:
+            return update(*args)
+        finally:
+            updating[0] = False
+
+    monkeypatch.setattr(policy, "teacher_forced_inputs", counted_build)
+    monkeypatch.setattr(harness, "_update", tracked_update)
+    harness.train(cfg, tmp_path / "r")
+    assert built.count(True) == cfg.steps
 
 
 @pytest.mark.parametrize("algo", ["reinforce", "grpo", "isopo-ni", "isopo-int"])

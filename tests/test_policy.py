@@ -173,6 +173,70 @@ def test_table_scores_like_teacher_forcing_small_net(small_net, microbatch):
     assert_scored_equal(microbatch.scored, expected, rel=1e-12)
 
 
+def two_pass_log_softmax(logits):
+    z = logits - np.max(logits, axis=-1, keepdims=True)
+    return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+
+
+def two_pass_backward(net, logits, act_in, tokens):
+    """``score``'s backward with two normalizations of the logits: the one-hot
+    rows of an identity minus the softmax, and the token log-probabilities
+    read off the whole log softmax."""
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    g = np.eye(net.vocab_size)[tokens] - e / np.sum(e, axis=-1, keepdims=True)
+    logprobs = np.take_along_axis(two_pass_log_softmax(logits), tokens[..., None], axis=-1)
+    grad_out = [g]
+    for l in range(net.n_layers - 1, 0, -1):
+        h = act_in[l][..., :-1]
+        g = (g @ net.weights[l][:, :-1]) * (1.0 - h * h)
+        grad_out.insert(0, g)
+    return policy.Scored(logprobs[..., 0].sum(axis=1), act_in, grad_out)
+
+
+def concatenate_forward(net, x):
+    """``forward`` with each layer input built by ``concatenate`` from the last
+    layer's output and a column of ones."""
+    lead = x.shape[:-1]
+    x = x.reshape(-1, net.context_dim)
+    act_in = []
+    for l, w in enumerate(net.weights):
+        a = np.concatenate([x, np.ones((len(x), 1))], axis=1)
+        act_in.append(a.reshape(lead + a.shape[1:]))
+        x = a @ w.T
+        if l < net.n_layers - 1:
+            x = np.tanh(x)
+    return x.reshape(lead + x.shape[1:]), act_in
+
+
+@pytest.mark.parametrize("task_name", ["seqtask", "bandit"])
+def test_forward_and_backward_equal_the_two_pass_formulas(task_name):
+    # bit for bit, on a default microbatch, teacher-forced and off its table
+    cfg = RunConfig(task=task_name, seed=0)
+    task = harness.make_task(cfg)
+    net = harness.build_policy(task, cfg.seed)
+    mb = harness.sample_microbatch(net, task, cfg, 1)
+    x = policy.teacher_forced_inputs(net, mb.features, mb.tokens)
+    logits, act_in = policy.forward(net, x)
+    expected_logits, expected_act_in = concatenate_forward(net, x)
+    assert np.array_equal(logits, expected_logits)
+    for a, b in zip(act_in, expected_act_in):
+        assert np.array_equal(a, b)
+    expected = two_pass_backward(net, logits, act_in, mb.tokens)
+    assert_scored_equal(policy.score(net, mb.features, mb.tokens), expected, rel=0)
+    assert np.array_equal(
+        policy.sequence_logprobs(net, mb.features, mb.tokens), expected.logprobs
+    )
+    table = policy.context_table(net, np.stack([g.prompt.features for g in mb.groups]))
+    which = np.repeat(np.arange(len(mb.groups)), cfg.group_size)
+    index = table._index(which, mb.tokens)
+    expected = two_pass_backward(
+        net, table.logits[index], [a[index] for a in table.act_in], mb.tokens
+    )
+    assert_scored_equal(mb.scored, expected, rel=0)
+    read = two_pass_log_softmax(table.logits)[index + (mb.tokens,)].sum(axis=1)
+    assert np.array_equal(table.logprobs(which, mb.tokens), read)
+
+
 def test_context_table_rows(small_net, small_task):
     # entry [p, r] is the forward of prompt p's context r: position 0, or
     # position t after token prev at r = 1 + (t - 1) V + prev
@@ -184,7 +248,9 @@ def test_context_table_rows(small_net, small_task):
     assert table.seq_len == seq_len
     for prev in range(v):
         tokens = np.array([[prev, 0]] * 3)
-        logits, act_in = policy.forward(small_net, policy._contexts(small_net, features, tokens))
+        logits, act_in = policy.forward(
+            small_net, policy.teacher_forced_inputs(small_net, features, tokens)
+        )
         assert np.allclose(table.logits[:, 0], logits[:, 0], rtol=1e-14, atol=1e-15)
         assert np.allclose(table.logits[:, 1 + prev], logits[:, 1], rtol=1e-14, atol=1e-15)
         assert np.array_equal(table.act_in[0][:, 1 + prev], act_in[0][:, 1])

@@ -45,16 +45,14 @@ def test_bandit_reward_is_table_lookup():
     table[1] = [0.1, 0.9, 0.3]
     task = tasks.BanditTask(n_prompts=2, n_arms=3, table=table)
     prompt = next(p for p in task.train_prompts + task.heldout_prompts if p.id == "arm0")
-    assert task.reward(prompt, (0,)) == 1.0
-    assert task.reward(prompt, (2,)) == 0.0
+    assert task.rewards([prompt, prompt], [[0], [2]]).tolist() == [1.0, 0.0]
     assert prompt.target == (0,)
 
 
 def test_seq_reward_single_digit():
     task = tasks.SeqAdditionTask(modulus=10, seq_len=1)
     prompt = next(p for p in task.train_prompts + task.heldout_prompts if p.id == "1+2")
-    assert task.reward(prompt, (3,)) == 1.0
-    assert task.reward(prompt, (4,)) == 0.0
+    assert task.rewards([prompt, prompt], [[3], [4]]).tolist() == [1.0, 0.0]
 
 
 def test_seq_reward_partial_credit():
@@ -62,24 +60,46 @@ def test_seq_reward_partial_credit():
     prompt = next(p for p in task.train_prompts + task.heldout_prompts if p.id == "5+7")
     # 5 + 7 = 12 -> digits (2, 1, 0) least significant first
     assert prompt.target == (2, 1, 0)
-    assert task.reward(prompt, (2, 1, 0)) == 1.0
-    assert task.reward(prompt, (2, 1, 5)) == pytest.approx(2.0 / 3.0)
+    full, partial = task.rewards([prompt, prompt], [(2, 1, 0), (2, 1, 5)])
+    assert full == 1.0
+    assert partial == pytest.approx(2.0 / 3.0)
     exact = tasks.SeqAdditionTask(modulus=10, seq_len=3, exact_match_reward=True)
     prompt = next(p for p in exact.train_prompts + exact.heldout_prompts if p.id == "5+7")
-    assert exact.reward(prompt, (2, 1, 5)) == 0.0
+    assert exact.rewards([prompt, prompt], [(2, 1, 5), (2, 1, 0)]).tolist() == [0.0, 1.0]
 
 
 def test_rewards_bounded():
     rng = np.random.default_rng(1)
     seq = tasks.SeqAdditionTask(modulus=6, seq_len=2)
+    prompts = [seq.train_prompts[i] for i in rng.integers(len(seq.train_prompts), size=100)]
+    r = seq.rewards(prompts, rng.integers(0, 6, size=(100, 2)))
+    assert np.all((0.0 <= r) & (r <= 1.0))
     bandit = tasks.BanditTask()
-    for _ in range(100):
-        p = seq.train_prompts[rng.integers(len(seq.train_prompts))]
-        r = seq.reward(p, tuple(rng.integers(0, 6, size=2)))
-        assert 0.0 <= r <= 1.0
-        pb = bandit.train_prompts[rng.integers(len(bandit.train_prompts))]
-        rb = bandit.reward(pb, (int(rng.integers(0, bandit.vocab_size)),))
-        assert 0.0 <= rb <= 1.0
+    prompts = [bandit.train_prompts[i] for i in rng.integers(len(bandit.train_prompts), size=100)]
+    rb = bandit.rewards(prompts, rng.integers(0, bandit.vocab_size, size=(100, 1)))
+    assert np.all((0.0 <= rb) & (rb <= 1.0))
+
+
+def test_batched_rewards_equal_per_sequence_rule():
+    # one call scores a batch; each row is the per-sequence rule, bit for bit
+    rng = np.random.default_rng(2)
+    seq = tasks.SeqAdditionTask(modulus=4, seq_len=3)
+    prompts = [seq.train_prompts[i] for i in rng.integers(len(seq.train_prompts), size=200)]
+    tokens = rng.integers(0, 4, size=(200, 3))
+    per_sequence = [
+        sum(t == d for t, d in zip(row, p.target)) / seq.seq_len
+        for p, row in zip(prompts, tokens.tolist())
+    ]
+    assert seq.rewards(prompts, tokens).tolist() == per_sequence
+    bandit = tasks.BanditTask()
+    prompts = [bandit.train_prompts[i] for i in rng.integers(len(bandit.train_prompts), size=50)]
+    arms = rng.integers(0, bandit.vocab_size, size=(50, 1))
+    expected = [bandit.table[int(p.id.removeprefix("arm")), a] for p, (a,) in zip(prompts, arms)]
+    assert bandit.rewards(prompts, arms).tolist() == expected
+    with pytest.raises(ContractViolation):
+        seq.rewards(prompts[:2], tokens[:3])
+    with pytest.raises(ContractViolation):
+        bandit.rewards(prompts[:2], tokens[:2])
 
 
 def test_splits_disjoint_and_sized():
