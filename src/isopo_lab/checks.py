@@ -209,7 +209,7 @@ def npg_directional_trial(seed: int):
     target = tuple(int(t) for t in target_rng.integers(0, net.vocab_size, size=2))
     tokens, scored = policy.sample_and_score(
         net,
-        np.repeat(prompt.features[None], m, axis=0),
+        prompt.features[None],
         uniforms(seed, [f"npg-sample/{k}" for k in range(m)], len(prompt.target)),
     )
     rewards = np.mean(tokens == np.array(target), axis=1)

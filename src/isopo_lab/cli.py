@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import checks, harness, plotting
 from .config import load_config
+from .errors import ConfigError
 
 
 def _print_suites(results) -> int:
@@ -55,34 +56,38 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "train":
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        cfg = load_config(args.config, **overrides)
-        result = harness.train(cfg, out_dir=args.out)
-        last = result.rows[-1]
-        print(f"wrote {result.csv_path}")
-        print(
-            f"final step {last['step']}: validation {last['validation']:.4f}, "
-            f"kl_from_init {last['kl_from_init']:.6f}"
-        )
-        if result.aborted:
-            print(f"ABORTED: {result.abort_reason}")
-            return 1
-        return 0
+    try:
+        if args.command == "train":
+            overrides = {}
+            if args.seed is not None:
+                overrides["seed"] = args.seed
+            cfg = load_config(args.config, **overrides)
+            result = harness.train(cfg, out_dir=args.out)
+            last = result.rows[-1]
+            print(f"wrote {result.csv_path}")
+            print(
+                f"final step {last['step']}: validation {last['validation']:.4f}, "
+                f"kl_from_init {last['kl_from_init']:.6f}"
+            )
+            if result.aborted:
+                print(f"ABORTED: {result.abort_reason}")
+                return 1
+            return 0
 
-    if args.command == "compare":
-        configs = [load_config(path) for path in args.configs]
-        labels = [Path(path).stem for path in args.configs]
-        if len(set(labels)) != len(labels):
-            labels = [f"{label}-{i}" for i, label in enumerate(labels)]
-        rows, results = harness.compare(configs, args.seeds, args.out, labels)
-        print(f"wrote {Path(args.out) / 'aggregate.csv'} ({len(rows)} aggregate rows)")
-        aborted = [(label, r) for label, runs in results.items() for r in runs if r.aborted]
-        for label, r in aborted:
-            print(f"ABORTED: {label} seed {r.config.seed}: {r.abort_reason}")
-        return 1 if aborted else 0
+        if args.command == "compare":
+            configs = [load_config(path) for path in args.configs]
+            labels = [Path(path).stem for path in args.configs]
+            if len(set(labels)) != len(labels):
+                labels = [f"{label}-{i}" for i, label in enumerate(labels)]
+            rows, results = harness.compare(configs, args.seeds, args.out, labels)
+            print(f"wrote {Path(args.out) / 'aggregate.csv'} ({len(rows)} aggregate rows)")
+            aborted = [(label, r) for label, runs in results.items() for r in runs if r.aborted]
+            for label, r in aborted:
+                print(f"ABORTED: {label} seed {r.config.seed}: {r.abort_reason}")
+            return 1 if aborted else 0
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if args.command == "gradcheck":
         return _print_suites(checks.run_gradcheck(seed=args.seed))

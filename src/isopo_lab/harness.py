@@ -33,7 +33,7 @@ row. Skipping a step's diagnostics changes no other step. Each row's
 ``kl_from_init`` is read against the initial policy's table of the KL
 prompts, which ``train`` builds once, before the first step
 (``metrics.reference_table``), so no copy of the initial weights is kept;
-the step-0 row reads it as the current policy's table as well.
+``metrics.collect`` builds the current policy's table for each later row.
 """
 
 from __future__ import annotations
@@ -75,6 +75,15 @@ def build_policy(task, seed: int) -> policy.PolicyNet:
     )
 
 
+def _check_groups_fit(task, cfg: RunConfig) -> None:
+    """ConfigError when a microbatch asks for more groups than ``task`` has training prompts."""
+    if cfg.groups_per_microbatch > len(task.train_prompts):
+        raise ConfigError(
+            f"groups_per_microbatch={cfg.groups_per_microbatch} exceeds "
+            f"{len(task.train_prompts)} training prompts"
+        )
+
+
 def draw_steps(task, cfg: RunConfig, steps) -> dict[int, tuple[list[tasks.Prompt], np.ndarray]]:
     """Each step's prompts and sampling uniforms (B, T), derived in one pass.
 
@@ -83,12 +92,8 @@ def draw_steps(task, cfg: RunConfig, steps) -> dict[int, tuple[list[tasks.Prompt
     ``policy/{s}/{p.id}/{k}``. Neither depends on the policy, so a run draws
     every step's before it trains, with one ``rng.uniforms`` call.
     """
+    _check_groups_fit(task, cfg)
     train = task.train_prompts
-    if cfg.groups_per_microbatch > len(train):
-        raise ConfigError(
-            f"groups_per_microbatch={cfg.groups_per_microbatch} exceeds "
-            f"{len(train)} training prompts"
-        )
     steps = list(steps)
     prompts = []
     for step in steps:
@@ -231,10 +236,7 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
             summary = metrics.batch_summary(
                 microbatch, norms, int(np.count_nonzero(degenerate)), cfg.algo
             )
-            current = kl_ref if step == 0 else None  # no update has run yet
-            rows.append(
-                metrics.collect(step, net, kl_ref, task, summary, cfg.seed, cfg.algo, current)
-            )
+            rows.append(metrics.collect(step, net, kl_ref, task, summary, cfg.seed, cfg.algo))
         if aborted:
             break
 
@@ -302,23 +304,27 @@ def compare(
     out_dir,
     labels: list[str] | None = None,
 ) -> tuple[list[dict], dict[str, list[RunResult]]]:
-    """Train every (config, seed) pair and write per-run CSVs plus aggregate.csv."""
+    """Train every (config, seed) pair and write per-run CSVs plus aggregate.csv.
+
+    Every run's config is checked before the first run trains, so a bad one
+    raises ConfigError with nothing written.
+    """
     if not configs or n_seeds < 1:
         raise ContractViolation("compare needs at least one config and one seed")
     if labels is None:
         labels = [f"{cfg.algo}-{i}" for i, cfg in enumerate(configs)]
     if len(labels) != len(configs):
         raise ContractViolation("one label per config required")
+    planned = {}
+    for cfg, label in zip(configs, labels):
+        planned[label] = [validate_config(replace(cfg, seed=cfg.seed + k)) for k in range(n_seeds)]
+        _check_groups_fit(make_task(cfg), cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results_by_label: dict[str, list[RunResult]] = {}
-    for cfg, label in zip(configs, labels):
-        runs = []
-        for k in range(n_seeds):
-            seed = cfg.seed + k
-            run_cfg = validate_config(replace(cfg, seed=seed))
-            runs.append(train(run_cfg, out / f"{label}-seed{seed}"))
-        results_by_label[label] = runs
+    results_by_label = {
+        label: [train(run_cfg, out / f"{label}-seed{run_cfg.seed}") for run_cfg in run_cfgs]
+        for label, run_cfgs in planned.items()
+    }
     agg_rows = aggregate_runs(results_by_label)
     write_metrics_csv(out / "aggregate.csv", agg_rows)
     return agg_rows, results_by_label

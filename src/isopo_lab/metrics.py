@@ -20,11 +20,12 @@ followed, for each layer l of the policy, by
                          interacting ISOPO's Tikhonov constant
 
 ``kl_from_init`` is a ``KL_SAMPLES``-sample Monte Carlo KL of the current
-policy from the initial one over the first ``KL_PROMPTS`` heldout prompts.
-The initial policy never changes, so ``harness.train`` builds its table of
-those prompts once (``reference_table``), and a row's KL costs one forward,
-the current policy's table; the step-0 row, whose weights are the initial
-ones, reads that table too and costs none.
+policy from the initial one over the first ``KL_PROMPTS`` heldout prompts,
+read off the two policies' tables of those prompts (``reference_table``).
+The initial policy never changes, so ``harness.train`` builds its table
+once, and ``collect`` builds the current policy's: a row's KL costs one
+forward, and the step-0 row, whose weights are the initial ones, reads the
+initial table as the current one too and costs none.
 
 ``batch_summary`` runs only for a row that is written. Every |V_b|^2 comes
 from ``Scored.sq_norms``, which the step's Fisher-norm estimate already
@@ -78,47 +79,32 @@ def batch_summary(microbatch, fisher_norms, degenerate_count: int, algo: str) ->
     return summary
 
 
-def reference_table(init_net: PolicyNet, task) -> ContextTable:
-    """The initial policy's table of the KL prompts, ``collect``'s ``ref``.
-
-    The initial policy never changes, so ``harness.train`` builds it once
-    per run, and each row's KL costs one ``forward``, of the current policy.
-    """
-    return kl_reference(init_net, task.heldout_prompts[:KL_PROMPTS])
+def reference_table(net: PolicyNet, task) -> ContextTable:
+    """``net``'s table of the KL prompts: of the initial policy, ``collect``'s
+    ``ref``, and of the current one, which ``collect`` builds."""
+    return kl_reference(net, task.heldout_prompts[:KL_PROMPTS])
 
 
 def collect(
-    step: int,
-    net: PolicyNet,
-    ref: PolicyNet | ContextTable,
-    task,
-    summary: dict,
-    seed: int,
-    algo: str,
-    current: ContextTable | None = None,
+    step: int, net: PolicyNet, ref: ContextTable, task, summary: dict, seed: int, algo: str
 ) -> dict:
     """One metrics row; never mutates the policy.
 
-    ``kl_from_init`` is the KL from ``ref``: the initial policy, or its
-    ``reference_table``. ``current``, when given, is ``net``'s own table of
-    the KL prompts, which the KL then reads instead of building it; at step
-    0 the weights are the initial ones, so ``harness.train`` passes ``ref``.
-    The KL estimate uses its own stream derived from (run seed, step) so the
-    value at a given step does not depend on how much randomness earlier
-    steps consumed.
+    ``kl_from_init`` is the KL from ``ref``, the initial policy's
+    ``reference_table``. At step 0 no update has run, so ``net`` is the
+    initial policy and ``ref`` serves as its table too. The KL estimate uses
+    its own stream derived from (run seed, step) so the value at a given
+    step does not depend on how much randomness earlier steps consumed.
     """
-    heldout = task.heldout_prompts
-    validation = validation_score(net, heldout)
-    kl_rng = stream(seed, f"kl/{step}")
-    kl_net = net if current is None else current
-    kl = kl_from_reference(kl_net, ref, heldout[:KL_PROMPTS], KL_SAMPLES, kl_rng)
+    table = ref if step == 0 else reference_table(net, task)
+    kl = kl_from_reference(table, ref, KL_SAMPLES, stream(seed, f"kl/{step}"))
     row = {
         "step": step,
         "algo": algo,
         "task": task.name,
         "seed": seed,
         "mean_reward": summary["mean_reward"],
-        "validation": validation,
+        "validation": validation_score(net, task.heldout_prompts),
         "kl_from_init": kl,
     }
     # mean_reward keeps its place; the other summary columns follow in order

@@ -16,29 +16,35 @@ contexts, position 0 and every (t >= 1, previous token) pair.
 ``context_table`` runs one ``forward`` over all of them for P prompts,
 P (1 + (T - 1) V) rows, keeping the logits and the layer inputs.
 
-``sample_and_score`` builds one table for the microbatch's prompts (rows
-of ``features`` equal to the row before them, as the G rows of a group are,
-share an entry), draws each position's token from the CDF row of its
+Two decisions about reading the policy have one owner each: ``_inputs``
+writes every input from (prompt features, position, previous token), for
+the table, teacher forcing and ``greedy`` alike, and ``_row`` numbers a
+table's contexts, with ``_context`` its inverse.
+
+``sample_and_score`` takes P prompts and B uniform rows, B / P sequences
+per prompt in the group layout of ``tasks.build_microbatch``. It builds the
+prompts' table, draws each position's token from the CDF row of its
 context, and gathers the logits and layer inputs of the sampled contexts
 for the backward pass, which teacher-forced ``score`` shares; there is no
-second forward. ``kl_from_reference`` samples from the policy's table of
-the KL prompts and reads both policies' log-probabilities off their tables,
-so a run builds the reference policy's table once. Sampling takes its
-randomness as an array of uniforms (B, T), one row per sequence; the caller
-derives the rows (``rng.uniforms``), so no generator enters this module's
-sampling path.
+second forward. ``kl_from_reference`` samples from the policy's
+``kl_reference`` table of the KL prompts and reads both policies'
+log-probabilities off their tables, so a run builds the reference policy's
+table once. Sampling takes its randomness as an array of uniforms (B, T),
+one row per sequence; the caller derives the rows (``rng.uniforms``), so no
+generator enters this module's sampling path.
 
 The table costs P (1 + (T - 1) V) rows against 2 B T for decoding the
 sequences position by position and then scoring them: 132 against 192 for a
 default seqtask microbatch (P = 4 prompts, B = 32, T = 3, V = 16), in one
 pass instead of T + 1, and 528 against 1536 for the eval KL's 256 samples
-over 16 prompts. It pays when groups share prompts. ``greedy`` decodes
-position by position, since validation's 54 prompts with one sequence each
-would need 1782 table rows against 162 decoded, and GRPO re-scores its
-fixed batch by teacher forcing (96 rows against a 132-row table). Every
-gemm of the seqtask tables has 64 rows or more, where OpenBLAS rounds each
-row the same way at any row count, so a gathered row equals the one a
-teacher-forced pass computes bit for bit.
+over 16 prompts. It pays when groups share prompts, and only then, so two
+forward shapes stay. ``greedy`` decodes position by position: validation's
+54 prompts with one sequence each would need 1782 table rows against 162
+decoded (1.78 ms against 0.13 ms, one BLAS thread). GRPO re-scores its
+fixed batch by teacher forcing: 96 rows against a 132-row table (0.15 ms
+against 0.23 ms). Every gemm of the seqtask tables has 64 rows or more,
+where OpenBLAS rounds each row the same way at any row count, so a gathered
+row equals the one a teacher-forced pass computes bit for bit.
 
 Sampled tokens are discrete, so a sequence's log-probability is a sum over
 positions and its gradient with respect to layer l's weights is a sum of
@@ -214,12 +220,6 @@ def init_policy(
     return PolicyNet(weights, vocab_size, context_dim)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
-    _, e, total = _normalize(logits)
-    return e / total
-
-
 def _normalize(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one normalization pass over the last axis: each row's maximum m,
     e = exp(logits - m) and its sum, so that softmax = e / sum and
@@ -267,36 +267,50 @@ def seq_len_for(net: PolicyNet, features) -> int:
     return t
 
 
+def _inputs(net: PolicyNet, features, position, prev) -> np.ndarray:
+    """Inputs [onehot(prev) | onehot(position) | features] for prompt features
+    (..., F) and integer positions and previous tokens broadcasting with them.
+
+    Position 0 has no previous token: its ``prev`` must still index the
+    vocabulary, and its block is left zero. The one-hots are written by
+    index; a broadcast compare against a range took twice as long.
+    """
+    features = np.asarray(features, dtype=float)
+    v, seq_len = net.vocab_size, seq_len_for(net, features)
+    # np.broadcast_shapes does this, at twice the cost
+    lead = np.broadcast(np.empty(features.shape[:-1]), position, prev).shape
+    x = np.zeros(lead + (net.context_dim,))
+    x[..., v + seq_len :] = features
+    flat = x.reshape(-1)
+    start = np.arange(0, flat.size, net.context_dim).reshape(lead)  # each input's offset
+    flat[start + v + position] = 1.0
+    flat[start + prev] = position > 0
+    return x
+
+
 def teacher_forced_inputs(net: PolicyNet, features, tokens) -> np.ndarray:
     """Teacher-forced inputs (B, T, context_dim): position t sees token t - 1 of its row."""
     features = np.asarray(features, dtype=float)
     tokens = np.asarray(tokens)
     seq_len = seq_len_for(net, features)
-    n = features.shape[0]
-    if features.ndim != 2 or tokens.shape != (n, seq_len):
+    if features.ndim != 2 or tokens.shape != (features.shape[0], seq_len):
         raise ContractViolation(
             f"features {features.shape} and tokens {tokens.shape} do not form "
             f"(B, F) and (B, {seq_len})"
         )
     if tokens.size and not (0 <= tokens.min() and tokens.max() < net.vocab_size):
         raise ContractViolation(f"tokens outside vocab {net.vocab_size}")
-    v = net.vocab_size
-    x = np.zeros((n, seq_len, net.context_dim))
-    x[:, 1:, :v] = np.eye(v)[tokens[:, :-1]]
-    x[:, :, v : v + seq_len] = np.eye(seq_len)
-    x[:, :, v + seq_len :] = features[:, None, :]
-    return x
+    positions = np.arange(seq_len)  # position t >= 1 reads token t - 1, position 0 none
+    return _inputs(net, features[:, None], positions, tokens[:, positions - 1])
 
 
 def greedy(net: PolicyNet, features) -> np.ndarray:
     """Argmax decoding (B, T) for prompt features (B, F), position by position; deterministic."""
     features = np.asarray(features, dtype=float)
     tokens = np.zeros((features.shape[0], seq_len_for(net, features)), dtype=np.int64)
-    x = teacher_forced_inputs(net, features, tokens)
-    for t in range(tokens.shape[1]):
-        if t:  # the previous-token block of position t, now that it is known
-            x[:, t, : net.vocab_size] = np.eye(net.vocab_size)[tokens[:, t - 1]]
-        tokens[:, t] = np.argmax(forward(net, x[:, t])[0], axis=-1)
+    for t in range(tokens.shape[1]):  # position 0 does not read tokens[:, -1]
+        x = _inputs(net, features, t, tokens[:, t - 1])
+        tokens[:, t] = np.argmax(forward(net, x)[0], axis=-1)
     return tokens
 
 
@@ -354,14 +368,26 @@ def score(net: PolicyNet, features, tokens, inputs=None) -> Scored:
     return _backward(net, logits, act_in, tokens)
 
 
+def _row(position, prev, vocab: int):
+    """The ``ContextTable`` row of the context (position, previous token):
+    1 + (position - 1) vocab + prev, and 0 for position 0, which has no
+    previous token, whatever token ``prev`` is."""
+    return np.maximum(1 + (position - 1) * vocab + prev, 0)
+
+
+def _context(row, vocab: int):
+    """The (position, previous token) of table rows, the inverse of ``_row``;
+    row 0 gives position 0 and token vocab - 1, which position 0 does not read."""
+    return (row - 1) // vocab + 1, (row - 1) % vocab
+
+
 @dataclass
 class ContextTable:
     """A policy's logits and layer inputs at every context of P prompts.
 
     Entry ``[p, r]`` of ``logits`` (P, R, vocab) and of every ``act_in[l]``
-    (P, R, in + 1) belongs to prompt p (``features[p]``) in context r:
-    r = 0 is position 0, and r = 1 + (t - 1) vocab + prev is position t >= 1
-    after token ``prev``, so R = 1 + (T - 1) vocab. A sequence b of prompt
+    (P, R, in + 1) belongs to prompt p (``features[p]``) in the context that
+    ``_row`` numbers r, R of them for T positions. A sequence b of prompt
     ``which[b]`` reads row ``which[b]`` at the contexts its tokens select.
     """
 
@@ -371,7 +397,7 @@ class ContextTable:
 
     @property
     def seq_len(self) -> int:
-        return (self.logits.shape[1] - 1) // self.logits.shape[2] + 1
+        return _context(self.logits.shape[1] - 1, self.logits.shape[2])[0] + 1
 
     @cached_property
     def _normalized(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -381,9 +407,8 @@ class ContextTable:
     def _index(self, which, tokens) -> tuple[np.ndarray, np.ndarray]:
         """Index pair selecting the (B, T) entries sequences ``tokens`` of
         prompts ``which`` read."""
-        vocab = self.logits.shape[-1]
-        rows = np.zeros(tokens.shape, dtype=np.int64)
-        rows[:, 1:] = 1 + vocab * np.arange(tokens.shape[1] - 1) + tokens[:, :-1]
+        positions = np.arange(tokens.shape[1])  # position 0 does not read tokens[:, -1]
+        rows = _row(positions, tokens[:, positions - 1], self.logits.shape[-1])
         return np.asarray(which)[:, None], rows
 
     def sample(self, which, u) -> np.ndarray:
@@ -400,11 +425,8 @@ class ContextTable:
         _, e, total = self._normalized
         cdf = np.cumsum(e / total, axis=-1)
         tokens = np.zeros(u.shape, dtype=np.int64)
-        rows = np.zeros(len(u), dtype=np.int64)
-        for t in range(u.shape[1]):
-            if t:
-                rows = 1 + (t - 1) * vocab + tokens[:, t - 1]
-            below = cdf[which, rows] <= u[:, t, None]
+        for t in range(u.shape[1]):  # position 0 does not read tokens[:, -1]
+            below = cdf[which, _row(t, tokens[:, t - 1], vocab)] <= u[:, t, None]
             tokens[:, t] = np.minimum(np.sum(below, axis=-1), vocab - 1)
         return tokens
 
@@ -425,48 +447,32 @@ class ContextTable:
 def context_table(net: PolicyNet, prompt_features) -> ContextTable:
     """The ``ContextTable`` of prompts (P, F): one ``forward`` over P (1 + (T - 1) V) rows."""
     features = np.asarray(prompt_features, dtype=float)
-    seq_len = seq_len_for(net, features)
     if features.ndim != 2:
         raise ContractViolation(f"prompt features {features.shape} are not (P, F)")
     v = net.vocab_size
-    n_rows = 1 + (seq_len - 1) * v
-    x = np.zeros((len(features), n_rows, net.context_dim))
-    x[:, 1:, :v] = np.tile(np.eye(v), (seq_len - 1, 1))
-    position = np.concatenate([[0], np.repeat(np.arange(1, seq_len), v)])
-    x[:, np.arange(n_rows), v + position] = 1.0
-    x[:, :, v + seq_len :] = features[:, None, :]
-    logits, act_in = forward(net, x)
+    n_rows = _row(seq_len_for(net, features) - 1, v - 1, v) + 1  # the last context's row + 1
+    position, prev = _context(np.arange(n_rows), v)
+    logits, act_in = forward(net, _inputs(net, features[:, None], position, prev))
     return ContextTable(features, logits, act_in)
 
 
-def _prompt_table(net: PolicyNet, features) -> tuple[ContextTable, np.ndarray]:
-    """The table of the prompts of sequences (B, F), one entry per run of equal
-    rows, and each sequence's entry (B,)."""
-    features = np.asarray(features, dtype=float)
-    new = np.ones(len(features), dtype=bool)
-    new[1:] = np.any(features[1:] != features[:-1], axis=-1)
-    return context_table(net, features[new]), np.cumsum(new) - 1
-
-
-def sample(net: PolicyNet, features, u) -> np.ndarray:
-    """Draw token sequences (B, T) from the policy for prompt features (B, F)
-    and uniforms ``u`` (B, T), by ``ContextTable.sample``'s rule."""
-    table, which = _prompt_table(net, features)
-    return table.sample(which, u)
-
-
-def sample_and_score(net: PolicyNet, features, u) -> tuple[np.ndarray, Scored]:
-    """Sample sequences (B, T) for prompt features (B, F) from uniforms ``u``
-    (B, T), as ``sample`` does, and score them off the same table."""
-    table, which = _prompt_table(net, features)
+def sample_and_score(net: PolicyNet, prompt_features, u) -> tuple[np.ndarray, Scored]:
+    """Sample sequences (B, T) from uniforms ``u`` (B, T) for prompts (P, F),
+    B / P per prompt: rows p B / P to (p + 1) B / P - 1 belong to prompt p.
+    They are drawn by ``ContextTable.sample``'s rule from the prompts' one
+    table and scored off it."""
+    n_prompts, n_seqs = len(prompt_features), len(u)
+    if not n_prompts or n_seqs % n_prompts:
+        raise ContractViolation(f"{n_seqs} sequences do not split over {n_prompts} prompts")
+    table = context_table(net, prompt_features)
+    which = np.repeat(np.arange(n_prompts), n_seqs // n_prompts)
     tokens = table.sample(which, u)
     return tokens, table.score(net, which, tokens)
 
 
-def kl_reference(ref: PolicyNet, prompts) -> ContextTable:
-    """``ref``'s table of ``prompts`` in sorted-id order, which
-    ``kl_from_reference`` accepts in place of either policy for the same
-    prompts.
+def kl_reference(net: PolicyNet, prompts) -> ContextTable:
+    """``net``'s table of ``prompts`` in sorted-id order, the form in which
+    ``kl_from_reference`` reads both policies.
 
     It keeps no layer inputs, which only scoring reads, so a table kept for a
     whole run holds just its logits and, once read, their normalization.
@@ -474,34 +480,24 @@ def kl_reference(ref: PolicyNet, prompts) -> ContextTable:
     ordered = sorted(prompts, key=lambda p: p.id)
     if not ordered:
         raise ContractViolation("need at least one prompt")
-    table = context_table(ref, np.stack([p.features for p in ordered]))
+    table = context_table(net, np.stack([p.features for p in ordered]))
     return replace(table, act_in=[])
 
 
 def kl_from_reference(
-    net: PolicyNet | ContextTable,
-    ref: PolicyNet | ContextTable,
-    prompts,
-    n_samples: int,
-    rng: np.random.Generator,
+    table: ContextTable, ref: ContextTable, n_samples: int, rng: np.random.Generator
 ) -> float:
-    """Monte Carlo estimate of KL(net || ref) averaged over prompts.
+    """Monte Carlo estimate of KL(policy || reference) averaged over prompts,
+    from the two policies' ``kl_reference`` tables of the same prompts.
 
-    Samples are allocated round-robin over prompts in sorted-id order, so the
-    estimate does not depend on the order the prompts are passed in. Sample
-    i uses row i of one ``rng.random((n_samples, T))`` draw. Both policies'
-    log-probabilities are read off their tables of the prompts, built by the
-    same ``forward`` over the same rows, so policies with equal weights give
-    exactly 0.0. Either policy may be given as its ``kl_reference`` table of
-    the same prompts, which repeated estimates against one policy share and
-    a caller holding the table of the current weights passes as ``net``.
+    Sample i belongs to the table's prompt i mod P, so samples are allocated
+    round-robin over the prompts in sorted-id order, and it uses row i of
+    one ``rng.random((n_samples, T))`` draw. Both tables come from the same
+    ``forward`` over the same rows, so policies with equal weights give
+    exactly 0.0.
     """
-    both = isinstance(net, PolicyNet) and isinstance(ref, PolicyNet)
-    if both and [w.shape for w in net.weights] != [w.shape for w in ref.weights]:
-        raise ContractViolation("policies must share an architecture")
-    if isinstance(ref, PolicyNet):
-        ref = kl_reference(ref, prompts)
-    table = net if isinstance(net, ContextTable) else kl_reference(net, prompts)
+    if n_samples < 1:
+        raise ContractViolation(f"need at least one sample, got {n_samples}")
     if table.logits.shape != ref.logits.shape or not np.array_equal(
         table.features, ref.features
     ):
@@ -526,7 +522,8 @@ def save_checkpoint(net: PolicyNet, path) -> None:
 
 def load_checkpoint(path) -> PolicyNet:
     """Read a ``save_checkpoint`` file. A short, malformed or non-numeric line,
-    or a line after the last layer, raises ContractViolation naming the line."""
+    a non-finite weight, or a line after the last layer, raises
+    ContractViolation naming the line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     pos = 0
@@ -539,9 +536,12 @@ def load_checkpoint(path) -> PolicyNet:
             start = f" starting with {tag!r}" if tag else ""
             raise ContractViolation(f"{path}: line {pos}: expected {n} fields{start}")
         try:
-            return [parse(v) for v in (parts[1:] if tag else parts)]
+            values = [parse(v) for v in (parts[1:] if tag else parts)]
         except ValueError as exc:
             raise ContractViolation(f"{path}: line {pos}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise ContractViolation(f"{path}: line {pos}: non-finite value")
+        return values
 
     if fields(CHECKPOINT_MAGIC, 2, int) != [CHECKPOINT_VERSION]:
         raise ContractViolation(f"{path}: line 1: unrecognized checkpoint version")

@@ -122,15 +122,15 @@ def build_microbatch(net, task, prompts, u, normalize_std: bool = False) -> Micr
     if not prompts or len(u) % len(prompts):
         raise ContractViolation(f"{len(u)} uniform rows do not split into {len(prompts)} groups")
     size = len(u) // len(prompts)
-    features = np.repeat(np.stack([p.features for p in prompts]), size, axis=0)
-    tokens, scored = policy.sample_and_score(net, features, u)
+    prompt_features = np.stack([p.features for p in prompts])
+    tokens, scored = policy.sample_and_score(net, prompt_features, u)
     # rewards come from the task verifier and nowhere else
     rewards = task.rewards([p for p in prompts for _ in range(size)], tokens)
     groups = [
         Group(prompt, r, group_advantages(r, normalize_std))
         for prompt, r in zip(prompts, np.split(rewards, len(prompts)))
     ]
-    return Microbatch(groups, features, tokens, scored)
+    return Microbatch(groups, np.repeat(prompt_features, size, axis=0), tokens, scored)
 
 
 def _heldout_hash(key: str) -> bool:

@@ -34,6 +34,12 @@ def make_microbatch(net, task, seed=0, n_groups=2, group_size=4, force_advantage
     return mb
 
 
+def two_pass_softmax(logits):
+    """Softmax over the last axis: the exponentials of the shifted logits, then their sum."""
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
 def as_factors(jac):
     """Rank-one factors (grad_out, act_in) of a stack of matrices V (m, out, in + 1):
     position k of sequence i is (V_i[:, k], e_k), so V_i = sum_k outer(V_i[:, k], e_k)."""

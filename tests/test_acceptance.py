@@ -158,8 +158,8 @@ def test_criterion_04_self_normalization():
     # scale the backpropagated factors so every estimate keeps F^2 well above the
     # 1e-8 floor of reg2, where p = -1 divides by F exactly
     u = uniforms(3, [f"c4/{k}" for k in range(8)], task.seq_len)
+    tokens, scored = policy.sample_and_score(net, prompt.features[None], u)
     features = np.repeat(prompt.features[None], 8, axis=0)
-    tokens, scored = policy.sample_and_score(net, features, u)
     scaled = policy.Scored(scored.logprobs, scored.act_in, [g * 12.0 for g in scored.grad_out])
     group = tasks.Group(prompt, np.zeros(8), np.linspace(-1, 1, 8))
     mb = tasks.Microbatch([group], features, tokens, scaled)

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import pytest
-
 from isopo_lab import cli
 
 
@@ -108,7 +106,21 @@ def test_cli_oracle_check_pass(capsys):
     assert out.count("PASS") == 5
 
 
-def test_cli_bad_config_errors(tmp_path):
-    cfg = write_config(tmp_path / "bad.cfg", "algo = reinforce\nclip_eps = 0.2\n")
-    with pytest.raises(Exception):
-        cli.main(["train", "--config", cfg])
+def test_cli_bad_config_errors(tmp_path, capsys):
+    # one line on stderr and exit code 2, no traceback, for train and compare
+    scoped = write_config(tmp_path / "bad.cfg", "algo = reinforce\nclip_eps = 0.2\n")
+    unknown = write_config(tmp_path / "unknown.cfg", "algo = reinforce\nnope = 1\n")
+    assert cli.main(["train", "--config", scoped, "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err == (
+        "error: key 'clip_eps' only applies to algo ['grpo'], config uses 'reinforce'\n"
+    )
+    assert cli.main(["train", "--config", unknown, "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err == "error: line 2: unknown key 'nope'\n"
+    ok = write_config(tmp_path / "ok.cfg", "steps = 1\n")
+    too_many = write_config(tmp_path / "many.cfg", "groups_per_microbatch = 300\n")
+    code = cli.main(["compare", "--config", ok, "--config", too_many, "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: groups_per_microbatch=300 exceeds 202 training prompts\n"
+    )
+    assert not (tmp_path / "t").exists() and not (tmp_path / "c").exists()

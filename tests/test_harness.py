@@ -90,7 +90,9 @@ def test_kl_from_reference_pinned():
     drift = stream(0, "pin-perturb")
     for w in net.weights:
         w += 0.3 * drift.standard_normal(w.shape)
-    kl = policy.kl_from_reference(net, ref, task.heldout_prompts[:16], 256, stream(0, "pin-kl"))
+    prompts = task.heldout_prompts[:16]
+    table, ref = policy.kl_reference(net, prompts), policy.kl_reference(ref, prompts)
+    kl = policy.kl_from_reference(table, ref, 256, stream(0, "pin-kl"))
     assert kl == pytest.approx(PINNED_KL, rel=1e-12, abs=0)
 
 
@@ -379,6 +381,14 @@ def test_groups_exceeding_train_prompts_rejected(tmp_path):
     with pytest.raises(ConfigError):
         harness.train(cfg, tmp_path / "r")
     assert not (tmp_path / "r").exists()
+
+
+def test_compare_checks_every_config_before_training(tmp_path):
+    # the bad config comes second: no run of the first may train before it is rejected
+    bad = quick_cfg(groups_per_microbatch=300)
+    with pytest.raises(ConfigError, match="groups_per_microbatch=300"):
+        harness.compare([quick_cfg(), bad], 2, tmp_path / "cmp", ["ok", "bad"])
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_all_algorithms_run_and_write(tmp_path):
@@ -714,9 +724,9 @@ def test_diagnostics_only_where_read(tmp_path, monkeypatch, algo, abort_step):
 def test_one_forward_per_sampled_batch_and_kl(tmp_path, monkeypatch, algo):
     # a sampled microbatch costs one forward (its context table), a row's KL
     # one more (the current policy's table) except at step 0, which reads the
-    # initial policy's table, built once per run; greedy validation decodes
-    # position by position and GRPO re-scores its batch by teacher forcing
-    # after the first epoch
+    # initial policy's table, built once per run, and the KL itself none;
+    # greedy validation decodes position by position and GRPO re-scores its
+    # batch by teacher forcing after the first epoch
     cfg = quick_cfg(algo=algo, steps=7, eval_every=3, seed=1)
     active, counts = ["other"], dict.fromkeys(["sample", "kl", "reference", "other"], 0)
     forward = policy.forward
@@ -743,8 +753,8 @@ def test_one_forward_per_sampled_batch_and_kl(tmp_path, monkeypatch, algo):
     rescoring = cfg.steps * (cfg.inner_epochs - 1) if algo == "grpo" else 0
     assert counts == {
         "sample": cfg.steps + 1,
-        "kl": len(res.rows) - 1,
-        "reference": 1,
+        "kl": 0,
+        "reference": len(res.rows),
         "other": len(res.rows) * harness.make_task(cfg).seq_len + rescoring,
     }
 

@@ -373,7 +373,7 @@ def test_estimator_consistent_with_exact_fisher():
         estimates = []
         for redraw in range(20):
             u = uniforms(1000 + redraw, [f"r/{k}" for k in range(256)], seq_len)
-            tokens, scored = policy.sample_and_score(net, features, u)
+            tokens, scored = policy.sample_and_score(net, prompt.features[None], u)
             group = tasks.Group(prompt, np.zeros(256), np.zeros(256))
             mb = tasks.Microbatch([group], features, tokens, scored)
             ov = isopo.draw_overlap_samples(mb, 512, stream(redraw, "ov"))

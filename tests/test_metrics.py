@@ -17,7 +17,8 @@ def summary_for(mb, n_overlap=16, seed=0):
 
 def test_step_zero_kl_is_exactly_zero(small_net, small_task, microbatch):
     summary, _ = summary_for(microbatch)
-    row = metrics.collect(0, small_net, small_net.copy(), small_task, summary, 0, "reinforce")
+    ref = metrics.reference_table(small_net, small_task)
+    row = metrics.collect(0, small_net, ref, small_task, summary, 0, "reinforce")
     assert row["kl_from_init"] == 0.0
     assert row["step"] == 0
     assert row["task"] == "seqtask"
@@ -36,7 +37,8 @@ def test_mean_fisher_norm_matches_manual_average(microbatch):
 def test_collect_does_not_mutate_policy(small_net, small_task, microbatch):
     before = [w.copy() for w in small_net.weights]
     summary, _ = summary_for(microbatch)
-    metrics.collect(5, small_net, small_net.copy(), small_task, summary, 3, "grpo")
+    ref = metrics.reference_table(small_net.copy(), small_task)
+    metrics.collect(5, small_net, ref, small_task, summary, 3, "grpo")
     for a, b in zip(before, small_net.weights):
         assert np.array_equal(a, b)
 
@@ -57,7 +59,8 @@ def test_validation_of_perfect_policy(small_task, small_net):
     net = pol.PolicyNet([w], vocab_size=4, context_dim=context_dim)
     mb = make_microbatch(net, task, seed=0, n_groups=2, group_size=2)
     summary, _ = summary_for(mb, n_overlap=4)
-    row = metrics.collect(0, net, net.copy(), task, summary, 0, "reinforce")
+    ref = metrics.reference_table(net, task)
+    row = metrics.collect(0, net, ref, task, summary, 0, "reinforce")
     assert row["validation"] == 1.0
 
 

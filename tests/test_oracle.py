@@ -7,6 +7,8 @@ from isopo_lab import checks, oracle, policy, tasks
 from isopo_lab.errors import ContractViolation, EnumerationBudgetError, SingularMatrixError
 from isopo_lab.rng import stream, uniforms
 
+from conftest import two_pass_softmax
+
 
 def tiny_net(seed=0, seq_len=2):
     return checks._tiny_oracle_policy(seed, seq_len=seq_len)
@@ -22,7 +24,7 @@ def test_exact_fisher_two_class_closed_form():
     net = policy.PolicyNet([w], vocab_size=vocab, context_dim=context_dim)
     prompt = tasks.Prompt(id="t", features=np.zeros(0), target=(0,))
     fisher = oracle.exact_fisher(net, [prompt])
-    p = policy.softmax(logits)
+    p = two_pass_softmax(logits)
     # categorical Fisher over logits is diag(p) - p p^T = p0 p1 [[1,-1],[-1,1]];
     # with a fixed input a the weight-space Fisher is its Kronecker lift
     c = np.diag(p) - np.outer(p, p)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from isopo_lab import harness, metrics, policy, tasks
 from isopo_lab.config import RunConfig
 from isopo_lab.errors import ContractViolation
 from isopo_lab.rng import stream, uniforms
+
+from conftest import two_pass_softmax
 
 
 def bias_only_net(bias):
@@ -88,8 +91,8 @@ def test_sampling_uniform_under_zero_weights():
     net = bias_only_net(np.zeros(4))
     prompt = single_step_prompt(net)
     n = 10_000
-    features = np.repeat(prompt.features[None], n, axis=0)
-    tokens = policy.sample(net, features, stream(0, "uniform-check").random((n, 1)))
+    u = stream(0, "uniform-check").random((n, 1))
+    tokens, _ = policy.sample_and_score(net, prompt.features[None], u)
     counts = np.bincount(tokens[:, 0], minlength=4)
     p = 0.25
     sigma = math.sqrt(p * (1 - p) / n)
@@ -101,9 +104,9 @@ def test_sampling_saturated_logits():
     logits[2] = 20.0
     net = bias_only_net(logits)
     prompt = single_step_prompt(net)
-    assert policy.softmax(logits)[2] >= 0.999
-    features = np.repeat(prompt.features[None], 2000, axis=0)
-    draws = policy.sample(net, features, stream(1, "saturated").random((2000, 1)))
+    assert two_pass_softmax(logits)[2] >= 0.999
+    u = stream(1, "saturated").random((2000, 1))
+    draws, _ = policy.sample_and_score(net, prompt.features[None], u)
     assert np.mean(draws == 2) >= 0.999
 
 
@@ -113,9 +116,9 @@ def test_sample_rows_are_independent_of_the_batch(small_net, small_task):
     prompts = small_task.train_prompts[:6]
     features = np.stack([p.features for p in prompts])
     u = stream(4, "rows").random((6, small_task.seq_len))
-    batch = policy.sample(small_net, features, u)
+    batch, _ = policy.sample_and_score(small_net, features, u)
     for b in range(6):
-        alone = policy.sample(small_net, features[b : b + 1], u[b : b + 1])
+        alone, _ = policy.sample_and_score(small_net, features[b : b + 1], u[b : b + 1])
         assert np.array_equal(batch[b], alone[0])
     assert np.array_equal(
         policy.greedy(small_net, features),
@@ -136,7 +139,7 @@ def test_sample_sequence_deterministic_for_fixed_seed(small_net, small_task):
 def test_score_rows_match_scoring_each_alone(small_net, small_task):
     prompts = small_task.train_prompts[:5]
     features = np.stack([p.features for p in prompts])
-    tokens = policy.sample(small_net, features, stream(5, "alone").random((5, 2)))
+    tokens, _ = policy.sample_and_score(small_net, features, stream(5, "alone").random((5, 2)))
     batch = policy.score(small_net, features, tokens)
     assert np.array_equal(batch.logprobs, policy.sequence_logprobs(small_net, features, tokens))
     for b in range(5):
@@ -237,6 +240,45 @@ def test_forward_and_backward_equal_the_two_pass_formulas(task_name):
     assert np.array_equal(table.logprobs(which, mb.tokens), read)
 
 
+def written_out_input(net, features, position, prev):
+    """[onehot(prev) | onehot(position) | features], one block at a time;
+    position 0 has no previous token."""
+    prev_block = np.zeros(net.vocab_size)
+    if position > 0:
+        prev_block[prev] = 1.0
+    position_block = np.zeros(net.context_dim - net.vocab_size - len(features))
+    position_block[position] = 1.0
+    return np.concatenate([prev_block, position_block, features])
+
+
+@pytest.mark.parametrize("task_name", ["seqtask", "bandit"])
+def test_every_input_has_the_one_layout(monkeypatch, task_name):
+    cfg = RunConfig(task=task_name, seed=0)
+    task = harness.make_task(cfg)
+    net = harness.build_policy(task, cfg.seed)
+    mb = harness.sample_microbatch(net, task, cfg, 1)
+    x = policy.teacher_forced_inputs(net, mb.features, mb.tokens)
+    for b, t in np.ndindex(mb.tokens.shape):
+        expected = written_out_input(net, mb.features[b], t, mb.tokens[b, t - 1])
+        assert np.array_equal(x[b, t], expected)
+    # table row r holds context r: position 0, then (t, prev) for t >= 1, prev < V
+    contexts = [(0, 0)] + [(t, p) for t in range(1, task.seq_len) for p in range(task.vocab_size)]
+    features = np.stack([g.prompt.features for g in mb.groups])
+    layer_in = policy.context_table(net, features).act_in[0][..., :-1]
+    assert layer_in.shape[1] == len(contexts)
+    for p, (r, (t, prev)) in itertools.product(range(len(features)), enumerate(contexts)):
+        assert np.array_equal(layer_in[p, r], written_out_input(net, features[p], t, prev))
+    # greedy's input at position t reads the token it decoded at t - 1
+    seen, forward = [], policy.forward
+    monkeypatch.setattr(policy, "forward", lambda net, x: seen.append(x) or forward(net, x))
+    features = np.stack([p.features for p in task.heldout_prompts])
+    tokens = policy.greedy(net, features)
+    assert len(seen) == task.seq_len
+    for b, t in np.ndindex(tokens.shape):
+        expected = written_out_input(net, features[b], t, tokens[b, t - 1])
+        assert np.array_equal(seen[t][b], expected)
+
+
 def test_context_table_rows(small_net, small_task):
     # entry [p, r] is the forward of prompt p's context r: position 0, or
     # position t after token prev at r = 1 + (t - 1) V + prev
@@ -261,10 +303,11 @@ def test_context_table_rows(small_net, small_task):
 def test_reference_table_must_match_the_prompts(small_net, small_task):
     prompts = small_task.heldout_prompts[:4]
     ref = policy.kl_reference(small_net, prompts)
-    kl = policy.kl_from_reference(small_net, ref, prompts[::-1], 40, stream(0, "kl-table"))
-    assert kl == 0.0
+    table = policy.kl_reference(small_net, prompts[::-1])
+    assert policy.kl_from_reference(table, ref, 40, stream(0, "kl-table")) == 0.0
+    other = policy.kl_reference(small_net, prompts[:3])
     with pytest.raises(ContractViolation):
-        policy.kl_from_reference(small_net, ref, prompts[:3], 40, stream(0, "kl-table"))
+        policy.kl_from_reference(other, ref, 40, stream(0, "kl-table"))
     with pytest.raises(ContractViolation):  # kept for the KL, it cannot score
         ref.score(small_net, np.zeros(1, dtype=np.int64), np.zeros((1, 2), dtype=np.int64))
 
@@ -318,20 +361,33 @@ def test_score_rejects_bad_tokens(small_net, small_task):
     with pytest.raises(ContractViolation):
         policy.score(small_net, features, [[0, small_net.vocab_size]])
     with pytest.raises(ContractViolation):
-        policy.sample(small_net, features, np.zeros((1, 3)))
+        policy.sample_and_score(small_net, features, np.zeros((1, 3)))
+    with pytest.raises(ContractViolation):  # 3 sequences do not split over 2 prompts
+        policy.sample_and_score(small_net, np.repeat(features, 2, axis=0), np.zeros((3, 2)))
+
+
+def kl(net, ref, prompts, n_samples, rng):
+    """The MC KL of ``net`` from ``ref`` over ``prompts``, from their two tables."""
+    table = policy.kl_reference(net, prompts)
+    return policy.kl_from_reference(table, policy.kl_reference(ref, prompts), n_samples, rng)
 
 
 def test_kl_identical_nets_is_exactly_zero(small_net, small_task):
-    kl = policy.kl_from_reference(
-        small_net, small_net.copy(), small_task.heldout_prompts[:3], 32, stream(0, "kl")
-    )
-    assert kl == 0.0
+    prompts = small_task.heldout_prompts[:3]
+    assert kl(small_net, small_net.copy(), prompts, 32, stream(0, "kl")) == 0.0
     # default seqtask policy: both policies are read off 528-row tables built
     # by the same forward, so equal weights cancel on any BLAS
     task = tasks.SeqAdditionTask(modulus=16, seq_len=3)
     net = harness.build_policy(task, 0)
     prompts = task.heldout_prompts[:16]
-    assert policy.kl_from_reference(net, net.copy(), prompts, 24, stream(0, "kl/0")) == 0.0
+    assert kl(net, net.copy(), prompts, 24, stream(0, "kl/0")) == 0.0
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_kl_needs_a_sample(small_net, small_task, n_samples):
+    table = policy.kl_reference(small_net, small_task.heldout_prompts[:3])
+    with pytest.raises(ContractViolation):
+        policy.kl_from_reference(table, table, n_samples, stream(0, "kl"))
 
 
 def test_kl_matches_closed_form_categorical():
@@ -340,11 +396,11 @@ def test_kl_matches_closed_form_categorical():
     net = bias_only_net(logits_p)
     ref = bias_only_net(logits_q)
     prompt = single_step_prompt(net)
-    p = policy.softmax(logits_p)
-    q = policy.softmax(logits_q)
+    p = two_pass_softmax(logits_p)
+    q = two_pass_softmax(logits_q)
     exact = float(np.sum(p * (np.log(p) - np.log(q))))
     n = 100_000
-    estimate = policy.kl_from_reference(net, ref, [prompt], n, stream(3, "kl-mc"))
+    estimate = kl(net, ref, [prompt], n, stream(3, "kl-mc"))
     # 3 sigma of the Monte Carlo mean, sigma estimated from the exact distribution
     ratios = np.log(p) - np.log(q)
     sigma = math.sqrt(float(np.sum(p * (ratios - exact) ** 2)) / n)
@@ -356,17 +412,18 @@ def test_kl_invariant_to_prompt_ordering(small_net, small_task):
     for w in ref.weights:
         w += 0.01
     prompts = small_task.heldout_prompts[:4]
-    a = policy.kl_from_reference(small_net, ref, prompts, 40, stream(0, "kl-ord"))
-    b = policy.kl_from_reference(small_net, ref, prompts[::-1], 40, stream(0, "kl-ord"))
+    a = kl(small_net, ref, prompts, 40, stream(0, "kl-ord"))
+    b = kl(small_net, ref, prompts[::-1], 40, stream(0, "kl-ord"))
     assert a == b
 
 
 def two_pass_kl(net, ref, prompts, n_samples, rng):
     """The MC KL as two teacher-forced passes over the samples, one per policy."""
-    ordered = sorted(prompts, key=lambda p: p.id)
-    features = np.stack([p.features for p in ordered])[np.arange(n_samples) % len(ordered)]
+    ordered = np.stack([p.features for p in sorted(prompts, key=lambda p: p.id)])
+    which = np.arange(n_samples) % len(ordered)
+    features = ordered[which]
     u = rng.random((n_samples, policy.seq_len_for(net, features)))
-    tokens = policy.sample(net, features, u)
+    tokens = policy.context_table(net, ordered).sample(which, u)
     diffs = policy.sequence_logprobs(net, features, tokens) - policy.sequence_logprobs(
         ref, features, tokens
     )
@@ -382,23 +439,24 @@ def test_kl_reads_the_sampling_logits_like_a_second_pass(n_samples):
     for w in net.weights:
         w += 0.3 * drift.standard_normal(w.shape)
     prompts = task.heldout_prompts[: metrics.KL_PROMPTS]
-    kl = policy.kl_from_reference(net, ref, prompts, n_samples, stream(0, "kl-two-pass"))
+    estimate = kl(net, ref, prompts, n_samples, stream(0, "kl-two-pass"))
     expected = two_pass_kl(net, ref, prompts, n_samples, stream(0, "kl-two-pass"))
     if n_samples >= 64:
-        assert kl == expected
+        assert estimate == expected
     else:
         # the second pass's gemm has 3 n rows; below 64 OpenBLAS takes a
         # small-matrix path that may round the last bits differently from the
         # table's 528-row gemm
-        assert kl == pytest.approx(expected, rel=1e-12, abs=0)
+        assert estimate == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_kl_architecture_mismatch(small_net, small_task):
-    other = bias_only_net(np.zeros(small_net.vocab_size))
+    task = small_task
+    other = policy.init_policy(
+        task.vocab_size + 1, task.seq_len, task.feature_dim, (6,), stream(0, "other")
+    )
     with pytest.raises(ContractViolation):
-        policy.kl_from_reference(
-            small_net, other, small_task.heldout_prompts[:1], 4, stream(0, "x")
-        )
+        kl(small_net, other, task.heldout_prompts[:1], 4, stream(0, "x"))
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path, small_net):
@@ -423,6 +481,7 @@ CHECKPOINT_CORRUPTIONS = {
     "non-integer": lambda lines: ([lines[0], "vocab_size five"] + lines[2:], 2),
     "non-hex": lambda lines: (lines[:5] + ["zz" + lines[5]] + lines[6:], 6),
     "trailing": lambda lines: (lines + ["extra"], len(lines) + 1),
+    "non-finite": lambda lines: (lines[:6] + ["nan " + lines[6].split(" ", 1)[1]] + lines[7:], 7),
 }
 
 
