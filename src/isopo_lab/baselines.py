@@ -137,9 +137,7 @@ def optimizer_step(state: OptimizerState, net: PolicyNet, grads: list[np.ndarray
         for l, g in enumerate(grads):
             bad = int(np.count_nonzero(~np.isfinite(g)))
             if bad:
-                raise NonFiniteGradientError(
-                    f"layer {l} gradient has {bad} non-finite entries at step {state.step_count + 1}"
-                )
+                raise NonFiniteGradientError(f"layer {l} gradient has {bad} non-finite entries")
     state.step_count += 1
     if state.kind == "sgd":
         delta = state.lr * flat

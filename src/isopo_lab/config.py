@@ -157,8 +157,13 @@ def parse_config(text: str, **overrides) -> RunConfig:
 
 
 def load_config(path, **overrides) -> RunConfig:
+    """``parse_config`` of the file at ``path``; a ConfigError names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), **overrides)
+        text = fh.read()
+    try:
+        return parse_config(text, **overrides)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _applicable_keys(cfg: RunConfig) -> list[str]:

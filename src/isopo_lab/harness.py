@@ -20,11 +20,11 @@ that the step builds once. Step 0 only probes the initial policy.
 
 A row is written on every ``eval_every``-th step and on the step that
 aborts: a numeric failure inside the update (any ArithmeticError: a
-non-finite gradient, a Tikhonov system that is not positive definite, GRPO
-ratio overflow) ends the run as ABORTED with the step and the reason. A
-row's batch diagnostics are the same for every algorithm, so the per-layer
-statistics are comparable across runs: the step draws its overlap sample
-from its own ``overlap/{step}`` stream, estimates every sequence's
+non-finite gradient, a Tikhonov system that is not finite or not positive
+definite, GRPO ratio overflow) ends the run as ABORTED with the step and the
+reason. A row's batch diagnostics are the same for every algorithm, so the
+per-layer statistics are comparable across runs: the step draws its overlap
+sample from its own ``overlap/{step}`` stream, estimates every sequence's
 per-layer Fisher norm and summarizes the batch. Only isopo-ni's update reads
 the norms, so it estimates them on every step; the other algorithms do so
 only on steps that write a row (the aborting step after its failure, from
@@ -170,7 +170,7 @@ def read_metrics_csv(path) -> list[dict]:
     return rows
 
 
-def _update(cfg, net, optimizer, microbatch, norms, rescale_params, ntk_ema) -> None:
+def _update(cfg, net, optimizer, microbatch, norms, rescale_params) -> None:
     """Apply the step's optimizer steps: ``inner_epochs`` for GRPO, one otherwise."""
     inputs = None
     if cfg.algo == "grpo" and cfg.inner_epochs > 1:  # the later epochs re-score one batch
@@ -187,7 +187,9 @@ def _update(cfg, net, optimizer, microbatch, norms, rescale_params, ntk_ema) -> 
         elif cfg.algo == "isopo-ni":
             grads = isopo.noninteracting_update(microbatch, norms, rescale_params)
         else:
-            grads = isopo.interacting_microbatch_update(microbatch, cfg.reg_factor, ntk_ema)
+            grads = isopo.interacting_microbatch_update(
+                microbatch, cfg.reg_factor, rescale_params.ema
+            )
         baselines.optimizer_step(optimizer, net, [-g for g in grads])
 
 
@@ -211,10 +213,10 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
     net = build_policy(task, cfg.seed)
     kl_ref = metrics.reference_table(net, task)
     optimizer = baselines.OptimizerState(cfg.optimizer, cfg.lr)
+    # the run's one EMA state: isopo-ni and isopo-int each key their own entries
     rescale_params = isopo.RescalingParams(
         cfg.p, cfg.q, cfg.r, cfg.reg_strength, isopo.RegEmaState(cfg.ema_decay)
     )
-    ntk_ema = isopo.RegEmaState(cfg.ema_decay)
 
     rows: list[dict] = []
     aborted = False
@@ -226,7 +228,7 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
             norms, degenerate = _fisher_norms(microbatch, cfg, step)
         if step > 0:
             try:
-                _update(cfg, net, optimizer, microbatch, norms, rescale_params, ntk_ema)
+                _update(cfg, net, optimizer, microbatch, norms, rescale_params)
             except ArithmeticError as exc:
                 aborted = True
                 abort_reason = f"step {step}: {type(exc).__name__}: {exc}"
@@ -307,7 +309,8 @@ def compare(
     """Train every (config, seed) pair and write per-run CSVs plus aggregate.csv.
 
     Every run's config is checked before the first run trains, so a bad one
-    raises ConfigError with nothing written.
+    raises ConfigError with nothing written; so is a repeated label, which
+    raises ContractViolation.
     """
     if not configs or n_seeds < 1:
         raise ContractViolation("compare needs at least one config and one seed")
@@ -315,6 +318,9 @@ def compare(
         labels = [f"{cfg.algo}-{i}" for i, cfg in enumerate(configs)]
     if len(labels) != len(configs):
         raise ContractViolation("one label per config required")
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ContractViolation(f"repeated labels {repeated}")
     planned = {}
     for cfg, label in zip(configs, labels):
         planned[label] = [validate_config(replace(cfg, seed=cfg.seed + k)) for k in range(n_seeds)]

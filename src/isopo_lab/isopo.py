@@ -35,8 +35,12 @@ Per layer, the microbatch update is sum_i [(K + c I)^-1 A]_i V_i: the
 advantage vector is preconditioned by the layer's empirical neural tangent
 kernel K_ij = <V_i, V_j> (Tikhonov-regularized by c) before the usual
 weighted sum of gradients. K is the block sum over positions (t, s) of
-(G G^T) * (A A^T), where G and A stack the factors of all B T positions, and
-(K + c I)^-1 A is a Cholesky solve, so no eigendecomposition is needed.
+(G G^T) * (A A^T), where G and A stack the factors of all B T positions.
+``interacting_update`` solves (K + c I) w = A by Cholesky, so no
+eigendecomposition is needed, and does not re-check K, which is exactly
+symmetric by construction. A system that is not finite (a diverging run's
+NaN or infinite c or K) or not positive definite (c = 0 with linearly
+dependent V_i) raises SingularMatrixError, which aborts the run.
 ``interacting_microbatch_update`` sets each layer's c here, from
 ``Scored.sq_norms``: c = reg_factor * EMA over steps of the mean NTK
 eigenvalue trace(K) / m = mean_i |V_i|^2.
@@ -48,8 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation, EstimatorDegenerateError
-from .linalg import solve_tikhonov
+from .errors import ContractViolation, EstimatorDegenerateError, SingularMatrixError
 from .policy import grad_projections, grad_sum
 from .tasks import Microbatch
 
@@ -304,9 +307,28 @@ def build_ntk(grad_out, act_in) -> np.ndarray:
 
 def interacting_update(grad_out, act_in, advantages, c: float) -> np.ndarray:
     """NTK-preconditioned microbatch update sum_i [(K + cI)^-1 A]_i V_i of one
-    layer, from the factors of its sequence gradients (see ``build_ntk``)."""
-    grad_out, act_in = _as_factors(grad_out, act_in)
-    weights = solve_tikhonov(build_ntk(grad_out, act_in), c, advantages)
+    layer, from the factors of its sequence gradients (see ``build_ntk``).
+
+    Raises ContractViolation for c < 0 or advantages that are not one per
+    sequence, and SingularMatrixError when K + cI is not finite or not
+    numerically positive definite.
+    """
+    if c < 0:
+        raise ContractViolation(f"regularization must be nonnegative, got {c}")
+    gram = build_ntk(grad_out, act_in)
+    m = len(gram)
+    advantages = np.asarray(advantages, dtype=float)
+    if advantages.shape != (m,):
+        raise ContractViolation(f"{m} sequences but advantages of shape {advantages.shape}")
+    system = gram + c * np.eye(m)
+    # numpy's cholesky passes NaN through without raising
+    if not np.all(np.isfinite(system)):
+        raise SingularMatrixError(f"K + cI with c = {c:.3e} is not finite")
+    try:
+        chol = np.linalg.cholesky(system)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"K + cI with c = {c:.3e} is not positive definite") from exc
+    weights = np.linalg.solve(chol.T, np.linalg.solve(chol, advantages))
     return grad_sum(grad_out, act_in, weights)
 
 

@@ -112,10 +112,10 @@ def test_cli_bad_config_errors(tmp_path, capsys):
     unknown = write_config(tmp_path / "unknown.cfg", "algo = reinforce\nnope = 1\n")
     assert cli.main(["train", "--config", scoped, "--out", str(tmp_path / "t")]) == 2
     assert capsys.readouterr().err == (
-        "error: key 'clip_eps' only applies to algo ['grpo'], config uses 'reinforce'\n"
+        f"error: {scoped}: key 'clip_eps' only applies to algo ['grpo'], config uses 'reinforce'\n"
     )
     assert cli.main(["train", "--config", unknown, "--out", str(tmp_path / "t")]) == 2
-    assert capsys.readouterr().err == "error: line 2: unknown key 'nope'\n"
+    assert capsys.readouterr().err == f"error: {unknown}: line 2: unknown key 'nope'\n"
     ok = write_config(tmp_path / "ok.cfg", "steps = 1\n")
     too_many = write_config(tmp_path / "many.cfg", "groups_per_microbatch = 300\n")
     code = cli.main(["compare", "--config", ok, "--config", too_many, "--out", str(tmp_path / "c")])

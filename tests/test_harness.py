@@ -7,7 +7,7 @@ import pytest
 
 from isopo_lab import baselines, checks, harness, isopo, metrics, policy
 from isopo_lab.config import RunConfig
-from isopo_lab.errors import ConfigError, CsvFormatError
+from isopo_lab.errors import ConfigError, ContractViolation, CsvFormatError
 from isopo_lab.rng import stream
 
 
@@ -391,6 +391,13 @@ def test_compare_checks_every_config_before_training(tmp_path):
     assert not (tmp_path / "cmp").exists()
 
 
+def test_compare_rejects_repeated_labels(tmp_path):
+    configs = [quick_cfg(), quick_cfg(algo="isopo-int")]
+    with pytest.raises(ContractViolation, match="'x'"):
+        harness.compare(configs, 1, tmp_path / "cmp", ["x", "x"])
+    assert not (tmp_path / "cmp").exists()
+
+
 def test_all_algorithms_run_and_write(tmp_path):
     for algo, extra in (
         ("reinforce", {}),
@@ -537,6 +544,43 @@ def test_singular_ntk_solve_aborts_cleanly(tmp_path, seed):
     # the failing step still gets its row; the failed solve left the weights untouched
     assert [row["step"] for row in res.rows] == [0, 1]
     assert res.rows[1]["kl_from_init"] == 0.0
+
+
+def _arithmetic_errors(cls=ArithmeticError):
+    found = {cls.__name__: cls}
+    for sub in cls.__subclasses__():
+        found |= _arithmetic_errors(sub)
+    return found
+
+
+@pytest.mark.parametrize("task", ["seqtask", "bandit"])
+@pytest.mark.parametrize("algo", ["reinforce", "grpo", "isopo-ni", "isopo-int"])
+def test_diverging_run_aborts_cleanly_or_stays_finite(tmp_path, algo, task):
+    # lr 1e307 drives the weights to overflow within a few steps; whatever
+    # fails numerically must end the run as ABORTED, never as an exception
+    cfg = quick_cfg(algo=algo, task=task, optimizer="adamw", lr=1e307, steps=10)
+    with np.errstate(all="ignore"):
+        res = harness.train(cfg, tmp_path / "r")
+    assert (tmp_path / "r" / "metrics.csv").exists()
+    if not res.aborted:
+        values = [v for row in res.rows for v in row.values() if isinstance(v, float)]
+        assert np.all(np.isfinite(values))
+        return
+    head, name, _ = res.abort_reason.split(": ", 2)
+    assert head == f"step {res.rows[-1]['step']}"
+    assert name in _arithmetic_errors(), res.abort_reason
+    assert (tmp_path / "r" / "ABORTED").read_text() == res.abort_reason + "\n"
+
+
+def test_grpo_abort_reason_names_one_step(tmp_path):
+    # GRPO takes inner_epochs optimizer steps per training step; the reason
+    # names only the training step
+    cfg = RunConfig(algo="grpo", task="bandit", optimizer="sgd", lr=1.7e308, steps=2)
+    with np.errstate(all="ignore"):
+        res = harness.train(cfg, tmp_path / "r")
+    assert res.aborted
+    assert res.abort_reason.startswith("step 1: NonFiniteGradientError: ")
+    assert res.abort_reason.count("step") == 1
 
 
 def test_clean_rerun_removes_stale_abort_marker(tmp_path):

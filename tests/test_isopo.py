@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from isopo_lab import baselines, checks, isopo, metrics, oracle, policy, tasks
-from isopo_lab.errors import ContractViolation, EstimatorDegenerateError
+from isopo_lab.errors import ContractViolation, EstimatorDegenerateError, SingularMatrixError
 from isopo_lab.rng import stream, uniforms
 
 from conftest import as_factors, make_microbatch, scale_grad_out
@@ -432,6 +432,29 @@ def test_build_ntk_rejects_bad_input():
             isopo.build_ntk(gout, act)
         with pytest.raises(ContractViolation):
             isopo.interacting_update(gout, act, np.zeros(len(gout)), 0.3)
+
+
+def test_interacting_rejects_bad_arguments():
+    gout, act = as_factors(np.random.default_rng(5).standard_normal((3, 2, 4)))
+    with pytest.raises(ContractViolation):
+        isopo.interacting_update(gout, act, np.ones(3), -1.0)
+    with pytest.raises(ContractViolation):
+        isopo.interacting_update(gout, act, np.ones(4), 0.5)
+
+
+def test_interacting_numeric_failures_are_singular():
+    g = np.random.default_rng(6).standard_normal((2, 4))
+    # two equal sequence gradients: K is singular, and c = 0 leaves it so
+    gout, act = as_factors(np.stack([g, g]))
+    with pytest.raises(SingularMatrixError, match="not positive definite"):
+        isopo.interacting_update(gout, act, np.ones(2), 0.0)
+    assert np.all(np.isfinite(isopo.interacting_update(gout, act, np.ones(2), 0.1)))
+    # cholesky would pass a NaN system through without raising
+    gout_inf = gout.copy()
+    gout_inf[0, 0, 0] = np.inf
+    for factor, c in ((gout, np.nan), (gout, np.inf), (gout_inf, 0.1)):
+        with np.errstate(invalid="ignore"), pytest.raises(SingularMatrixError, match="not finite"):
+            isopo.interacting_update(factor, act, np.ones(2), c)
 
 
 def test_interacting_single_sequence():
