@@ -21,6 +21,10 @@ class NonFiniteGradientError(ArithmeticError):
     """A gradient passed to the optimizer contains NaN or infinite entries."""
 
 
+class NonFiniteMetricError(ArithmeticError):
+    """A metrics row holds a NaN or infinite value."""
+
+
 class ConfigError(ValueError):
     """A run configuration file or value is invalid."""
 

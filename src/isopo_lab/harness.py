@@ -22,7 +22,13 @@ A row is written on every ``eval_every``-th step and on the step that
 aborts: a numeric failure inside the update (any ArithmeticError: a
 non-finite gradient, a Tikhonov system that is not finite or not positive
 definite, GRPO ratio overflow) ends the run as ABORTED with the step and the
-reason. A row's batch diagnostics are the same for every algorithm, so the
+reason, and so does a written row that holds a NaN or an infinity
+(``NonFiniteMetricError``, naming the column). The steps run with numpy's
+overflow and invalid-value warnings off: a diverging policy overflows in
+sampling and scoring before any of these checks sees it, and the checks,
+not the warnings, decide whether a run ends.
+
+A row's batch diagnostics are the same for every algorithm, so the
 per-layer statistics are comparable across runs: the step draws its overlap
 sample from its own ``overlap/{step}`` stream, estimates every sequence's
 per-layer Fisher norm and summarizes the batch. Only isopo-ni's update reads
@@ -34,10 +40,18 @@ row. Skipping a step's diagnostics changes no other step. Each row's
 prompts, which ``train`` builds once, before the first step
 (``metrics.reference_table``), so no copy of the initial weights is kept;
 ``metrics.collect`` builds the current policy's table for each later row.
+
+A process builds each task once: ``make_task`` returns one shared instance
+per set of task-defining fields, checked for a disjoint train/heldout split
+when it is built. A task is read-only (tuples of prompts whose feature
+arrays, like the bandit's reward table, are not writeable), so no run can
+change what a later run in the same process sees.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -45,7 +59,7 @@ import numpy as np
 
 from . import baselines, isopo, metrics, policy, tasks
 from .config import RunConfig, serialize_config, validate_config
-from .errors import ConfigError, ContractViolation, CsvFormatError
+from .errors import ConfigError, ContractViolation, CsvFormatError, NonFiniteMetricError
 from .metrics import FIXED_COLUMNS
 from .rng import stream, uniforms
 
@@ -64,9 +78,19 @@ class RunResult:
 
 
 def make_task(cfg: RunConfig):
+    """The run's task: one shared, read-only instance per process for each
+    set of task-defining fields (for seqtask ``seq_modulus``, ``seq_len`` and
+    ``exact_match_reward``; bandit has none)."""
     if cfg.task == "seqtask":
-        return tasks.SeqAdditionTask(cfg.seq_modulus, cfg.seq_len, cfg.exact_match_reward)
-    return tasks.BanditTask()
+        return _shared_task(cfg.task, cfg.seq_modulus, cfg.seq_len, cfg.exact_match_reward)
+    return _shared_task(cfg.task)
+
+
+@functools.cache
+def _shared_task(name: str, *fields):
+    task = tasks.SeqAdditionTask(*fields) if name == "seqtask" else tasks.BanditTask()
+    tasks.assert_disjoint_split(task)
+    return task
 
 
 def build_policy(task, seed: int) -> policy.PolicyNet:
@@ -201,11 +225,21 @@ def _fisher_norms(microbatch, cfg: RunConfig, step: int) -> tuple[np.ndarray, np
     return isopo.sequence_fisher_norms(microbatch, overlap)
 
 
+def _check_finite(row: dict) -> None:
+    """NonFiniteMetricError naming the first float column of ``row`` that is NaN or infinite."""
+    for column, value in row.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NonFiniteMetricError(f"{column} = {value}")
+
+
+def _abort_reason(step: int, exc: ArithmeticError) -> str:
+    return f"step {step}: {type(exc).__name__}: {exc}"
+
+
 def train(cfg: RunConfig, out_dir=None) -> RunResult:
     """Run one seeded training loop and write metrics.csv plus a checkpoint."""
     cfg = validate_config(cfg)
     task = make_task(cfg)
-    tasks.assert_disjoint_split(task)
     draws = draw_steps(task, cfg, range(cfg.steps + 1))
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -219,28 +253,34 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
     )
 
     rows: list[dict] = []
-    aborted = False
     abort_reason = ""
-    for step in range(cfg.steps + 1):
-        microbatch = sample_microbatch(net, task, cfg, step, draws)
-        norms = degenerate = None
-        if cfg.algo == "isopo-ni":  # the only update that reads the norms
-            norms, degenerate = _fisher_norms(microbatch, cfg, step)
-        if step > 0:
-            try:
-                _update(cfg, net, optimizer, microbatch, norms, rescale_params)
-            except ArithmeticError as exc:
-                aborted = True
-                abort_reason = f"step {step}: {type(exc).__name__}: {exc}"
-        if aborted or step % cfg.eval_every == 0:
-            if norms is None:  # an update leaves its microbatch as it was sampled
+    # the finiteness checks, not numpy's warnings, decide whether a run ends
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.steps + 1):
+            microbatch = sample_microbatch(net, task, cfg, step, draws)
+            norms = degenerate = None
+            if cfg.algo == "isopo-ni":  # the only update that reads the norms
                 norms, degenerate = _fisher_norms(microbatch, cfg, step)
-            summary = metrics.batch_summary(
-                microbatch, norms, int(np.count_nonzero(degenerate)), cfg.algo
-            )
-            rows.append(metrics.collect(step, net, kl_ref, task, summary, cfg.seed, cfg.algo))
-        if aborted:
-            break
+            if step > 0:
+                try:
+                    _update(cfg, net, optimizer, microbatch, norms, rescale_params)
+                except ArithmeticError as exc:
+                    abort_reason = _abort_reason(step, exc)
+            if abort_reason or step % cfg.eval_every == 0:
+                if norms is None:  # an update leaves its microbatch as it was sampled
+                    norms, degenerate = _fisher_norms(microbatch, cfg, step)
+                summary = metrics.batch_summary(
+                    microbatch, norms, int(np.count_nonzero(degenerate)), cfg.algo
+                )
+                row = metrics.collect(step, net, kl_ref, task, summary, cfg.seed, cfg.algo)
+                rows.append(row)
+                try:
+                    _check_finite(row)
+                except NonFiniteMetricError as exc:
+                    abort_reason = abort_reason or _abort_reason(step, exc)
+            if abort_reason:
+                break
+    aborted = bool(abort_reason)
 
     csv_path = out / "metrics.csv"
     write_metrics_csv(csv_path, rows)

@@ -80,6 +80,12 @@ the pass. The backward's matmuls stay batched per sequence, (B, T, .) by
 32-row microbatches, where OpenBLAS takes its small-matrix path, it moved
 the metrics of 40-step bandit runs by up to 2.6e-11 relative while
 seqtask's stayed identical, so the backward keeps the per-sequence form.
+
+A checkpoint is text: every weight in ``float.hex`` form, one line per
+weight row. ``save_checkpoint`` formats all the weights in one numpy pass
+over their bits (``_hex_rows``) instead of one ``float.hex`` call per weight
+(3248 of them for the default seqtask policy), and writes the same bytes
+for every float64, zeros, subnormals, infinities and NaNs included.
 """
 
 from __future__ import annotations
@@ -508,16 +514,66 @@ def kl_from_reference(
 
 
 def save_checkpoint(net: PolicyNet, path) -> None:
-    """Text checkpoint with hex floats; round-trips bit-exactly."""
-    lines = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}"]
-    lines.append(f"vocab_size {net.vocab_size}")
-    lines.append(f"context_dim {net.context_dim}")
-    lines.append(f"layers {net.n_layers}")
-    for i, w in enumerate(net.weights):
-        lines.append(f"layer {i} {w.shape[0]} {w.shape[1]}")
-        lines.extend(" ".join(map(float.hex, row)) for row in w.tolist())
+    """Text checkpoint: a header, then per layer a ``layer i rows cols`` line
+    and one line per weight row, its values in ``float.hex`` form separated
+    by single spaces. Round-trips bit-exactly through ``load_checkpoint``."""
+    chunks = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n"]
+    chunks.append(f"vocab_size {net.vocab_size}\ncontext_dim {net.context_dim}\n")
+    chunks.append(f"layers {net.n_layers}\n")
+    for i, (w, rows) in enumerate(zip(net.weights, _hex_rows(net.weights))):
+        chunks.append(f"layer {i} {w.shape[0]} {w.shape[1]}\n{rows}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(chunks))
+
+
+def _hex_rows(weights: list[np.ndarray]) -> list[str]:
+    """Per matrix, its rows as lines of ``float.hex`` values separated by
+    spaces, each line ending in a newline; byte for byte what ``float.hex``
+    gives for any float64, from one numpy pass over all the matrices.
+
+    Value i fills column i of a fixed-width byte matrix in which 0 marks
+    padding: the sign, ``0x``, the leading digit (1 if normal), ``.``, the 13
+    fraction digits of its big-endian bytes in hex (just one, ``0``, for a
+    zero), ``p`` and the unbiased exponent in decimal without leading zeros
+    (-1022 for a subnormal, +0 for a zero), then a space or the row's
+    newline. An infinity or a NaN is ``inf``, ``-inf`` or ``nan``, whatever
+    the NaN's sign or payload. The padding is dropped.
+    """
+    values = np.concatenate([w.ravel() for w in weights])
+    row_ends = np.concatenate([np.arange(1, w.size + 1) % w.shape[1] == 0 for w in weights])
+    n = len(values)
+    bits = values.view(np.uint64)
+    biased = (bits >> np.uint64(52)).astype(np.int16) & 0x7FF
+    zero = bits << np.uint64(1) == 0
+    exponent = np.where(biased > 0, biased - 1023, -1022)
+    exponent[zero] = 0
+    magnitude = np.abs(exponent)
+    hex_digits = np.frombuffer(values.astype(">f8").tobytes().hex().encode("ascii"), np.uint8)
+    rec = np.zeros((25, n), dtype=np.uint8)  # "-0x1." + 13 digits + "p+1023" + separator
+    rec[0] = (bits >> np.uint64(63)).astype(np.uint8) * ord("-")
+    rec[1:3] = np.frombuffer(b"0x", np.uint8)[:, None]
+    rec[3] = ord("0") + (biased > 0)
+    rec[4] = ord(".")
+    rec[5:18] = hex_digits.reshape(n, 16)[:, 3:].T
+    rec[6:18, zero] = 0
+    rec[18] = ord("p")
+    rec[19] = np.where(exponent < 0, ord("-"), ord("+"))
+    for row, place in enumerate((1000, 100, 10), start=20):
+        rec[row] = (magnitude >= place) * (ord("0") + magnitude // place % 10)
+    rec[23] = ord("0") + magnitude % 10
+    special = np.flatnonzero(biased == 0x7FF)
+    nan = bits[special] << np.uint64(12) != 0
+    rec[1:24, special] = 0
+    rec[0, special[nan]] = 0
+    rec[1:4, special] = np.where(
+        nan, np.frombuffer(b"nan", np.uint8)[:, None], np.frombuffer(b"inf", np.uint8)[:, None]
+    )
+    rec[24] = np.where(row_ends, ord("\n"), ord(" "))
+    rec = rec.T.copy()
+    keep = rec != 0
+    text = rec[keep].tobytes().decode("ascii")
+    stops = [np.count_nonzero(keep[:end]) for end in np.cumsum([w.size for w in weights])]
+    return [text[start:stop] for start, stop in zip([0] + stops, stops)]
 
 
 def load_checkpoint(path) -> PolicyNet:

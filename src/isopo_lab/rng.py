@@ -13,6 +13,12 @@ Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
 SC 2011) are integer arithmetic, done here on arrays over every label. Row i
 of ``uniforms(seed, labels, n)`` equals ``stream(seed, labels[i]).random(n)``
 bit for bit.
+
+The fixed cost per call is a few dozen small array operations, so they are
+stacked: the SeedSequence pool is one (4, rows) array, each pool word is
+hashed for all three words it mixes into at once and each further entropy
+word for all four, and each Philox round multiplies its two counter words
+by their two multipliers as one (2, rows, blocks) product.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ _MIX_MULT_R = np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
 
 # Philox4x64-10 multipliers and Weyl key increments (Random123)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
 _PHILOX_ROUNDS = 10
 
 
@@ -98,10 +104,16 @@ def entropy_uniforms(seed: int, words, n: int) -> np.ndarray:
 
 
 def _hashmix(value: np.ndarray, const: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
-    """SeedSequence's hash of uint32 words; returns the next hash constant too."""
-    value = value ^ np.uint32(const)
-    const = (const * mult) & _MASK32
-    value = value * np.uint32(const)
+    """SeedSequence's hash of uint32 words: ``value[j]`` (one word per row) is
+    hashed with the j-th of ``len(value)`` successive hash constants. Returns
+    the hashes and the next constant."""
+    xors, mults = [], []
+    for _ in range(len(value)):
+        xors.append(const)
+        const = (const * mult) & _MASK32
+        mults.append(const)
+    value = value ^ np.array(xors, dtype=np.uint32)[:, None]
+    value = value * np.array(mults, dtype=np.uint32)[:, None]
     return value ^ (value >> np.uint32(16)), const
 
 
@@ -114,57 +126,56 @@ def _seed_key(entropy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Philox keys (two uint64 columns) of SeedSequence(entropy rows of uint32).
 
     The hash constants advance the same way for every row, so they stay
-    Python ints and only the pool is an array.
+    Python ints, and the pool is one (4, rows) array: each source word is
+    hashed for all its destinations at once, and each entropy word past the
+    fourth for all four pool words at once.
     """
-    const = _INIT_A
-    pool = []
-    for i in range(_POOL_SIZE):
-        word = entropy[:, i] if i < entropy.shape[1] else np.zeros(len(entropy), np.uint32)
-        word, const = _hashmix(word, const)
-        pool.append(word)
+    rows, length = entropy.shape
+    pool = np.zeros((_POOL_SIZE, rows), dtype=np.uint32)
+    pool[: min(length, _POOL_SIZE)] = entropy[:, :_POOL_SIZE].T
+    pool, const = _hashmix(pool, _INIT_A)
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mixed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], mixed)
-    for src in range(_POOL_SIZE, entropy.shape[1]):
-        for dst in range(_POOL_SIZE):
-            mixed, const = _hashmix(entropy[:, src], const)
-            pool[dst] = _mix(pool[dst], mixed)
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        mixed, const = _hashmix(np.broadcast_to(pool[src], (len(dst), rows)), const)
+        pool[dst] = _mix(pool[dst], mixed)
+    for src in range(_POOL_SIZE, length):
+        mixed, const = _hashmix(np.broadcast_to(entropy[:, src], pool.shape), const)
+        pool = _mix(pool, mixed)
     # generate_state(2, uint64): four uint32 words read in pairs, low word first
-    const = _INIT_B
-    state = []
-    for word in pool:
-        word, const = _hashmix(word, const, _MULT_B)
-        state.append(word.astype(np.uint64))
+    state = _hashmix(pool, _INIT_B, _MULT_B)[0].astype(np.uint64)
     shift = np.uint64(32)
     return state[0] | state[1] << shift, state[2] | state[3] << shift
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit halves of the 128-bit product m * x, from 32-bit halves."""
+def _mulhilo(m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit halves of the 128-bit products m * x, from 32-bit halves."""
     mask, shift = np.uint64(_MASK32), np.uint64(32)
-    m_lo, m_hi = np.uint64(m & _MASK32), np.uint64(m >> 32)
+    m_lo, m_hi = m & mask, m >> shift
     x_lo, x_hi = x & mask, x >> shift
     lo_lo, lo_hi, hi_lo = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
     mid = (lo_lo >> shift) + (lo_hi & mask) + (hi_lo & mask)
     hi = x_hi * m_hi + (lo_hi >> shift) + (hi_lo >> shift) + (mid >> shift)
-    return hi, x * np.uint64(m)
+    return hi, x * m
 
 
 def _philox_random(key: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
     """``Generator(Philox(key=key)).random(n)`` per row: block b has counter b + 1
-    and gives four draws; a draw x becomes (x >> 11) * 2**-53."""
+    and gives four draws; a draw x becomes (x >> 11) * 2**-53.
+
+    The counter words are held as two stacked (2, rows, blocks) arrays,
+    ``x`` = (c0, c2), the words each round multiplies, and ``y`` = (c1, c3),
+    so a round is one ``_mulhilo`` and the key is one (2, rows, 1) array.
+    """
     rows, blocks = len(key[0]), -(-n // 4)
-    k0, k1 = key[0][:, None], key[1][:, None]
-    zeros = np.zeros((rows, blocks), dtype=np.uint64)
-    c0 = zeros + np.arange(1, blocks + 1, dtype=np.uint64)
-    c1, c2, c3 = zeros, zeros, zeros
+    k = np.stack(key)[:, :, None]
+    x = np.zeros((2, rows, blocks), dtype=np.uint64)
+    x[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    y = np.zeros_like(x)
     for r in range(_PHILOX_ROUNDS):
         if r:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    draws = np.stack([c0, c1, c2, c3], axis=-1).reshape(rows, 4 * blocks)[:, :n]
+            k = k + _PHILOX_W
+        hi, lo = _mulhilo(_PHILOX_M, x)
+        # c0, c2 = hi(c2 M1) ^ c1 ^ k0, hi(c0 M0) ^ c3 ^ k1; c1, c3 = lo(c2 M1), lo(c0 M0)
+        x, y = hi[::-1] ^ y ^ k, lo[::-1]
+    draws = np.stack([x[0], y[0], x[1], y[1]], axis=-1).reshape(rows, 4 * blocks)[:, :n]
     return (draws >> np.uint64(11)) * (1.0 / 9007199254740992.0)

@@ -11,7 +11,10 @@ call, so a microbatch's rewards cost one call per task, not one per
 sequence.
 
 Both tasks pre-split their prompts into train and heldout sets by a stable
-hash so the split never depends on interpreter state.
+hash so the split never depends on interpreter state. A task is read-only
+once built: its prompt sets are tuples, and every prompt's ``features`` and
+the bandit's reward ``table`` are numpy arrays with ``writeable = False``, so
+one instance can serve every run in a process (``harness.make_task``).
 
 Advantages are group-relative: each sampled group of G sequences for one
 prompt is scored, and every sequence's advantage is its reward minus the
@@ -151,20 +154,18 @@ class SeqAdditionTask:
         self.seq_len = seq_len
         self.feature_dim = 2 * modulus
         self.exact_match_reward = exact_match_reward
-        self.train_prompts: list[Prompt] = []
-        self.heldout_prompts: list[Prompt] = []
+        train, heldout = [], []
         for a in range(modulus):
             for b in range(modulus):
                 prompt = self._make_prompt(a, b)
-                if _heldout_hash(f"seq:{a},{b}"):
-                    self.heldout_prompts.append(prompt)
-                else:
-                    self.train_prompts.append(prompt)
+                (heldout if _heldout_hash(f"seq:{a},{b}") else train).append(prompt)
+        self.train_prompts, self.heldout_prompts = tuple(train), tuple(heldout)
 
     def _make_prompt(self, a: int, b: int) -> Prompt:
         features = np.zeros(self.feature_dim)
         features[a] = 1.0
         features[self.modulus + b] = 1.0
+        features.flags.writeable = False
         total = (a + b) % (self.modulus**self.seq_len)
         digits = []
         for _ in range(self.seq_len):
@@ -197,23 +198,22 @@ class BanditTask:
         if table is None:
             # the table is part of the task definition, not of any run's seed
             table = stream(0, "bandit-table").uniform(0.0, 1.0, size=(n_prompts, n_arms))
-        table = np.asarray(table, dtype=float)
+        table = np.array(table, dtype=float)  # a copy, so freezing it leaves the caller's alone
         if table.shape != (n_prompts, n_arms):
             raise ContractViolation(f"table shape {table.shape} != ({n_prompts}, {n_arms})")
+        table.flags.writeable = False
         self.table = table
         self._row_of: dict[str, int] = {}
-        self.train_prompts: list[Prompt] = []
-        self.heldout_prompts: list[Prompt] = []
+        train, heldout = [], []
         for i in range(n_prompts):
             features = np.zeros(n_prompts)
             features[i] = 1.0
+            features.flags.writeable = False
             prompt = Prompt(id=f"arm{i}", features=features, target=(int(np.argmax(table[i])),))
             self._row_of[prompt.id] = i
             # every 4th prompt held out: keeps both splits nonempty for small tables
-            if i % 4 == 3:
-                self.heldout_prompts.append(prompt)
-            else:
-                self.train_prompts.append(prompt)
+            (heldout if i % 4 == 3 else train).append(prompt)
+        self.train_prompts, self.heldout_prompts = tuple(train), tuple(heldout)
 
     def rewards(self, prompts, tokens) -> np.ndarray:
         """Rewards (B,) of one-token sequences ``tokens`` (B, 1), row b

@@ -557,19 +557,65 @@ def _arithmetic_errors(cls=ArithmeticError):
 @pytest.mark.parametrize("algo", ["reinforce", "grpo", "isopo-ni", "isopo-int"])
 def test_diverging_run_aborts_cleanly_or_stays_finite(tmp_path, algo, task):
     # lr 1e307 drives the weights to overflow within a few steps; whatever
-    # fails numerically must end the run as ABORTED, never as an exception
-    cfg = quick_cfg(algo=algo, task=task, optimizer="adamw", lr=1e307, steps=10)
-    with np.errstate(all="ignore"):
-        res = harness.train(cfg, tmp_path / "r")
-    assert (tmp_path / "r" / "metrics.csv").exists()
-    if not res.aborted:
-        values = [v for row in res.rows for v in row.values() if isinstance(v, float)]
-        assert np.all(np.isfinite(values))
-        return
-    head, name, _ = res.abort_reason.split(": ", 2)
-    assert head == f"step {res.rows[-1]['step']}"
-    assert name in _arithmetic_errors(), res.abort_reason
+    # fails numerically must end the run as ABORTED, never as an exception,
+    # a numpy warning (pytest turns warnings into errors) or a non-finite
+    # row, however many steps the run has left when it diverges
+    for steps in (1, 2, 3, 10):
+        out = tmp_path / f"steps{steps}"
+        cfg = quick_cfg(
+            algo=algo, task=task, optimizer="adamw", lr=1e307, steps=steps, eval_every=1
+        )
+        res = harness.train(cfg, out)
+        assert (out / "metrics.csv").exists()
+        if not res.aborted:
+            values = [v for row in res.rows for v in row.values() if isinstance(v, float)]
+            assert np.all(np.isfinite(values)), steps
+            continue
+        head, name, _ = res.abort_reason.split(": ", 2)
+        assert head == f"step {res.rows[-1]['step']}"
+        assert name in _arithmetic_errors(), res.abort_reason
+        assert (out / "ABORTED").read_text() == res.abort_reason + "\n"
+
+
+def test_non_finite_row_aborts_naming_the_column(tmp_path):
+    # one adamw step at lr 1e307 leaves finite weights whose logits overflow,
+    # so the step-1 row's KL is NaN: the run ends there, with that row written
+    cfg = RunConfig(algo="reinforce", optimizer="adamw", lr=1e307, steps=3, eval_every=1)
+    res = harness.train(cfg, tmp_path / "r")
+    assert res.abort_reason == "step 1: NonFiniteMetricError: kl_from_init = nan"
+    assert [row["step"] for row in harness.read_metrics_csv(res.csv_path)] == [0, 1]
     assert (tmp_path / "r" / "ABORTED").read_text() == res.abort_reason + "\n"
+
+
+def test_make_task_shares_one_read_only_task_per_fields():
+    seq = harness.make_task(RunConfig(task="seqtask"))
+    assert harness.make_task(RunConfig(task="seqtask", algo="grpo", seed=9, lr=0.5)) is seq
+    others = [
+        harness.make_task(RunConfig(task="seqtask", seq_modulus=5)),
+        harness.make_task(RunConfig(task="seqtask", seq_len=2)),
+        harness.make_task(RunConfig(task="seqtask", exact_match_reward=True)),
+        harness.make_task(RunConfig(task="bandit")),
+    ]
+    assert len({id(task) for task in [seq, *others]}) == 5
+    assert harness.make_task(RunConfig(task="bandit", seed=3)) is others[-1]
+    for task in (seq, others[-1]):
+        assert isinstance(task.train_prompts, tuple) and isinstance(task.heldout_prompts, tuple)
+        with pytest.raises(ValueError, match="read-only"):
+            task.train_prompts[0].features[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            task.heldout_prompts[-1].features[:] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        others[-1].table[0, 0] = 2.0
+
+
+def test_runs_sharing_a_process_write_what_a_lone_run_writes(tmp_path):
+    first = quick_cfg(algo="isopo-int", seed=2)
+    a = harness.train(first, tmp_path / "a")
+    harness.train(quick_cfg(task="bandit", algo="grpo"), tmp_path / "bandit")
+    harness.train(quick_cfg(seq_modulus=5, algo="isopo-ni"), tmp_path / "m5")
+    b = harness.train(first, tmp_path / "b")
+    for name in ("metrics.csv", "checkpoint.txt", "config.txt"):
+        assert (a.out_dir / name).read_bytes() == (b.out_dir / name).read_bytes()
 
 
 def test_grpo_abort_reason_names_one_step(tmp_path):

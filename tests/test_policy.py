@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isopo_lab import harness, metrics, policy, tasks
 from isopo_lab.config import RunConfig
@@ -471,6 +473,77 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, small_net):
     path2 = tmp_path / "ckpt2.txt"
     policy.save_checkpoint(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def float_hex_checkpoint(net) -> bytes:
+    """The checkpoint ``save_checkpoint`` must write, formatted by ``float.hex``."""
+    lines = [f"{policy.CHECKPOINT_MAGIC} {policy.CHECKPOINT_VERSION}"]
+    lines += [f"vocab_size {net.vocab_size}", f"context_dim {net.context_dim}"]
+    lines.append(f"layers {net.n_layers}")
+    for i, w in enumerate(net.weights):
+        lines.append(f"layer {i} {w.shape[0]} {w.shape[1]}")
+        lines.extend(" ".join(map(float.hex, row)) for row in w.tolist())
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def net_of_bits(bits, hidden: int, vocab: int) -> policy.PolicyNet:
+    """A two-layer net, (hidden, k) then (vocab, hidden + 1), holding the
+    float64s with bit patterns ``bits`` in order."""
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    split = len(values) - vocab * (hidden + 1)
+    first = values[:split].reshape(hidden, -1)
+    last = values[split:].reshape(vocab, hidden + 1)
+    return policy.PolicyNet([first, last], vocab, first.shape[1] - 1)
+
+
+EDGE_BITS = [
+    0x0000000000000000,  # +0
+    0x8000000000000000,  # -0
+    0x0000000000000001,  # smallest subnormal
+    0x000FFFFFFFFFFFFF,  # largest subnormal
+    0x8000000000000001,
+    0x0010000000000000,  # smallest normal
+    0x7FEFFFFFFFFFFFFF,  # largest normal
+    0xFFEFFFFFFFFFFFFF,
+    0x3FF0000000000000,  # 1.0
+    0xBFF0000000000000,  # -1.0
+    0x3FB999999999999A,  # 0.1
+    0x7FF0000000000000,  # +inf
+    0xFFF0000000000000,  # -inf
+    0x7FF8000000000000,  # quiet NaN
+    0xFFF8000000000000,  # negative NaN
+    0x7FF0000000000001,  # signalling NaN, smallest payload
+    0xFFFFFFFFFFFFFFFF,  # largest payload
+] + [
+    int(np.array(2.0**e).view(np.uint64))
+    for e in (-1000, -999, -100, -99, -10, -9, 9, 10, 99, 100, 999, 1000)
+]
+
+
+def test_checkpoint_writer_equals_float_hex_on_edge_values(tmp_path):
+    bits = EDGE_BITS + EDGE_BITS[::-1] + EDGE_BITS[:3]  # 61 values: (6, 9) then (1, 7)
+    net = net_of_bits(bits, hidden=6, vocab=1)
+    policy.save_checkpoint(net, tmp_path / "ckpt.txt")
+    assert (tmp_path / "ckpt.txt").read_bytes() == float_hex_checkpoint(net)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3)),
+    data=st.data(),
+)
+def test_checkpoint_writer_equals_float_hex_on_any_bits(tmp_path_factory, shape, data):
+    hidden, inputs, vocab = shape
+    n = hidden * inputs + vocab * (hidden + 1)
+    bits = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
+    net = net_of_bits(bits, hidden, vocab)
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.txt"
+    policy.save_checkpoint(net, path)
+    assert path.read_bytes() == float_hex_checkpoint(net)
+    if all(np.isfinite(w).all() for w in net.weights):
+        loaded = policy.load_checkpoint(path)
+        for a, b in zip(loaded.weights, net.weights):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 CHECKPOINT_CORRUPTIONS = {
