@@ -19,9 +19,12 @@ training loop aborts instead of silently dropping the sequence.
 Both optimizers follow the descent convention theta <- theta - lr * g, so the
 training loop passes the negated ascent gradient. Their update is
 elementwise, so ``optimizer_step`` runs it once over all layers: it
-concatenates the gradients, checks them for finiteness in one pass, keeps
-AdamW's two moments as one flat vector each over the layers in order, and
-writes each layer's slice of the update back into its weight matrix. Per
+concatenates the gradients and the weights, keeps AdamW's two moments as one
+flat vector each over the layers in order, checks the gradients and then the
+updated weights for finiteness in one pass each, and only then writes each
+layer's slice of the updated weights back into its weight matrix, so a step
+that would write a NaN or an infinity writes nothing and the run aborts with
+its last finite weights, which ``policy.load_checkpoint`` accepts. Per
 element this is the per-layer rule, bit for bit.
 """
 
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, NonFiniteGradientError
+from .errors import ContractViolation, NonFiniteGradientError, NonFiniteWeightError
 from .policy import PolicyNet, Scored, grad_sum, score, sequence_logprobs
 from .tasks import Microbatch
 
@@ -122,10 +125,11 @@ def optimizer_step(state: OptimizerState, net: PolicyNet, grads: list[np.ndarray
     """Apply theta <- theta - lr * (preconditioned) grads in place.
 
     AdamW uses the standard bias-corrected moment estimates (weight decay
-    zero). Raises NonFiniteGradientError (before touching any weight or
-    moment) if a gradient contains NaN or infinities. The update is
-    elementwise, so it runs once over the gradients concatenated in layer
-    order and is written back to each layer through its slice.
+    zero). Raises NonFiniteGradientError if a gradient contains NaN or
+    infinities, and NonFiniteWeightError if an updated weight would be NaN
+    or infinite; either way before touching any weight or the state. The
+    update is elementwise, so it runs once over the gradients and weights
+    concatenated in layer order, and each layer's slice is written back.
     """
     if len(grads) != net.n_layers:
         raise ContractViolation(f"{len(grads)} gradients for {net.n_layers} layers")
@@ -133,29 +137,40 @@ def optimizer_step(state: OptimizerState, net: PolicyNet, grads: list[np.ndarray
         if g.shape != w.shape:
             raise ContractViolation(f"layer {l} gradient shape {g.shape} != {w.shape}")
     flat = np.concatenate([g.ravel() for g in grads])
-    if not np.all(np.isfinite(flat)):
-        for l, g in enumerate(grads):
-            bad = int(np.count_nonzero(~np.isfinite(g)))
-            if bad:
-                raise NonFiniteGradientError(f"layer {l} gradient has {bad} non-finite entries")
-    state.step_count += 1
-    if state.kind == "sgd":
-        delta = state.lr * flat
-    else:
-        if state.exp_avg is None:
-            state.exp_avg = np.zeros_like(flat)
-            state.exp_avg_sq = np.zeros_like(flat)
-        t = state.step_count
-        bc1 = 1.0 - state.beta1**t
-        bc2 = 1.0 - state.beta2**t
-        m, v = state.exp_avg, state.exp_avg_sq
-        m *= state.beta1
-        m += (1.0 - state.beta1) * flat
-        v *= state.beta2
-        v += (1.0 - state.beta2) * flat * flat
-        delta = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    updated = np.concatenate([w.ravel() for w in net.weights])
+    t = state.step_count + 1
+    # an overflow shows as a non-finite updated weight, which the check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_finite(flat, grads, NonFiniteGradientError, "gradient")
+        if state.kind == "sgd":
+            updated -= state.lr * flat
+        else:
+            m = np.zeros_like(flat) if state.exp_avg is None else state.exp_avg * state.beta1
+            v = np.zeros_like(flat) if state.exp_avg is None else state.exp_avg_sq * state.beta2
+            m += (1.0 - state.beta1) * flat
+            v += (1.0 - state.beta2) * flat * flat
+            bc1 = 1.0 - state.beta1**t
+            bc2 = 1.0 - state.beta2**t
+            updated -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        _check_finite(updated, net.weights, NonFiniteWeightError, "updated weight")
+    state.step_count = t
+    if state.kind == "adamw":
+        state.exp_avg, state.exp_avg_sq = m, v
     start = 0
     for w in net.weights:
-        w -= delta[start : start + w.size].reshape(w.shape)
+        w[...] = updated[start : start + w.size].reshape(w.shape)
         start += w.size
     return net
+
+
+def _check_finite(flat: np.ndarray, layers: list[np.ndarray], error, what: str) -> None:
+    """``error`` naming the first of ``layers`` (concatenated as ``flat``) that
+    holds a NaN or an infinity, and how many."""
+    if np.isfinite(flat.sum()):  # a NaN or an infinity makes the sum NaN or infinite
+        return
+    start = 0
+    for l, layer in enumerate(layers):
+        bad = int(np.count_nonzero(~np.isfinite(flat[start : start + layer.size])))
+        if bad:
+            raise error(f"layer {l} {what} has {bad} non-finite entries")
+        start += layer.size

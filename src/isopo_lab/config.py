@@ -157,9 +157,15 @@ def parse_config(text: str, **overrides) -> RunConfig:
 
 
 def load_config(path, **overrides) -> RunConfig:
-    """``parse_config`` of the file at ``path``; a ConfigError names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """``parse_config`` of the file at ``path``; a ConfigError names the file,
+    also when it cannot be read or is not UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config is not UTF-8 text: {exc.reason}") from exc
     try:
         return parse_config(text, **overrides)
     except ConfigError as exc:

@@ -21,6 +21,10 @@ class NonFiniteGradientError(ArithmeticError):
     """A gradient passed to the optimizer contains NaN or infinite entries."""
 
 
+class NonFiniteWeightError(ArithmeticError):
+    """An optimizer step would write NaN or infinite weights."""
+
+
 class NonFiniteMetricError(ArithmeticError):
     """A metrics row holds a NaN or infinite value."""
 

@@ -29,6 +29,15 @@ by the degenerate test, the rescaling, its EMA and the batch summary through
 over the positions (``policy.grad_sum``). A sequence is degenerate in a layer
 when |V_b|^2 == 0, or when every overlap sample is zero.
 
+The estimator runs every step of an isopo-ni run, so it calls the numpy
+operations a norm consists of, not ``np.linalg.norm``, which checks its
+arguments and copies x.conj() on each of its 12 calls per step: row norms
+are sqrt(add.reduce(x * x)) along the last axis (``row_norms``) and the
+denominator's vector norm is sqrt(s . s), the same operations in the same
+order, so every bit is kept. The rescaling computes only the factors whose
+exponent is nonzero, and F/|V| only for r != 0: reg2(x)^0 is exactly 1.0
+for every x, NaN and infinity included, so skipping it changes no bit.
+
 Interacting variant
 -------------------
 Per layer, the microbatch update is sum_i [(K + c I)^-1 A]_i V_i: the
@@ -123,9 +132,15 @@ class OverlapSamples:
         return int(self.indices.size)
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis: what ``np.linalg.norm(x, axis=-1)``
+    computes for a real array, bit for bit, without its checks and copy."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def _sample_denominator(act_in: np.ndarray, grad_out: np.ndarray) -> float:
-    scale = np.linalg.norm(grad_out, axis=1) * np.linalg.norm(act_in, axis=1)
-    return float(np.linalg.norm(scale))
+    scale = row_norms(grad_out) * row_norms(act_in)
+    return float(np.sqrt(scale.dot(scale)))  # np.linalg.norm(scale), bit for bit
 
 
 def fisher_norm_estimate(
@@ -152,7 +167,7 @@ def fisher_norm_estimate(
     if denominator == 0.0:
         raise EstimatorDegenerateError("all overlap samples are zero")
     proj = np.einsum("jo,...jo->...j", grad_out, act_in @ np.swapaxes(v, -1, -2))
-    return np.linalg.norm(proj, axis=-1) / denominator
+    return row_norms(proj) / denominator
 
 
 def draw_overlap_samples(
@@ -196,7 +211,7 @@ def sequence_fisher_norms(
         proj = grad_projections(
             scored.grad_out[l], scored.act_in[l], samples.grad_out[l], samples.act_in[l]
         )
-        norms[live, l] = np.linalg.norm(proj[live], axis=1) / denominator
+        norms[live, l] = row_norms(proj[live]) / denominator
     return norms, degenerate
 
 
@@ -205,13 +220,20 @@ def _reg2(x, key, params: RescalingParams):
 
 
 def _scale(f_norm, grad_norm, params: RescalingParams, layer: int):
-    """reg2(F)^p * reg2(|V|)^q * reg2(F/|V|)^r for Fisher norms F and Frobenius norms |V|."""
-    rel = np.divide(f_norm, grad_norm, out=np.zeros_like(grad_norm), where=grad_norm > 0)
-    return (
-        _reg2(f_norm, (layer, "fisher_sq"), params) ** params.p
-        * _reg2(grad_norm, (layer, "grad_sq"), params) ** params.q
-        * _reg2(rel, (layer, "rel_sq"), params) ** params.r
-    )
+    """reg2(F)^p * reg2(|V|)^q * reg2(F/|V|)^r for Fisher norms F and Frobenius norms |V|.
+
+    A factor whose exponent is zero is exactly 1.0 for every input, NaN and
+    infinity included, so it is not computed; neither is F/|V| unless r != 0.
+    """
+    scale = 1.0
+    if params.p:
+        scale = scale * _reg2(f_norm, (layer, "fisher_sq"), params) ** params.p
+    if params.q:
+        scale = scale * _reg2(grad_norm, (layer, "grad_sq"), params) ** params.q
+    if params.r:
+        rel = np.divide(f_norm, grad_norm, out=np.zeros_like(grad_norm), where=grad_norm > 0)
+        scale = scale * _reg2(rel, (layer, "rel_sq"), params) ** params.r
+    return scale
 
 
 def rescaling(

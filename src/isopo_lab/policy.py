@@ -46,6 +46,20 @@ against 0.23 ms). Every gemm of the seqtask tables has 64 rows or more,
 where OpenBLAS rounds each row the same way at any row count, so a gathered
 row equals the one a teacher-forced pass computes bit for bit.
 
+The same rule lets ``kl_reference`` build the eval table in blocks of whole
+prompts, one ``context_table`` forward each, keeping only the logits: a
+table of n rows takes min(P, max(1, n // 128)) blocks (``np.array_split``),
+so every block has at least 64 rows, and a table under 128 rows is one
+block. The default seqtask's 528 rows become 4 blocks of 132, the size of a
+training step's sampling table, and the table equals one forward's bit for
+bit. One 528-row forward frees about 1 MB per eval row, in buffers above
+glibc's mmap threshold, so the heap is trimmed and the next row faults the
+pages back in; 132-row buffers are reused from the heap. In 40-step seq-ni
+runs (one BLAS thread) a table took 839 µs as one forward and 596 µs in
+blocks. Blocks of 4 prompts at ``seq_modulus = 5`` (44 rows) moved
+``kl_from_init`` of 40-step runs by up to 5.7e-13 relative, which is why no
+block goes below 64 rows.
+
 Sampled tokens are discrete, so a sequence's log-probability is a sum over
 positions and its gradient with respect to layer l's weights is a sum of
 rank-one terms, V_b = sum_t outer(g_bt, a_bt): the back-propagated
@@ -74,12 +88,15 @@ Each logits array is normalized once (``_normalize``: one max, exp and sum
 over the vocabulary). The backward's gradient term onehot - softmax and its
 token log-probabilities come from that one pass, the one-hot added by index
 and the log-probabilities read at the tokens alone; a ``ContextTable``
-normalizes on first read, and its sampling CDF and log-probabilities share
-the pass. The backward's matmuls stay batched per sequence, (B, T, .) by
-(., .): one flat (B T)-row gemm sums in another blocking, and on bandit's
-32-row microbatches, where OpenBLAS takes its small-matrix path, it moved
-the metrics of 40-step bandit runs by up to 2.6e-11 relative while
-seqtask's stayed identical, so the backward keeps the per-sequence form.
+normalizes on first read, and its sampling CDF, its log-probabilities and
+the backward of the sequences it scores share the pass (``score`` gathers
+the sampled contexts' maximum, exponentials and sum instead of normalizing
+their logits again). The backward's matmuls stay batched per sequence,
+(B, T, .) by (., .): one flat (B T)-row gemm sums in another blocking, and
+on bandit's 32-row microbatches, where OpenBLAS takes its small-matrix
+path, it moved the metrics of 40-step bandit runs by up to 2.6e-11 relative
+while seqtask's stayed identical, so the backward keeps the per-sequence
+form.
 
 A checkpoint is text: every weight in ``float.hex`` form, one line per
 weight row. ``save_checkpoint`` formats all the weights in one numpy pass
@@ -91,7 +108,7 @@ for every float64, zeros, subnormals, infinities and NaNs included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -100,6 +117,8 @@ from .errors import ContractViolation
 
 CHECKPOINT_MAGIC = "isopo-lab-checkpoint"
 CHECKPOINT_VERSION = 1
+# kl_reference builds a table of n rows in n // KL_BLOCK_ROWS blocks
+KL_BLOCK_ROWS = 128
 
 
 @dataclass
@@ -334,10 +353,11 @@ def _positions(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.indices(tokens.shape, sparse=True))
 
 
-def _backward(net: PolicyNet, logits, act_in, tokens) -> Scored:
+def _backward(net: PolicyNet, logits, act_in, tokens, normalized=None) -> Scored:
     """``Scored`` of sequences (B, T) from their positions' logits (B, T, vocab)
-    and bias-augmented layer inputs (B, T, in + 1)."""
-    m, p, total = _normalize(logits)
+    and bias-augmented layer inputs (B, T, in + 1). ``normalized``, when
+    given, is ``_normalize(logits)`` in arrays this may overwrite."""
+    m, p, total = _normalize(logits) if normalized is None else normalized
     p /= total
     # d log softmax(z)[token] / dz = onehot(token) - softmax(z); 0.0 - p, not
     # -p, keeps a zero probability's entry +0.0, as onehot - p does
@@ -447,7 +467,20 @@ class ContextTable:
         if len(self.act_in) != net.n_layers:
             raise ContractViolation("table holds no layer inputs of this policy")
         index = self._index(which, tokens)
-        return _backward(net, self.logits[index], [a[index] for a in self.act_in], tokens)
+        m, e, total = self._normalized
+        return _backward(
+            net,
+            self.logits[index],
+            [a[index] for a in self.act_in],
+            tokens,
+            (m[index], e[index], total[index]),
+        )
+
+
+def _n_contexts(net: PolicyNet, features) -> int:
+    """R = 1 + (T - 1) V, the number of contexts of a prompt: the last one's row + 1."""
+    v = net.vocab_size
+    return int(_row(seq_len_for(net, features) - 1, v - 1, v)) + 1
 
 
 def context_table(net: PolicyNet, prompt_features) -> ContextTable:
@@ -455,9 +488,7 @@ def context_table(net: PolicyNet, prompt_features) -> ContextTable:
     features = np.asarray(prompt_features, dtype=float)
     if features.ndim != 2:
         raise ContractViolation(f"prompt features {features.shape} are not (P, F)")
-    v = net.vocab_size
-    n_rows = _row(seq_len_for(net, features) - 1, v - 1, v) + 1  # the last context's row + 1
-    position, prev = _context(np.arange(n_rows), v)
+    position, prev = _context(np.arange(_n_contexts(net, features)), net.vocab_size)
     logits, act_in = forward(net, _inputs(net, features[:, None], position, prev))
     return ContextTable(features, logits, act_in)
 
@@ -481,13 +512,20 @@ def kl_reference(net: PolicyNet, prompts) -> ContextTable:
     ``kl_from_reference`` reads both policies.
 
     It keeps no layer inputs, which only scoring reads, so a table kept for a
-    whole run holds just its logits and, once read, their normalization.
+    whole run holds just its logits and, once read, their normalization. It
+    is built in blocks of whole prompts, ``n_rows // KL_BLOCK_ROWS`` of them
+    (at least 1, at most P), each one ``context_table`` forward of at least
+    64 rows, and equals the table of one forward over all the rows.
     """
     ordered = sorted(prompts, key=lambda p: p.id)
     if not ordered:
         raise ContractViolation("need at least one prompt")
-    table = context_table(net, np.stack([p.features for p in ordered]))
-    return replace(table, act_in=[])
+    features = np.stack([p.features for p in ordered])
+    n_rows = len(features) * _n_contexts(net, features)
+    n_blocks = min(len(features), max(1, n_rows // KL_BLOCK_ROWS))
+    blocks = np.array_split(features, n_blocks)
+    logits = np.concatenate([context_table(net, block).logits for block in blocks])
+    return ContextTable(features, logits, [])
 
 
 def kl_from_reference(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from isopo_lab import baselines, policy
-from isopo_lab.errors import ContractViolation, NonFiniteGradientError
+from isopo_lab.errors import ContractViolation, NonFiniteGradientError, NonFiniteWeightError
 from isopo_lab.rng import stream
 
 from conftest import make_microbatch
@@ -201,6 +201,33 @@ def test_nonfinite_gradient_in_a_later_layer_names_it_and_mutates_nothing(kind):
     grads[2][0, 0] = np.inf
     with pytest.raises(NonFiniteGradientError, match="layer 2 gradient has 2 non-finite"):
         baselines.optimizer_step(state, net, grads)
+    for got, want in zip(net.weights, weights):
+        assert np.array_equal(got, want)
+    for got, want in zip((state.exp_avg, state.exp_avg_sq), moments):
+        assert (got is None and want is None) or np.array_equal(got, want)
+    assert state.step_count == 1
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adamw"])
+def test_step_to_nonfinite_weights_names_the_layer_and_mutates_nothing(kind):
+    # every update is finite, but one weight would overflow: no weight, moment
+    # or step count changes
+    net = three_layer_net()
+    state = baselines.OptimizerState(kind, lr=1.0)
+    rng = np.random.default_rng(6)
+
+    def grads():  # |update| <= lr, and -lr at layer 2's [1, 3]
+        out = [rng.uniform(-1.0, 1.0, w.shape) for w in net.weights]
+        out[2][1, 3] = -1.0
+        return out
+
+    baselines.optimizer_step(state, net, grads())
+    net.weights[2][1, 3] = 1.7e308
+    weights = [w.copy() for w in net.weights]
+    moments = [None if m is None else m.copy() for m in (state.exp_avg, state.exp_avg_sq)]
+    state.lr = 1.7e308
+    with pytest.raises(NonFiniteWeightError, match="layer 2 updated weight has 1 non-finite"):
+        baselines.optimizer_step(state, net, grads())
     for got, want in zip(net.weights, weights):
         assert np.array_equal(got, want)
     for got, want in zip((state.exp_avg, state.exp_avg_sq), moments):

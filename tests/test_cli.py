@@ -124,3 +124,28 @@ def test_cli_bad_config_errors(tmp_path, capsys):
         "error: groups_per_microbatch=300 exceeds 202 training prompts\n"
     )
     assert not (tmp_path / "t").exists() and not (tmp_path / "c").exists()
+
+
+def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys):
+    # a missing, unreadable or non-UTF-8 config file is one error line and
+    # exit code 2, no traceback; compare writes nothing
+    missing = str(tmp_path / "nope.cfg")
+    assert cli.main(["train", "--config", missing, "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {missing}: cannot read config: No such file or directory\n"
+    )
+    assert cli.main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path}: cannot read config: ")
+    binary = tmp_path / "latin1.cfg"
+    binary.write_bytes("algo = reinforce  # d\xe9j\xe0 vu\n".encode("latin-1"))
+    assert cli.main(["train", "--config", str(binary), "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {binary}: config is not UTF-8 text: invalid continuation byte\n"
+    )
+    ok = write_config(tmp_path / "ok.cfg", "steps = 1\n")
+    for bad in (missing, str(binary)):
+        code = cli.main(["compare", "--config", ok, "--config", bad, "--out", str(tmp_path / "c")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert not (tmp_path / "t").exists() and not (tmp_path / "c").exists()

@@ -338,6 +338,80 @@ def test_eval_rows_pinned(tmp_path, algo):
     assert kept == [pytest.approx(list(row), rel=1e-9, abs=0) for row in PINNED_ROWS[algo]]
 
 
+# isopo-ni rows at rescalings other than p = -1, q = r = 0, keyed by the
+# config's exponents; recorded with np.linalg.norm in the Fisher-norm
+# estimator and every rescaling factor computed, zero exponents included
+PINNED_NI_ROWS = {
+    "q=0.5 r=-0.5 reg_strength=0.3": (
+        dict(q=0.5, r=-0.5, reg_strength=0.3),
+        [
+            (
+                0, 0.07291666666666666, 0.0, 0.0, 0, 0.2237289930981002, 1.1893758812127062,
+                0.2964362433906842, 1.2760442345998055, 0.42608026234611884, 1.807105178459847,
+            ),
+            (
+                5, 0.08333333333333333, 0.0, -0.0004421165428826618, 0, 0.23506538050635156,
+                1.2244906863588394, 0.31453410418915917, 1.3210914019850115,
+                0.4619748124070795, 1.852891318058653,
+            ),
+            (
+                10, 0.09375, 0.0, -0.00017790951347636252, 0, 0.21224596247950583,
+                1.191974157507053, 0.2888672183544261, 1.2841857343317507,
+                0.4340485026650238, 1.8239105090343999,
+            ),
+            (
+                15, 0.020833333333333332, 0.0, 0.0001824295458123376, 0, 0.20274784940466772,
+                1.1672869144831848, 0.2745284961766273, 1.2382541793036925,
+                0.42564806693839774, 1.8191766465920605,
+            ),
+            (
+                20, 0.07291666666666666, 0.0, 0.0002882104219551554, 0, 0.21149082225597043,
+                1.1886675111835703, 0.283896012749281, 1.244484491923294,
+                0.4281688287293997, 1.802595143200636,
+            ),
+        ],
+    ),
+    "p=0 r=-2": (
+        dict(p=0.0, r=-2.0),
+        [
+            (
+                0, 0.07291666666666666, 0.0, 0.0, 0, 0.2237289930981002, 1.1893758812127062,
+                0.2964362433906842, 1.2760442345998055, 0.42608026234611884, 1.807105178459847,
+            ),
+            (
+                5, 0.08333333333333333, 0.0, -0.0004778177320396218, 0, 0.23510496545188714,
+                1.2245746043546135, 0.31451520600976296, 1.3210688481033204,
+                0.4619871855128814, 1.852872708709974,
+            ),
+            (
+                10, 0.09375, 0.0, -0.00015174987390792483, 0, 0.21220024260700582,
+                1.1918896740467888, 0.28884323125319356, 1.284128944234495,
+                0.4340534575603636, 1.8239141034306043,
+            ),
+            (
+                15, 0.020833333333333332, 0.0, 0.00016561366202494376, 0, 0.20276121987374668,
+                1.1674152075889128, 0.2745528627209311, 1.2383516802751018,
+                0.42568501076447907, 1.8193147722839293,
+            ),
+            (
+                20, 0.07291666666666666, 0.0, 0.00022092638990980906, 0, 0.21158553819939563,
+                1.1889790792665849, 0.2839332975517998, 1.2446757137157451,
+                0.4281677019706772, 1.8025454120791498,
+            ),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_NI_ROWS))
+def test_isopo_ni_rescaling_rows_pinned(tmp_path, label):
+    exponents, pinned = PINNED_NI_ROWS[label]
+    cfg = RunConfig(algo="isopo-ni", steps=20, eval_every=5, seed=0, **exponents)
+    res = harness.train(cfg, tmp_path / "r")
+    kept = [[v for k, v in row.items() if k not in ("algo", "task", "seed")] for row in res.rows]
+    assert kept == [pytest.approx(list(row), rel=1e-9, abs=0) for row in pinned]
+
+
 @pytest.mark.parametrize("algo", sorted(PINNED_BANDIT_ROWS))
 def test_bandit_eval_rows_pinned(tmp_path, algo):
     cfg = RunConfig(task="bandit", algo=algo, steps=20, eval_every=5, seed=0)
@@ -625,8 +699,29 @@ def test_grpo_abort_reason_names_one_step(tmp_path):
     with np.errstate(all="ignore"):
         res = harness.train(cfg, tmp_path / "r")
     assert res.aborted
-    assert res.abort_reason.startswith("step 1: NonFiniteGradientError: ")
+    assert res.abort_reason.startswith("step 1: NonFiniteWeightError: ")
     assert res.abort_reason.count("step") == 1
+
+
+@pytest.mark.parametrize(
+    "task_name, algo",
+    [("bandit", "reinforce"), ("bandit", "grpo"), ("bandit", "isopo-ni"), ("seqtask", "isopo-ni")],
+)
+def test_step_to_nonfinite_weights_aborts_with_a_loadable_checkpoint(tmp_path, task_name, algo):
+    # an optimizer step that would write an infinite weight writes none: the
+    # run ends ABORTED at that step and keeps its last finite weights, so its
+    # checkpoint loads
+    cfg = RunConfig(
+        task=task_name, algo=algo, optimizer="sgd", lr=1.7e308, steps=4, eval_every=1
+    )
+    res = harness.train(cfg, tmp_path / "r")
+    assert res.aborted
+    assert res.abort_reason.startswith("step 1: NonFiniteWeightError: layer ")
+    assert [row["step"] for row in res.rows] == [0, 1]
+    initial = harness.build_policy(harness.make_task(cfg), cfg.seed)
+    loaded = policy.load_checkpoint(res.checkpoint_path)
+    for got, want in zip(loaded.weights, initial.weights):
+        assert np.array_equal(got, want)
 
 
 def test_clean_rerun_removes_stale_abort_marker(tmp_path):
@@ -813,21 +908,27 @@ def test_diagnostics_only_where_read(tmp_path, monkeypatch, algo, abort_step):
 @pytest.mark.parametrize("algo", ["reinforce", "grpo", "isopo-ni", "isopo-int"])
 def test_one_forward_per_sampled_batch_and_kl(tmp_path, monkeypatch, algo):
     # a sampled microbatch costs one forward (its context table), a row's KL
-    # one more (the current policy's table) except at step 0, which reads the
-    # initial policy's table, built once per run, and the KL itself none;
-    # greedy validation decodes position by position and GRPO re-scores its
-    # batch by teacher forcing after the first epoch
+    # one table of the current policy, built once over its rows in blocks,
+    # except at step 0, which reads the initial policy's table, built once
+    # per run, and the KL itself none; greedy validation decodes position by
+    # position and GRPO re-scores its batch by teacher forcing after the
+    # first epoch
     cfg = quick_cfg(algo=algo, steps=7, eval_every=3, seed=1)
     active, counts = ["other"], dict.fromkeys(["sample", "kl", "reference", "other"], 0)
+    block_rows = []  # per reference_table call, the rows of each of its forwards
     forward = policy.forward
 
-    def counted_forward(*args):
+    def counted_forward(net, x):
         counts[active[-1]] += 1
-        return forward(*args)
+        if active[-1] == "reference":
+            block_rows[-1].append(int(np.prod(np.shape(x)[:-1])))
+        return forward(net, x)
 
     def tracked(name, fn):
         def run(*args):
             active.append(name)
+            if name == "reference":
+                block_rows.append([])
             try:
                 return fn(*args)
             finally:
@@ -840,13 +941,16 @@ def test_one_forward_per_sampled_batch_and_kl(tmp_path, monkeypatch, algo):
     monkeypatch.setattr(metrics, "kl_from_reference", tracked("kl", metrics.kl_from_reference))
     monkeypatch.setattr(metrics, "reference_table", tracked("reference", metrics.reference_table))
     res = harness.train(cfg, tmp_path / "r")
+    task = harness.make_task(cfg)
     rescoring = cfg.steps * (cfg.inner_epochs - 1) if algo == "grpo" else 0
-    assert counts == {
+    assert {k: v for k, v in counts.items() if k != "reference"} == {
         "sample": cfg.steps + 1,
         "kl": 0,
-        "reference": len(res.rows),
-        "other": len(res.rows) * harness.make_task(cfg).seq_len + rescoring,
+        "other": len(res.rows) * task.seq_len + rescoring,
     }
+    # the 16 KL prompts' 528 contexts, once per table, in 4 blocks of 132
+    table_rows = metrics.KL_PROMPTS * (1 + (task.seq_len - 1) * task.vocab_size)
+    assert block_rows == [[table_rows // 4] * 4] * len(res.rows)
 
 
 def test_grpo_step_builds_teacher_forced_inputs_once(tmp_path, monkeypatch):

@@ -314,6 +314,39 @@ def test_reference_table_must_match_the_prompts(small_net, small_task):
         ref.score(small_net, np.zeros(1, dtype=np.int64), np.zeros((1, 2), dtype=np.int64))
 
 
+@pytest.mark.parametrize(
+    "task_fields, n_blocks",
+    [(dict(task="seqtask"), 4), (dict(task="seqtask", seq_modulus=5), 1), (dict(task="bandit"), 1)],
+)
+def test_kl_reference_blocks_equal_one_forward(monkeypatch, task_fields, n_blocks):
+    # the eval table is built in blocks of whole prompts of at least 64 rows
+    # each, or as one block, and equals the table of one forward bit for bit:
+    # the default seqtask's 528 rows in 4 blocks, seq_modulus = 5's 176 and
+    # bandit's 16 in one
+    task = harness.make_task(RunConfig(**task_fields))
+    net = harness.build_policy(task, 0)
+    drift = stream(2, "kl-blocks-perturb")
+    for w in net.weights:
+        w += 0.3 * drift.standard_normal(w.shape)
+    prompts = task.heldout_prompts[: metrics.KL_PROMPTS]
+    rows, forward = [], policy.forward
+
+    def counted(net, x):
+        rows.append(int(np.prod(np.shape(x)[:-1])))
+        return forward(net, x)
+
+    monkeypatch.setattr(policy, "forward", counted)
+    table = policy.kl_reference(net, prompts[::-1])
+    monkeypatch.undo()
+    ordered = sorted(prompts, key=lambda p: p.id)
+    whole = policy.context_table(net, np.stack([p.features for p in ordered]))
+    assert np.array_equal(table.features, whole.features)
+    assert np.array_equal(table.logits, whole.logits)
+    assert table.act_in == []
+    assert len(rows) == n_blocks and sum(rows) == whole.logits.shape[0] * whole.logits.shape[1]
+    assert n_blocks == 1 or min(rows) >= 64
+
+
 def test_backward_matches_finite_differences(small_net, small_task):
     prompt = small_task.train_prompts[0]
     tokens, scored = sample_one(small_net, prompt, 0, "fd")

@@ -214,3 +214,23 @@ def valid_configs(draw):
 @given(cfg=valid_configs())
 def test_config_round_trip(cfg):
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+# finite floats of every scale, with zeros, subnormals and values whose square overflows
+NORM_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-160, 1.4e154, -1e300, 1.7e308]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 70), st.data())
+def test_row_norms_equal_linalg_norm_bit_for_bit(n_rows, n_cols, data):
+    values = data.draw(st.lists(NORM_FLOATS, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    x = np.array(values).reshape(n_rows, n_cols)
+    y = np.array(data.draw(st.lists(NORM_FLOATS, min_size=n_rows, max_size=n_rows)))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(isopo.row_norms(x), np.linalg.norm(x, axis=1))
+        scale = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
+        got = isopo._sample_denominator(y, x)
+        want = float(np.linalg.norm(scale))
+    assert got == want or (np.isnan(got) and np.isnan(want))
