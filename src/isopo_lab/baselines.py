@@ -10,11 +10,14 @@ and dropping (clipping flat) sequences whose ratio left [1-eps, 1+eps] in the
 unfavorable direction. The sampling-time policy is held as a snapshot array
 of per-sequence log-probabilities, the microbatch's own
 ``scored.logprobs``. Each inner epoch re-scores the whole microbatch in one
-teacher-forced pass, from inputs the step builds once
-(``policy.teacher_forced_inputs``) and its epochs share. On the first
-inner epoch the ratio is exactly 1 and the two gradients coincide. A ratio
-that overflows raises FloatingPointError (an ArithmeticError), so the
-training loop aborts instead of silently dropping the sequence.
+teacher-forced pass. Its inputs depend on the prompts and tokens alone, not
+on the weights, and the sampled batch already holds them: its layer-0
+inputs ``scored.act_in[0]`` without their constant column are the
+teacher-forced inputs value for value, so no epoch builds them again. On
+the first inner epoch the ratio is exactly 1 and the two gradients
+coincide. A ratio that overflows raises FloatingPointError (an
+ArithmeticError), so the training loop aborts instead of silently dropping
+the sequence.
 
 Both optimizers follow the descent convention theta <- theta - lr * g, so the
 training loop passes the negated ascent gradient. Their update is
@@ -60,16 +63,16 @@ def grpo_clipped_grad(
     snapshot: np.ndarray,
     net: PolicyNet,
     clip_eps: float,
-    inputs: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Gradient of sum_o min(rho_o A_o, clip(rho_o, 1-eps, 1+eps) A_o) at ``net``.
 
     ``snapshot`` holds the sampling-time log-probabilities, one per sequence.
-    ``inputs``, when given, are the microbatch's ``teacher_forced_inputs``,
-    which the inner epochs of one step share.
+    The microbatch is re-scored at ``net`` from its sampled layer-0 inputs,
+    which are its teacher-forced inputs value for value.
     """
     if clip_eps <= 0:
         raise ContractViolation(f"clip_eps must be positive, got {clip_eps}")
+    inputs = microbatch.scored.act_in[0][..., :-1]  # without the bias column
     current = score(net, microbatch.features, microbatch.tokens, inputs)
     rho = _ratios(current.logprobs, snapshot)
     advantages = microbatch.advantages

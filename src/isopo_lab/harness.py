@@ -2,11 +2,16 @@
 
 A run is fully determined by (config, seed): every random draw comes from a
 named counter-based stream, the metrics CSV prints floats with 17 significant
-digits, and repeated runs produce byte-identical files. Which prompts a step
-samples and the uniforms its sequences are sampled from do not depend on the
-policy, so ``train`` derives them for every step before the first step, in
-one vectorized pass (``draw_steps``), and before it creates the output
-directory; they equal what each step's own named streams give.
+digits, and repeated runs produce byte-identical files. Apart from the
+initial weights, nothing a run draws depends on the policy: which prompts a
+step samples, the uniforms its sequences are sampled from, its overlap
+positions and its row's KL uniforms. So ``train`` derives them for every
+step before the first step and before it creates the output directory
+(``draw_steps``): one key pass over the run's ``prompts/``, ``overlap/`` and
+``kl/`` labels (``rng.draws``), then one over its sequences' ``policy/``
+labels (``rng.uniforms``). The step loop reads arrays that equal what each
+step's own named streams give; no generator reaches it, and ``rng.stream``
+builds only the initial weights' (``init``).
 
 Every step, step 0 included, takes one path: sample a microbatch of groups
 (scored by the task's reward, with no KL penalty anywhere near the reward
@@ -15,31 +20,35 @@ algorithm's update: one optimizer step for reinforce, isopo-ni and
 isopo-int, and ``inner_epochs`` steps on the same batch for GRPO. GRPO's
 first step runs at the sampling weights, where every ratio is exactly 1 and
 the clipped gradient is the REINFORCE gradient, so it takes that without
-re-scoring the batch; the later ones re-score it from teacher-forced inputs
-that the step builds once. Step 0 only probes the initial policy.
+re-scoring the batch; the later ones re-score it from its sampled layer-0
+inputs, which are its teacher-forced inputs (``baselines.grpo_clipped_grad``).
+Step 0 only probes the initial policy.
 
 A row is written on every ``eval_every``-th step and on the step that
 aborts: a numeric failure inside the update (any ArithmeticError: a
 non-finite gradient, a Tikhonov system that is not finite or not positive
 definite, GRPO ratio overflow) ends the run as ABORTED with the step and the
 reason, and so does a written row that holds a NaN or an infinity
-(``NonFiniteMetricError``, naming the column). The steps run with numpy's
+(``NonFiniteMetricError``, naming the column). The plan holds KL uniforms
+for the ``eval_every`` steps only; an aborting step off that grid draws its
+own from ``kl/{step}`` when it writes its row. The steps run with numpy's
 overflow and invalid-value warnings off: a diverging policy overflows in
 sampling and scoring before any of these checks sees it, and the checks,
 not the warnings, decide whether a run ends.
 
 A row's batch diagnostics are the same for every algorithm, so the
-per-layer statistics are comparable across runs: the step draws its overlap
-sample from its own ``overlap/{step}`` stream, estimates every sequence's
-per-layer Fisher norm and summarizes the batch. Only isopo-ni's update reads
-the norms, so it estimates them on every step; the other algorithms do so
-only on steps that write a row (the aborting step after its failure, from
-its unchanged microbatch), and the batch is summarized only for a written
-row. Skipping a step's diagnostics changes no other step. Each row's
-``kl_from_init`` is read against the initial policy's table of the KL
-prompts, which ``train`` builds once, before the first step
-(``metrics.reference_table``), so no copy of the initial weights is kept;
-``metrics.collect`` builds the current policy's table for each later row.
+per-layer statistics are comparable across runs: the step's overlap
+sample sits at the positions it drew from its own ``overlap/{step}``
+stream, every sequence's per-layer Fisher norm is estimated from it and the
+batch is summarized. Only isopo-ni's update reads the norms, so it
+estimates them on every step; the other algorithms do so only on steps
+that write a row (the aborting step after its failure, from its unchanged
+microbatch), and the batch is summarized only for a written row. Skipping a
+step's diagnostics changes no other step. Each row's ``kl_from_init`` is
+read against the initial policy's table of the KL prompts, which ``train``
+builds once, before the first step (``metrics.reference_table``), so no
+copy of the initial weights is kept; ``metrics.collect`` builds the current
+policy's table for each later row.
 
 A process builds each task once: ``make_task`` returns one shared instance
 per set of task-defining fields, checked for a disjoint train/heldout split
@@ -54,6 +63,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +71,7 @@ from . import baselines, isopo, metrics, policy, tasks
 from .config import RunConfig, serialize_config, validate_config
 from .errors import ConfigError, ContractViolation, CsvFormatError, NonFiniteMetricError
 from .metrics import FIXED_COLUMNS
-from .rng import stream, uniforms
+from .rng import draws, stream, uniforms
 
 DEFAULT_HIDDEN = (32, 32)
 
@@ -108,44 +118,71 @@ def _check_groups_fit(task, cfg: RunConfig) -> None:
         )
 
 
-def draw_steps(task, cfg: RunConfig, steps) -> dict[int, tuple[list[tasks.Prompt], np.ndarray]]:
-    """Each step's prompts and sampling uniforms (B, T), derived in one pass.
+class StepDraws(NamedTuple):
+    """What one step draws, none of which depends on the policy."""
 
-    Step s draws its prompts from the ``prompts/{s}`` stream, and sequence k
-    of prompt p's group samples from the first T uniforms of the stream
-    ``policy/{s}/{p.id}/{k}``. Neither depends on the policy, so a run draws
-    every step's before it trains, with one ``rng.uniforms`` call.
+    prompts: list[tasks.Prompt]  # the step's G prompts, one per group
+    u: np.ndarray  # (B, T) sampling uniforms, one row per sequence
+    overlap: np.ndarray  # the overlap sample's positions (``isopo.overlap_positions``)
+    kl: np.ndarray | None  # (KL_SAMPLES, T) uniforms of its row's KL, on a KL step
+
+
+def draw_steps(task, cfg: RunConfig, steps, kl_steps=None) -> dict[int, StepDraws]:
+    """Every step's ``StepDraws``, derived before the first step.
+
+    Step s draws its prompts from the ``prompts/{s}`` stream, its overlap
+    positions from ``overlap/{s}`` and, on a KL step (by default, each step
+    that ``eval_every`` gives a row), its KL uniforms from ``kl/{s}``, all
+    keyed in one ``rng.draws`` pass. Sequence k of prompt p's group samples
+    from the first T uniforms of the stream ``policy/{s}/{p.id}/{k}``, which
+    names the drawn prompt, so one ``rng.uniforms`` call derives them after.
     """
     _check_groups_fit(task, cfg)
     train = task.train_prompts
     steps = list(steps)
-    prompts = []
-    for step in steps:
-        chosen = stream(cfg.seed, f"prompts/{step}").choice(
-            len(train), size=cfg.groups_per_microbatch, replace=False
-        )
-        prompts.append([train[int(idx)] for idx in chosen])
+    if kl_steps is None:
+        kl_steps = [step for step in steps if step % cfg.eval_every == 0]
+    n_seqs = cfg.groups_per_microbatch * cfg.group_size
+
+    def choose(gen):
+        return gen.choice(len(train), size=cfg.groups_per_microbatch, replace=False)
+
+    def overlap(gen):
+        return isopo.overlap_positions(gen, n_seqs * task.seq_len, cfg.n_overlap)
+
+    def kl(gen):
+        return gen.random((metrics.KL_SAMPLES, task.seq_len))
+
+    found = draws(
+        cfg.seed,
+        [(f"prompts/{step}", choose) for step in steps]
+        + [(f"overlap/{step}", overlap) for step in steps]
+        + [(f"kl/{step}", kl) for step in kl_steps],
+    )
+    prompts = [[train[int(idx)] for idx in chosen] for chosen in found[: len(steps)]]
+    overlaps = found[len(steps) : 2 * len(steps)]
+    kls = dict(zip(kl_steps, found[2 * len(steps) :]))
     labels = [
         f"policy/{step}/{p.id}/{k}"
         for step, chosen in zip(steps, prompts)
         for p in chosen
         for k in range(cfg.group_size)
     ]
-    n_seqs = cfg.groups_per_microbatch * cfg.group_size
     u = uniforms(cfg.seed, labels, task.seq_len).reshape(len(steps), n_seqs, task.seq_len)
-    return {step: (chosen, step_u) for step, chosen, step_u in zip(steps, prompts, u)}
+    return {
+        step: StepDraws(chosen, step_u, positions, kls.get(step))
+        for step, chosen, step_u, positions in zip(steps, prompts, u, overlaps)
+    }
 
 
-def sample_microbatch(net, task, cfg: RunConfig, step: int, draws=None) -> tasks.Microbatch:
+def sample_microbatch(net, task, cfg: RunConfig, step: int, plan=None) -> tasks.Microbatch:
     """Groups for one step; each sequence gets its own (step, prompt, index) stream.
 
-    ``draws`` is the run's ``draw_steps`` table; without it, the step's
+    ``plan`` is the run's ``draw_steps`` table; without it, the step's
     prompts and uniforms are drawn here, and are the same.
     """
-    if draws is None:
-        draws = draw_steps(task, cfg, [step])
-    prompts, u = draws[step]
-    return tasks.build_microbatch(net, task, prompts, u, cfg.normalize_std)
+    drawn = (plan or draw_steps(task, cfg, [step], kl_steps=[]))[step]
+    return tasks.build_microbatch(net, task, drawn.prompts, drawn.u, cfg.normalize_std)
 
 
 def _format_value(value) -> str:
@@ -196,9 +233,6 @@ def read_metrics_csv(path) -> list[dict]:
 
 def _update(cfg, net, optimizer, microbatch, norms, rescale_params) -> None:
     """Apply the step's optimizer steps: ``inner_epochs`` for GRPO, one otherwise."""
-    inputs = None
-    if cfg.algo == "grpo" and cfg.inner_epochs > 1:  # the later epochs re-score one batch
-        inputs = policy.teacher_forced_inputs(net, microbatch.features, microbatch.tokens)
     for epoch in range(cfg.inner_epochs if cfg.algo == "grpo" else 1):
         if cfg.algo == "reinforce" or (cfg.algo == "grpo" and epoch == 0):
             # GRPO's first epoch runs at the sampling weights: every ratio is
@@ -206,7 +240,7 @@ def _update(cfg, net, optimizer, microbatch, norms, rescale_params) -> None:
             grads = baselines.reinforce_grad(microbatch)
         elif cfg.algo == "grpo":
             grads = baselines.grpo_clipped_grad(
-                microbatch, microbatch.scored.logprobs, net, cfg.clip_eps, inputs
+                microbatch, microbatch.scored.logprobs, net, cfg.clip_eps
             )
         elif cfg.algo == "isopo-ni":
             grads = isopo.noninteracting_update(microbatch, norms, rescale_params)
@@ -217,12 +251,9 @@ def _update(cfg, net, optimizer, microbatch, norms, rescale_params) -> None:
         baselines.optimizer_step(optimizer, net, [-g for g in grads])
 
 
-def _fisher_norms(microbatch, cfg: RunConfig, step: int) -> tuple[np.ndarray, np.ndarray]:
-    """The step's Fisher-norm table and degenerate mask, from its ``overlap/{step}`` sample."""
-    overlap = isopo.draw_overlap_samples(
-        microbatch, cfg.n_overlap, stream(cfg.seed, f"overlap/{step}")
-    )
-    return isopo.sequence_fisher_norms(microbatch, overlap)
+def _fisher_norms(microbatch, positions) -> tuple[np.ndarray, np.ndarray]:
+    """The step's Fisher-norm table and degenerate mask, from its overlap ``positions``."""
+    return isopo.sequence_fisher_norms(microbatch, isopo.overlap_samples(microbatch, positions))
 
 
 def _check_finite(row: dict) -> None:
@@ -240,7 +271,7 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
     """Run one seeded training loop and write metrics.csv plus a checkpoint."""
     cfg = validate_config(cfg)
     task = make_task(cfg)
-    draws = draw_steps(task, cfg, range(cfg.steps + 1))
+    plan = draw_steps(task, cfg, range(cfg.steps + 1))
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -257,10 +288,10 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
     # the finiteness checks, not numpy's warnings, decide whether a run ends
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.steps + 1):
-            microbatch = sample_microbatch(net, task, cfg, step, draws)
+            microbatch = sample_microbatch(net, task, cfg, step, plan)
             norms = degenerate = None
             if cfg.algo == "isopo-ni":  # the only update that reads the norms
-                norms, degenerate = _fisher_norms(microbatch, cfg, step)
+                norms, degenerate = _fisher_norms(microbatch, plan[step].overlap)
             if step > 0:
                 try:
                     _update(cfg, net, optimizer, microbatch, norms, rescale_params)
@@ -268,11 +299,14 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
                     abort_reason = _abort_reason(step, exc)
             if abort_reason or step % cfg.eval_every == 0:
                 if norms is None:  # an update leaves its microbatch as it was sampled
-                    norms, degenerate = _fisher_norms(microbatch, cfg, step)
+                    norms, degenerate = _fisher_norms(microbatch, plan[step].overlap)
                 summary = metrics.batch_summary(
                     microbatch, norms, int(np.count_nonzero(degenerate)), cfg.algo
                 )
-                row = metrics.collect(step, net, kl_ref, task, summary, cfg.seed, cfg.algo)
+                kl_u = plan[step].kl
+                if kl_u is None:  # a row written only because the step aborted
+                    kl_u = draw_steps(task, cfg, [step], kl_steps=[step])[step].kl
+                row = metrics.collect(step, net, kl_ref, task, summary, cfg.seed, cfg.algo, kl_u)
                 rows.append(row)
                 try:
                     _check_finite(row)

@@ -29,6 +29,12 @@ by the degenerate test, the rescaling, its EMA and the batch summary through
 over the positions (``policy.grad_sum``). A sequence is degenerate in a layer
 when |V_b|^2 == 0, or when every overlap sample is zero.
 
+The sample's positions depend on the step's stream, B T and ``n_overlap``
+alone, not on the policy: ``overlap_positions`` draws them, which a run
+does for every step before it trains (``harness.draw_steps``), and
+``overlap_samples`` gathers the factors there. ``draw_overlap_samples`` does
+both from a generator.
+
 The estimator runs every step of an isopo-ni run, so it calls the numpy
 operations a norm consists of, not ``np.linalg.norm``, which checks its
 arguments and copies x.conj() on each of its 12 calls per step: row norms
@@ -170,21 +176,32 @@ def fisher_norm_estimate(
     return row_norms(proj) / denominator
 
 
+def overlap_positions(rng: np.random.Generator, n_positions: int, n_overlap: int) -> np.ndarray:
+    """A uniform sample without replacement of min(n_overlap, n_positions) of
+    a microbatch's n_positions = B T positions, sorted: the first entries of
+    ``rng.permutation(n_positions)``."""
+    if n_overlap < 1:
+        raise ContractViolation("n_overlap must be >= 1")
+    if n_positions == 0:
+        raise ContractViolation("empty microbatch")
+    return np.sort(rng.permutation(n_positions)[: min(n_overlap, n_positions)])
+
+
+def overlap_samples(microbatch: Microbatch, positions: np.ndarray) -> OverlapSamples:
+    """The per-layer factors of ``microbatch`` at ``positions`` (``overlap_positions``)."""
+    scored = microbatch.scored
+    total = microbatch.tokens.size
+    act_in = [a.reshape(total, -1)[positions] for a in scored.act_in]
+    grad_out = [g.reshape(total, -1)[positions] for g in scored.grad_out]
+    denominators = [_sample_denominator(a, g) for a, g in zip(act_in, grad_out)]
+    return OverlapSamples(act_in, grad_out, denominators, positions)
+
+
 def draw_overlap_samples(
     microbatch: Microbatch, n_overlap: int, rng: np.random.Generator
 ) -> OverlapSamples:
-    """Uniform sample (without replacement) over all token positions in the batch."""
-    if n_overlap < 1:
-        raise ContractViolation("n_overlap must be >= 1")
-    scored = microbatch.scored
-    total = scored.act_in[0].shape[0] * scored.act_in[0].shape[1]
-    if total == 0:
-        raise ContractViolation("empty microbatch")
-    indices = np.sort(rng.permutation(total)[: min(n_overlap, total)])
-    act_in = [a.reshape(total, -1)[indices] for a in scored.act_in]
-    grad_out = [g.reshape(total, -1)[indices] for g in scored.grad_out]
-    denominators = [_sample_denominator(a, g) for a, g in zip(act_in, grad_out)]
-    return OverlapSamples(act_in, grad_out, denominators, indices)
+    """``overlap_samples`` at the ``overlap_positions`` that ``rng`` draws."""
+    return overlap_samples(microbatch, overlap_positions(rng, microbatch.tokens.size, n_overlap))
 
 
 def sequence_fisher_norms(

@@ -21,7 +21,8 @@ followed, for each layer l of the policy, by
 
 ``kl_from_init`` is a ``KL_SAMPLES``-sample Monte Carlo KL of the current
 policy from the initial one over the first ``KL_PROMPTS`` heldout prompts,
-read off the two policies' tables of those prompts (``reference_table``).
+read off the two policies' tables of those prompts (``reference_table``)
+and sampled from uniforms that the run draws before training.
 The initial policy never changes, so ``harness.train`` builds its table
 once, and ``collect`` builds the current policy's: a row's KL costs one
 forward, and the step-0 row, whose weights are the initial ones, reads the
@@ -41,7 +42,6 @@ import numpy as np
 
 from .isopo import mean_ntk_eigenvalue
 from .policy import ContextTable, PolicyNet, kl_from_reference, kl_reference
-from .rng import stream
 from .tasks import validation_score
 
 KL_SAMPLES = 256
@@ -86,18 +86,25 @@ def reference_table(net: PolicyNet, task) -> ContextTable:
 
 
 def collect(
-    step: int, net: PolicyNet, ref: ContextTable, task, summary: dict, seed: int, algo: str
+    step: int,
+    net: PolicyNet,
+    ref: ContextTable,
+    task,
+    summary: dict,
+    seed: int,
+    algo: str,
+    kl_uniforms: np.ndarray,
 ) -> dict:
     """One metrics row; never mutates the policy.
 
     ``kl_from_init`` is the KL from ``ref``, the initial policy's
-    ``reference_table``. At step 0 no update has run, so ``net`` is the
-    initial policy and ``ref`` serves as its table too. The KL estimate uses
-    its own stream derived from (run seed, step) so the value at a given
-    step does not depend on how much randomness earlier steps consumed.
+    ``reference_table``, sampled from ``kl_uniforms`` (``KL_SAMPLES``, T),
+    which a run draws from the ``kl/{step}`` stream (``harness.draw_steps``),
+    so the value at a given step does not depend on how much randomness
+    earlier steps consumed. At step 0 no update has run, so ``net`` is the
+    initial policy and ``ref`` serves as its table too.
     """
     table = ref if step == 0 else reference_table(net, task)
-    kl = kl_from_reference(table, ref, KL_SAMPLES, stream(seed, f"kl/{step}"))
     row = {
         "step": step,
         "algo": algo,
@@ -105,7 +112,7 @@ def collect(
         "seed": seed,
         "mean_reward": summary["mean_reward"],
         "validation": validation_score(net, task.heldout_prompts),
-        "kl_from_init": kl,
+        "kl_from_init": kl_from_reference(table, ref, kl_uniforms),
     }
     # mean_reward keeps its place; the other summary columns follow in order
     return row | summary

@@ -6,13 +6,18 @@ Every source of randomness in a run is a Philox generator keyed by
 depend on how much randomness any other part of the run consumed. This is
 what makes runs byte-reproducible and algorithm swaps sampling-identical.
 
-``stream`` builds one generator and is the reference. Sampling needs only the
-first few uniforms of thousands of streams per run, so ``uniforms`` derives
-them all at once: numpy's ``SeedSequence`` pool mixing, its key generation and
-Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
-SC 2011) are integer arithmetic, done here on arrays over every label. Row i
-of ``uniforms(seed, labels, n)`` equals ``stream(seed, labels[i]).random(n)``
-bit for bit.
+``stream`` builds one generator and is the reference. A run needs thousands
+of streams, most for only a few uniforms, so the keys are derived for many
+labels at once (``_stream_keys``): numpy's ``SeedSequence`` pool mixing and
+its key generation are integer arithmetic, done here on arrays over every
+label. ``uniforms`` runs Philox4x64-10 (Salmon et al., "Parallel Random
+Numbers: As Easy as 1, 2, 3", SC 2011) on those arrays too, so row i of
+``uniforms(seed, labels, n)`` equals ``stream(seed, labels[i]).random(n)``
+bit for bit. ``draws`` serves a draw that needs numpy's own algorithm
+(``choice``, ``permutation``): it sets one generator's Philox key to each
+label's in turn and hands the draw that generator, so
+``draws(seed, [(label, draw)])[0]`` equals ``draw(stream(seed, label))`` at
+a few microseconds per label instead of a generator's construction.
 
 The fixed cost per call is a few dozen small array operations, so they are
 stacked: the SeedSequence pool is one (4, rows) array, each pool word is
@@ -55,12 +60,43 @@ def stream(seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def uniforms(seed: int, labels, n: int) -> np.ndarray:
-    """Uniforms (len(labels), n): row i is ``stream(seed, labels[i]).random(n)``."""
+def _stream_keys(seed: int, labels) -> np.ndarray:
+    """Philox keys (len(labels), 2): row i is the key of ``stream(seed, labels[i])``."""
     labels = list(labels)
     digests = b"".join(hashlib.sha256(label.encode("utf-8")).digest() for label in labels)
-    words = np.frombuffer(digests, dtype="<u8").reshape(len(labels), 4)
-    return entropy_uniforms(seed, words, n)
+    return _entropy_keys(seed, np.frombuffer(digests, dtype="<u8").reshape(len(labels), 4))
+
+
+def uniforms(seed: int, labels, n: int) -> np.ndarray:
+    """Uniforms (len(labels), n): row i is ``stream(seed, labels[i]).random(n)``."""
+    return _philox_random(_stream_keys(seed, labels), n)
+
+
+def draws(seed: int, requests) -> list:
+    """``[draw(stream(seed, label)) for label, draw in requests]``, from one
+    ``_stream_keys`` pass over the labels.
+
+    Each draw gets this call's one generator with its Philox state set to
+    what ``stream(seed, label)`` starts from: the label's key, a zero counter
+    and an empty buffer. A draw must return what it drew and not keep the
+    generator, which the next request re-keys.
+    """
+    requests = list(requests)
+    keys = _stream_keys(seed, [label for label, _ in requests])
+    gen = np.random.Generator(np.random.Philox(key=0))
+    empty = np.zeros(4, dtype=np.uint64)
+    results = []
+    for key, (_, draw) in zip(keys, requests):
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": empty, "key": key},
+            "buffer": empty,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        results.append(draw(gen))
+    return results
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -76,7 +112,12 @@ def _uint32_words(value: int) -> list[int]:
 
 
 def entropy_uniforms(seed: int, words, n: int) -> np.ndarray:
-    """Row i is ``Generator(Philox(SeedSequence([seed, *words[i]]))).random(n)``.
+    """Row i is ``Generator(Philox(SeedSequence([seed, *words[i]]))).random(n)``."""
+    return _philox_random(_entropy_keys(seed, words), n)
+
+
+def _entropy_keys(seed: int, words) -> np.ndarray:
+    """Philox keys (rows, 2) of ``SeedSequence([seed, *words[i]])`` per row i.
 
     ``words`` is a (rows, k) array of 64-bit entropy words. numpy coerces a
     word below 2**32 to one uint32 and a larger one to two, so rows are
@@ -90,7 +131,7 @@ def entropy_uniforms(seed: int, words, n: int) -> np.ndarray:
     halves = np.stack([low, high], axis=-1).astype(np.uint32)
     halves = halves.reshape(len(words), 2 * words.shape[1])
     pattern = (high != 0) @ (1 << np.arange(words.shape[1]))
-    out = np.empty((len(words), n))
+    keys = np.empty((len(words), 2), dtype=np.uint64)
     # a set, not np.unique, which would import numpy.ma (about 1 MB) into every run
     for code in set(pattern.tolist()):
         rows = np.flatnonzero(pattern == code)
@@ -99,8 +140,8 @@ def entropy_uniforms(seed: int, words, n: int) -> np.ndarray:
             [np.broadcast_to(seed_words, (len(rows), len(seed_words))), halves[rows][:, cols]],
             axis=1,
         )
-        out[rows] = _philox_random(_seed_key(entropy), n)
-    return out
+        keys[rows] = _seed_key(entropy)
+    return keys
 
 
 def _hashmix(value: np.ndarray, const: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
@@ -122,8 +163,8 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> np.uint32(16))
 
 
-def _seed_key(entropy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Philox keys (two uint64 columns) of SeedSequence(entropy rows of uint32).
+def _seed_key(entropy: np.ndarray) -> np.ndarray:
+    """Philox keys (rows, 2) of SeedSequence(entropy rows of uint32).
 
     The hash constants advance the same way for every row, so they stay
     Python ints, and the pool is one (4, rows) array: each source word is
@@ -143,8 +184,7 @@ def _seed_key(entropy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pool = _mix(pool, mixed)
     # generate_state(2, uint64): four uint32 words read in pairs, low word first
     state = _hashmix(pool, _INIT_B, _MULT_B)[0].astype(np.uint64)
-    shift = np.uint64(32)
-    return state[0] | state[1] << shift, state[2] | state[3] << shift
+    return (state[0::2] | state[1::2] << np.uint64(32)).T
 
 
 def _mulhilo(m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,16 +198,17 @@ def _mulhilo(m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x * m
 
 
-def _philox_random(key: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
-    """``Generator(Philox(key=key)).random(n)`` per row: block b has counter b + 1
-    and gives four draws; a draw x becomes (x >> 11) * 2**-53.
+def _philox_random(keys: np.ndarray, n: int) -> np.ndarray:
+    """``Generator(Philox(key=key)).random(n)`` per key of ``keys`` (rows, 2):
+    block b has counter b + 1 and gives four draws; a draw x becomes
+    (x >> 11) * 2**-53.
 
     The counter words are held as two stacked (2, rows, blocks) arrays,
     ``x`` = (c0, c2), the words each round multiplies, and ``y`` = (c1, c3),
     so a round is one ``_mulhilo`` and the key is one (2, rows, 1) array.
     """
-    rows, blocks = len(key[0]), -(-n // 4)
-    k = np.stack(key)[:, :, None]
+    rows, blocks = len(keys), -(-n // 4)
+    k = keys.T[:, :, None]
     x = np.zeros((2, rows, blocks), dtype=np.uint64)
     x[0] = np.arange(1, blocks + 1, dtype=np.uint64)
     y = np.zeros_like(x)

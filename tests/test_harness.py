@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
 
-from isopo_lab import baselines, checks, harness, isopo, metrics, policy
+from isopo_lab import baselines, checks, harness, isopo, metrics, policy, rng
 from isopo_lab.config import RunConfig
 from isopo_lab.errors import ConfigError, ContractViolation, CsvFormatError
 from isopo_lab.rng import stream
@@ -92,7 +93,7 @@ def test_kl_from_reference_pinned():
         w += 0.3 * drift.standard_normal(w.shape)
     prompts = task.heldout_prompts[:16]
     table, ref = policy.kl_reference(net, prompts), policy.kl_reference(ref, prompts)
-    kl = policy.kl_from_reference(table, ref, 256, stream(0, "pin-kl"))
+    kl = policy.kl_from_reference(table, ref, stream(0, "pin-kl").random((256, task.seq_len)))
     assert kl == pytest.approx(PINNED_KL, rel=1e-12, abs=0)
 
 
@@ -441,13 +442,71 @@ def test_run_table_equals_each_steps_own_streams():
     task = harness.make_task(cfg)
     table = harness.draw_steps(task, cfg, range(5))
     for step in range(5):
-        prompts, u = table[step]
-        alone_prompts, alone_u = harness.draw_steps(task, cfg, [step])[step]
-        assert [p.id for p in prompts] == [p.id for p in alone_prompts]
-        assert np.array_equal(u, alone_u)
+        drawn, alone = table[step], harness.draw_steps(task, cfg, [step])[step]
+        assert [p.id for p in drawn.prompts] == [p.id for p in alone.prompts]
+        assert np.array_equal(drawn.u, alone.u)
         # row 5 is sequence 1 of group 1 (group size 4)
-        label = f"policy/{step}/{prompts[1].id}/1"
-        assert np.array_equal(u[5], stream(cfg.seed, label).random(task.seq_len))
+        label = f"policy/{step}/{drawn.prompts[1].id}/1"
+        assert np.array_equal(drawn.u[5], stream(cfg.seed, label).random(task.seq_len))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("task_name", ["seqtask", "bandit"])
+def test_plan_draws_equal_the_named_streams(task_name, seed):
+    # default microbatches: bandit's B T = 32 positions are fewer than
+    # n_overlap = 64, so its overlap sample is every position
+    cfg = RunConfig(task=task_name, seed=seed, steps=7, eval_every=3)
+    task = harness.make_task(cfg)
+    plan = harness.draw_steps(task, cfg, range(cfg.steps + 1))
+    n_positions = cfg.groups_per_microbatch * cfg.group_size * task.seq_len
+    assert list(plan) == list(range(cfg.steps + 1))
+    for step, drawn in plan.items():
+        chosen = stream(seed, f"prompts/{step}").choice(
+            len(task.train_prompts), size=cfg.groups_per_microbatch, replace=False
+        )
+        assert [p.id for p in drawn.prompts] == [task.train_prompts[i].id for i in chosen]
+        perm = stream(seed, f"overlap/{step}").permutation(n_positions)
+        assert np.array_equal(drawn.overlap, np.sort(perm[: min(cfg.n_overlap, n_positions)]))
+        if step % cfg.eval_every:
+            assert drawn.kl is None
+        else:
+            kl_u = stream(seed, f"kl/{step}").random((metrics.KL_SAMPLES, task.seq_len))
+            assert np.array_equal(drawn.kl, kl_u)
+    if task_name == "bandit":
+        assert all(np.array_equal(d.overlap, np.arange(n_positions)) for d in plan.values())
+
+
+@pytest.mark.parametrize("algo", ["reinforce", "grpo", "isopo-ni", "isopo-int"])
+@pytest.mark.parametrize("abort_step", [None, 5])
+def test_a_run_builds_one_generator(tmp_path, monkeypatch, algo, abort_step):
+    # every draw but the initial weights' comes from the plan's one key pass,
+    # the row of a step that aborts off the eval grid included
+    cfg = quick_cfg(algo=algo, steps=7, eval_every=3, seed=1)
+    labels, build = [], rng.stream
+    current = {}
+    sample, optimizer_step = harness.sample_microbatch, baselines.optimizer_step
+
+    def counted_stream(seed, label):
+        labels.append(label)
+        return build(seed, label)
+
+    def tracked_sample(net, task, cfg, step, plan=None):
+        current["step"] = step
+        return sample(net, task, cfg, step, plan)
+
+    def failing_step(*args):
+        if current["step"] == abort_step:
+            raise FloatingPointError("injected")
+        return optimizer_step(*args)
+
+    for module in list(sys.modules.values()):  # every namespace that looks it up
+        if module.__name__.startswith("isopo_lab") and getattr(module, "stream", None) is build:
+            monkeypatch.setattr(module, "stream", counted_stream)
+    monkeypatch.setattr(harness, "sample_microbatch", tracked_sample)
+    monkeypatch.setattr(baselines, "optimizer_step", failing_step)
+    res = harness.train(cfg, tmp_path / "r")
+    assert [row["step"] for row in res.rows] == ([0, 3, 5] if abort_step else [0, 3, 6])
+    assert labels == ["init"]
 
 
 def test_groups_exceeding_train_prompts_rejected(tmp_path):
@@ -953,17 +1012,22 @@ def test_one_forward_per_sampled_batch_and_kl(tmp_path, monkeypatch, algo):
     assert block_rows == [[table_rows // 4] * 4] * len(res.rows)
 
 
-def test_grpo_step_builds_teacher_forced_inputs_once(tmp_path, monkeypatch):
-    # the inner epochs after the first re-score one batch at new weights, from
-    # the inputs the step built once
+def test_grpo_step_rescores_from_its_sampled_inputs(tmp_path, monkeypatch):
+    # the inner epochs after the first re-score one batch at new weights from
+    # the batch's sampled layer-0 inputs: no step builds teacher-forced
+    # inputs, and every re-scoring equals a fresh teacher-forced score
     cfg = quick_cfg(algo="grpo", steps=5, inner_epochs=4, seed=2)
-    updating, built = [False], []
-    build = policy.teacher_forced_inputs
-    update = harness._update
+    updating, built, rescored = [False], [], []
+    build, rescore, update = policy.teacher_forced_inputs, baselines.score, harness._update
 
     def counted_build(*args):
         built.append(updating[0])
         return build(*args)
+
+    def recorded_rescore(net, features, tokens, inputs=None):
+        scored = rescore(net, features, tokens, inputs)
+        rescored.append((net.copy(), features, tokens.copy(), scored))
+        return scored
 
     def tracked_update(*args):
         updating[0] = True
@@ -973,9 +1037,17 @@ def test_grpo_step_builds_teacher_forced_inputs_once(tmp_path, monkeypatch):
             updating[0] = False
 
     monkeypatch.setattr(policy, "teacher_forced_inputs", counted_build)
+    monkeypatch.setattr(baselines, "score", recorded_rescore)
     monkeypatch.setattr(harness, "_update", tracked_update)
     harness.train(cfg, tmp_path / "r")
-    assert built.count(True) == cfg.steps
+    assert True not in built
+    assert len(rescored) == cfg.steps * (cfg.inner_epochs - 1)
+    monkeypatch.setattr(policy, "teacher_forced_inputs", build)
+    for net, features, tokens, scored in rescored:
+        fresh = policy.score(net, features, tokens)
+        assert np.array_equal(scored.logprobs, fresh.logprobs)
+        for a, b in zip(scored.grad_out + scored.act_in, fresh.grad_out + fresh.act_in):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("algo", ["reinforce", "grpo", "isopo-ni", "isopo-int"])

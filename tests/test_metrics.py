@@ -15,10 +15,14 @@ def summary_for(mb, n_overlap=16, seed=0):
     return metrics.batch_summary(mb, norms, int(np.count_nonzero(degenerate)), "reinforce"), norms
 
 
+def kl_u(task, seed=0):
+    return stream(seed, "kl").random((metrics.KL_SAMPLES, task.seq_len))
+
+
 def test_step_zero_kl_is_exactly_zero(small_net, small_task, microbatch):
     summary, _ = summary_for(microbatch)
     ref = metrics.reference_table(small_net, small_task)
-    row = metrics.collect(0, small_net, ref, small_task, summary, 0, "reinforce")
+    row = metrics.collect(0, small_net, ref, small_task, summary, 0, "reinforce", kl_u(small_task))
     assert row["kl_from_init"] == 0.0
     assert row["step"] == 0
     assert row["task"] == "seqtask"
@@ -38,7 +42,7 @@ def test_collect_does_not_mutate_policy(small_net, small_task, microbatch):
     before = [w.copy() for w in small_net.weights]
     summary, _ = summary_for(microbatch)
     ref = metrics.reference_table(small_net.copy(), small_task)
-    metrics.collect(5, small_net, ref, small_task, summary, 3, "grpo")
+    metrics.collect(5, small_net, ref, small_task, summary, 3, "grpo", kl_u(small_task))
     for a, b in zip(before, small_net.weights):
         assert np.array_equal(a, b)
 
@@ -60,7 +64,7 @@ def test_validation_of_perfect_policy(small_task, small_net):
     mb = make_microbatch(net, task, seed=0, n_groups=2, group_size=2)
     summary, _ = summary_for(mb, n_overlap=4)
     ref = metrics.reference_table(net, task)
-    row = metrics.collect(0, net, ref, task, summary, 0, "reinforce")
+    row = metrics.collect(0, net, ref, task, summary, 0, "reinforce", kl_u(task))
     assert row["validation"] == 1.0
 
 

@@ -302,14 +302,58 @@ def test_context_table_rows(small_net, small_task):
             assert np.allclose(a[:, 1 + prev], b[:, 1], rtol=1e-14, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "task_fields",
+    [
+        dict(task="seqtask"),
+        dict(task="seqtask", seq_modulus=5),
+        dict(task="seqtask", seq_len=1),
+        dict(task="bandit"),
+    ],
+)
+def test_context_inputs_fill_a_read_only_template(task_fields):
+    # a table's inputs are its architecture's template with the prompts'
+    # features filled in, and equal the input layout's, bit for bit
+    task = harness.make_task(RunConfig(**task_fields))
+    net = harness.build_policy(task, 0)
+    features = np.stack([p.features for p in task.train_prompts[:5]])
+    v, seq_len = net.vocab_size, task.seq_len
+    position, prev = policy._context(np.arange(1 + (seq_len - 1) * v), v)
+    expected = policy._inputs(net, features[:, None], position, prev)
+    got = policy._context_inputs(net, features)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    template = policy._context_template(net, seq_len)
+    assert not template.flags.writeable
+    assert policy._context_template(net.copy(), seq_len) is template
+    with pytest.raises(ValueError):
+        template[0, 0] = 1.0
+
+
+def test_each_architecture_has_its_own_template():
+    # the same vocabulary and context dim with another T is another
+    # architecture: 4 + 2 + 3 and 4 + 3 + 2 inputs, 5 and 9 contexts
+    short = policy.init_policy(4, 2, 3, (5,), stream(0, "arch-a"))
+    long = policy.init_policy(4, 3, 2, (5,), stream(0, "arch-b"))
+    assert short.context_dim == long.context_dim
+    for net, n_features, n_contexts in [(short, 3, 5), (long, 2, 9), (short, 3, 5)]:
+        features = stream(1, f"arch/{n_features}").uniform(-1.0, 1.0, size=(2, n_features))
+        seq_len = net.context_dim - net.vocab_size - n_features
+        position, prev = policy._context(np.arange(n_contexts), net.vocab_size)
+        expected = policy._inputs(net, features[:, None], position, prev)
+        assert policy._context_inputs(net, features).tobytes() == expected.tobytes()
+        assert policy._context_template(net, seq_len).shape == (n_contexts, net.context_dim)
+    assert policy._context_template(short, 2) is not policy._context_template(long, 3)
+
+
 def test_reference_table_must_match_the_prompts(small_net, small_task):
     prompts = small_task.heldout_prompts[:4]
     ref = policy.kl_reference(small_net, prompts)
     table = policy.kl_reference(small_net, prompts[::-1])
-    assert policy.kl_from_reference(table, ref, 40, stream(0, "kl-table")) == 0.0
+    u = stream(0, "kl-table").random((40, small_task.seq_len))
+    assert policy.kl_from_reference(table, ref, u) == 0.0
     other = policy.kl_reference(small_net, prompts[:3])
     with pytest.raises(ContractViolation):
-        policy.kl_from_reference(other, ref, 40, stream(0, "kl-table"))
+        policy.kl_from_reference(other, ref, u)
     with pytest.raises(ContractViolation):  # kept for the KL, it cannot score
         ref.score(small_net, np.zeros(1, dtype=np.int64), np.zeros((1, 2), dtype=np.int64))
 
@@ -402,9 +446,11 @@ def test_score_rejects_bad_tokens(small_net, small_task):
 
 
 def kl(net, ref, prompts, n_samples, rng):
-    """The MC KL of ``net`` from ``ref`` over ``prompts``, from their two tables."""
+    """The MC KL of ``net`` from ``ref`` over ``prompts``, from their two tables
+    and ``n_samples`` rows of ``rng``'s uniforms."""
     table = policy.kl_reference(net, prompts)
-    return policy.kl_from_reference(table, policy.kl_reference(ref, prompts), n_samples, rng)
+    u = rng.random((n_samples, table.seq_len))
+    return policy.kl_from_reference(table, policy.kl_reference(ref, prompts), u)
 
 
 def test_kl_identical_nets_is_exactly_zero(small_net, small_task):
@@ -418,11 +464,12 @@ def test_kl_identical_nets_is_exactly_zero(small_net, small_task):
     assert kl(net, net.copy(), prompts, 24, stream(0, "kl/0")) == 0.0
 
 
-@pytest.mark.parametrize("n_samples", [0, -1])
-def test_kl_needs_a_sample(small_net, small_task, n_samples):
+@pytest.mark.parametrize("shape", [(0, 2), (4, 3), (4,)], ids=["no-rows", "wide-rows", "flat"])
+def test_kl_needs_a_row_of_uniforms_per_sample(small_net, small_task, shape):
+    # seq_len is 2: the KL samples at least one sequence, each from a row of 2
     table = policy.kl_reference(small_net, small_task.heldout_prompts[:3])
     with pytest.raises(ContractViolation):
-        policy.kl_from_reference(table, table, n_samples, stream(0, "kl"))
+        policy.kl_from_reference(table, table, np.zeros(shape))
 
 
 def test_kl_matches_closed_form_categorical():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isopo_lab.rng import entropy_uniforms, stream, uniforms
+from isopo_lab.rng import draws, entropy_uniforms, stream, uniforms
 
 LABELS = ["policy/0/3+5/0", "policy/40/15+15/7", "prompts/3", "", "ünïcode/λ"]
 
@@ -21,6 +21,22 @@ def reference(seed, labels, n):
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 9])
 def test_uniforms_match_stream(seed, n):
     assert np.array_equal(uniforms(seed, LABELS, n), reference(seed, LABELS, n))
+
+
+DRAWS = [
+    lambda g: g.permutation(96),
+    lambda g: g.choice(40, size=4, replace=False),
+    lambda g: g.random((5, 3)),
+    # an odd count of 32-bit draws leaves half a word buffered for the next
+    lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**32 - 1, 2**32, 2**64 + 1])
+def test_draws_match_stream(seed):
+    requests = [(label, draw) for draw in DRAWS for label in LABELS]
+    for got, (label, draw) in zip(draws(seed, requests), requests, strict=True):
+        assert np.array_equal(got, draw(stream(seed, label)))
 
 
 def test_uniforms_of_no_labels():
