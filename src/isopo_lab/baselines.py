@@ -20,15 +20,14 @@ ArithmeticError), so the training loop aborts instead of silently dropping
 the sequence.
 
 Both optimizers follow the descent convention theta <- theta - lr * g, so the
-training loop passes the negated ascent gradient. Their update is
-elementwise, so ``optimizer_step`` runs it once over all layers: it
-concatenates the gradients and the weights, keeps AdamW's two moments as one
-flat vector each over the layers in order, checks the gradients and then the
-updated weights for finiteness in one pass each, and only then writes each
-layer's slice of the updated weights back into its weight matrix, so a step
-that would write a NaN or an infinity writes nothing and the run aborts with
-its last finite weights, which ``policy.load_checkpoint`` accepts. Per
-element this is the per-layer rule, bit for bit.
+training loop passes the negated ascent gradient. Their update is elementwise,
+so ``optimizer_step`` runs it once over the policy's flat ``params``, with the
+gradients flattened into its layout and AdamW's two moments kept as flat
+vectors in it. It checks the gradients and then the updated weights for
+finiteness in one pass each, and only then writes ``params``, so a step that
+would write a NaN or an infinity writes nothing and the run aborts with its
+last finite weights, which ``policy.load_checkpoint`` accepts. Per element
+this is the per-layer rule, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +39,10 @@ import numpy as np
 from .errors import ContractViolation, NonFiniteGradientError, NonFiniteWeightError
 from .policy import PolicyNet, Scored, grad_sum, score, sequence_logprobs
 from .tasks import Microbatch
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _weighted_grads(scored: Scored, weights: np.ndarray) -> list[np.ndarray]:
@@ -103,16 +106,13 @@ def reinforce_surrogate(microbatch: Microbatch, net: PolicyNet) -> float:
 
 @dataclass
 class OptimizerState:
-    """SGD or AdamW state over the policy's list-of-matrices parameters.
+    """SGD or AdamW state over a policy's flat ``params``.
 
-    AdamW's moments are flat vectors over all layers, in layer order.
+    AdamW's moments are flat vectors in the layout of ``params``.
     """
 
     kind: str = "adamw"
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     exp_avg: np.ndarray | None = None
     exp_avg_sq: np.ndarray | None = None
@@ -131,49 +131,43 @@ def optimizer_step(state: OptimizerState, net: PolicyNet, grads: list[np.ndarray
     zero). Raises NonFiniteGradientError if a gradient contains NaN or
     infinities, and NonFiniteWeightError if an updated weight would be NaN
     or infinite; either way before touching any weight or the state. The
-    update is elementwise, so it runs once over the gradients and weights
-    concatenated in layer order, and each layer's slice is written back.
+    update is elementwise, so it runs once over ``net.params`` and the
+    gradients flattened into its layout.
     """
     if len(grads) != net.n_layers:
         raise ContractViolation(f"{len(grads)} gradients for {net.n_layers} layers")
     for l, (w, g) in enumerate(zip(net.weights, grads)):
         if g.shape != w.shape:
             raise ContractViolation(f"layer {l} gradient shape {g.shape} != {w.shape}")
-    flat = np.concatenate([g.ravel() for g in grads])
-    updated = np.concatenate([w.ravel() for w in net.weights])
+    flat = net.flatten(grads)
     t = state.step_count + 1
     # an overflow shows as a non-finite updated weight, which the check reports
     with np.errstate(over="ignore", invalid="ignore"):
-        _check_finite(flat, grads, NonFiniteGradientError, "gradient")
+        _check_finite(net, flat, NonFiniteGradientError, "gradient")
         if state.kind == "sgd":
-            updated -= state.lr * flat
+            updated = net.params - state.lr * flat
         else:
-            m = np.zeros_like(flat) if state.exp_avg is None else state.exp_avg * state.beta1
-            v = np.zeros_like(flat) if state.exp_avg is None else state.exp_avg_sq * state.beta2
-            m += (1.0 - state.beta1) * flat
-            v += (1.0 - state.beta2) * flat * flat
-            bc1 = 1.0 - state.beta1**t
-            bc2 = 1.0 - state.beta2**t
-            updated -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        _check_finite(updated, net.weights, NonFiniteWeightError, "updated weight")
+            m = np.zeros_like(flat) if state.exp_avg is None else state.exp_avg * ADAM_BETA1
+            v = np.zeros_like(flat) if state.exp_avg is None else state.exp_avg_sq * ADAM_BETA2
+            m += (1.0 - ADAM_BETA1) * flat
+            v += (1.0 - ADAM_BETA2) * flat * flat
+            bc1 = 1.0 - ADAM_BETA1**t
+            bc2 = 1.0 - ADAM_BETA2**t
+            updated = net.params - state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        _check_finite(net, updated, NonFiniteWeightError, "updated weight")
     state.step_count = t
     if state.kind == "adamw":
         state.exp_avg, state.exp_avg_sq = m, v
-    start = 0
-    for w in net.weights:
-        w[...] = updated[start : start + w.size].reshape(w.shape)
-        start += w.size
+    net.params[...] = updated
     return net
 
 
-def _check_finite(flat: np.ndarray, layers: list[np.ndarray], error, what: str) -> None:
-    """``error`` naming the first of ``layers`` (concatenated as ``flat``) that
-    holds a NaN or an infinity, and how many."""
+def _check_finite(net: PolicyNet, flat: np.ndarray, error, what: str) -> None:
+    """``error`` naming the first layer of ``flat`` (in the layout of
+    ``net.params``) that holds a NaN or an infinity, and how many."""
     if np.isfinite(flat.sum()):  # a NaN or an infinity makes the sum NaN or infinite
         return
-    start = 0
-    for l, layer in enumerate(layers):
-        bad = int(np.count_nonzero(~np.isfinite(flat[start : start + layer.size])))
+    for l, layer in enumerate(net.split(flat)):
+        bad = int(np.count_nonzero(~np.isfinite(layer)))
         if bad:
             raise error(f"layer {l} {what} has {bad} non-finite entries")
-        start += layer.size

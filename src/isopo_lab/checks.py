@@ -29,22 +29,17 @@ class SuiteResult:
     detail: str = ""
 
 
-def fd_grad(objective, net: policy.PolicyNet) -> list[np.ndarray]:
+def fd_grad(objective, net: policy.PolicyNet) -> tuple[np.ndarray, ...]:
     """Central finite differences of a scalar objective over every weight."""
-    grads = []
-    for w in net.weights:
-        g = np.zeros_like(w)
-        for i in range(w.shape[0]):
-            for j in range(w.shape[1]):
-                orig = w[i, j]
-                w[i, j] = orig + FD_STEP
-                up = objective()
-                w[i, j] = orig - FD_STEP
-                down = objective()
-                w[i, j] = orig
-                g[i, j] = (up - down) / (2.0 * FD_STEP)
-        grads.append(g)
-    return grads
+    grad = np.zeros(net.param_count)
+    for i, orig in enumerate(net.params.tolist()):
+        net.params[i] = orig + FD_STEP
+        up = objective()
+        net.params[i] = orig - FD_STEP
+        down = objective()
+        net.params[i] = orig
+        grad[i] = (up - down) / (2.0 * FD_STEP)
+    return net.split(grad)
 
 
 def max_rel_error(analytic: list[np.ndarray], numeric: list[np.ndarray]) -> float:
@@ -110,9 +105,7 @@ def run_gradcheck(seed: int = 0, grad_tamper=None) -> list[SuiteResult]:
     # 3. GRPO clipped-surrogate gradient, away from the sampling policy (rho != 1)
     snapshot = microbatch.scored.logprobs
     shifted = net.copy()
-    drift = stream(seed, "gradcheck-drift")
-    for w in shifted.weights:
-        w += 0.01 * drift.standard_normal(w.shape)
+    shifted.params += 0.01 * stream(seed, "gradcheck-drift").standard_normal(shifted.param_count)
     clip_eps = 0.2
     analytic = tamper(baselines.grpo_clipped_grad(microbatch, snapshot, shifted, clip_eps))
     numeric = fd_grad(
@@ -176,7 +169,7 @@ def rescaling_minimizer_gap(seed: int) -> float:
     fisher = oracle.exact_fisher(net, [prompt])
     u = uniforms(seed, ["oracle-sample"], len(prompt.target))
     _, scored = policy.sample_and_score(net, prompt.features[None], u)
-    v = oracle.flatten_layer_mats([g[0] for g in scored.seq_grads])
+    v = net.flatten(scored.seq_grads)[0]
     adv_rng = stream(seed, "oracle-adv")
     advantage = float(adv_rng.uniform(0.2, 1.0) * (1 if adv_rng.random() < 0.5 else -1))
     g = advantage * v
@@ -217,7 +210,7 @@ def npg_directional_trial(seed: int):
         return None
     advantages = tasks.group_advantages(rewards)
 
-    vanilla = advantages @ np.concatenate([g.reshape(m, -1) for g in scored.seq_grads], axis=1)
+    vanilla = advantages @ net.flatten(scored.seq_grads)
     fisher = oracle.exact_fisher(net, [prompt])
     damping = 1e-6 * np.trace(fisher) / len(fisher)
     npg = oracle.exact_npg(fisher, vanilla, damping)
@@ -225,8 +218,8 @@ def npg_directional_trial(seed: int):
     pieces = []
     for g, a in zip(scored.grad_out, scored.act_in):
         c = max(float(np.trace(isopo.build_ntk(g, a))) / m, 1e-12)
-        pieces.append(isopo.interacting_update(g, a, advantages, c).ravel())
-    preconditioned = np.concatenate(pieces)
+        pieces.append(isopo.interacting_update(g, a, advantages, c))
+    preconditioned = net.flatten(pieces)
 
     def cosine(a, b):
         return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))

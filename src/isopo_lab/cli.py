@@ -97,6 +97,9 @@ def main(argv=None) -> int:
 
     if args.command == "plot":
         csvs = sorted(Path(args.in_dir).rglob("metrics.csv"))
+        if not csvs:
+            print(f"error: no metrics.csv under {args.in_dir}", file=sys.stderr)
+            return 2
         outputs = plotting.plot_runs(csvs, args.out)
         for name, path in outputs.items():
             print(f"wrote {path}")

@@ -52,9 +52,10 @@ policy's table for each later row.
 
 A process builds each task once: ``make_task`` returns one shared instance
 per set of task-defining fields, checked for a disjoint train/heldout split
-when it is built. A task is read-only (tuples of prompts whose feature
-arrays, like the bandit's reward table, are not writeable), so no run can
-change what a later run in the same process sees.
+when it is built, and checks the config against it (both splits nonempty, a
+training prompt for every group). A task is read-only (tuples of prompts
+whose feature arrays, like the bandit's reward table, are not writeable),
+so no run can change what a later run in the same process sees.
 """
 
 from __future__ import annotations
@@ -90,10 +91,19 @@ class RunResult:
 def make_task(cfg: RunConfig):
     """The run's task: one shared, read-only instance per process for each
     set of task-defining fields (for seqtask ``seq_modulus``, ``seq_len`` and
-    ``exact_match_reward``; bandit has none)."""
-    if cfg.task == "seqtask":
-        return _shared_task(cfg.task, cfg.seq_modulus, cfg.seq_len, cfg.exact_match_reward)
-    return _shared_task(cfg.task)
+    ``exact_match_reward``; bandit has none). ConfigError when a split is
+    empty or a microbatch has more groups than the task has training prompts."""
+    fields = (cfg.seq_modulus, cfg.seq_len, cfg.exact_match_reward) if cfg.task == "seqtask" else ()
+    task = _shared_task(cfg.task, *fields)
+    n_train, n_heldout = len(task.train_prompts), len(task.heldout_prompts)
+    if not n_train or not n_heldout:
+        split = f"{n_train} training and {n_heldout} heldout prompts"
+        raise ConfigError(f"{cfg.task} has {split}; both must be nonempty")
+    if cfg.groups_per_microbatch > n_train:
+        raise ConfigError(
+            f"groups_per_microbatch={cfg.groups_per_microbatch} exceeds {n_train} training prompts"
+        )
+    return task
 
 
 @functools.cache
@@ -107,15 +117,6 @@ def build_policy(task, seed: int) -> policy.PolicyNet:
     return policy.init_policy(
         task.vocab_size, task.seq_len, task.feature_dim, DEFAULT_HIDDEN, stream(seed, "init")
     )
-
-
-def _check_groups_fit(task, cfg: RunConfig) -> None:
-    """ConfigError when a microbatch asks for more groups than ``task`` has training prompts."""
-    if cfg.groups_per_microbatch > len(task.train_prompts):
-        raise ConfigError(
-            f"groups_per_microbatch={cfg.groups_per_microbatch} exceeds "
-            f"{len(task.train_prompts)} training prompts"
-        )
 
 
 class StepDraws(NamedTuple):
@@ -137,7 +138,6 @@ def draw_steps(task, cfg: RunConfig, steps, kl_steps=None) -> dict[int, StepDraw
     from the first T uniforms of the stream ``policy/{s}/{p.id}/{k}``, which
     names the drawn prompt, so one ``rng.uniforms`` call derives them after.
     """
-    _check_groups_fit(task, cfg)
     train = task.train_prompts
     steps = list(steps)
     if kl_steps is None:
@@ -398,7 +398,7 @@ def compare(
     planned = {}
     for cfg, label in zip(configs, labels):
         planned[label] = [validate_config(replace(cfg, seed=cfg.seed + k)) for k in range(n_seeds)]
-        _check_groups_fit(make_task(cfg), cfg)
+        make_task(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results_by_label = {

@@ -25,11 +25,6 @@ MAX_ENUM_OUTPUTS = 10_000
 MAX_ORACLE_PARAMS = 1_000
 
 
-def flatten_layer_mats(mats: list[np.ndarray]) -> np.ndarray:
-    """Concatenate layer matrices row-major into one parameter vector."""
-    return np.concatenate([np.asarray(m, dtype=float).ravel() for m in mats])
-
-
 def _check_budget(net: PolicyNet, prompts) -> int:
     if not prompts:
         raise ContractViolation("need at least one prompt")
@@ -50,12 +45,12 @@ def _check_budget(net: PolicyNet, prompts) -> int:
 
 
 def enumerate_scored_outputs(net: PolicyNet, prompt) -> tuple[np.ndarray, np.ndarray]:
-    """(probabilities, flattened gradients) of every output sequence, in one batch."""
+    """(probabilities, gradients in the layout of ``net.params``) of every
+    output sequence, in one batch."""
     seq_len = seq_len_for(net, prompt.features)
     tokens = np.array(list(itertools.product(range(net.vocab_size), repeat=seq_len)))
     scored = score(net, np.repeat(prompt.features[None], len(tokens), axis=0), tokens)
-    grads = np.concatenate([g.reshape(len(tokens), -1) for g in scored.seq_grads], axis=1)
-    return np.exp(scored.logprobs), grads
+    return np.exp(scored.logprobs), net.flatten(scored.seq_grads)
 
 
 def exact_fisher(net: PolicyNet, prompts) -> np.ndarray:

@@ -116,7 +116,7 @@ for every float64, zeros, subnormals, infinities and NaNs included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -137,12 +137,16 @@ class PolicyNet:
 
     The last column of every weight matrix is the bias (inputs are augmented
     with a constant 1). The final layer's output dimension is the vocabulary
-    size.
+    size. A policy copies its weights into one float64 vector ``params``, the
+    layers in order, each in C order (``flatten`` and ``split`` own this
+    layout), and ``weights`` is a tuple of views into it: a write through
+    either reaches the other, and no layer can be rebound away from ``params``.
     """
 
-    weights: list[np.ndarray]
+    weights: tuple[np.ndarray, ...]
     vocab_size: int
     context_dim: int
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.weights:
@@ -161,6 +165,19 @@ class PolicyNet:
                 f"final layer outputs {self.weights[-1].shape[0]} logits, "
                 f"vocab is {self.vocab_size}"
             )
+        self.params = self.flatten([np.asarray(w, dtype=float) for w in self.weights])
+        self.weights = self.split(self.params)
+
+    def flatten(self, per_layer) -> np.ndarray:
+        """One array (..., param_count), in the layout of ``params``, of one
+        weight-shaped array (..., out, in + 1) per layer."""
+        return np.concatenate([x.reshape(x.shape[:-2] + (-1,)) for x in per_layer], axis=-1)
+
+    def split(self, flat) -> tuple[np.ndarray, ...]:
+        """Views (..., out, in + 1) of ``flat`` (..., param_count), one per layer."""
+        lead, ends = np.shape(flat)[:-1], np.cumsum([w.size for w in self.weights])
+        parts = np.split(flat, ends[:-1], axis=-1)
+        return tuple(part.reshape(lead + w.shape) for part, w in zip(parts, self.weights))
 
     @property
     def n_layers(self) -> int:
@@ -168,10 +185,10 @@ class PolicyNet:
 
     @property
     def param_count(self) -> int:
-        return int(sum(w.size for w in self.weights))
+        return self.params.size
 
     def copy(self) -> "PolicyNet":
-        return PolicyNet([w.copy() for w in self.weights], self.vocab_size, self.context_dim)
+        return PolicyNet(self.weights, self.vocab_size, self.context_dim)
 
 
 @dataclass
@@ -246,13 +263,12 @@ def init_policy(
     prompt features: weights ~ U(-1/sqrt(in_dim), 1/sqrt(in_dim)), zero bias."""
     context_dim = vocab_size + seq_len + n_features
     dims = [context_dim, *hidden, vocab_size]
-    weights = []
-    for in_dim, out_dim in zip(dims[:-1], dims[1:]):
-        scale = 1.0 / math.sqrt(in_dim)
-        w = np.zeros((out_dim, in_dim + 1))
-        w[:, :in_dim] = rng.uniform(-scale, scale, size=(out_dim, in_dim))
-        weights.append(w)
-    return PolicyNet(weights, vocab_size, context_dim)
+    shapes = [(out_dim, in_dim + 1) for in_dim, out_dim in zip(dims[:-1], dims[1:])]
+    net = PolicyNet([np.zeros(shape) for shape in shapes], vocab_size, context_dim)
+    for w in net.weights:  # the bias column stays zero
+        scale = 1.0 / math.sqrt(w.shape[1] - 1)
+        w[:, :-1] = rng.uniform(-scale, scale, size=(w.shape[0], w.shape[1] - 1))
+    return net
 
 
 def _normalize(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -590,16 +606,16 @@ def save_checkpoint(net: PolicyNet, path) -> None:
     chunks = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n"]
     chunks.append(f"vocab_size {net.vocab_size}\ncontext_dim {net.context_dim}\n")
     chunks.append(f"layers {net.n_layers}\n")
-    for i, (w, rows) in enumerate(zip(net.weights, _hex_rows(net.weights))):
+    for i, (w, rows) in enumerate(zip(net.weights, _hex_rows(net))):
         chunks.append(f"layer {i} {w.shape[0]} {w.shape[1]}\n{rows}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(chunks))
 
 
-def _hex_rows(weights: list[np.ndarray]) -> list[str]:
-    """Per matrix, its rows as lines of ``float.hex`` values separated by
-    spaces, each line ending in a newline; byte for byte what ``float.hex``
-    gives for any float64, from one numpy pass over all the matrices.
+def _hex_rows(net: PolicyNet) -> list[str]:
+    """Per layer, its weight rows as lines of ``float.hex`` values separated
+    by spaces, each line ending in a newline; byte for byte what ``float.hex``
+    gives for any float64, from one numpy pass over ``net.params``.
 
     Value i fills column i of a fixed-width byte matrix in which 0 marks
     padding: the sign, ``0x``, the leading digit (1 if normal), ``.``, the 13
@@ -609,16 +625,14 @@ def _hex_rows(weights: list[np.ndarray]) -> list[str]:
     newline. An infinity or a NaN is ``inf``, ``-inf`` or ``nan``, whatever
     the NaN's sign or payload. The padding is dropped.
     """
-    values = np.concatenate([w.ravel() for w in weights])
-    row_ends = np.concatenate([np.arange(1, w.size + 1) % w.shape[1] == 0 for w in weights])
-    n = len(values)
-    bits = values.view(np.uint64)
+    n = net.param_count
+    bits = net.params.view(np.uint64)
     biased = (bits >> np.uint64(52)).astype(np.int16) & 0x7FF
     zero = bits << np.uint64(1) == 0
     exponent = np.where(biased > 0, biased - 1023, -1022)
     exponent[zero] = 0
     magnitude = np.abs(exponent)
-    hex_digits = np.frombuffer(values.astype(">f8").tobytes().hex().encode("ascii"), np.uint8)
+    hex_digits = np.frombuffer(net.params.astype(">f8").tobytes().hex().encode("ascii"), np.uint8)
     rec = np.zeros((25, n), dtype=np.uint8)  # "-0x1." + 13 digits + "p+1023" + separator
     rec[0] = (bits >> np.uint64(63)).astype(np.uint8) * ord("-")
     rec[1:3] = np.frombuffer(b"0x", np.uint8)[:, None]
@@ -638,12 +652,14 @@ def _hex_rows(weights: list[np.ndarray]) -> list[str]:
     rec[1:4, special] = np.where(
         nan, np.frombuffer(b"nan", np.uint8)[:, None], np.frombuffer(b"inf", np.uint8)[:, None]
     )
-    rec[24] = np.where(row_ends, ord("\n"), ord(" "))
+    rec[24] = ord(" ")
+    for layer in net.split(rec[24]):  # views: each weight row ends in a newline
+        layer[:, -1] = ord("\n")
     rec = rec.T.copy()
     keep = rec != 0
     text = rec[keep].tobytes().decode("ascii")
-    stops = [np.count_nonzero(keep[:end]) for end in np.cumsum([w.size for w in weights])]
-    return [text[start:stop] for start, stop in zip([0] + stops, stops)]
+    stops = np.cumsum([np.count_nonzero(layer) for layer in net.split(keep.T)])  # characters
+    return [text[start:stop] for start, stop in zip([0, *stops], stops)]
 
 
 def load_checkpoint(path) -> PolicyNet:

@@ -249,5 +249,3 @@ def assert_disjoint_split(task) -> None:
     overlap = train_ids & held_ids
     if overlap:
         raise ContractViolation(f"train/heldout prompts overlap: {sorted(overlap)[:5]}")
-    if not train_ids or not held_ids:
-        raise ContractViolation("both train and heldout splits must be nonempty")

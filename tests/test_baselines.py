@@ -143,8 +143,9 @@ def test_adamw_hand_evaluated_second_step():
     g1 = np.array([[1.0]])
     g2 = np.array([[-0.5]])
     net = policy.PolicyNet([np.zeros((1, 1))], vocab_size=1, context_dim=0)
-    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    state = baselines.OptimizerState("adamw", lr=lr, beta1=b1, beta2=b2, eps=eps)
+    lr, b1, b2, eps = 0.01, baselines.ADAM_BETA1, baselines.ADAM_BETA2, baselines.ADAM_EPS
+    assert (b1, b2, eps) == (0.9, 0.999, 1e-8)  # the published defaults
+    state = baselines.OptimizerState("adamw", lr=lr)
     baselines.optimizer_step(state, net, [g1])
     baselines.optimizer_step(state, net, [g2])
     # replay the published update rule by hand
@@ -168,8 +169,8 @@ def three_layer_net():
 def test_adamw_three_layers_equal_the_per_layer_rule():
     net = three_layer_net()
     expected = [w.copy() for w in net.weights]
-    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
-    state = baselines.OptimizerState("adamw", lr=lr, beta1=b1, beta2=b2, eps=eps)
+    lr, b1, b2, eps = 1e-2, baselines.ADAM_BETA1, baselines.ADAM_BETA2, baselines.ADAM_EPS
+    state = baselines.OptimizerState("adamw", lr=lr)
     rng = np.random.default_rng(4)
     m = [np.zeros_like(w) for w in expected]
     v = [np.zeros_like(w) for w in expected]

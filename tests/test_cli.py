@@ -149,3 +149,31 @@ def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
     assert not (tmp_path / "t").exists() and not (tmp_path / "c").exists()
+
+
+def test_cli_task_without_a_heldout_split_is_a_config_error(tmp_path, capsys):
+    # seq_modulus = 2 leaves 4 training prompts and none held out: one error
+    # line and exit code 2, no traceback, for train and compare; nothing written
+    tiny = write_config(tmp_path / "tiny.cfg", "seq_modulus = 2\nsteps = 1\n")
+    expected = "error: seqtask has 4 training and 0 heldout prompts; both must be nonempty\n"
+    assert cli.main(["train", "--config", tiny, "--out", str(tmp_path / "t")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == expected and captured.out == ""
+    ok = write_config(tmp_path / "ok.cfg", "steps = 1\n")
+    code = cli.main(["compare", "--config", ok, "--config", tiny, "--out", str(tmp_path / "c")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == expected and captured.out == ""
+    assert not (tmp_path / "t").exists() and not (tmp_path / "c").exists()
+
+
+def test_cli_plot_without_runs_is_an_error(tmp_path, capsys):
+    # no metrics.csv under --in, or no such directory: one error line, exit
+    # code 2, and no SVG or output directory
+    (tmp_path / "empty").mkdir()
+    for source in (tmp_path / "empty", tmp_path / "missing"):
+        code = cli.main(["plot", "--in", str(source), "--out", str(tmp_path / "plots")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no metrics.csv under {source}\n" and captured.out == ""
+    assert not (tmp_path / "plots").exists()

@@ -128,7 +128,7 @@ def test_materialized_position_grads(small_net, small_task):
 
 
 def test_flatten_round_trip(small_net):
-    vec = oracle.flatten_layer_mats(small_net.weights)
+    vec = small_net.flatten(small_net.weights)
     assert np.array_equal(vec, np.concatenate([w.ravel() for w in small_net.weights]))
 
 

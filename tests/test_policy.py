@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isopo_lab import harness, metrics, policy, tasks
+from isopo_lab import baselines, harness, metrics, policy, tasks
 from isopo_lab.config import RunConfig
 from isopo_lab.errors import ContractViolation
 from isopo_lab.rng import stream, uniforms
@@ -655,6 +655,73 @@ def test_init_policy_shapes_and_bias():
     for w in net.weights:
         assert np.all(w[:, -1] == 0.0)
     assert net.param_count == 5 * 13 + 4 * 6 + 7 * 5
+
+
+def assert_weights_view_params(net):
+    """Every ``weights[l]`` is a view of layer l's slice of ``params``, in
+    layer order and C order."""
+    assert isinstance(net.weights, tuple) and net.params.dtype == np.float64
+    values = net.params.copy()
+    net.params[...] = np.arange(net.param_count)
+    start = 0
+    for w in net.weights:
+        assert w.base is net.params
+        assert np.array_equal(w.ravel(), np.arange(start, start + w.size))
+        start += w.size
+    assert start == net.param_count
+    net.params[...] = values
+
+
+def test_weights_stay_views_of_params(tmp_path, small_net):
+    assert_weights_view_params(small_net)
+    policy.save_checkpoint(small_net, tmp_path / "ckpt.txt")
+    assert_weights_view_params(policy.load_checkpoint(tmp_path / "ckpt.txt"))
+    net = small_net.copy()
+    assert_weights_view_params(net)
+    assert not np.shares_memory(net.params, small_net.params)
+    params = net.params
+    for kind in ("sgd", "adamw"):
+        state = baselines.OptimizerState(kind, lr=0.1)
+        baselines.optimizer_step(state, net, [np.ones_like(w) for w in net.weights])
+        assert net.params is params
+        assert_weights_view_params(net)
+    assert np.allclose(net.params, small_net.params - 0.2, rtol=0.0, atol=1e-8)
+
+
+def test_policy_does_not_alias_the_arrays_it_is_built_from():
+    weights = [np.zeros((4, 4)), np.zeros((2, 5), dtype=int)]
+    net = policy.PolicyNet(weights, vocab_size=2, context_dim=3)
+    weights[0][...] = 1.0
+    net.weights[1][...] = 2.0
+    assert not np.any(net.weights[0]) and not np.any(weights[1])
+    assert not any(np.shares_memory(w, net.params) for w in weights)
+    assert_weights_view_params(net)
+
+
+def test_a_layer_cannot_be_rebound(small_net):
+    with pytest.raises(TypeError):
+        small_net.weights[0] = np.zeros_like(small_net.weights[0])
+
+
+def test_split_inverts_flatten(small_net, microbatch):
+    seq_grads = microbatch.scored.seq_grads  # per layer (B, out, in + 1)
+    n_seqs = len(microbatch.tokens)
+    for per_layer, lead in [
+        (small_net.weights, ()),
+        (seq_grads, (n_seqs,)),
+        ([g.reshape(2, -1, *g.shape[1:]) for g in seq_grads], (2, n_seqs // 2)),
+    ]:
+        flat = small_net.flatten(per_layer)
+        assert flat.shape == lead + (small_net.param_count,)
+        back = small_net.split(flat)
+        assert len(back) == small_net.n_layers
+        for got, want in zip(back, per_layer):
+            assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(small_net.flatten(small_net.weights), small_net.params)
+    flat = small_net.flatten(seq_grads)
+    assert np.array_equal(flat[1], small_net.flatten([g[1] for g in seq_grads]))
+    row = flat[1].copy()
+    assert all(view.base is row for view in small_net.split(row))
 
 
 def test_greedy_sequence_deterministic(small_net, small_task):
