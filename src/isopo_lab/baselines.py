@@ -4,16 +4,17 @@ REINFORCE is the plain advantage-weighted sum of sequence log-probability
 gradients. Both gradients are weighted sums sum_b w_b V_b of the sequence
 gradients, and both are taken from the scored factors as one gemm per layer
 over the microbatch's B T positions (``policy.grad_sum``), without forming
-any V_b. GRPO reuses the same sampled microbatch over several inner epochs,
-weighting each sequence by its importance ratio to the sampling-time policy
-and dropping (clipping flat) sequences whose ratio left [1-eps, 1+eps] in the
-unfavorable direction. The sampling-time policy is held as a snapshot array
-of per-sequence log-probabilities, the microbatch's own
-``scored.logprobs``. Each inner epoch re-scores the whole microbatch in one
-teacher-forced pass. Its inputs depend on the prompts and tokens alone, not
-on the weights, and the sampled batch already holds them: its layer-0
-inputs ``scored.act_in[0]`` without their constant column are the
-teacher-forced inputs value for value, so no epoch builds them again. On
+any V_b, the weights checked once for all layers. GRPO reuses the same
+sampled microbatch over several inner epochs, weighting each sequence by its
+importance ratio to the sampling-time policy and dropping (clipping flat)
+sequences whose ratio left [1-eps, 1+eps] in the unfavorable direction. The
+sampling-time policy is held as a snapshot array of per-sequence
+log-probabilities, the microbatch's own ``scored.logprobs``. Each inner
+epoch re-scores the whole microbatch in one teacher-forced pass. Its inputs
+depend on the prompts and tokens alone, not on the weights, and the sampled
+batch already holds them: its layer-0 buffer ``scored.act_in[0]`` is the
+teacher-forced input value for value, so every epoch's forward reads that
+buffer, and writes it nowhere, instead of building or copying its own. On
 the first inner epoch the ratio is exactly 1 and the two gradients
 coincide. A ratio that overflows raises FloatingPointError (an
 ArithmeticError), so the training loop aborts instead of silently dropping
@@ -45,7 +46,13 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _weighted_grads(scored: Scored, weights: np.ndarray) -> list[np.ndarray]:
+def _weighted_grads(scored: Scored, weights) -> list[np.ndarray]:
+    """Per layer, sum_b weights[b] V_b (``grad_sum``), the weights checked once."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != scored.logprobs.shape:
+        raise ContractViolation(
+            f"{len(scored.logprobs)} sequences but weights of shape {weights.shape}"
+        )
     return [grad_sum(g, a, weights) for g, a in zip(scored.grad_out, scored.act_in)]
 
 
@@ -70,13 +77,13 @@ def grpo_clipped_grad(
     """Gradient of sum_o min(rho_o A_o, clip(rho_o, 1-eps, 1+eps) A_o) at ``net``.
 
     ``snapshot`` holds the sampling-time log-probabilities, one per sequence.
-    The microbatch is re-scored at ``net`` from its sampled layer-0 inputs,
-    which are its teacher-forced inputs value for value.
+    The microbatch is re-scored at ``net`` from its own layer-0 buffer
+    ``scored.act_in[0]``, its teacher-forced inputs value for value, which
+    the re-score shares and does not write.
     """
     if clip_eps <= 0:
         raise ContractViolation(f"clip_eps must be positive, got {clip_eps}")
-    inputs = microbatch.scored.act_in[0][..., :-1]  # without the bias column
-    current = score(net, microbatch.features, microbatch.tokens, inputs)
+    current = score(net, microbatch.features, microbatch.tokens, microbatch.scored.act_in[0])
     rho = _ratios(current.logprobs, snapshot)
     advantages = microbatch.advantages
     # gradient flows through the min() only while the ratio branch is active

@@ -1,12 +1,13 @@
 """Small autoregressive softmax policies with a hand-written backward pass.
 
 A policy is a stack of linear layers with tanh between them, applied
-independently at each output position. The input to the network at
-position ``t`` of a sequence is
+independently at each output position. The layer-0 input at position ``t``
+of a sequence is
 
-    [ one-hot(previous token) | one-hot(t) | prompt features ]
+    [ one-hot(previous token) | one-hot(t) | prompt features | 1 ]
 
-and the final layer produces one logit per vocabulary token.
+ending in the constant 1 that every layer input carries for the bias, and
+the final layer produces one logit per vocabulary token.
 
 A batch of B sequences of length T is held as arrays, never as per-position
 objects, and ``forward`` maps inputs of any leading shape. The input at
@@ -16,28 +17,29 @@ contexts, position 0 and every (t >= 1, previous token) pair.
 ``context_table`` runs one ``forward`` over all of them for P prompts,
 P (1 + (T - 1) V) rows, keeping the logits and the layer inputs.
 
-Two decisions about reading the policy have one owner each: ``_inputs``
-writes every input from (prompt features, position, previous token), for
-the table, teacher forcing and ``greedy`` alike, and ``_row`` numbers a
-table's contexts, with ``_context`` its inverse. Of a table's inputs, only
-the feature columns depend on the prompt: the one-hots of a prompt's R
-contexts are the same for every prompt of an architecture (vocabulary,
-context dim, T). ``_context_template`` has ``_inputs`` write them once, at
-the architecture's first table, with the features zero, and keeps them
-read-only for the process; each table's inputs are a copy of it with the
-features filled in (``_context_inputs``): a 132-row sampling table took
-73 µs against 98 µs built through ``_inputs`` (best of 5 x 2000 calls, one
-BLAS thread).
+Two decisions about reading the policy have one owner each. ``_inputs``
+writes every layer-0 input, constant column included, from (prompt
+features, position, previous token), for the table, teacher forcing and
+``greedy`` alike; ``forward`` takes that buffer as it is, as ``act_in[0]``,
+and only reads it. ``_row`` numbers a table's contexts, with ``_context``
+its inverse. Of a table's inputs, only the feature columns depend on the
+prompt: the one-hots of a prompt's R contexts are the same for every prompt
+of an architecture (vocabulary, context dim, T). ``_context_template`` has
+``_inputs`` write them once, at the architecture's first table, with the
+features zero, and keeps them read-only for the process; each table's
+inputs are a copy of it with the features filled in (``_context_inputs``).
 
 ``sample_and_score`` takes P prompts and B uniform rows, B / P sequences
 per prompt in the group layout of ``tasks.build_microbatch``. It builds the
-prompts' table, draws each position's token from the CDF row of its
-context, and gathers the logits and layer inputs of the sampled contexts
-for the backward pass, which teacher-forced ``score`` shares; there is no
-second forward. ``kl_from_reference`` samples from the policy's
-``kl_reference`` table of the KL prompts and reads both policies'
-log-probabilities off their tables, so a run builds the reference policy's
-table once. Sampling and the KL take their randomness as arrays of
+prompts' table and draws each position's token from the CDF row of its
+context, the table's flat row p R + ``_row``(t, previous token), which
+``ContextTable.sample`` computes once per position and returns. Every later
+read of the batch takes that row: ``ContextTable.score`` gathers the
+logits, normalization and layer inputs for the backward pass, which
+teacher-forced ``score`` shares, so there is no second forward; and
+``kl_from_reference`` reads both policies' log-probabilities off their
+``kl_reference`` tables of the KL prompts, so a run builds the reference
+policy's table once. Sampling and the KL take their randomness as arrays of
 uniforms, one row per sequence; the caller derives the rows
 (``rng.uniforms``, ``rng.draws``), so no generator enters this module.
 
@@ -48,11 +50,11 @@ pass instead of T + 1, and 528 against 1536 for the eval KL's 256 samples
 over 16 prompts. It pays when groups share prompts, and only then, so two
 forward shapes stay. ``greedy`` decodes position by position: validation's
 54 prompts with one sequence each would need 1782 table rows against 162
-decoded (1.78 ms against 0.13 ms, one BLAS thread). GRPO re-scores its
-fixed batch by teacher forcing: 96 rows against a 132-row table (0.15 ms
-against 0.23 ms). Every gemm of the seqtask tables has 64 rows or more,
-where OpenBLAS rounds each row the same way at any row count, so a gathered
-row equals the one a teacher-forced pass computes bit for bit.
+decoded. GRPO re-scores its fixed batch by teacher forcing, 96 rows against
+a 132-row table, from the batch's own ``act_in[0]``. Every gemm of the
+seqtask tables has 64 rows or more, where OpenBLAS rounds each row the same
+way at any row count, so a gathered row equals the one a teacher-forced
+pass computes bit for bit.
 
 The same rule lets ``kl_reference`` build the eval table in blocks of whole
 prompts, one ``context_table`` forward each, keeping only the logits: a
@@ -88,14 +90,17 @@ self-checks and tests compare these identities against.
 
 Biases are handled by augmenting every layer input with a trailing constant
 1, so each position's gradient is a single rank-one matrix with no special
-case for the bias column. ``forward`` allocates each layer's augmented input
-once, sets its constant column, and writes the previous layer's tanh into
-the rest (``out=``), so no layer concatenates.
+case for the bias column. Layer 0's comes with its input (``_inputs``); for
+each later layer ``forward`` allocates the augmented input once, sets its
+constant column, and writes the previous layer's tanh into the rest
+(``out=``), so no layer concatenates or copies.
 
 Each logits array is normalized once (``_normalize``: one max, exp and sum
 over the vocabulary). The backward's gradient term onehot - softmax and its
-token log-probabilities come from that one pass, the one-hot added by index
-and the log-probabilities read at the tokens alone; a ``ContextTable``
+token log-probabilities come from that one pass: the softmax is turned into
+the gradient term in its own buffer, and the one-hot is added and the
+log-probabilities are read at one flat index per position, entry
+(b T + t) V + token of the (B, T, V) arrays; a ``ContextTable``
 normalizes on first read, and its sampling CDF, its log-probabilities and
 the backward of the sequences it scores share the pass (``score`` gathers
 the sampled contexts' maximum, exponentials and sum instead of normalizing
@@ -242,12 +247,10 @@ def grad_projections(
     return prod.reshape(n_seq, seq_len, -1).sum(axis=1)
 
 
-def grad_sum(grad_out: np.ndarray, act_in: np.ndarray, weights) -> np.ndarray:
-    """sum_b weights[b] V_b for one layer's factors, as one gemm over the B T positions."""
-    weights = np.asarray(weights, dtype=float)
+def grad_sum(grad_out: np.ndarray, act_in: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_b weights[b] V_b for one layer's factors, as one gemm over the B T
+    positions; the caller checks that ``weights`` is one float per sequence."""
     n_seq, seq_len, out_dim = grad_out.shape
-    if weights.shape != (n_seq,):
-        raise ContractViolation(f"{n_seq} sequences but weights of shape {weights.shape}")
     weighted = (grad_out * weights[:, None, None]).reshape(n_seq * seq_len, out_dim)
     return weighted.T @ act_in.reshape(n_seq * seq_len, -1)
 
@@ -275,35 +278,31 @@ def _normalize(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one normalization pass over the last axis: each row's maximum m,
     e = exp(logits - m) and its sum, so that softmax = e / sum and
     log softmax = logits - m - log(sum)."""
-    m = np.max(logits, axis=-1, keepdims=True)
+    m = np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(logits - m)
-    return m, e, np.sum(e, axis=-1, keepdims=True)
+    return m, e, np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def forward(net: PolicyNet, x) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Logits and bias-augmented layer inputs for inputs ``x`` of shape (..., context_dim)."""
+    """Logits and bias-augmented layer inputs for layer-0 inputs ``x`` of shape
+    (..., context_dim + 1), the trailing constant 1 included (``_inputs``).
+
+    ``act_in[0]`` is ``x`` itself: the forward only reads it.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (net.context_dim,):
-        raise ContractViolation(f"input shape {x.shape}, expected (..., {net.context_dim})")
+    if x.shape[-1:] != (net.context_dim + 1,):
+        raise ContractViolation(f"input shape {x.shape}, expected (..., {net.context_dim + 1})")
     lead = x.shape[:-1]
-    x = x.reshape(-1, net.context_dim)
-    a = _augmented(len(x), net.context_dim)
-    a[:, :-1] = x
-    act_in = []
+    a = x.reshape(-1, net.context_dim + 1)
+    act_in = [x]
     for l, w in enumerate(net.weights):
-        act_in.append(a.reshape(lead + a.shape[1:]))
         z = a @ w.T
         if l == net.n_layers - 1:
             return z.reshape(lead + z.shape[1:]), act_in
-        a = _augmented(len(z), w.shape[0])
+        a = np.empty((len(z), w.shape[0] + 1))
+        a[:, -1] = 1.0
         np.tanh(z, out=a[:, :-1])
-
-
-def _augmented(n_rows: int, dim: int) -> np.ndarray:
-    """An (n_rows, dim + 1) layer-input buffer whose last column holds the constant 1."""
-    a = np.empty((n_rows, dim + 1))
-    a[:, -1] = 1.0
-    return a
+        act_in.append(a.reshape(lead + a.shape[1:]))
 
 
 def seq_len_for(net: PolicyNet, features) -> int:
@@ -319,8 +318,9 @@ def seq_len_for(net: PolicyNet, features) -> int:
 
 
 def _inputs(net: PolicyNet, features, position, prev) -> np.ndarray:
-    """Inputs [onehot(prev) | onehot(position) | features] for prompt features
-    (..., F) and integer positions and previous tokens broadcasting with them.
+    """Layer-0 inputs [onehot(prev) | onehot(position) | features | 1] for
+    prompt features (..., F) and integer positions and previous tokens
+    broadcasting with them.
 
     Position 0 has no previous token: its ``prev`` must still index the
     vocabulary, and its block is left zero. The one-hots are written by
@@ -330,17 +330,19 @@ def _inputs(net: PolicyNet, features, position, prev) -> np.ndarray:
     v, seq_len = net.vocab_size, seq_len_for(net, features)
     # np.broadcast_shapes does this, at twice the cost
     lead = np.broadcast(np.empty(features.shape[:-1]), position, prev).shape
-    x = np.zeros(lead + (net.context_dim,))
-    x[..., v + seq_len :] = features
+    x = np.zeros(lead + (net.context_dim + 1,))
+    x[..., v + seq_len : -1] = features
+    x[..., -1] = 1.0
     flat = x.reshape(-1)
-    start = np.arange(0, flat.size, net.context_dim).reshape(lead)  # each input's offset
+    start = np.arange(0, flat.size, x.shape[-1]).reshape(lead)  # each input's offset
     flat[start + v + position] = 1.0
     flat[start + prev] = position > 0
     return x
 
 
 def teacher_forced_inputs(net: PolicyNet, features, tokens) -> np.ndarray:
-    """Teacher-forced inputs (B, T, context_dim): position t sees token t - 1 of its row."""
+    """Teacher-forced layer-0 inputs (B, T, context_dim + 1): position t sees
+    token t - 1 of its row."""
     features = np.asarray(features, dtype=float)
     tokens = np.asarray(tokens)
     seq_len = seq_len_for(net, features)
@@ -365,18 +367,18 @@ def greedy(net: PolicyNet, features) -> np.ndarray:
     return tokens
 
 
-def _sequence_logprobs(logits, m, total, index, tokens) -> np.ndarray:
-    """Log-probabilities (B,) of sequences ``tokens`` (B, T) whose positions'
-    rows of the logits and of their ``_normalize`` maximum and sum the index
-    pair ``index`` selects: log softmax = logits - m - log(sum), read at the
-    tokens alone, summed over positions."""
-    rows = index + (0,)
-    return (logits[index + (tokens,)] - m[rows] - np.log(total[rows])).sum(axis=1)
+def _sequence_logprobs(logits, m, total, rows, at) -> np.ndarray:
+    """Log-probabilities (B,) of sequences whose position (b, t) reads row
+    ``rows[b, t]`` of the logits (..., vocab) and of their ``_normalize``
+    maximum and sum, and its token at the logits' flat entry ``at[b, t]``:
+    log softmax = logits - m - log(sum), read at the tokens alone, summed
+    over positions. Rows are numbered in C order over the leading axes."""
+    return (logits.take(at) - m.take(rows) - np.log(total.take(rows))).sum(axis=1)
 
 
-def _positions(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pair selecting every (b, t) of a (B, T, ...) array."""
-    return tuple(np.indices(tokens.shape, sparse=True))
+def _own_rows(tokens: np.ndarray) -> np.ndarray:
+    """Rows (B, T) of positions held one per row in order: (b, t) is row b T + t."""
+    return np.arange(tokens.size).reshape(tokens.shape)
 
 
 def _backward(net: PolicyNet, logits, act_in, tokens, normalized=None) -> Scored:
@@ -385,17 +387,18 @@ def _backward(net: PolicyNet, logits, act_in, tokens, normalized=None) -> Scored
     given, is ``_normalize(logits)`` in arrays this may overwrite."""
     m, p, total = _normalize(logits) if normalized is None else normalized
     p /= total
-    # d log softmax(z)[token] / dz = onehot(token) - softmax(z); 0.0 - p, not
-    # -p, keeps a zero probability's entry +0.0, as onehot - p does
-    g = 0.0 - p
-    index = _positions(tokens)
-    g[index + (tokens,)] += 1.0
+    # d log softmax(z)[token] / dz = onehot(token) - softmax(z), written over
+    # p; 0.0 - p, not -p, keeps a zero probability's entry +0.0, as onehot - p does
+    g = np.subtract(0.0, p, out=p)
+    rows = _own_rows(tokens)
+    at = rows * g.shape[-1] + tokens  # each position's token entry
+    g.reshape(-1)[at] += 1.0
     grad_out = [g]
     for l in range(net.n_layers - 1, 0, -1):
         h = act_in[l][..., :-1]
         g = (g @ net.weights[l][:, :-1]) * (1.0 - h * h)
         grad_out.insert(0, g)
-    return Scored(_sequence_logprobs(logits, m, total, index, tokens), act_in, grad_out)
+    return Scored(_sequence_logprobs(logits, m, total, rows, at), act_in, grad_out)
 
 
 def sequence_logprobs(net: PolicyNet, features, tokens) -> np.ndarray:
@@ -403,15 +406,17 @@ def sequence_logprobs(net: PolicyNet, features, tokens) -> np.ndarray:
     tokens = np.asarray(tokens)
     logits, _ = forward(net, teacher_forced_inputs(net, features, tokens))
     m, _, total = _normalize(logits)
-    return _sequence_logprobs(logits, m, total, _positions(tokens), tokens)
+    rows = _own_rows(tokens)
+    return _sequence_logprobs(logits, m, total, rows, rows * logits.shape[-1] + tokens)
 
 
 def score(net: PolicyNet, features, tokens, inputs=None) -> Scored:
     """Teacher-forced log-probabilities and gradients of token sequences (B, T).
 
     ``inputs``, when given, must equal ``teacher_forced_inputs(net, features,
-    tokens)``, as a scored batch's ``act_in[0][..., :-1]`` does: a caller
-    that scores one batch at several weights reads them from there.
+    tokens)``, as a scored batch's ``act_in[0]`` does: a caller that scores
+    one batch at several weights passes that buffer, which becomes the
+    result's ``act_in[0]`` unchanged and uncopied.
     """
     tokens = np.asarray(tokens)
     if inputs is None:
@@ -439,8 +444,9 @@ class ContextTable:
 
     Entry ``[p, r]`` of ``logits`` (P, R, vocab) and of every ``act_in[l]``
     (P, R, in + 1) belongs to prompt p (``features[p]``) in the context that
-    ``_row`` numbers r, R of them for T positions. A sequence b of prompt
-    ``which[b]`` reads row ``which[b]`` at the contexts its tokens select.
+    ``_row`` numbers r, R of them for T positions. Position t of a sequence
+    of prompt p reads the table's flat row p R + r, in C order over (P, R):
+    ``sample`` returns these rows, and every read of the sequences shares them.
     """
 
     features: np.ndarray  # (P, F)
@@ -456,50 +462,53 @@ class ContextTable:
         """``_normalize`` of the logits, which sampling and log-probabilities share."""
         return _normalize(self.logits)
 
-    def _index(self, which, tokens) -> tuple[np.ndarray, np.ndarray]:
-        """Index pair selecting the (B, T) entries sequences ``tokens`` of
-        prompts ``which`` read."""
-        positions = np.arange(tokens.shape[1])  # position 0 does not read tokens[:, -1]
-        rows = _row(positions, tokens[:, positions - 1], self.logits.shape[-1])
-        return np.asarray(which)[:, None], rows
-
-    def sample(self, which, u) -> np.ndarray:
-        """Tokens (B, T) of sequences of prompts ``which`` (B,) from uniforms (B, T).
+    def sample(self, which, u) -> tuple[np.ndarray, np.ndarray]:
+        """Tokens (B, T) of sequences of prompts ``which`` (B,) from uniforms
+        (B, T), and the flat rows (B, T) they read, which[b] R +
+        ``_row``(t, tokens[b, t - 1]): the index of ``logprobs`` and ``score``.
 
         The token at position t is the number of entries of its context's
         cumulative distribution at or below ``u[b, t]``, capped at vocab - 1,
         so each sequence depends only on its own row of uniforms.
         """
         u = np.asarray(u, dtype=float)
-        vocab = self.logits.shape[-1]
+        n_contexts, vocab = self.logits.shape[1:]
         if u.shape != (len(which), self.seq_len):
             raise ContractViolation(f"uniforms shape {u.shape} does not match (B, T)")
         _, e, total = self._normalized
-        cdf = np.cumsum(e / total, axis=-1)
+        cdf = np.cumsum(e / total, axis=-1).reshape(-1, vocab)
         tokens = np.zeros(u.shape, dtype=np.int64)
-        for t in range(u.shape[1]):  # position 0 does not read tokens[:, -1]
-            below = cdf[which, _row(t, tokens[:, t - 1], vocab)] <= u[:, t, None]
+        rows = np.empty(u.shape, dtype=np.int64)
+        rows[:, 0] = np.asarray(which) * n_contexts  # position 0 reads its prompt's row 0
+        for t in range(u.shape[1]):
+            if t:
+                rows[:, t] = rows[:, 0] + _row(t, tokens[:, t - 1], vocab)
+            below = cdf.take(rows[:, t], axis=0) <= u[:, t, None]
             tokens[:, t] = np.minimum(np.sum(below, axis=-1), vocab - 1)
-        return tokens
+        return tokens, rows
 
-    def logprobs(self, which, tokens) -> np.ndarray:
-        """Log-probabilities (B,) of sequences ``tokens`` (B, T) of prompts ``which``."""
+    def logprobs(self, rows, tokens) -> np.ndarray:
+        """Log-probabilities (B,) of sequences ``tokens`` (B, T) that read ``rows``."""
         m, _, total = self._normalized
-        return _sequence_logprobs(self.logits, m, total, self._index(which, tokens), tokens)
+        return _sequence_logprobs(
+            self.logits, m, total, rows, rows * self.logits.shape[-1] + tokens
+        )
 
-    def score(self, net: PolicyNet, which, tokens) -> Scored:
-        """``score`` of sequences ``tokens`` of prompts ``which``, from the
-        entries they read; ``net`` must be the policy the table was built from."""
+    def score(self, net: PolicyNet, rows, tokens) -> Scored:
+        """``score`` of sequences ``tokens`` that read ``rows``, from those
+        entries; ``net`` must be the policy the table was built from."""
         if len(self.act_in) != net.n_layers:
             raise ContractViolation("table holds no layer inputs of this policy")
-        index = self._index(which, tokens)
-        m, e, total = self._normalized
+
+        def gather(table: np.ndarray) -> np.ndarray:  # (B, T, last axis)
+            return table.reshape(-1, table.shape[-1]).take(rows, axis=0)
+
         return _backward(
             net,
-            self.logits[index],
-            [a[index] for a in self.act_in],
+            gather(self.logits),
+            [gather(a) for a in self.act_in],
             tokens,
-            (m[index], e[index], total[index]),
+            tuple(gather(part) for part in self._normalized),
         )
 
 
@@ -509,9 +518,10 @@ def _n_contexts(vocab: int, seq_len: int) -> int:
 
 
 def _context_template(net: PolicyNet, seq_len: int) -> np.ndarray:
-    """The read-only inputs (R, context_dim) of one prompt's R contexts, its
-    feature columns zero: built by ``_inputs`` at the first table of each
-    architecture (vocabulary, context dim, T) and kept for the process."""
+    """The read-only layer-0 inputs (R, context_dim + 1) of one prompt's R
+    contexts, its feature columns zero: built by ``_inputs`` at the first
+    table of each architecture (vocabulary, context dim, T) and kept for the
+    process."""
     key = (net.vocab_size, net.context_dim, seq_len)
     template = _TEMPLATES.get(key)
     if template is None:
@@ -524,13 +534,14 @@ def _context_template(net: PolicyNet, seq_len: int) -> np.ndarray:
 
 
 def _context_inputs(net: PolicyNet, features: np.ndarray) -> np.ndarray:
-    """Inputs (P, R, context_dim) of every context of prompts (P, F), equal to
-    ``_inputs`` of them: a copy of the template with the features filled in."""
+    """Layer-0 inputs (P, R, context_dim + 1) of every context of prompts
+    (P, F), equal to ``_inputs`` of them: a copy of the template with the
+    features filled in."""
     seq_len = seq_len_for(net, features)
     template = _context_template(net, seq_len)
     x = np.empty((len(features),) + template.shape)
     x[...] = template
-    x[..., net.vocab_size + seq_len :] = features[:, None]
+    x[..., net.vocab_size + seq_len : -1] = features[:, None]
     return x
 
 
@@ -553,8 +564,8 @@ def sample_and_score(net: PolicyNet, prompt_features, u) -> tuple[np.ndarray, Sc
         raise ContractViolation(f"{n_seqs} sequences do not split over {n_prompts} prompts")
     table = context_table(net, prompt_features)
     which = np.repeat(np.arange(n_prompts), n_seqs // n_prompts)
-    tokens = table.sample(which, u)
-    return tokens, table.score(net, which, tokens)
+    tokens, rows = table.sample(which, u)
+    return tokens, table.score(net, rows, tokens)
 
 
 def kl_reference(net: PolicyNet, prompts) -> ContextTable:
@@ -595,8 +606,8 @@ def kl_from_reference(table: ContextTable, ref: ContextTable, u) -> float:
     ):
         raise ContractViolation("reference table is not of these prompts and this architecture")
     which = np.arange(len(u)) % len(table.features)
-    tokens = table.sample(which, u)
-    return math.fsum(table.logprobs(which, tokens) - ref.logprobs(which, tokens)) / len(u)
+    tokens, rows = table.sample(which, u)
+    return math.fsum(table.logprobs(rows, tokens) - ref.logprobs(rows, tokens)) / len(u)
 
 
 def save_checkpoint(net: PolicyNet, path) -> None:

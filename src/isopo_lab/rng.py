@@ -111,11 +111,6 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
-def entropy_uniforms(seed: int, words, n: int) -> np.ndarray:
-    """Row i is ``Generator(Philox(SeedSequence([seed, *words[i]]))).random(n)``."""
-    return _philox_random(_entropy_keys(seed, words), n)
-
-
 def _entropy_keys(seed: int, words) -> np.ndarray:
     """Philox keys (rows, 2) of ``SeedSequence([seed, *words[i]])`` per row i.
 

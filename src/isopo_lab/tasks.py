@@ -18,7 +18,8 @@ one instance can serve every run in a process (``harness.make_task``).
 
 Advantages are group-relative: each sampled group of G sequences for one
 prompt is scored, and every sequence's advantage is its reward minus the
-group mean (optionally divided by the group standard deviation). A
+group mean (optionally divided by the group standard deviation), computed
+for all groups of a microbatch in one pass over their (groups, G) rewards. A
 microbatch is sampled from one row of uniforms per sequence, which callers
 derive from the sequences' named streams with ``rng.uniforms``; a training
 run derives the rows of all its steps at once.
@@ -104,13 +105,14 @@ class Microbatch:
 
 
 def group_advantages(rewards, normalize_std: bool = False) -> np.ndarray:
-    """Rewards minus the group mean; optionally divided by (std + 1e-6)."""
+    """Rewards minus their group's mean, optionally divided by (std + 1e-6),
+    for groups along the last axis: (size,) for one group, (G, size) for G."""
     r = np.asarray(rewards, dtype=float)
-    if r.size < 2:
+    if r.ndim == 0 or r.shape[-1] < 2:
         raise ContractViolation("advantage estimation needs at least 2 rewards")
-    adv = r - r.mean()
+    adv = r - r.mean(axis=-1, keepdims=True)
     if normalize_std:
-        adv = adv / (r.std() + STD_EPS)
+        adv = adv / (r.std(axis=-1, keepdims=True) + STD_EPS)
     return adv
 
 
@@ -120,7 +122,9 @@ def build_microbatch(net, task, prompts, u, normalize_std: bool = False) -> Micr
     ``u`` holds one row of T uniforms per sequence, G = len(u) / len(prompts)
     rows per group: group g holds rows g·G to g·G + G - 1, sampled for
     ``prompts[g]``. Each sequence's tokens depend on its row and the policy
-    alone.
+    alone. The advantages of all groups come from one ``group_advantages``
+    pass over the (groups, G) rewards, and each ``Group`` holds its row of
+    both.
     """
     if not prompts or len(u) % len(prompts):
         raise ContractViolation(f"{len(u)} uniform rows do not split into {len(prompts)} groups")
@@ -129,10 +133,9 @@ def build_microbatch(net, task, prompts, u, normalize_std: bool = False) -> Micr
     tokens, scored = policy.sample_and_score(net, prompt_features, u)
     # rewards come from the task verifier and nowhere else
     rewards = task.rewards([p for p in prompts for _ in range(size)], tokens)
-    groups = [
-        Group(prompt, r, group_advantages(r, normalize_std))
-        for prompt, r in zip(prompts, np.split(rewards, len(prompts)))
-    ]
+    rewards = rewards.reshape(len(prompts), size)
+    advantages = group_advantages(rewards, normalize_std)
+    groups = [Group(p, r, a) for p, r, a in zip(prompts, rewards, advantages)]
     return Microbatch(groups, np.repeat(prompt_features, size, axis=0), tokens, scored)
 
 

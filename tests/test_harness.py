@@ -1014,27 +1014,29 @@ def test_one_forward_per_sampled_batch_and_kl(tmp_path, monkeypatch, algo):
 
 def test_grpo_step_rescores_from_its_sampled_inputs(tmp_path, monkeypatch):
     # the inner epochs after the first re-score one batch at new weights from
-    # the batch's sampled layer-0 inputs: no step builds teacher-forced
-    # inputs, and every re-scoring equals a fresh teacher-forced score
+    # the batch's own layer-0 buffer: no step builds teacher-forced inputs or
+    # copies the batch's, and every re-scoring equals a fresh teacher-forced score
     cfg = quick_cfg(algo="grpo", steps=5, inner_epochs=4, seed=2)
-    updating, built, rescored = [False], [], []
+    updating, built, rescored = [None], [], []
     build, rescore, update = policy.teacher_forced_inputs, baselines.score, harness._update
 
     def counted_build(*args):
-        built.append(updating[0])
+        built.append(updating[0] is not None)
         return build(*args)
 
     def recorded_rescore(net, features, tokens, inputs=None):
         scored = rescore(net, features, tokens, inputs)
+        batch_inputs = updating[0].scored.act_in[0]
+        assert inputs is batch_inputs and scored.act_in[0] is batch_inputs
         rescored.append((net.copy(), features, tokens.copy(), scored))
         return scored
 
-    def tracked_update(*args):
-        updating[0] = True
+    def tracked_update(cfg, net, optimizer, microbatch, *args):
+        updating[0] = microbatch
         try:
-            return update(*args)
+            return update(cfg, net, optimizer, microbatch, *args)
         finally:
-            updating[0] = False
+            updating[0] = None
 
     monkeypatch.setattr(policy, "teacher_forced_inputs", counted_build)
     monkeypatch.setattr(baselines, "score", recorded_rescore)
@@ -1048,6 +1050,31 @@ def test_grpo_step_rescores_from_its_sampled_inputs(tmp_path, monkeypatch):
         assert np.array_equal(scored.logprobs, fresh.logprobs)
         for a, b in zip(scored.grad_out + scored.act_in, fresh.grad_out + fresh.act_in):
             assert np.array_equal(a, b)
+
+
+def microbatch_arrays(mb):
+    """Every array of ``mb`` that an update reads, as (name, array) pairs."""
+    scored = mb.scored
+    pairs = [("logprobs", scored.logprobs), ("advantages", mb.advantages)]
+    pairs += [("tokens", mb.tokens), ("features", mb.features)]
+    pairs += [(f"act_in[{l}]", a) for l, a in enumerate(scored.act_in)]
+    return pairs + [(f"grad_out[{l}]", g) for l, g in enumerate(scored.grad_out)]
+
+
+@pytest.mark.parametrize("task_name", ["seqtask", "bandit"])
+def test_grpo_update_leaves_its_microbatch_unchanged(task_name):
+    # the inner epochs re-score from the batch's own buffers and write none of
+    # them: an aborting step writes its row from the batch as it was sampled
+    cfg = RunConfig(task=task_name, algo="grpo", inner_epochs=4, lr=0.05, seed=3)
+    task = harness.make_task(cfg)
+    net = harness.build_policy(task, cfg.seed)
+    mb = harness.sample_microbatch(net, task, cfg, 1)
+    before = [(name, a.copy()) for name, a in microbatch_arrays(mb)]
+    params = net.params.copy()
+    harness._update(cfg, net, baselines.OptimizerState(cfg.optimizer, cfg.lr), mb, None, None)
+    assert not np.array_equal(net.params, params)  # four steps were taken
+    for (name, a), (_, b) in zip(microbatch_arrays(mb), before, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("algo", ["reinforce", "grpo", "isopo-ni", "isopo-int"])

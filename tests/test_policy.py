@@ -37,6 +37,11 @@ def sample_one(net, prompt, seed, label):
     return policy.sample_and_score(net, prompt.features[None], u)
 
 
+def augmented(x):
+    """Layer-0 inputs: contexts (..., context_dim) with the trailing constant 1."""
+    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+
+
 def test_forward_zero_weights_zero_logits(small_net):
     logits, _ = policy.forward(
         policy.PolicyNet(
@@ -44,7 +49,7 @@ def test_forward_zero_weights_zero_logits(small_net):
             small_net.vocab_size,
             small_net.context_dim,
         ),
-        np.ones(small_net.context_dim),
+        np.ones(small_net.context_dim + 1),
     )
     assert np.all(logits == 0.0)
 
@@ -53,8 +58,8 @@ def test_forward_single_layer_basis_vector():
     rng = np.random.default_rng(0)
     w = rng.standard_normal((4, 6))
     net = policy.PolicyNet([w.copy()], vocab_size=4, context_dim=5)
-    context = np.zeros(5)
-    context[0] = 1.0
+    context = np.zeros(6)
+    context[[0, -1]] = 1.0
     logits, _ = policy.forward(net, context)
     assert np.allclose(logits, w[:, 0] + w[:, -1])
 
@@ -62,7 +67,7 @@ def test_forward_single_layer_basis_vector():
 def test_forward_matches_direct_reimplementation(small_net):
     rng = np.random.default_rng(1)
     context = rng.standard_normal(small_net.context_dim)
-    logits, _ = policy.forward(small_net, context)
+    logits, _ = policy.forward(small_net, augmented(context))
     # straightforward duplicate of the forward map
     x = context
     for i, w in enumerate(small_net.weights):
@@ -73,7 +78,7 @@ def test_forward_matches_direct_reimplementation(small_net):
 
 def test_forward_any_leading_shape(small_net):
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((2, 3, small_net.context_dim))
+    x = augmented(rng.standard_normal((2, 3, small_net.context_dim)))
     logits, act_in = policy.forward(small_net, x)
     assert logits.shape == (2, 3, small_net.vocab_size)
     for b in range(2):
@@ -85,8 +90,9 @@ def test_forward_any_leading_shape(small_net):
 
 
 def test_forward_dimension_mismatch(small_net):
-    with pytest.raises(ContractViolation):
-        policy.forward(small_net, np.zeros(small_net.context_dim + 1))
+    for extra in (0, 2):  # contexts without their constant column, or too wide
+        with pytest.raises(ContractViolation):
+            policy.forward(small_net, np.zeros(small_net.context_dim + extra))
 
 
 def test_sampling_uniform_under_zero_weights():
@@ -200,9 +206,9 @@ def two_pass_backward(net, logits, act_in, tokens):
 
 def concatenate_forward(net, x):
     """``forward`` with each layer input built by ``concatenate`` from the last
-    layer's output and a column of ones."""
+    layer's output and a column of ones; layer 0's from ``x`` without its own."""
     lead = x.shape[:-1]
-    x = x.reshape(-1, net.context_dim)
+    x = x[..., :-1].reshape(-1, net.context_dim)
     act_in = []
     for l, w in enumerate(net.weights):
         a = np.concatenate([x, np.ones((len(x), 1))], axis=1)
@@ -211,6 +217,16 @@ def concatenate_forward(net, x):
         if l < net.n_layers - 1:
             x = np.tanh(x)
     return x.reshape(lead + x.shape[1:]), act_in
+
+
+def context_rows(which, tokens, n_contexts, vocab):
+    """The flat table row of each (b, t): prompt which[b]'s context row 0 at
+    position 0, and 1 + (t - 1) V + tokens[b, t - 1] after it."""
+    rows = np.zeros(tokens.shape, dtype=np.int64)
+    for b, t in np.ndindex(tokens.shape):
+        row = 0 if t == 0 else 1 + (t - 1) * vocab + tokens[b, t - 1]
+        rows[b, t] = which[b] * n_contexts + row
+    return rows
 
 
 @pytest.mark.parametrize("task_name", ["seqtask", "bandit"])
@@ -233,24 +249,30 @@ def test_forward_and_backward_equal_the_two_pass_formulas(task_name):
     )
     table = policy.context_table(net, np.stack([g.prompt.features for g in mb.groups]))
     which = np.repeat(np.arange(len(mb.groups)), cfg.group_size)
-    index = table._index(which, mb.tokens)
+    rows = context_rows(which, mb.tokens, table.logits.shape[1], net.vocab_size)
+
+    def gathered(a):
+        return a.reshape(-1, a.shape[-1])[rows]
+
     expected = two_pass_backward(
-        net, table.logits[index], [a[index] for a in table.act_in], mb.tokens
+        net, gathered(table.logits), [gathered(a) for a in table.act_in], mb.tokens
     )
     assert_scored_equal(mb.scored, expected, rel=0)
-    read = two_pass_log_softmax(table.logits)[index + (mb.tokens,)].sum(axis=1)
-    assert np.array_equal(table.logprobs(which, mb.tokens), read)
+    read = gathered(two_pass_log_softmax(table.logits))[
+        np.arange(len(rows))[:, None], np.arange(rows.shape[1]), mb.tokens
+    ].sum(axis=1)
+    assert np.array_equal(table.logprobs(rows, mb.tokens), read)
 
 
 def written_out_input(net, features, position, prev):
-    """[onehot(prev) | onehot(position) | features], one block at a time;
+    """[onehot(prev) | onehot(position) | features | 1], one block at a time;
     position 0 has no previous token."""
     prev_block = np.zeros(net.vocab_size)
     if position > 0:
         prev_block[prev] = 1.0
     position_block = np.zeros(net.context_dim - net.vocab_size - len(features))
     position_block[position] = 1.0
-    return np.concatenate([prev_block, position_block, features])
+    return np.concatenate([prev_block, position_block, features, [1.0]])
 
 
 @pytest.mark.parametrize("task_name", ["seqtask", "bandit"])
@@ -266,7 +288,7 @@ def test_every_input_has_the_one_layout(monkeypatch, task_name):
     # table row r holds context r: position 0, then (t, prev) for t >= 1, prev < V
     contexts = [(0, 0)] + [(t, p) for t in range(1, task.seq_len) for p in range(task.vocab_size)]
     features = np.stack([g.prompt.features for g in mb.groups])
-    layer_in = policy.context_table(net, features).act_in[0][..., :-1]
+    layer_in = policy.context_table(net, features).act_in[0]
     assert layer_in.shape[1] == len(contexts)
     for p, (r, (t, prev)) in itertools.product(range(len(features)), enumerate(contexts)):
         assert np.array_equal(layer_in[p, r], written_out_input(net, features[p], t, prev))
@@ -279,6 +301,52 @@ def test_every_input_has_the_one_layout(monkeypatch, task_name):
     for b, t in np.ndindex(tokens.shape):
         expected = written_out_input(net, features[b], t, tokens[b, t - 1])
         assert np.array_equal(seen[t][b], expected)
+
+
+def reference_sample(table, which, u):
+    """``ContextTable.sample``'s rule, one (b, t) at a time: the count of the
+    entries of the context's CDF, from ``_normalize`` of that one row, at or
+    below u, capped at V - 1."""
+    vocab = table.logits.shape[-1]
+    tokens = np.zeros(u.shape, dtype=np.int64)
+    for b, t in np.ndindex(u.shape):
+        row = 0 if t == 0 else 1 + (t - 1) * vocab + tokens[b, t - 1]
+        _, e, total = policy._normalize(table.logits[which[b], row])
+        cdf = np.cumsum(e / total)
+        tokens[b, t] = min(np.count_nonzero(cdf <= u[b, t]), vocab - 1)
+    return tokens
+
+
+def cdf_end(logits):
+    _, e, total = policy._normalize(logits)
+    return np.cumsum(e / total, axis=-1)[..., -1]
+
+
+@pytest.mark.parametrize(
+    "n_prompts, seq_len, vocab, group_size",
+    [(4, 3, 16, 8), (4, 1, 8, 8), (3, 2, 5, 2)],
+    ids=["seqtask", "bandit", "small"],
+)
+def test_sample_follows_the_cdf_rule(n_prompts, seq_len, vocab, group_size):
+    gen = stream(0, f"cdf-rule/{seq_len}/{vocab}")
+    n_contexts = 1 + (seq_len - 1) * vocab
+    logits = gen.normal(0.0, 3.0, size=(n_prompts, n_contexts, vocab))
+    logits[::2, :, 0] = -1000.0  # an entry of probability 0: a CDF that starts at 0
+    short = gen.normal(0.0, 3.0, size=vocab)
+    while not cdf_end(short) < 1.0:
+        short = gen.normal(0.0, 3.0, size=vocab)
+    logits[1] = short  # every CDF of prompt 1 ends below 1
+    table = policy.ContextTable(np.zeros((n_prompts, 1)), logits, [])
+    which = np.repeat(np.arange(n_prompts), group_size)
+    u = gen.random((len(which), seq_len))
+    u[::3] = 0.0
+    u[1::3] = u[which == 1] = 1.0 - 2.0**-53  # the largest uniform below 1
+    tokens, rows = table.sample(which, u)
+    assert np.array_equal(tokens, reference_sample(table, which, u))
+    assert np.array_equal(rows, context_rows(which, tokens, n_contexts, vocab))
+    assert np.all(tokens[which == 1] == vocab - 1)  # the count is V, capped
+    at_zero = (which % 2 == 0)[:, None] & (u == 0.0)
+    assert np.any(at_zero) and np.all(tokens[at_zero] == 1)  # entry 0 has probability 0
 
 
 def test_context_table_rows(small_net, small_task):
@@ -341,7 +409,7 @@ def test_each_architecture_has_its_own_template():
         position, prev = policy._context(np.arange(n_contexts), net.vocab_size)
         expected = policy._inputs(net, features[:, None], position, prev)
         assert policy._context_inputs(net, features).tobytes() == expected.tobytes()
-        assert policy._context_template(net, seq_len).shape == (n_contexts, net.context_dim)
+        assert policy._context_template(net, seq_len).shape == (n_contexts, net.context_dim + 1)
     assert policy._context_template(short, 2) is not policy._context_template(long, 3)
 
 
@@ -355,7 +423,8 @@ def test_reference_table_must_match_the_prompts(small_net, small_task):
     with pytest.raises(ContractViolation):
         policy.kl_from_reference(other, ref, u)
     with pytest.raises(ContractViolation):  # kept for the KL, it cannot score
-        ref.score(small_net, np.zeros(1, dtype=np.int64), np.zeros((1, 2), dtype=np.int64))
+        rows = tokens = np.zeros((1, 2), dtype=np.int64)
+        ref.score(small_net, rows, tokens)
 
 
 @pytest.mark.parametrize(
@@ -505,7 +574,7 @@ def two_pass_kl(net, ref, prompts, n_samples, rng):
     which = np.arange(n_samples) % len(ordered)
     features = ordered[which]
     u = rng.random((n_samples, policy.seq_len_for(net, features)))
-    tokens = policy.context_table(net, ordered).sample(which, u)
+    tokens, _ = policy.context_table(net, ordered).sample(which, u)
     diffs = policy.sequence_logprobs(net, features, tokens) - policy.sequence_logprobs(
         ref, features, tokens
     )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isopo_lab.rng import draws, entropy_uniforms, stream, uniforms
+from isopo_lab.rng import _entropy_keys, _philox_random, draws, stream, uniforms
 
 LABELS = ["policy/0/3+5/0", "policy/40/15+15/7", "prompts/3", "", "ünïcode/λ"]
 
@@ -57,7 +57,7 @@ def test_entropy_words_below_two_to_the_32():
             ).random(6)
             for row in words
         ]
-        assert np.array_equal(entropy_uniforms(seed, words, 6), np.stack(expected))
+        assert np.array_equal(_philox_random(_entropy_keys(seed, words), 6), np.stack(expected))
 
 
 def test_negative_seed_rejected():

@@ -37,6 +37,48 @@ def test_group_advantages_sum_zero_property():
 def test_group_advantages_needs_two():
     with pytest.raises(ContractViolation):
         tasks.group_advantages([1.0])
+    with pytest.raises(ContractViolation):
+        tasks.group_advantages(np.zeros((3, 1)))
+
+
+def one_group_advantages(r, normalize_std):
+    """The advantages of one group (size,) written out: mean, then std, of that group alone."""
+    adv = r - r.mean()
+    return adv / (r.std() + tasks.STD_EPS) if normalize_std else adv
+
+
+@pytest.mark.parametrize("normalize_std", [False, True])
+def test_batched_advantages_equal_each_group_alone(normalize_std):
+    # numpy's pairwise sum takes another path from 8 entries on, so the sizes
+    # straddle it; rows of thirds are seqtask's rewards, a constant row a
+    # group without signal
+    gen = stream(0, "batched-advantages")
+    for size in range(2, 18):
+        rewards = gen.uniform(0.0, 1.0, size=(6, size))
+        rewards[1] = 1.0 / 3.0
+        rewards[2] = gen.integers(0, 4, size=size) / 3.0
+        batched = tasks.group_advantages(rewards, normalize_std)
+        assert batched.shape == rewards.shape
+        for r, adv in zip(rewards, batched):
+            expected = one_group_advantages(r, normalize_std)
+            assert adv.tobytes() == expected.tobytes()
+            assert tasks.group_advantages(r, normalize_std).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("normalize_std", [False, True])
+def test_microbatch_groups_hold_rows_of_one_pass(small_net, small_task, normalize_std):
+    prompts = small_task.train_prompts[:3]
+    u = stream(2, "one-pass").random((3 * 5, small_task.seq_len))
+    mb = tasks.build_microbatch(small_net, small_task, prompts, u, normalize_std)
+    for g, group in enumerate(mb.groups):
+        assert group.prompt is prompts[g]
+        expected = one_group_advantages(group.rewards, normalize_std)
+        assert group.advantages.tobytes() == expected.tobytes()
+        assert np.array_equal(mb.advantages[5 * g : 5 * g + 5], group.advantages)
+    # a rebound group's advantages are what the microbatch reads
+    mb.groups[1].advantages = np.linspace(-1.0, 1.0, 5)
+    assert np.array_equal(mb.advantages[5:10], np.linspace(-1.0, 1.0, 5))
+    assert np.array_equal(mb.advantages[:5], mb.groups[0].advantages)
 
 
 def test_bandit_reward_is_table_lookup():
