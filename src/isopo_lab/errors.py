@@ -9,10 +9,6 @@ class SingularMatrixError(ArithmeticError):
     """A linear solve was requested on an (effectively) singular system."""
 
 
-class EstimatorDegenerateError(ArithmeticError):
-    """The Fisher-norm estimator's sample set carries no signal (zero norm)."""
-
-
 class EnumerationBudgetError(ValueError):
     """Exact enumeration was requested beyond the configured budget."""
 

@@ -251,11 +251,6 @@ def _update(cfg, net, optimizer, microbatch, norms, rescale_params) -> None:
         baselines.optimizer_step(optimizer, net, [-g for g in grads])
 
 
-def _fisher_norms(microbatch, positions) -> tuple[np.ndarray, np.ndarray]:
-    """The step's Fisher-norm table and degenerate mask, from its overlap ``positions``."""
-    return isopo.sequence_fisher_norms(microbatch, isopo.overlap_samples(microbatch, positions))
-
-
 def _check_finite(row: dict) -> None:
     """NonFiniteMetricError naming the first float column of ``row`` that is NaN or infinite."""
     for column, value in row.items():
@@ -291,7 +286,9 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
             microbatch = sample_microbatch(net, task, cfg, step, plan)
             norms = degenerate = None
             if cfg.algo == "isopo-ni":  # the only update that reads the norms
-                norms, degenerate = _fisher_norms(microbatch, plan[step].overlap)
+                norms, degenerate = isopo.sequence_fisher_norms(
+                    microbatch.scored, plan[step].overlap
+                )
             if step > 0:
                 try:
                     _update(cfg, net, optimizer, microbatch, norms, rescale_params)
@@ -299,7 +296,9 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
                     abort_reason = _abort_reason(step, exc)
             if abort_reason or step % cfg.eval_every == 0:
                 if norms is None:  # an update leaves its microbatch as it was sampled
-                    norms, degenerate = _fisher_norms(microbatch, plan[step].overlap)
+                    norms, degenerate = isopo.sequence_fisher_norms(
+                        microbatch.scored, plan[step].overlap
+                    )
                 summary = metrics.batch_summary(
                     microbatch, norms, int(np.count_nonzero(degenerate)), cfg.algo
                 )

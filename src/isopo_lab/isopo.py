@@ -32,17 +32,17 @@ when |V_b|^2 == 0, or when every overlap sample is zero.
 The sample's positions depend on the step's stream, B T and ``n_overlap``
 alone, not on the policy: ``overlap_positions`` draws them, which a run
 does for every step before it trains (``harness.draw_steps``), and
-``overlap_samples`` gathers the factors there. ``draw_overlap_samples`` does
-both from a generator.
+``sequence_fisher_norms`` gathers the factors there. Its reference,
+``oracle.naive_fisher_norm``, computes the estimate from materialized matrices.
 
 The estimator runs every step of an isopo-ni run, so it calls the numpy
-operations a norm consists of, not ``np.linalg.norm``, which checks its
-arguments and copies x.conj() on each of its 12 calls per step: row norms
-are sqrt(add.reduce(x * x)) along the last axis (``row_norms``) and the
-denominator's vector norm is sqrt(s . s), the same operations in the same
-order, so every bit is kept. The rescaling computes only the factors whose
-exponent is nonzero, and F/|V| only for r != 0: reg2(x)^0 is exactly 1.0
-for every x, NaN and infinity included, so skipping it changes no bit.
+operations a norm consists of, not ``np.linalg.norm`` with its checks and
+copy: row norms are sqrt(add.reduce(x * x)) along the last axis
+(``row_norms``) and the denominator's vector norm is sqrt(s . s), the same
+operations in the same order, so every bit is kept. The rescaling computes
+only the factors whose exponent is nonzero, and F/|V| only for r != 0:
+reg2(x)^0 is exactly 1.0 for every x, NaN and infinity included, so
+skipping it changes no bit.
 
 Interacting variant
 -------------------
@@ -67,8 +67,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation, EstimatorDegenerateError, SingularMatrixError
-from .policy import grad_projections, grad_sum
+from .errors import ContractViolation, SingularMatrixError
+from .policy import Scored, grad_projections, grad_sum
 from .tasks import Microbatch
 
 RESCALE_FLOOR = 1e-8
@@ -118,26 +118,6 @@ class RescalingParams:
             raise ContractViolation("reg_strength must be nonnegative")
 
 
-@dataclass
-class OverlapSamples:
-    """Randomly drawn per-position gradient factors shared across sequences.
-
-    ``indices`` point into the C-order flattening of the microbatch's (B, T)
-    position grid, and the same positions are used for every layer:
-    ``act_in[l]`` (n, in + 1) and ``grad_out[l]`` (n, out) are their factors
-    in layer l. ``denominators[l]`` caches sqrt(sum_j (|g_j||a_j|)^2).
-    """
-
-    act_in: list[np.ndarray]
-    grad_out: list[np.ndarray]
-    denominators: list[float]
-    indices: np.ndarray
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.indices.size)
-
-
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis: what ``np.linalg.norm(x, axis=-1)``
     computes for a real array, bit for bit, without its checks and copy."""
@@ -147,33 +127,6 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 def _sample_denominator(act_in: np.ndarray, grad_out: np.ndarray) -> float:
     scale = row_norms(grad_out) * row_norms(act_in)
     return float(np.sqrt(scale.dot(scale)))  # np.linalg.norm(scale), bit for bit
-
-
-def fisher_norm_estimate(
-    v: np.ndarray,
-    act_in: np.ndarray,
-    grad_out: np.ndarray,
-    denominator: float | None = None,
-):
-    """Stochastic Fisher-norm estimate of layer-shaped update matrices ``v``.
-
-    ``v`` is one matrix (out, in + 1), giving a float, or a stack of them
-    (..., out, in + 1), giving one estimate per matrix.
-    """
-    v = np.asarray(v, dtype=float)
-    if act_in.shape[0] == 0:
-        raise ContractViolation("need at least one overlap sample")
-    if v.shape[-2:] != (grad_out.shape[1], act_in.shape[1]):
-        raise ContractViolation(
-            f"update shape {v.shape} does not match factors "
-            f"({grad_out.shape[1]}, {act_in.shape[1]})"
-        )
-    if denominator is None:
-        denominator = _sample_denominator(act_in, grad_out)
-    if denominator == 0.0:
-        raise EstimatorDegenerateError("all overlap samples are zero")
-    proj = np.einsum("jo,...jo->...j", grad_out, act_in @ np.swapaxes(v, -1, -2))
-    return row_norms(proj) / denominator
 
 
 def overlap_positions(rng: np.random.Generator, n_positions: int, n_overlap: int) -> np.ndarray:
@@ -187,47 +140,32 @@ def overlap_positions(rng: np.random.Generator, n_positions: int, n_overlap: int
     return np.sort(rng.permutation(n_positions)[: min(n_overlap, n_positions)])
 
 
-def overlap_samples(microbatch: Microbatch, positions: np.ndarray) -> OverlapSamples:
-    """The per-layer factors of ``microbatch`` at ``positions`` (``overlap_positions``)."""
-    scored = microbatch.scored
-    total = microbatch.tokens.size
-    act_in = [a.reshape(total, -1)[positions] for a in scored.act_in]
-    grad_out = [g.reshape(total, -1)[positions] for g in scored.grad_out]
-    denominators = [_sample_denominator(a, g) for a, g in zip(act_in, grad_out)]
-    return OverlapSamples(act_in, grad_out, denominators, positions)
-
-
-def draw_overlap_samples(
-    microbatch: Microbatch, n_overlap: int, rng: np.random.Generator
-) -> OverlapSamples:
-    """``overlap_samples`` at the ``overlap_positions`` that ``rng`` draws."""
-    return overlap_samples(microbatch, overlap_positions(rng, microbatch.tokens.size, n_overlap))
-
-
 def sequence_fisher_norms(
-    microbatch: Microbatch, samples: OverlapSamples
+    scored: Scored, positions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-(sequence, layer) Fisher-norm estimates under the shared sample set.
+    """Per-(sequence, layer) Fisher-norm estimates of ``scored``'s sequence
+    gradients, from the factors at the overlap ``positions``: indices into the
+    C-order flattening of the (B, T) grid (``overlap_positions``), the same
+    in every layer.
 
     Returns ``(norms, degenerate)`` where ``norms[i, l]`` is NaN when the
     estimate for that pair is degenerate (|V_i|^2 == 0 in layer l, or an
     all-zero sample set) and ``degenerate[i]`` flags sequences with at least
     one degenerate layer.
     """
-    scored = microbatch.scored
     n_seq = len(scored.logprobs)
     norms = np.full((n_seq, len(scored.grad_out)), np.nan)
     degenerate = np.zeros(n_seq, dtype=bool)
-    for l, sq_norms in enumerate(scored.sq_norms):
-        denominator = samples.denominators[l]
+    for l, (act_in, grad_out) in enumerate(zip(scored.act_in, scored.grad_out)):
+        sample_a = act_in.reshape(-1, act_in.shape[-1])[positions]
+        sample_g = grad_out.reshape(-1, grad_out.shape[-1])[positions]
+        denominator = _sample_denominator(sample_a, sample_g)
         if denominator == 0.0:
             degenerate[:] = True
             continue
-        live = sq_norms > 0.0
+        live = scored.sq_norms[l] > 0.0
         degenerate |= ~live
-        proj = grad_projections(
-            scored.grad_out[l], scored.act_in[l], samples.grad_out[l], samples.act_in[l]
-        )
+        proj = grad_projections(grad_out, act_in, sample_g, sample_a)
         norms[live, l] = row_norms(proj[live]) / denominator
     return norms, degenerate
 

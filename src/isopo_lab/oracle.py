@@ -111,7 +111,8 @@ def materialize_position_grads(scored: Scored, layer: int) -> list[np.ndarray]:
 
 
 def naive_fisher_norm(v: np.ndarray, mats: list[np.ndarray]) -> float:
-    """Reference estimator on fully materialized position-gradient matrices."""
+    """The Fisher-norm estimate of ``v`` from fully materialized position-gradient
+    matrices: the reference for ``isopo.sequence_fisher_norms``."""
     if not mats:
         raise ContractViolation("need at least one materialized gradient")
     v = np.asarray(v, dtype=float)

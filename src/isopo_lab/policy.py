@@ -43,32 +43,19 @@ policy's table once. Sampling and the KL take their randomness as arrays of
 uniforms, one row per sequence; the caller derives the rows
 (``rng.uniforms``, ``rng.draws``), so no generator enters this module.
 
-The table costs P (1 + (T - 1) V) rows against 2 B T for decoding the
-sequences position by position and then scoring them: 132 against 192 for a
-default seqtask microbatch (P = 4 prompts, B = 32, T = 3, V = 16), in one
-pass instead of T + 1, and 528 against 1536 for the eval KL's 256 samples
-over 16 prompts. It pays when groups share prompts, and only then, so two
-forward shapes stay. ``greedy`` decodes position by position: validation's
-54 prompts with one sequence each would need 1782 table rows against 162
-decoded. GRPO re-scores its fixed batch by teacher forcing, 96 rows against
-a 132-row table, from the batch's own ``act_in[0]``. Every gemm of the
-seqtask tables has 64 rows or more, where OpenBLAS rounds each row the same
-way at any row count, so a gathered row equals the one a teacher-forced
-pass computes bit for bit.
+The table pays only where groups share prompts, so two forward shapes
+stay: ``greedy`` decodes position by position, and GRPO re-scores its fixed
+batch by teacher forcing, from the batch's own ``act_in[0]``. Every gemm of
+the seqtask tables has 64 rows or more, where OpenBLAS rounds each row the
+same way at any row count, so a gathered row equals the one a
+teacher-forced pass computes bit for bit.
 
 The same rule lets ``kl_reference`` build the eval table in blocks of whole
-prompts, one ``context_table`` forward each, keeping only the logits: a
-table of n rows takes min(P, max(1, n // 128)) blocks (``np.array_split``),
-so every block has at least 64 rows, and a table under 128 rows is one
-block. The default seqtask's 528 rows become 4 blocks of 132, the size of a
-training step's sampling table, and the table equals one forward's bit for
-bit. One 528-row forward frees about 1 MB per eval row, in buffers above
-glibc's mmap threshold, so the heap is trimmed and the next row faults the
-pages back in; 132-row buffers are reused from the heap. In 40-step seq-ni
-runs (one BLAS thread) a table took 839 µs as one forward and 596 µs in
-blocks. Blocks of 4 prompts at ``seq_modulus = 5`` (44 rows) moved
-``kl_from_init`` of 40-step runs by up to 5.7e-13 relative, which is why no
-block goes below 64 rows.
+prompts, one ``context_table`` forward each, keeping only the logits, so its
+buffers stay the size of a sampling table's: a table of n rows takes
+min(P, max(1, n // 128)) blocks (``np.array_split``), so every block has at
+least 64 rows, and a table under 128 rows is one block. The blocked table
+equals one forward's bit for bit; smaller blocks would round differently.
 
 Sampled tokens are discrete, so a sequence's log-probability is a sum over
 positions and its gradient with respect to layer l's weights is a sum of
@@ -105,17 +92,13 @@ normalizes on first read, and its sampling CDF, its log-probabilities and
 the backward of the sequences it scores share the pass (``score`` gathers
 the sampled contexts' maximum, exponentials and sum instead of normalizing
 their logits again). The backward's matmuls stay batched per sequence,
-(B, T, .) by (., .): one flat (B T)-row gemm sums in another blocking, and
-on bandit's 32-row microbatches, where OpenBLAS takes its small-matrix
-path, it moved the metrics of 40-step bandit runs by up to 2.6e-11 relative
-while seqtask's stayed identical, so the backward keeps the per-sequence
-form.
+(B, T, .) by (., .): one flat (B T)-row gemm sums in another blocking,
+which moves bandit's metrics.
 
 A checkpoint is text: every weight in ``float.hex`` form, one line per
 weight row. ``save_checkpoint`` formats all the weights in one numpy pass
-over their bits (``_hex_rows``) instead of one ``float.hex`` call per weight
-(3248 of them for the default seqtask policy), and writes the same bytes
-for every float64, zeros, subnormals, infinities and NaNs included.
+over their bits (``_hex_rows``) and writes the bytes of ``float.hex`` for
+every float64, zeros, subnormals, infinities and NaNs included.
 """
 
 from __future__ import annotations
@@ -324,11 +307,10 @@ def _inputs(net: PolicyNet, features, position, prev) -> np.ndarray:
 
     Position 0 has no previous token: its ``prev`` must still index the
     vocabulary, and its block is left zero. The one-hots are written by
-    index; a broadcast compare against a range took twice as long.
+    index.
     """
     features = np.asarray(features, dtype=float)
     v, seq_len = net.vocab_size, seq_len_for(net, features)
-    # np.broadcast_shapes does this, at twice the cost
     lead = np.broadcast(np.empty(features.shape[:-1]), position, prev).shape
     x = np.zeros(lead + (net.context_dim + 1,))
     x[..., v + seq_len : -1] = features

@@ -16,8 +16,8 @@ Numbers: As Easy as 1, 2, 3", SC 2011) on those arrays too, so row i of
 bit for bit. ``draws`` serves a draw that needs numpy's own algorithm
 (``choice``, ``permutation``): it sets one generator's Philox key to each
 label's in turn and hands the draw that generator, so
-``draws(seed, [(label, draw)])[0]`` equals ``draw(stream(seed, label))`` at
-a few microseconds per label instead of a generator's construction.
+``draws(seed, [(label, draw)])[0]`` equals ``draw(stream(seed, label))``
+without constructing a generator per label.
 
 The fixed cost per call is a few dozen small array operations, so they are
 stacked: the SeedSequence pool is one (4, rows) array, each pool word is

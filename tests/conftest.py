@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from isopo_lab import policy, tasks
+from isopo_lab import isopo, oracle, policy, tasks
 from isopo_lab.rng import stream, uniforms
 
 
@@ -32,6 +32,18 @@ def make_microbatch(net, task, seed=0, n_groups=2, group_size=4, force_advantage
             group.advantages = np.linspace(-1.0, 1.0, group_size)
             group.advantages -= group.advantages.mean()
     return mb
+
+
+def overlap(mb, n_overlap, rng):
+    """The overlap positions ``rng`` draws for ``mb``, as a run draws a step's."""
+    return isopo.overlap_positions(rng, mb.tokens.size, n_overlap)
+
+
+def sampled_mats(scored, layer, positions):
+    """Layer ``layer``'s materialized position gradients at ``positions``: the
+    sample set of ``oracle.naive_fisher_norm``."""
+    mats = oracle.materialize_position_grads(scored, layer)
+    return [mats[i] for i in positions]
 
 
 def two_pass_softmax(logits):

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 1. gradient exactness against central differences, every layer
-2. the factor-form Fisher-norm estimator equals materialized matrices
+2. the factor-form Fisher-norm estimator equals the oracle on materialized matrices
 3. the layer-NTK update equals a flattened dense solve
-4. p = -1 rescaled gradients have unit Fisher-norm estimate
+4. p = -1 rescaled gradients have unit Fisher-norm estimate, measured by the oracle
 5. A|v|^2/|v|_F^2 strictly minimizes the exact-Fisher objective
 6. definitional degeneracies: identity rescaling and rho = 1 GRPO equal
    REINFORCE, and a huge Tikhonov c turns the NTK update into the vanilla one
@@ -29,6 +29,8 @@ import pytest
 from isopo_lab import baselines, checks, harness, isopo, oracle, policy, tasks
 from isopo_lab.config import RunConfig
 from isopo_lab.rng import stream, uniforms
+
+from conftest import overlap, sampled_mats
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -90,24 +92,25 @@ def test_criterion_02_rank_one_estimator_equivalence():
     start = time.time()
     task, net = default_setup(1)
     mb = default_microbatch(task, net, seed=1, n_groups=4, group_size=8)
-    rng = stream(1, "c2-v")
-    worst = 0.0
-    for l in range(net.n_layers):
-        mats = oracle.materialize_position_grads(mb.scored, l)
-        for pair in range(100):
-            samples = isopo.draw_overlap_samples(mb, 64, stream(pair, f"c2-ov/{l}"))
-            sampled = [mats[i] for i in samples.indices]
-            v = rng.standard_normal(net.weights[l].shape)
-            fast = isopo.fisher_norm_estimate(
-                v, samples.act_in[l], samples.grad_out[l], samples.denominators[l]
-            )
-            slow = oracle.naive_fisher_norm(v, sampled)
-            worst = max(worst, abs(fast - slow) / max(slow, 1e-12))
+    scored = mb.scored
+    n_seq = len(scored.logprobs)
+    mats = [oracle.materialize_position_grads(scored, l) for l in range(net.n_layers)]
+    seq_grads = scored.seq_grads
+    errors = []
+    # each draw checks one sequence in every layer; the 100 draws cover all 32
+    for pair in range(100):
+        positions = overlap(mb, 64, stream(pair, "c2-ov"))
+        norms, _ = isopo.sequence_fisher_norms(scored, positions)
+        b = pair % n_seq
+        for l in range(net.n_layers):
+            slow = oracle.naive_fisher_norm(seq_grads[l][b], [mats[l][i] for i in positions])
+            errors.append(abs(norms[b, l] - slow) / max(slow, 1e-12))
+    worst = float(np.max(errors))  # a NaN estimate fails
     elapsed = time.time() - start
     report(
         2,
-        "factor-form estimator equals materialized matrices (100 pairs per shape)",
-        worst <= 1e-10 and elapsed < 10.0,
+        "factor-form estimator equals materialized matrices (100 draws, every layer)",
+        n_seq == 32 and worst <= 1e-10 and elapsed < 10.0,
         f"max rel err {worst:.2e}, {elapsed:.1f}s",
     )
 
@@ -163,17 +166,16 @@ def test_criterion_04_self_normalization():
     scaled = policy.Scored(scored.logprobs, scored.act_in, [g * 12.0 for g in scored.grad_out])
     group = tasks.Group(prompt, np.zeros(8), np.linspace(-1, 1, 8))
     mb = tasks.Microbatch([group], features, tokens, scaled)
-    samples = isopo.draw_overlap_samples(mb, 64, stream(3, "c4-ov"))
-    norms, degenerate = isopo.sequence_fisher_norms(mb, samples)
+    positions = overlap(mb, 64, stream(3, "c4-ov"))
+    norms, degenerate = isopo.sequence_fisher_norms(scaled, positions)
     params = isopo.RescalingParams(p=-1.0, q=0.0, r=0.0, reg_strength=0.0)
-    worst = 0.0
+    errors = []
     for l, jac in enumerate(scaled.seq_grads):
+        sampled = sampled_mats(scaled, l, positions)
         for i in range(len(jac)):
             w = isopo.rescaling(jac[i], norms[i, l], params, l)
-            f_w = isopo.fisher_norm_estimate(
-                w, samples.act_in[l], samples.grad_out[l], samples.denominators[l]
-            )
-            worst = max(worst, abs(f_w - 1.0))
+            errors.append(abs(oracle.naive_fisher_norm(w, sampled) - 1.0))
+    worst = float(np.max(errors))
     min_f = float(np.nanmin(norms))
     report(
         4,
@@ -198,9 +200,7 @@ def test_criterion_05_scalar_minimizer():
 def test_criterion_06_definitional_degeneracies():
     task, net = default_setup(4)
     mb = default_microbatch(task, net, seed=4, n_groups=4, group_size=8)
-    samples = isopo.draw_overlap_samples(mb, 64, stream(4, "c6"))
-
-    norms, _ = isopo.sequence_fisher_norms(mb, samples)
+    norms, _ = isopo.sequence_fisher_norms(mb.scored, overlap(mb, 64, stream(4, "c6")))
     upd = isopo.noninteracting_update(
         mb, norms, isopo.RescalingParams(p=0.0, q=0.0, r=0.0)
     )

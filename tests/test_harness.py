@@ -11,6 +11,8 @@ from isopo_lab.config import RunConfig
 from isopo_lab.errors import ConfigError, ContractViolation, CsvFormatError
 from isopo_lab.rng import stream
 
+from conftest import overlap
+
 
 def quick_cfg(**kw):
     base = dict(steps=4, eval_every=2, seed=0, group_size=4, groups_per_microbatch=2)
@@ -828,8 +830,8 @@ def test_failure_inside_update_aborts_with_row(tmp_path, monkeypatch, algo, modu
     assert [r["step"] for r in harness.read_metrics_csv(res.csv_path)] == [0, 2]
     # the row's diagnostics are those of step 2's microbatch and its overlap/2 sample
     mb = current["batch"]
-    overlap = isopo.draw_overlap_samples(mb, cfg.n_overlap, stream(cfg.seed, "overlap/2"))
-    norms, degenerate = isopo.sequence_fisher_norms(mb, overlap)
+    positions = overlap(mb, cfg.n_overlap, stream(cfg.seed, "overlap/2"))
+    norms, degenerate = isopo.sequence_fisher_norms(mb.scored, positions)
     row = res.rows[1]
     assert row["mean_reward"] == float(mb.rewards.mean())
     assert row["degenerate_sequences"] == int(np.count_nonzero(degenerate))

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from isopo_lab import baselines, checks, isopo, metrics, oracle, policy, tasks
-from isopo_lab.errors import ContractViolation, EstimatorDegenerateError, SingularMatrixError
+from isopo_lab.errors import ContractViolation, SingularMatrixError
 from isopo_lab.rng import stream, uniforms
 
-from conftest import as_factors, make_microbatch, scale_grad_out
+from conftest import as_factors, make_microbatch, overlap, sampled_mats, scale_grad_out
 
 
 def random_factors(rng, n, out_dim, in_dim):
@@ -22,55 +22,62 @@ def random_factors(rng, n, out_dim, in_dim):
 # ---------------------------------------------------------------- fisher norm
 
 
+def scored_of(act_in, grad_out):
+    """A one-layer ``Scored`` of factors act_in (B, T, in + 1) and grad_out (B, T, out)."""
+    return policy.Scored(np.zeros(len(act_in)), [act_in], [grad_out])
+
+
 def test_fisher_norm_orthogonal_update_is_zero():
+    # the one sampled position is sequence 0's first; both position gradients
+    # of sequence 1 are orthogonal (Frobenius) to it, since their output
+    # factors are orthogonal to its own
     rng = np.random.default_rng(0)
-    act, gout = random_factors(rng, 1, 3, 4)
-    g, a = gout[0], act[0]
-    # build v orthogonal (Frobenius) to the single rank-one sample
-    v = rng.standard_normal((3, 5))
-    sample = np.outer(g, a)
-    v -= sample * (np.sum(v * sample) / np.sum(sample * sample))
-    assert isopo.fisher_norm_estimate(v, act, gout) < 1e-12 * np.linalg.norm(v)
+    act, gout = random_factors(rng, 4, 3, 4)
+    g = gout[0]
+    gout[2:] -= np.outer(gout[2:] @ g, g) / (g @ g)
+    scored = scored_of(act.reshape(2, 2, -1), gout.reshape(2, 2, -1))
+    norms, degenerate = isopo.sequence_fisher_norms(scored, np.array([0]))
+    assert not degenerate.any()
+    assert norms[0, 0] > 0.0
+    assert norms[1, 0] < 1e-12 * math.sqrt(scored.sq_norms[0][1])
 
 
 def test_fisher_norm_single_sample_own_outer_product():
+    # a one-position sequence sampled at its own position: the numerator is
+    # |g|^2 |a|^2 and the denominator |g||a|, so the estimate is |g||a| = |V|_F
     rng = np.random.default_rng(1)
-    act, gout = random_factors(rng, 1, 4, 6)
-    g, a = gout[0], act[0]
-    v = np.outer(g, a)
-    # numerator |g|^2 |a|^2, denominator |g||a|, so the estimate is |g||a| = |v|_F
-    expected = np.linalg.norm(g) * np.linalg.norm(a)
-    got = isopo.fisher_norm_estimate(v, act, gout)
-    assert got == pytest.approx(expected, rel=1e-12)
-    assert got == pytest.approx(np.linalg.norm(v), rel=1e-12)
+    act, gout = random_factors(rng, 3, 4, 6)
+    scored = scored_of(act[:, None], gout[:, None])
+    for b in range(3):
+        norms, degenerate = isopo.sequence_fisher_norms(scored, np.array([b]))
+        assert not degenerate.any()
+        expected = np.linalg.norm(gout[b]) * np.linalg.norm(act[b])
+        assert norms[b, 0] == pytest.approx(expected, rel=1e-12)
+        assert norms[b, 0] == pytest.approx(np.linalg.norm(np.outer(gout[b], act[b])), rel=1e-12)
 
 
 def test_fisher_norm_matches_materialized_oracle(microbatch):
-    samples = isopo.draw_overlap_samples(microbatch, 10, stream(0, "ov"))
-    rng = np.random.default_rng(2)
-    for l, jac in enumerate(microbatch.scored.seq_grads):
-        mats = oracle.materialize_position_grads(microbatch.scored, l)
-        sampled = [mats[i] for i in samples.indices]
-        for _ in range(20):
-            v = rng.standard_normal(jac.shape[1:])
-            fast = isopo.fisher_norm_estimate(
-                v, samples.act_in[l], samples.grad_out[l], samples.denominators[l]
-            )
-            slow = oracle.naive_fisher_norm(v, sampled)
-            assert fast == pytest.approx(slow, rel=1e-10)
+    scored = microbatch.scored
+    positions = overlap(microbatch, 10, stream(0, "ov"))
+    norms, degenerate = isopo.sequence_fisher_norms(scored, positions)
+    assert not degenerate.any()
+    for l, seq_grads in enumerate(scored.seq_grads):
+        sampled = sampled_mats(scored, l, positions)
+        for b, v in enumerate(seq_grads):
+            assert norms[b, l] == pytest.approx(oracle.naive_fisher_norm(v, sampled), rel=1e-10)
 
 
-def test_fisher_norm_degenerate_samples_raise():
-    act = np.concatenate([np.zeros((2, 3)), np.ones((2, 1))], axis=1)
-    with pytest.raises(EstimatorDegenerateError):
-        isopo.fisher_norm_estimate(np.ones((4, 4)), act, np.zeros((2, 4)))
-
-
-def test_fisher_norm_shape_mismatch():
-    rng = np.random.default_rng(3)
-    act, gout = random_factors(rng, 2, 3, 4)
-    with pytest.raises(ContractViolation):
-        isopo.fisher_norm_estimate(np.zeros((3, 4)), act, gout)  # needs in_dim + 1 = 5
+def test_fisher_norm_degenerate_samples_are_nan(microbatch):
+    # an all-zero sample set marks every sequence degenerate, with NaN norms,
+    # although only the sampled sequence has V = 0
+    scored = microbatch.scored
+    for gout in scored.grad_out:
+        gout[0] = 0.0
+    seq_len = microbatch.tokens.shape[1]
+    norms, degenerate = isopo.sequence_fisher_norms(scored, np.arange(seq_len))
+    assert degenerate.all()
+    assert np.isnan(norms).all()
+    assert all(np.all(sq[1:] > 0.0) for sq in scored.sq_norms)
 
 
 # ----------------------------------------------------------------- rescaling
@@ -117,21 +124,18 @@ def test_rescaling_rejects_negative_norm():
         isopo.rescaling(np.zeros((2, 2)), -1.0, isopo.RescalingParams())
 
 
-# ------------------------------------------------------------ overlap samples
+# ---------------------------------------------------------- overlap positions
 
 
 def test_overlap_clamps_to_all_positions(microbatch):
-    total = microbatch.tokens.size
-    samples = isopo.draw_overlap_samples(microbatch, 10_000, stream(0, "c"))
-    assert samples.n_samples == total
-    assert np.array_equal(np.sort(samples.indices), np.arange(total))
+    positions = overlap(microbatch, 10_000, stream(0, "c"))
+    assert np.array_equal(positions, np.arange(microbatch.tokens.size))
 
 
 def test_overlap_deterministic(microbatch):
-    a = isopo.draw_overlap_samples(microbatch, 5, stream(3, "ov"))
-    b = isopo.draw_overlap_samples(microbatch, 5, stream(3, "ov"))
-    assert np.array_equal(a.indices, b.indices)
-    assert a.denominators == b.denominators
+    a = overlap(microbatch, 5, stream(3, "ov"))
+    b = overlap(microbatch, 5, stream(3, "ov"))
+    assert np.array_equal(a, b)
 
 
 def test_overlap_inclusion_uniform(microbatch):
@@ -141,26 +145,17 @@ def test_overlap_inclusion_uniform(microbatch):
     counts = np.zeros(total)
     rng = stream(0, "uniformity")
     for _ in range(redraws):
-        idx = isopo.draw_overlap_samples(microbatch, take, rng).indices
-        counts[idx] += 1
+        counts[overlap(microbatch, take, rng)] += 1
     p = take / total
     sigma = math.sqrt(p * (1 - p) / redraws)
     assert np.all(np.abs(counts / redraws - p) < 3 * sigma)
 
 
-def test_overlap_caches_denominator(microbatch):
-    samples = isopo.draw_overlap_samples(microbatch, 7, stream(1, "den"))
-    for l, (act, gout) in enumerate(zip(samples.act_in, samples.grad_out)):
-        scale = np.linalg.norm(gout, axis=1) * np.linalg.norm(act, axis=1)
-        assert samples.denominators[l] == pytest.approx(float(np.linalg.norm(scale)))
-        assert samples.denominators[l] > 0
-
-
 # --------------------------------------------------- non-interacting update
 
 
-def ni_update(mb, samples, params):
-    norms, _ = isopo.sequence_fisher_norms(mb, samples)
+def ni_update(mb, positions, params):
+    norms, _ = isopo.sequence_fisher_norms(mb.scored, positions)
     return isopo.noninteracting_update(mb, norms, params)
 
 
@@ -168,15 +163,15 @@ def test_noninteracting_zero_advantages(small_net, small_task):
     mb = make_microbatch(small_net, small_task, seed=1, force_advantages=False)
     for g in mb.groups:
         g.advantages = np.zeros_like(g.advantages)
-    samples = isopo.draw_overlap_samples(mb, 16, stream(0, "o"))
-    for g in ni_update(mb, samples, isopo.RescalingParams(p=-1.0)):
+    positions = overlap(mb, 16, stream(0, "o"))
+    for g in ni_update(mb, positions, isopo.RescalingParams(p=-1.0)):
         assert np.all(g == 0.0)
 
 
 def test_noninteracting_identity_equals_reinforce(microbatch):
-    samples = isopo.draw_overlap_samples(microbatch, 16, stream(0, "o"))
+    positions = overlap(microbatch, 16, stream(0, "o"))
     params = isopo.RescalingParams(p=0.0, q=0.0, r=0.0)
-    upd = ni_update(microbatch, samples, params)
+    upd = ni_update(microbatch, positions, params)
     ref = baselines.reinforce_grad(microbatch)
     for a, b in zip(upd, ref):
         assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1.0)
@@ -185,17 +180,16 @@ def test_noninteracting_identity_equals_reinforce(microbatch):
 def test_batched_estimates_match_per_sequence_loop(small_net, small_task):
     # the per-sequence loop is the reference for the batched contractions
     mb = make_microbatch(small_net, small_task, seed=7)
-    samples = isopo.draw_overlap_samples(mb, 12, stream(7, "o"))
+    positions = overlap(mb, 12, stream(7, "o"))
     params = isopo.RescalingParams(p=-1.0, q=0.5, r=0.25)
-    norms, degenerate = isopo.sequence_fisher_norms(mb, samples)
+    norms, degenerate = isopo.sequence_fisher_norms(mb.scored, positions)
     upd = isopo.noninteracting_update(mb, norms, params)
     assert not degenerate.any()
     for l, jac in enumerate(mb.scored.seq_grads):
+        sampled = sampled_mats(mb.scored, l, positions)
         expected = np.zeros_like(jac[0])
         for i in range(len(jac)):
-            f = isopo.fisher_norm_estimate(
-                jac[i], samples.act_in[l], samples.grad_out[l], samples.denominators[l]
-            )
+            f = oracle.naive_fisher_norm(jac[i], sampled)
             assert norms[i, l] == pytest.approx(f, rel=1e-14)
             expected += mb.advantages[i] * isopo.rescaling(jac[i], f, params, l)
         assert np.allclose(upd[l], expected, rtol=1e-12, atol=1e-15)
@@ -203,8 +197,8 @@ def test_batched_estimates_match_per_sequence_loop(small_net, small_task):
 
 def test_rescaling_ema_kept_only_when_read(small_net, small_task):
     mb = make_microbatch(small_net, small_task, seed=7)
-    samples = isopo.draw_overlap_samples(mb, 12, stream(7, "o"))
-    norms, degenerate = isopo.sequence_fisher_norms(mb, samples)
+    positions = overlap(mb, 12, stream(7, "o"))
+    norms, degenerate = isopo.sequence_fisher_norms(mb.scored, positions)
     assert not degenerate.any()
     idle = isopo.RescalingParams(p=-1.0, q=0.5, r=-0.5, reg_strength=0.0)
     isopo.noninteracting_update(mb, norms, idle)
@@ -230,22 +224,20 @@ def test_noninteracting_single_sequence_composition(small_net, small_task):
     mb = tasks.build_microbatch(small_net, small_task, [prompt], u)
     adv = np.array([1.7, 0.0])
     mb.groups[0].advantages = adv
-    samples = isopo.draw_overlap_samples(mb, 8, stream(2, "o"))
+    positions = overlap(mb, 8, stream(2, "o"))
     params = isopo.RescalingParams(p=-1.0, q=0.0, r=0.0, reg_strength=0.0)
-    upd = ni_update(mb, samples, params)
+    upd = ni_update(mb, positions, params)
     # compose the two operations by hand for the only active sequence
     for l in range(small_net.n_layers):
         v = mb.scored.seq_grads[l][0]
-        f = isopo.fisher_norm_estimate(
-            v, samples.act_in[l], samples.grad_out[l], samples.denominators[l]
-        )
+        f = oracle.naive_fisher_norm(v, sampled_mats(mb.scored, l, positions))
         expected = adv[0] * isopo.rescaling(v, f, isopo.RescalingParams(p=-1.0), l)
         assert np.allclose(upd[l], expected, rtol=1e-12, atol=1e-15)
 
 
 def test_noninteracting_linear_in_advantages(small_net, small_task):
     mb = make_microbatch(small_net, small_task, seed=4)
-    samples = isopo.draw_overlap_samples(mb, 12, stream(4, "o"))
+    positions = overlap(mb, 12, stream(4, "o"))
     params = isopo.RescalingParams(p=-1.0, q=0.5, r=0.25)
     rng = np.random.default_rng(8)
     adv1 = [rng.standard_normal(len(g.rewards)) for g in mb.groups]
@@ -254,7 +246,7 @@ def test_noninteracting_linear_in_advantages(small_net, small_task):
     def update_with(advs):
         for g, a in zip(mb.groups, advs):
             g.advantages = a
-        return ni_update(mb, samples, params)
+        return ni_update(mb, positions, params)
 
     u1 = update_with(adv1)
     u2 = update_with(adv2)
@@ -271,8 +263,8 @@ def test_noninteracting_degenerate_fallback(small_net, small_task):
     # zero out one sequence's gradients entirely
     for gout in mb.scored.grad_out:
         gout[1] = 0.0
-    samples = isopo.draw_overlap_samples(mb, 6, stream(5, "o"))
-    norms, degenerate = isopo.sequence_fisher_norms(mb, samples)
+    positions = overlap(mb, 6, stream(5, "o"))
+    norms, degenerate = isopo.sequence_fisher_norms(mb.scored, positions)
     upd = isopo.noninteracting_update(mb, norms, isopo.RescalingParams(p=-1.0))
     assert np.count_nonzero(degenerate) == 1
     assert np.all(np.isnan(norms[1]))
@@ -288,8 +280,8 @@ def test_cancelling_positions_give_finite_updates(small_net, small_task):
         act[1, 1] = act[1, 0]
         gout[1, 1] = -gout[1, 0]
     assert all(np.all(sq >= 0.0) for sq in mb.scored.sq_norms)
-    samples = isopo.draw_overlap_samples(mb, 6, stream(6, "o"))
-    norms, degenerate = isopo.sequence_fisher_norms(mb, samples)
+    positions = overlap(mb, 6, stream(6, "o"))
+    norms, degenerate = isopo.sequence_fisher_norms(mb.scored, positions)
     assert not np.any(np.isnan(np.delete(norms, 1, axis=0)))
     for l, sq in enumerate(mb.scored.sq_norms):
         # degenerate exactly when |V_1|^2 came out as 0; otherwise a finite estimate
@@ -314,18 +306,16 @@ def test_self_normalization_under_shared_samples(small_net, small_task):
     mb = tasks.build_microbatch(small_net, small_task, [prompt], u)
     mb.groups[0].advantages = np.linspace(-1, 1, 8)
     mb = scale_grad_out(mb, 12.0)
-    samples = isopo.draw_overlap_samples(mb, 64, stream(0, "ov"))
-    norms, degenerate = isopo.sequence_fisher_norms(mb, samples)
+    positions = overlap(mb, 64, stream(0, "ov"))
+    norms, degenerate = isopo.sequence_fisher_norms(mb.scored, positions)
     assert not degenerate.any()
     assert np.nanmin(norms) > 2.3  # F^2 > 5, so the floor's clamp is inactive
     params = isopo.RescalingParams(p=-1.0, q=0.0, r=0.0, reg_strength=0.0)
     for l, jac in enumerate(mb.scored.seq_grads):
+        sampled = sampled_mats(mb.scored, l, positions)
         for i in range(len(jac)):
             w = isopo.rescaling(jac[i], norms[i, l], params, l)
-            f_w = isopo.fisher_norm_estimate(
-                w, samples.act_in[l], samples.grad_out[l], samples.denominators[l]
-            )
-            assert abs(f_w - 1.0) <= 1e-9
+            assert abs(oracle.naive_fisher_norm(w, sampled) - 1.0) <= 1e-9
 
 
 def test_self_normalization_floor_identity(microbatch):
@@ -334,33 +324,45 @@ def test_self_normalization_floor_identity(microbatch):
     params = isopo.RescalingParams(p=-1.0, q=0.0, r=0.0, reg_strength=0.0)
     for grad_scale in (1.0, 1e-6):
         mb = scale_grad_out(microbatch, grad_scale)
-        samples = isopo.draw_overlap_samples(mb, 16, stream(0, "o"))
-        norms, _ = isopo.sequence_fisher_norms(mb, samples)
+        positions = overlap(mb, 16, stream(0, "o"))
+        norms, _ = isopo.sequence_fisher_norms(mb.scored, positions)
         below = np.nanmax(norms) ** 2 < isopo.RESCALE_FLOOR
         assert below == (grad_scale < 1.0)
         assert below or np.nanmin(norms) ** 2 > isopo.RESCALE_FLOOR
         for l, jac in enumerate(mb.scored.seq_grads):
+            sampled = sampled_mats(mb.scored, l, positions)
             for i in range(len(jac)):
                 if np.isnan(norms[i, l]):
                     continue
                 w = isopo.rescaling(jac[i], norms[i, l], params, l)
-                f_w = isopo.fisher_norm_estimate(
-                    w, samples.act_in[l], samples.grad_out[l], samples.denominators[l]
-                )
+                f_w = oracle.naive_fisher_norm(w, sampled)
                 f = norms[i, l]
                 expected = f / 1e-4 if below else f / math.sqrt(max(f * f, isopo.RESCALE_FLOOR))
                 assert f_w == pytest.approx(expected, rel=1e-12)
 
 
 def test_estimator_consistent_with_exact_fisher():
-    # sequence-level exact moments vs the position-subsampled estimate
+    # sequence-level exact moments vs the position-subsampled estimate of a
+    # sequence gradient V; each redraw samples 256 sequences and estimates the
+    # norm of V, appended as sequence 256, from all 512 of their positions
     seed = 0
     net, prompt = checks._tiny_oracle_policy(seed)
     seq_len = len(prompt.target)
     _, v_scored = policy.sample_and_score(
         net, prompt.features[None], uniforms(seed, ["v"], seq_len)
     )
-    features = np.repeat(prompt.features[None], 256, axis=0)
+    estimates = []
+    for redraw in range(20):
+        u = uniforms(1000 + redraw, [f"r/{k}" for k in range(256)], seq_len)
+        _, scored = policy.sample_and_score(net, prompt.features[None], u)
+        joined = policy.Scored(
+            np.append(scored.logprobs, v_scored.logprobs),
+            [np.concatenate(pair) for pair in zip(scored.act_in, v_scored.act_in)],
+            [np.concatenate(pair) for pair in zip(scored.grad_out, v_scored.grad_out)],
+        )
+        positions = isopo.overlap_positions(stream(redraw, "ov"), 256 * seq_len, 512)
+        norms, _ = isopo.sequence_fisher_norms(joined, positions)
+        estimates.append(norms[256] ** 2)
     fisher = oracle.exact_fisher(net, [prompt])
     start = 0
     for l, w in enumerate(net.weights):
@@ -368,20 +370,9 @@ def test_estimator_consistent_with_exact_fisher():
         fisher_l = fisher[start : start + w.size, start : start + w.size]
         mean_sq = float(np.trace(fisher_l))
         start += w.size
-        v = v_scored.seq_grads[l][0]
-        oracle_val = float(v.ravel() @ fisher_l @ v.ravel()) / mean_sq
-        estimates = []
-        for redraw in range(20):
-            u = uniforms(1000 + redraw, [f"r/{k}" for k in range(256)], seq_len)
-            tokens, scored = policy.sample_and_score(net, prompt.features[None], u)
-            group = tasks.Group(prompt, np.zeros(256), np.zeros(256))
-            mb = tasks.Microbatch([group], features, tokens, scored)
-            ov = isopo.draw_overlap_samples(mb, 512, stream(redraw, "ov"))
-            estimates.append(
-                isopo.fisher_norm_estimate(v, ov.act_in[l], ov.grad_out[l], ov.denominators[l])
-                ** 2
-            )
-        mean_est = float(np.mean(estimates))
+        v = v_scored.seq_grads[l][0].ravel()
+        oracle_val = float(v @ fisher_l @ v) / mean_sq
+        mean_est = float(np.mean([est[l] for est in estimates]))
         assert mean_est == pytest.approx(oracle_val, rel=0.25)
 
 

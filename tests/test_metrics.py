@@ -6,12 +6,12 @@ import pytest
 from isopo_lab import isopo, metrics, tasks
 from isopo_lab.rng import stream
 
-from conftest import make_microbatch
+from conftest import make_microbatch, overlap
 
 
 def summary_for(mb, n_overlap=16, seed=0):
-    samples = isopo.draw_overlap_samples(mb, n_overlap, stream(seed, "ms"))
-    norms, degenerate = isopo.sequence_fisher_norms(mb, samples)
+    positions = overlap(mb, n_overlap, stream(seed, "ms"))
+    norms, degenerate = isopo.sequence_fisher_norms(mb.scored, positions)
     return metrics.batch_summary(mb, norms, int(np.count_nonzero(degenerate)), "reinforce"), norms
 
 
@@ -69,7 +69,7 @@ def test_validation_of_perfect_policy(small_task, small_net):
 
 
 def test_degenerate_count_passthrough(microbatch):
-    samples = isopo.draw_overlap_samples(microbatch, 8, stream(0, "d"))
-    norms, _ = isopo.sequence_fisher_norms(microbatch, samples)
+    positions = overlap(microbatch, 8, stream(0, "d"))
+    norms, _ = isopo.sequence_fisher_norms(microbatch.scored, positions)
     summary = metrics.batch_summary(microbatch, norms, 3, "reinforce")
     assert summary["degenerate_sequences"] == 3

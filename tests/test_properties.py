@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isopo_lab import baselines, isopo, policy, tasks
+from isopo_lab import baselines, isopo, oracle, policy, tasks
 from isopo_lab.config import (
     ALGO_KEYS,
     ALGOS,
@@ -22,7 +22,7 @@ from isopo_lab.config import (
 )
 from isopo_lab.rng import stream
 
-from conftest import make_microbatch
+from conftest import make_microbatch, overlap, sampled_mats
 
 TASK = tasks.SeqAdditionTask(modulus=5, seq_len=2)
 NET = policy.init_policy(
@@ -60,10 +60,14 @@ def test_sequence_permutation_equivariance(seed, perm):
     perm = np.array(perm)
     mb = make_microbatch(NET, TASK, seed=seed)
     other = permuted(mb, perm)
-    samples = isopo.draw_overlap_samples(mb, 10, stream(seed, "prop-ov"))
+    positions = overlap(mb, 10, stream(seed, "prop-ov"))
+    # the same positions in ``other``: sequence perm[i] of ``mb`` is its sequence i
+    seq_len = mb.tokens.shape[1]
+    rows = np.argsort(perm)[positions // seq_len]
+    p_positions = np.sort(rows * seq_len + positions % seq_len)
 
-    norms, degenerate = isopo.sequence_fisher_norms(mb, samples)
-    p_norms, p_degenerate = isopo.sequence_fisher_norms(other, samples)
+    norms, degenerate = isopo.sequence_fisher_norms(mb.scored, positions)
+    p_norms, p_degenerate = isopo.sequence_fisher_norms(other.scored, p_positions)
     assert np.array_equal(np.isnan(p_norms), np.isnan(norms[perm]))
     assert np.array_equal(p_degenerate, degenerate[perm])
     assert_close(np.nan_to_num(p_norms), np.nan_to_num(norms[perm]))
@@ -128,14 +132,16 @@ def test_factor_identities_match_materialized_gradients(factors):
     assert np.array_equal(gram, gram.T)
     assert np.all(np.abs(gram - flat @ flat.T) <= 1e-14 * np.outer(scale, scale))
 
-    # Fisher-norm estimates from the projections g_j . V_b a_j
-    n = int(rng.integers(1, 9))
-    g = rng.standard_normal((n, grad_out.shape[2]))
-    a = rng.standard_normal((n, act_in.shape[2]))
-    denominator = np.linalg.norm(np.linalg.norm(g, axis=1) * np.linalg.norm(a, axis=1))
-    fast = np.linalg.norm(policy.grad_projections(grad_out, act_in, g, a), axis=1) / denominator
-    slow = isopo.fisher_norm_estimate(seq_grads, a, g, denominator)
-    assert np.all(np.abs(fast - slow) <= 1e-12 * scale)
+    # Fisher-norm estimates from the projections g_j . V_b a_j of sampled
+    # positions, against the oracle on the materialized sample
+    n_positions = grad_out.shape[0] * grad_out.shape[1]
+    positions = np.sort(rng.permutation(n_positions)[: int(rng.integers(1, n_positions + 1))])
+    scored = policy.Scored(np.zeros(len(grad_out)), [act_in], [grad_out])
+    norms, degenerate = isopo.sequence_fisher_norms(scored, positions)
+    assert not degenerate.any()
+    sampled = sampled_mats(scored, 0, positions)
+    slow = np.array([oracle.naive_fisher_norm(v, sampled) for v in seq_grads])
+    assert np.all(np.abs(norms[:, 0] - slow) <= 1e-12 * scale)
 
 
 @settings(max_examples=200, deadline=None)
