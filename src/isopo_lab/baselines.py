@@ -1,34 +1,20 @@
 """REINFORCE and sequence-level clipped-GRPO references, plus optimizers.
 
-REINFORCE is the plain advantage-weighted sum of sequence log-probability
-gradients. Both gradients are weighted sums sum_b w_b V_b of the sequence
-gradients, and both are taken from the scored factors as one gemm per layer
-over the microbatch's B T positions (``policy.grad_sum``), without forming
-any V_b, the weights checked once for all layers. GRPO reuses the same
+Both gradients are weighted sums sum_b w_b V_b of the sequence
+log-probability gradients, taken from the scored factors
+(``policy.grad_sum``). REINFORCE weights by the advantages. GRPO reuses one
 sampled microbatch over several inner epochs, weighting each sequence by its
-importance ratio to the sampling-time policy and dropping (clipping flat)
-sequences whose ratio left [1-eps, 1+eps] in the unfavorable direction. The
-sampling-time policy is held as a snapshot array of per-sequence
-log-probabilities, the microbatch's own ``scored.logprobs``. Each inner
-epoch re-scores the whole microbatch in one teacher-forced pass. Its inputs
-depend on the prompts and tokens alone, not on the weights, and the sampled
-batch already holds them: its layer-0 buffer ``scored.act_in[0]`` is the
-teacher-forced input value for value, so every epoch's forward reads that
-buffer, and writes it nowhere, instead of building or copying its own. On
-the first inner epoch the ratio is exactly 1 and the two gradients
-coincide. A ratio that overflows raises FloatingPointError (an
-ArithmeticError), so the training loop aborts instead of silently dropping
-the sequence.
+importance ratio to the sampling-time policy (a snapshot of the batch's own
+``scored.logprobs``) and dropping sequences whose ratio left
+[1-eps, 1+eps] in the unfavorable direction. Each epoch re-scores the batch
+from its layer-0 buffer ``scored.act_in[0]``, its teacher-forced inputs. A
+ratio that overflows raises FloatingPointError, an ArithmeticError, so the
+run aborts instead of dropping the sequence.
 
-Both optimizers follow the descent convention theta <- theta - lr * g, so the
-training loop passes the negated ascent gradient. Their update is elementwise,
-so ``optimizer_step`` runs it once over the policy's flat ``params``, with the
-gradients flattened into its layout and AdamW's two moments kept as flat
-vectors in it. It checks the gradients and then the updated weights for
-finiteness in one pass each, and only then writes ``params``, so a step that
-would write a NaN or an infinity writes nothing and the run aborts with its
-last finite weights, which ``policy.load_checkpoint`` accepts. Per element
-this is the per-layer rule, bit for bit.
+Both optimizers descend, theta <- theta - lr * g, elementwise over the
+policy's flat ``params``. ``optimizer_step`` checks the gradients and then
+the updated weights for finiteness before it writes anything, so an aborted
+run keeps its last finite weights, which ``policy.load_checkpoint`` accepts.
 """
 
 from __future__ import annotations
@@ -38,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, NonFiniteGradientError, NonFiniteWeightError
-from .policy import PolicyNet, Scored, grad_sum, score, sequence_logprobs
+from .policy import PolicyNet, Scored, grad_sum, score
 from .tasks import Microbatch
 
 ADAM_BETA1 = 0.9
@@ -99,7 +85,7 @@ def grpo_surrogate(
     clip_eps: float,
 ) -> float:
     """Scalar clipped surrogate objective (used by gradient checks)."""
-    rho = _ratios(sequence_logprobs(net, microbatch.features, microbatch.tokens), snapshot)
+    rho = _ratios(score(net, microbatch.features, microbatch.tokens).logprobs, snapshot)
     advantages = microbatch.advantages
     clipped = np.clip(rho, 1.0 - clip_eps, 1.0 + clip_eps)
     return float(np.sum(np.minimum(rho * advantages, clipped * advantages)))
@@ -107,7 +93,7 @@ def grpo_surrogate(
 
 def reinforce_surrogate(microbatch: Microbatch, net: PolicyNet) -> float:
     """Scalar objective sum_o A_o log pi(o) (used by gradient checks)."""
-    logprobs = sequence_logprobs(net, microbatch.features, microbatch.tokens)
+    logprobs = score(net, microbatch.features, microbatch.tokens).logprobs
     return float(microbatch.advantages @ logprobs)
 
 

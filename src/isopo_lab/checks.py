@@ -3,12 +3,13 @@
 Each suite compares an implementation path against an independent reference
 (central finite differences, fully materialized position and sequence
 gradients, a dense flattened solve, or exact enumeration) and reports its
-worst error. The CLI exits nonzero if any suite fails.
+worst error. Every error-folding suite passes through ``verdict``, whose
+``np.max`` fold makes a NaN anywhere fail. The CLI exits nonzero if any
+suite fails.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +43,17 @@ def fd_grad(objective, net: policy.PolicyNet) -> tuple[np.ndarray, ...]:
     return net.split(grad)
 
 
-def max_rel_error(analytic: list[np.ndarray], numeric: list[np.ndarray]) -> float:
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), FD_FLOOR)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
+def rel_errors(analytic, numeric) -> np.ndarray:
+    """Every entry's |a - n| / max(|a|, |n|, FD_FLOOR) of two lists of arrays, as one array."""
+    a = np.concatenate([np.ravel(x) for x in analytic])
+    n = np.concatenate([np.ravel(x) for x in numeric])
+    return np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), FD_FLOOR)
+
+
+def verdict(name: str, errors, bound: float, detail: str = "") -> SuiteResult:
+    """Pass when the largest of ``errors`` is at most ``bound``; a NaN anywhere fails."""
+    worst = float(np.max(errors))
+    return SuiteResult(name, worst <= bound, worst, detail)
 
 
 def _check_net(seed: int) -> tuple[policy.PolicyNet, tasks.SeqAdditionTask]:
@@ -89,18 +95,14 @@ def run_gradcheck(seed: int = 0, grad_tamper=None) -> list[SuiteResult]:
         net, prompt.features[None], uniforms(seed, ["gradcheck-seq"], task.seq_len)
     )
     analytic = tamper([g[0] for g in scored.seq_grads])
-    numeric = fd_grad(
-        lambda: policy.sequence_logprobs(net, prompt.features[None], tokens)[0], net
-    )
-    err = max_rel_error(analytic, numeric)
-    results.append(SuiteResult("policy-backward-fd", err <= FD_RTOL, err))
+    numeric = fd_grad(lambda: policy.score(net, prompt.features[None], tokens).logprobs[0], net)
+    results.append(verdict("policy-backward-fd", rel_errors(analytic, numeric), FD_RTOL))
 
     # 2. REINFORCE gradient vs differences of sum_o A_o log pi(o)
     microbatch = _check_microbatch(net, task, seed)
     analytic = tamper(baselines.reinforce_grad(microbatch))
     numeric = fd_grad(lambda: baselines.reinforce_surrogate(microbatch, net), net)
-    err = max_rel_error(analytic, numeric)
-    results.append(SuiteResult("reinforce-surrogate-fd", err <= FD_RTOL, err))
+    results.append(verdict("reinforce-surrogate-fd", rel_errors(analytic, numeric), FD_RTOL))
 
     # 3. GRPO clipped-surrogate gradient, away from the sampling policy (rho != 1)
     snapshot = microbatch.scored.logprobs
@@ -111,11 +113,10 @@ def run_gradcheck(seed: int = 0, grad_tamper=None) -> list[SuiteResult]:
     numeric = fd_grad(
         lambda: baselines.grpo_surrogate(microbatch, snapshot, shifted, clip_eps), shifted
     )
-    err = max_rel_error(analytic, numeric)
-    results.append(SuiteResult("grpo-surrogate-fd", err <= FD_RTOL, err))
+    results.append(verdict("grpo-surrogate-fd", rel_errors(analytic, numeric), FD_RTOL))
 
     # 4. the training path's Fisher-norm estimate of every sequence gradient vs
-    # fully materialized position gradients (a NaN estimate fails)
+    # fully materialized position gradients
     scored = microbatch.scored
     positions = isopo.overlap_positions(
         stream(seed, "gradcheck-overlap"), microbatch.tokens.size, 16
@@ -128,11 +129,10 @@ def run_gradcheck(seed: int = 0, grad_tamper=None) -> list[SuiteResult]:
         for b, v in enumerate(seq_grads):
             slow = oracle.naive_fisher_norm(v, sampled)
             errors.append(abs(norms[b, l] - slow) / max(slow, 1e-12))
-    worst = float(np.max(errors))
-    results.append(SuiteResult("rank-one-equivalence", worst <= 1e-10, worst))
+    results.append(verdict("rank-one-equivalence", errors, 1e-10))
 
     # 5. factor-form NTK-preconditioned update vs flattened dense solve
-    worst = 0.0
+    errors = []
     adv = microbatch.advantages
     for l, seq_grads in enumerate(scored.seq_grads):
         jac = seq_grads.reshape(len(seq_grads), -1)
@@ -140,8 +140,8 @@ def run_gradcheck(seed: int = 0, grad_tamper=None) -> list[SuiteResult]:
         update = isopo.interacting_update(scored.grad_out[l], scored.act_in[l], adv, c)
         dense = jac.T @ np.linalg.solve(jac @ jac.T + c * np.eye(len(seq_grads)), adv)
         scale = max(float(np.linalg.norm(dense)), 1e-12)
-        worst = max(worst, float(np.linalg.norm(update.ravel() - dense)) / scale)
-    results.append(SuiteResult("ntk-dense-equivalence", worst <= 1e-9, worst))
+        errors.append(float(np.linalg.norm(update.ravel() - dense)) / scale)
+    results.append(verdict("ntk-dense-equivalence", errors, 1e-9))
 
     return results
 
@@ -236,27 +236,25 @@ def run_oracle_check(seed: int = 0) -> list[SuiteResult]:
     )
 
     probe = stream(seed, "oracle-probe")
-    worst = 0.0
+    errors = []
     for _ in range(5):
         v = probe.standard_normal(len(fisher))
         quad_matrix = float(v @ fisher @ v)
         quad_enum = oracle.fisher_quadratic(net, [prompt], v)
-        worst = max(worst, abs(quad_matrix - quad_enum) / max(quad_enum, 1e-300))
-    results.append(SuiteResult("fisher-quadratic-enumeration", worst <= 1e-12, worst))
+        errors.append(abs(quad_matrix - quad_enum) / max(quad_enum, 1e-300))
+    results.append(verdict("fisher-quadratic-enumeration", errors, 1e-12))
 
     g = probe.standard_normal(len(fisher))
     damping = 1e-6 * np.trace(fisher) / len(fisher)
     v = oracle.exact_npg(fisher, g, damping)
     system = fisher + damping * np.eye(len(fisher))
     residual = float(np.linalg.norm(system @ v - g) / np.linalg.norm(g))
-    results.append(SuiteResult("npg-residual", residual <= 1e-9, residual))
+    results.append(verdict("npg-residual", [residual], 1e-9))
 
-    worst_gap = math.inf
-    for k in range(5):
-        worst_gap = min(worst_gap, rescaling_minimizer_gap(seed + 100 + k))
+    # a NaN gap makes the smallest NaN, which fails
+    gap = float(np.min([rescaling_minimizer_gap(seed + 100 + k) for k in range(5)]))
     results.append(
-        SuiteResult("rescaling-minimizer", worst_gap > 0.0, -worst_gap,
-                    "positive margin required")
+        SuiteResult("rescaling-minimizer", gap > 0.0, -gap, "positive margin required")
     )
 
     wins = 0

@@ -1,61 +1,33 @@
 """Seeded training loops, CSV metrics files and multi-run comparison.
 
 A run is fully determined by (config, seed): every random draw comes from a
-named counter-based stream, the metrics CSV prints floats with 17 significant
-digits, and repeated runs produce byte-identical files. Apart from the
-initial weights, nothing a run draws depends on the policy: which prompts a
-step samples, the uniforms its sequences are sampled from, its overlap
-positions and its row's KL uniforms. So ``train`` derives them for every
-step before the first step and before it creates the output directory
-(``draw_steps``): one key pass over the run's ``prompts/``, ``overlap/`` and
-``kl/`` labels (``rng.draws``), then one over its sequences' ``policy/``
-labels (``rng.uniforms``). The step loop reads arrays that equal what each
-step's own named streams give; no generator reaches it, and ``rng.stream``
-builds only the initial weights' (``init``).
+named stream (``rng``), the metrics CSV prints floats with 17 significant
+digits, and repeated runs produce byte-identical files. Nothing a run draws
+after its initial weights depends on the policy, so ``train`` draws every
+step's prompts, sequence uniforms, overlap positions and KL uniforms before
+the first step (``draw_steps``).
 
-Every step, step 0 included, takes one path: sample a microbatch of groups
-(scored by the task's reward, with no KL penalty anywhere near the reward
-path, and given group-relative advantages), then, from step 1 on, apply the
-algorithm's update: one optimizer step for reinforce, isopo-ni and
-isopo-int, and ``inner_epochs`` steps on the same batch for GRPO. GRPO's
-first step runs at the sampling weights, where every ratio is exactly 1 and
-the clipped gradient is the REINFORCE gradient, so it takes that without
-re-scoring the batch; the later ones re-score it from its sampled layer-0
-inputs, which are its teacher-forced inputs (``baselines.grpo_clipped_grad``).
-Step 0 only probes the initial policy.
+Every step samples a microbatch of groups, scored by the task's reward with
+no KL penalty near it and given group-relative advantages. Step 0 only
+probes the initial policy; from step 1 on the algorithm's update follows:
+one optimizer step, or ``inner_epochs`` of them for GRPO, whose first epoch
+takes the REINFORCE gradient because its ratios are exactly 1.
 
 A row is written on every ``eval_every``-th step and on the step that
-aborts: a numeric failure inside the update (any ArithmeticError: a
-non-finite gradient, a Tikhonov system that is not finite or not positive
-definite, GRPO ratio overflow) ends the run as ABORTED with the step and the
-reason, and so does a written row that holds a NaN or an infinity
-(``NonFiniteMetricError``, naming the column). The plan holds KL uniforms
-for the ``eval_every`` steps only; an aborting step off that grid draws its
-own from ``kl/{step}`` when it writes its row. The steps run with numpy's
-overflow and invalid-value warnings off: a diverging policy overflows in
-sampling and scoring before any of these checks sees it, and the checks,
+aborts. A numeric failure inside the update (any ArithmeticError: a
+non-finite gradient or updated weight, a Tikhonov system that is not finite
+or not positive definite, GRPO ratio overflow) ends the run as ABORTED with
+the step and the reason, and so does a written row that holds a NaN or an
+infinity (``NonFiniteMetricError``, naming the column). An aborting step off
+the ``eval_every`` grid draws its KL uniforms from ``kl/{step}``. numpy's
+overflow and invalid-value warnings are off during the steps: the checks,
 not the warnings, decide whether a run ends.
 
-A row's batch diagnostics are the same for every algorithm, so the
-per-layer statistics are comparable across runs: the step's overlap
-sample sits at the positions it drew from its own ``overlap/{step}``
-stream, every sequence's per-layer Fisher norm is estimated from it and the
-batch is summarized. Only isopo-ni's update reads the norms, so it
-estimates them on every step; the other algorithms do so only on steps
-that write a row (the aborting step after its failure, from its unchanged
-microbatch), and the batch is summarized only for a written row. Skipping a
-step's diagnostics changes no other step. Each row's ``kl_from_init`` is
-read against the initial policy's table of the KL prompts, which ``train``
-builds once, before the first step (``metrics.reference_table``), so no
-copy of the initial weights is kept; ``metrics.collect`` builds the current
-policy's table for each later row.
-
-A process builds each task once: ``make_task`` returns one shared instance
-per set of task-defining fields, checked for a disjoint train/heldout split
-when it is built, and checks the config against it (both splits nonempty, a
-training prompt for every group). A task is read-only (tuples of prompts
-whose feature arrays, like the bandit's reward table, are not writeable),
-so no run can change what a later run in the same process sees.
+Fisher norms are estimated only where they are read, on every isopo-ni step
+and every written row, and a batch is summarized only for a written row;
+skipping a step's diagnostics changes no other step. ``make_task`` returns
+one shared, read-only task per set of task-defining fields and checks the
+config against it.
 """
 
 from __future__ import annotations

@@ -3,62 +3,35 @@
 Non-interacting variant
 -----------------------
 Each sequence's per-layer log-probability gradient V is rescaled before being
-weighted by its advantage. The size of V in the Fisher metric is estimated
-from a random subsample of the microbatch's per-position rank-one gradient
-factors (g_j, a_j), drawn from the flattened (B, T) grid of positions:
+weighted by its advantage. Its size in the Fisher metric is estimated from a
+random sample of the microbatch's per-position rank-one gradient factors
+(g_j, a_j), positions of the flattened (B, T) grid (``overlap_positions``):
 
     F_norm(V) = sqrt( sum_j (g_j . V a_j)^2 ) / sqrt( sum_j (|g_j| |a_j|)^2 )
 
-The numerator is a subsampled second moment of projections of V onto position
-gradients; the denominator removes the overall scale of the samples. The
-generalized rescaling multiplies V by
+The denominator removes the overall scale of the samples. The rescaling
+multiplies V by
 
     reg2(F_norm)^p * reg2(|V|)^q * reg2(F_norm / |V|)^r
 
-with reg2(x) = sqrt(max(x^2 + reg_strength * EMA[x^2], 1e-8)). Setting p = -1
-normalizes each sequence in the (estimated) Fisher metric, exactly once the
-regularized square clears the floor, which bounds every sequence's
-contribution to the KL movement of the policy; r = -2 instead matches the
-scalar multiple of V closest to the natural-gradient direction.
-
-Training never forms a sequence gradient V_b = sum_t outer(g_bt, a_bt). The
-projections g_j . V_b a_j = sum_t (g_j . g_bt)(a_bt . a_j) come from two
-gemms over the B T positions, |V_b|^2 from per-sequence (T, T) Grams (shared
-by the degenerate test, the rescaling, its EMA and the batch summary through
-``Scored.sq_norms``), and the rescaled, advantage-weighted sum from one gemm
-over the positions (``policy.grad_sum``). A sequence is degenerate in a layer
-when |V_b|^2 == 0, or when every overlap sample is zero.
-
-The sample's positions depend on the step's stream, B T and ``n_overlap``
-alone, not on the policy: ``overlap_positions`` draws them, which a run
-does for every step before it trains (``harness.draw_steps``), and
-``sequence_fisher_norms`` gathers the factors there. Its reference,
-``oracle.naive_fisher_norm``, computes the estimate from materialized matrices.
-
-The estimator runs every step of an isopo-ni run, so it calls the numpy
-operations a norm consists of, not ``np.linalg.norm`` with its checks and
-copy: row norms are sqrt(add.reduce(x * x)) along the last axis
-(``row_norms``) and the denominator's vector norm is sqrt(s . s), the same
-operations in the same order, so every bit is kept. The rescaling computes
-only the factors whose exponent is nonzero, and F/|V| only for r != 0:
-reg2(x)^0 is exactly 1.0 for every x, NaN and infinity included, so
-skipping it changes no bit.
+with reg2(x) = sqrt(max(x^2 + reg_strength * EMA[x^2], 1e-8)). p = -1
+normalizes each sequence in the estimated Fisher metric, exactly once the
+square clears the floor, which bounds its contribution to the policy's KL
+movement; r = -2 gives the scalar multiple of V closest to the natural
+gradient. A sequence is degenerate in a layer when |V_b|^2 == 0, or when
+every sample is zero. Everything is computed from the factors (the
+identities are in ``policy``); ``oracle.naive_fisher_norm`` is the reference
+on materialized matrices.
 
 Interacting variant
 -------------------
-Per layer, the microbatch update is sum_i [(K + c I)^-1 A]_i V_i: the
-advantage vector is preconditioned by the layer's empirical neural tangent
-kernel K_ij = <V_i, V_j> (Tikhonov-regularized by c) before the usual
-weighted sum of gradients. K is the block sum over positions (t, s) of
-(G G^T) * (A A^T), where G and A stack the factors of all B T positions.
-``interacting_update`` solves (K + c I) w = A by Cholesky, so no
-eigendecomposition is needed, and does not re-check K, which is exactly
-symmetric by construction. A system that is not finite (a diverging run's
-NaN or infinite c or K) or not positive definite (c = 0 with linearly
-dependent V_i) raises SingularMatrixError, which aborts the run.
-``interacting_microbatch_update`` sets each layer's c here, from
-``Scored.sq_norms``: c = reg_factor * EMA over steps of the mean NTK
-eigenvalue trace(K) / m = mean_i |V_i|^2.
+Per layer, the update is sum_i [(K + c I)^-1 A]_i V_i: the advantages A are
+preconditioned by the layer's empirical neural tangent kernel
+K_ij = <V_i, V_j>, Tikhonov-regularized by c, and solved by Cholesky. A
+system that is not finite or not positive definite raises
+SingularMatrixError, which aborts the run. Each layer's c is reg_factor
+times the EMA over steps of the mean NTK eigenvalue trace(K) / m =
+mean_i |V_i|^2 (``Scored.sq_norms``).
 """
 
 from __future__ import annotations

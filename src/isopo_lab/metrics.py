@@ -1,9 +1,8 @@
 """Per-step diagnostics and the metrics CSV schema.
 
-A metrics row is one dict from column name to value, in CSV column order.
-``collect`` builds it, ``harness.write_metrics_csv`` writes its keys as the
-header and its values as a line, and ``harness.read_metrics_csv`` reads back
-an equal dict. The columns are ``FIXED_COLUMNS``
+A metrics row is one dict from column name to value, in CSV column order;
+``collect`` builds it, and ``harness.write_metrics_csv`` and
+``harness.read_metrics_csv`` round-trip it. The columns are ``FIXED_COLUMNS``
 
     step, algo, task, seed, mean_reward, validation, kl_from_init,
     degenerate_sequences
@@ -13,27 +12,18 @@ followed, for each layer l of the policy, by
     l{l}_mean_F_norm     mean estimated Fisher norm over the batch's
                          non-degenerate (sequence, layer) pairs; 0 if none
     l{l}_mean_grad_norm  mean_b |V_b|, V_b the layer gradient of sequence b
-    l{l}_ntk_eigen_mean  isopo-int only, a diagnostic: mean eigenvalue of
-                         the layer's empirical NTK K_ij = <V_i, V_j>, which
-                         is trace(K) / m = mean_b |V_b|^2, taken from
-                         ``isopo.mean_ntk_eigenvalue``, which also sets
-                         interacting ISOPO's Tikhonov constant
+    l{l}_ntk_eigen_mean  isopo-int only: the mean eigenvalue
+                         trace(K) / m = mean_b |V_b|^2 of the layer's NTK,
+                         which also sets its Tikhonov constant
 
-``kl_from_init`` is a ``KL_SAMPLES``-sample Monte Carlo KL of the current
-policy from the initial one over the first ``KL_PROMPTS`` heldout prompts,
-read off the two policies' tables of those prompts (``reference_table``)
-and sampled from uniforms that the run draws before training.
-The initial policy never changes, so ``harness.train`` builds its table
-once, and ``collect`` builds the current policy's: a row's KL costs one
-forward, and the step-0 row, whose weights are the initial ones, reads the
-initial table as the current one too and costs none.
+``step``, ``seed`` and ``degenerate_sequences`` are integers, ``algo`` and
+``task`` text, and every other value is a float written with 17 significant
+digits (``.17g``), so a row survives the round trip through the file exactly.
 
-``batch_summary`` runs only for a row that is written. Every |V_b|^2 comes
-from ``Scored.sq_norms``, which the step's Fisher-norm estimate already
-computed from the position factors. ``step``, ``seed``
-and ``degenerate_sequences`` are integers, ``algo`` and ``task`` text, and
-every other value is a float written with 17 significant digits (``.17g``),
-so a row survives the round trip through the file exactly.
+``kl_from_init`` is a ``KL_SAMPLES``-sample Monte Carlo estimate of
+KL(current || initial) over the first ``KL_PROMPTS`` heldout prompts, read
+off the two policies' tables of those prompts (the initial one built once
+per run, ``reference_table``) with uniforms the run draws before training.
 """
 
 from __future__ import annotations

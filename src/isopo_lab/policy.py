@@ -1,104 +1,48 @@
 """Small autoregressive softmax policies with a hand-written backward pass.
 
 A policy is a stack of linear layers with tanh between them, applied
-independently at each output position. The layer-0 input at position ``t``
-of a sequence is
+independently at each output position; the last layer gives one logit per
+vocabulary token. The layer-0 input at position t of a sequence is
 
     [ one-hot(previous token) | one-hot(t) | prompt features | 1 ]
 
-ending in the constant 1 that every layer input carries for the bias, and
-the final layer produces one logit per vocabulary token.
+Every layer input ends in a constant 1 for the bias, so each position's
+gradient is one rank-one matrix with no bias case. ``_inputs`` writes every
+layer-0 input, constant included; ``forward`` only reads that buffer, as
+``act_in[0]``, and writes each later augmented input in place.
 
-A batch of B sequences of length T is held as arrays, never as per-position
-objects, and ``forward`` maps inputs of any leading shape. The input at
-position t is fixed by the prompt, t and the previous token alone, so the
-policy is first-order Markov: a prompt presents only 1 + (T - 1) V distinct
-contexts, position 0 and every (t >= 1, previous token) pair.
-``context_table`` runs one ``forward`` over all of them for P prompts,
-P (1 + (T - 1) V) rows, keeping the logits and the layer inputs.
+The input at position t depends only on the prompt, t and the previous
+token, so a prompt has R = 1 + (T - 1) V contexts. ``_row`` numbers them
+(position 0 is row 0, (t >= 1, prev) is row 1 + (t - 1) V + prev) and
+``_context`` inverts it. A ``ContextTable`` holds the logits and layer inputs
+of all R contexts of P prompts, and a sequence of prompt p reads its flat row
+p R + ``_row``: sampling, scoring the sampled batch and the KL read the
+table, while ``greedy`` decodes position by position and GRPO re-scores by
+teacher forcing. Randomness enters only as arrays of uniforms.
 
-Two decisions about reading the policy have one owner each. ``_inputs``
-writes every layer-0 input, constant column included, from (prompt
-features, position, previous token), for the table, teacher forcing and
-``greedy`` alike; ``forward`` takes that buffer as it is, as ``act_in[0]``,
-and only reads it. ``_row`` numbers a table's contexts, with ``_context``
-its inverse. Of a table's inputs, only the feature columns depend on the
-prompt: the one-hots of a prompt's R contexts are the same for every prompt
-of an architecture (vocabulary, context dim, T). ``_context_template`` has
-``_inputs`` write them once, at the architecture's first table, with the
-features zero, and keeps them read-only for the process; each table's
-inputs are a copy of it with the features filled in (``_context_inputs``).
+Every seqtask gemm has 64 rows or more, where OpenBLAS rounds each row the
+same way at any row count, so a gathered table row equals a teacher-forced
+one bit for bit. For the same reason ``kl_reference`` builds its table of n
+rows in min(P, max(1, n // 128)) blocks of whole prompts (``np.array_split``),
+each of at least 64 rows, and equals one forward's table bit for bit.
 
-``sample_and_score`` takes P prompts and B uniform rows, B / P sequences
-per prompt in the group layout of ``tasks.build_microbatch``. It builds the
-prompts' table and draws each position's token from the CDF row of its
-context, the table's flat row p R + ``_row``(t, previous token), which
-``ContextTable.sample`` computes once per position and returns. Every later
-read of the batch takes that row: ``ContextTable.score`` gathers the
-logits, normalization and layer inputs for the backward pass, which
-teacher-forced ``score`` shares, so there is no second forward; and
-``kl_from_reference`` reads both policies' log-probabilities off their
-``kl_reference`` tables of the KL prompts, so a run builds the reference
-policy's table once. Sampling and the KL take their randomness as arrays of
-uniforms, one row per sequence; the caller derives the rows
-(``rng.uniforms``, ``rng.draws``), so no generator enters this module.
-
-The table pays only where groups share prompts, so two forward shapes
-stay: ``greedy`` decodes position by position, and GRPO re-scores its fixed
-batch by teacher forcing, from the batch's own ``act_in[0]``. Every gemm of
-the seqtask tables has 64 rows or more, where OpenBLAS rounds each row the
-same way at any row count, so a gathered row equals the one a
-teacher-forced pass computes bit for bit.
-
-The same rule lets ``kl_reference`` build the eval table in blocks of whole
-prompts, one ``context_table`` forward each, keeping only the logits, so its
-buffers stay the size of a sampling table's: a table of n rows takes
-min(P, max(1, n // 128)) blocks (``np.array_split``), so every block has at
-least 64 rows, and a table under 128 rows is one block. The blocked table
-equals one forward's bit for bit; smaller blocks would round differently.
-
-Sampled tokens are discrete, so a sequence's log-probability is a sum over
-positions and its gradient with respect to layer l's weights is a sum of
-rank-one terms, V_b = sum_t outer(g_bt, a_bt): the back-propagated
-pre-activation gradient g times the bias-augmented layer input a. ``score``
-returns those factor arrays, grad_out[l] (B, T, out) and act_in[l]
-(B, T, in + 1), and every per-sequence quantity the estimators need comes
-from small Gram products of them, so training never forms a V_b:
+A sequence's log-probability gradient with respect to layer l is
+V_b = sum_t outer(g_bt, a_bt): the back-propagated pre-activation gradient
+times the augmented layer input. ``score`` returns the factors grad_out[l]
+(B, T, out) and act_in[l] (B, T, in + 1), and training never forms a V_b:
 
     |V_b|^2            = sum_{t,s} (g_bt . g_bs)(a_bt . a_bs)    (``grad_sq_norms``)
     g_j . V_b a_j      = sum_t (g_j . g_bt)(a_bt . a_j)          (``grad_projections``)
     sum_b w_b V_b      = G^T diag(w (x) 1_T) A                   (``grad_sum``)
     <V_i, V_j>         = sum_s g_js . V_i a_js                   (``isopo.build_ntk``)
 
-where G (B T, out) and A (B T, in + 1) stack the factors of all positions;
-``isopo.build_ntk`` sums the ``grad_projections`` onto their rows by sequence.
-``Scored.seq_grads`` materializes the V_b on demand, as the reference the
-self-checks and tests compare these identities against.
-
-Biases are handled by augmenting every layer input with a trailing constant
-1, so each position's gradient is a single rank-one matrix with no special
-case for the bias column. Layer 0's comes with its input (``_inputs``); for
-each later layer ``forward`` allocates the augmented input once, sets its
-constant column, and writes the previous layer's tanh into the rest
-(``out=``), so no layer concatenates or copies.
-
-Each logits array is normalized once (``_normalize``: one max, exp and sum
-over the vocabulary). The backward's gradient term onehot - softmax and its
-token log-probabilities come from that one pass: the softmax is turned into
-the gradient term in its own buffer, and the one-hot is added and the
-log-probabilities are read at one flat index per position, entry
-(b T + t) V + token of the (B, T, V) arrays; a ``ContextTable``
-normalizes on first read, and its sampling CDF, its log-probabilities and
-the backward of the sequences it scores share the pass (``score`` gathers
-the sampled contexts' maximum, exponentials and sum instead of normalizing
-their logits again). The backward's matmuls stay batched per sequence,
-(B, T, .) by (., .): one flat (B T)-row gemm sums in another blocking,
-which moves bandit's metrics.
+where G and A stack the factors of all B T positions; ``Scored.seq_grads``
+materializes the V_b as the checks' reference. The backward's matmuls stay
+batched per sequence, (B, T, .) by (., .): one flat (B T)-row gemm sums in
+another blocking, which moves bandit's metrics.
 
 A checkpoint is text: every weight in ``float.hex`` form, one line per
-weight row. ``save_checkpoint`` formats all the weights in one numpy pass
-over their bits (``_hex_rows``) and writes the bytes of ``float.hex`` for
-every float64, zeros, subnormals, infinities and NaNs included.
+weight row.
 """
 
 from __future__ import annotations
@@ -358,11 +302,6 @@ def _sequence_logprobs(logits, m, total, rows, at) -> np.ndarray:
     return (logits.take(at) - m.take(rows) - np.log(total.take(rows))).sum(axis=1)
 
 
-def _own_rows(tokens: np.ndarray) -> np.ndarray:
-    """Rows (B, T) of positions held one per row in order: (b, t) is row b T + t."""
-    return np.arange(tokens.size).reshape(tokens.shape)
-
-
 def _backward(net: PolicyNet, logits, act_in, tokens, normalized=None) -> Scored:
     """``Scored`` of sequences (B, T) from their positions' logits (B, T, vocab)
     and bias-augmented layer inputs (B, T, in + 1). ``normalized``, when
@@ -372,7 +311,7 @@ def _backward(net: PolicyNet, logits, act_in, tokens, normalized=None) -> Scored
     # d log softmax(z)[token] / dz = onehot(token) - softmax(z), written over
     # p; 0.0 - p, not -p, keeps a zero probability's entry +0.0, as onehot - p does
     g = np.subtract(0.0, p, out=p)
-    rows = _own_rows(tokens)
+    rows = np.arange(tokens.size).reshape(tokens.shape)  # (b, t) is row b T + t
     at = rows * g.shape[-1] + tokens  # each position's token entry
     g.reshape(-1)[at] += 1.0
     grad_out = [g]
@@ -381,15 +320,6 @@ def _backward(net: PolicyNet, logits, act_in, tokens, normalized=None) -> Scored
         g = (g @ net.weights[l][:, :-1]) * (1.0 - h * h)
         grad_out.insert(0, g)
     return Scored(_sequence_logprobs(logits, m, total, rows, at), act_in, grad_out)
-
-
-def sequence_logprobs(net: PolicyNet, features, tokens) -> np.ndarray:
-    """Log-probabilities (B,) of token sequences (B, T), forward pass only."""
-    tokens = np.asarray(tokens)
-    logits, _ = forward(net, teacher_forced_inputs(net, features, tokens))
-    m, _, total = _normalize(logits)
-    rows = _own_rows(tokens)
-    return _sequence_logprobs(logits, m, total, rows, rows * logits.shape[-1] + tokens)
 
 
 def score(net: PolicyNet, features, tokens, inputs=None) -> Scored:

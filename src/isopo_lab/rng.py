@@ -2,28 +2,18 @@
 
 Every source of randomness in a run is a Philox generator keyed by
 ``(master seed, stream label)``. Labels are plain strings such as
-``"policy/12/3+5/0"`` so that, e.g., the sequences sampled at step 12 do not
-depend on how much randomness any other part of the run consumed. This is
-what makes runs byte-reproducible and algorithm swaps sampling-identical.
+``"policy/12/3+5/0"``, so the sequences sampled at step 12 do not depend on
+how much randomness any other part of the run consumed; this makes runs
+byte-reproducible and algorithm swaps sampling-identical.
 
-``stream`` builds one generator and is the reference. A run needs thousands
-of streams, most for only a few uniforms, so the keys are derived for many
-labels at once (``_stream_keys``): numpy's ``SeedSequence`` pool mixing and
-its key generation are integer arithmetic, done here on arrays over every
-label. ``uniforms`` runs Philox4x64-10 (Salmon et al., "Parallel Random
-Numbers: As Easy as 1, 2, 3", SC 2011) on those arrays too, so row i of
+``stream`` builds one generator and is the reference. ``uniforms`` derives
+the keys of many labels at once, doing numpy's ``SeedSequence`` mixing on
+arrays (``_stream_keys``), and runs Philox4x64-10 (Salmon et al., "Parallel
+Random Numbers: As Easy as 1, 2, 3", SC 2011) on them, so row i of
 ``uniforms(seed, labels, n)`` equals ``stream(seed, labels[i]).random(n)``
 bit for bit. ``draws`` serves a draw that needs numpy's own algorithm
-(``choice``, ``permutation``): it sets one generator's Philox key to each
-label's in turn and hands the draw that generator, so
-``draws(seed, [(label, draw)])[0]`` equals ``draw(stream(seed, label))``
-without constructing a generator per label.
-
-The fixed cost per call is a few dozen small array operations, so they are
-stacked: the SeedSequence pool is one (4, rows) array, each pool word is
-hashed for all three words it mixes into at once and each further entropy
-word for all four, and each Philox round multiplies its two counter words
-by their two multipliers as one (2, rows, blocks) product.
+(``choice``, ``permutation``): ``draws(seed, [(label, draw)])[0]`` equals
+``draw(stream(seed, label))``.
 """
 
 from __future__ import annotations

@@ -1,28 +1,20 @@
 """Toy grouped-sampling environments with verifiable rewards.
 
-Two tasks are provided. ``BanditTask`` is a single-step table lookup: each
-prompt indexes a fixed reward row and the reward is the chosen arm's entry.
-``SeqAdditionTask`` is an autoregressive task: the prompt encodes a pair
-(a, b) as two one-hot blocks and the target output is the base-M digit
-expansion of (a + b), least significant digit first, over T positions. The
-reward is the fraction of correct positions (or exact match, behind a flag).
-Each task's verifier, ``rewards``, scores a whole batch of sequences in one
-call, so a microbatch's rewards cost one call per task, not one per
-sequence.
+``BanditTask`` is a single-step table lookup: each prompt indexes a fixed
+reward row and the reward is the chosen arm's entry. ``SeqAdditionTask`` is
+autoregressive: the prompt encodes a pair (a, b) as two one-hot blocks and
+the target is the base-M digit expansion of a + b, least significant digit
+first, over T positions; the reward is the fraction of correct positions (or
+exact match, behind a flag). A task's ``rewards`` scores a batch in one call.
 
-Both tasks pre-split their prompts into train and heldout sets by a stable
-hash so the split never depends on interpreter state. A task is read-only
-once built: its prompt sets are tuples, and every prompt's ``features`` and
-the bandit's reward ``table`` are numpy arrays with ``writeable = False``, so
-one instance can serve every run in a process (``harness.make_task``).
+Prompts are split into train and heldout sets by a stable hash, so the split
+never depends on interpreter state. A task is read-only once built (tuples
+of prompts, non-writeable arrays), so one instance serves every run in a
+process (``harness.make_task``).
 
-Advantages are group-relative: each sampled group of G sequences for one
-prompt is scored, and every sequence's advantage is its reward minus the
-group mean (optionally divided by the group standard deviation), computed
-for all groups of a microbatch in one pass over their (groups, G) rewards. A
-microbatch is sampled from one row of uniforms per sequence, which callers
-derive from the sequences' named streams with ``rng.uniforms``; a training
-run derives the rows of all its steps at once.
+A sequence's advantage is its reward minus its group's mean, optionally
+divided by the group's standard deviation. A microbatch is sampled from one
+row of uniforms per sequence, which the caller derives (``rng.uniforms``).
 """
 
 from __future__ import annotations

@@ -13,6 +13,9 @@
    moves less KL than q = -1
 9. identical config and seed give byte-identical CSVs
 
+``test_nan_fails_the_criterion`` is their negative control: NaN injected into
+the quantity criteria 1, 3, 5 and 6 compare must make each print FAIL.
+
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines. Criterion 8 trains 15 small runs and dominates the suite's runtime
 (about 7 s on one CPU core).
@@ -20,7 +23,6 @@ lines. Criterion 8 trains 15 small runs and dominates the suite's runtime
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
@@ -64,21 +66,8 @@ def test_criterion_01_gradient_exactness():
     prompt = task.train_prompts[0]
     features = prompt.features[None]
     tokens, scored = policy.sample_and_score(net, features, uniforms(0, ["c1"], task.seq_len))
-    h = 1e-5
-    worst = 0.0
-    for l, w in enumerate(net.weights):
-        analytic = scored.seq_grads[l][0]
-        for i in range(w.shape[0]):
-            for j in range(w.shape[1]):
-                orig = w[i, j]
-                w[i, j] = orig + h
-                up = policy.sequence_logprobs(net, features, tokens)[0]
-                w[i, j] = orig - h
-                down = policy.sequence_logprobs(net, features, tokens)[0]
-                w[i, j] = orig
-                fd = (up - down) / (2 * h)
-                denom = max(abs(fd), abs(analytic[i, j]), 1e-3)
-                worst = max(worst, abs(fd - analytic[i, j]) / denom)
+    numeric = checks.fd_grad(lambda: policy.score(net, features, tokens).logprobs[0], net)
+    worst = float(np.max(checks.rel_errors([g[0] for g in scored.seq_grads], numeric)))
     elapsed = time.time() - start
     report(
         1,
@@ -121,10 +110,9 @@ def test_criterion_03_interacting_update_equivalence():
     mb = default_microbatch(task, net, seed=2, n_groups=4, group_size=8)
     adv_all = mb.advantages
     rng = stream(2, "c3")
-    worst = 0.0
+    errors = []
 
     def check(l, rows, advantages, c):
-        nonlocal worst
         seq_grads = mb.scored.seq_grads[l][rows]
         jac = np.stack([g.ravel() for g in seq_grads])
         dense = jac.T @ np.linalg.solve(
@@ -133,10 +121,9 @@ def test_criterion_03_interacting_update_equivalence():
         update = isopo.interacting_update(
             mb.scored.grad_out[l][rows], mb.scored.act_in[l][rows], advantages, c
         )
-        worst = max(
-            worst,
+        errors.append(
             float(np.linalg.norm(update.ravel() - dense))
-            / max(float(np.linalg.norm(dense)), 1e-12),
+            / max(float(np.linalg.norm(dense)), 1e-12)
         )
 
     for l, grads_l in enumerate(mb.scored.seq_grads):
@@ -146,6 +133,7 @@ def test_criterion_03_interacting_update_equivalence():
         # duplicated gradients: K is rank deficient, c > 0 keeps it solvable
         check(l, [0, 0], np.array([1.0, -0.5]), 0.3 * mean_sq + 1e-6)
         check(l, slice(8), rng.standard_normal(8), 1e-3 * mean_sq + 1e-9)
+    worst = float(np.max(errors))
     elapsed = time.time() - start
     report(
         3,
@@ -186,9 +174,7 @@ def test_criterion_04_self_normalization():
 
 
 def test_criterion_05_scalar_minimizer():
-    worst = math.inf
-    for k in range(20):
-        worst = min(worst, checks.rescaling_minimizer_gap(900 + k))
+    worst = float(np.min([checks.rescaling_minimizer_gap(900 + k) for k in range(20)]))
     report(
         5,
         "A|v|^2/|v|_F^2 strictly minimizes the exact-Fisher objective (20 nets)",
@@ -205,18 +191,15 @@ def test_criterion_06_definitional_degeneracies():
         mb, norms, isopo.RescalingParams(p=0.0, q=0.0, r=0.0)
     )
     ref = baselines.reinforce_grad(mb)
-    err_a = max(
-        float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), 1.0)
-        for a, b in zip(upd, ref)
-    )
-
     grpo = baselines.grpo_clipped_grad(mb, mb.scored.logprobs, net, clip_eps=0.2)
-    err_b = max(
-        float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), 1.0)
-        for a, b in zip(grpo, ref)
-    )
 
-    worst_angle = 0.0
+    def max_rel_diff(got):
+        return float(
+            np.max([np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1.0) for a, b in zip(got, ref)])
+        )
+
+    err_a, err_b = max_rel_diff(upd), max_rel_diff(grpo)
+    angles = []
     scored = mb.scored
     for seq_grads, gout, act in zip(scored.seq_grads, scored.grad_out, scored.act_in):
         vanilla = sum(a * g for a, g in zip(mb.advantages, seq_grads)).ravel()
@@ -225,7 +208,8 @@ def test_criterion_06_definitional_degeneracies():
         cos = float(
             update @ vanilla / (np.linalg.norm(update) * np.linalg.norm(vanilla))
         )
-        worst_angle = max(worst_angle, math.acos(min(cos, 1.0)))
+        angles.append(float(np.arccos(min(cos, 1.0))))
+    worst_angle = float(np.max(angles))
 
     ok = err_a <= 1e-12 and err_b <= 1e-10 and worst_angle < 1e-3
     report(
@@ -305,3 +289,33 @@ def test_criterion_09_determinism(tmp_path):
     b = harness.train(cfg, tmp_path / "b")
     identical = a.csv_path.read_bytes() == b.csv_path.read_bytes()
     report(9, "identical config+seed give byte-identical CSVs", identical)
+
+
+@pytest.mark.parametrize("criterion", [1, 3, 5, 6])
+def test_nan_fails_the_criterion(monkeypatch, capsys, criterion):
+    if criterion == 1:  # NaN in the last layer of every analytic gradient
+        sample_and_score = policy.sample_and_score
+
+        def nan_last_layer(*args):
+            tokens, s = sample_and_score(*args)
+            grad_out = [*s.grad_out[:-1], s.grad_out[-1] * np.nan]
+            return tokens, policy.Scored(s.logprobs, s.act_in, grad_out)
+
+        monkeypatch.setattr(policy, "sample_and_score", nan_last_layer)
+    elif criterion == 5:
+        monkeypatch.setattr(checks, "rescaling_minimizer_gap", lambda seed: np.nan)
+    else:
+        interacting_update = isopo.interacting_update
+        monkeypatch.setattr(
+            isopo, "interacting_update", lambda *args: interacting_update(*args) * np.nan
+        )
+    run = {
+        1: test_criterion_01_gradient_exactness,
+        3: test_criterion_03_interacting_update_equivalence,
+        5: test_criterion_05_scalar_minimizer,
+        6: test_criterion_06_definitional_degeneracies,
+    }[criterion]
+    with pytest.raises(AssertionError, match=f"criterion {criterion} "):
+        run()
+    line = capsys.readouterr().out
+    assert line.startswith(f"[criterion {criterion:02d}] ") and ": FAIL" in line

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from isopo_lab import baselines, policy
+from isopo_lab import baselines, checks, policy
 from isopo_lab.errors import ContractViolation, NonFiniteGradientError, NonFiniteWeightError
 from isopo_lab.rng import stream
 
@@ -23,19 +23,8 @@ def test_reinforce_zero_advantages(small_net, small_task):
 def test_reinforce_matches_finite_differences(small_net, small_task):
     mb = make_microbatch(small_net, small_task, seed=1, n_groups=1, group_size=3)
     analytic = baselines.reinforce_grad(mb)
-    h = 1e-5
-    for l, w in enumerate(small_net.weights):
-        for i in range(0, w.shape[0], 2):
-            for j in range(0, w.shape[1], 3):
-                orig = w[i, j]
-                w[i, j] = orig + h
-                up = baselines.reinforce_surrogate(mb, small_net)
-                w[i, j] = orig - h
-                down = baselines.reinforce_surrogate(mb, small_net)
-                w[i, j] = orig
-                fd = (up - down) / (2 * h)
-                denom = max(abs(fd), abs(analytic[l][i, j]), 1e-3)
-                assert abs(fd - analytic[l][i, j]) / denom < 1e-5
+    numeric = checks.fd_grad(lambda: baselines.reinforce_surrogate(mb, small_net), small_net)
+    assert np.max(checks.rel_errors(analytic, numeric)) < 1e-5
 
 
 def test_grpo_first_epoch_equals_reinforce(small_net, small_task):
@@ -71,19 +60,8 @@ def test_grpo_matches_finite_differences_off_policy(small_net, small_task):
         w += 0.02 * drift.standard_normal(w.shape)
     eps = 0.2
     analytic = baselines.grpo_clipped_grad(mb, snapshot, shifted, eps)
-    h = 1e-5
-    for l, w in enumerate(shifted.weights):
-        for i in range(0, w.shape[0], 2):
-            for j in range(0, w.shape[1], 4):
-                orig = w[i, j]
-                w[i, j] = orig + h
-                up = baselines.grpo_surrogate(mb, snapshot, shifted, eps)
-                w[i, j] = orig - h
-                down = baselines.grpo_surrogate(mb, snapshot, shifted, eps)
-                w[i, j] = orig
-                fd = (up - down) / (2 * h)
-                denom = max(abs(fd), abs(analytic[l][i, j]), 1e-3)
-                assert abs(fd - analytic[l][i, j]) / denom < 1e-5
+    numeric = checks.fd_grad(lambda: baselines.grpo_surrogate(mb, snapshot, shifted, eps), shifted)
+    assert np.max(checks.rel_errors(analytic, numeric)) < 1e-5
 
 
 def test_grpo_huge_clip_eps_single_epoch_equals_reinforce(small_net, small_task):

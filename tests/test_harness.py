@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from isopo_lab import baselines, checks, harness, isopo, metrics, policy, rng
+from isopo_lab import baselines, checks, cli, harness, isopo, metrics, oracle, policy, rng
 from isopo_lab.config import RunConfig
 from isopo_lab.errors import ConfigError, ContractViolation, CsvFormatError
 from isopo_lab.rng import stream
@@ -642,8 +642,9 @@ def test_compare_aggregates_recomputable_from_run_csvs(tmp_path):
         assert row["validation_median"] == float(np.median(vals))
 
 
-def test_gradcheck_passes_and_lists_each_suite_once():
-    results = checks.run_gradcheck(seed=1)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gradcheck_passes_and_lists_each_suite_once(seed):
+    results = checks.run_gradcheck(seed=seed)
     names = [r.name for r in results]
     assert len(names) == len(set(names)) == 5
     assert all(r.passed for r in results)
@@ -660,10 +661,59 @@ def test_gradcheck_detects_corrupted_backward():
     assert not by_name["policy-backward-fd"].passed
 
 
-def test_oracle_check_passes():
-    results = checks.run_oracle_check(seed=0)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_oracle_check_passes(seed):
+    results = checks.run_oracle_check(seed=seed)
     assert len({r.name for r in results}) == 5
     assert all(r.passed for r in results)
+
+
+def _nan_last_layer(grads):
+    return [*grads[:-1], grads[-1] * np.nan]
+
+
+@pytest.mark.parametrize(
+    "command, suite",
+    [
+        ("gradcheck", "policy-backward-fd"),
+        ("gradcheck", "reinforce-surrogate-fd"),
+        ("gradcheck", "grpo-surrogate-fd"),
+        ("gradcheck", "rank-one-equivalence"),
+        ("gradcheck", "ntk-dense-equivalence"),
+        ("oracle-check", "fisher-quadratic-enumeration"),
+        ("oracle-check", "rescaling-minimizer"),
+    ],
+)
+def test_nan_in_the_compared_quantity_fails_the_check(monkeypatch, capsys, command, suite):
+    # negative control: NaN where a check reads its result fails that check and the command
+    if suite.endswith("-fd"):
+        run_gradcheck = checks.run_gradcheck
+        monkeypatch.setattr(
+            checks, "run_gradcheck",
+            lambda seed: run_gradcheck(seed, grad_tamper=_nan_last_layer),
+        )
+    elif suite == "rank-one-equivalence":
+        fisher_norms = isopo.sequence_fisher_norms
+
+        def nan_norms(scored, positions):
+            norms, degenerate = fisher_norms(scored, positions)
+            return norms * np.nan, degenerate
+
+        monkeypatch.setattr(isopo, "sequence_fisher_norms", nan_norms)
+    elif suite == "ntk-dense-equivalence":
+        interacting_update = isopo.interacting_update
+        monkeypatch.setattr(
+            isopo, "interacting_update", lambda *args: interacting_update(*args) * np.nan
+        )
+    elif suite == "fisher-quadratic-enumeration":
+        monkeypatch.setattr(oracle, "fisher_quadratic", lambda net, prompts, v: np.nan)
+    else:
+        monkeypatch.setattr(checks, "rescaling_minimizer_gap", lambda seed: np.nan)
+    run = checks.run_gradcheck if command == "gradcheck" else checks.run_oracle_check
+    by_name = {r.name: r for r in run(seed=0)}
+    assert not by_name[suite].passed
+    assert cli.main([command, "--seed", "0"]) == 1
+    assert f"FAIL  {suite}: " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

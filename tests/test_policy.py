@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isopo_lab import baselines, harness, metrics, policy, tasks
+from isopo_lab import baselines, checks, harness, metrics, policy, tasks
 from isopo_lab.config import RunConfig
 from isopo_lab.errors import ContractViolation
 from isopo_lab.rng import stream, uniforms
@@ -149,7 +149,6 @@ def test_score_rows_match_scoring_each_alone(small_net, small_task):
     features = np.stack([p.features for p in prompts])
     tokens, _ = policy.sample_and_score(small_net, features, stream(5, "alone").random((5, 2)))
     batch = policy.score(small_net, features, tokens)
-    assert np.array_equal(batch.logprobs, policy.sequence_logprobs(small_net, features, tokens))
     for b in range(5):
         alone = policy.score(small_net, features[b : b + 1], tokens[b : b + 1])
         assert alone.logprobs[0] == pytest.approx(batch.logprobs[b], rel=1e-14)
@@ -244,9 +243,6 @@ def test_forward_and_backward_equal_the_two_pass_formulas(task_name):
         assert np.array_equal(a, b)
     expected = two_pass_backward(net, logits, act_in, mb.tokens)
     assert_scored_equal(policy.score(net, mb.features, mb.tokens), expected, rel=0)
-    assert np.array_equal(
-        policy.sequence_logprobs(net, mb.features, mb.tokens), expected.logprobs
-    )
     table = policy.context_table(net, np.stack([g.prompt.features for g in mb.groups]))
     which = np.repeat(np.arange(len(mb.groups)), cfg.group_size)
     rows = context_rows(which, mb.tokens, table.logits.shape[1], net.vocab_size)
@@ -463,20 +459,11 @@ def test_kl_reference_blocks_equal_one_forward(monkeypatch, task_fields, n_block
 def test_backward_matches_finite_differences(small_net, small_task):
     prompt = small_task.train_prompts[0]
     tokens, scored = sample_one(small_net, prompt, 0, "fd")
-    h = 1e-5
-    for l, w in enumerate(small_net.weights):
-        analytic = scored.seq_grads[l][0]
-        for i in range(w.shape[0]):
-            for j in range(w.shape[1]):
-                orig = w[i, j]
-                w[i, j] = orig + h
-                up = policy.sequence_logprobs(small_net, prompt.features[None], tokens)[0]
-                w[i, j] = orig - h
-                down = policy.sequence_logprobs(small_net, prompt.features[None], tokens)[0]
-                w[i, j] = orig
-                fd = (up - down) / (2 * h)
-                denom = max(abs(fd), abs(analytic[i, j]), 1e-3)
-                assert abs(fd - analytic[i, j]) / denom < 1e-5
+    numeric = checks.fd_grad(
+        lambda: policy.score(small_net, prompt.features[None], tokens).logprobs[0], small_net
+    )
+    analytic = [g[0] for g in scored.seq_grads]
+    assert np.max(checks.rel_errors(analytic, numeric)) < 1e-5
 
 
 def test_softmax_gradient_at_uniform_logits():
@@ -575,8 +562,8 @@ def two_pass_kl(net, ref, prompts, n_samples, rng):
     features = ordered[which]
     u = rng.random((n_samples, policy.seq_len_for(net, features)))
     tokens, _ = policy.context_table(net, ordered).sample(which, u)
-    diffs = policy.sequence_logprobs(net, features, tokens) - policy.sequence_logprobs(
-        ref, features, tokens
+    diffs = (
+        policy.score(net, features, tokens).logprobs - policy.score(ref, features, tokens).logprobs
     )
     return math.fsum(diffs) / n_samples
 
