@@ -16,7 +16,12 @@ from pathlib import Path
 
 from . import checks, harness, plotting
 from .config import load_config
-from .errors import ConfigError
+from .errors import ConfigError, CsvFormatError
+
+
+def _error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _print_suites(results) -> int:
@@ -75,6 +80,8 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "compare":
+            if args.seeds < 1:
+                return _error(f"--seeds must be >= 1, got {args.seeds}")
             configs = [load_config(path) for path in args.configs]
             labels = [Path(path).stem for path in args.configs]
             if len(set(labels)) != len(labels):
@@ -85,28 +92,23 @@ def main(argv=None) -> int:
             for label, r in aborted:
                 print(f"ABORTED: {label} seed {r.config.seed}: {r.abort_reason}")
             return 1 if aborted else 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
-    if args.command == "gradcheck":
-        return _print_suites(checks.run_gradcheck(seed=args.seed))
+        if args.command == "plot":
+            csvs = sorted(Path(args.in_dir).rglob("metrics.csv"))
+            if not csvs:
+                return _error(f"no metrics.csv under {args.in_dir}")
+            outputs = plotting.plot_runs(csvs, args.out)
+            for path in outputs.values():
+                print(f"wrote {path}")
+            return 0
+    except (ConfigError, CsvFormatError) as exc:
+        return _error(exc)
 
-    if args.command == "oracle-check":
-        return _print_suites(checks.run_oracle_check(seed=args.seed))
-
-    if args.command == "plot":
-        csvs = sorted(Path(args.in_dir).rglob("metrics.csv"))
-        if not csvs:
-            print(f"error: no metrics.csv under {args.in_dir}", file=sys.stderr)
-            return 2
-        outputs = plotting.plot_runs(csvs, args.out)
-        for name, path in outputs.items():
-            print(f"wrote {path}")
-        return 0
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    # gradcheck or oracle-check
+    if args.seed < 0:
+        return _error(f"--seed must be >= 0, got {args.seed}")
+    run_checks = checks.run_gradcheck if args.command == "gradcheck" else checks.run_oracle_check
+    return _print_suites(run_checks(seed=args.seed))
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ named stream (``rng``), the metrics CSV prints floats with 17 significant
 digits, and repeated runs produce byte-identical files. Nothing a run draws
 after its initial weights depends on the policy, so ``train`` draws every
 step's prompts, sequence uniforms, overlap positions and KL uniforms before
-the first step (``draw_steps``).
+the first step (``draw_steps``), the KL uniforms of steps that write no row
+included, so a row written only because its step aborts reads them too.
 
 Every step samples a microbatch of groups, scored by the task's reward with
 no KL penalty near it and given group-relative advantages. Step 0 only
@@ -18,14 +19,13 @@ aborts. A numeric failure inside the update (any ArithmeticError: a
 non-finite gradient or updated weight, a Tikhonov system that is not finite
 or not positive definite, GRPO ratio overflow) ends the run as ABORTED with
 the step and the reason, and so does a written row that holds a NaN or an
-infinity (``NonFiniteMetricError``, naming the column). An aborting step off
-the ``eval_every`` grid draws its KL uniforms from ``kl/{step}``. numpy's
-overflow and invalid-value warnings are off during the steps: the checks,
-not the warnings, decide whether a run ends.
+infinity (``NonFiniteMetricError``, naming the column). numpy's overflow and
+invalid-value warnings are off during the steps: the checks, not the
+warnings, decide whether a run ends.
 
-Fisher norms are estimated only where they are read, on every isopo-ni step
-and every written row, and a batch is summarized only for a written row;
-skipping a step's diagnostics changes no other step. ``make_task`` returns
+A step estimates its Fisher norms at most once, on first read: by isopo-ni's
+update or by the step's row. A step that writes no row computes none of its
+diagnostics, and skipping them changes no other step. ``make_task`` returns
 one shared, read-only task per set of task-defining fields and checks the
 config against it.
 """
@@ -97,23 +97,20 @@ class StepDraws(NamedTuple):
     prompts: list[tasks.Prompt]  # the step's G prompts, one per group
     u: np.ndarray  # (B, T) sampling uniforms, one row per sequence
     overlap: np.ndarray  # the overlap sample's positions (``isopo.overlap_positions``)
-    kl: np.ndarray | None  # (KL_SAMPLES, T) uniforms of its row's KL, on a KL step
+    kl: np.ndarray  # (KL_SAMPLES, T) uniforms of the KL of the step's row, if it writes one
 
 
-def draw_steps(task, cfg: RunConfig, steps, kl_steps=None) -> dict[int, StepDraws]:
+def draw_steps(task, cfg: RunConfig, steps) -> dict[int, StepDraws]:
     """Every step's ``StepDraws``, derived before the first step.
 
     Step s draws its prompts from the ``prompts/{s}`` stream, its overlap
-    positions from ``overlap/{s}`` and, on a KL step (by default, each step
-    that ``eval_every`` gives a row), its KL uniforms from ``kl/{s}``, all
+    positions from ``overlap/{s}`` and its KL uniforms from ``kl/{s}``, all
     keyed in one ``rng.draws`` pass. Sequence k of prompt p's group samples
     from the first T uniforms of the stream ``policy/{s}/{p.id}/{k}``, which
     names the drawn prompt, so one ``rng.uniforms`` call derives them after.
     """
     train = task.train_prompts
     steps = list(steps)
-    if kl_steps is None:
-        kl_steps = [step for step in steps if step % cfg.eval_every == 0]
     n_seqs = cfg.groups_per_microbatch * cfg.group_size
 
     def choose(gen):
@@ -125,26 +122,18 @@ def draw_steps(task, cfg: RunConfig, steps, kl_steps=None) -> dict[int, StepDraw
     def kl(gen):
         return gen.random((metrics.KL_SAMPLES, task.seq_len))
 
-    found = draws(
-        cfg.seed,
-        [(f"prompts/{step}", choose) for step in steps]
-        + [(f"overlap/{step}", overlap) for step in steps]
-        + [(f"kl/{step}", kl) for step in kl_steps],
-    )
-    prompts = [[train[int(idx)] for idx in chosen] for chosen in found[: len(steps)]]
-    overlaps = found[len(steps) : 2 * len(steps)]
-    kls = dict(zip(kl_steps, found[2 * len(steps) :]))
+    kinds = (("prompts", choose), ("overlap", overlap), ("kl", kl))
+    found = draws(cfg.seed, [(f"{name}/{step}", draw) for name, draw in kinds for step in steps])
+    n = len(steps)
+    prompts = [[train[int(idx)] for idx in chosen] for chosen in found[:n]]
     labels = [
         f"policy/{step}/{p.id}/{k}"
         for step, chosen in zip(steps, prompts)
         for p in chosen
         for k in range(cfg.group_size)
     ]
-    u = uniforms(cfg.seed, labels, task.seq_len).reshape(len(steps), n_seqs, task.seq_len)
-    return {
-        step: StepDraws(chosen, step_u, positions, kls.get(step))
-        for step, chosen, step_u, positions in zip(steps, prompts, u, overlaps)
-    }
+    u = uniforms(cfg.seed, labels, task.seq_len).reshape(n, n_seqs, task.seq_len)
+    return dict(zip(steps, map(StepDraws, prompts, u, found[n : 2 * n], found[2 * n :])))
 
 
 def sample_microbatch(net, task, cfg: RunConfig, step: int, plan=None) -> tasks.Microbatch:
@@ -153,7 +142,7 @@ def sample_microbatch(net, task, cfg: RunConfig, step: int, plan=None) -> tasks.
     ``plan`` is the run's ``draw_steps`` table; without it, the step's
     prompts and uniforms are drawn here, and are the same.
     """
-    drawn = (plan or draw_steps(task, cfg, [step], kl_steps=[]))[step]
+    drawn = (plan or draw_steps(task, cfg, [step]))[step]
     return tasks.build_microbatch(net, task, drawn.prompts, drawn.u, cfg.normalize_std)
 
 
@@ -203,8 +192,11 @@ def read_metrics_csv(path) -> list[dict]:
     return rows
 
 
-def _update(cfg, net, optimizer, microbatch, norms, rescale_params) -> None:
-    """Apply the step's optimizer steps: ``inner_epochs`` for GRPO, one otherwise."""
+def _update(cfg, net, optimizer, microbatch, fisher_norms, rescale_params) -> None:
+    """Apply the step's optimizer steps: ``inner_epochs`` for GRPO, one otherwise.
+
+    ``fisher_norms()`` gives the step's ``isopo.sequence_fisher_norms`` pair.
+    """
     for epoch in range(cfg.inner_epochs if cfg.algo == "grpo" else 1):
         if cfg.algo == "reinforce" or (cfg.algo == "grpo" and epoch == 0):
             # GRPO's first epoch runs at the sampling weights: every ratio is
@@ -215,7 +207,7 @@ def _update(cfg, net, optimizer, microbatch, norms, rescale_params) -> None:
                 microbatch, microbatch.scored.logprobs, net, cfg.clip_eps
             )
         elif cfg.algo == "isopo-ni":
-            grads = isopo.noninteracting_update(microbatch, norms, rescale_params)
+            grads = isopo.noninteracting_update(microbatch, fisher_norms()[0], rescale_params)
         else:
             grads = isopo.interacting_microbatch_update(
                 microbatch, cfg.reg_factor, rescale_params.ema
@@ -254,30 +246,22 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
     abort_reason = ""
     # the finiteness checks, not numpy's warnings, decide whether a run ends
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(cfg.steps + 1):
+        for step, drawn in plan.items():
             microbatch = sample_microbatch(net, task, cfg, step, plan)
-            norms = degenerate = None
-            if cfg.algo == "isopo-ni":  # the only update that reads the norms
-                norms, degenerate = isopo.sequence_fisher_norms(
-                    microbatch.scored, plan[step].overlap
-                )
+            # estimated on first read, by isopo-ni's update or the row; an
+            # update leaves its microbatch as it was sampled
+            fisher_norms = functools.cache(
+                functools.partial(isopo.sequence_fisher_norms, microbatch.scored, drawn.overlap)
+            )
             if step > 0:
                 try:
-                    _update(cfg, net, optimizer, microbatch, norms, rescale_params)
+                    _update(cfg, net, optimizer, microbatch, fisher_norms, rescale_params)
                 except ArithmeticError as exc:
                     abort_reason = _abort_reason(step, exc)
             if abort_reason or step % cfg.eval_every == 0:
-                if norms is None:  # an update leaves its microbatch as it was sampled
-                    norms, degenerate = isopo.sequence_fisher_norms(
-                        microbatch.scored, plan[step].overlap
-                    )
-                summary = metrics.batch_summary(
-                    microbatch, norms, int(np.count_nonzero(degenerate)), cfg.algo
+                row = metrics.collect(
+                    step, cfg, net, kl_ref, task, microbatch, fisher_norms(), drawn.kl
                 )
-                kl_u = plan[step].kl
-                if kl_u is None:  # a row written only because the step aborted
-                    kl_u = draw_steps(task, cfg, [step], kl_steps=[step])[step].kl
-                row = metrics.collect(step, net, kl_ref, task, summary, cfg.seed, cfg.algo, kl_u)
                 rows.append(row)
                 try:
                     _check_finite(row)
@@ -305,7 +289,6 @@ AGGREGATE_COLUMNS = (
     "step",
     "n_runs",
     "aborted_runs",
-    "validation_best",
     "validation_median",
     "validation_min",
     "validation_max",
@@ -316,7 +299,7 @@ AGGREGATE_COLUMNS = (
 
 
 def aggregate_runs(results_by_label: dict[str, list[RunResult]]) -> list[dict]:
-    """Per-label, per-step best/median/min/max of validation and KL.
+    """Per-label, per-step median, min and max of validation and KL.
 
     Aborted runs are excluded from the statistics but counted in the
     ``aborted_runs`` column. A label whose runs all aborted still gets a row
@@ -334,7 +317,6 @@ def aggregate_runs(results_by_label: dict[str, list[RunResult]]) -> list[dict]:
                 continue
             vals = [m["validation"] for r in live for m in r.rows if m["step"] == step]
             kls = [m["kl_from_init"] for r in live for m in r.rows if m["step"] == step]
-            row["validation_best"] = max(vals)
             row["validation_median"] = float(np.median(vals))
             row["validation_min"] = min(vals)
             row["validation_max"] = max(vals)

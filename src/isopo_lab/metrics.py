@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import RunConfig
 from .isopo import mean_ntk_eigenvalue
 from .policy import ContextTable, PolicyNet, kl_from_reference, kl_reference
-from .tasks import validation_score
+from .tasks import Microbatch, validation_score
 
 KL_SAMPLES = 256
 KL_PROMPTS = 16
@@ -49,26 +50,6 @@ FIXED_COLUMNS = {
 }
 
 
-def batch_summary(microbatch, fisher_norms, degenerate_count: int, algo: str) -> dict:
-    """The batch's columns: mean reward, degenerate count and the layer columns.
-
-    ``fisher_norms`` is the (n_sequences, n_layers) estimate table with NaN
-    entries marking degenerate pairs; those are excluded from the mean.
-    """
-    summary = {
-        "mean_reward": float(microbatch.rewards.mean()),
-        "degenerate_sequences": int(degenerate_count),
-    }
-    for l, sq_norms in enumerate(microbatch.scored.sq_norms):
-        col = fisher_norms[:, l]
-        valid = col[~np.isnan(col)]
-        summary[f"l{l}_mean_F_norm"] = float(valid.mean()) if valid.size else 0.0
-        summary[f"l{l}_mean_grad_norm"] = float(np.mean(np.sqrt(sq_norms)))
-        if algo == "isopo-int":
-            summary[f"l{l}_ntk_eigen_mean"] = mean_ntk_eigenvalue(sq_norms)
-    return summary
-
-
 def reference_table(net: PolicyNet, task) -> ContextTable:
     """``net``'s table of the KL prompts: of the initial policy, ``collect``'s
     ``ref``, and of the current one, which ``collect`` builds."""
@@ -77,15 +58,20 @@ def reference_table(net: PolicyNet, task) -> ContextTable:
 
 def collect(
     step: int,
+    cfg: RunConfig,
     net: PolicyNet,
     ref: ContextTable,
     task,
-    summary: dict,
-    seed: int,
-    algo: str,
+    microbatch: Microbatch,
+    fisher_norms: tuple[np.ndarray, np.ndarray],
     kl_uniforms: np.ndarray,
 ) -> dict:
-    """One metrics row; never mutates the policy.
+    """The step's metrics row, in column order; never mutates the policy.
+
+    ``microbatch`` is the step's batch as sampled and ``fisher_norms`` its
+    ``isopo.sequence_fisher_norms`` pair: the (n_sequences, n_layers) table,
+    NaN where a pair is degenerate, which a layer's mean leaves out, and the
+    per-sequence degenerate flags. ``cfg`` gives the ``algo`` and ``seed``.
 
     ``kl_from_init`` is the KL from ``ref``, the initial policy's
     ``reference_table``, sampled from ``kl_uniforms`` (``KL_SAMPLES``, T),
@@ -94,15 +80,23 @@ def collect(
     earlier steps consumed. At step 0 no update has run, so ``net`` is the
     initial policy and ``ref`` serves as its table too.
     """
+    norms, degenerate = fisher_norms
     table = ref if step == 0 else reference_table(net, task)
     row = {
         "step": step,
-        "algo": algo,
+        "algo": cfg.algo,
         "task": task.name,
-        "seed": seed,
-        "mean_reward": summary["mean_reward"],
+        "seed": cfg.seed,
+        "mean_reward": float(microbatch.rewards.mean()),
         "validation": validation_score(net, task.heldout_prompts),
         "kl_from_init": kl_from_reference(table, ref, kl_uniforms),
+        "degenerate_sequences": int(np.count_nonzero(degenerate)),
     }
-    # mean_reward keeps its place; the other summary columns follow in order
-    return row | summary
+    for l, sq_norms in enumerate(microbatch.scored.sq_norms):
+        col = norms[:, l]
+        valid = col[~np.isnan(col)]
+        row[f"l{l}_mean_F_norm"] = float(valid.mean()) if valid.size else 0.0
+        row[f"l{l}_mean_grad_norm"] = float(np.mean(np.sqrt(sq_norms)))
+        if cfg.algo == "isopo-int":
+            row[f"l{l}_ntk_eigen_mean"] = mean_ntk_eigenvalue(sq_norms)
+    return row

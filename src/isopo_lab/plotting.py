@@ -141,8 +141,6 @@ def render_chart(
 
 def plot_runs(csv_paths, out_dir) -> dict[str, Path]:
     """Validation-vs-step curves plus a KL-vs-validation scatter of final rows."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     curve_series: list[Series] = []
     final_by_algo: dict[str, Series] = {}
     for path in csv_paths:
@@ -159,6 +157,8 @@ def plot_runs(csv_paths, out_dir) -> dict[str, Path]:
         scatter.xs.append(last["validation"])
         scatter.ys.append(last["kl_from_init"])
 
+    out = Path(out_dir)  # made only once every CSV has been read
+    out.mkdir(parents=True, exist_ok=True)
     outputs = {}
     curves = render_chart(curve_series, "validation vs step", "step", "validation")
     curve_path = out / "validation_vs_step.svg"

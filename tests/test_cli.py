@@ -2,6 +2,11 @@ from __future__ import annotations
 
 from isopo_lab import cli
 
+AGGREGATE_HEADER = (
+    "label,step,n_runs,aborted_runs,validation_median,validation_min,validation_max,"
+    "kl_median,kl_min,kl_max"
+)
+
 
 def write_config(path, text):
     path.write_text(text)
@@ -61,7 +66,7 @@ def test_cli_compare(tmp_path, capsys):
     assert (out / "a-seed0" / "metrics.csv").exists()
     assert (out / "b-seed1" / "metrics.csv").exists()
     header = (out / "aggregate.csv").read_text().splitlines()[0]
-    assert header.startswith("label,step,n_runs,aborted_runs,validation_best")
+    assert header == AGGREGATE_HEADER
 
 
 def test_cli_compare_reports_aborted_runs(tmp_path, capsys):
@@ -86,11 +91,11 @@ def test_cli_compare_reports_aborted_runs(tmp_path, capsys):
     assert [line.split(": ")[1] for line in aborted] == ["singular seed 0", "singular seed 1"]
     assert all("step 1: SingularMatrixError" in line for line in aborted)
     header, *rows = (out / "aggregate.csv").read_text().splitlines()
-    assert header.startswith("label,step,n_runs,aborted_runs,validation_best")
+    assert header == AGGREGATE_HEADER
     # the all-aborted label keeps its rows: no live run, two aborted, no statistics
     assert [row for row in rows if row.startswith("singular,")] == [
-        "singular,0,0,2,,,,,,,",
-        "singular,1,0,2,,,,,,,",
+        "singular,0,0,2,,,,,,",
+        "singular,1,0,2,,,,,,",
     ]
 
 
@@ -176,4 +181,33 @@ def test_cli_plot_without_runs_is_an_error(tmp_path, capsys):
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: no metrics.csv under {source}\n" and captured.out == ""
+    assert not (tmp_path / "plots").exists()
+
+
+def test_cli_bad_flag_values_are_errors(tmp_path, capsys):
+    # no seeds for compare or a negative check seed: one error line, exit
+    # code 2, no traceback; compare writes nothing
+    ok = write_config(tmp_path / "ok.cfg", "steps = 1\n")
+    for seeds in ("0", "-1"):
+        code = cli.main(["compare", "--config", ok, "--seeds", seeds, "--out", str(tmp_path / "c")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --seeds must be >= 1, got {seeds}\n" and captured.out == ""
+    assert not (tmp_path / "c").exists()
+    for command in ("gradcheck", "oracle-check"):
+        assert cli.main([command, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be >= 0, got -1\n" and captured.out == ""
+
+
+def test_cli_plot_of_a_malformed_csv_is_an_error(tmp_path, capsys):
+    # the CSV's error names its file and line; no SVG or output directory
+    bad = tmp_path / "runs" / "r" / "metrics.csv"
+    bad.parent.mkdir(parents=True)
+    bad.write_text("step,algo\n0,reinforce\n")
+    code = cli.main(["plot", "--in", str(tmp_path / "runs"), "--out", str(tmp_path / "plots")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: line 1: header must start step,algo,task")
+    assert captured.err.count("\n") == 1 and captured.out == ""
     assert not (tmp_path / "plots").exists()

@@ -469,11 +469,9 @@ def test_plan_draws_equal_the_named_streams(task_name, seed):
         assert [p.id for p in drawn.prompts] == [task.train_prompts[i].id for i in chosen]
         perm = stream(seed, f"overlap/{step}").permutation(n_positions)
         assert np.array_equal(drawn.overlap, np.sort(perm[: min(cfg.n_overlap, n_positions)]))
-        if step % cfg.eval_every:
-            assert drawn.kl is None
-        else:
-            kl_u = stream(seed, f"kl/{step}").random((metrics.KL_SAMPLES, task.seq_len))
-            assert np.array_equal(drawn.kl, kl_u)
+        # every step's, also where no row is due: an aborting step's row reads them
+        kl_u = stream(seed, f"kl/{step}").random((metrics.KL_SAMPLES, task.seq_len))
+        assert np.array_equal(drawn.kl, kl_u)
     if task_name == "bandit":
         assert all(np.array_equal(d.overlap, np.arange(n_positions)) for d in plan.values())
 
@@ -609,7 +607,7 @@ def test_compare_single_run_median_equals_best(tmp_path):
     rows, _ = harness.compare([cfg], 1, tmp_path / "cmp", ["only"])
     assert rows
     for row in rows:
-        assert row["validation_best"] == row["validation_median"]
+        assert row["validation_max"] == row["validation_median"]
         assert row["validation_min"] == row["validation_max"]
         assert row["n_runs"] == 1 and row["aborted_runs"] == 0
 
@@ -623,7 +621,7 @@ def test_compare_best_is_elementwise_max(tmp_path):
     for row in rows:
         step = row["step"]
         vals = [m["validation"] for r in runs for m in r.rows if m["step"] == step]
-        assert row["validation_best"] == max(vals)
+        assert row["validation_max"] == max(vals)
         assert row["validation_median"] == float(np.median(vals))
         assert row["validation_min"] == min(vals)
 
@@ -638,7 +636,7 @@ def test_compare_aggregates_recomputable_from_run_csvs(tmp_path):
             per_run.setdefault(r["step"], []).append(r["validation"])
     for row in rows:
         vals = per_run[row["step"]]
-        assert row["validation_best"] == max(vals)
+        assert row["validation_max"] == max(vals)
         assert row["validation_median"] == float(np.median(vals))
 
 
@@ -892,6 +890,40 @@ def test_failure_inside_update_aborts_with_row(tmp_path, monkeypatch, algo, modu
 
 
 @pytest.mark.parametrize("algo", ["reinforce", "grpo", "isopo-ni", "isopo-int"])
+def test_abort_row_off_the_grid_reads_its_kl_stream(tmp_path, monkeypatch, algo):
+    # step 2 is not an eval step; its row's KL samples the kl/2 uniforms at
+    # the weights the failed update left, which the checkpoint holds
+    cfg = quick_cfg(algo=algo, steps=4, eval_every=3, seed=4)
+    current = {}
+    sample, optimizer_step = harness.sample_microbatch, baselines.optimizer_step
+
+    def tracked_sample(net, task, cfg, step, plan=None):
+        current["step"] = step
+        return sample(net, task, cfg, step, plan)
+
+    def failing_step(*args):
+        if current["step"] == 2:
+            raise FloatingPointError("injected")
+        return optimizer_step(*args)
+
+    monkeypatch.setattr(harness, "sample_microbatch", tracked_sample)
+    monkeypatch.setattr(baselines, "optimizer_step", failing_step)
+    res = harness.train(cfg, tmp_path / "r")
+    assert res.abort_reason.startswith("step 2: FloatingPointError")
+    assert [row["step"] for row in res.rows] == [0, 2]
+    task = harness.make_task(cfg)
+    ref = metrics.reference_table(harness.build_policy(task, cfg.seed), task)
+    table = metrics.reference_table(policy.load_checkpoint(res.checkpoint_path), task)
+
+    def kl(label):
+        u = stream(cfg.seed, label).random((metrics.KL_SAMPLES, task.seq_len))
+        return policy.kl_from_reference(table, ref, u)
+
+    assert res.rows[1]["kl_from_init"] == kl("kl/2")
+    assert res.rows[1]["kl_from_init"] != kl("kl/3")
+
+
+@pytest.mark.parametrize("algo", ["reinforce", "grpo", "isopo-ni", "isopo-int"])
 def test_training_never_materializes_sequence_gradients(tmp_path, monkeypatch, algo):
     # every per-sequence quantity comes from the position factors, so a run
     # that cannot read Scored.seq_grads finishes and writes the same file
@@ -923,16 +955,16 @@ def test_grpo_rescores_only_after_its_first_epoch(tmp_path, monkeypatch):
 
 
 def test_ntk_column_is_only_a_diagnostic(tmp_path, monkeypatch):
-    # isopo-int derives its Tikhonov constant itself, so a run whose summary
-    # lacks the NTK column trains to the same weights
+    # isopo-int derives its Tikhonov constant itself, so a run whose rows
+    # lack the NTK column trains to the same weights
     cfg = quick_cfg(algo="isopo-int", steps=3)
     reference = harness.train(cfg, tmp_path / "reference").checkpoint_path.read_bytes()
-    summarize = harness.metrics.batch_summary
+    collect = harness.metrics.collect
 
     def without_ntk(*args):
-        return {k: v for k, v in summarize(*args).items() if "ntk" not in k}
+        return {k: v for k, v in collect(*args).items() if "ntk" not in k}
 
-    monkeypatch.setattr(harness.metrics, "batch_summary", without_ntk)
+    monkeypatch.setattr(harness.metrics, "collect", without_ntk)
     res = harness.train(cfg, tmp_path / "r")
     assert "l0_ntk_eigen_mean" not in res.rows[0]
     assert res.checkpoint_path.read_bytes() == reference
@@ -980,12 +1012,13 @@ def test_aborted_run_recorded_and_excluded(tmp_path, monkeypatch):
 @pytest.mark.parametrize("algo", ["reinforce", "grpo", "isopo-ni", "isopo-int"])
 @pytest.mark.parametrize("abort_step", [None, 5])
 def test_diagnostics_only_where_read(tmp_path, monkeypatch, algo, abort_step):
-    # the Fisher norms are estimated for isopo-ni's update on every step and
-    # otherwise only for a written row; the batch is summarized only for a row
+    # the Fisher norms are estimated at most once a step: for isopo-ni's
+    # update on every step and otherwise only for a written row; a row is
+    # collected only where one is written
     cfg = quick_cfg(algo=algo, steps=7, eval_every=3, seed=1)
-    current, norm_steps, summary_steps = {}, [], []
+    current, norm_steps, row_steps = {}, [], []
     sample, estimate = harness.sample_microbatch, isopo.sequence_fisher_norms
-    summarize, optimizer_step = metrics.batch_summary, baselines.optimizer_step
+    collect, optimizer_step = metrics.collect, baselines.optimizer_step
 
     def tracked_sample(net, task, cfg, step, draws=None):
         current["step"] = step
@@ -995,9 +1028,9 @@ def test_diagnostics_only_where_read(tmp_path, monkeypatch, algo, abort_step):
         norm_steps.append(current["step"])
         return estimate(*args)
 
-    def counted_summary(*args):
-        summary_steps.append(current["step"])
-        return summarize(*args)
+    def counted_collect(*args):
+        row_steps.append(current["step"])
+        return collect(*args)
 
     def failing_step(*args):
         if current["step"] == abort_step:
@@ -1006,12 +1039,12 @@ def test_diagnostics_only_where_read(tmp_path, monkeypatch, algo, abort_step):
 
     monkeypatch.setattr(harness, "sample_microbatch", tracked_sample)
     monkeypatch.setattr(isopo, "sequence_fisher_norms", counted_norms)
-    monkeypatch.setattr(metrics, "batch_summary", counted_summary)
+    monkeypatch.setattr(metrics, "collect", counted_collect)
     monkeypatch.setattr(baselines, "optimizer_step", failing_step)
     res = harness.train(cfg, tmp_path / "r")
     written = [0, 3, 5] if abort_step else [0, 3, 6]
     assert [row["step"] for row in res.rows] == written
-    assert summary_steps == written
+    assert row_steps == written
     every_step = list(range((abort_step or cfg.steps) + 1))
     assert norm_steps == (every_step if algo == "isopo-ni" else written)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from isopo_lab import baselines, checks, isopo, metrics, oracle, policy, tasks
+from isopo_lab.config import RunConfig
 from isopo_lab.errors import ContractViolation, SingularMatrixError
 from isopo_lab.rng import stream, uniforms
 
@@ -287,9 +288,12 @@ def test_cancelling_positions_give_finite_updates(small_net, small_task):
         # degenerate exactly when |V_1|^2 came out as 0; otherwise a finite estimate
         assert np.isnan(norms[1, l]) == (sq[1] == 0.0)
     assert degenerate[1] == any(sq[1] == 0.0 for sq in mb.scored.sq_norms)
-    summary = metrics.batch_summary(mb, norms, int(np.count_nonzero(degenerate)), "isopo-ni")
+    ref = metrics.reference_table(small_net, small_task)
+    kl_u = stream(6, "kl").random((metrics.KL_SAMPLES, small_task.seq_len))
+    cfg = RunConfig(algo="isopo-ni")
+    row = metrics.collect(0, cfg, small_net, ref, small_task, mb, (norms, degenerate), kl_u)
     for l in range(len(mb.scored.sq_norms)):
-        assert np.isfinite(summary[f"l{l}_mean_grad_norm"])
+        assert np.isfinite(row[f"l{l}_mean_grad_norm"])
     for params in (isopo.RescalingParams(p=-1.0), isopo.RescalingParams(p=-1.0, q=0.5, r=-2.0)):
         upd = isopo.noninteracting_update(mb, norms, params)
         assert np.all(np.isfinite(np.concatenate([g.ravel() for g in upd])))

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from isopo_lab import isopo, metrics, tasks
+from isopo_lab.config import RunConfig
 from isopo_lab.rng import stream
 
 from conftest import make_microbatch, overlap
 
 
-def summary_for(mb, n_overlap=16, seed=0):
+def row_for(mb, net, task, n_overlap=16, seed=0, algo="reinforce"):
     positions = overlap(mb, n_overlap, stream(seed, "ms"))
-    norms, degenerate = isopo.sequence_fisher_norms(mb.scored, positions)
-    return metrics.batch_summary(mb, norms, int(np.count_nonzero(degenerate)), "reinforce"), norms
+    fisher_norms = isopo.sequence_fisher_norms(mb.scored, positions)
+    ref = metrics.reference_table(net, task)
+    cfg = RunConfig(algo=algo, seed=seed)
+    return metrics.collect(0, cfg, net, ref, task, mb, fisher_norms, kl_u(task)), fisher_norms[0]
 
 
 def kl_u(task, seed=0):
@@ -20,29 +23,41 @@ def kl_u(task, seed=0):
 
 
 def test_step_zero_kl_is_exactly_zero(small_net, small_task, microbatch):
-    summary, _ = summary_for(microbatch)
-    ref = metrics.reference_table(small_net, small_task)
-    row = metrics.collect(0, small_net, ref, small_task, summary, 0, "reinforce", kl_u(small_task))
+    row, _ = row_for(microbatch, small_net, small_task)
     assert row["kl_from_init"] == 0.0
     assert row["step"] == 0
     assert row["task"] == "seqtask"
 
 
-def test_mean_fisher_norm_matches_manual_average(microbatch):
-    summary, norms = summary_for(microbatch)
+def test_row_columns_in_order(small_net, small_task, microbatch):
+    row, _ = row_for(microbatch, small_net, small_task, seed=3, algo="isopo-int")
+    layers = [
+        f"l{l}_{name}"
+        for l in range(len(microbatch.scored.sq_norms))
+        for name in ("mean_F_norm", "mean_grad_norm", "ntk_eigen_mean")
+    ]
+    assert list(row) == [*metrics.FIXED_COLUMNS, *layers]
+    assert (row["algo"], row["seed"]) == ("isopo-int", 3)
+    assert row["mean_reward"] == float(microbatch.rewards.mean())
+
+
+def test_mean_fisher_norm_matches_manual_average(small_net, small_task, microbatch):
+    row, norms = row_for(microbatch, small_net, small_task)
     for l in range(len(microbatch.scored.sq_norms)):
         col = norms[:, l]
         manual = float(np.mean(col[~np.isnan(col)]))
-        assert summary[f"l{l}_mean_F_norm"] == pytest.approx(manual, abs=1e-12)
+        assert row[f"l{l}_mean_F_norm"] == pytest.approx(manual, abs=1e-12)
         manual_g = float(np.mean([np.linalg.norm(g) for g in microbatch.scored.seq_grads[l]]))
-        assert summary[f"l{l}_mean_grad_norm"] == pytest.approx(manual_g, abs=1e-12)
+        assert row[f"l{l}_mean_grad_norm"] == pytest.approx(manual_g, abs=1e-12)
 
 
 def test_collect_does_not_mutate_policy(small_net, small_task, microbatch):
     before = [w.copy() for w in small_net.weights]
-    summary, _ = summary_for(microbatch)
+    positions = overlap(microbatch, 16, stream(0, "ms"))
+    fisher_norms = isopo.sequence_fisher_norms(microbatch.scored, positions)
     ref = metrics.reference_table(small_net.copy(), small_task)
-    metrics.collect(5, small_net, ref, small_task, summary, 3, "grpo", kl_u(small_task))
+    cfg = RunConfig(algo="grpo", seed=3)
+    metrics.collect(5, cfg, small_net, ref, small_task, microbatch, fisher_norms, kl_u(small_task))
     for a, b in zip(before, small_net.weights):
         assert np.array_equal(a, b)
 
@@ -62,14 +77,17 @@ def test_validation_of_perfect_policy(small_task, small_net):
         w[i, task.vocab_size + task.seq_len + i] = 30.0
     net = pol.PolicyNet([w], vocab_size=4, context_dim=context_dim)
     mb = make_microbatch(net, task, seed=0, n_groups=2, group_size=2)
-    summary, _ = summary_for(mb, n_overlap=4)
-    ref = metrics.reference_table(net, task)
-    row = metrics.collect(0, net, ref, task, summary, 0, "reinforce", kl_u(task))
+    row, _ = row_for(mb, net, task, n_overlap=4)
     assert row["validation"] == 1.0
 
 
-def test_degenerate_count_passthrough(microbatch):
+def test_degenerate_count_passthrough(small_net, small_task, microbatch):
     positions = overlap(microbatch, 8, stream(0, "d"))
     norms, _ = isopo.sequence_fisher_norms(microbatch.scored, positions)
-    summary = metrics.batch_summary(microbatch, norms, 3, "reinforce")
-    assert summary["degenerate_sequences"] == 3
+    flags = np.zeros(len(norms), dtype=bool)
+    flags[[0, 2, 5]] = True
+    ref = metrics.reference_table(small_net, small_task)
+    row = metrics.collect(
+        0, RunConfig(), small_net, ref, small_task, microbatch, (norms, flags), kl_u(small_task)
+    )
+    assert row["degenerate_sequences"] == 3

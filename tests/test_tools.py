@@ -1,0 +1,26 @@
+"""Smoke tests of the scripts under ``tools/``, so they keep running."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_output_digests_repeat_for_one_run(tmp_path):
+    tool = load_tool("output_digests")
+    labels = [label for label, _ in tool.run_set()]
+    assert len(labels) == len(set(labels)) == 88
+    text = "algo = isopo-ni\nsteps = 2\neval_every = 1\ngroup_size = 4\ngroups_per_microbatch = 2\n"
+    first = tool.digest_line("smoke", text, tmp_path / "a")
+    assert first == tool.digest_line("smoke", text, tmp_path / "b")
+    label, digest = first.split(" ")
+    assert label == "smoke" and len(digest) == 64

@@ -1,0 +1,87 @@
+"""Print one digest line per training run of a fixed set of 88 runs.
+
+Usage, with no flags, from any directory:
+
+    python tools/output_digests.py
+
+Each run trains from this checkout's ``src`` into a temporary directory. The
+line for a run holds its label, a SHA-256 over its ``metrics.csv``,
+``checkpoint.txt``, ``config.txt`` and ``ABORTED`` (a file that is missing
+adds nothing), and its abort reason, if it aborted. Two checkouts that print
+the same lines wrote the same bytes on every run of the set:
+
+- the reference seeds of each benchmark workload (``perfbench/workloads.py``);
+- each algorithm on seqtask and bandit, seeds 0-2, 60 steps, a row every 7;
+- each algorithm on seqtask and bandit with AdamW at lr 1e307 and SGD at lr
+  1.7e308, 10 steps, a row every 3, where most runs diverge and abort.
+
+BLAS runs on one thread, as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+from workloads import WORKLOADS, config_text  # noqa: E402
+
+ALGOS = ("reinforce", "grpo", "isopo-ni", "isopo-int")
+TASKS = ("seqtask", "bandit")
+DIVERGING = {
+    "adamw-lr1e307": "optimizer = adamw\nlr = 1e307\n",
+    "sgd-lr1.7e308": "optimizer = sgd\nlr = 1.7e308\n",
+}
+OUTPUTS = ("metrics.csv", "checkpoint.txt", "config.txt", "ABORTED")
+
+
+def run_set() -> list[tuple[str, str]]:
+    """(label, config text) of every run of the set, in print order."""
+    runs = [
+        (f"{name}/seed{seed}", config_text(name, seed))
+        for name in WORKLOADS
+        for seed in range(workloads.N_REFERENCE_SEEDS)
+    ]
+    for algo in ALGOS:
+        for task in TASKS:
+            base = f"algo = {algo}\ntask = {task}\n"
+            runs += [
+                (f"{algo}/{task}/seed{seed}", base + f"seed = {seed}\nsteps = 60\neval_every = 7\n")
+                for seed in range(3)
+            ]
+            runs += [
+                (f"{algo}/{task}/{name}", base + lines + "steps = 10\neval_every = 3\n")
+                for name, lines in DIVERGING.items()
+            ]
+    return runs
+
+
+def digest_line(label: str, text: str, out_dir) -> str:
+    """Train the run of config ``text`` into ``out_dir`` and return its line."""
+    from isopo_lab import config, harness
+
+    result = harness.train(config.parse_config(text), out_dir)
+    digest = hashlib.sha256()
+    for name in OUTPUTS:
+        path = Path(out_dir) / name
+        if path.exists():
+            data = path.read_bytes()
+            digest.update(f"{name} {len(data)}\n".encode() + data)
+    return f"{label} {digest.hexdigest()} {result.abort_reason}".rstrip()
+
+
+def main() -> int:
+    os.environ.update(workloads.PINNED_ENV)  # before numpy loads
+    workloads.import_package()
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, (label, text) in enumerate(run_set()):
+            print(digest_line(label, text, Path(tmp) / str(index)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
