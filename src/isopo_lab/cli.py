@@ -24,6 +24,15 @@ def _error(message) -> int:
     return 2
 
 
+def _not_a_directory(out) -> str | None:
+    """Why ``out`` cannot be made a directory, or None: the nearest of it and
+    its parents that exists is not a directory."""
+    for path in (Path(out), *Path(out).parents):
+        if path.exists():
+            return None if path.is_dir() else f"output directory {out}: {path} is not a directory"
+    return None
+
+
 def _print_suites(results) -> int:
     failed = 0
     for suite in results:
@@ -67,6 +76,9 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 overrides["seed"] = args.seed
             cfg = load_config(args.config, **overrides)
+            problem = _not_a_directory(args.out if args.out is not None else cfg.out_dir)
+            if problem:
+                return _error(problem)
             result = harness.train(cfg, out_dir=args.out)
             last = result.rows[-1]
             print(f"wrote {result.csv_path}")
@@ -82,6 +94,9 @@ def main(argv=None) -> int:
         if args.command == "compare":
             if args.seeds < 1:
                 return _error(f"--seeds must be >= 1, got {args.seeds}")
+            problem = _not_a_directory(args.out)
+            if problem:
+                return _error(problem)
             configs = [load_config(path) for path in args.configs]
             labels = [Path(path).stem for path in args.configs]
             if len(set(labels)) != len(labels):
@@ -94,6 +109,9 @@ def main(argv=None) -> int:
             return 1 if aborted else 0
 
         if args.command == "plot":
+            problem = _not_a_directory(args.out)
+            if problem:
+                return _error(problem)
             csvs = sorted(Path(args.in_dir).rglob("metrics.csv"))
             if not csvs:
                 return _error(f"no metrics.csv under {args.in_dir}")

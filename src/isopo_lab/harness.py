@@ -212,7 +212,8 @@ def _update(cfg, net, optimizer, microbatch, fisher_norms, rescale_params) -> No
             grads = isopo.interacting_microbatch_update(
                 microbatch, cfg.reg_factor, rescale_params.ema
             )
-        baselines.optimizer_step(optimizer, net, [-g for g in grads])
+        # each update returns arrays of its own, so they are negated in place
+        baselines.optimizer_step(optimizer, net, [np.negative(g, out=g) for g in grads])
 
 
 def _check_finite(row: dict) -> None:

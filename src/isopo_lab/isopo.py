@@ -36,6 +36,9 @@ mean_i |V_i|^2 (``Scored.sq_norms``).
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,7 +102,7 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
 def _sample_denominator(act_in: np.ndarray, grad_out: np.ndarray) -> float:
     scale = row_norms(grad_out) * row_norms(act_in)
-    return float(np.sqrt(scale.dot(scale)))  # np.linalg.norm(scale), bit for bit
+    return math.sqrt(scale.dot(scale))  # np.linalg.norm(scale), bit for bit
 
 
 def overlap_positions(rng: np.random.Generator, n_positions: int, n_overlap: int) -> np.ndarray:
@@ -130,38 +133,50 @@ def sequence_fisher_norms(
     norms = np.full((n_seq, len(scored.grad_out)), np.nan)
     degenerate = np.zeros(n_seq, dtype=bool)
     for l, (act_in, grad_out) in enumerate(zip(scored.act_in, scored.grad_out)):
-        sample_a = act_in.reshape(-1, act_in.shape[-1])[positions]
-        sample_g = grad_out.reshape(-1, grad_out.shape[-1])[positions]
+        sample_a = act_in.reshape(-1, act_in.shape[-1]).take(positions, axis=0)
+        sample_g = grad_out.reshape(-1, grad_out.shape[-1]).take(positions, axis=0)
         denominator = _sample_denominator(sample_a, sample_g)
         if denominator == 0.0:
             degenerate[:] = True
             continue
-        live = scored.sq_norms[l] > 0.0
-        degenerate |= ~live
         proj = grad_projections(grad_out, act_in, sample_g, sample_a)
-        norms[live, l] = row_norms(proj[live]) / denominator
+        live = scored.sq_norms[l] > 0.0
+        if live.all():  # each row's norm is the same bits, whatever rows are kept
+            norms[:, l] = row_norms(proj) / denominator
+        else:
+            degenerate |= ~live
+            norms[live, l] = row_norms(proj[live]) / denominator
     return norms, degenerate
 
 
 def _reg2(x, key, params: RescalingParams):
-    return np.sqrt(np.maximum(x * x + params.reg_strength * params.ema.value(key), RESCALE_FLOOR))
+    sq = x * x
+    # at reg_strength 0 no EMA entry is written, and x * x + 0.0 * 0.0 is x * x
+    if params.reg_strength > 0:
+        sq = sq + params.reg_strength * params.ema.value(key)
+    return np.sqrt(np.maximum(sq, RESCALE_FLOOR))
 
 
-def _scale(f_norm, grad_norm, params: RescalingParams, layer: int):
-    """reg2(F)^p * reg2(|V|)^q * reg2(F/|V|)^r for Fisher norms F and Frobenius norms |V|.
+def _scale(f_norm, grad_sq, params: RescalingParams, layer: int):
+    """reg2(F)^p * reg2(|V|)^q * reg2(F/|V|)^r for Fisher norms F and squared
+    Frobenius norms |V|^2.
 
     A factor whose exponent is zero is exactly 1.0 for every input, NaN and
-    infinity included, so it is not computed; neither is F/|V| unless r != 0.
+    infinity included, so it is not computed; neither is |V| unless q or r
+    is nonzero, nor F/|V| unless r is. The product starts from the first
+    computed factor, since 1.0 * x is x.
     """
-    scale = 1.0
+    factors = []
     if params.p:
-        scale = scale * _reg2(f_norm, (layer, "fisher_sq"), params) ** params.p
+        factors.append(_reg2(f_norm, (layer, "fisher_sq"), params) ** params.p)
+    if params.q or params.r:
+        grad_norm = np.sqrt(grad_sq)
     if params.q:
-        scale = scale * _reg2(grad_norm, (layer, "grad_sq"), params) ** params.q
+        factors.append(_reg2(grad_norm, (layer, "grad_sq"), params) ** params.q)
     if params.r:
         rel = np.divide(f_norm, grad_norm, out=np.zeros_like(grad_norm), where=grad_norm > 0)
-        scale = scale * _reg2(rel, (layer, "rel_sq"), params) ** params.r
-    return scale
+        factors.append(_reg2(rel, (layer, "rel_sq"), params) ** params.r)
+    return functools.reduce(operator.mul, factors) if factors else 1.0
 
 
 def rescaling(
@@ -179,7 +194,7 @@ def rescaling(
     if f_norm < 0:
         raise ContractViolation(f"F_norm must be nonnegative, got {f_norm}")
     grad = np.asarray(grad, dtype=float)
-    return _scale(f_norm, np.sqrt(np.sum(grad * grad)), params, layer) * grad
+    return _scale(f_norm, np.sum(grad * grad), params, layer) * grad
 
 
 def _refresh_ema(params: RescalingParams, norms: np.ndarray, microbatch: Microbatch) -> None:
@@ -218,9 +233,13 @@ def noninteracting_update(
         _refresh_ema(params, norms, microbatch)
     grads = []
     for l, sq_norms in enumerate(scored.sq_norms):
-        valid = ~np.isnan(norms[:, l])
-        scale = np.ones(len(sq_norms))  # degenerate fallback: no rescaling
-        scale[valid] = _scale(norms[valid, l], np.sqrt(sq_norms[valid]), params, l)
+        f_norms = norms[:, l]
+        valid = ~np.isnan(f_norms)
+        if valid.all():  # the scale is elementwise: the same bits on any subset
+            scale = _scale(f_norms, sq_norms, params, l)
+        else:
+            scale = np.ones(len(sq_norms))  # degenerate fallback: no rescaling
+            scale[valid] = _scale(f_norms[valid], sq_norms[valid], params, l)
         grads.append(grad_sum(scored.grad_out[l], scored.act_in[l], advantages * scale))
     return grads
 
@@ -284,7 +303,7 @@ def interacting_update(grad_out, act_in, advantages, c: float) -> np.ndarray:
 
 def mean_ntk_eigenvalue(sq_norms) -> float:
     """The mean eigenvalue trace(K) / m = mean_i |V_i|^2 of a layer's NTK."""
-    return float(np.mean(sq_norms))
+    return float(np.add.reduce(sq_norms) / len(sq_norms))  # np.mean, bit for bit
 
 
 def interacting_microbatch_update(

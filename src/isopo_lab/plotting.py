@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -130,9 +131,19 @@ class _Canvas:
         )
 
 
+def _finite(series: Series) -> Series:
+    """``series`` without its points that have a NaN or infinite coordinate,
+    which no pixel position can show."""
+    points = [(x, y) for x, y in zip(series.xs, series.ys) if math.isfinite(x) and math.isfinite(y)]
+    return Series(series.label, [x for x, _ in points], [y for _, y in points])
+
+
 def render_chart(
     series: list[Series], title: str, xlabel: str, ylabel: str, lines: bool = True
 ) -> str:
+    """An SVG chart of ``series``; points with a non-finite coordinate are
+    left out of the series and the axis ranges."""
+    series = [_finite(s) for s in series]
     canvas = _Canvas(title, xlabel, ylabel, series)
     for i, s in enumerate(series):
         canvas.add_series(i, s, lines)

@@ -157,9 +157,10 @@ def grad_sq_norms(grad_out: np.ndarray, act_in: np.ndarray) -> np.ndarray:
     A sum of Gram products can round below zero when V_b cancels, so it is
     clamped at 0; V_b counts as zero exactly when this returns 0.
     """
-    gg = grad_out @ np.swapaxes(grad_out, 1, 2)
-    aa = act_in @ np.swapaxes(act_in, 1, 2)
-    return np.maximum(np.sum(gg * aa, axis=(1, 2)), 0.0)
+    # each second operand a transposed view of the first: numpy's batched syrk
+    gg = grad_out @ grad_out.swapaxes(1, 2)
+    gg *= act_in @ act_in.swapaxes(1, 2)
+    return np.maximum(np.add.reduce(gg, axis=(1, 2)), 0.0)
 
 
 def grad_projections(
@@ -168,10 +169,9 @@ def grad_projections(
     """(B, n) projections g_j . V_b a_j of every V_b onto n rank-one factors
     (g (n, out), a (n, in + 1)): two gemms over the B T positions."""
     n_seq, seq_len = grad_out.shape[:2]
-    prod = (grad_out.reshape(n_seq * seq_len, -1) @ g.T) * (
-        act_in.reshape(n_seq * seq_len, -1) @ a.T
-    )
-    return prod.reshape(n_seq, seq_len, -1).sum(axis=1)
+    prod = grad_out.reshape(n_seq * seq_len, -1) @ g.T
+    prod *= act_in.reshape(n_seq * seq_len, -1) @ a.T
+    return np.add.reduce(prod.reshape(n_seq, seq_len, -1), axis=1)
 
 
 def grad_sum(grad_out: np.ndarray, act_in: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -222,14 +222,14 @@ def forward(net: PolicyNet, x) -> tuple[np.ndarray, list[np.ndarray]]:
     lead = x.shape[:-1]
     a = x.reshape(-1, net.context_dim + 1)
     act_in = [x]
-    for l, w in enumerate(net.weights):
+    for w in net.weights[:-1]:
         z = a @ w.T
-        if l == net.n_layers - 1:
-            return z.reshape(lead + z.shape[1:]), act_in
         a = np.empty((len(z), w.shape[0] + 1))
         a[:, -1] = 1.0
         np.tanh(z, out=a[:, :-1])
         act_in.append(a.reshape(lead + a.shape[1:]))
+    z = a @ net.weights[-1].T
+    return z.reshape(lead + z.shape[1:]), act_in
 
 
 def seq_len_for(net: PolicyNet, features) -> int:
@@ -302,24 +302,29 @@ def _sequence_logprobs(logits, m, total, rows, at) -> np.ndarray:
     return (logits.take(at) - m.take(rows) - np.log(total.take(rows))).sum(axis=1)
 
 
-def _backward(net: PolicyNet, logits, act_in, tokens, normalized=None) -> Scored:
-    """``Scored`` of sequences (B, T) from their positions' logits (B, T, vocab)
-    and bias-augmented layer inputs (B, T, in + 1). ``normalized``, when
-    given, is ``_normalize(logits)`` in arrays this may overwrite."""
-    m, p, total = _normalize(logits) if normalized is None else normalized
-    p /= total
+def _token_entries(tokens, vocab: int) -> np.ndarray:
+    """Each position's token entry in the C-order flattening of a (B, T, vocab)
+    array: (b T + t) vocab + tokens[b, t]."""
+    return np.arange(0, tokens.size * vocab, vocab).reshape(tokens.shape) + tokens
+
+
+def _backward(net: PolicyNet, logprobs, probs, act_in, at) -> Scored:
+    """``Scored`` of sequences (B, T) with log-probabilities ``logprobs`` (B,),
+    from their positions' softmax ``probs`` (B, T, vocab), which this
+    overwrites, its tokens' entries ``at`` (``_token_entries``) and
+    bias-augmented layer inputs (B, T, in + 1)."""
     # d log softmax(z)[token] / dz = onehot(token) - softmax(z), written over
-    # p; 0.0 - p, not -p, keeps a zero probability's entry +0.0, as onehot - p does
-    g = np.subtract(0.0, p, out=p)
-    rows = np.arange(tokens.size).reshape(tokens.shape)  # (b, t) is row b T + t
-    at = rows * g.shape[-1] + tokens  # each position's token entry
+    # probs; 0.0 - p, not -p, keeps a zero probability's entry +0.0, as onehot - p does
+    g = np.subtract(0.0, probs, out=probs)
     g.reshape(-1)[at] += 1.0
     grad_out = [g]
     for l in range(net.n_layers - 1, 0, -1):
         h = act_in[l][..., :-1]
-        g = (g @ net.weights[l][:, :-1]) * (1.0 - h * h)
+        dh = h * h
+        g = g @ net.weights[l][:, :-1]
+        g *= np.subtract(1.0, dh, out=dh)
         grad_out.insert(0, g)
-    return Scored(_sequence_logprobs(logits, m, total, rows, at), act_in, grad_out)
+    return Scored(logprobs, act_in, grad_out)
 
 
 def score(net: PolicyNet, features, tokens, inputs=None) -> Scored:
@@ -334,7 +339,12 @@ def score(net: PolicyNet, features, tokens, inputs=None) -> Scored:
     if inputs is None:
         inputs = teacher_forced_inputs(net, features, tokens)
     logits, act_in = forward(net, inputs)
-    return _backward(net, logits, act_in, tokens)
+    m, probs, total = _normalize(logits)
+    rows = np.arange(tokens.size).reshape(tokens.shape)  # (b, t) is row b T + t
+    at = _token_entries(tokens, logits.shape[-1])
+    logprobs = _sequence_logprobs(logits, m, total, rows, at)
+    probs /= total
+    return _backward(net, logprobs, probs, act_in, at)
 
 
 def _row(position, prev, vocab: int):
@@ -371,8 +381,12 @@ class ContextTable:
 
     @cached_property
     def _normalized(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_normalize`` of the logits, which sampling and log-probabilities share."""
-        return _normalize(self.logits)
+        """``_normalize`` of the logits with e divided by its sum: each row's
+        maximum, softmax and sum, which sampling, scoring and
+        log-probabilities share."""
+        m, probs, total = _normalize(self.logits)
+        probs /= total
+        return m, probs, total
 
     def sample(self, which, u) -> tuple[np.ndarray, np.ndarray]:
         """Tokens (B, T) of sequences of prompts ``which`` (B,) from uniforms
@@ -387,8 +401,7 @@ class ContextTable:
         n_contexts, vocab = self.logits.shape[1:]
         if u.shape != (len(which), self.seq_len):
             raise ContractViolation(f"uniforms shape {u.shape} does not match (B, T)")
-        _, e, total = self._normalized
-        cdf = np.cumsum(e / total, axis=-1).reshape(-1, vocab)
+        cdf = np.cumsum(self._normalized[1], axis=-1).reshape(-1, vocab)
         tokens = np.zeros(u.shape, dtype=np.int64)
         rows = np.empty(u.shape, dtype=np.int64)
         rows[:, 0] = np.asarray(which) * n_contexts  # position 0 reads its prompt's row 0
@@ -396,7 +409,7 @@ class ContextTable:
             if t:
                 rows[:, t] = rows[:, 0] + _row(t, tokens[:, t - 1], vocab)
             below = cdf.take(rows[:, t], axis=0) <= u[:, t, None]
-            tokens[:, t] = np.minimum(np.sum(below, axis=-1), vocab - 1)
+            tokens[:, t] = np.minimum(np.add.reduce(below, axis=-1), vocab - 1)
         return tokens, rows
 
     def logprobs(self, rows, tokens) -> np.ndarray:
@@ -417,10 +430,10 @@ class ContextTable:
 
         return _backward(
             net,
-            gather(self.logits),
+            self.logprobs(rows, tokens),
+            gather(self._normalized[1]),
             [gather(a) for a in self.act_in],
-            tokens,
-            tuple(gather(part) for part in self._normalized),
+            _token_entries(tokens, self.logits.shape[-1]),
         )
 
 
@@ -493,7 +506,7 @@ def kl_reference(net: PolicyNet, prompts) -> ContextTable:
     ordered = sorted(prompts, key=lambda p: p.id)
     if not ordered:
         raise ContractViolation("need at least one prompt")
-    features = np.stack([p.features for p in ordered])
+    features = np.array([p.features for p in ordered])
     n_rows = len(features) * _n_contexts(net.vocab_size, seq_len_for(net, features))
     n_blocks = min(len(features), max(1, n_rows // KL_BLOCK_ROWS))
     blocks = np.array_split(features, n_blocks)

@@ -102,7 +102,7 @@ def group_advantages(rewards, normalize_std: bool = False) -> np.ndarray:
     r = np.asarray(rewards, dtype=float)
     if r.ndim == 0 or r.shape[-1] < 2:
         raise ContractViolation("advantage estimation needs at least 2 rewards")
-    adv = r - r.mean(axis=-1, keepdims=True)
+    adv = r - np.add.reduce(r, axis=-1, keepdims=True) / r.shape[-1]  # r.mean, bit for bit
     if normalize_std:
         adv = adv / (r.std(axis=-1, keepdims=True) + STD_EPS)
     return adv
@@ -121,7 +121,7 @@ def build_microbatch(net, task, prompts, u, normalize_std: bool = False) -> Micr
     if not prompts or len(u) % len(prompts):
         raise ContractViolation(f"{len(u)} uniform rows do not split into {len(prompts)} groups")
     size = len(u) // len(prompts)
-    prompt_features = np.stack([p.features for p in prompts])
+    prompt_features = np.array([p.features for p in prompts])
     tokens, scored = policy.sample_and_score(net, prompt_features, u)
     # rewards come from the task verifier and nowhere else
     rewards = task.rewards([p for p in prompts for _ in range(size)], tokens)
@@ -173,7 +173,8 @@ class SeqAdditionTask:
         ``prompts[b]``: the fraction of positions equal to the target's
         digit, or 1.0 for an exact match and 0.0 otherwise."""
         tokens = _check_tokens(prompts, tokens, self.seq_len)
-        correct = np.count_nonzero(tokens == np.array([p.target for p in prompts]), axis=1)
+        targets = np.fromiter([d for p in prompts for d in p.target], np.int64)
+        correct = np.add.reduce(tokens == targets.reshape(tokens.shape), axis=1)
         if self.exact_match_reward:
             return (correct == self.seq_len).astype(float)
         return correct / self.seq_len
@@ -233,7 +234,7 @@ def validation_score(net, prompts) -> float:
     prompts = list(prompts)
     if not prompts:
         raise ContractViolation("validation needs at least one prompt")
-    tokens = policy.greedy(net, np.stack([p.features for p in prompts]))
+    tokens = policy.greedy(net, np.array([p.features for p in prompts]))
     hits = sum(1 for p, row in zip(prompts, tokens.tolist()) if tuple(row) == p.target)
     return hits / len(prompts)
 

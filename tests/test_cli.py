@@ -211,3 +211,29 @@ def test_cli_plot_of_a_malformed_csv_is_an_error(tmp_path, capsys):
     assert captured.err.startswith(f"error: {bad}: line 1: header must start step,algo,task")
     assert captured.err.count("\n") == 1 and captured.out == ""
     assert not (tmp_path / "plots").exists()
+
+
+def test_cli_out_naming_a_file_is_an_error(tmp_path, capsys):
+    # an --out that is a file, or lies under one: one error line and exit
+    # code 2, before any run trains or any CSV is read (the malformed CSV
+    # under --in would be an error of its own)
+    cfg = write_config(tmp_path / "run.cfg", "steps = 1\n")
+    runs = tmp_path / "runs" / "r"
+    runs.mkdir(parents=True)
+    (runs / "metrics.csv").write_text("step,algo\n")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    commands = (
+        ["train", "--config", cfg, "--out"],
+        ["compare", "--config", cfg, "--out"],
+        ["plot", "--in", str(tmp_path / "runs"), "--out"],
+    )
+    for command in commands:
+        for out in (blocker, blocker / "sub"):
+            code = cli.main([*command, str(out)])
+            assert code == 2
+            captured = capsys.readouterr()
+            expected = f"error: output directory {out}: {blocker} is not a directory\n"
+            assert captured.err == expected and captured.out == ""
+    assert blocker.read_text() == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "run.cfg", "runs"]

@@ -272,6 +272,26 @@ def test_noninteracting_degenerate_fallback(small_net, small_task):
     assert np.all(np.isfinite([np.max(np.abs(g)) for g in upd]))
 
 
+def test_live_estimates_ignore_a_dead_sequence(small_net, small_task):
+    # with no degenerate sequence every layer's column is written whole; with
+    # sequence 1 zeroed it is written through a mask. The other sequences'
+    # estimates are the same bits either way, from samples outside sequence 1
+    mb = make_microbatch(small_net, small_task, seed=5)
+    n_seq, seq_len = mb.tokens.shape
+    positions = np.array([j for j in range(mb.tokens.size) if j // seq_len != 1])
+    sc = mb.scored
+    dead = policy.Scored(sc.logprobs, sc.act_in, [g.copy() for g in sc.grad_out])
+    for gout in dead.grad_out:
+        gout[1] = 0.0
+    norms, degenerate = isopo.sequence_fisher_norms(sc, positions)
+    dead_norms, dead_degenerate = isopo.sequence_fisher_norms(dead, positions)
+    assert not np.any(np.isnan(norms)) and not np.any(degenerate)
+    assert np.flatnonzero(dead_degenerate).tolist() == [1]
+    assert np.all(np.isnan(dead_norms[1]))
+    live = np.arange(n_seq) != 1
+    assert np.array_equal(norms[live], dead_norms[live])
+
+
 def test_cancelling_positions_give_finite_updates(small_net, small_task):
     # positions 0 and 1 of sequence 1 share their input and have opposite
     # gradients, so V_1 = 0 in every layer while its (T, T) Gram products do

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import re
 import xml.etree.ElementTree as ET
 
 from isopo_lab import harness, plotting
@@ -77,3 +79,38 @@ def test_plot_runs_on_real_training_output(tmp_path):
     for path in out.values():
         root, *_ = parse_svg(path)
         assert root.tag == f"{SVG_NS}svg"
+
+
+def numbers_in(root):
+    """Every number written in an attribute or a text of the SVG, NaN and
+    infinities included."""
+    found = []
+    for element in root.iter():
+        for text in [*element.attrib.values(), element.text or ""]:
+            for token in re.split(r"[\s,()]+", text):
+                try:
+                    found.append(float(token))
+                except ValueError:
+                    pass
+    return found
+
+
+def test_non_finite_points_are_left_out(tmp_path):
+    # a diverging run aborts with kl_from_init = nan in its last row; a
+    # synthetic run adds infinities. Every number the SVGs hold is finite,
+    # and each finite point keeps its marker.
+    cfg = RunConfig(algo="reinforce", task="bandit", optimizer="adamw", lr=1e307, steps=10,
+                    eval_every=3)
+    res = harness.train(cfg, tmp_path / "runs" / "nan")
+    assert res.aborted and math.isnan(res.rows[-1]["kl_from_init"])
+    write_csv(tmp_path / "runs" / "inf.csv",
+              [(0, 0.1, 0.0), (3, math.inf, 0.2), (6, 0.3, -math.inf)], seed=1)
+    out = plotting.plot_runs([res.csv_path, tmp_path / "runs" / "inf.csv"], tmp_path / "plots")
+    for path in out.values():
+        root, *_ = parse_svg(path)
+        numbers = numbers_in(root)
+        assert numbers and all(math.isfinite(x) for x in numbers)
+    _, markers, *_ = parse_svg(out["validation_vs_step"])
+    assert len(markers) == len(res.rows) + 2  # the inf validation at step 3 is left out
+    _, markers, *_ = parse_svg(out["kl_vs_validation"])
+    assert len(markers) == 0  # both final rows hold a non-finite value

@@ -240,3 +240,26 @@ def test_row_norms_equal_linalg_norm_bit_for_bit(n_rows, n_cols, data):
         got = isopo._sample_denominator(y, x)
         want = float(np.linalg.norm(scale))
     assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+# every float: NaN, infinities, signed zeros, subnormals and squares that overflow
+ANY_FLOATS = st.floats() | st.sampled_from(
+    [np.nan, -np.inf, np.inf, 0.0, -0.0, 5e-324, -2.5e-320, 1e-4, 1.4e154, -1.7e308]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(ANY_FLOATS, min_size=1, max_size=6),
+    st.floats(min_value=0.0, allow_infinity=False),
+)
+def test_reg2_without_regularization_skips_the_ema_term_bit_for_bit(xs, v):
+    # at reg_strength 0, x * x + 0.0 * v is x * x for every float x and
+    # finite v >= 0, so _reg2 need not read the EMA
+    x = np.array(xs)
+    params = isopo.RescalingParams(reg_strength=0.0)
+    params.ema.values[(0, "fisher_sq")] = v
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = isopo._reg2(x, (0, "fisher_sq"), params)
+        want = np.sqrt(np.maximum(x * x + 0.0 * v, isopo.RESCALE_FLOOR))
+    assert got.tobytes() == want.tobytes()

@@ -1,4 +1,4 @@
-"""Print one digest line per training run of a fixed set of 88 runs.
+"""Print one digest line per training run of a fixed set of 94 runs.
 
 Usage, with no flags, from any directory:
 
@@ -13,7 +13,10 @@ the same lines wrote the same bytes on every run of the set:
 - the reference seeds of each benchmark workload (``perfbench/workloads.py``);
 - each algorithm on seqtask and bandit, seeds 0-2, 60 steps, a row every 7;
 - each algorithm on seqtask and bandit with AdamW at lr 1e307 and SGD at lr
-  1.7e308, 10 steps, a row every 3, where most runs diverge and abort.
+  1.7e308, 10 steps, a row every 3, where most runs diverge and abort;
+- generalized isopo-ni (q = 0.5, r = -0.5, reg_strength = 0.3, so every
+  rescaling factor and the EMA are read) on seqtask and bandit, seeds 0-2,
+  60 steps, a row every 7.
 
 BLAS runs on one thread, as in the benchmark.
 """
@@ -36,6 +39,7 @@ DIVERGING = {
     "adamw-lr1e307": "optimizer = adamw\nlr = 1e307\n",
     "sgd-lr1.7e308": "optimizer = sgd\nlr = 1.7e308\n",
 }
+GENERALIZED = "algo = isopo-ni\nq = 0.5\nr = -0.5\nreg_strength = 0.3\n"
 OUTPUTS = ("metrics.csv", "checkpoint.txt", "config.txt", "ABORTED")
 
 
@@ -57,6 +61,14 @@ def run_set() -> list[tuple[str, str]]:
                 (f"{algo}/{task}/{name}", base + lines + "steps = 10\neval_every = 3\n")
                 for name, lines in DIVERGING.items()
             ]
+    for task in TASKS:
+        runs += [
+            (
+                f"isopo-ni-qr-reg/{task}/seed{seed}",
+                GENERALIZED + f"task = {task}\nseed = {seed}\nsteps = 60\neval_every = 7\n",
+            )
+            for seed in range(3)
+        ]
     return runs
 
 
