@@ -76,9 +76,6 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 overrides["seed"] = args.seed
             cfg = load_config(args.config, **overrides)
-            problem = _not_a_directory(args.out if args.out is not None else cfg.out_dir)
-            if problem:
-                return _error(problem)
             result = harness.train(cfg, out_dir=args.out)
             last = result.rows[-1]
             print(f"wrote {result.csv_path}")
@@ -94,9 +91,6 @@ def main(argv=None) -> int:
         if args.command == "compare":
             if args.seeds < 1:
                 return _error(f"--seeds must be >= 1, got {args.seeds}")
-            problem = _not_a_directory(args.out)
-            if problem:
-                return _error(problem)
             configs = [load_config(path) for path in args.configs]
             labels = [Path(path).stem for path in args.configs]
             if len(set(labels)) != len(labels):
@@ -109,6 +103,7 @@ def main(argv=None) -> int:
             return 1 if aborted else 0
 
         if args.command == "plot":
+            # plot_runs makes --out only after reading every CSV
             problem = _not_a_directory(args.out)
             if problem:
                 return _error(problem)
@@ -121,6 +116,9 @@ def main(argv=None) -> int:
             return 0
     except (ConfigError, CsvFormatError) as exc:
         return _error(exc)
+    except (FileExistsError, NotADirectoryError) as exc:
+        # train and compare make their output directory before any run trains
+        return _error(f"output directory {exc.filename}: {exc.strerror}")
 
     # gradcheck or oracle-check
     if args.seed < 0:

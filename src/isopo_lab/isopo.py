@@ -36,9 +36,7 @@ mean_i |V_i|^2 (``Scored.sq_norms``).
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,13 +137,11 @@ def sequence_fisher_norms(
         if denominator == 0.0:
             degenerate[:] = True
             continue
+        dead = ~(scored.sq_norms[l] > 0.0)
+        degenerate |= dead
         proj = grad_projections(grad_out, act_in, sample_g, sample_a)
-        live = scored.sq_norms[l] > 0.0
-        if live.all():  # each row's norm is the same bits, whatever rows are kept
-            norms[:, l] = row_norms(proj) / denominator
-        else:
-            degenerate |= ~live
-            norms[live, l] = row_norms(proj[live]) / denominator
+        norms[:, l] = row_norms(proj) / denominator
+        norms[dead, l] = np.nan
     return norms, degenerate
 
 
@@ -163,20 +159,19 @@ def _scale(f_norm, grad_sq, params: RescalingParams, layer: int):
 
     A factor whose exponent is zero is exactly 1.0 for every input, NaN and
     infinity included, so it is not computed; neither is |V| unless q or r
-    is nonzero, nor F/|V| unless r is. The product starts from the first
-    computed factor, since 1.0 * x is x.
+    is nonzero, nor F/|V| unless r is.
     """
-    factors = []
+    scale = 1.0
     if params.p:
-        factors.append(_reg2(f_norm, (layer, "fisher_sq"), params) ** params.p)
+        scale = scale * _reg2(f_norm, (layer, "fisher_sq"), params) ** params.p
     if params.q or params.r:
         grad_norm = np.sqrt(grad_sq)
     if params.q:
-        factors.append(_reg2(grad_norm, (layer, "grad_sq"), params) ** params.q)
+        scale = scale * _reg2(grad_norm, (layer, "grad_sq"), params) ** params.q
     if params.r:
         rel = np.divide(f_norm, grad_norm, out=np.zeros_like(grad_norm), where=grad_norm > 0)
-        factors.append(_reg2(rel, (layer, "rel_sq"), params) ** params.r)
-    return functools.reduce(operator.mul, factors) if factors else 1.0
+        scale = scale * _reg2(rel, (layer, "rel_sq"), params) ** params.r
+    return scale
 
 
 def rescaling(
@@ -234,12 +229,9 @@ def noninteracting_update(
     grads = []
     for l, sq_norms in enumerate(scored.sq_norms):
         f_norms = norms[:, l]
-        valid = ~np.isnan(f_norms)
-        if valid.all():  # the scale is elementwise: the same bits on any subset
-            scale = _scale(f_norms, sq_norms, params, l)
-        else:
-            scale = np.ones(len(sq_norms))  # degenerate fallback: no rescaling
-            scale[valid] = _scale(f_norms[valid], sq_norms[valid], params, l)
+        # degenerate fallback: no rescaling. The scale is elementwise, so a
+        # valid entry's bits do not depend on the NaN entries beside it
+        scale = np.where(np.isnan(f_norms), 1.0, _scale(f_norms, sq_norms, params, l))
         grads.append(grad_sum(scored.grad_out[l], scored.act_in[l], advantages * scale))
     return grads
 

@@ -96,7 +96,7 @@ def collect(
         col = norms[:, l]
         valid = col[~np.isnan(col)]
         row[f"l{l}_mean_F_norm"] = float(valid.mean()) if valid.size else 0.0
-        row[f"l{l}_mean_grad_norm"] = float(np.add.reduce(np.sqrt(sq_norms)) / len(sq_norms))
+        row[f"l{l}_mean_grad_norm"] = float(np.mean(np.sqrt(sq_norms)))
         if cfg.algo == "isopo-int":
             row[f"l{l}_ntk_eigen_mean"] = mean_ntk_eigenvalue(sq_norms)
     return row

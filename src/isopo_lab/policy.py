@@ -506,7 +506,7 @@ def kl_reference(net: PolicyNet, prompts) -> ContextTable:
     ordered = sorted(prompts, key=lambda p: p.id)
     if not ordered:
         raise ContractViolation("need at least one prompt")
-    features = np.array([p.features for p in ordered])
+    features = np.stack([p.features for p in ordered])
     n_rows = len(features) * _n_contexts(net.vocab_size, seq_len_for(net, features))
     n_blocks = min(len(features), max(1, n_rows // KL_BLOCK_ROWS))
     blocks = np.array_split(features, n_blocks)

@@ -234,7 +234,7 @@ def validation_score(net, prompts) -> float:
     prompts = list(prompts)
     if not prompts:
         raise ContractViolation("validation needs at least one prompt")
-    tokens = policy.greedy(net, np.array([p.features for p in prompts]))
+    tokens = policy.greedy(net, np.stack([p.features for p in prompts]))
     hits = sum(1 for p, row in zip(prompts, tokens.tolist()) if tuple(row) == p.target)
     return hits / len(prompts)
 

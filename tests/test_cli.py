@@ -233,7 +233,7 @@ def test_cli_out_naming_a_file_is_an_error(tmp_path, capsys):
             code = cli.main([*command, str(out)])
             assert code == 2
             captured = capsys.readouterr()
-            expected = f"error: output directory {out}: {blocker} is not a directory\n"
-            assert captured.err == expected and captured.out == ""
+            assert captured.err.startswith(f"error: output directory {out}: ")
+            assert captured.err.count("\n") == 1 and captured.out == ""
     assert blocker.read_text() == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "run.cfg", "runs"]

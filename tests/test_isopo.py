@@ -273,9 +273,9 @@ def test_noninteracting_degenerate_fallback(small_net, small_task):
 
 
 def test_live_estimates_ignore_a_dead_sequence(small_net, small_task):
-    # with no degenerate sequence every layer's column is written whole; with
-    # sequence 1 zeroed it is written through a mask. The other sequences'
-    # estimates are the same bits either way, from samples outside sequence 1
+    # with sequence 1 zeroed its estimates are NaN, and every other
+    # sequence's estimates are the same bits as with sequence 1 left as it
+    # is, from samples outside sequence 1
     mb = make_microbatch(small_net, small_task, seed=5)
     n_seq, seq_len = mb.tokens.shape
     positions = np.array([j for j in range(mb.tokens.size) if j // seq_len != 1])
