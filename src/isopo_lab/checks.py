@@ -184,19 +184,18 @@ def npg_directional_trial(seed: int):
 
     Returns (cosine of preconditioned update to exact NPG, cosine of vanilla
     gradient to exact NPG), or None when the trial is degenerate (all rewards
-    equal, so the advantage vector vanishes). The Tikhonov constant follows
-    the interacting variant's default policy, c = mean NTK eigenvalue: far
-    smaller c amplifies Monte Carlo noise in near-null NTK directions and
+    equal, so the advantage vector vanishes). The Tikhonov constant is the
+    rule training uses, c = ``isopo.mean_ntk_eigenvalue`` (floored at 1e-12):
+    far smaller c amplifies Monte Carlo noise in near-null NTK directions and
     washes out the directional comparison.
     """
     net, prompt = _tiny_oracle_policy(seed)
-    m = 16
     target_rng = stream(seed, "npg-target")
     target = tuple(int(t) for t in target_rng.integers(0, net.vocab_size, size=2))
     tokens, scored = policy.sample_and_score(
         net,
         prompt.features[None],
-        uniforms(seed, [f"npg-sample/{k}" for k in range(m)], len(prompt.target)),
+        uniforms(seed, [f"npg-sample/{k}" for k in range(16)], len(prompt.target)),
     )
     rewards = np.mean(tokens == np.array(target), axis=1)
     if np.ptp(rewards) == 0:
@@ -209,8 +208,8 @@ def npg_directional_trial(seed: int):
     npg = oracle.exact_npg(fisher, vanilla, damping)
 
     pieces = []
-    for g, a in zip(scored.grad_out, scored.act_in):
-        c = max(float(np.trace(isopo.build_ntk(g, a))) / m, 1e-12)
+    for g, a, sq_norms in zip(scored.grad_out, scored.act_in, scored.sq_norms):
+        c = max(isopo.mean_ntk_eigenvalue(sq_norms), 1e-12)
         pieces.append(isopo.interacting_update(g, a, advantages, c))
     preconditioned = net.flatten(pieces)
 

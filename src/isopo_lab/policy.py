@@ -41,13 +41,14 @@ materializes the V_b as the checks' reference. The backward's matmuls stay
 batched per sequence, (B, T, .) by (., .): one flat (B T)-row gemm sums in
 another blocking, which moves bandit's metrics.
 
-A checkpoint is text: every weight in ``float.hex`` form, one line per
-weight row.
+A checkpoint is text: every weight as the 16 hex digits of its IEEE-754
+binary64 bit pattern, one line per weight row.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -56,7 +57,7 @@ import numpy as np
 from .errors import ContractViolation
 
 CHECKPOINT_MAGIC = "isopo-lab-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # kl_reference builds a table of n rows in n // KL_BLOCK_ROWS blocks
 KL_BLOCK_ROWS = 128
 # (vocab, context_dim, T) -> that architecture's ``_context_template``
@@ -537,76 +538,36 @@ def kl_from_reference(table: ContextTable, ref: ContextTable, u) -> float:
 
 def save_checkpoint(net: PolicyNet, path) -> None:
     """Text checkpoint: a header, then per layer a ``layer i rows cols`` line
-    and one line per weight row, its values in ``float.hex`` form separated
-    by single spaces. Round-trips bit-exactly through ``load_checkpoint``."""
-    chunks = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n"]
-    chunks.append(f"vocab_size {net.vocab_size}\ncontext_dim {net.context_dim}\n")
-    chunks.append(f"layers {net.n_layers}\n")
-    for i, (w, rows) in enumerate(zip(net.weights, _hex_rows(net))):
-        chunks.append(f"layer {i} {w.shape[0]} {w.shape[1]}\n{rows}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(chunks))
+    and one line per weight row, each weight its binary64 bit pattern as 16
+    big-endian hex digits (``struct.pack(">d", x).hex()``), separated by
+    single spaces. Round-trips bit-exactly through ``load_checkpoint``."""
+    text = net.params.astype(">f8").tobytes().hex(" ", 8) + " "
+    chars = np.frombuffer(bytearray(text, "ascii"), np.uint8).reshape(-1, 17)  # word, separator
+    with open(path, "wb") as fh:
+        fh.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\nlayers {net.n_layers}\n".encode())
+        for i, layer in enumerate(net.split(chars.T)):  # views (17, rows, cols)
+            layer[16, :, -1] = ord("\n")  # each weight row ends in a newline
+            fh.write(f"layer {i} {layer.shape[1]} {layer.shape[2]}\n".encode())
+            fh.write(np.moveaxis(layer, 0, -1).tobytes())
 
 
-def _hex_rows(net: PolicyNet) -> list[str]:
-    """Per layer, its weight rows as lines of ``float.hex`` values separated
-    by spaces, each line ending in a newline; byte for byte what ``float.hex``
-    gives for any float64, from one numpy pass over ``net.params``.
-
-    Value i fills column i of a fixed-width byte matrix in which 0 marks
-    padding: the sign, ``0x``, the leading digit (1 if normal), ``.``, the 13
-    fraction digits of its big-endian bytes in hex (just one, ``0``, for a
-    zero), ``p`` and the unbiased exponent in decimal without leading zeros
-    (-1022 for a subnormal, +0 for a zero), then a space or the row's
-    newline. An infinity or a NaN is ``inf``, ``-inf`` or ``nan``, whatever
-    the NaN's sign or payload. The padding is dropped.
-    """
-    n = net.param_count
-    bits = net.params.view(np.uint64)
-    biased = (bits >> np.uint64(52)).astype(np.int16) & 0x7FF
-    zero = bits << np.uint64(1) == 0
-    exponent = np.where(biased > 0, biased - 1023, -1022)
-    exponent[zero] = 0
-    magnitude = np.abs(exponent)
-    hex_digits = np.frombuffer(net.params.astype(">f8").tobytes().hex().encode("ascii"), np.uint8)
-    rec = np.zeros((25, n), dtype=np.uint8)  # "-0x1." + 13 digits + "p+1023" + separator
-    rec[0] = (bits >> np.uint64(63)).astype(np.uint8) * ord("-")
-    rec[1:3] = np.frombuffer(b"0x", np.uint8)[:, None]
-    rec[3] = ord("0") + (biased > 0)
-    rec[4] = ord(".")
-    rec[5:18] = hex_digits.reshape(n, 16)[:, 3:].T
-    rec[6:18, zero] = 0
-    rec[18] = ord("p")
-    rec[19] = np.where(exponent < 0, ord("-"), ord("+"))
-    for row, place in enumerate((1000, 100, 10), start=20):
-        rec[row] = (magnitude >= place) * (ord("0") + magnitude // place % 10)
-    rec[23] = ord("0") + magnitude % 10
-    special = np.flatnonzero(biased == 0x7FF)
-    nan = bits[special] << np.uint64(12) != 0
-    rec[1:24, special] = 0
-    rec[0, special[nan]] = 0
-    rec[1:4, special] = np.where(
-        nan, np.frombuffer(b"nan", np.uint8)[:, None], np.frombuffer(b"inf", np.uint8)[:, None]
-    )
-    rec[24] = ord(" ")
-    for layer in net.split(rec[24]):  # views: each weight row ends in a newline
-        layer[:, -1] = ord("\n")
-    rec = rec.T.copy()
-    keep = rec != 0
-    text = rec[keep].tobytes().decode("ascii")
-    stops = np.cumsum([np.count_nonzero(layer) for layer in net.split(keep.T)])  # characters
-    return [text[start:stop] for start, stop in zip([0, *stops], stops)]
+def _weight(word: str) -> float:
+    """The float64 whose big-endian bit pattern is the 16 hex digits ``word``."""
+    if len(word) != 16:
+        raise ValueError(f"weight {word!r} is not 16 hex digits")
+    return struct.unpack(">d", bytes.fromhex(word))[0]
 
 
 def load_checkpoint(path) -> PolicyNet:
-    """Read a ``save_checkpoint`` file. A short, malformed or non-numeric line,
-    a non-finite weight, or a line after the last layer, raises
-    ContractViolation naming the line."""
+    """Read a ``save_checkpoint`` file; the weight shapes fix the vocabulary and
+    context dim. A short, malformed or non-numeric line, a layer header whose
+    columns are not the previous layer's rows + 1, a non-finite weight, or a
+    line after the last layer, raises ContractViolation naming the line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     pos = 0
 
-    def fields(tag: str | None, n: int, parse):
+    def fields(tag: str | None, n: int, parse=int):
         nonlocal pos
         pos += 1
         parts = lines[pos - 1].split() if pos <= len(lines) else []
@@ -621,17 +582,17 @@ def load_checkpoint(path) -> PolicyNet:
             raise ContractViolation(f"{path}: line {pos}: non-finite value")
         return values
 
-    if fields(CHECKPOINT_MAGIC, 2, int) != [CHECKPOINT_VERSION]:
+    if fields(CHECKPOINT_MAGIC, 2) != [CHECKPOINT_VERSION]:
         raise ContractViolation(f"{path}: line 1: unrecognized checkpoint version")
-    (vocab,) = fields("vocab_size", 2, int)
-    (context_dim,) = fields("context_dim", 2, int)
-    (n_layers,) = fields("layers", 2, int)
+    (n_layers,) = fields("layers", 2)
+    if n_layers < 1:
+        raise ContractViolation(f"{path}: line {pos}: a policy needs at least one layer")
     weights = []
     for i in range(n_layers):
-        idx, rows, cols = fields("layer", 4, int)
-        if idx != i or min(rows, cols) < 1:
+        idx, rows, cols = fields("layer", 4)
+        if idx != i or min(rows, cols) < 1 or (weights and cols != len(weights[-1]) + 1):
             raise ContractViolation(f"{path}: line {pos}: bad header for layer {i}")
-        weights.append(np.array([fields(None, cols, float.fromhex) for _ in range(rows)]))
+        weights.append(np.array([fields(None, cols, _weight) for _ in range(rows)]))
     if pos < len(lines):
         raise ContractViolation(f"{path}: line {pos + 1}: unexpected line after the last layer")
-    return PolicyNet(weights, vocab, context_dim)
+    return PolicyNet(weights, len(weights[-1]), weights[0].shape[1] - 1)

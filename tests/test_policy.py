@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -597,29 +598,31 @@ def test_kl_architecture_mismatch(small_net, small_task):
         kl(small_net, other, task.heldout_prompts[:1], 4, stream(0, "x"))
 
 
-def test_checkpoint_round_trip_bit_exact(tmp_path, small_net):
-    path = tmp_path / "ckpt.txt"
-    policy.save_checkpoint(small_net, path)
-    loaded = policy.load_checkpoint(path)
-    assert loaded.vocab_size == small_net.vocab_size
-    assert loaded.context_dim == small_net.context_dim
-    for a, b in zip(loaded.weights, small_net.weights):
-        assert np.array_equal(a, b)
-    # saving the loaded net reproduces the file byte for byte
-    path2 = tmp_path / "ckpt2.txt"
-    policy.save_checkpoint(loaded, path2)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def float_hex_checkpoint(net) -> bytes:
-    """The checkpoint ``save_checkpoint`` must write, formatted by ``float.hex``."""
-    lines = [f"{policy.CHECKPOINT_MAGIC} {policy.CHECKPOINT_VERSION}"]
-    lines += [f"vocab_size {net.vocab_size}", f"context_dim {net.context_dim}"]
-    lines.append(f"layers {net.n_layers}")
+def bit_pattern_checkpoint(net) -> bytes:
+    """The checkpoint ``save_checkpoint`` must write, each weight formatted by ``struct``."""
+    lines = [f"{policy.CHECKPOINT_MAGIC} {policy.CHECKPOINT_VERSION}", f"layers {net.n_layers}"]
     for i, w in enumerate(net.weights):
         lines.append(f"layer {i} {w.shape[0]} {w.shape[1]}")
-        lines.extend(" ".join(map(float.hex, row)) for row in w.tolist())
+        lines.extend(" ".join(struct.pack(">d", x).hex() for x in row) for row in w.tolist())
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def assert_checkpoint_holds_bits(net, path):
+    """``save_checkpoint`` writes each weight's bit pattern; a finite net loads
+    back with the same bits and saves to the same bytes."""
+    policy.save_checkpoint(net, path)
+    assert path.read_bytes() == bit_pattern_checkpoint(net)
+    if np.isfinite(net.params).all():
+        loaded = policy.load_checkpoint(path)
+        assert np.array_equal(loaded.params.view(np.uint64), net.params.view(np.uint64))
+        assert (loaded.vocab_size, loaded.context_dim) == (net.vocab_size, net.context_dim)
+        resaved = path.with_name(path.name + ".again")
+        policy.save_checkpoint(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_round_trip_bit_exact(tmp_path, small_net):
+    assert_checkpoint_holds_bits(small_net, tmp_path / "ckpt.txt")
 
 
 def net_of_bits(bits, hidden: int, vocab: int) -> policy.PolicyNet:
@@ -656,11 +659,12 @@ EDGE_BITS = [
 ]
 
 
-def test_checkpoint_writer_equals_float_hex_on_edge_values(tmp_path):
+def test_checkpoint_words_are_bit_patterns_on_edge_values(tmp_path):
     bits = EDGE_BITS + EDGE_BITS[::-1] + EDGE_BITS[:3]  # 61 values: (6, 9) then (1, 7)
-    net = net_of_bits(bits, hidden=6, vocab=1)
-    policy.save_checkpoint(net, tmp_path / "ckpt.txt")
-    assert (tmp_path / "ckpt.txt").read_bytes() == float_hex_checkpoint(net)
+    assert_checkpoint_holds_bits(net_of_bits(bits, hidden=6, vocab=1), tmp_path / "ckpt.txt")
+    finite = [b for b in EDGE_BITS if np.isfinite(np.array(b, np.uint64).view(np.float64))]
+    bits = finite + finite[::-1]  # 46 values: (5, 8) then (1, 6)
+    assert_checkpoint_holds_bits(net_of_bits(bits, hidden=5, vocab=1), tmp_path / "finite.txt")
 
 
 @settings(max_examples=200, deadline=None)
@@ -668,29 +672,52 @@ def test_checkpoint_writer_equals_float_hex_on_edge_values(tmp_path):
     shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3)),
     data=st.data(),
 )
-def test_checkpoint_writer_equals_float_hex_on_any_bits(tmp_path_factory, shape, data):
+def test_checkpoint_words_are_bit_patterns_on_any_bits(tmp_path_factory, shape, data):
     hidden, inputs, vocab = shape
     n = hidden * inputs + vocab * (hidden + 1)
     bits = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
-    net = net_of_bits(bits, hidden, vocab)
     path = tmp_path_factory.mktemp("ckpt") / "ckpt.txt"
-    policy.save_checkpoint(net, path)
-    assert path.read_bytes() == float_hex_checkpoint(net)
-    if all(np.isfinite(w).all() for w in net.weights):
-        loaded = policy.load_checkpoint(path)
-        for a, b in zip(loaded.weights, net.weights):
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert_checkpoint_holds_bits(net_of_bits(bits, hidden, vocab), path)
+
+
+# what the version-1 writer, which wrote each weight in float.hex form, gave
+# for PolicyNet([[[1.0, -0.5, 0.0]]], vocab_size=1, context_dim=2)
+VERSION_1_CHECKPOINT = [
+    "isopo-lab-checkpoint 1",
+    "vocab_size 1",
+    "context_dim 2",
+    "layers 1",
+    "layer 0 1 3",
+    "0x1.0000000000000p+0 -0x1.0000000000000p-1 0x0.0p+0",
+]
+
+
+def unchained(lines):
+    """Layer 1's header claims one more input than layer 0 has outputs."""
+    at = next(k for k, text in enumerate(lines) if text.startswith("layer 1 "))
+    rows, cols = map(int, lines[at].split()[2:])
+    return lines[:at] + [f"layer 1 {rows} {cols + 1}"] + lines[at + 1 :], at + 1
 
 
 CHECKPOINT_CORRUPTIONS = {
-    # name: lines of a good checkpoint -> (corrupted lines, line the error names)
+    # name: lines of a good checkpoint -> (corrupted lines, line the error names);
+    # line 3 is layer 0's header and line 4 its first weight row
     "empty": lambda lines: ([], 1),
+    "version-1": lambda lines: (VERSION_1_CHECKPOINT, 1),
     "truncated": lambda lines: (lines[:-1], len(lines)),
-    "short-row": lambda lines: (lines[:5] + [lines[5].rsplit(" ", 1)[0]] + lines[6:], 6),
-    "non-integer": lambda lines: ([lines[0], "vocab_size five"] + lines[2:], 2),
-    "non-hex": lambda lines: (lines[:5] + ["zz" + lines[5]] + lines[6:], 6),
+    "short-row": lambda lines: (lines[:3] + [lines[3].rsplit(" ", 1)[0]] + lines[4:], 4),
+    "non-integer": lambda lines: ([lines[0], "layers two"] + lines[2:], 2),
+    "no-layers": lambda lines: ([lines[0], "layers 0"], 2),
+    "non-hex": lambda lines: (lines[:3] + ["zz" + lines[3][2:]] + lines[4:], 4),
+    "15-digit-word": lambda lines: (lines[:3] + [lines[3][1:]] + lines[4:], 4),
+    "17-digit-word": lambda lines: (lines[:3] + ["0" + lines[3]] + lines[4:], 4),
+    "18-digit-word": lambda lines: (lines[:3] + ["00" + lines[3]] + lines[4:], 4),
+    "unchained-layer": unchained,
     "trailing": lambda lines: (lines + ["extra"], len(lines) + 1),
-    "non-finite": lambda lines: (lines[:6] + ["nan " + lines[6].split(" ", 1)[1]] + lines[7:], 7),
+    "non-finite": lambda lines: (
+        lines[:4] + ["7ff8000000000000 " + lines[4].split(" ", 1)[1]] + lines[5:],
+        5,
+    ),
 }
 
 

@@ -22,5 +22,12 @@ def test_output_digests_repeat_for_one_run(tmp_path):
     text = "algo = isopo-ni\nsteps = 2\neval_every = 1\ngroup_size = 4\ngroups_per_microbatch = 2\n"
     first = tool.digest_line("smoke", text, tmp_path / "a")
     assert first == tool.digest_line("smoke", text, tmp_path / "b")
-    label, digest = first.split(" ")
-    assert label == "smoke" and len(digest) == 64
+    label, *digests = first.split(" ")
+    # metrics.csv, checkpoint.txt, config.txt, then "-" for the missing ABORTED
+    assert label == "smoke" and [len(d) for d in digests] == [64, 64, 64, 1]
+    assert digests[3] == "-" and len(set(digests[:3])) == 3
+    # a diverging run writes ABORTED, hashed in the fourth column, then its reason
+    text = "task = bandit\noptimizer = sgd\nlr = 1.7e308\nsteps = 2\neval_every = 1\n"
+    line = tool.digest_line("abort", text, tmp_path / "c")
+    assert [len(d) for d in line.split(" ")[1:5]] == [64] * 4
+    assert line.split(" ", 5)[5].startswith("step 1: ")

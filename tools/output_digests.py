@@ -5,10 +5,11 @@ Usage, with no flags, from any directory:
     python tools/output_digests.py
 
 Each run trains from this checkout's ``src`` into a temporary directory. The
-line for a run holds its label, a SHA-256 over its ``metrics.csv``,
-``checkpoint.txt``, ``config.txt`` and ``ABORTED`` (a file that is missing
-adds nothing), and its abort reason, if it aborted. Two checkouts that print
-the same lines wrote the same bytes on every run of the set:
+line for a run holds its label, one SHA-256 per output file, in the order
+``metrics.csv``, ``checkpoint.txt``, ``config.txt``, ``ABORTED`` (``-`` for a
+file that is missing), and its abort reason, if it aborted. Two checkouts
+that print the same column wrote the same bytes of that file on every run of
+the set:
 
 - the reference seeds of each benchmark workload (``perfbench/workloads.py``);
 - each algorithm on seqtask and bandit, seeds 0-2, 60 steps, a row every 7;
@@ -77,13 +78,9 @@ def digest_line(label: str, text: str, out_dir) -> str:
     from isopo_lab import config, harness
 
     result = harness.train(config.parse_config(text), out_dir)
-    digest = hashlib.sha256()
-    for name in OUTPUTS:
-        path = Path(out_dir) / name
-        if path.exists():
-            data = path.read_bytes()
-            digest.update(f"{name} {len(data)}\n".encode() + data)
-    return f"{label} {digest.hexdigest()} {result.abort_reason}".rstrip()
+    paths = [Path(out_dir) / name for name in OUTPUTS]
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() if p.exists() else "-" for p in paths]
+    return " ".join([label, *digests, result.abort_reason]).rstrip()
 
 
 def main() -> int:
