@@ -1,14 +1,23 @@
 """Run configuration: flat ``key = value`` files with ``#`` comments.
 
-Unknown keys are hard errors, as are keys that only make sense for a
-different algorithm or task (e.g. ``clip_eps`` outside GRPO), so a typo can
-never silently fall back to a default.
+Each field of ``RunConfig`` carries its rule (``RULES``): the values it
+accepts and the algorithms or tasks it applies to. A config checks every
+field against its rule and type when it is built, from a file, in Python or
+by ``dataclasses.replace``: bool fields take bools, int fields integral
+numbers, float fields finite real numbers (numpy scalars pass, bools do not)
+and str fields strs. A number is kept as the Python int or float it equals.
+A wrong type or value is a ConfigError naming the key.
+
+In a file, unknown and repeated keys are errors, and so is a key that only
+applies to another algorithm or task (e.g. ``clip_eps`` outside GRPO).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -16,123 +25,109 @@ ALGOS = ("reinforce", "grpo", "isopo-ni", "isopo-int")
 TASKS = ("bandit", "seqtask")
 OPTIMIZERS = ("sgd", "adamw")
 
-# keys that are only meaningful for specific algorithms / tasks
-ALGO_KEYS = {
-    "clip_eps": {"grpo"},
-    "inner_epochs": {"grpo"},
-    "p": {"isopo-ni"},
-    "q": {"isopo-ni"},
-    "r": {"isopo-ni"},
-    "reg_strength": {"isopo-ni"},
-    "reg_factor": {"isopo-int"},
-    "ema_decay": {"isopo-ni", "isopo-int"},
-}
-TASK_KEYS = {
-    "seq_modulus": {"seqtask"},
-    "seq_len": {"seqtask"},
-    "exact_match_reward": {"seqtask"},
-}
+
+class Rule(NamedTuple):
+    """A field's accepted values: one of ``choices``, or a number in
+    [low, high], or in (low, high) when ``strict``; and the algorithms and
+    tasks it applies to (empty: all of them)."""
+
+    choices: tuple = ()
+    low: float | None = None
+    high: float = math.inf
+    strict: bool = False
+    algos: tuple = ()
+    tasks: tuple = ()
+
+
+def _ruled(default, **rule):
+    return field(default=default, metadata={"rule": Rule(**rule)})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    task: str = "seqtask"
-    algo: str = "reinforce"
-    p: float = -1.0
-    q: float = 0.0
-    r: float = 0.0
-    reg_strength: float = 0.0
-    reg_factor: float = 1.0
-    clip_eps: float = 0.2
-    inner_epochs: int = 4
-    group_size: int = 8
-    groups_per_microbatch: int = 4
-    n_overlap: int = 64
-    ema_decay: float = 0.9
-    optimizer: str = "adamw"
-    lr: float = 3e-4
-    steps: int = 200
-    eval_every: int = 5
-    seed: int = 0
+    task: str = _ruled("seqtask", choices=TASKS)
+    algo: str = _ruled("reinforce", choices=ALGOS)
+    p: float = _ruled(-1.0, algos=("isopo-ni",))
+    q: float = _ruled(0.0, algos=("isopo-ni",))
+    r: float = _ruled(0.0, algos=("isopo-ni",))
+    reg_strength: float = _ruled(0.0, low=0, algos=("isopo-ni",))
+    reg_factor: float = _ruled(1.0, low=0, algos=("isopo-int",))
+    clip_eps: float = _ruled(0.2, low=0, strict=True, algos=("grpo",))
+    inner_epochs: int = _ruled(4, low=1, algos=("grpo",))
+    group_size: int = _ruled(8, low=2)
+    groups_per_microbatch: int = _ruled(4, low=1)
+    n_overlap: int = _ruled(64, low=1)
+    ema_decay: float = _ruled(0.9, low=0, high=1, strict=True, algos=("isopo-ni", "isopo-int"))
+    optimizer: str = _ruled("adamw", choices=OPTIMIZERS)
+    lr: float = _ruled(3e-4, low=0, strict=True)
+    steps: int = _ruled(200, low=0)
+    eval_every: int = _ruled(5, low=1)
+    seed: int = _ruled(0, low=0)
     normalize_std: bool = False
     out_dir: str = "runs/out"
-    seq_modulus: int = 16
-    seq_len: int = 3
-    exact_match_reward: bool = False
+    seq_modulus: int = _ruled(16, low=2, tasks=("seqtask",))
+    seq_len: int = _ruled(3, low=1, tasks=("seqtask",))
+    exact_match_reward: bool = _ruled(False, tasks=("seqtask",))
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _checked(f.name, f.type, getattr(self, f.name)))
 
 
+RULES = {f.name: f.metadata.get("rule", Rule()) for f in fields(RunConfig)}
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# a field type: the Python types it accepts, its name in errors, its conversion
+_KINDS = {
+    "bool": (bool, "a boolean", bool),
+    "int": (Integral, "an integer", int),
+    "float": (Real, "a number", float),
+    "str": (str, "a string", str),
+}
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _checked(key: str, kind: str, value):
+    """``value`` as the Python type of a ``kind`` field; ConfigError when its
+    type or value breaks the field's rule."""
+    accepted, name, convert = _KINDS[kind]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind != "bool"):
+        raise ConfigError(f"key {key!r}: expected {name}, got {value!r}")
+    try:
+        value = convert(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    # NaN passes every range check below, and inf would reach the weights
+    if kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"key {key!r} must be finite, got {value}")
+    rule = RULES[key]
+    if rule.choices and value not in rule.choices:
+        raise ConfigError(f"{key} must be one of {rule.choices}, got {value!r}")
+    if rule.low is None or (
+        rule.low < value < rule.high if rule.strict else rule.low <= value <= rule.high
+    ):
+        return value
+    if rule.high < math.inf:
+        bounds = f"({rule.low}, {rule.high})" if rule.strict else f"[{rule.low}, {rule.high}]"
+        raise ConfigError(f"{key} must be in {bounds}, got {value}")
+    wanted = ("positive" if rule.low == 0 else f"> {rule.low}") if rule.strict else f">= {rule.low}"
+    raise ConfigError(f"{key} must be {wanted}, got {value}")
+
+
+def _scope_error(cfg: RunConfig, key: str) -> str | None:
+    """Why ``key`` does not apply to the config's algo or task, or None."""
+    rule = RULES[key]
+    for kind, allowed, used in (("algo", rule.algos, cfg.algo), ("task", rule.tasks, cfg.task)):
+        if allowed and used not in allowed:
+            return f"key {key!r} only applies to {kind} {sorted(allowed)}, config uses {used!r}"
+    return None
 
 
 def _coerce(key: str, raw: str):
     kind = _FIELD_TYPES[key]
-    if kind in ("bool", bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
-    if kind in ("int", int):
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from exc
-    if kind in ("float", float):
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from exc
-    return raw
-
-
-def validate_config(cfg: RunConfig, explicit_keys=()) -> RunConfig:
-    """Range/consistency checks plus scope checks for explicitly given keys."""
-    if cfg.algo not in ALGOS:
-        raise ConfigError(f"algo must be one of {ALGOS}, got {cfg.algo!r}")
-    if cfg.task not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {cfg.task!r}")
-    if cfg.optimizer not in OPTIMIZERS:
-        raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {cfg.optimizer!r}")
-    # NaN passes every range check below, and inf would reach the weights
-    for key, kind in _FIELD_TYPES.items():
-        if kind in ("float", float) and not math.isfinite(getattr(cfg, key)):
-            raise ConfigError(f"key {key!r} must be finite, got {getattr(cfg, key)}")
-    for key in explicit_keys:
-        if key in ALGO_KEYS and cfg.algo not in ALGO_KEYS[key]:
-            raise ConfigError(
-                f"key {key!r} only applies to algo {sorted(ALGO_KEYS[key])}, "
-                f"config uses {cfg.algo!r}"
-            )
-        if key in TASK_KEYS and cfg.task not in TASK_KEYS[key]:
-            raise ConfigError(
-                f"key {key!r} only applies to task {sorted(TASK_KEYS[key])}, "
-                f"config uses {cfg.task!r}"
-            )
-    counts = {
-        "group_size": (cfg.group_size, 2),
-        "groups_per_microbatch": (cfg.groups_per_microbatch, 1),
-        "n_overlap": (cfg.n_overlap, 1),
-        "inner_epochs": (cfg.inner_epochs, 1),
-        "eval_every": (cfg.eval_every, 1),
-        "seq_modulus": (cfg.seq_modulus, 2),
-        "seq_len": (cfg.seq_len, 1),
-    }
-    for name, (value, minimum) in counts.items():
-        if value < minimum:
-            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-    if cfg.steps < 0:
-        raise ConfigError(f"steps must be >= 0, got {cfg.steps}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    if cfg.lr <= 0:
-        raise ConfigError(f"lr must be positive, got {cfg.lr}")
-    if cfg.clip_eps <= 0:
-        raise ConfigError(f"clip_eps must be positive, got {cfg.clip_eps}")
-    if not 0.0 < cfg.ema_decay < 1.0:
-        raise ConfigError(f"ema_decay must be in (0, 1), got {cfg.ema_decay}")
-    if cfg.reg_strength < 0 or cfg.reg_factor < 0:
-        raise ConfigError("reg_strength and reg_factor must be nonnegative")
-    return cfg
+    try:
+        return _BOOL_WORDS[raw.lower()] if kind == "bool" else _KINDS[kind][2](raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"key {key!r}: expected {_KINDS[kind][1]}, got {raw!r}") from None
 
 
 def parse_config(text: str, **overrides) -> RunConfig:
@@ -150,10 +145,12 @@ def parse_config(text: str, **overrides) -> RunConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _coerce(key, raw)
-    explicit = set(values)
-    values.update(overrides)
-    cfg = RunConfig(**values)
-    return validate_config(cfg, explicit_keys=explicit)
+    cfg = RunConfig(**{**values, **overrides})
+    for key in values:
+        error = _scope_error(cfg, key)
+        if error:
+            raise ConfigError(error)
+    return cfg
 
 
 def load_config(path, **overrides) -> RunConfig:
@@ -172,24 +169,11 @@ def load_config(path, **overrides) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _applicable_keys(cfg: RunConfig) -> list[str]:
-    keys = []
-    for f in fields(RunConfig):
-        if f.name in ALGO_KEYS and cfg.algo not in ALGO_KEYS[f.name]:
-            continue
-        if f.name in TASK_KEYS and cfg.task not in TASK_KEYS[f.name]:
-            continue
-        keys.append(f.name)
-    return keys
-
-
 def serialize_config(cfg: RunConfig) -> str:
     """Emit every key applicable to the config's algo/task; round-trips."""
     lines = []
-    for key in _applicable_keys(cfg):
-        value = getattr(cfg, key)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{key} = {value}")
+    for key in RULES:
+        if not _scope_error(cfg, key):
+            value = getattr(cfg, key)
+            lines.append(f"{key} = {str(value).lower() if isinstance(value, bool) else value}")
     return "\n".join(lines) + "\n"
-

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import baselines, isopo, metrics, policy, tasks
-from .config import RunConfig, serialize_config, validate_config
+from .config import RunConfig, serialize_config
 from .errors import ConfigError, ContractViolation, CsvFormatError, NonFiniteMetricError
 from .metrics import FIXED_COLUMNS
 from .rng import draws, stream, uniforms
@@ -229,7 +229,6 @@ def _abort_reason(step: int, exc: ArithmeticError) -> str:
 
 def train(cfg: RunConfig, out_dir=None) -> RunResult:
     """Run one seeded training loop and write metrics.csv plus a checkpoint."""
-    cfg = validate_config(cfg)
     task = make_task(cfg)
     plan = draw_steps(task, cfg, range(cfg.steps + 1))
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
@@ -336,12 +335,13 @@ def compare(
 ) -> tuple[list[dict], dict[str, list[RunResult]]]:
     """Train every (config, seed) pair and write per-run CSVs plus aggregate.csv.
 
-    Every run's config is checked before the first run trains, so a bad one
-    raises ConfigError with nothing written; so is a repeated label, which
-    raises ContractViolation.
+    A RunConfig checks its own fields when it is built, and every config is
+    checked against its task before the first run trains, so a config the task
+    rejects raises ConfigError with nothing written; a repeated label, or an
+    ``n_seeds`` that is not an int of at least 1, raises ContractViolation.
     """
-    if not configs or n_seeds < 1:
-        raise ContractViolation("compare needs at least one config and one seed")
+    if not configs or type(n_seeds) is not int or n_seeds < 1:
+        raise ContractViolation(f"compare needs configs and an int n_seeds >= 1, got {n_seeds!r}")
     if labels is None:
         labels = [f"{cfg.algo}-{i}" for i, cfg in enumerate(configs)]
     if len(labels) != len(configs):
@@ -351,7 +351,7 @@ def compare(
         raise ContractViolation(f"repeated labels {repeated}")
     planned = {}
     for cfg, label in zip(configs, labels):
-        planned[label] = [validate_config(replace(cfg, seed=cfg.seed + k)) for k in range(n_seeds)]
+        planned[label] = [replace(cfg, seed=cfg.seed + k) for k in range(n_seeds)]
         make_task(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,15 +1,11 @@
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from isopo_lab.config import (
-    RunConfig,
-    parse_config,
-    serialize_config,
-    validate_config,
-)
+from isopo_lab.config import RunConfig, parse_config, serialize_config
 from isopo_lab.errors import ConfigError
 
 
@@ -113,11 +109,54 @@ def test_serialize_omits_out_of_scope_keys():
     assert "seq_modulus" not in text
 
 
-def test_validate_config_direct():
+def test_bad_value_rejected_when_built():
     with pytest.raises(ConfigError):
-        validate_config(RunConfig(ema_decay=1.5))
+        RunConfig(ema_decay=1.5)
     with pytest.raises(ConfigError):
-        validate_config(RunConfig(optimizer="lbfgs"))
+        RunConfig(optimizer="lbfgs")
+
+
+# one wrong type or value per field, as a Python-built config would pass it
+BAD_VALUE = {
+    "task": "mdp",
+    "algo": "ppo",
+    "p": "-1",
+    "q": None,
+    "r": float("nan"),
+    "reg_strength": -0.5,
+    "reg_factor": True,
+    "clip_eps": 0.0,
+    "inner_epochs": 0,
+    "group_size": 8.0,
+    "groups_per_microbatch": np.int64(0),
+    "n_overlap": np.float64(64.0),
+    "ema_decay": 1.0,
+    "optimizer": "lbfgs",
+    "lr": "3e-4",
+    "steps": 2.5,
+    "eval_every": False,
+    "seed": 1.5,
+    "normalize_std": "no",
+    "out_dir": None,
+    "seq_modulus": 1,
+    "seq_len": np.bool_(True),
+    "exact_match_reward": 1,
+}
+
+
+def test_every_field_rejects_a_wrong_value():
+    assert set(BAD_VALUE) == {f.name for f in fields(RunConfig)}
+    for key, value in BAD_VALUE.items():
+        with pytest.raises(ConfigError) as info:
+            RunConfig(**{key: value})
+        assert str(info.value).startswith((f"{key} must ", f"key {key!r}")), key
+    with pytest.raises(ConfigError, match="lr must be positive"):
+        replace(RunConfig(), lr=-1.0)
+    with pytest.raises(ConfigError, match="'lr' must be finite"):
+        RunConfig(lr=10**400)
+    cfg = RunConfig(seed=np.int64(3), lr=np.float64(1e-3))
+    assert type(cfg.seed) is int and type(cfg.lr) is float
+    assert serialize_config(cfg) == serialize_config(RunConfig(seed=3, lr=1e-3))
 
 
 # an algorithm for which each float key is in scope

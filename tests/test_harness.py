@@ -524,6 +524,14 @@ def test_compare_checks_every_config_before_training(tmp_path):
     assert not (tmp_path / "cmp").exists()
 
 
+@pytest.mark.parametrize("n_seeds", [2.5, True, 0])
+def test_compare_rejects_bad_n_seeds(tmp_path, n_seeds):
+    # 2.5 used to die in range() and True to run one seed
+    with pytest.raises(ContractViolation, match="n_seeds"):
+        harness.compare([quick_cfg()], n_seeds, tmp_path / "cmp")
+    assert not (tmp_path / "cmp").exists()
+
+
 def test_compare_rejects_repeated_labels(tmp_path):
     configs = [quick_cfg(), quick_cfg(algo="isopo-int")]
     with pytest.raises(ContractViolation, match="'x'"):

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from isopo_lab import baselines, isopo, oracle, policy, tasks
 from isopo_lab.config import (
-    ALGO_KEYS,
     ALGOS,
     OPTIMIZERS,
-    TASK_KEYS,
+    RULES,
     TASKS,
     RunConfig,
     parse_config,
@@ -210,8 +209,8 @@ def valid_configs(draw):
     out_of_scope = {
         f.name: getattr(defaults, f.name)
         for f in fields(RunConfig)
-        if (f.name in ALGO_KEYS and cfg.algo not in ALGO_KEYS[f.name])
-        or (f.name in TASK_KEYS and cfg.task not in TASK_KEYS[f.name])
+        if (RULES[f.name].algos and cfg.algo not in RULES[f.name].algos)
+        or (RULES[f.name].tasks and cfg.task not in RULES[f.name].tasks)
     }
     return replace(cfg, **out_of_scope)
 

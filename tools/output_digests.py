@@ -1,4 +1,4 @@
-"""Print one digest line per training run of a fixed set of 94 runs.
+"""Print one digest line per training run of a fixed set of 102 runs.
 
 Usage, with no flags, from any directory:
 
@@ -17,7 +17,9 @@ the set:
   1.7e308, 10 steps, a row every 3, where most runs diverge and abort;
 - generalized isopo-ni (q = 0.5, r = -0.5, reg_strength = 0.3, so every
   rescaling factor and the EMA are read) on seqtask and bandit, seeds 0-2,
-  60 steps, a row every 7.
+  60 steps, a row every 7;
+- each algorithm on seqtask with ``normalize_std = true``, and again with
+  ``exact_match_reward = true``, seed 0, 60 steps, a row every 7.
 
 BLAS runs on one thread, as in the benchmark.
 """
@@ -41,6 +43,10 @@ DIVERGING = {
     "sgd-lr1.7e308": "optimizer = sgd\nlr = 1.7e308\n",
 }
 GENERALIZED = "algo = isopo-ni\nq = 0.5\nr = -0.5\nreg_strength = 0.3\n"
+SEQTASK_SWITCHES = {
+    "normalize-std": "normalize_std = true\n",
+    "exact-match": "exact_match_reward = true\n",
+}
 OUTPUTS = ("metrics.csv", "checkpoint.txt", "config.txt", "ABORTED")
 
 
@@ -70,6 +76,11 @@ def run_set() -> list[tuple[str, str]]:
             )
             for seed in range(3)
         ]
+    runs += [
+        (f"{algo}/seqtask/{name}", f"algo = {algo}\n{line}seed = 0\nsteps = 60\neval_every = 7\n")
+        for name, line in SEQTASK_SWITCHES.items()
+        for algo in ALGOS
+    ]
     return runs
 
 
