@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ContractViolation, NonFiniteGradientError, NonFiniteWeightError
 from .policy import PolicyNet, Scored, grad_sum, score
 from .tasks import Microbatch
@@ -104,21 +105,16 @@ class OptimizerState:
     AdamW's moments are flat vectors in the layout of ``params``.
     """
 
-    kind: str = "adamw"
-    lr: float = 3e-4
     step_count: int = 0
     exp_avg: np.ndarray | None = None
     exp_avg_sq: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("sgd", "adamw"):
-            raise ContractViolation(f"unknown optimizer kind {self.kind!r}")
-        if self.lr <= 0:
-            raise ContractViolation("learning rate must be positive")
 
-
-def optimizer_step(state: OptimizerState, net: PolicyNet, grads: list[np.ndarray]) -> PolicyNet:
-    """Apply theta <- theta - lr * (preconditioned) grads in place.
+def optimizer_step(
+    cfg: RunConfig, state: OptimizerState, net: PolicyNet, grads: list[np.ndarray]
+) -> PolicyNet:
+    """Apply theta <- theta - lr * (preconditioned) grads in place, with the
+    config's ``optimizer`` and ``lr``.
 
     AdamW uses the standard bias-corrected moment estimates (weight decay
     zero). Raises NonFiniteGradientError if a gradient contains NaN or
@@ -137,8 +133,8 @@ def optimizer_step(state: OptimizerState, net: PolicyNet, grads: list[np.ndarray
     # an overflow shows as a non-finite updated weight, which the check reports
     with np.errstate(over="ignore", invalid="ignore"):
         _check_finite(net, flat, NonFiniteGradientError, "gradient")
-        if state.kind == "sgd":
-            updated = net.params - state.lr * flat
+        if cfg.optimizer == "sgd":
+            updated = net.params - cfg.lr * flat
         else:
             m = np.zeros_like(flat) if state.exp_avg is None else state.exp_avg * ADAM_BETA1
             v = np.zeros_like(flat) if state.exp_avg is None else state.exp_avg_sq * ADAM_BETA2
@@ -146,10 +142,10 @@ def optimizer_step(state: OptimizerState, net: PolicyNet, grads: list[np.ndarray
             v += (1.0 - ADAM_BETA2) * flat * flat
             bc1 = 1.0 - ADAM_BETA1**t
             bc2 = 1.0 - ADAM_BETA2**t
-            updated = net.params - state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            updated = net.params - cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         _check_finite(net, updated, NonFiniteWeightError, "updated weight")
     state.step_count = t
-    if state.kind == "adamw":
+    if cfg.optimizer == "adamw":
         state.exp_avg, state.exp_avg_sq = m, v
     net.params[...] = updated
     return net

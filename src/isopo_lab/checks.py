@@ -77,30 +77,23 @@ def _check_microbatch(net, task, seed: int, n_groups: int = 2, group_size: int =
     return microbatch
 
 
-def run_gradcheck(seed: int = 0, grad_tamper=None) -> list[SuiteResult]:
-    """Finite-difference and estimator-equivalence suites on a fresh random net.
-
-    ``grad_tamper`` optionally corrupts computed gradients before comparison;
-    it exists as a negative control so tests can verify the checks can fail.
-    """
+def run_gradcheck(seed: int = 0) -> list[SuiteResult]:
+    """Finite-difference and estimator-equivalence suites on a fresh random net."""
     results = []
     net, task = _check_net(seed)
-
-    def tamper(grads):
-        return grad_tamper(grads) if grad_tamper is not None else grads
 
     # 1. manual backward vs central differences of one sequence's log-probability
     prompt = task.train_prompts[0]
     tokens, scored = policy.sample_and_score(
         net, prompt.features[None], uniforms(seed, ["gradcheck-seq"], task.seq_len)
     )
-    analytic = tamper([g[0] for g in scored.seq_grads])
+    analytic = [g[0] for g in scored.seq_grads]
     numeric = fd_grad(lambda: policy.score(net, prompt.features[None], tokens).logprobs[0], net)
     results.append(verdict("policy-backward-fd", rel_errors(analytic, numeric), FD_RTOL))
 
     # 2. REINFORCE gradient vs differences of sum_o A_o log pi(o)
     microbatch = _check_microbatch(net, task, seed)
-    analytic = tamper(baselines.reinforce_grad(microbatch))
+    analytic = baselines.reinforce_grad(microbatch)
     numeric = fd_grad(lambda: baselines.reinforce_surrogate(microbatch, net), net)
     results.append(verdict("reinforce-surrogate-fd", rel_errors(analytic, numeric), FD_RTOL))
 
@@ -109,7 +102,7 @@ def run_gradcheck(seed: int = 0, grad_tamper=None) -> list[SuiteResult]:
     shifted = net.copy()
     shifted.params += 0.01 * stream(seed, "gradcheck-drift").standard_normal(shifted.param_count)
     clip_eps = 0.2
-    analytic = tamper(baselines.grpo_clipped_grad(microbatch, snapshot, shifted, clip_eps))
+    analytic = baselines.grpo_clipped_grad(microbatch, snapshot, shifted, clip_eps)
     numeric = fd_grad(
         lambda: baselines.grpo_surrogate(microbatch, snapshot, shifted, clip_eps), shifted
     )

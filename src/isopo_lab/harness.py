@@ -192,7 +192,7 @@ def read_metrics_csv(path) -> list[dict]:
     return rows
 
 
-def _update(cfg, net, optimizer, microbatch, fisher_norms, rescale_params) -> None:
+def _update(cfg, net, optimizer, microbatch, fisher_norms, ema) -> None:
     """Apply the step's optimizer steps: ``inner_epochs`` for GRPO, one otherwise.
 
     ``fisher_norms()`` gives the step's ``isopo.sequence_fisher_norms`` pair.
@@ -207,13 +207,11 @@ def _update(cfg, net, optimizer, microbatch, fisher_norms, rescale_params) -> No
                 microbatch, microbatch.scored.logprobs, net, cfg.clip_eps
             )
         elif cfg.algo == "isopo-ni":
-            grads = isopo.noninteracting_update(microbatch, fisher_norms()[0], rescale_params)
+            grads = isopo.noninteracting_update(microbatch, fisher_norms()[0], cfg, ema)
         else:
-            grads = isopo.interacting_microbatch_update(
-                microbatch, cfg.reg_factor, rescale_params.ema
-            )
+            grads = isopo.interacting_microbatch_update(microbatch, cfg, ema)
         # each update returns arrays of its own, so they are negated in place
-        baselines.optimizer_step(optimizer, net, [np.negative(g, out=g) for g in grads])
+        baselines.optimizer_step(cfg, optimizer, net, [np.negative(g, out=g) for g in grads])
 
 
 def _check_finite(row: dict) -> None:
@@ -236,11 +234,8 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
 
     net = build_policy(task, cfg.seed)
     kl_ref = metrics.reference_table(net, task)
-    optimizer = baselines.OptimizerState(cfg.optimizer, cfg.lr)
-    # the run's one EMA state: isopo-ni and isopo-int each key their own entries
-    rescale_params = isopo.RescalingParams(
-        cfg.p, cfg.q, cfg.r, cfg.reg_strength, isopo.RegEmaState(cfg.ema_decay)
-    )
+    optimizer = baselines.OptimizerState()
+    ema: dict = {}  # the run's EMAs, keyed by (layer, quantity) (``isopo``)
 
     rows: list[dict] = []
     abort_reason = ""
@@ -255,7 +250,7 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
             )
             if step > 0:
                 try:
-                    _update(cfg, net, optimizer, microbatch, fisher_norms, rescale_params)
+                    _update(cfg, net, optimizer, microbatch, fisher_norms, ema)
                 except ArithmeticError as exc:
                     abort_reason = _abort_reason(step, exc)
             if abort_reason or step % cfg.eval_every == 0:

@@ -32,15 +32,22 @@ system that is not finite or not positive definite raises
 SingularMatrixError, which aborts the run. Each layer's c is reg_factor
 times the EMA over steps of the mean NTK eigenvalue trace(K) / m =
 mean_i |V_i|^2 (``Scored.sq_norms``).
+
+EMA
+---
+Both variants read their settings from the run's ``RunConfig``. The EMAs
+are the run's dict, keyed by (layer, quantity): "fisher_sq", "grad_sq" and
+"rel_sq" for reg2, "ntk_mean_eig" for c. ``ema_update`` folds in one
+minibatch mean with weight 1 - ema_decay; a key's first mean is adopted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ContractViolation, SingularMatrixError
 from .policy import Scored, grad_projections, grad_sum
 from .tasks import Microbatch
@@ -48,48 +55,16 @@ from .tasks import Microbatch
 RESCALE_FLOOR = 1e-8
 
 
-@dataclass
-class RegEmaState:
-    """Per (layer, quantity) exponential moving averages of minibatch means."""
-
-    decay: float = 0.9
-    values: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.decay < 1.0:
-            raise ContractViolation(f"decay must be in (0, 1), got {self.decay}")
-
-    def value(self, key, default: float = 0.0) -> float:
-        return self.values.get(key, default)
-
-
-def ema_update(state: RegEmaState, key, minibatch_mean: float) -> float:
-    """Fold one minibatch mean into the EMA; the first call just adopts it."""
-    if minibatch_mean < 0:
-        raise ContractViolation(f"EMA tracks nonnegative quantities, got {minibatch_mean}")
-    if key in state.values:
-        state.values[key] = state.decay * state.values[key] + (1.0 - state.decay) * minibatch_mean
+def ema_update(ema: dict, key, mean: float, decay: float) -> float:
+    """Fold one minibatch mean into ``ema[key]`` with weight 1 - decay; the
+    first call for a key just adopts it."""
+    if mean < 0:
+        raise ContractViolation(f"EMA tracks nonnegative quantities, got {mean}")
+    if key in ema:
+        ema[key] = decay * ema[key] + (1.0 - decay) * mean
     else:
-        state.values[key] = float(minibatch_mean)
-    return state.values[key]
-
-
-@dataclass
-class RescalingParams:
-    """Exponents and regularization for the generalized sequence rescaling."""
-
-    p: float = -1.0
-    q: float = 0.0
-    r: float = 0.0
-    reg_strength: float = 0.0
-    ema: RegEmaState = field(default_factory=RegEmaState)
-
-    def __post_init__(self) -> None:
-        for name in ("p", "q", "r"):
-            if not np.isfinite(getattr(self, name)):
-                raise ContractViolation(f"exponent {name} must be finite")
-        if self.reg_strength < 0:
-            raise ContractViolation("reg_strength must be nonnegative")
+        ema[key] = float(mean)
+    return ema[key]
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
@@ -145,15 +120,15 @@ def sequence_fisher_norms(
     return norms, degenerate
 
 
-def _reg2(x, key, params: RescalingParams):
+def _reg2(x, key, cfg: RunConfig, ema: dict):
     sq = x * x
     # at reg_strength 0 no EMA entry is written, and x * x + 0.0 * 0.0 is x * x
-    if params.reg_strength > 0:
-        sq = sq + params.reg_strength * params.ema.value(key)
+    if cfg.reg_strength > 0:
+        sq = sq + cfg.reg_strength * ema.get(key, 0.0)
     return np.sqrt(np.maximum(sq, RESCALE_FLOOR))
 
 
-def _scale(f_norm, grad_sq, params: RescalingParams, layer: int):
+def _scale(f_norm, grad_sq, cfg: RunConfig, ema: dict, layer: int):
     """reg2(F)^p * reg2(|V|)^q * reg2(F/|V|)^r for Fisher norms F and squared
     Frobenius norms |V|^2.
 
@@ -162,23 +137,20 @@ def _scale(f_norm, grad_sq, params: RescalingParams, layer: int):
     is nonzero, nor F/|V| unless r is.
     """
     scale = 1.0
-    if params.p:
-        scale = scale * _reg2(f_norm, (layer, "fisher_sq"), params) ** params.p
-    if params.q or params.r:
+    if cfg.p:
+        scale = scale * _reg2(f_norm, (layer, "fisher_sq"), cfg, ema) ** cfg.p
+    if cfg.q or cfg.r:
         grad_norm = np.sqrt(grad_sq)
-    if params.q:
-        scale = scale * _reg2(grad_norm, (layer, "grad_sq"), params) ** params.q
-    if params.r:
+    if cfg.q:
+        scale = scale * _reg2(grad_norm, (layer, "grad_sq"), cfg, ema) ** cfg.q
+    if cfg.r:
         rel = np.divide(f_norm, grad_norm, out=np.zeros_like(grad_norm), where=grad_norm > 0)
-        scale = scale * _reg2(rel, (layer, "rel_sq"), params) ** params.r
+        scale = scale * _reg2(rel, (layer, "rel_sq"), cfg, ema) ** cfg.r
     return scale
 
 
 def rescaling(
-    grad: np.ndarray,
-    f_norm: float,
-    params: RescalingParams,
-    layer: int = 0,
+    grad: np.ndarray, f_norm: float, cfg: RunConfig, ema: dict, layer: int = 0
 ) -> np.ndarray:
     """Scale ``grad`` by reg2(F)^p * reg2(|grad|)^q * reg2(F/|grad|)^r.
 
@@ -189,10 +161,10 @@ def rescaling(
     if f_norm < 0:
         raise ContractViolation(f"F_norm must be nonnegative, got {f_norm}")
     grad = np.asarray(grad, dtype=float)
-    return _scale(f_norm, np.sum(grad * grad), params, layer) * grad
+    return _scale(f_norm, np.sum(grad * grad), cfg, ema, layer) * grad
 
 
-def _refresh_ema(params: RescalingParams, norms: np.ndarray, microbatch: Microbatch) -> None:
+def _refresh_ema(cfg: RunConfig, ema: dict, norms: np.ndarray, microbatch: Microbatch) -> None:
     """Fold this minibatch's mean squares of the regulated quantities into the EMA."""
     for l, sq_norms in enumerate(microbatch.scored.sq_norms):
         col = norms[:, l]
@@ -203,15 +175,13 @@ def _refresh_ema(params: RescalingParams, norms: np.ndarray, microbatch: Microba
         g_sq = sq_norms[valid]
         with np.errstate(divide="ignore", invalid="ignore"):
             rel_sq = np.where(g_sq > 0, f_sq / g_sq, 0.0)
-        ema_update(params.ema, (l, "fisher_sq"), float(f_sq.mean()))
-        ema_update(params.ema, (l, "grad_sq"), float(g_sq.mean()))
-        ema_update(params.ema, (l, "rel_sq"), float(rel_sq.mean()))
+        ema_update(ema, (l, "fisher_sq"), float(f_sq.mean()), cfg.ema_decay)
+        ema_update(ema, (l, "grad_sq"), float(g_sq.mean()), cfg.ema_decay)
+        ema_update(ema, (l, "rel_sq"), float(rel_sq.mean()), cfg.ema_decay)
 
 
 def noninteracting_update(
-    microbatch: Microbatch,
-    norms: np.ndarray,
-    params: RescalingParams,
+    microbatch: Microbatch, norms: np.ndarray, cfg: RunConfig, ema: dict
 ) -> list[np.ndarray]:
     """Advantage-weighted sum of per-sequence rescaled gradients, per layer.
 
@@ -224,14 +194,14 @@ def noninteracting_update(
     """
     advantages = microbatch.advantages
     scored = microbatch.scored
-    if params.reg_strength > 0:
-        _refresh_ema(params, norms, microbatch)
+    if cfg.reg_strength > 0:
+        _refresh_ema(cfg, ema, norms, microbatch)
     grads = []
     for l, sq_norms in enumerate(scored.sq_norms):
         f_norms = norms[:, l]
         # degenerate fallback: no rescaling. The scale is elementwise, so a
         # valid entry's bits do not depend on the NaN entries beside it
-        scale = np.where(np.isnan(f_norms), 1.0, _scale(f_norms, sq_norms, params, l))
+        scale = np.where(np.isnan(f_norms), 1.0, _scale(f_norms, sq_norms, cfg, ema, l))
         grads.append(grad_sum(scored.grad_out[l], scored.act_in[l], advantages * scale))
     return grads
 
@@ -299,14 +269,15 @@ def mean_ntk_eigenvalue(sq_norms) -> float:
 
 
 def interacting_microbatch_update(
-    microbatch: Microbatch, reg_factor: float, ema: RegEmaState
+    microbatch: Microbatch, cfg: RunConfig, ema: dict
 ) -> list[np.ndarray]:
-    """Every layer's ``interacting_update`` with c = reg_factor * ``ema`` over steps
-    of the layer's mean NTK eigenvalue mean_i |V_i|^2 (``Scored.sq_norms``)."""
+    """Every layer's ``interacting_update`` with c = reg_factor times the EMA
+    over steps of the layer's mean NTK eigenvalue mean_i |V_i|^2 (``Scored.sq_norms``)."""
     advantages = microbatch.advantages
     scored = microbatch.scored
     grads = []
     for l, sq_norms in enumerate(scored.sq_norms):
-        c = reg_factor * ema_update(ema, (l, "ntk_mean_eig"), mean_ntk_eigenvalue(sq_norms))
+        mean_eig = mean_ntk_eigenvalue(sq_norms)
+        c = cfg.reg_factor * ema_update(ema, (l, "ntk_mean_eig"), mean_eig, cfg.ema_decay)
         grads.append(interacting_update(scored.grad_out[l], scored.act_in[l], advantages, c))
     return grads

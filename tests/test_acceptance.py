@@ -156,12 +156,12 @@ def test_criterion_04_self_normalization():
     mb = tasks.Microbatch([group], features, tokens, scaled)
     positions = overlap(mb, 64, stream(3, "c4-ov"))
     norms, degenerate = isopo.sequence_fisher_norms(scaled, positions)
-    params = isopo.RescalingParams(p=-1.0, q=0.0, r=0.0, reg_strength=0.0)
+    cfg = RunConfig(p=-1.0, q=0.0, r=0.0, reg_strength=0.0)
     errors = []
     for l, jac in enumerate(scaled.seq_grads):
         sampled = sampled_mats(scaled, l, positions)
         for i in range(len(jac)):
-            w = isopo.rescaling(jac[i], norms[i, l], params, l)
+            w = isopo.rescaling(jac[i], norms[i, l], cfg, {}, l)
             errors.append(abs(oracle.naive_fisher_norm(w, sampled) - 1.0))
     worst = float(np.max(errors))
     min_f = float(np.nanmin(norms))
@@ -187,9 +187,7 @@ def test_criterion_06_definitional_degeneracies():
     task, net = default_setup(4)
     mb = default_microbatch(task, net, seed=4, n_groups=4, group_size=8)
     norms, _ = isopo.sequence_fisher_norms(mb.scored, overlap(mb, 64, stream(4, "c6")))
-    upd = isopo.noninteracting_update(
-        mb, norms, isopo.RescalingParams(p=0.0, q=0.0, r=0.0)
-    )
+    upd = isopo.noninteracting_update(mb, norms, RunConfig(p=0.0, q=0.0, r=0.0), {})
     ref = baselines.reinforce_grad(mb)
     grpo = baselines.grpo_clipped_grad(mb, mb.scored.logprobs, net, clip_eps=0.2)
 

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from isopo_lab import baselines, checks, policy
-from isopo_lab.errors import ContractViolation, NonFiniteGradientError, NonFiniteWeightError
+from isopo_lab.config import RunConfig
+from isopo_lab.errors import (
+    ConfigError,
+    ContractViolation,
+    NonFiniteGradientError,
+    NonFiniteWeightError,
+)
 from isopo_lab.rng import stream
 
 from conftest import make_microbatch
@@ -100,8 +107,9 @@ def test_grpo_snapshot_size_checked(small_net, small_task):
 
 def test_sgd_step():
     net = policy.PolicyNet([np.ones((2, 3))], vocab_size=2, context_dim=2)
-    state = baselines.OptimizerState("sgd", lr=0.1)
-    baselines.optimizer_step(state, net, [np.full((2, 3), 2.0)])
+    cfg = RunConfig(optimizer="sgd", lr=0.1)
+    state = baselines.OptimizerState()
+    baselines.optimizer_step(cfg, state, net, [np.full((2, 3), 2.0)])
     assert np.allclose(net.weights[0], 0.8)
 
 
@@ -110,8 +118,9 @@ def test_adamw_first_step_magnitude():
     g = rng.uniform(0.5, 2.0, size=(3, 4)) * np.sign(rng.standard_normal((3, 4)))
     net = policy.PolicyNet([np.zeros((3, 4))], vocab_size=3, context_dim=3)
     lr = 1e-3
-    state = baselines.OptimizerState("adamw", lr=lr)
-    baselines.optimizer_step(state, net, [g.copy()])
+    cfg = RunConfig(optimizer="adamw", lr=lr)
+    state = baselines.OptimizerState()
+    baselines.optimizer_step(cfg, state, net, [g.copy()])
     # bias correction makes the first update lr * g/|g| up to epsilon
     expected = -lr * np.sign(g)
     assert np.allclose(net.weights[0], expected, atol=1e-6 * lr + 1e-12)
@@ -123,9 +132,10 @@ def test_adamw_hand_evaluated_second_step():
     net = policy.PolicyNet([np.zeros((1, 1))], vocab_size=1, context_dim=0)
     lr, b1, b2, eps = 0.01, baselines.ADAM_BETA1, baselines.ADAM_BETA2, baselines.ADAM_EPS
     assert (b1, b2, eps) == (0.9, 0.999, 1e-8)  # the published defaults
-    state = baselines.OptimizerState("adamw", lr=lr)
-    baselines.optimizer_step(state, net, [g1])
-    baselines.optimizer_step(state, net, [g2])
+    cfg = RunConfig(optimizer="adamw", lr=lr)
+    state = baselines.OptimizerState()
+    baselines.optimizer_step(cfg, state, net, [g1])
+    baselines.optimizer_step(cfg, state, net, [g2])
     # replay the published update rule by hand
     w = 0.0
     m = v = 0.0
@@ -148,13 +158,14 @@ def test_adamw_three_layers_equal_the_per_layer_rule():
     net = three_layer_net()
     expected = [w.copy() for w in net.weights]
     lr, b1, b2, eps = 1e-2, baselines.ADAM_BETA1, baselines.ADAM_BETA2, baselines.ADAM_EPS
-    state = baselines.OptimizerState("adamw", lr=lr)
+    cfg = RunConfig(optimizer="adamw", lr=lr)
+    state = baselines.OptimizerState()
     rng = np.random.default_rng(4)
     m = [np.zeros_like(w) for w in expected]
     v = [np.zeros_like(w) for w in expected]
     for t in range(1, 4):
         grads = [rng.standard_normal(w.shape) for w in expected]
-        baselines.optimizer_step(state, net, grads)
+        baselines.optimizer_step(cfg, state, net, grads)
         # AdamW on each layer by itself, with that layer's own moments
         for w, g, ml, vl in zip(expected, grads, m, v):
             ml *= b1
@@ -170,16 +181,17 @@ def test_adamw_three_layers_equal_the_per_layer_rule():
 @pytest.mark.parametrize("kind", ["sgd", "adamw"])
 def test_nonfinite_gradient_in_a_later_layer_names_it_and_mutates_nothing(kind):
     net = three_layer_net()
-    state = baselines.OptimizerState(kind, lr=0.1)
+    cfg = RunConfig(optimizer=kind, lr=0.1)
+    state = baselines.OptimizerState()
     rng = np.random.default_rng(5)
-    baselines.optimizer_step(state, net, [rng.standard_normal(w.shape) for w in net.weights])
+    baselines.optimizer_step(cfg, state, net, [rng.standard_normal(w.shape) for w in net.weights])
     weights = [w.copy() for w in net.weights]
     moments = [None if m is None else m.copy() for m in (state.exp_avg, state.exp_avg_sq)]
     grads = [rng.standard_normal(w.shape) for w in net.weights]
     grads[2][1, 3] = np.nan
     grads[2][0, 0] = np.inf
     with pytest.raises(NonFiniteGradientError, match="layer 2 gradient has 2 non-finite"):
-        baselines.optimizer_step(state, net, grads)
+        baselines.optimizer_step(cfg, state, net, grads)
     for got, want in zip(net.weights, weights):
         assert np.array_equal(got, want)
     for got, want in zip((state.exp_avg, state.exp_avg_sq), moments):
@@ -192,7 +204,8 @@ def test_step_to_nonfinite_weights_names_the_layer_and_mutates_nothing(kind):
     # every update is finite, but one weight would overflow: no weight, moment
     # or step count changes
     net = three_layer_net()
-    state = baselines.OptimizerState(kind, lr=1.0)
+    cfg = RunConfig(optimizer=kind, lr=1.0)
+    state = baselines.OptimizerState()
     rng = np.random.default_rng(6)
 
     def grads():  # |update| <= lr, and -lr at layer 2's [1, 3]
@@ -200,13 +213,13 @@ def test_step_to_nonfinite_weights_names_the_layer_and_mutates_nothing(kind):
         out[2][1, 3] = -1.0
         return out
 
-    baselines.optimizer_step(state, net, grads())
+    baselines.optimizer_step(cfg, state, net, grads())
     net.weights[2][1, 3] = 1.7e308
     weights = [w.copy() for w in net.weights]
     moments = [None if m is None else m.copy() for m in (state.exp_avg, state.exp_avg_sq)]
-    state.lr = 1.7e308
+    cfg = replace(cfg, lr=1.7e308)
     with pytest.raises(NonFiniteWeightError, match="layer 2 updated weight has 1 non-finite"):
-        baselines.optimizer_step(state, net, grads())
+        baselines.optimizer_step(cfg, state, net, grads())
     for got, want in zip(net.weights, weights):
         assert np.array_equal(got, want)
     for got, want in zip((state.exp_avg, state.exp_avg_sq), moments):
@@ -216,26 +229,29 @@ def test_step_to_nonfinite_weights_names_the_layer_and_mutates_nothing(kind):
 
 def test_zero_grad_no_weight_decay_is_noop():
     net = policy.PolicyNet([np.full((2, 3), 0.7)], vocab_size=2, context_dim=2)
-    state = baselines.OptimizerState("adamw", lr=0.5)
-    baselines.optimizer_step(state, net, [np.zeros((2, 3))])
+    cfg = RunConfig(optimizer="adamw", lr=0.5)
+    state = baselines.OptimizerState()
+    baselines.optimizer_step(cfg, state, net, [np.zeros((2, 3))])
     assert np.allclose(net.weights[0], 0.7)
 
 
 def test_nonfinite_gradient_aborts_before_mutation():
     net = policy.PolicyNet([np.full((2, 3), 0.3)], vocab_size=2, context_dim=2)
-    state = baselines.OptimizerState("sgd", lr=0.1)
+    cfg = RunConfig(optimizer="sgd", lr=0.1)
+    state = baselines.OptimizerState()
     bad = np.full((2, 3), 1.0)
     bad[1, 2] = np.nan
     with pytest.raises(NonFiniteGradientError):
-        baselines.optimizer_step(state, net, [bad])
+        baselines.optimizer_step(cfg, state, net, [bad])
     assert np.allclose(net.weights[0], 0.3)
     assert state.step_count == 0
 
 
 def test_optimizer_rejects_bad_shapes():
     net = policy.PolicyNet([np.zeros((2, 3))], vocab_size=2, context_dim=2)
-    state = baselines.OptimizerState("sgd")
+    cfg = RunConfig(optimizer="sgd")
+    state = baselines.OptimizerState()
     with pytest.raises(ContractViolation):
-        baselines.optimizer_step(state, net, [np.zeros((3, 2))])
-    with pytest.raises(ContractViolation):
-        baselines.OptimizerState("rmsprop")
+        baselines.optimizer_step(cfg, state, net, [np.zeros((3, 2))])
+    with pytest.raises(ConfigError, match="optimizer must be one of"):
+        RunConfig(optimizer="rmsprop")

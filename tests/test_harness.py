@@ -656,14 +656,21 @@ def test_gradcheck_passes_and_lists_each_suite_once(seed):
     assert all(r.passed for r in results)
 
 
-def test_gradcheck_detects_corrupted_backward():
-    def tamper(grads):
-        bad = [g.copy() for g in grads]
-        bad[0][0, 0] += 0.25
-        return bad
+def _corrupt(monkeypatch, module, name, change):
+    """Make ``module.name`` return ``change`` of what it returned."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: change(original(*args)))
 
-    results = checks.run_gradcheck(seed=1, grad_tamper=tamper)
-    by_name = {r.name: r for r in results}
+
+def test_gradcheck_detects_corrupted_backward(monkeypatch):
+    def shifted(sampled):  # V_0 of layer 0 moves by 0.25 times its first input
+        tokens, scored = sampled
+        grad_out = [g.copy() for g in scored.grad_out]
+        grad_out[0][0, 0, 0] += 0.25
+        return tokens, policy.Scored(scored.logprobs, scored.act_in, grad_out)
+
+    _corrupt(monkeypatch, policy, "sample_and_score", shifted)
+    by_name = {r.name: r for r in checks.run_gradcheck(seed=1)}
     assert not by_name["policy-backward-fd"].passed
 
 
@@ -676,6 +683,18 @@ def test_oracle_check_passes(seed):
 
 def _nan_last_layer(grads):
     return [*grads[:-1], grads[-1] * np.nan]
+
+
+# per gradcheck suite, a function whose result the suite compares, and that result made NaN
+NAN_RESULTS = {
+    "policy-backward-fd": (
+        policy, "score", lambda s: policy.Scored(s.logprobs * np.nan, s.act_in, s.grad_out)
+    ),
+    "reinforce-surrogate-fd": (baselines, "reinforce_grad", _nan_last_layer),
+    "grpo-surrogate-fd": (baselines, "grpo_clipped_grad", _nan_last_layer),
+    "rank-one-equivalence": (isopo, "sequence_fisher_norms", lambda r: (r[0] * np.nan, r[1])),
+    "ntk-dense-equivalence": (isopo, "interacting_update", lambda update: update * np.nan),
+}
 
 
 @pytest.mark.parametrize(
@@ -692,25 +711,8 @@ def _nan_last_layer(grads):
 )
 def test_nan_in_the_compared_quantity_fails_the_check(monkeypatch, capsys, command, suite):
     # negative control: NaN where a check reads its result fails that check and the command
-    if suite.endswith("-fd"):
-        run_gradcheck = checks.run_gradcheck
-        monkeypatch.setattr(
-            checks, "run_gradcheck",
-            lambda seed: run_gradcheck(seed, grad_tamper=_nan_last_layer),
-        )
-    elif suite == "rank-one-equivalence":
-        fisher_norms = isopo.sequence_fisher_norms
-
-        def nan_norms(scored, positions):
-            norms, degenerate = fisher_norms(scored, positions)
-            return norms * np.nan, degenerate
-
-        monkeypatch.setattr(isopo, "sequence_fisher_norms", nan_norms)
-    elif suite == "ntk-dense-equivalence":
-        interacting_update = isopo.interacting_update
-        monkeypatch.setattr(
-            isopo, "interacting_update", lambda *args: interacting_update(*args) * np.nan
-        )
+    if command == "gradcheck":
+        _corrupt(monkeypatch, *NAN_RESULTS[suite])
     elif suite == "fisher-quadratic-enumeration":
         monkeypatch.setattr(oracle, "fisher_quadratic", lambda net, prompts, v: np.nan)
     else:
@@ -995,12 +997,12 @@ def test_aborted_run_recorded_and_excluded(tmp_path, monkeypatch):
     original = baselines.optimizer_step
     calls = {"n": 0}
 
-    def explode_on_second(state, net, grads):
+    def explode_on_second(run_cfg, state, net, grads):
         calls["n"] += 1
         if calls["n"] == 2:
             grads = [g.copy() for g in grads]
             grads[0][0, 0] = np.nan
-        return original(state, net, grads)
+        return original(run_cfg, state, net, grads)
 
     monkeypatch.setattr(harness.baselines, "optimizer_step", explode_on_second)
     res = harness.train(cfg, tmp_path / "boom")
@@ -1164,10 +1166,25 @@ def test_grpo_update_leaves_its_microbatch_unchanged(task_name):
     mb = harness.sample_microbatch(net, task, cfg, 1)
     before = [(name, a.copy()) for name, a in microbatch_arrays(mb)]
     params = net.params.copy()
-    harness._update(cfg, net, baselines.OptimizerState(cfg.optimizer, cfg.lr), mb, None, None)
+    harness._update(cfg, net, baselines.OptimizerState(), mb, None, {})
     assert not np.array_equal(net.params, params)  # four steps were taken
     for (name, a), (_, b) in zip(microbatch_arrays(mb), before, strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [dict(algo="isopo-int"), dict(algo="isopo-ni", q=0.5, r=-0.5, reg_strength=0.3)],
+    ids=["isopo-int", "isopo-ni-qr-reg"],
+)
+def test_ema_decay_reaches_training(tmp_path, keys):
+    # a key's first mean is adopted at any decay, so the runs part only after
+    # step 2's update, the first that blends the EMA
+    cfgs = [quick_cfg(steps=3, eval_every=1, ema_decay=decay, **keys) for decay in (0.5, 0.9)]
+    rows = [harness.train(cfg, tmp_path / str(cfg.ema_decay)).rows for cfg in cfgs]
+    assert [len(r) for r in rows] == [4, 4]
+    assert rows[0][:2] == rows[1][:2]
+    assert all(a != b for a, b in zip(rows[0][2:], rows[1][2:]))
 
 
 @pytest.mark.parametrize("algo", ["reinforce", "grpo", "isopo-ni", "isopo-int"])

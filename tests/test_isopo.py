@@ -87,42 +87,42 @@ def test_fisher_norm_degenerate_samples_are_nan(microbatch):
 def test_rescaling_zero_exponents_identity():
     rng = np.random.default_rng(4)
     grad = rng.standard_normal((3, 5))
-    params = isopo.RescalingParams(p=0.0, q=0.0, r=0.0)
-    assert np.array_equal(isopo.rescaling(grad, 0.7, params), grad)
+    cfg = RunConfig(p=0.0, q=0.0, r=0.0)
+    assert np.array_equal(isopo.rescaling(grad, 0.7, cfg, {}), grad)
 
 
 def test_rescaling_fisher_normalization_formula():
     rng = np.random.default_rng(5)
     grad = rng.standard_normal((4, 4))
-    params = isopo.RescalingParams(p=-1.0, q=0.0, r=0.0, reg_strength=0.0)
+    cfg = RunConfig(p=-1.0, q=0.0, r=0.0, reg_strength=0.0)
     f = 2.5
     expected = grad / math.sqrt(max(f * f, isopo.RESCALE_FLOOR))
-    assert np.allclose(isopo.rescaling(grad, f, params), expected, rtol=1e-14, atol=0)
+    assert np.allclose(isopo.rescaling(grad, f, cfg, {}), expected, rtol=1e-14, atol=0)
 
 
 def test_rescaling_direction_matching_formula():
     rng = np.random.default_rng(6)
     grad = rng.standard_normal((4, 6))
-    params = isopo.RescalingParams(p=0.0, q=0.0, r=-2.0, reg_strength=0.0)
+    cfg = RunConfig(p=0.0, q=0.0, r=-2.0, reg_strength=0.0)
     f = 3.0
     gn = float(np.linalg.norm(grad))
     rel = f / gn
     exact = grad / max(rel * rel, isopo.RESCALE_FLOOR)
-    got = isopo.rescaling(grad, f, params)
+    got = isopo.rescaling(grad, f, cfg, {})
     assert np.allclose(got, exact, rtol=1e-14)
     # above the floor this is grad * |grad|^2 / F^2
     assert np.allclose(got, grad * gn * gn / (f * f), rtol=1e-6)
 
 
 def test_rescaling_total_for_zero_inputs():
-    params = isopo.RescalingParams(p=-1.0, q=1.0, r=-2.0)
-    out = isopo.rescaling(np.zeros((2, 2)), 0.0, params)
+    cfg = RunConfig(p=-1.0, q=1.0, r=-2.0)
+    out = isopo.rescaling(np.zeros((2, 2)), 0.0, cfg, {})
     assert np.all(np.isfinite(out))
 
 
 def test_rescaling_rejects_negative_norm():
     with pytest.raises(ContractViolation):
-        isopo.rescaling(np.zeros((2, 2)), -1.0, isopo.RescalingParams())
+        isopo.rescaling(np.zeros((2, 2)), -1.0, RunConfig(), {})
 
 
 # ---------------------------------------------------------- overlap positions
@@ -155,9 +155,9 @@ def test_overlap_inclusion_uniform(microbatch):
 # --------------------------------------------------- non-interacting update
 
 
-def ni_update(mb, positions, params):
+def ni_update(mb, positions, cfg):
     norms, _ = isopo.sequence_fisher_norms(mb.scored, positions)
-    return isopo.noninteracting_update(mb, norms, params)
+    return isopo.noninteracting_update(mb, norms, cfg, {})
 
 
 def test_noninteracting_zero_advantages(small_net, small_task):
@@ -165,14 +165,14 @@ def test_noninteracting_zero_advantages(small_net, small_task):
     for g in mb.groups:
         g.advantages = np.zeros_like(g.advantages)
     positions = overlap(mb, 16, stream(0, "o"))
-    for g in ni_update(mb, positions, isopo.RescalingParams(p=-1.0)):
+    for g in ni_update(mb, positions, RunConfig(p=-1.0)):
         assert np.all(g == 0.0)
 
 
 def test_noninteracting_identity_equals_reinforce(microbatch):
     positions = overlap(microbatch, 16, stream(0, "o"))
-    params = isopo.RescalingParams(p=0.0, q=0.0, r=0.0)
-    upd = ni_update(microbatch, positions, params)
+    cfg = RunConfig(p=0.0, q=0.0, r=0.0)
+    upd = ni_update(microbatch, positions, cfg)
     ref = baselines.reinforce_grad(microbatch)
     for a, b in zip(upd, ref):
         assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1.0)
@@ -182,9 +182,9 @@ def test_batched_estimates_match_per_sequence_loop(small_net, small_task):
     # the per-sequence loop is the reference for the batched contractions
     mb = make_microbatch(small_net, small_task, seed=7)
     positions = overlap(mb, 12, stream(7, "o"))
-    params = isopo.RescalingParams(p=-1.0, q=0.5, r=0.25)
+    cfg = RunConfig(p=-1.0, q=0.5, r=0.25)
     norms, degenerate = isopo.sequence_fisher_norms(mb.scored, positions)
-    upd = isopo.noninteracting_update(mb, norms, params)
+    upd = isopo.noninteracting_update(mb, norms, cfg, {})
     assert not degenerate.any()
     for l, jac in enumerate(mb.scored.seq_grads):
         sampled = sampled_mats(mb.scored, l, positions)
@@ -192,7 +192,7 @@ def test_batched_estimates_match_per_sequence_loop(small_net, small_task):
         for i in range(len(jac)):
             f = oracle.naive_fisher_norm(jac[i], sampled)
             assert norms[i, l] == pytest.approx(f, rel=1e-14)
-            expected += mb.advantages[i] * isopo.rescaling(jac[i], f, params, l)
+            expected += mb.advantages[i] * isopo.rescaling(jac[i], f, cfg, {}, l)
         assert np.allclose(upd[l], expected, rtol=1e-12, atol=1e-15)
 
 
@@ -201,20 +201,21 @@ def test_rescaling_ema_kept_only_when_read(small_net, small_task):
     positions = overlap(mb, 12, stream(7, "o"))
     norms, degenerate = isopo.sequence_fisher_norms(mb.scored, positions)
     assert not degenerate.any()
-    idle = isopo.RescalingParams(p=-1.0, q=0.5, r=-0.5, reg_strength=0.0)
-    isopo.noninteracting_update(mb, norms, idle)
-    assert idle.ema.values == {}
+    ema = {}
+    isopo.noninteracting_update(mb, norms, RunConfig(p=-1.0, q=0.5, r=-0.5, reg_strength=0.0), ema)
+    assert ema == {}
     # with reg_strength > 0 the step first folds its own mean squares into
     # the EMA, then rescales against them: the per-sequence loop is the reference
-    used = isopo.RescalingParams(p=-1.0, q=0.5, r=-0.5, reg_strength=0.3)
-    upd = isopo.noninteracting_update(mb, norms, used)
+    used = RunConfig(p=-1.0, q=0.5, r=-0.5, reg_strength=0.3)
+    upd = isopo.noninteracting_update(mb, norms, used, ema)
     for l, (jac, sq_norms) in enumerate(zip(mb.scored.seq_grads, mb.scored.sq_norms)):
         f_sq = norms[:, l] ** 2
-        assert used.ema.value((l, "fisher_sq")) == float(f_sq.mean())
-        assert used.ema.value((l, "grad_sq")) == float(sq_norms.mean())
-        assert used.ema.value((l, "rel_sq")) == float((f_sq / sq_norms).mean())
+        assert ema[(l, "fisher_sq")] == float(f_sq.mean())
+        assert ema[(l, "grad_sq")] == float(sq_norms.mean())
+        assert ema[(l, "rel_sq")] == float((f_sq / sq_norms).mean())
         expected = sum(
-            a * isopo.rescaling(v, f, used, l) for a, v, f in zip(mb.advantages, jac, norms[:, l])
+            a * isopo.rescaling(v, f, used, ema, l)
+            for a, v, f in zip(mb.advantages, jac, norms[:, l])
         )
         assert np.allclose(upd[l], expected, rtol=1e-12, atol=1e-15)
 
@@ -226,20 +227,20 @@ def test_noninteracting_single_sequence_composition(small_net, small_task):
     adv = np.array([1.7, 0.0])
     mb.groups[0].advantages = adv
     positions = overlap(mb, 8, stream(2, "o"))
-    params = isopo.RescalingParams(p=-1.0, q=0.0, r=0.0, reg_strength=0.0)
-    upd = ni_update(mb, positions, params)
+    cfg = RunConfig(p=-1.0, q=0.0, r=0.0, reg_strength=0.0)
+    upd = ni_update(mb, positions, cfg)
     # compose the two operations by hand for the only active sequence
     for l in range(small_net.n_layers):
         v = mb.scored.seq_grads[l][0]
         f = oracle.naive_fisher_norm(v, sampled_mats(mb.scored, l, positions))
-        expected = adv[0] * isopo.rescaling(v, f, isopo.RescalingParams(p=-1.0), l)
+        expected = adv[0] * isopo.rescaling(v, f, RunConfig(p=-1.0), {}, l)
         assert np.allclose(upd[l], expected, rtol=1e-12, atol=1e-15)
 
 
 def test_noninteracting_linear_in_advantages(small_net, small_task):
     mb = make_microbatch(small_net, small_task, seed=4)
     positions = overlap(mb, 12, stream(4, "o"))
-    params = isopo.RescalingParams(p=-1.0, q=0.5, r=0.25)
+    cfg = RunConfig(p=-1.0, q=0.5, r=0.25)
     rng = np.random.default_rng(8)
     adv1 = [rng.standard_normal(len(g.rewards)) for g in mb.groups]
     adv2 = [rng.standard_normal(len(g.rewards)) for g in mb.groups]
@@ -247,7 +248,7 @@ def test_noninteracting_linear_in_advantages(small_net, small_task):
     def update_with(advs):
         for g, a in zip(mb.groups, advs):
             g.advantages = a
-        return ni_update(mb, positions, params)
+        return ni_update(mb, positions, cfg)
 
     u1 = update_with(adv1)
     u2 = update_with(adv2)
@@ -266,7 +267,7 @@ def test_noninteracting_degenerate_fallback(small_net, small_task):
         gout[1] = 0.0
     positions = overlap(mb, 6, stream(5, "o"))
     norms, degenerate = isopo.sequence_fisher_norms(mb.scored, positions)
-    upd = isopo.noninteracting_update(mb, norms, isopo.RescalingParams(p=-1.0))
+    upd = isopo.noninteracting_update(mb, norms, RunConfig(p=-1.0), {})
     assert np.count_nonzero(degenerate) == 1
     assert np.all(np.isnan(norms[1]))
     assert np.all(np.isfinite([np.max(np.abs(g)) for g in upd]))
@@ -314,8 +315,8 @@ def test_cancelling_positions_give_finite_updates(small_net, small_task):
     row = metrics.collect(0, cfg, small_net, ref, small_task, mb, (norms, degenerate), kl_u)
     for l in range(len(mb.scored.sq_norms)):
         assert np.isfinite(row[f"l{l}_mean_grad_norm"])
-    for params in (isopo.RescalingParams(p=-1.0), isopo.RescalingParams(p=-1.0, q=0.5, r=-2.0)):
-        upd = isopo.noninteracting_update(mb, norms, params)
+    for ni_cfg in (RunConfig(p=-1.0), RunConfig(p=-1.0, q=0.5, r=-2.0)):
+        upd = isopo.noninteracting_update(mb, norms, ni_cfg, {})
         assert np.all(np.isfinite(np.concatenate([g.ravel() for g in upd])))
     for gout, act in zip(mb.scored.grad_out, mb.scored.act_in):
         c = float(np.trace(isopo.build_ntk(gout, act))) / len(gout)
@@ -334,18 +335,18 @@ def test_self_normalization_under_shared_samples(small_net, small_task):
     norms, degenerate = isopo.sequence_fisher_norms(mb.scored, positions)
     assert not degenerate.any()
     assert np.nanmin(norms) > 2.3  # F^2 > 5, so the floor's clamp is inactive
-    params = isopo.RescalingParams(p=-1.0, q=0.0, r=0.0, reg_strength=0.0)
+    cfg = RunConfig(p=-1.0, q=0.0, r=0.0, reg_strength=0.0)
     for l, jac in enumerate(mb.scored.seq_grads):
         sampled = sampled_mats(mb.scored, l, positions)
         for i in range(len(jac)):
-            w = isopo.rescaling(jac[i], norms[i, l], params, l)
+            w = isopo.rescaling(jac[i], norms[i, l], cfg, {}, l)
             assert abs(oracle.naive_fisher_norm(w, sampled) - 1.0) <= 1e-9
 
 
 def test_self_normalization_floor_identity(microbatch):
     # the composition equals F / sqrt(max(F^2, floor)): 1 at native scale, and
     # F / 1e-4 once grad_out is scaled so every estimate falls below the floor
-    params = isopo.RescalingParams(p=-1.0, q=0.0, r=0.0, reg_strength=0.0)
+    cfg = RunConfig(p=-1.0, q=0.0, r=0.0, reg_strength=0.0)
     for grad_scale in (1.0, 1e-6):
         mb = scale_grad_out(microbatch, grad_scale)
         positions = overlap(mb, 16, stream(0, "o"))
@@ -358,7 +359,7 @@ def test_self_normalization_floor_identity(microbatch):
             for i in range(len(jac)):
                 if np.isnan(norms[i, l]):
                     continue
-                w = isopo.rescaling(jac[i], norms[i, l], params, l)
+                w = isopo.rescaling(jac[i], norms[i, l], cfg, {}, l)
                 f_w = oracle.naive_fisher_norm(w, sampled)
                 f = norms[i, l]
                 expected = f / 1e-4 if below else f / math.sqrt(max(f * f, isopo.RESCALE_FLOOR))
@@ -518,13 +519,13 @@ def test_interacting_large_c_approaches_vanilla(microbatch):
 def test_interacting_microbatch_update_sets_c_from_ntk_trace(microbatch):
     # c = reg_factor * EMA of trace(K) / m; a second step on the same batch
     # blends the EMA with an equal mean, so c stays put up to rounding
-    ema = isopo.RegEmaState(decay=0.9)
+    ema = {}
     for _ in range(2):
-        upd = isopo.interacting_microbatch_update(microbatch, 0.5, ema)
+        upd = isopo.interacting_microbatch_update(microbatch, RunConfig(reg_factor=0.5), ema)
     scored = microbatch.scored
     for l, (g, a) in enumerate(zip(scored.grad_out, scored.act_in)):
         mean_eig = float(np.trace(isopo.build_ntk(g, a))) / len(g)
-        assert ema.value((l, "ntk_mean_eig")) == pytest.approx(mean_eig, rel=1e-12)
+        assert ema[(l, "ntk_mean_eig")] == pytest.approx(mean_eig, rel=1e-12)
         expected = isopo.interacting_update(g, a, microbatch.advantages, 0.5 * mean_eig)
         assert np.allclose(upd[l], expected, rtol=1e-9, atol=1e-15)
 
@@ -533,36 +534,37 @@ def test_interacting_microbatch_update_sets_c_from_ntk_trace(microbatch):
 
 
 def test_ema_first_update_adopts_value():
-    state = isopo.RegEmaState(decay=0.9)
-    assert isopo.ema_update(state, "k", 5.0) == 5.0
+    assert isopo.ema_update({}, "k", 5.0, 0.9) == 5.0
 
 
 def test_ema_blend():
-    state = isopo.RegEmaState(decay=0.9)
-    isopo.ema_update(state, "k", 1.0)
-    assert isopo.ema_update(state, "k", 2.0) == pytest.approx(1.1)
+    ema = {}
+    isopo.ema_update(ema, "k", 1.0, 0.9)
+    assert isopo.ema_update(ema, "k", 2.0, 0.9) == pytest.approx(1.1)
 
 
 def test_ema_fixed_point():
-    state = isopo.RegEmaState(decay=0.9)
-    isopo.ema_update(state, "k", 0.0)
+    ema = {}
+    isopo.ema_update(ema, "k", 0.0, 0.9)
     for _ in range(200):
-        isopo.ema_update(state, "k", 3.0)
-    assert abs(state.value("k") - 3.0) < 1e-6
+        isopo.ema_update(ema, "k", 3.0, 0.9)
+    assert abs(ema["k"] - 3.0) < 1e-6
 
 
-def test_ema_invalid_decay():
-    with pytest.raises(ContractViolation):
-        isopo.RegEmaState(decay=1.0)
+def test_ema_rejects_a_negative_mean():
+    ema = {"k": 1.0}
+    with pytest.raises(ContractViolation, match="nonnegative"):
+        isopo.ema_update(ema, "k", -1e-300, 0.9)
+    assert ema == {"k": 1.0}
 
 
 def test_reg_strength_uses_ema():
-    state = isopo.RegEmaState(decay=0.9)
-    params = isopo.RescalingParams(p=-1.0, q=0.0, r=0.0, reg_strength=2.0, ema=state)
-    isopo.ema_update(state, (0, "fisher_sq"), 4.0)
+    ema = {}
+    cfg = RunConfig(p=-1.0, q=0.0, r=0.0, reg_strength=2.0)
+    isopo.ema_update(ema, (0, "fisher_sq"), 4.0, cfg.ema_decay)
     grad = np.ones((2, 2))
     f = 1.0
     expected_scale = 1.0 / math.sqrt(max(f * f + 2.0 * 4.0, isopo.RESCALE_FLOOR))
     assert np.allclose(
-        isopo.rescaling(grad, f, params, layer=0), expected_scale * grad, rtol=1e-14, atol=0
+        isopo.rescaling(grad, f, cfg, ema, layer=0), expected_scale * grad, rtol=1e-14, atol=0
     )

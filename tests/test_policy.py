@@ -764,8 +764,9 @@ def test_weights_stay_views_of_params(tmp_path, small_net):
     assert not np.shares_memory(net.params, small_net.params)
     params = net.params
     for kind in ("sgd", "adamw"):
-        state = baselines.OptimizerState(kind, lr=0.1)
-        baselines.optimizer_step(state, net, [np.ones_like(w) for w in net.weights])
+        cfg = RunConfig(optimizer=kind, lr=0.1)
+        state = baselines.OptimizerState()
+        baselines.optimizer_step(cfg, state, net, [np.ones_like(w) for w in net.weights])
         assert net.params is params
         assert_weights_view_params(net)
     assert np.allclose(net.params, small_net.params - 0.2, rtol=0.0, atol=1e-8)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import fields, replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isopo_lab import baselines, isopo, oracle, policy, tasks
@@ -19,6 +19,7 @@ from isopo_lab.config import (
     parse_config,
     serialize_config,
 )
+from isopo_lab.errors import ConfigError
 from isopo_lab.rng import stream
 
 from conftest import make_microbatch, overlap, sampled_mats
@@ -73,8 +74,8 @@ def test_sequence_permutation_equivariance(seed, perm):
 
     for a, b in zip(baselines.reinforce_grad(other), baselines.reinforce_grad(mb)):
         assert_close(a, b)
-    ni = isopo.noninteracting_update(mb, norms, isopo.RescalingParams(p=-1.0))
-    p_ni = isopo.noninteracting_update(other, p_norms, isopo.RescalingParams(p=-1.0))
+    ni = isopo.noninteracting_update(mb, norms, RunConfig(p=-1.0), {})
+    p_ni = isopo.noninteracting_update(other, p_norms, RunConfig(p=-1.0), {})
     for a, b in zip(p_ni, ni):
         assert_close(a, b)
     for a, b in zip(int_update(other), int_update(mb)):
@@ -164,10 +165,10 @@ def test_fisher_normalization_is_scale_invariant(seed, f_norm, s):
     # above the floor, p = -1 divides by F, so scaling V and F together by s
     # leaves the rescaled gradient unchanged
     v = np.random.default_rng(seed).standard_normal((3, 4))
-    params = isopo.RescalingParams(p=-1.0)
+    cfg = RunConfig(p=-1.0)
     assert (s * f_norm) ** 2 > isopo.RESCALE_FLOOR
-    got = isopo.rescaling(s * v, s * f_norm, params)
-    want = isopo.rescaling(v, f_norm, params)
+    got = isopo.rescaling(s * v, s * f_norm, cfg, {})
+    want = isopo.rescaling(v, f_norm, cfg, {})
     assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
@@ -177,8 +178,9 @@ NONNEGATIVE = st.floats(min_value=0.0, max_value=1e6, **FINITE)
 
 
 @st.composite
-def valid_configs(draw):
-    cfg = RunConfig(
+def config_fields(draw):
+    """RunConfig keyword arguments: values in range, and any text as ``out_dir``."""
+    return dict(
         task=draw(st.sampled_from(TASKS)),
         algo=draw(st.sampled_from(ALGOS)),
         p=draw(st.floats(-10.0, 10.0)),
@@ -198,11 +200,29 @@ def valid_configs(draw):
         eval_every=draw(st.integers(1, 100)),
         seed=draw(st.integers(0, 2**31)),
         normalize_std=draw(st.booleans()),
-        out_dir=draw(st.text("abcdefghijklmnopqrstuvwxyz0123456789/_-.", min_size=1)),
+        out_dir=draw(st.text()),
         seq_modulus=draw(st.integers(2, 64)),
         seq_len=draw(st.integers(1, 8)),
         exact_match_reward=draw(st.booleans()),
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(kwargs=config_fields())
+@example(kwargs={"out_dir": "runs/a#b"})
+@example(kwargs={"out_dir": "runs/a\nseed = 1"})
+@example(kwargs={"out_dir": "runs/a\u2028"})
+@example(kwargs={"out_dir": " runs"})
+@example(kwargs={"out_dir": "runs/a b=c"})
+def test_config_round_trip(kwargs):
+    # a config round-trips, or is refused for an out_dir that config.txt
+    # cannot hold on one line: "#" starts a comment, a line break ends the
+    # line, and parsing strips the ends
+    try:
+        cfg = RunConfig(**kwargs)
+    except ConfigError as exc:
+        assert str(exc).startswith("key 'out_dir': ")
+        return
     # keys outside the config's algorithm or task are not serialized, so a
     # round trip reads them back at their defaults
     defaults = RunConfig()
@@ -212,12 +232,7 @@ def valid_configs(draw):
         if (RULES[f.name].algos and cfg.algo not in RULES[f.name].algos)
         or (RULES[f.name].tasks and cfg.task not in RULES[f.name].tasks)
     }
-    return replace(cfg, **out_of_scope)
-
-
-@settings(max_examples=200, deadline=None)
-@given(cfg=valid_configs())
-def test_config_round_trip(cfg):
+    cfg = replace(cfg, **out_of_scope)
     assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -256,9 +271,8 @@ def test_reg2_without_regularization_skips_the_ema_term_bit_for_bit(xs, v):
     # at reg_strength 0, x * x + 0.0 * v is x * x for every float x and
     # finite v >= 0, so _reg2 need not read the EMA
     x = np.array(xs)
-    params = isopo.RescalingParams(reg_strength=0.0)
-    params.ema.values[(0, "fisher_sq")] = v
+    ema = {(0, "fisher_sq"): v}
     with np.errstate(over="ignore", invalid="ignore"):
-        got = isopo._reg2(x, (0, "fisher_sq"), params)
+        got = isopo._reg2(x, (0, "fisher_sq"), RunConfig(reg_strength=0.0), ema)
         want = np.sqrt(np.maximum(x * x + 0.0 * v, isopo.RESCALE_FLOOR))
     assert got.tobytes() == want.tobytes()

@@ -1,4 +1,4 @@
-"""Print one digest line per training run of a fixed set of 102 runs.
+"""Print one digest line per training run of a fixed set of 108 runs.
 
 Usage, with no flags, from any directory:
 
@@ -19,7 +19,10 @@ the set:
   rescaling factor and the EMA are read) on seqtask and bandit, seeds 0-2,
   60 steps, a row every 7;
 - each algorithm on seqtask with ``normalize_std = true``, and again with
-  ``exact_match_reward = true``, seed 0, 60 steps, a row every 7.
+  ``exact_match_reward = true``, seed 0, 60 steps, a row every 7;
+- each algorithm on seqtask with SGD at lr 0.03, and isopo-int and
+  generalized isopo-ni with ``ema_decay = 0.5``, seed 0, 60 steps, a row
+  every 7.
 
 BLAS runs on one thread, as in the benchmark.
 """
@@ -47,6 +50,8 @@ SEQTASK_SWITCHES = {
     "normalize-std": "normalize_std = true\n",
     "exact-match": "exact_match_reward = true\n",
 }
+SGD = "optimizer = sgd\nlr = 0.03\n"
+EMA_DECAY = {"isopo-int": "algo = isopo-int\n", "isopo-ni-qr-reg": GENERALIZED}
 OUTPUTS = ("metrics.csv", "checkpoint.txt", "config.txt", "ABORTED")
 
 
@@ -76,10 +81,16 @@ def run_set() -> list[tuple[str, str]]:
             )
             for seed in range(3)
         ]
+    seqtask = "task = seqtask\nseed = 0\nsteps = 60\neval_every = 7\n"
     runs += [
-        (f"{algo}/seqtask/{name}", f"algo = {algo}\n{line}seed = 0\nsteps = 60\neval_every = 7\n")
+        (f"{algo}/seqtask/{name}", f"algo = {algo}\n{line}" + seqtask)
         for name, line in SEQTASK_SWITCHES.items()
         for algo in ALGOS
+    ]
+    runs += [(f"{algo}/seqtask/sgd-lr0.03", f"algo = {algo}\n{SGD}" + seqtask) for algo in ALGOS]
+    runs += [
+        (f"{name}/seqtask/ema-decay0.5", lines + "ema_decay = 0.5\n" + seqtask)
+        for name, lines in EMA_DECAY.items()
     ]
     return runs
 
