@@ -4,11 +4,11 @@ Both gradients are weighted sums sum_b w_b V_b of the sequence
 log-probability gradients, taken from the scored factors
 (``policy.grad_sum``). REINFORCE weights by the advantages. GRPO reuses one
 sampled microbatch over several inner epochs, weighting each sequence by its
-importance ratio to the sampling-time policy (a snapshot of the batch's own
-``scored.logprobs``) and dropping sequences whose ratio left
-[1-eps, 1+eps] in the unfavorable direction. Each epoch re-scores the batch
-from its layer-0 buffer ``scored.act_in[0]``, its teacher-forced inputs. A
-ratio that overflows raises FloatingPointError, an ArithmeticError, so the
+importance ratio to the sampling-time policy, the batch's own
+``scored.logprobs``, and dropping sequences whose ratio left [1-eps, 1+eps]
+in the unfavorable direction. Every surrogate re-scores the batch under its
+own layer-0 inputs ``scored.act_in[0]``, which it shares and does not write.
+A ratio that overflows raises FloatingPointError, an ArithmeticError, so the
 run aborts instead of dropping the sequence.
 
 Both optimizers descend, theta <- theta - lr * g, elementwise over the
@@ -48,30 +48,23 @@ def reinforce_grad(microbatch: Microbatch) -> list[np.ndarray]:
     return _weighted_grads(microbatch.scored, microbatch.advantages)
 
 
-def _ratios(logprobs: np.ndarray, snapshot: np.ndarray) -> np.ndarray:
-    if snapshot.shape != logprobs.shape:
-        raise ContractViolation("snapshot size does not match microbatch")
+def _rescore(microbatch: Microbatch, net: PolicyNet) -> Scored:
+    """``score`` of the microbatch at ``net``, under its own layer-0 inputs."""
+    return score(net, microbatch.scored.act_in[0], microbatch.tokens)
+
+
+def _ratios(microbatch: Microbatch, current: Scored) -> np.ndarray:
+    """Each sequence's ratio to its sampling-time probability."""
     with np.errstate(over="raise"):
-        return np.exp(logprobs - snapshot)
+        return np.exp(current.logprobs - microbatch.scored.logprobs)
 
 
-def grpo_clipped_grad(
-    microbatch: Microbatch,
-    snapshot: np.ndarray,
-    net: PolicyNet,
-    clip_eps: float,
-) -> list[np.ndarray]:
-    """Gradient of sum_o min(rho_o A_o, clip(rho_o, 1-eps, 1+eps) A_o) at ``net``.
-
-    ``snapshot`` holds the sampling-time log-probabilities, one per sequence.
-    The microbatch is re-scored at ``net`` from its own layer-0 buffer
-    ``scored.act_in[0]``, its teacher-forced inputs value for value, which
-    the re-score shares and does not write.
-    """
+def grpo_clipped_grad(microbatch: Microbatch, net: PolicyNet, clip_eps: float) -> list[np.ndarray]:
+    """Gradient of sum_o min(rho_o A_o, clip(rho_o, 1-eps, 1+eps) A_o) at ``net``."""
     if clip_eps <= 0:
         raise ContractViolation(f"clip_eps must be positive, got {clip_eps}")
-    current = score(net, microbatch.features, microbatch.tokens, microbatch.scored.act_in[0])
-    rho = _ratios(current.logprobs, snapshot)
+    current = _rescore(microbatch, net)
+    rho = _ratios(microbatch, current)
     advantages = microbatch.advantages
     # gradient flows through the min() only while the ratio branch is active
     active = np.where(advantages >= 0, rho <= 1.0 + clip_eps, rho >= 1.0 - clip_eps)
@@ -79,14 +72,9 @@ def grpo_clipped_grad(
     return _weighted_grads(current, coeff)
 
 
-def grpo_surrogate(
-    microbatch: Microbatch,
-    snapshot: np.ndarray,
-    net: PolicyNet,
-    clip_eps: float,
-) -> float:
+def grpo_surrogate(microbatch: Microbatch, net: PolicyNet, clip_eps: float) -> float:
     """Scalar clipped surrogate objective (used by gradient checks)."""
-    rho = _ratios(score(net, microbatch.features, microbatch.tokens).logprobs, snapshot)
+    rho = _ratios(microbatch, _rescore(microbatch, net))
     advantages = microbatch.advantages
     clipped = np.clip(rho, 1.0 - clip_eps, 1.0 + clip_eps)
     return float(np.sum(np.minimum(rho * advantages, clipped * advantages)))
@@ -94,8 +82,7 @@ def grpo_surrogate(
 
 def reinforce_surrogate(microbatch: Microbatch, net: PolicyNet) -> float:
     """Scalar objective sum_o A_o log pi(o) (used by gradient checks)."""
-    logprobs = score(net, microbatch.features, microbatch.tokens).logprobs
-    return float(microbatch.advantages @ logprobs)
+    return float(microbatch.advantages @ _rescore(microbatch, net).logprobs)
 
 
 @dataclass

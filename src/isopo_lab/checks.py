@@ -88,7 +88,7 @@ def run_gradcheck(seed: int = 0) -> list[SuiteResult]:
         net, prompt.features[None], uniforms(seed, ["gradcheck-seq"], task.seq_len)
     )
     analytic = [g[0] for g in scored.seq_grads]
-    numeric = fd_grad(lambda: policy.score(net, prompt.features[None], tokens).logprobs[0], net)
+    numeric = fd_grad(lambda: policy.score(net, scored.act_in[0], tokens).logprobs[0], net)
     results.append(verdict("policy-backward-fd", rel_errors(analytic, numeric), FD_RTOL))
 
     # 2. REINFORCE gradient vs differences of sum_o A_o log pi(o)
@@ -98,14 +98,11 @@ def run_gradcheck(seed: int = 0) -> list[SuiteResult]:
     results.append(verdict("reinforce-surrogate-fd", rel_errors(analytic, numeric), FD_RTOL))
 
     # 3. GRPO clipped-surrogate gradient, away from the sampling policy (rho != 1)
-    snapshot = microbatch.scored.logprobs
     shifted = net.copy()
     shifted.params += 0.01 * stream(seed, "gradcheck-drift").standard_normal(shifted.param_count)
     clip_eps = 0.2
-    analytic = baselines.grpo_clipped_grad(microbatch, snapshot, shifted, clip_eps)
-    numeric = fd_grad(
-        lambda: baselines.grpo_surrogate(microbatch, snapshot, shifted, clip_eps), shifted
-    )
+    analytic = baselines.grpo_clipped_grad(microbatch, shifted, clip_eps)
+    numeric = fd_grad(lambda: baselines.grpo_surrogate(microbatch, shifted, clip_eps), shifted)
     results.append(verdict("grpo-surrogate-fd", rel_errors(analytic, numeric), FD_RTOL))
 
     # 4. the training path's Fisher-norm estimate of every sequence gradient vs

@@ -72,11 +72,9 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "train":
-            overrides = {}
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            cfg = load_config(args.config, **overrides)
-            result = harness.train(cfg, out_dir=args.out)
+            overrides = {"seed": args.seed, "out_dir": args.out}
+            cfg = load_config(args.config, **{k: v for k, v in overrides.items() if v is not None})
+            result = harness.train(cfg)
             last = result.rows[-1]
             print(f"wrote {result.csv_path}")
             print(

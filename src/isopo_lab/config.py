@@ -5,10 +5,10 @@ accepts and the algorithms or tasks it applies to. A config checks every
 field against its rule and type when it is built, from a file, in Python or
 by ``dataclasses.replace``: bool fields take bools, int fields integral
 numbers, float fields finite real numbers (numpy scalars pass, bools do not)
-and str fields strs that read back from one line of a file: no ``#``, no
-line break (``str.splitlines``), no surrounding whitespace. A number is kept
-as the Python int or float it equals. A wrong type or value is a ConfigError
-naming the key.
+and str fields nonempty strs that read back from one line of a file: no
+``#``, no line break (``str.splitlines``), no surrounding whitespace. A
+number is kept as the Python int or float it equals. A wrong type or value
+is a ConfigError naming the key.
 
 In a file, unknown and repeated keys are errors, and so is a key that only
 applies to another algorithm or task (e.g. ``clip_eps`` outside GRPO).
@@ -101,9 +101,9 @@ def _checked(key: str, kind: str, value):
     # NaN passes every range check below, and inf would reach the weights
     if kind == "float" and not math.isfinite(value):
         raise ConfigError(f"key {key!r} must be finite, got {value}")
-    # a str is written to config.txt as one line, which must parse back to it
-    if kind == "str" and ("#" in value or value.strip() != value or len(value.splitlines()) > 1):
-        raise ConfigError(f"key {key!r}: no '#', line break or edge whitespace, got {value!r}")
+    # a str is written to config.txt as one nonempty line, which must parse back to it
+    if kind == "str" and ("#" in value or value.strip() != value or len(value.splitlines()) != 1):
+        raise ConfigError(f"key {key!r}: not one line free of '#' and edge whitespace: {value!r}")
     rule = RULES[key]
     if rule.choices and value not in rule.choices:
         raise ConfigError(f"{key} must be one of {rule.choices}, got {value!r}")

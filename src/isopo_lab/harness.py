@@ -203,9 +203,7 @@ def _update(cfg, net, optimizer, microbatch, fisher_norms, ema) -> None:
             # exactly 1, so its clipped gradient is the REINFORCE gradient
             grads = baselines.reinforce_grad(microbatch)
         elif cfg.algo == "grpo":
-            grads = baselines.grpo_clipped_grad(
-                microbatch, microbatch.scored.logprobs, net, cfg.clip_eps
-            )
+            grads = baselines.grpo_clipped_grad(microbatch, net, cfg.clip_eps)
         elif cfg.algo == "isopo-ni":
             grads = isopo.noninteracting_update(microbatch, fisher_norms()[0], cfg, ema)
         else:
@@ -330,10 +328,12 @@ def compare(
 ) -> tuple[list[dict], dict[str, list[RunResult]]]:
     """Train every (config, seed) pair and write per-run CSVs plus aggregate.csv.
 
+    Each run's config names its own directory, ``out_dir / <label>-seed<s>``.
     A RunConfig checks its own fields when it is built, and every config is
     checked against its task before the first run trains, so a config the task
-    rejects raises ConfigError with nothing written; a repeated label, or an
-    ``n_seeds`` that is not an int of at least 1, raises ContractViolation.
+    rejects, or a directory that config.txt cannot hold, raises ConfigError
+    with nothing written; a repeated label, or an ``n_seeds`` that is not an
+    int of at least 1, raises ContractViolation.
     """
     if not configs or type(n_seeds) is not int or n_seeds < 1:
         raise ContractViolation(f"compare needs configs and an int n_seeds >= 1, got {n_seeds!r}")
@@ -344,16 +344,13 @@ def compare(
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise ContractViolation(f"repeated labels {repeated}")
-    planned = {}
+    out, planned = Path(out_dir), {}
     for cfg, label in zip(configs, labels):
-        planned[label] = [replace(cfg, seed=cfg.seed + k) for k in range(n_seeds)]
+        seeds = range(cfg.seed, cfg.seed + n_seeds)
+        planned[label] = [replace(cfg, seed=s, out_dir=str(out / f"{label}-seed{s}")) for s in seeds]
         make_task(cfg)
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results_by_label = {
-        label: [train(run_cfg, out / f"{label}-seed{run_cfg.seed}") for run_cfg in run_cfgs]
-        for label, run_cfgs in planned.items()
-    }
+    results_by_label = {label: [train(cfg) for cfg in cfgs] for label, cfgs in planned.items()}
     agg_rows = aggregate_runs(results_by_label)
     write_metrics_csv(out / "aggregate.csv", agg_rows)
     return agg_rows, results_by_label

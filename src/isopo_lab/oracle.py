@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import ContractViolation, EnumerationBudgetError, SingularMatrixError
-from .policy import PolicyNet, Scored, score, seq_len_for
+from .policy import PolicyNet, Scored, score, seq_len_for, teacher_forced_inputs
 
 MAX_ENUM_OUTPUTS = 10_000
 MAX_ORACLE_PARAMS = 1_000
@@ -49,7 +49,8 @@ def enumerate_scored_outputs(net: PolicyNet, prompt) -> tuple[np.ndarray, np.nda
     output sequence, in one batch."""
     seq_len = seq_len_for(net, prompt.features)
     tokens = np.array(list(itertools.product(range(net.vocab_size), repeat=seq_len)))
-    scored = score(net, np.repeat(prompt.features[None], len(tokens), axis=0), tokens)
+    features = np.repeat(prompt.features[None], len(tokens), axis=0)
+    scored = score(net, teacher_forced_inputs(net, features, tokens), tokens)
     return np.exp(scored.logprobs), net.flatten(scored.seq_grads)
 
 

@@ -7,18 +7,25 @@ vocabulary token. The layer-0 input at position t of a sequence is
     [ one-hot(previous token) | one-hot(t) | prompt features | 1 ]
 
 Every layer input ends in a constant 1 for the bias, so each position's
-gradient is one rank-one matrix with no bias case. ``_inputs`` writes every
-layer-0 input, constant included; ``forward`` only reads that buffer, as
-``act_in[0]``, and writes each later augmented input in place.
+gradient is one rank-one matrix with no bias case.
 
 The input at position t depends only on the prompt, t and the previous
 token, so a prompt has R = 1 + (T - 1) V contexts. ``_row`` numbers them
 (position 0 is row 0, (t >= 1, prev) is row 1 + (t - 1) V + prev) and
-``_context`` inverts it. A ``ContextTable`` holds the logits and layer inputs
-of all R contexts of P prompts, and a sequence of prompt p reads its flat row
-p R + ``_row``: sampling, scoring the sampled batch and the KL read the
-table, while ``greedy`` decodes position by position and GRPO re-scores by
-teacher forcing. Randomness enters only as arrays of uniforms.
+``_context`` inverts it. ``_context_template`` alone writes the layout: its
+row r is context r's input, constant included, with zero features. Every
+layer-0 input is a copy of template rows with the prompt features filled
+in: the whole template per prompt for a ``ContextTable``, the row of each
+position's context for ``teacher_forced_inputs`` and ``greedy``. ``forward``
+only reads that buffer, as ``act_in[0]``, and writes each later augmented
+input in place, and ``score`` reads tokens under given layer-0 inputs, so a
+batch scored at several weights shares its ``act_in[0]``.
+
+A ``ContextTable`` holds the logits and layer inputs of all R contexts of P
+prompts, and a sequence of prompt p reads its flat row p R + ``_row``:
+sampling, scoring the sampled batch and the KL read the table, while
+``greedy`` decodes position by position and GRPO re-scores its batch's own
+inputs. Randomness enters only as arrays of uniforms.
 
 Every seqtask gemm has 64 rows or more, where OpenBLAS rounds each row the
 same way at any row count, so a gathered table row equals a teacher-forced
@@ -213,7 +220,7 @@ def _normalize(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def forward(net: PolicyNet, x) -> tuple[np.ndarray, list[np.ndarray]]:
     """Logits and bias-augmented layer inputs for layer-0 inputs ``x`` of shape
-    (..., context_dim + 1), the trailing constant 1 included (``_inputs``).
+    (..., context_dim + 1), the trailing constant 1 included.
 
     ``act_in[0]`` is ``x`` itself: the forward only reads it.
     """
@@ -245,43 +252,39 @@ def seq_len_for(net: PolicyNet, features) -> int:
     return t
 
 
-def _inputs(net: PolicyNet, features, position, prev) -> np.ndarray:
-    """Layer-0 inputs [onehot(prev) | onehot(position) | features | 1] for
-    prompt features (..., F) and integer positions and previous tokens
-    broadcasting with them.
+def _checked_tokens(net: PolicyNet, tokens, shape) -> np.ndarray:
+    """``tokens`` as an array of ``shape`` (B, T) whose every entry indexes the
+    vocabulary, or ContractViolation."""
+    tokens = np.asarray(tokens)
+    if len(shape) != 2 or tokens.shape != shape:
+        raise ContractViolation(f"tokens {tokens.shape} are not (B, T) = {shape}")
+    if tokens.size and not (0 <= tokens.min() and tokens.max() < net.vocab_size):
+        raise ContractViolation(f"tokens outside vocab {net.vocab_size}")
+    return tokens
 
-    Position 0 has no previous token: its ``prev`` must still index the
-    vocabulary, and its block is left zero. The one-hots are written by
-    index.
-    """
+
+def _template_inputs(net: PolicyNet, features, rows) -> np.ndarray:
+    """Layer-0 inputs (..., context_dim + 1) of prompt features (..., F),
+    broadcasting with the integer ``rows`` (...): the ``_context_template``
+    rows that ``_row`` numbers, the features filled in."""
     features = np.asarray(features, dtype=float)
-    v, seq_len = net.vocab_size, seq_len_for(net, features)
-    lead = np.broadcast(np.empty(features.shape[:-1]), position, prev).shape
-    x = np.zeros(lead + (net.context_dim + 1,))
-    x[..., v + seq_len : -1] = features
-    x[..., -1] = 1.0
-    flat = x.reshape(-1)
-    start = np.arange(0, flat.size, x.shape[-1]).reshape(lead)  # each input's offset
-    flat[start + v + position] = 1.0
-    flat[start + prev] = position > 0
+    seq_len = seq_len_for(net, features)
+    x = _context_template(net, seq_len).take(rows, axis=0)
+    x[..., net.vocab_size + seq_len : -1] = features
     return x
 
 
 def teacher_forced_inputs(net: PolicyNet, features, tokens) -> np.ndarray:
-    """Teacher-forced layer-0 inputs (B, T, context_dim + 1): position t sees
-    token t - 1 of its row."""
+    """Teacher-forced layer-0 inputs (B, T, context_dim + 1) of prompt
+    features (B, F) and tokens (B, T): position t sees token t - 1 of its row."""
     features = np.asarray(features, dtype=float)
-    tokens = np.asarray(tokens)
+    if features.ndim != 2:
+        raise ContractViolation(f"features {features.shape} are not (B, F)")
     seq_len = seq_len_for(net, features)
-    if features.ndim != 2 or tokens.shape != (features.shape[0], seq_len):
-        raise ContractViolation(
-            f"features {features.shape} and tokens {tokens.shape} do not form "
-            f"(B, F) and (B, {seq_len})"
-        )
-    if tokens.size and not (0 <= tokens.min() and tokens.max() < net.vocab_size):
-        raise ContractViolation(f"tokens outside vocab {net.vocab_size}")
-    positions = np.arange(seq_len)  # position t >= 1 reads token t - 1, position 0 none
-    return _inputs(net, features[:, None], positions, tokens[:, positions - 1])
+    tokens = _checked_tokens(net, tokens, (len(features), seq_len))
+    positions = np.arange(seq_len)  # position 0 reads no token: _row ignores tokens[:, -1]
+    rows = _row(positions, tokens[:, positions - 1], net.vocab_size)
+    return _template_inputs(net, features[:, None], rows)
 
 
 def greedy(net: PolicyNet, features) -> np.ndarray:
@@ -289,7 +292,7 @@ def greedy(net: PolicyNet, features) -> np.ndarray:
     features = np.asarray(features, dtype=float)
     tokens = np.zeros((features.shape[0], seq_len_for(net, features)), dtype=np.int64)
     for t in range(tokens.shape[1]):  # position 0 does not read tokens[:, -1]
-        x = _inputs(net, features, t, tokens[:, t - 1])
+        x = _template_inputs(net, features, _row(t, tokens[:, t - 1], net.vocab_size))
         tokens[:, t] = np.argmax(forward(net, x)[0], axis=-1)
     return tokens
 
@@ -328,17 +331,14 @@ def _backward(net: PolicyNet, logprobs, probs, act_in, at) -> Scored:
     return Scored(logprobs, act_in, grad_out)
 
 
-def score(net: PolicyNet, features, tokens, inputs=None) -> Scored:
-    """Teacher-forced log-probabilities and gradients of token sequences (B, T).
-
-    ``inputs``, when given, must equal ``teacher_forced_inputs(net, features,
-    tokens)``, as a scored batch's ``act_in[0]`` does: a caller that scores
-    one batch at several weights passes that buffer, which becomes the
-    result's ``act_in[0]`` unchanged and uncopied.
-    """
-    tokens = np.asarray(tokens)
-    if inputs is None:
-        inputs = teacher_forced_inputs(net, features, tokens)
+def score(net: PolicyNet, inputs, tokens) -> Scored:
+    """Log-probabilities and gradients of token sequences (B, T) under their
+    layer-0 inputs (B, T, context_dim + 1): ``teacher_forced_inputs`` of the
+    tokens, or a scored batch's ``act_in[0]``, as when one batch is scored at
+    several weights. The inputs become the result's ``act_in[0]`` unchanged
+    and uncopied; tokens that are not (B, T) of them, or that fall outside
+    the vocabulary, raise ContractViolation."""
+    tokens = _checked_tokens(net, tokens, np.shape(inputs)[:-1])
     logits, act_in = forward(net, inputs)
     m, probs, total = _normalize(logits)
     rows = np.arange(tokens.size).reshape(tokens.shape)  # (b, t) is row b T + t
@@ -445,15 +445,19 @@ def _n_contexts(vocab: int, seq_len: int) -> int:
 
 def _context_template(net: PolicyNet, seq_len: int) -> np.ndarray:
     """The read-only layer-0 inputs (R, context_dim + 1) of one prompt's R
-    contexts, its feature columns zero: built by ``_inputs`` at the first
-    table of each architecture (vocabulary, context dim, T) and kept for the
-    process."""
+    contexts, in the layout above with the feature columns zero: row r is
+    the context (position, prev) = ``_context``(r). Built at the first use
+    for each architecture (vocabulary, context dim, T) and kept for the
+    process; every layer-0 input is a copy of its rows."""
     key = (net.vocab_size, net.context_dim, seq_len)
     template = _TEMPLATES.get(key)
     if template is None:
-        v = net.vocab_size
-        position, prev = _context(np.arange(_n_contexts(v, seq_len)), v)
-        template = _inputs(net, np.zeros(net.context_dim - v - seq_len), position, prev)
+        v, rows = net.vocab_size, np.arange(_n_contexts(net.vocab_size, seq_len))
+        position, prev = _context(rows, v)
+        template = np.zeros((len(rows), net.context_dim + 1))
+        template[rows, v + position] = 1.0
+        template[rows, prev] = position > 0  # position 0 has no previous token
+        template[:, -1] = 1.0
         template.flags.writeable = False
         _TEMPLATES[key] = template
     return template
@@ -461,8 +465,7 @@ def _context_template(net: PolicyNet, seq_len: int) -> np.ndarray:
 
 def _context_inputs(net: PolicyNet, features: np.ndarray) -> np.ndarray:
     """Layer-0 inputs (P, R, context_dim + 1) of every context of prompts
-    (P, F), equal to ``_inputs`` of them: a copy of the template with the
-    features filled in."""
+    (P, F): a broadcast copy of the template with the features filled in."""
     seq_len = seq_len_for(net, features)
     template = _context_template(net, seq_len)
     x = np.empty((len(features),) + template.shape)

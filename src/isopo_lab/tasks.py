@@ -68,18 +68,19 @@ class SequenceView:
 class Microbatch:
     """All groups sampled for one optimization step, held as arrays.
 
-    Row b of ``features`` (B, F), ``tokens`` (B, T) and every array in
-    ``scored`` is the same sequence; rows run through the groups in order.
+    Row b of ``tokens`` (B, T) and of every array in ``scored`` is the same
+    sequence; rows run through the groups in order. ``scored`` is the
+    sampling-time score, and its ``act_in[0]`` the batch's layer-0 inputs,
+    from which ``policy.score`` re-scores it at other weights.
     """
 
     groups: list[Group]
-    features: np.ndarray
     tokens: np.ndarray
     scored: policy.Scored
 
     def __post_init__(self) -> None:
         n = sum(len(g.rewards) for g in self.groups)
-        if not len(self.features) == len(self.tokens) == len(self.scored.logprobs) == n:
+        if not len(self.tokens) == len(self.scored.logprobs) == n:
             raise ContractViolation(f"groups hold {n} sequences, arrays disagree")
 
     @property
@@ -121,14 +122,13 @@ def build_microbatch(net, task, prompts, u, normalize_std: bool = False) -> Micr
     if not prompts or len(u) % len(prompts):
         raise ContractViolation(f"{len(u)} uniform rows do not split into {len(prompts)} groups")
     size = len(u) // len(prompts)
-    prompt_features = np.array([p.features for p in prompts])
-    tokens, scored = policy.sample_and_score(net, prompt_features, u)
+    tokens, scored = policy.sample_and_score(net, np.array([p.features for p in prompts]), u)
     # rewards come from the task verifier and nowhere else
     rewards = task.rewards([p for p in prompts for _ in range(size)], tokens)
     rewards = rewards.reshape(len(prompts), size)
     advantages = group_advantages(rewards, normalize_std)
     groups = [Group(p, r, a) for p, r, a in zip(prompts, rewards, advantages)]
-    return Microbatch(groups, np.repeat(prompt_features, size, axis=0), tokens, scored)
+    return Microbatch(groups, tokens, scored)
 
 
 def _heldout_hash(key: str) -> bool:

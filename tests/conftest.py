@@ -46,6 +46,16 @@ def sampled_mats(scored, layer, positions):
     return [mats[i] for i in positions]
 
 
+def features_of(mb):
+    """Each sequence's prompt features (B, F), in the microbatch's row order."""
+    return np.stack([r.prompt.features for r in mb.records])
+
+
+def teacher_forced_score(net, features, tokens):
+    """``policy.score`` of ``tokens`` (B, T) under their teacher-forced inputs."""
+    return policy.score(net, policy.teacher_forced_inputs(net, features, tokens), tokens)
+
+
 def two_pass_softmax(logits):
     """Softmax over the last axis: the exponentials of the shifted logits, then their sum."""
     e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
@@ -65,7 +75,7 @@ def scale_grad_out(mb, s):
     keeps the rank-one structure (the sequence gradients are re-contracted)."""
     scored = mb.scored
     scored = policy.Scored(scored.logprobs, scored.act_in, [g * s for g in scored.grad_out])
-    return tasks.Microbatch(mb.groups, mb.features, mb.tokens, scored)
+    return tasks.Microbatch(mb.groups, mb.tokens, scored)
 
 
 @pytest.fixture

@@ -66,7 +66,7 @@ def test_criterion_01_gradient_exactness():
     prompt = task.train_prompts[0]
     features = prompt.features[None]
     tokens, scored = policy.sample_and_score(net, features, uniforms(0, ["c1"], task.seq_len))
-    numeric = checks.fd_grad(lambda: policy.score(net, features, tokens).logprobs[0], net)
+    numeric = checks.fd_grad(lambda: policy.score(net, scored.act_in[0], tokens).logprobs[0], net)
     worst = float(np.max(checks.rel_errors([g[0] for g in scored.seq_grads], numeric)))
     elapsed = time.time() - start
     report(
@@ -150,10 +150,9 @@ def test_criterion_04_self_normalization():
     # 1e-8 floor of reg2, where p = -1 divides by F exactly
     u = uniforms(3, [f"c4/{k}" for k in range(8)], task.seq_len)
     tokens, scored = policy.sample_and_score(net, prompt.features[None], u)
-    features = np.repeat(prompt.features[None], 8, axis=0)
     scaled = policy.Scored(scored.logprobs, scored.act_in, [g * 12.0 for g in scored.grad_out])
     group = tasks.Group(prompt, np.zeros(8), np.linspace(-1, 1, 8))
-    mb = tasks.Microbatch([group], features, tokens, scaled)
+    mb = tasks.Microbatch([group], tokens, scaled)
     positions = overlap(mb, 64, stream(3, "c4-ov"))
     norms, degenerate = isopo.sequence_fisher_norms(scaled, positions)
     cfg = RunConfig(p=-1.0, q=0.0, r=0.0, reg_strength=0.0)
@@ -189,7 +188,7 @@ def test_criterion_06_definitional_degeneracies():
     norms, _ = isopo.sequence_fisher_norms(mb.scored, overlap(mb, 64, stream(4, "c6")))
     upd = isopo.noninteracting_update(mb, norms, RunConfig(p=0.0, q=0.0, r=0.0), {})
     ref = baselines.reinforce_grad(mb)
-    grpo = baselines.grpo_clipped_grad(mb, mb.scored.logprobs, net, clip_eps=0.2)
+    grpo = baselines.grpo_clipped_grad(mb, net, clip_eps=0.2)
 
     def max_rel_diff(got):
         return float(

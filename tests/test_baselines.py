@@ -19,6 +19,12 @@ from isopo_lab.rng import stream
 from conftest import make_microbatch
 
 
+def sampled_lower(mb, shift):
+    """``mb`` as if each sequence's sampling-time log-probability were ``shift``
+    lower: every ratio to it is exp(shift) times the batch's own."""
+    return replace(mb, scored=replace(mb.scored, logprobs=mb.scored.logprobs - shift))
+
+
 def test_reinforce_zero_advantages(small_net, small_task):
     mb = make_microbatch(small_net, small_task, seed=0, force_advantages=False)
     for g in mb.groups:
@@ -36,8 +42,7 @@ def test_reinforce_matches_finite_differences(small_net, small_task):
 
 def test_grpo_first_epoch_equals_reinforce(small_net, small_task):
     mb = make_microbatch(small_net, small_task, seed=2)
-    snapshot = mb.scored.logprobs
-    grpo = baselines.grpo_clipped_grad(mb, snapshot, small_net, clip_eps=0.2)
+    grpo = baselines.grpo_clipped_grad(mb, small_net, clip_eps=0.2)
     ref = baselines.reinforce_grad(mb)
     # bit for bit: training takes the REINFORCE gradient for GRPO's first epoch
     for a, b in zip(grpo, ref):
@@ -49,9 +54,8 @@ def test_grpo_clipped_sequence_contributes_nothing(small_net, small_task):
     eps = 0.2
     # ratios rho = 1 + 2 eps for every sequence: pretend old logprobs were lower
     shift = math.log(1.0 + 2.0 * eps)
-    snapshot = mb.scored.logprobs - shift
     mb.groups[0].advantages = np.array([1.0, -1.0])  # A>0 clipped, A<0 active
-    grads = baselines.grpo_clipped_grad(mb, snapshot, small_net, eps)
+    grads = baselines.grpo_clipped_grad(sampled_lower(mb, shift), small_net, eps)
     rho = 1.0 + 2.0 * eps
     expected = [-(rho * 1.0) * g[1] for g in mb.scored.seq_grads]
     for got, exp in zip(grads, expected):
@@ -60,35 +64,33 @@ def test_grpo_clipped_sequence_contributes_nothing(small_net, small_task):
 
 def test_grpo_matches_finite_differences_off_policy(small_net, small_task):
     mb = make_microbatch(small_net, small_task, seed=4, n_groups=1, group_size=3)
-    snapshot = mb.scored.logprobs
     shifted = small_net.copy()
     drift = stream(4, "drift")
     for w in shifted.weights:
         w += 0.02 * drift.standard_normal(w.shape)
     eps = 0.2
-    analytic = baselines.grpo_clipped_grad(mb, snapshot, shifted, eps)
-    numeric = checks.fd_grad(lambda: baselines.grpo_surrogate(mb, snapshot, shifted, eps), shifted)
+    analytic = baselines.grpo_clipped_grad(mb, shifted, eps)
+    numeric = checks.fd_grad(lambda: baselines.grpo_surrogate(mb, shifted, eps), shifted)
     assert np.max(checks.rel_errors(analytic, numeric)) < 1e-5
 
 
 def test_grpo_huge_clip_eps_single_epoch_equals_reinforce(small_net, small_task):
     mb = make_microbatch(small_net, small_task, seed=5)
-    snapshot = mb.scored.logprobs
-    grpo = baselines.grpo_clipped_grad(mb, snapshot, small_net, clip_eps=1e9)
+    grpo = baselines.grpo_clipped_grad(mb, small_net, clip_eps=1e9)
     ref = baselines.reinforce_grad(mb)
     for a, b in zip(grpo, ref):
         assert np.max(np.abs(a - b)) <= 1e-10 * max(np.max(np.abs(b)), 1.0)
 
 
 def test_grpo_ratio_overflow_raises(small_net, small_task):
-    # a snapshot log-probability 1e4 below the current one overflows exp(); the
-    # FloatingPointError is an ArithmeticError, which ends a training run ABORTED
+    # a sampling-time log-probability 1e4 below the current one overflows exp();
+    # the FloatingPointError is an ArithmeticError, which ends a run ABORTED
     mb = make_microbatch(small_net, small_task, seed=7, n_groups=1, group_size=2)
-    snapshot = mb.scored.logprobs - 1e4
+    mb = sampled_lower(mb, 1e4)
     with pytest.raises(ArithmeticError):
-        baselines.grpo_clipped_grad(mb, snapshot, small_net, 0.2)
+        baselines.grpo_clipped_grad(mb, small_net, 0.2)
     with pytest.raises(ArithmeticError):
-        baselines.grpo_surrogate(mb, snapshot, small_net, 0.2)
+        baselines.grpo_surrogate(mb, small_net, 0.2)
 
 
 def test_reinforce_grad_matches_per_sequence_sum(small_net, small_task):
@@ -99,10 +101,11 @@ def test_reinforce_grad_matches_per_sequence_sum(small_net, small_task):
         assert np.allclose(grad, expected, rtol=1e-12, atol=1e-15)
 
 
-def test_grpo_snapshot_size_checked(small_net, small_task):
+def test_grpo_clip_eps_checked(small_net, small_task):
     mb = make_microbatch(small_net, small_task, seed=6)
-    with pytest.raises(ContractViolation):
-        baselines.grpo_clipped_grad(mb, np.zeros(2), small_net, 0.2)
+    for eps in (0.0, -0.2):
+        with pytest.raises(ContractViolation):
+            baselines.grpo_clipped_grad(mb, small_net, eps)
 
 
 def test_sgd_step():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from isopo_lab import cli
+from isopo_lab.config import load_config
 
 AGGREGATE_HEADER = (
     "label,step,n_runs,aborted_runs,validation_median,validation_min,validation_max,"
@@ -67,6 +68,32 @@ def test_cli_compare(tmp_path, capsys):
     assert (out / "b-seed1" / "metrics.csv").exists()
     header = (out / "aggregate.csv").read_text().splitlines()[0]
     assert header == AGGREGATE_HEADER
+
+
+def test_cli_config_txt_names_the_run_directory(tmp_path, capsys):
+    # a run's config.txt parses back to the directory the run wrote, when
+    # --out or compare chose it over the config file's out_dir
+    cfg = write_config(
+        tmp_path / "a.cfg",
+        "out_dir = runs/elsewhere\nsteps = 1\neval_every = 1\ngroup_size = 4\n"
+        "groups_per_microbatch = 2\n",
+    )
+    out = tmp_path / "x"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    assert load_config(out / "config.txt").out_dir == str(out)
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "--config", cfg, "--seeds", "2", "--out", str(out)]) == 0
+    for run in ("a-seed0", "a-seed1"):
+        assert load_config(out / run / "config.txt").out_dir == str(out / run)
+    capsys.readouterr()
+    # an --out that config.txt cannot hold on one line is an error before any run trains
+    for command in ("train", "compare"):
+        for bad in ("y#1", "y\nseed = 1"):
+            assert cli.main([command, "--config", cfg, "--out", str(tmp_path / bad)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "key 'out_dir': not one line" in captured.err and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "cmp", "x"]
 
 
 def test_cli_compare_reports_aborted_runs(tmp_path, capsys):

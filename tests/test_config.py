@@ -137,7 +137,7 @@ BAD_VALUE = {
     "eval_every": False,
     "seed": 1.5,
     "normalize_std": "no",
-    "out_dir": None,
+    "out_dir": "",
     "seq_modulus": 1,
     "seq_len": np.bool_(True),
     "exact_match_reward": 1,
@@ -150,6 +150,10 @@ def test_every_field_rejects_a_wrong_value():
         with pytest.raises(ConfigError) as info:
             RunConfig(**{key: value})
         assert str(info.value).startswith((f"{key} must ", f"key {key!r}")), key
+    with pytest.raises(ConfigError, match="key 'out_dir': expected a string"):
+        RunConfig(out_dir=None)
+    with pytest.raises(ConfigError, match="key 'out_dir': not one line"):
+        parse_config("out_dir =\n")
     with pytest.raises(ConfigError, match="lr must be positive"):
         replace(RunConfig(), lr=-1.0)
     with pytest.raises(ConfigError, match="'lr' must be finite"):

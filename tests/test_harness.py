@@ -11,7 +11,7 @@ from isopo_lab.config import RunConfig
 from isopo_lab.errors import ConfigError, ContractViolation, CsvFormatError
 from isopo_lab.rng import stream
 
-from conftest import overlap
+from conftest import features_of, overlap, teacher_forced_score
 
 
 def quick_cfg(**kw):
@@ -1119,11 +1119,11 @@ def test_grpo_step_rescores_from_its_sampled_inputs(tmp_path, monkeypatch):
         built.append(updating[0] is not None)
         return build(*args)
 
-    def recorded_rescore(net, features, tokens, inputs=None):
-        scored = rescore(net, features, tokens, inputs)
-        batch_inputs = updating[0].scored.act_in[0]
-        assert inputs is batch_inputs and scored.act_in[0] is batch_inputs
-        rescored.append((net.copy(), features, tokens.copy(), scored))
+    def recorded_rescore(net, inputs, tokens):
+        scored = rescore(net, inputs, tokens)
+        batch = updating[0]
+        assert inputs is batch.scored.act_in[0] and scored.act_in[0] is inputs
+        rescored.append((net.copy(), features_of(batch), tokens.copy(), scored))
         return scored
 
     def tracked_update(cfg, net, optimizer, microbatch, *args):
@@ -1141,7 +1141,7 @@ def test_grpo_step_rescores_from_its_sampled_inputs(tmp_path, monkeypatch):
     assert len(rescored) == cfg.steps * (cfg.inner_epochs - 1)
     monkeypatch.setattr(policy, "teacher_forced_inputs", build)
     for net, features, tokens, scored in rescored:
-        fresh = policy.score(net, features, tokens)
+        fresh = teacher_forced_score(net, features, tokens)
         assert np.array_equal(scored.logprobs, fresh.logprobs)
         for a, b in zip(scored.grad_out + scored.act_in, fresh.grad_out + fresh.act_in):
             assert np.array_equal(a, b)
@@ -1151,7 +1151,7 @@ def microbatch_arrays(mb):
     """Every array of ``mb`` that an update reads, as (name, array) pairs."""
     scored = mb.scored
     pairs = [("logprobs", scored.logprobs), ("advantages", mb.advantages)]
-    pairs += [("tokens", mb.tokens), ("features", mb.features)]
+    pairs += [("tokens", mb.tokens)]
     pairs += [(f"act_in[{l}]", a) for l, a in enumerate(scored.act_in)]
     return pairs + [(f"grad_out[{l}]", g) for l, g in enumerate(scored.grad_out)]
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 
@@ -14,7 +13,7 @@ from isopo_lab.config import RunConfig
 from isopo_lab.errors import ContractViolation
 from isopo_lab.rng import stream, uniforms
 
-from conftest import two_pass_softmax
+from conftest import features_of, teacher_forced_score, two_pass_softmax
 
 
 def bias_only_net(bias):
@@ -149,9 +148,9 @@ def test_score_rows_match_scoring_each_alone(small_net, small_task):
     prompts = small_task.train_prompts[:5]
     features = np.stack([p.features for p in prompts])
     tokens, _ = policy.sample_and_score(small_net, features, stream(5, "alone").random((5, 2)))
-    batch = policy.score(small_net, features, tokens)
+    batch = teacher_forced_score(small_net, features, tokens)
     for b in range(5):
-        alone = policy.score(small_net, features[b : b + 1], tokens[b : b + 1])
+        alone = teacher_forced_score(small_net, features[b : b + 1], tokens[b : b + 1])
         assert alone.logprobs[0] == pytest.approx(batch.logprobs[b], rel=1e-14)
         for g, ga in zip(batch.seq_grads, alone.seq_grads):
             assert np.allclose(g[b], ga[0], rtol=1e-13, atol=1e-15)
@@ -176,11 +175,12 @@ def test_table_scores_like_teacher_forcing():
     net = harness.build_policy(task, cfg.seed)
     for step in (0, 1):
         mb = harness.sample_microbatch(net, task, cfg, step)
-        assert_scored_equal(mb.scored, policy.score(net, mb.features, mb.tokens), rel=0)
+        expected = teacher_forced_score(net, features_of(mb), mb.tokens)
+        assert_scored_equal(mb.scored, expected, rel=0)
 
 
 def test_table_scores_like_teacher_forcing_small_net(small_net, microbatch):
-    expected = policy.score(small_net, microbatch.features, microbatch.tokens)
+    expected = teacher_forced_score(small_net, features_of(microbatch), microbatch.tokens)
     assert_scored_equal(microbatch.scored, expected, rel=1e-12)
 
 
@@ -236,14 +236,14 @@ def test_forward_and_backward_equal_the_two_pass_formulas(task_name):
     task = harness.make_task(cfg)
     net = harness.build_policy(task, cfg.seed)
     mb = harness.sample_microbatch(net, task, cfg, 1)
-    x = policy.teacher_forced_inputs(net, mb.features, mb.tokens)
+    x = policy.teacher_forced_inputs(net, features_of(mb), mb.tokens)
     logits, act_in = policy.forward(net, x)
     expected_logits, expected_act_in = concatenate_forward(net, x)
     assert np.array_equal(logits, expected_logits)
     for a, b in zip(act_in, expected_act_in):
         assert np.array_equal(a, b)
     expected = two_pass_backward(net, logits, act_in, mb.tokens)
-    assert_scored_equal(policy.score(net, mb.features, mb.tokens), expected, rel=0)
+    assert_scored_equal(policy.score(net, x, mb.tokens), expected, rel=0)
     table = policy.context_table(net, np.stack([g.prompt.features for g in mb.groups]))
     which = np.repeat(np.arange(len(mb.groups)), cfg.group_size)
     rows = context_rows(which, mb.tokens, table.logits.shape[1], net.vocab_size)
@@ -272,23 +272,31 @@ def written_out_input(net, features, position, prev):
     return np.concatenate([prev_block, position_block, features, [1.0]])
 
 
+def written_out_contexts(net, features):
+    """``written_out_input`` (P, R, context_dim + 1) of prompts (P, F) in each
+    table row's context: position 0, then (t, prev) for t >= 1, prev < V."""
+    v = net.vocab_size
+    seq_len = net.context_dim - v - features.shape[1]
+    contexts = [(0, 0)] + [(t, p) for t in range(1, seq_len) for p in range(v)]
+    return np.array([[written_out_input(net, f, t, p) for t, p in contexts] for f in features])
+
+
 @pytest.mark.parametrize("task_name", ["seqtask", "bandit"])
 def test_every_input_has_the_one_layout(monkeypatch, task_name):
     cfg = RunConfig(task=task_name, seed=0)
     task = harness.make_task(cfg)
     net = harness.build_policy(task, cfg.seed)
     mb = harness.sample_microbatch(net, task, cfg, 1)
-    x = policy.teacher_forced_inputs(net, mb.features, mb.tokens)
+    features = features_of(mb)
+    x = policy.teacher_forced_inputs(net, features, mb.tokens)
     for b, t in np.ndindex(mb.tokens.shape):
-        expected = written_out_input(net, mb.features[b], t, mb.tokens[b, t - 1])
+        expected = written_out_input(net, features[b], t, mb.tokens[b, t - 1])
         assert np.array_equal(x[b, t], expected)
-    # table row r holds context r: position 0, then (t, prev) for t >= 1, prev < V
-    contexts = [(0, 0)] + [(t, p) for t in range(1, task.seq_len) for p in range(task.vocab_size)]
+    assert np.array_equal(mb.scored.act_in[0], x)  # the inputs GRPO re-scores under
+    # table row r holds context r
     features = np.stack([g.prompt.features for g in mb.groups])
     layer_in = policy.context_table(net, features).act_in[0]
-    assert layer_in.shape[1] == len(contexts)
-    for p, (r, (t, prev)) in itertools.product(range(len(features)), enumerate(contexts)):
-        assert np.array_equal(layer_in[p, r], written_out_input(net, features[p], t, prev))
+    assert np.array_equal(layer_in, written_out_contexts(net, features))
     # greedy's input at position t reads the token it decoded at t - 1
     seen, forward = [], policy.forward
     monkeypatch.setattr(policy, "forward", lambda net, x: seen.append(x) or forward(net, x))
@@ -382,9 +390,8 @@ def test_context_inputs_fill_a_read_only_template(task_fields):
     task = harness.make_task(RunConfig(**task_fields))
     net = harness.build_policy(task, 0)
     features = np.stack([p.features for p in task.train_prompts[:5]])
-    v, seq_len = net.vocab_size, task.seq_len
-    position, prev = policy._context(np.arange(1 + (seq_len - 1) * v), v)
-    expected = policy._inputs(net, features[:, None], position, prev)
+    seq_len = task.seq_len
+    expected = written_out_contexts(net, features)
     got = policy._context_inputs(net, features)
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
     template = policy._context_template(net, seq_len)
@@ -403,8 +410,7 @@ def test_each_architecture_has_its_own_template():
     for net, n_features, n_contexts in [(short, 3, 5), (long, 2, 9), (short, 3, 5)]:
         features = stream(1, f"arch/{n_features}").uniform(-1.0, 1.0, size=(2, n_features))
         seq_len = net.context_dim - net.vocab_size - n_features
-        position, prev = policy._context(np.arange(n_contexts), net.vocab_size)
-        expected = policy._inputs(net, features[:, None], position, prev)
+        expected = written_out_contexts(net, features)
         assert policy._context_inputs(net, features).tobytes() == expected.tobytes()
         assert policy._context_template(net, seq_len).shape == (n_contexts, net.context_dim + 1)
     assert policy._context_template(short, 2) is not policy._context_template(long, 3)
@@ -461,7 +467,7 @@ def test_backward_matches_finite_differences(small_net, small_task):
     prompt = small_task.train_prompts[0]
     tokens, scored = sample_one(small_net, prompt, 0, "fd")
     numeric = checks.fd_grad(
-        lambda: policy.score(small_net, prompt.features[None], tokens).logprobs[0], small_net
+        lambda: policy.score(small_net, scored.act_in[0], tokens).logprobs[0], small_net
     )
     analytic = [g[0] for g in scored.seq_grads]
     assert np.max(checks.rel_errors(analytic, numeric)) < 1e-5
@@ -471,7 +477,7 @@ def test_softmax_gradient_at_uniform_logits():
     vocab = 6
     net = bias_only_net(np.zeros(vocab))
     prompt = single_step_prompt(net)
-    scored = policy.score(net, prompt.features[None], [[4]])
+    scored = teacher_forced_score(net, prompt.features[None], [[4]])
     g = scored.grad_out[0][0, 0]
     expected = -np.full(vocab, 1.0 / vocab)
     expected[4] += 1.0
@@ -491,11 +497,19 @@ def test_rank_one_sum_equals_reduced_grad(small_net, small_task):
 
 
 def test_score_rejects_bad_tokens(small_net, small_task):
+    # tokens that are not (B, T) of the inputs or fall outside the vocabulary
+    # (a token V would read the next position's logits) are refused, under a
+    # scored batch's inputs as under teacher-forced ones
     features = small_task.train_prompts[0].features[None]
-    with pytest.raises(ContractViolation):
-        policy.score(small_net, features, [[0]])  # seq_len is 2
-    with pytest.raises(ContractViolation):
-        policy.score(small_net, features, [[0, small_net.vocab_size]])
+    tokens, scored = policy.sample_and_score(small_net, features, np.full((1, 2), 0.5))
+    v = small_net.vocab_size
+    for bad in ([[0]], [0, 1], [[0, 1, 2]], np.zeros((2, 2), int), [[0, v]], [[-1, 0]]):
+        with pytest.raises(ContractViolation):
+            policy.score(small_net, scored.act_in[0], bad)
+        with pytest.raises(ContractViolation):
+            policy.teacher_forced_inputs(small_net, features, bad)
+    rescored = policy.score(small_net, scored.act_in[0], tokens)
+    assert np.allclose(rescored.logprobs, scored.logprobs, rtol=1e-12, atol=0)
     with pytest.raises(ContractViolation):
         policy.sample_and_score(small_net, features, np.zeros((1, 3)))
     with pytest.raises(ContractViolation):  # 3 sequences do not split over 2 prompts
@@ -563,9 +577,8 @@ def two_pass_kl(net, ref, prompts, n_samples, rng):
     features = ordered[which]
     u = rng.random((n_samples, policy.seq_len_for(net, features)))
     tokens, _ = policy.context_table(net, ordered).sample(which, u)
-    diffs = (
-        policy.score(net, features, tokens).logprobs - policy.score(ref, features, tokens).logprobs
-    )
+    x = policy.teacher_forced_inputs(net, features, tokens)
+    diffs = policy.score(net, x, tokens).logprobs - policy.score(ref, x, tokens).logprobs
     return math.fsum(diffs) / n_samples
 
 

@@ -39,7 +39,7 @@ def permuted(mb, perm):
         sc.logprobs[perm], [a[perm] for a in sc.act_in], [g[perm] for g in sc.grad_out]
     )
     group = tasks.Group(mb.groups[0].prompt, mb.rewards[perm], mb.advantages[perm])
-    return tasks.Microbatch([group], mb.features[perm], mb.tokens[perm], scored)
+    return tasks.Microbatch([group], mb.tokens[perm], scored)
 
 
 def assert_close(a, b):
@@ -214,10 +214,12 @@ def config_fields(draw):
 @example(kwargs={"out_dir": "runs/a\u2028"})
 @example(kwargs={"out_dir": " runs"})
 @example(kwargs={"out_dir": "runs/a b=c"})
+@example(kwargs={"out_dir": ""})
 def test_config_round_trip(kwargs):
     # a config round-trips, or is refused for an out_dir that config.txt
     # cannot hold on one line: "#" starts a comment, a line break ends the
-    # line, and parsing strips the ends
+    # line, and parsing strips the ends; an empty one would name the current
+    # directory
     try:
         cfg = RunConfig(**kwargs)
     except ConfigError as exc:

@@ -201,12 +201,11 @@ def test_microbatch_views(microbatch):
     assert records[0].prompt is microbatch.groups[0].prompt
     assert records[n - 1].prompt is microbatch.groups[-1].prompt
     assert [r.tokens for r in records] == [tuple(row) for row in microbatch.tokens.tolist()]
-    assert np.array_equal(
-        microbatch.features, np.stack([r.prompt.features for r in records])
-    )
     mb = microbatch
     with pytest.raises(ContractViolation):
-        tasks.Microbatch(mb.groups[:1], mb.features, mb.tokens, mb.scored)
+        tasks.Microbatch(mb.groups[:1], mb.tokens, mb.scored)
+    with pytest.raises(ContractViolation):
+        tasks.Microbatch(mb.groups, mb.tokens[1:], mb.scored)
 
 
 def test_group_requires_two_records(small_task):

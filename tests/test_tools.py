@@ -5,6 +5,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+from isopo_lab import checks
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -31,3 +33,18 @@ def test_output_digests_repeat_for_one_run(tmp_path):
     line = tool.digest_line("abort", text, tmp_path / "c")
     assert [len(d) for d in line.split(" ")[1:5]] == [64] * 4
     assert line.split(" ", 5)[5].startswith("step 1: ")
+
+
+def test_output_digests_print_each_check_suite():
+    # one line per suite, gradcheck before oracle-check, the error's repr
+    # exact, so equal lines mean equal bits
+    tool = load_tool("output_digests")
+    lines = tool.check_lines(1)
+    suites = [("gradcheck", s) for s in checks.run_gradcheck(seed=1)]
+    suites += [("oracle-check", s) for s in checks.run_oracle_check(seed=1)]
+    assert len(lines) == len(suites) == 10
+    for line, (command, suite) in zip(lines, suites):
+        label, verdict, error, *detail = line.split(" ")
+        assert label == f"{command}/seed1/{suite.name}"
+        assert verdict == ("PASS" if suite.passed else "FAIL")
+        assert float(error) == suite.max_error and " ".join(detail) == suite.detail

@@ -1,4 +1,5 @@
-"""Print one digest line per training run of a fixed set of 108 runs.
+"""Print one digest line per training run of a fixed set of 108 runs, then
+one line per self-check suite.
 
 Usage, with no flags, from any directory:
 
@@ -23,6 +24,11 @@ the set:
 - each algorithm on seqtask with SGD at lr 0.03, and isopo-int and
   generalized isopo-ni with ``ema_decay = 0.5``, seed 0, 60 steps, a row
   every 7.
+
+After the run lines comes one line per self-check suite at seeds 0-2, at
+each seed those of ``gradcheck`` and then of ``oracle-check``: its label
+(``gradcheck/seed0/<suite>``), ``PASS`` or ``FAIL``, the ``repr`` of its
+largest error, so that every bit of it shows, and its detail, if any.
 
 BLAS runs on one thread, as in the benchmark.
 """
@@ -105,12 +111,28 @@ def digest_line(label: str, text: str, out_dir) -> str:
     return " ".join([label, *digests, result.abort_reason]).rstrip()
 
 
+def check_lines(seed: int) -> list[str]:
+    """One line per suite of ``gradcheck`` and then of ``oracle-check`` at ``seed``."""
+    from isopo_lab import checks
+
+    lines = []
+    suites = (("gradcheck", checks.run_gradcheck), ("oracle-check", checks.run_oracle_check))
+    for command, run in suites:
+        for suite in run(seed=seed):
+            verdict = "PASS" if suite.passed else "FAIL"
+            fields = [f"{command}/seed{seed}/{suite.name}", verdict, repr(float(suite.max_error))]
+            lines.append(" ".join([*fields, suite.detail]).rstrip())
+    return lines
+
+
 def main() -> int:
     os.environ.update(workloads.PINNED_ENV)  # before numpy loads
     workloads.import_package()
     with tempfile.TemporaryDirectory() as tmp:
         for index, (label, text) in enumerate(run_set()):
             print(digest_line(label, text, Path(tmp) / str(index)), flush=True)
+    for seed in range(3):
+        print("\n".join(check_lines(seed)), flush=True)
     return 0
 
 
