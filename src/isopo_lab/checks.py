@@ -97,13 +97,20 @@ def run_gradcheck(seed: int = 0) -> list[SuiteResult]:
     numeric = fd_grad(lambda: baselines.reinforce_surrogate(microbatch, net), net)
     results.append(verdict("reinforce-surrogate-fd", rel_errors(analytic, numeric), FD_RTOL))
 
-    # 3. GRPO clipped-surrogate gradient, away from the sampling policy (rho != 1)
+    # 3. GRPO clipped-surrogate gradient, far enough from the sampling policy that
+    # the clip binds for some sequences (the min takes the clipped term), or it fails
     shifted = net.copy()
-    shifted.params += 0.01 * stream(seed, "gradcheck-drift").standard_normal(shifted.param_count)
+    shifted.params += 0.2 * stream(seed, "gradcheck-drift").standard_normal(shifted.param_count)
     clip_eps = 0.2
     analytic = baselines.grpo_clipped_grad(microbatch, shifted, clip_eps)
     numeric = fd_grad(lambda: baselines.grpo_surrogate(microbatch, shifted, clip_eps), shifted)
-    results.append(verdict("grpo-surrogate-fd", rel_errors(analytic, numeric), FD_RTOL))
+    current = policy.score(shifted, microbatch.scored.act_in[0], microbatch.tokens)
+    rho, adv = np.exp(current.logprobs - microbatch.scored.logprobs), microbatch.advantages
+    clipped = int(np.count_nonzero(np.clip(rho, 1 - clip_eps, 1 + clip_eps) * adv < rho * adv))
+    detail = f"{clipped}/{len(rho)} sequences clipped"
+    suite = verdict("grpo-surrogate-fd", rel_errors(analytic, numeric), FD_RTOL, detail)
+    suite.passed &= clipped > 0
+    results.append(suite)
 
     # 4. the training path's Fisher-norm estimate of every sequence gradient vs
     # fully materialized position gradients

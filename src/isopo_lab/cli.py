@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import checks, harness, plotting
@@ -72,8 +73,8 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "train":
-            overrides = {"seed": args.seed, "out_dir": args.out}
-            cfg = load_config(args.config, **{k: v for k, v in overrides.items() if v is not None})
+            given = {k: v for k, v in (("seed", args.seed), ("out_dir", args.out)) if v is not None}
+            cfg = replace(load_config(args.config), **given)
             result = harness.train(cfg)
             last = result.rows[-1]
             print(f"wrote {result.csv_path}")
@@ -89,11 +90,11 @@ def main(argv=None) -> int:
         if args.command == "compare":
             if args.seeds < 1:
                 return _error(f"--seeds must be >= 1, got {args.seeds}")
-            configs = [load_config(path) for path in args.configs]
             labels = [Path(path).stem for path in args.configs]
             if len(set(labels)) != len(labels):
                 labels = [f"{label}-{i}" for i, label in enumerate(labels)]
-            rows, results = harness.compare(configs, args.seeds, args.out, labels)
+            configs = dict(zip(labels, map(load_config, args.configs)))
+            rows, results = harness.compare(configs, args.seeds, args.out)
             print(f"wrote {Path(args.out) / 'aggregate.csv'} ({len(rows)} aggregate rows)")
             aborted = [(label, r) for label, runs in results.items() for r in runs if r.aborted]
             for label, r in aborted:

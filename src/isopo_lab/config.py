@@ -135,8 +135,9 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"key {key!r}: expected {_KINDS[kind][1]}, got {raw!r}") from None
 
 
-def parse_config(text: str, **overrides) -> RunConfig:
-    """Parse ``key = value`` lines; unknown keys and scope violations are errors."""
+def parse_config(text: str) -> RunConfig:
+    """Parse ``key = value`` lines; unknown keys and scope violations are errors.
+    A config derived from the result is ``dataclasses.replace`` of it."""
     values: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -150,7 +151,7 @@ def parse_config(text: str, **overrides) -> RunConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _coerce(key, raw)
-    cfg = RunConfig(**{**values, **overrides})
+    cfg = RunConfig(**values)
     for key in values:
         error = _scope_error(cfg, key)
         if error:
@@ -158,9 +159,10 @@ def parse_config(text: str, **overrides) -> RunConfig:
     return cfg
 
 
-def load_config(path, **overrides) -> RunConfig:
+def load_config(path) -> RunConfig:
     """``parse_config`` of the file at ``path``; a ConfigError names the file,
-    also when it cannot be read or is not UTF-8 text."""
+    also when it cannot be read or is not UTF-8 text. A value set after, by
+    ``dataclasses.replace``, is checked there, and its error names no file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -169,7 +171,7 @@ def load_config(path, **overrides) -> RunConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config is not UTF-8 text: {exc.reason}") from exc
     try:
-        return parse_config(text, **overrides)
+        return parse_config(text)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -321,31 +321,20 @@ def aggregate_runs(results_by_label: dict[str, list[RunResult]]) -> list[dict]:
 
 
 def compare(
-    configs: list[RunConfig],
-    n_seeds: int,
-    out_dir,
-    labels: list[str] | None = None,
+    runs: dict[str, RunConfig], n_seeds: int, out_dir
 ) -> tuple[list[dict], dict[str, list[RunResult]]]:
-    """Train every (config, seed) pair and write per-run CSVs plus aggregate.csv.
-
-    Each run's config names its own directory, ``out_dir / <label>-seed<s>``.
-    A RunConfig checks its own fields when it is built, and every config is
-    checked against its task before the first run trains, so a config the task
-    rejects, or a directory that config.txt cannot hold, raises ConfigError
-    with nothing written; a repeated label, or an ``n_seeds`` that is not an
-    int of at least 1, raises ContractViolation.
+    """Train each labelled config of ``runs`` at seeds cfg.seed, ..., cfg.seed +
+    n_seeds - 1, each as ``replace(cfg, seed=s, out_dir=...)`` naming its own
+    directory ``out_dir / <label>-seed<s>``, and write per-run CSVs plus
+    aggregate.csv. Every config is checked against its task before the first
+    run trains, so a config the task rejects, or a directory that config.txt
+    cannot hold, raises ConfigError with nothing written; no runs, or an
+    ``n_seeds`` that is not an int >= 1, raises ContractViolation.
     """
-    if not configs or type(n_seeds) is not int or n_seeds < 1:
-        raise ContractViolation(f"compare needs configs and an int n_seeds >= 1, got {n_seeds!r}")
-    if labels is None:
-        labels = [f"{cfg.algo}-{i}" for i, cfg in enumerate(configs)]
-    if len(labels) != len(configs):
-        raise ContractViolation("one label per config required")
-    repeated = sorted({label for label in labels if labels.count(label) > 1})
-    if repeated:
-        raise ContractViolation(f"repeated labels {repeated}")
+    if not runs or type(n_seeds) is not int or n_seeds < 1:
+        raise ContractViolation(f"compare needs runs and an int n_seeds >= 1, got {n_seeds!r}")
     out, planned = Path(out_dir), {}
-    for cfg, label in zip(configs, labels):
+    for label, cfg in runs.items():
         seeds = range(cfg.seed, cfg.seed + n_seeds)
         planned[label] = [replace(cfg, seed=s, out_dir=str(out / f"{label}-seed{s}")) for s in seeds]
         make_task(cfg)

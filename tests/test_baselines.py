@@ -63,12 +63,17 @@ def test_grpo_clipped_sequence_contributes_nothing(small_net, small_task):
 
 
 def test_grpo_matches_finite_differences_off_policy(small_net, small_task):
+    # the drift clips sequence 0 (advantage -1, ratio 0.565 < 1 - eps), so
+    # the clipped branch's zero gradient is checked too
     mb = make_microbatch(small_net, small_task, seed=4, n_groups=1, group_size=3)
     shifted = small_net.copy()
     drift = stream(4, "drift")
     for w in shifted.weights:
-        w += 0.02 * drift.standard_normal(w.shape)
+        w += 0.2 * drift.standard_normal(w.shape)
     eps = 0.2
+    current = policy.score(shifted, mb.scored.act_in[0], mb.tokens)
+    rho = np.exp(current.logprobs - mb.scored.logprobs)
+    assert mb.advantages[0] < 0 and rho[0] < 1 - eps - 0.1
     analytic = baselines.grpo_clipped_grad(mb, shifted, eps)
     numeric = checks.fd_grad(lambda: baselines.grpo_surrogate(mb, shifted, eps), shifted)
     assert np.max(checks.rel_errors(analytic, numeric)) < 1e-5

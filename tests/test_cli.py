@@ -86,14 +86,60 @@ def test_cli_config_txt_names_the_run_directory(tmp_path, capsys):
     for run in ("a-seed0", "a-seed1"):
         assert load_config(out / run / "config.txt").out_dir == str(out / run)
     capsys.readouterr()
-    # an --out that config.txt cannot hold on one line is an error before any run trains
+    # an --out that config.txt cannot hold on one line is an error before any
+    # run trains, the same line for train and compare
     for command in ("train", "compare"):
         for bad in ("y#1", "y\nseed = 1"):
             assert cli.main([command, "--config", cfg, "--out", str(tmp_path / bad)]) == 2
             captured = capsys.readouterr()
-            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-            assert "key 'out_dir': not one line" in captured.err and captured.out == ""
+            # the flag's error names the key alone, not the config file
+            assert captured.err.startswith("error: key 'out_dir': not one line")
+            assert captured.err.count("\n") == 1 and captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "cmp", "x"]
+
+
+def test_cli_names_the_config_file_only_for_errors_in_it(tmp_path, capsys):
+    # seed = -1 in the file names the file, in train and compare; the same
+    # value from --seed is checked by dataclasses.replace and names only the
+    # key, as a bad --out does. One line, exit code 2, nothing written
+    cfg = write_config(tmp_path / "c.cfg", "steps = 1\n")
+    assert cli.main(["train", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    bad = write_config(tmp_path / "bad.cfg", "steps = 1\nseed = -1\n")
+    for command in ("train", "compare"):
+        assert cli.main([command, "--config", bad, "--out", str(tmp_path / "t")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: seed must be >= 0, got -1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "c.cfg"]
+
+
+def test_cli_train_reports_an_aborted_run(tmp_path, capsys):
+    # bandit's NTK is singular, so with reg_factor = 0 the run aborts at step 1:
+    # train prints the reason after the final row and exits 1
+    singular = write_config(
+        tmp_path / "singular.cfg",
+        "task = bandit\nalgo = isopo-int\nreg_factor = 0.0\nsteps = 2\n"
+        "group_size = 4\ngroups_per_microbatch = 2\n",
+    )
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", singular, "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("final step 1: ")
+    assert lines[2].startswith("ABORTED: step 1: SingularMatrixError: ")
+    assert (out / "ABORTED").read_text() == lines[2].removeprefix("ABORTED: ") + "\n"
+
+
+def test_cli_compare_numbers_configs_that_share_a_stem(tmp_path):
+    # two run.cfg files in different directories are labelled run-0 and run-1
+    text = "steps = 1\neval_every = 1\ngroup_size = 4\ngroups_per_microbatch = 2\n"
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = write_config(tmp_path / "a" / "run.cfg", text)
+    second = write_config(tmp_path / "b" / "run.cfg", text + "seed = 5\n")
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "--config", first, "--config", second, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["aggregate.csv", "run-0-seed0", "run-1-seed5"]
+    rows = (out / "aggregate.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["run-0", "run-0", "run-1", "run-1"]
 
 
 def test_cli_compare_reports_aborted_runs(tmp_path, capsys):

@@ -520,7 +520,7 @@ def test_compare_checks_every_config_before_training(tmp_path):
     # the bad config comes second: no run of the first may train before it is rejected
     bad = quick_cfg(groups_per_microbatch=300)
     with pytest.raises(ConfigError, match="groups_per_microbatch=300"):
-        harness.compare([quick_cfg(), bad], 2, tmp_path / "cmp", ["ok", "bad"])
+        harness.compare({"ok": quick_cfg(), "bad": bad}, 2, tmp_path / "cmp")
     assert not (tmp_path / "cmp").exists()
 
 
@@ -528,14 +528,7 @@ def test_compare_checks_every_config_before_training(tmp_path):
 def test_compare_rejects_bad_n_seeds(tmp_path, n_seeds):
     # 2.5 used to die in range() and True to run one seed
     with pytest.raises(ContractViolation, match="n_seeds"):
-        harness.compare([quick_cfg()], n_seeds, tmp_path / "cmp")
-    assert not (tmp_path / "cmp").exists()
-
-
-def test_compare_rejects_repeated_labels(tmp_path):
-    configs = [quick_cfg(), quick_cfg(algo="isopo-int")]
-    with pytest.raises(ContractViolation, match="'x'"):
-        harness.compare(configs, 1, tmp_path / "cmp", ["x", "x"])
+        harness.compare({"r": quick_cfg()}, n_seeds, tmp_path / "cmp")
     assert not (tmp_path / "cmp").exists()
 
 
@@ -583,6 +576,12 @@ def test_csv_round_trip_and_malformed_errors(tmp_path):
     )
     with pytest.raises(CsvFormatError):
         harness.read_metrics_csv(bad)
+    # an empty file is an error at line 1; blank lines between rows are skipped
+    bad.write_text("")
+    with pytest.raises(CsvFormatError, match="line 1: empty file"):
+        harness.read_metrics_csv(bad)
+    bad.write_text("\n".join([lines[0], lines[1], "", *lines[2:], "  "]) + "\n")
+    assert harness.read_metrics_csv(bad) == res.rows
 
 
 def test_repeated_csv_column_is_rejected(tmp_path):
@@ -612,7 +611,7 @@ def test_csv_reads_back_the_run_rows(tmp_path, algo, extra):
 
 def test_compare_single_run_median_equals_best(tmp_path):
     cfg = quick_cfg(steps=2, eval_every=1)
-    rows, _ = harness.compare([cfg], 1, tmp_path / "cmp", ["only"])
+    rows, _ = harness.compare({"only": cfg}, 1, tmp_path / "cmp")
     assert rows
     for row in rows:
         assert row["validation_max"] == row["validation_median"]
@@ -622,7 +621,7 @@ def test_compare_single_run_median_equals_best(tmp_path):
 
 def test_compare_best_is_elementwise_max(tmp_path):
     cfg = quick_cfg(steps=4, eval_every=2, seed=0)
-    rows, results = harness.compare([cfg], 3, tmp_path / "cmp3", ["r"])
+    rows, results = harness.compare({"r": cfg}, 3, tmp_path / "cmp3")
     runs = results["r"]
     assert len(runs) == 3
     assert sorted(r.config.seed for r in runs) == [0, 1, 2]
@@ -636,7 +635,7 @@ def test_compare_best_is_elementwise_max(tmp_path):
 
 def test_compare_aggregates_recomputable_from_run_csvs(tmp_path):
     cfg = quick_cfg(steps=2, eval_every=1)
-    rows, _ = harness.compare([cfg], 2, tmp_path / "agg", ["x"])
+    rows, _ = harness.compare({"x": cfg}, 2, tmp_path / "agg")
     per_run = {}
     for seed in (0, 1):
         csv_rows = harness.read_metrics_csv(tmp_path / "agg" / f"x-seed{seed}" / "metrics.csv")

@@ -220,6 +220,27 @@ def test_rescaling_ema_kept_only_when_read(small_net, small_task):
         assert np.allclose(upd[l], expected, rtol=1e-12, atol=1e-15)
 
 
+def test_rescaling_ema_skips_a_layer_without_a_valid_estimate(small_net, small_task):
+    # a layer in which every sequence's estimate is degenerate has no mean to
+    # fold in: its EMA entries keep their values, while the other layer's move
+    cfg = RunConfig(p=-1.0, q=0.5, r=-0.5, reg_strength=0.3)
+    ema = {}
+    mb = make_microbatch(small_net, small_task, seed=7)
+    positions = overlap(mb, 12, stream(7, "o"))
+    isopo.noninteracting_update(mb, isopo.sequence_fisher_norms(mb.scored, positions)[0], cfg, ema)
+    before = dict(ema)
+    sc = make_microbatch(small_net, small_task, seed=8).scored
+    dead = policy.Scored(sc.logprobs, sc.act_in, [np.zeros_like(sc.grad_out[0]), sc.grad_out[1]])
+    norms, _ = isopo.sequence_fisher_norms(dead, positions)
+    assert np.all(np.isnan(norms[:, 0])) and not np.any(np.isnan(norms[:, 1]))
+    upd = isopo.noninteracting_update(tasks.Microbatch(mb.groups, mb.tokens, dead), norms, cfg, ema)
+    quantities = ("fisher_sq", "grad_sq", "rel_sq")
+    assert set(ema) == set(before) == {(l, k) for l in (0, 1) for k in quantities}
+    for (l, k), value in before.items():
+        assert (ema[(l, k)] == value) == (l == 0)
+    assert not np.any(upd[0]) and np.all(np.isfinite(upd[1]))
+
+
 def test_noninteracting_single_sequence_composition(small_net, small_task):
     prompt = small_task.train_prompts[2]
     u = uniforms(9, [f"c/{k}" for k in range(2)], small_task.seq_len)
@@ -528,6 +549,27 @@ def test_interacting_microbatch_update_sets_c_from_ntk_trace(microbatch):
         assert ema[(l, "ntk_mean_eig")] == pytest.approx(mean_eig, rel=1e-12)
         expected = isopo.interacting_update(g, a, microbatch.advantages, 0.5 * mean_eig)
         assert np.allclose(upd[l], expected, rtol=1e-9, atol=1e-15)
+
+
+def test_interacting_c_is_reg_factor_times_the_ema_of_mean_eigenvalues(small_net, small_task):
+    # the Tikhonov rule: at every step c = reg_factor * EMA over steps of the
+    # layer's mean_i |V_i|^2, recomputed here from each batch's sq_norms; from
+    # the second step on it is not the step's own mean eigenvalue
+    cfg = RunConfig(reg_factor=0.5, ema_decay=0.6)
+    d, ema, expected_ema = cfg.ema_decay, {}, {}
+    for seed in (1, 2, 3, 4):
+        mb = make_microbatch(small_net, small_task, seed=seed)
+        upd = isopo.interacting_microbatch_update(mb, cfg, ema)
+        scored = mb.scored
+        for l, sq_norms in enumerate(scored.sq_norms):
+            own = float(np.mean(sq_norms))
+            # the EMA adopts the first mean, then blends in each next one
+            expected_ema[l] = d * expected_ema[l] + (1 - d) * own if l in expected_ema else own
+            c = cfg.reg_factor * expected_ema[l]
+            expected = isopo.interacting_update(
+                scored.grad_out[l], scored.act_in[l], mb.advantages, c
+            )
+            assert np.allclose(upd[l], expected, rtol=1e-9, atol=1e-15)
 
 
 # ----------------------------------------------------------------------- EMA

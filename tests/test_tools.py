@@ -48,3 +48,7 @@ def test_output_digests_print_each_check_suite():
         assert label == f"{command}/seed1/{suite.name}"
         assert verdict == ("PASS" if suite.passed else "FAIL")
         assert float(error) == suite.max_error and " ".join(detail) == suite.detail
+    # the GRPO suite reaches the clip: its detail names a nonzero clipped count
+    (grpo,) = [line.split(" ") for line in lines if "/grpo-surrogate-fd " in line]
+    clipped, n_seqs = map(int, grpo[3].split("/"))
+    assert 0 < clipped <= n_seqs and grpo[4:] == ["sequences", "clipped"]
