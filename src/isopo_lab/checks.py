@@ -70,10 +70,10 @@ def _check_microbatch(net, task, seed: int, n_groups: int = 2, group_size: int =
     ]
     labels = [f"check/{gi}/{k}" for gi in range(n_groups) for k in range(group_size)]
     microbatch = tasks.build_microbatch(net, task, prompts, uniforms(seed, labels, task.seq_len))
-    for group in microbatch.groups:
-        if not np.any(group.advantages):
-            group.advantages = group.advantages + np.linspace(-0.5, 0.5, group_size)
-            group.advantages -= group.advantages.mean()
+    for row in microbatch.advantages.reshape(n_groups, group_size):
+        if not np.any(row):
+            row += np.linspace(-0.5, 0.5, group_size)
+            row -= row.mean()
     return microbatch
 
 

@@ -80,9 +80,7 @@ def make_task(cfg: RunConfig):
 
 @functools.cache
 def _shared_task(name: str, *fields):
-    task = tasks.SeqAdditionTask(*fields) if name == "seqtask" else tasks.BanditTask()
-    tasks.assert_disjoint_split(task)
-    return task
+    return tasks.SeqAdditionTask(*fields) if name == "seqtask" else tasks.BanditTask()
 
 
 def build_policy(task, seed: int) -> policy.PolicyNet:
@@ -224,10 +222,13 @@ def _abort_reason(step: int, exc: ArithmeticError) -> str:
 
 
 def train(cfg: RunConfig, out_dir=None) -> RunResult:
-    """Run one seeded training loop and write metrics.csv plus a checkpoint."""
+    """Run one seeded training loop and write metrics.csv plus a checkpoint; an
+    ``out_dir`` given replaces ``cfg.out_dir``, so config.txt names it."""
+    if out_dir is not None:
+        cfg = replace(cfg, out_dir=str(out_dir))
     task = make_task(cfg)
     plan = draw_steps(task, cfg, range(cfg.steps + 1))
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     net = build_policy(task, cfg.seed)
@@ -328,13 +329,16 @@ def compare(
     directory ``out_dir / <label>-seed<s>``, and write per-run CSVs plus
     aggregate.csv. Every config is checked against its task before the first
     run trains, so a config the task rejects, or a directory that config.txt
-    cannot hold, raises ConfigError with nothing written; no runs, or an
-    ``n_seeds`` that is not an int >= 1, raises ContractViolation.
+    cannot hold, raises ConfigError with nothing written; no runs, an
+    ``n_seeds`` that is not an int >= 1, or a label that is not one path
+    component, raises ContractViolation.
     """
     if not runs or type(n_seeds) is not int or n_seeds < 1:
         raise ContractViolation(f"compare needs runs and an int n_seeds >= 1, got {n_seeds!r}")
     out, planned = Path(out_dir), {}
     for label, cfg in runs.items():
+        if Path(label).name != label:
+            raise ContractViolation(f"label {label!r} is not one path component")
         seeds = range(cfg.seed, cfg.seed + n_seeds)
         planned[label] = [replace(cfg, seed=s, out_dir=str(out / f"{label}-seed{s}")) for s in seeds]
         make_task(cfg)

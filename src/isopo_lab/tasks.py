@@ -14,7 +14,9 @@ process (``harness.make_task``).
 
 A sequence's advantage is its reward minus its group's mean, optionally
 divided by the group's standard deviation. A microbatch is sampled from one
-row of uniforms per sequence, which the caller derives (``rng.uniforms``).
+row of uniforms per sequence, which the caller derives (``rng.uniforms``),
+and holds its sequences as rows of arrays: tokens, scores, rewards and
+advantages (``Microbatch``).
 """
 
 from __future__ import annotations
@@ -37,23 +39,13 @@ class Prompt:
     features: np.ndarray
     target: tuple[int, ...]
 
-    def __hash__(self) -> int:  # features excluded; id is unique per task
-        return hash(self.id)
 
-
-@dataclass
+@dataclass(frozen=True)
 class Group:
-    """Rewards and centered advantages of the G sequences sampled for one prompt."""
+    """One prompt of a microbatch and the rewards of its G sequences."""
 
     prompt: Prompt
     rewards: np.ndarray
-    advantages: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.rewards) < 2:
-            raise ContractViolation("a group needs at least 2 sequences")
-        if len(self.rewards) != len(self.advantages):
-            raise ContractViolation("group fields disagree on group size")
 
 
 @dataclass(frozen=True)
@@ -64,37 +56,45 @@ class SequenceView:
     tokens: tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Microbatch:
     """All groups sampled for one optimization step, held as arrays.
 
-    Row b of ``tokens`` (B, T) and of every array in ``scored`` is the same
-    sequence; rows run through the groups in order. ``scored`` is the
-    sampling-time score, and its ``act_in[0]`` the batch's layer-0 inputs,
-    from which ``policy.score`` re-scores it at other weights.
+    ``prompts`` holds one prompt per group. Row b of ``tokens`` (B, T),
+    ``rewards`` (B,), ``advantages`` (B,) and every array in ``scored`` is
+    the same sequence, and group g is rows g·G to g·G + G - 1, sampled for
+    ``prompts[g]``. ``scored`` is the sampling-time score, and its
+    ``act_in[0]`` the batch's layer-0 inputs, from which ``policy.score``
+    re-scores it at other weights.
     """
 
-    groups: list[Group]
+    prompts: tuple[Prompt, ...]
     tokens: np.ndarray
     scored: policy.Scored
+    rewards: np.ndarray
+    advantages: np.ndarray
 
     def __post_init__(self) -> None:
-        n = sum(len(g.rewards) for g in self.groups)
-        if not len(self.tokens) == len(self.scored.logprobs) == n:
-            raise ContractViolation(f"groups hold {n} sequences, arrays disagree")
+        n = len(self.rewards)
+        if not len(self.tokens) == len(self.scored.logprobs) == len(self.advantages) == n:
+            raise ContractViolation(f"{n} rewards, but the other arrays disagree")
+        if not self.prompts or n % len(self.prompts) or n < 2 * len(self.prompts):
+            raise ContractViolation(
+                f"{n} sequences do not split into {len(self.prompts)} groups of 2 or more"
+            )
+
+    @property
+    def groups(self) -> list[Group]:
+        """One ``Group`` per prompt, its rewards a view of rows of ``rewards``."""
+        rows = self.rewards.reshape(len(self.prompts), -1)
+        return [Group(p, r) for p, r in zip(self.prompts, rows)]
 
     @property
     def records(self) -> list[SequenceView]:
-        prompts = [g.prompt for g in self.groups for _ in g.rewards]
+        """One ``SequenceView`` per row."""
+        size = len(self.tokens) // len(self.prompts)
+        prompts = [p for p in self.prompts for _ in range(size)]
         return [SequenceView(p, tuple(row)) for p, row in zip(prompts, self.tokens.tolist())]
-
-    @property
-    def rewards(self) -> np.ndarray:
-        return np.concatenate([g.rewards for g in self.groups])
-
-    @property
-    def advantages(self) -> np.ndarray:
-        return np.concatenate([g.advantages for g in self.groups])
 
 
 def group_advantages(rewards, normalize_std: bool = False) -> np.ndarray:
@@ -116,8 +116,7 @@ def build_microbatch(net, task, prompts, u, normalize_std: bool = False) -> Micr
     rows per group: group g holds rows g·G to g·G + G - 1, sampled for
     ``prompts[g]``. Each sequence's tokens depend on its row and the policy
     alone. The advantages of all groups come from one ``group_advantages``
-    pass over the (groups, G) rewards, and each ``Group`` holds its row of
-    both.
+    pass over the (groups, G) rewards.
     """
     if not prompts or len(u) % len(prompts):
         raise ContractViolation(f"{len(u)} uniform rows do not split into {len(prompts)} groups")
@@ -125,10 +124,8 @@ def build_microbatch(net, task, prompts, u, normalize_std: bool = False) -> Micr
     tokens, scored = policy.sample_and_score(net, np.array([p.features for p in prompts]), u)
     # rewards come from the task verifier and nowhere else
     rewards = task.rewards([p for p in prompts for _ in range(size)], tokens)
-    rewards = rewards.reshape(len(prompts), size)
-    advantages = group_advantages(rewards, normalize_std)
-    groups = [Group(p, r, a) for p, r, a in zip(prompts, rewards, advantages)]
-    return Microbatch(groups, tokens, scored)
+    advantages = group_advantages(rewards.reshape(len(prompts), size), normalize_std)
+    return Microbatch(tuple(prompts), tokens, scored, rewards, advantages.reshape(-1))
 
 
 def _heldout_hash(key: str) -> bool:
@@ -237,11 +234,3 @@ def validation_score(net, prompts) -> float:
     tokens = policy.greedy(net, np.stack([p.features for p in prompts]))
     hits = sum(1 for p, row in zip(prompts, tokens.tolist()) if tuple(row) == p.target)
     return hits / len(prompts)
-
-
-def assert_disjoint_split(task) -> None:
-    train_ids = {p.id for p in task.train_prompts}
-    held_ids = {p.id for p in task.heldout_prompts}
-    overlap = train_ids & held_ids
-    if overlap:
-        raise ContractViolation(f"train/heldout prompts overlap: {sorted(overlap)[:5]}")

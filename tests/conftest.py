@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,10 +29,10 @@ def make_microbatch(net, task, seed=0, n_groups=2, group_size=4, force_advantage
     ]
     labels = [f"mb/{gi}/{k}" for gi in range(n_groups) for k in range(group_size)]
     mb = tasks.build_microbatch(net, task, prompts, uniforms(seed, labels, task.seq_len))
-    for group in mb.groups:
-        if force_advantages and not np.any(group.advantages):
-            group.advantages = np.linspace(-1.0, 1.0, group_size)
-            group.advantages -= group.advantages.mean()
+    for row in mb.advantages.reshape(n_groups, group_size):
+        if force_advantages and not np.any(row):
+            row[:] = np.linspace(-1.0, 1.0, group_size)
+            row -= row.mean()
     return mb
 
 
@@ -48,7 +50,8 @@ def sampled_mats(scored, layer, positions):
 
 def features_of(mb):
     """Each sequence's prompt features (B, F), in the microbatch's row order."""
-    return np.stack([r.prompt.features for r in mb.records])
+    features = np.stack([p.features for p in mb.prompts])
+    return np.repeat(features, len(mb.tokens) // len(mb.prompts), axis=0)
 
 
 def teacher_forced_score(net, features, tokens):
@@ -75,7 +78,7 @@ def scale_grad_out(mb, s):
     keeps the rank-one structure (the sequence gradients are re-contracted)."""
     scored = mb.scored
     scored = policy.Scored(scored.logprobs, scored.act_in, [g * s for g in scored.grad_out])
-    return tasks.Microbatch(mb.groups, mb.tokens, scored)
+    return replace(mb, scored=scored)
 
 
 @pytest.fixture

@@ -53,10 +53,10 @@ def default_microbatch(task, net, seed=0, n_groups=2, group_size=4):
     ]
     labels = [f"acc/{gi}/{k}" for gi in range(n_groups) for k in range(group_size)]
     mb = tasks.build_microbatch(net, task, prompts, uniforms(seed, labels, task.seq_len))
-    for group in mb.groups:
-        if not np.any(group.advantages):
-            group.advantages = np.linspace(-1.0, 1.0, group_size)
-            group.advantages -= group.advantages.mean()
+    for row in mb.advantages.reshape(n_groups, group_size):
+        if not np.any(row):
+            row[:] = np.linspace(-1.0, 1.0, group_size)
+            row -= row.mean()
     return mb
 
 
@@ -151,8 +151,7 @@ def test_criterion_04_self_normalization():
     u = uniforms(3, [f"c4/{k}" for k in range(8)], task.seq_len)
     tokens, scored = policy.sample_and_score(net, prompt.features[None], u)
     scaled = policy.Scored(scored.logprobs, scored.act_in, [g * 12.0 for g in scored.grad_out])
-    group = tasks.Group(prompt, np.zeros(8), np.linspace(-1, 1, 8))
-    mb = tasks.Microbatch([group], tokens, scaled)
+    mb = tasks.Microbatch((prompt,), tokens, scaled, np.zeros(8), np.linspace(-1, 1, 8))
     positions = overlap(mb, 64, stream(3, "c4-ov"))
     norms, degenerate = isopo.sequence_fisher_norms(scaled, positions)
     cfg = RunConfig(p=-1.0, q=0.0, r=0.0, reg_strength=0.0)

@@ -4,7 +4,8 @@ Every public function, class and method of ``src/isopo_lab`` must be named by
 code in ``src/`` or ``perfbench/``: loaded as a name, read as an attribute or
 imported. The scan matches by name, so it catches code whose last caller
 outside the tests is gone; an entry of ``ALLOWED`` keeps such code on purpose,
-with the reason.
+with the reason. An entry of ``PERFBENCH_ONLY`` names code that only
+``perfbench/`` reads, which can go once the benchmark stops reading it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,11 @@ PACKAGE = ROOT / "src" / "isopo_lab"
 ALLOWED = {
     "policy.load_checkpoint": "the checkpoint reader, the counterpart of save_checkpoint",
     "isopo.rescaling": "the per-matrix reference that the non-interacting tests compare against",
+}
+
+PERFBENCH_ONLY = {
+    "tasks.Microbatch.groups": "perfbench/tracing.py counts zero-signal groups from them",
+    "tasks.Microbatch.records": "perfbench/worker.py hashes step 1's tokens from them",
 }
 
 
@@ -40,11 +46,10 @@ def public_definitions() -> dict[str, str]:
     return found
 
 
-def referenced_names() -> set[str]:
-    """Every name that code under ``src/`` or ``perfbench/`` loads, reads as an
-    attribute or imports."""
+def referenced_names(*dirs: Path) -> set[str]:
+    """Every name that code in ``dirs`` loads, reads as an attribute or imports."""
     names = set()
-    for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+    for path in [path for d in dirs for path in d.glob("*.py")]:
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
@@ -56,7 +61,7 @@ def referenced_names() -> set[str]:
 
 
 def unreferenced() -> list[str]:
-    names = referenced_names()
+    names = referenced_names(PACKAGE, ROOT / "perfbench")
     return sorted(key for key, name in public_definitions().items() if name not in names)
 
 
@@ -67,3 +72,13 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
 def test_every_allowlisted_name_is_still_unreferenced():
     # an entry whose code is gone or has gained a caller is stale
     assert sorted(set(ALLOWED) - set(unreferenced())) == []
+
+
+def test_every_perfbench_only_name_is_read_by_perfbench_alone():
+    # an entry that has gained a reader in src/, or lost its perfbench reader, is stale
+    defined = public_definitions()
+    in_src = referenced_names(PACKAGE)
+    in_perfbench = referenced_names(ROOT / "perfbench")
+    for key in PERFBENCH_ONLY:
+        assert key in defined, key
+        assert defined[key] not in in_src and defined[key] in in_perfbench, key

@@ -27,8 +27,7 @@ def sampled_lower(mb, shift):
 
 def test_reinforce_zero_advantages(small_net, small_task):
     mb = make_microbatch(small_net, small_task, seed=0, force_advantages=False)
-    for g in mb.groups:
-        g.advantages = np.zeros_like(g.advantages)
+    mb.advantages[:] = 0.0
     for grad in baselines.reinforce_grad(mb):
         assert np.all(grad == 0.0)
 
@@ -54,7 +53,7 @@ def test_grpo_clipped_sequence_contributes_nothing(small_net, small_task):
     eps = 0.2
     # ratios rho = 1 + 2 eps for every sequence: pretend old logprobs were lower
     shift = math.log(1.0 + 2.0 * eps)
-    mb.groups[0].advantages = np.array([1.0, -1.0])  # A>0 clipped, A<0 active
+    mb.advantages[:] = [1.0, -1.0]  # A>0 clipped, A<0 active
     grads = baselines.grpo_clipped_grad(sampled_lower(mb, shift), small_net, eps)
     rho = 1.0 + 2.0 * eps
     expected = [-(rho * 1.0) * g[1] for g in mb.scored.seq_grads]

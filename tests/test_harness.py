@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from isopo_lab import baselines, checks, cli, harness, isopo, metrics, oracle, policy, rng
-from isopo_lab.config import RunConfig
+from isopo_lab.config import RunConfig, load_config
 from isopo_lab.errors import ConfigError, ContractViolation, CsvFormatError
 from isopo_lab.rng import stream
 
@@ -59,7 +60,7 @@ def test_same_seed_same_microbatch_across_algorithms(small_task):
         batches.append(harness.sample_microbatch(net, task, cfg, step=1))
     ref = batches[0]
     for mb in batches[1:]:
-        assert [r.tokens for r in mb.records] == [r.tokens for r in ref.records]
+        assert np.array_equal(mb.tokens, ref.tokens)
         assert np.array_equal(mb.rewards, ref.rewards)
 
 
@@ -81,7 +82,7 @@ def test_sampled_tokens_pinned(task_name):
     steps = []
     for step in (1, 2, 3):
         mb = harness.sample_microbatch(net, task, cfg, step)
-        steps.append(";".join(",".join(str(t) for t in r.tokens) for r in mb.records))
+        steps.append(";".join(",".join(str(t) for t in row) for row in mb.tokens.tolist()))
     digest = hashlib.sha256("/".join(steps).encode("ascii")).hexdigest()
     assert digest == PINNED_TOKENS[task_name]
 
@@ -432,7 +433,8 @@ def test_rewards_are_pure_task_rewards(tmp_path):
     for row in res.rows:
         step = row["step"]
         mb = harness.sample_microbatch(net, task, cfg, step)
-        raw = np.mean(task.rewards([r.prompt for r in mb.records], mb.tokens))
+        prompts = [p for p in mb.prompts for _ in range(cfg.group_size)]
+        raw = np.mean(task.rewards(prompts, mb.tokens))
         if step == 0:
             assert row["mean_reward"] == pytest.approx(float(raw))
         else:
@@ -530,6 +532,15 @@ def test_compare_rejects_bad_n_seeds(tmp_path, n_seeds):
     with pytest.raises(ContractViolation, match="n_seeds"):
         harness.compare({"r": quick_cfg()}, n_seeds, tmp_path / "cmp")
     assert not (tmp_path / "cmp").exists()
+
+
+@pytest.mark.parametrize("label", ["../esc", "a/b"])
+def test_compare_rejects_a_label_that_is_not_one_path_component(tmp_path, label):
+    # "../esc" used to write esc-seed0/ beside cmp/
+    runs = {"ok": quick_cfg(steps=0), label: quick_cfg(steps=0)}
+    with pytest.raises(ContractViolation, match="path component"):
+        harness.compare(runs, 1, tmp_path / "cmp")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_all_algorithms_run_and_write(tmp_path):
@@ -802,12 +813,20 @@ def test_make_task_shares_one_read_only_task_per_fields():
 
 def test_runs_sharing_a_process_write_what_a_lone_run_writes(tmp_path):
     first = quick_cfg(algo="isopo-int", seed=2)
+    names = ("metrics.csv", "checkpoint.txt", "config.txt")
     a = harness.train(first, tmp_path / "a")
+    lone = [(a.out_dir / name).read_bytes() for name in names]
     harness.train(quick_cfg(task="bandit", algo="grpo"), tmp_path / "bandit")
     harness.train(quick_cfg(seq_modulus=5, algo="isopo-ni"), tmp_path / "m5")
-    b = harness.train(first, tmp_path / "b")
-    for name in ("metrics.csv", "checkpoint.txt", "config.txt"):
-        assert (a.out_dir / name).read_bytes() == (b.out_dir / name).read_bytes()
+    b = harness.train(first, tmp_path / "a")
+    assert [(b.out_dir / name).read_bytes() for name in names] == lone
+
+
+def test_train_config_txt_names_the_directory_it_wrote(tmp_path):
+    cfg = quick_cfg(steps=0, out_dir="runs/elsewhere")
+    result = harness.train(cfg, tmp_path / "d")
+    assert load_config(tmp_path / "d" / "config.txt").out_dir == str(tmp_path / "d")
+    assert result.config == replace(cfg, out_dir=str(tmp_path / "d"))
 
 
 def test_grpo_abort_reason_names_one_step(tmp_path):

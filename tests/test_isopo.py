@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,8 +163,7 @@ def ni_update(mb, positions, cfg):
 
 def test_noninteracting_zero_advantages(small_net, small_task):
     mb = make_microbatch(small_net, small_task, seed=1, force_advantages=False)
-    for g in mb.groups:
-        g.advantages = np.zeros_like(g.advantages)
+    mb.advantages[:] = 0.0
     positions = overlap(mb, 16, stream(0, "o"))
     for g in ni_update(mb, positions, RunConfig(p=-1.0)):
         assert np.all(g == 0.0)
@@ -233,7 +233,7 @@ def test_rescaling_ema_skips_a_layer_without_a_valid_estimate(small_net, small_t
     dead = policy.Scored(sc.logprobs, sc.act_in, [np.zeros_like(sc.grad_out[0]), sc.grad_out[1]])
     norms, _ = isopo.sequence_fisher_norms(dead, positions)
     assert np.all(np.isnan(norms[:, 0])) and not np.any(np.isnan(norms[:, 1]))
-    upd = isopo.noninteracting_update(tasks.Microbatch(mb.groups, mb.tokens, dead), norms, cfg, ema)
+    upd = isopo.noninteracting_update(replace(mb, scored=dead), norms, cfg, ema)
     quantities = ("fisher_sq", "grad_sq", "rel_sq")
     assert set(ema) == set(before) == {(l, k) for l in (0, 1) for k in quantities}
     for (l, k), value in before.items():
@@ -246,7 +246,7 @@ def test_noninteracting_single_sequence_composition(small_net, small_task):
     u = uniforms(9, [f"c/{k}" for k in range(2)], small_task.seq_len)
     mb = tasks.build_microbatch(small_net, small_task, [prompt], u)
     adv = np.array([1.7, 0.0])
-    mb.groups[0].advantages = adv
+    mb.advantages[:] = adv
     positions = overlap(mb, 8, stream(2, "o"))
     cfg = RunConfig(p=-1.0, q=0.0, r=0.0, reg_strength=0.0)
     upd = ni_update(mb, positions, cfg)
@@ -263,18 +263,17 @@ def test_noninteracting_linear_in_advantages(small_net, small_task):
     positions = overlap(mb, 12, stream(4, "o"))
     cfg = RunConfig(p=-1.0, q=0.5, r=0.25)
     rng = np.random.default_rng(8)
-    adv1 = [rng.standard_normal(len(g.rewards)) for g in mb.groups]
-    adv2 = [rng.standard_normal(len(g.rewards)) for g in mb.groups]
+    adv1 = rng.standard_normal(len(mb.advantages))
+    adv2 = rng.standard_normal(len(mb.advantages))
 
-    def update_with(advs):
-        for g, a in zip(mb.groups, advs):
-            g.advantages = a
+    def update_with(adv):
+        mb.advantages[:] = adv
         return ni_update(mb, positions, cfg)
 
     u1 = update_with(adv1)
     u2 = update_with(adv2)
-    u_sum = update_with([a + b for a, b in zip(adv1, adv2)])
-    u_scaled = update_with([2.5 * a for a in adv1])
+    u_sum = update_with(adv1 + adv2)
+    u_scaled = update_with(2.5 * adv1)
     for a, b, s in zip(u1, u2, u_sum):
         assert np.allclose(a + b, s, atol=1e-12)
     for a, s in zip(u1, u_scaled):
@@ -350,7 +349,7 @@ def test_self_normalization_under_shared_samples(small_net, small_task):
     prompt = small_task.train_prompts[0]
     u = uniforms(0, [f"p/{k}" for k in range(8)], small_task.seq_len)
     mb = tasks.build_microbatch(small_net, small_task, [prompt], u)
-    mb.groups[0].advantages = np.linspace(-1, 1, 8)
+    mb.advantages[:] = np.linspace(-1, 1, 8)
     mb = scale_grad_out(mb, 12.0)
     positions = overlap(mb, 64, stream(0, "ov"))
     norms, degenerate = isopo.sequence_fisher_norms(mb.scored, positions)

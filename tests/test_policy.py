@@ -244,8 +244,8 @@ def test_forward_and_backward_equal_the_two_pass_formulas(task_name):
         assert np.array_equal(a, b)
     expected = two_pass_backward(net, logits, act_in, mb.tokens)
     assert_scored_equal(policy.score(net, x, mb.tokens), expected, rel=0)
-    table = policy.context_table(net, np.stack([g.prompt.features for g in mb.groups]))
-    which = np.repeat(np.arange(len(mb.groups)), cfg.group_size)
+    table = policy.context_table(net, np.stack([p.features for p in mb.prompts]))
+    which = np.repeat(np.arange(len(mb.prompts)), cfg.group_size)
     rows = context_rows(which, mb.tokens, table.logits.shape[1], net.vocab_size)
 
     def gathered(a):
@@ -294,7 +294,7 @@ def test_every_input_has_the_one_layout(monkeypatch, task_name):
         assert np.array_equal(x[b, t], expected)
     assert np.array_equal(mb.scored.act_in[0], x)  # the inputs GRPO re-scores under
     # table row r holds context r
-    features = np.stack([g.prompt.features for g in mb.groups])
+    features = np.stack([p.features for p in mb.prompts])
     layer_in = policy.context_table(net, features).act_in[0]
     assert np.array_equal(layer_in, written_out_contexts(net, features))
     # greedy's input at position t reads the token it decoded at t - 1

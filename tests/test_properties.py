@@ -38,8 +38,9 @@ def permuted(mb, perm):
     scored = policy.Scored(
         sc.logprobs[perm], [a[perm] for a in sc.act_in], [g[perm] for g in sc.grad_out]
     )
-    group = tasks.Group(mb.groups[0].prompt, mb.rewards[perm], mb.advantages[perm])
-    return tasks.Microbatch([group], mb.tokens[perm], scored)
+    return tasks.Microbatch(
+        mb.prompts[:1], mb.tokens[perm], scored, mb.rewards[perm], mb.advantages[perm]
+    )
 
 
 def assert_close(a, b):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
-from isopo_lab import policy, tasks
+from isopo_lab import harness, policy, tasks
+from isopo_lab.config import RunConfig
 from isopo_lab.errors import ContractViolation
 from isopo_lab.rng import stream
 
@@ -70,15 +73,16 @@ def test_microbatch_groups_hold_rows_of_one_pass(small_net, small_task, normaliz
     prompts = small_task.train_prompts[:3]
     u = stream(2, "one-pass").random((3 * 5, small_task.seq_len))
     mb = tasks.build_microbatch(small_net, small_task, prompts, u, normalize_std)
-    for g, group in enumerate(mb.groups):
-        assert group.prompt is prompts[g]
-        expected = one_group_advantages(group.rewards, normalize_std)
-        assert group.advantages.tobytes() == expected.tobytes()
-        assert np.array_equal(mb.advantages[5 * g : 5 * g + 5], group.advantages)
-    # a rebound group's advantages are what the microbatch reads
-    mb.groups[1].advantages = np.linspace(-1.0, 1.0, 5)
+    assert mb.prompts == prompts
+    for g, prompt in enumerate(prompts):
+        rows = slice(5 * g, 5 * g + 5)
+        expected = small_task.rewards([prompt] * 5, mb.tokens[rows])
+        assert mb.rewards[rows].tobytes() == expected.tobytes()
+        expected = one_group_advantages(mb.rewards[rows], normalize_std)
+        assert mb.advantages[rows].tobytes() == expected.tobytes()
+    # stored, not rebuilt on each read: a row written in place is what the updates read
+    mb.advantages.reshape(3, 5)[1] = np.linspace(-1.0, 1.0, 5)
     assert np.array_equal(mb.advantages[5:10], np.linspace(-1.0, 1.0, 5))
-    assert np.array_equal(mb.advantages[:5], mb.groups[0].advantages)
 
 
 def test_bandit_reward_is_table_lookup():
@@ -146,7 +150,8 @@ def test_batched_rewards_equal_per_sequence_rule():
 
 def test_splits_disjoint_and_sized():
     for task in (tasks.SeqAdditionTask(), tasks.BanditTask()):
-        tasks.assert_disjoint_split(task)
+        ids = [p.id for p in task.train_prompts + task.heldout_prompts]
+        assert len(set(ids)) == len(ids)
     seq = tasks.SeqAdditionTask()
     total = len(seq.train_prompts) + len(seq.heldout_prompts)
     assert total == 16 * 16
@@ -193,25 +198,42 @@ def test_validation_ignores_rng():
 
 
 def test_microbatch_views(microbatch):
-    n = microbatch.tokens.shape[0]
-    records = microbatch.records
-    assert len(records) == n
-    assert microbatch.advantages.shape == (n,)
-    assert microbatch.rewards.shape == (n,)
-    assert records[0].prompt is microbatch.groups[0].prompt
-    assert records[n - 1].prompt is microbatch.groups[-1].prompt
-    assert [r.tokens for r in records] == [tuple(row) for row in microbatch.tokens.tolist()]
     mb = microbatch
+    names = [f.name for f in fields(tasks.Microbatch)]
+    assert names == ["prompts", "tokens", "scored", "rewards", "advantages"]
+    n = mb.tokens.shape[0]
+    records = mb.records
+    assert len(records) == n
+    assert mb.advantages.shape == (n,)
+    assert mb.rewards.shape == (n,)
+    assert records[0].prompt is mb.prompts[0]
+    assert records[n - 1].prompt is mb.prompts[-1]
+    assert [r.tokens for r in records] == [tuple(row) for row in mb.tokens.tolist()]
+    groups = mb.groups
+    assert [g.prompt for g in groups] == list(mb.prompts)
+    assert np.array_equal(np.concatenate([g.rewards for g in groups]), mb.rewards)
+    # every array holds one row per sequence
+    for name in ("tokens", "rewards", "advantages"):
+        with pytest.raises(ContractViolation):
+            replace(mb, **{name: getattr(mb, name)[1:]})
     with pytest.raises(ContractViolation):
-        tasks.Microbatch(mb.groups[:1], mb.tokens, mb.scored)
-    with pytest.raises(ContractViolation):
-        tasks.Microbatch(mb.groups, mb.tokens[1:], mb.scored)
+        replace(mb, scored=replace(mb.scored, logprobs=mb.scored.logprobs[1:]))
+    # the rows split into one group of 2 or more per prompt: 8 rows make 4
+    # groups of 2, but not 8 groups of 1, 3 groups or none
+    assert len(replace(mb, prompts=mb.prompts * 2).groups) == 4
+    for prompts in (mb.prompts * 4, mb.prompts + mb.prompts[:1], ()):
+        with pytest.raises(ContractViolation):
+            replace(mb, prompts=prompts)
 
 
-def test_group_requires_two_records(small_task):
-    prompt = small_task.train_prompts[0]
-    with pytest.raises(ContractViolation):
-        tasks.Group(prompt, np.array([1.0]), np.array([0.0]))
+def test_training_builds_no_group(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("a Group was built")
+
+    monkeypatch.setattr(tasks, "Group", refuse)
+    for algo in ("reinforce", "grpo", "isopo-ni", "isopo-int"):
+        result = harness.train(RunConfig(algo=algo, steps=2, eval_every=1), tmp_path / algo)
+        assert not result.aborted and [row["step"] for row in result.rows] == [0, 1, 2]
 
 
 def test_build_microbatch_needs_equal_groups(small_net, small_task):
@@ -222,4 +244,4 @@ def test_build_microbatch_needs_equal_groups(small_net, small_task):
     with pytest.raises(ContractViolation):
         tasks.build_microbatch(small_net, small_task, [], u)
     mb = tasks.build_microbatch(small_net, small_task, prompts, u[:4])
-    assert [len(g.rewards) for g in mb.groups] == [2, 2]
+    assert len(mb.prompts) == 2 and mb.rewards.shape == (4,)

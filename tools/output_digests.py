@@ -8,9 +8,10 @@ Usage, with no flags, from any directory:
 Each run trains from this checkout's ``src`` into a temporary directory. The
 line for a run holds its label, one SHA-256 per output file, in the order
 ``metrics.csv``, ``checkpoint.txt``, ``config.txt``, ``ABORTED`` (``-`` for a
-file that is missing), and its abort reason, if it aborted. Two checkouts
-that print the same column wrote the same bytes of that file on every run of
-the set:
+file that is missing), and its abort reason, if it aborted. ``config.txt`` is
+hashed without its ``out_dir = <run dir>`` line, which names the temporary
+directory the run wrote. Two checkouts that print the same column wrote the
+same bytes of that file on every run of the set:
 
 - the reference seeds of each benchmark workload (``perfbench/workloads.py``);
 - each algorithm on seqtask and bandit, seeds 0-2, 60 steps, a row every 7;
@@ -106,9 +107,19 @@ def digest_line(label: str, text: str, out_dir) -> str:
     from isopo_lab import config, harness
 
     result = harness.train(config.parse_config(text), out_dir)
-    paths = [Path(out_dir) / name for name in OUTPUTS]
-    digests = [hashlib.sha256(p.read_bytes()).hexdigest() if p.exists() else "-" for p in paths]
+    digests = [digest(Path(out_dir) / name) for name in OUTPUTS]
     return " ".join([label, *digests, result.abort_reason]).rstrip()
+
+
+def digest(path: Path) -> str:
+    """SHA-256 of the file at ``path``, without the ``out_dir`` line of a
+    ``config.txt``; ``-`` if there is no file."""
+    if not path.exists():
+        return "-"
+    lines = path.read_bytes().splitlines(keepends=True)
+    if path.name == "config.txt":
+        lines = [line for line in lines if not line.startswith(b"out_dir = ")]
+    return hashlib.sha256(b"".join(lines)).hexdigest()
 
 
 def check_lines(seed: int) -> list[str]:
