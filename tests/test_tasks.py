@@ -218,6 +218,10 @@ def test_microbatch_views(microbatch):
             replace(mb, **{name: getattr(mb, name)[1:]})
     with pytest.raises(ContractViolation):
         replace(mb, scored=replace(mb.scored, logprobs=mb.scored.logprobs[1:]))
+
+
+def test_group_requires_two_records(microbatch):
+    mb = microbatch
     # the rows split into one group of 2 or more per prompt: 8 rows make 4
     # groups of 2, but not 8 groups of 1, 3 groups or none
     assert len(replace(mb, prompts=mb.prompts * 2).groups) == 4
