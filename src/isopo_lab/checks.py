@@ -84,11 +84,11 @@ def run_gradcheck(seed: int = 0) -> list[SuiteResult]:
 
     # 1. manual backward vs central differences of one sequence's log-probability
     prompt = task.train_prompts[0]
-    tokens, scored = policy.sample_and_score(
+    _, scored = policy.sample_and_score(
         net, prompt.features[None], uniforms(seed, ["gradcheck-seq"], task.seq_len)
     )
     analytic = [g[0] for g in scored.seq_grads]
-    numeric = fd_grad(lambda: policy.score(net, scored.act_in[0], tokens).logprobs[0], net)
+    numeric = fd_grad(lambda: policy.rescore(net, scored).logprobs[0], net)
     results.append(verdict("policy-backward-fd", rel_errors(analytic, numeric), FD_RTOL))
 
     # 2. REINFORCE gradient vs differences of sum_o A_o log pi(o)
@@ -104,7 +104,7 @@ def run_gradcheck(seed: int = 0) -> list[SuiteResult]:
     clip_eps = 0.2
     analytic = baselines.grpo_clipped_grad(microbatch, shifted, clip_eps)
     numeric = fd_grad(lambda: baselines.grpo_surrogate(microbatch, shifted, clip_eps), shifted)
-    current = policy.score(shifted, microbatch.scored.act_in[0], microbatch.tokens)
+    current = policy.rescore(shifted, microbatch.scored)
     rho, adv = np.exp(current.logprobs - microbatch.scored.logprobs), microbatch.advantages
     clipped = int(np.count_nonzero(np.clip(rho, 1 - clip_eps, 1 + clip_eps) * adv < rho * adv))
     detail = f"{clipped}/{len(rho)} sequences clipped"

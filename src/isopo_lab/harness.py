@@ -190,24 +190,27 @@ def read_metrics_csv(path) -> list[dict]:
     return rows
 
 
-def _update(cfg, net, optimizer, microbatch, fisher_norms, ema) -> None:
+def _update(cfg, net, optimizer, microbatch, fisher_norms, ema, grad) -> None:
     """Apply the step's optimizer steps: ``inner_epochs`` for GRPO, one otherwise.
 
     ``fisher_norms()`` gives the step's ``isopo.sequence_fisher_norms`` pair.
+    Every update writes its per-layer sums into the views ``net.split(grad)``
+    of ``grad``, a vector in the layout of ``net.params`` that the run
+    allocates once, which is then negated in place and stepped on.
     """
+    out = net.split(grad)
     for epoch in range(cfg.inner_epochs if cfg.algo == "grpo" else 1):
         if cfg.algo == "reinforce" or (cfg.algo == "grpo" and epoch == 0):
             # GRPO's first epoch runs at the sampling weights: every ratio is
             # exactly 1, so its clipped gradient is the REINFORCE gradient
-            grads = baselines.reinforce_grad(microbatch)
+            baselines.reinforce_grad(microbatch, out)
         elif cfg.algo == "grpo":
-            grads = baselines.grpo_clipped_grad(microbatch, net, cfg.clip_eps)
+            baselines.grpo_clipped_grad(microbatch, net, cfg.clip_eps, out)
         elif cfg.algo == "isopo-ni":
-            grads = isopo.noninteracting_update(microbatch, fisher_norms()[0], cfg, ema)
+            isopo.noninteracting_update(microbatch, fisher_norms()[0], cfg, ema, out)
         else:
-            grads = isopo.interacting_microbatch_update(microbatch, cfg, ema)
-        # each update returns arrays of its own, so they are negated in place
-        baselines.optimizer_step(cfg, optimizer, net, [np.negative(g, out=g) for g in grads])
+            isopo.interacting_microbatch_update(microbatch, cfg, ema, out)
+        baselines.optimizer_step(cfg, optimizer, net, np.negative(grad, out=grad))
 
 
 def _check_finite(row: dict) -> None:
@@ -234,6 +237,7 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
     net = build_policy(task, cfg.seed)
     kl_ref = metrics.reference_table(net, task)
     optimizer = baselines.OptimizerState()
+    grad = np.empty_like(net.params)  # every update's flat gradient (``_update``)
     ema: dict = {}  # the run's EMAs, keyed by (layer, quantity) (``isopo``)
 
     rows: list[dict] = []
@@ -249,7 +253,7 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
             )
             if step > 0:
                 try:
-                    _update(cfg, net, optimizer, microbatch, fisher_norms, ema)
+                    _update(cfg, net, optimizer, microbatch, fisher_norms, ema, grad)
                 except ArithmeticError as exc:
                     abort_reason = _abort_reason(step, exc)
             if abort_reason or step % cfg.eval_every == 0:

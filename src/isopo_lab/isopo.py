@@ -181,9 +181,10 @@ def _refresh_ema(cfg: RunConfig, ema: dict, norms: np.ndarray, microbatch: Micro
 
 
 def noninteracting_update(
-    microbatch: Microbatch, norms: np.ndarray, cfg: RunConfig, ema: dict
+    microbatch: Microbatch, norms: np.ndarray, cfg: RunConfig, ema: dict, out=None
 ) -> list[np.ndarray]:
-    """Advantage-weighted sum of per-sequence rescaled gradients, per layer.
+    """Advantage-weighted sum of per-sequence rescaled gradients, per layer,
+    written into the per-layer arrays ``out`` if given.
 
     ``norms`` is the ``sequence_fisher_norms`` table of this microbatch.
     Sequences whose estimate is degenerate (NaN) contribute their
@@ -197,12 +198,12 @@ def noninteracting_update(
     if cfg.reg_strength > 0:
         _refresh_ema(cfg, ema, norms, microbatch)
     grads = []
-    for l, sq_norms in enumerate(scored.sq_norms):
+    for l, (sq_norms, o) in enumerate(zip(scored.sq_norms, out or [None] * len(scored.act_in))):
         f_norms = norms[:, l]
         # degenerate fallback: no rescaling. The scale is elementwise, so a
         # valid entry's bits do not depend on the NaN entries beside it
         scale = np.where(np.isnan(f_norms), 1.0, _scale(f_norms, sq_norms, cfg, ema, l))
-        grads.append(grad_sum(scored.grad_out[l], scored.act_in[l], advantages * scale))
+        grads.append(grad_sum(scored.grad_out[l], scored.act_in[l], advantages * scale, o))
     return grads
 
 
@@ -236,9 +237,10 @@ def build_ntk(grad_out, act_in) -> np.ndarray:
     return 0.5 * (gram + gram.T)
 
 
-def interacting_update(grad_out, act_in, advantages, c: float) -> np.ndarray:
+def interacting_update(grad_out, act_in, advantages, c: float, out=None) -> np.ndarray:
     """NTK-preconditioned microbatch update sum_i [(K + cI)^-1 A]_i V_i of one
-    layer, from the factors of its sequence gradients (see ``build_ntk``).
+    layer, from the factors of its sequence gradients (see ``build_ntk``),
+    written into ``out`` if given.
 
     Raises ContractViolation for c < 0 or advantages that are not one per
     sequence, and SingularMatrixError when K + cI is not finite or not
@@ -260,7 +262,7 @@ def interacting_update(grad_out, act_in, advantages, c: float) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"K + cI with c = {c:.3e} is not positive definite") from exc
     weights = np.linalg.solve(chol.T, np.linalg.solve(chol, advantages))
-    return grad_sum(grad_out, act_in, weights)
+    return grad_sum(grad_out, act_in, weights, out)
 
 
 def mean_ntk_eigenvalue(sq_norms) -> float:
@@ -269,15 +271,16 @@ def mean_ntk_eigenvalue(sq_norms) -> float:
 
 
 def interacting_microbatch_update(
-    microbatch: Microbatch, cfg: RunConfig, ema: dict
+    microbatch: Microbatch, cfg: RunConfig, ema: dict, out=None
 ) -> list[np.ndarray]:
     """Every layer's ``interacting_update`` with c = reg_factor times the EMA
-    over steps of the layer's mean NTK eigenvalue mean_i |V_i|^2 (``Scored.sq_norms``)."""
+    over steps of the layer's mean NTK eigenvalue mean_i |V_i|^2
+    (``Scored.sq_norms``), written into the per-layer arrays ``out`` if given."""
     advantages = microbatch.advantages
     scored = microbatch.scored
     grads = []
-    for l, sq_norms in enumerate(scored.sq_norms):
+    for l, (sq_norms, o) in enumerate(zip(scored.sq_norms, out or [None] * len(scored.act_in))):
         mean_eig = mean_ntk_eigenvalue(sq_norms)
         c = cfg.reg_factor * ema_update(ema, (l, "ntk_mean_eig"), mean_eig, cfg.ema_decay)
-        grads.append(interacting_update(scored.grad_out[l], scored.act_in[l], advantages, c))
+        grads.append(interacting_update(scored.grad_out[l], scored.act_in[l], advantages, c, o))
     return grads

@@ -78,10 +78,11 @@ def collect(
     which a run draws from the ``kl/{step}`` stream (``harness.draw_steps``),
     so the value at a given step does not depend on how much randomness
     earlier steps consumed. At step 0 no update has run, so ``net`` is the
-    initial policy and ``ref`` serves as its table too.
+    initial policy, whose table is ``ref`` itself: its KL is 0.0, exactly what
+    sampling it against itself gives, and nothing is sampled.
     """
     norms, degenerate = fisher_norms
-    table = ref if step == 0 else reference_table(net, task)
+    kl = 0.0 if step == 0 else kl_from_reference(reference_table(net, task), ref, kl_uniforms)
     row = {
         "step": step,
         "algo": cfg.algo,
@@ -89,7 +90,7 @@ def collect(
         "seed": cfg.seed,
         "mean_reward": float(microbatch.rewards.mean()),
         "validation": validation_score(net, task.heldout_prompts),
-        "kl_from_init": kl_from_reference(table, ref, kl_uniforms),
+        "kl_from_init": kl,
         "degenerate_sequences": int(np.count_nonzero(degenerate)),
     }
     for l, sq_norms in enumerate(microbatch.scored.sq_norms):

@@ -18,8 +18,9 @@ layer-0 input is a copy of template rows with the prompt features filled
 in: the whole template per prompt for a ``ContextTable``, the row of each
 position's context for ``teacher_forced_inputs`` and ``greedy``. ``forward``
 only reads that buffer, as ``act_in[0]``, and writes each later augmented
-input in place, and ``score`` reads tokens under given layer-0 inputs, so a
-batch scored at several weights shares its ``act_in[0]``.
+input in place. ``score`` checks tokens and reads them under given layer-0
+inputs, and ``rescore`` scores a scored batch at other weights from its
+``act_in[0]`` and the checked token entries it keeps, which it shares.
 
 A ``ContextTable`` holds the logits and layer inputs of all R contexts of P
 prompts, and a sequence of prompt p reads its flat row p R + ``_row``:
@@ -115,9 +116,11 @@ class PolicyNet:
 
     def split(self, flat) -> tuple[np.ndarray, ...]:
         """Views (..., out, in + 1) of ``flat`` (..., param_count), one per layer."""
-        lead, ends = np.shape(flat)[:-1], np.cumsum([w.size for w in self.weights])
-        parts = np.split(flat, ends[:-1], axis=-1)
-        return tuple(part.reshape(lead + w.shape) for part, w in zip(parts, self.weights))
+        lead, views, start = np.shape(flat)[:-1], [], 0
+        for w in self.weights:
+            views.append(flat[..., start : start + w.size].reshape(lead + w.shape))
+            start += w.size
+        return tuple(views)
 
     @property
     def n_layers(self) -> int:
@@ -141,12 +144,14 @@ class Scored:
     pre-activation there; the gradient of ``logprobs[b]`` with respect to
     layer l is V_b = sum_t outer(grad_out[l][b, t], act_in[l][b, t]).
     ``sq_norms`` caches every |V_b|^2 on first use, so the factor arrays are
-    not to be changed after it is read.
+    not to be changed after it is read. ``entries`` are the checked tokens'
+    ``_token_entries``, from which ``rescore`` scores the batch at other weights.
     """
 
     logprobs: np.ndarray  # (B,)
     act_in: list[np.ndarray]  # per layer (B, T, in_dim + 1)
     grad_out: list[np.ndarray]  # per layer (B, T, out_dim)
+    entries: np.ndarray | None = field(default=None, repr=False)  # (B, T)
 
     @cached_property
     def sq_norms(self) -> list[np.ndarray]:
@@ -182,12 +187,13 @@ def grad_projections(
     return np.add.reduce(prod.reshape(n_seq, seq_len, -1), axis=1)
 
 
-def grad_sum(grad_out: np.ndarray, act_in: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def grad_sum(grad_out: np.ndarray, act_in: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
     """sum_b weights[b] V_b for one layer's factors, as one gemm over the B T
-    positions; the caller checks that ``weights`` is one float per sequence."""
+    positions, written into ``out`` (out, in + 1) if given; the caller checks
+    that ``weights`` is one float per sequence."""
     n_seq, seq_len, out_dim = grad_out.shape
     weighted = (grad_out * weights[:, None, None]).reshape(n_seq * seq_len, out_dim)
-    return weighted.T @ act_in.reshape(n_seq * seq_len, -1)
+    return np.matmul(weighted.T, act_in.reshape(n_seq * seq_len, -1), out=out)
 
 
 def init_policy(
@@ -213,7 +219,12 @@ def _normalize(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one normalization pass over the last axis: each row's maximum m,
     e = exp(logits - m) and its sum, so that softmax = e / sum and
     log softmax = logits - m - log(sum)."""
-    m = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    # one reduction over a contiguous (vocab, rows) copy: numpy reduces along
+    # a short last axis row by row. Only the sign of a NaN, or of a zero max
+    # held with both signs, can differ from that reduction's, and neither
+    # reaches a log-probability: such a row's sum is NaN or at least 2
+    slices = logits.reshape(-1, logits.shape[-1]).T.copy()
+    m = np.maximum.reduce(slices, axis=0).reshape(logits.shape[:-1] + (1,))
     e = np.exp(logits - m)
     return m, e, np.add.reduce(e, axis=-1, keepdims=True)
 
@@ -297,13 +308,13 @@ def greedy(net: PolicyNet, features) -> np.ndarray:
     return tokens
 
 
-def _sequence_logprobs(logits, m, total, rows, at) -> np.ndarray:
-    """Log-probabilities (B,) of sequences whose position (b, t) reads row
-    ``rows[b, t]`` of the logits (..., vocab) and of their ``_normalize``
-    maximum and sum, and its token at the logits' flat entry ``at[b, t]``:
+def _sequence_logprobs(logits, m, total, at) -> np.ndarray:
+    """Log-probabilities (B,) of sequences whose position (b, t) reads its
+    token at the flat entry ``at[b, t]`` of the logits (..., vocab), in a row
+    whose ``_normalize`` maximum and sum are ``m[b, t]`` and ``total[b, t]``:
     log softmax = logits - m - log(sum), read at the tokens alone, summed
-    over positions. Rows are numbered in C order over the leading axes."""
-    return (logits.take(at) - m.take(rows) - np.log(total.take(rows))).sum(axis=1)
+    over positions."""
+    return (logits.take(at) - m - np.log(total)).sum(axis=1)
 
 
 def _token_entries(tokens, vocab: int) -> np.ndarray:
@@ -328,22 +339,33 @@ def _backward(net: PolicyNet, logprobs, probs, act_in, at) -> Scored:
         g = g @ net.weights[l][:, :-1]
         g *= np.subtract(1.0, dh, out=dh)
         grad_out.insert(0, g)
-    return Scored(logprobs, act_in, grad_out)
+    return Scored(logprobs, act_in, grad_out, at)
 
 
 def score(net: PolicyNet, inputs, tokens) -> Scored:
     """Log-probabilities and gradients of token sequences (B, T) under their
     layer-0 inputs (B, T, context_dim + 1): ``teacher_forced_inputs`` of the
-    tokens, or a scored batch's ``act_in[0]``, as when one batch is scored at
-    several weights. The inputs become the result's ``act_in[0]`` unchanged
-    and uncopied; tokens that are not (B, T) of them, or that fall outside
-    the vocabulary, raise ContractViolation."""
+    tokens, or a scored batch's ``act_in[0]``. The inputs become the result's
+    ``act_in[0]`` unchanged and uncopied; tokens that are not (B, T) of them,
+    or that fall outside the vocabulary, raise ContractViolation."""
     tokens = _checked_tokens(net, tokens, np.shape(inputs)[:-1])
+    return _score(net, inputs, _token_entries(tokens, net.vocab_size))
+
+
+def rescore(net: PolicyNet, scored: Scored) -> Scored:
+    """``score`` at ``net`` of the batch that ``scored`` scored, from its
+    ``act_in[0]`` and checked token ``entries``, which the result shares: no
+    token is checked again and no index rebuilt."""
+    if scored.entries is None:
+        raise ContractViolation("scored batch holds no token entries")
+    return _score(net, scored.act_in[0], scored.entries)
+
+
+def _score(net: PolicyNet, inputs, at) -> Scored:
+    """``score`` of the sequences whose tokens' entries are ``at`` (B, T)."""
     logits, act_in = forward(net, inputs)
     m, probs, total = _normalize(logits)
-    rows = np.arange(tokens.size).reshape(tokens.shape)  # (b, t) is row b T + t
-    at = _token_entries(tokens, logits.shape[-1])
-    logprobs = _sequence_logprobs(logits, m, total, rows, at)
+    logprobs = _sequence_logprobs(logits, m[..., 0], total[..., 0], at)
     probs /= total
     return _backward(net, logprobs, probs, act_in, at)
 
@@ -416,9 +438,8 @@ class ContextTable:
     def logprobs(self, rows, tokens) -> np.ndarray:
         """Log-probabilities (B,) of sequences ``tokens`` (B, T) that read ``rows``."""
         m, _, total = self._normalized
-        return _sequence_logprobs(
-            self.logits, m, total, rows, rows * self.logits.shape[-1] + tokens
-        )
+        at = rows * self.logits.shape[-1] + tokens
+        return _sequence_logprobs(self.logits, m.take(rows), total.take(rows), at)
 
     def score(self, net: PolicyNet, rows, tokens) -> Scored:
         """``score`` of sequences ``tokens`` that read ``rows``, from those

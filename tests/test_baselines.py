@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from isopo_lab import baselines, checks, policy
+from isopo_lab import baselines, checks, isopo, policy
 from isopo_lab.config import RunConfig
 from isopo_lab.errors import (
     ConfigError,
@@ -16,7 +16,7 @@ from isopo_lab.errors import (
 )
 from isopo_lab.rng import stream
 
-from conftest import make_microbatch
+from conftest import make_microbatch, overlap
 
 
 def sampled_lower(mb, shift):
@@ -116,7 +116,7 @@ def test_sgd_step():
     net = policy.PolicyNet([np.ones((2, 3))], vocab_size=2, context_dim=2)
     cfg = RunConfig(optimizer="sgd", lr=0.1)
     state = baselines.OptimizerState()
-    baselines.optimizer_step(cfg, state, net, [np.full((2, 3), 2.0)])
+    baselines.optimizer_step(cfg, state, net, net.flatten([np.full((2, 3), 2.0)]))
     assert np.allclose(net.weights[0], 0.8)
 
 
@@ -127,7 +127,7 @@ def test_adamw_first_step_magnitude():
     lr = 1e-3
     cfg = RunConfig(optimizer="adamw", lr=lr)
     state = baselines.OptimizerState()
-    baselines.optimizer_step(cfg, state, net, [g.copy()])
+    baselines.optimizer_step(cfg, state, net, net.flatten([g.copy()]))
     # bias correction makes the first update lr * g/|g| up to epsilon
     expected = -lr * np.sign(g)
     assert np.allclose(net.weights[0], expected, atol=1e-6 * lr + 1e-12)
@@ -141,8 +141,8 @@ def test_adamw_hand_evaluated_second_step():
     assert (b1, b2, eps) == (0.9, 0.999, 1e-8)  # the published defaults
     cfg = RunConfig(optimizer="adamw", lr=lr)
     state = baselines.OptimizerState()
-    baselines.optimizer_step(cfg, state, net, [g1])
-    baselines.optimizer_step(cfg, state, net, [g2])
+    baselines.optimizer_step(cfg, state, net, net.flatten([g1]))
+    baselines.optimizer_step(cfg, state, net, net.flatten([g2]))
     # replay the published update rule by hand
     w = 0.0
     m = v = 0.0
@@ -172,7 +172,7 @@ def test_adamw_three_layers_equal_the_per_layer_rule():
     v = [np.zeros_like(w) for w in expected]
     for t in range(1, 4):
         grads = [rng.standard_normal(w.shape) for w in expected]
-        baselines.optimizer_step(cfg, state, net, grads)
+        baselines.optimizer_step(cfg, state, net, net.flatten(grads))
         # AdamW on each layer by itself, with that layer's own moments
         for w, g, ml, vl in zip(expected, grads, m, v):
             ml *= b1
@@ -191,14 +191,16 @@ def test_nonfinite_gradient_in_a_later_layer_names_it_and_mutates_nothing(kind):
     cfg = RunConfig(optimizer=kind, lr=0.1)
     state = baselines.OptimizerState()
     rng = np.random.default_rng(5)
-    baselines.optimizer_step(cfg, state, net, [rng.standard_normal(w.shape) for w in net.weights])
+    baselines.optimizer_step(
+        cfg, state, net, net.flatten([rng.standard_normal(w.shape) for w in net.weights])
+    )
     weights = [w.copy() for w in net.weights]
     moments = [None if m is None else m.copy() for m in (state.exp_avg, state.exp_avg_sq)]
     grads = [rng.standard_normal(w.shape) for w in net.weights]
     grads[2][1, 3] = np.nan
     grads[2][0, 0] = np.inf
     with pytest.raises(NonFiniteGradientError, match="layer 2 gradient has 2 non-finite"):
-        baselines.optimizer_step(cfg, state, net, grads)
+        baselines.optimizer_step(cfg, state, net, net.flatten(grads))
     for got, want in zip(net.weights, weights):
         assert np.array_equal(got, want)
     for got, want in zip((state.exp_avg, state.exp_avg_sq), moments):
@@ -220,13 +222,13 @@ def test_step_to_nonfinite_weights_names_the_layer_and_mutates_nothing(kind):
         out[2][1, 3] = -1.0
         return out
 
-    baselines.optimizer_step(cfg, state, net, grads())
+    baselines.optimizer_step(cfg, state, net, net.flatten(grads()))
     net.weights[2][1, 3] = 1.7e308
     weights = [w.copy() for w in net.weights]
     moments = [None if m is None else m.copy() for m in (state.exp_avg, state.exp_avg_sq)]
     cfg = replace(cfg, lr=1.7e308)
     with pytest.raises(NonFiniteWeightError, match="layer 2 updated weight has 1 non-finite"):
-        baselines.optimizer_step(cfg, state, net, grads())
+        baselines.optimizer_step(cfg, state, net, net.flatten(grads()))
     for got, want in zip(net.weights, weights):
         assert np.array_equal(got, want)
     for got, want in zip((state.exp_avg, state.exp_avg_sq), moments):
@@ -238,7 +240,7 @@ def test_zero_grad_no_weight_decay_is_noop():
     net = policy.PolicyNet([np.full((2, 3), 0.7)], vocab_size=2, context_dim=2)
     cfg = RunConfig(optimizer="adamw", lr=0.5)
     state = baselines.OptimizerState()
-    baselines.optimizer_step(cfg, state, net, [np.zeros((2, 3))])
+    baselines.optimizer_step(cfg, state, net, net.flatten([np.zeros((2, 3))]))
     assert np.allclose(net.weights[0], 0.7)
 
 
@@ -249,7 +251,7 @@ def test_nonfinite_gradient_aborts_before_mutation():
     bad = np.full((2, 3), 1.0)
     bad[1, 2] = np.nan
     with pytest.raises(NonFiniteGradientError):
-        baselines.optimizer_step(cfg, state, net, [bad])
+        baselines.optimizer_step(cfg, state, net, net.flatten([bad]))
     assert np.allclose(net.weights[0], 0.3)
     assert state.step_count == 0
 
@@ -262,3 +264,78 @@ def test_optimizer_rejects_bad_shapes():
         baselines.optimizer_step(cfg, state, net, [np.zeros((3, 2))])
     with pytest.raises(ConfigError, match="optimizer must be one of"):
         RunConfig(optimizer="rmsprop")
+
+
+def test_optimizer_takes_one_flat_gradient_of_the_params_shape():
+    net = three_layer_net()
+    state = baselines.OptimizerState()
+    params = net.params.copy()
+    for kind in ("sgd", "adamw"):
+        cfg = RunConfig(optimizer=kind)
+        n = net.param_count
+        for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((1, n)), net.weights[0].copy()):
+            with pytest.raises(ContractViolation, match="gradient shape"):
+                baselines.optimizer_step(cfg, state, net, bad)
+    assert np.array_equal(net.params, params) and state.step_count == 0
+
+
+def overflowing_net():
+    # layer 2's [1, 3] sits at 1.7e308, so a step of size 1.7e308 up overflows it
+    net = three_layer_net()
+    net.weights[2][1, 3] = 1.7e308
+    return net
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adamw"])
+def test_failed_steps_leave_nothing_for_the_next_step(kind):
+    # a failing step computes its moments and weights into the state's buffers
+    # but swaps none of them in: two failing steps and then two good ones give
+    # the bits of the two good steps from a fresh state
+    cfg = RunConfig(optimizer=kind, lr=0.1)
+    rng = np.random.default_rng(7)
+    good = [rng.uniform(-1.0, 1.0, overflowing_net().param_count) for _ in range(2)]
+    net, state = overflowing_net(), baselines.OptimizerState()
+    nan, up = good[0].copy(), good[0].copy()
+    nan[3] = np.nan
+    net.split(up)[2][1, 3] = -1.0
+    with pytest.raises(NonFiniteGradientError):
+        baselines.optimizer_step(cfg, state, net, nan)
+    with pytest.raises(NonFiniteWeightError):
+        baselines.optimizer_step(replace(cfg, lr=1.7e308), state, net, up)
+    fresh, fresh_state = overflowing_net(), baselines.OptimizerState()
+    for g in good:
+        baselines.optimizer_step(cfg, state, net, g.copy())
+        baselines.optimizer_step(cfg, fresh_state, fresh, g.copy())
+        assert net.params.tobytes() == fresh.params.tobytes()
+        moments = [(state.exp_avg, fresh_state.exp_avg)]
+        for got, want in moments + [(state.exp_avg_sq, fresh_state.exp_avg_sq)]:
+            assert (got is None and want is None) or got.tobytes() == want.tobytes()
+    assert state.step_count == fresh_state.step_count == 2
+
+
+def every_update(mb, net):
+    """Each training update of ``mb`` as a function of ``out``, at ``net``
+    drifted off the sampling weights so that GRPO's ratios are not 1."""
+    shifted = net.copy()
+    shifted.params += 0.2 * stream(9, "drift").standard_normal(shifted.param_count)
+    norms, _ = isopo.sequence_fisher_norms(mb.scored, overlap(mb, 8, stream(9, "overlap")))
+    ni_cfg = RunConfig(p=-1.0, q=0.5, r=-0.5, reg_strength=0.3)
+    return {
+        "reinforce": lambda out=None: baselines.reinforce_grad(mb, out),
+        "grpo": lambda out=None: baselines.grpo_clipped_grad(mb, shifted, 0.2, out),
+        "isopo-ni": lambda out=None: isopo.noninteracting_update(mb, norms, ni_cfg, {}, out),
+        "isopo-int": lambda out=None: isopo.interacting_microbatch_update(
+            mb, RunConfig(reg_factor=0.5), {}, out
+        ),
+    }
+
+
+@pytest.mark.parametrize("algo", ["reinforce", "grpo", "isopo-ni", "isopo-int"])
+def test_update_written_into_views_equals_its_list_form(small_net, small_task, algo):
+    mb = make_microbatch(small_net, small_task, seed=10)
+    update = every_update(mb, small_net)[algo]
+    grad = np.full(small_net.param_count, np.nan)
+    out = small_net.split(grad)
+    written = update(out)
+    assert all(w is o for w, o in zip(written, out, strict=True))
+    assert grad.tobytes() == small_net.flatten(update()).tobytes()

@@ -677,7 +677,7 @@ def test_gradcheck_detects_corrupted_backward(monkeypatch):
         tokens, scored = sampled
         grad_out = [g.copy() for g in scored.grad_out]
         grad_out[0][0, 0, 0] += 0.25
-        return tokens, policy.Scored(scored.logprobs, scored.act_in, grad_out)
+        return tokens, replace(scored, grad_out=grad_out)
 
     _corrupt(monkeypatch, policy, "sample_and_score", shifted)
     by_name = {r.name: r for r in checks.run_gradcheck(seed=1)}
@@ -698,7 +698,7 @@ def _nan_last_layer(grads):
 # per gradcheck suite, a function whose result the suite compares, and that result made NaN
 NAN_RESULTS = {
     "policy-backward-fd": (
-        policy, "score", lambda s: policy.Scored(s.logprobs * np.nan, s.act_in, s.grad_out)
+        policy, "rescore", lambda s: policy.Scored(s.logprobs * np.nan, s.act_in, s.grad_out)
     ),
     "reinforce-surrogate-fd": (baselines, "reinforce_grad", _nan_last_layer),
     "grpo-surrogate-fd": (baselines, "grpo_clipped_grad", _nan_last_layer),
@@ -1015,12 +1015,12 @@ def test_aborted_run_recorded_and_excluded(tmp_path, monkeypatch):
     original = baselines.optimizer_step
     calls = {"n": 0}
 
-    def explode_on_second(run_cfg, state, net, grads):
+    def explode_on_second(run_cfg, state, net, grad):
         calls["n"] += 1
         if calls["n"] == 2:
-            grads = [g.copy() for g in grads]
-            grads[0][0, 0] = np.nan
-        return original(run_cfg, state, net, grads)
+            grad = grad.copy()
+            grad[0] = np.nan  # layer 0's entry [0, 0]
+        return original(run_cfg, state, net, grad)
 
     monkeypatch.setattr(harness.baselines, "optimizer_step", explode_on_second)
     res = harness.train(cfg, tmp_path / "boom")
@@ -1127,21 +1127,28 @@ def test_one_forward_per_sampled_batch_and_kl(tmp_path, monkeypatch, algo):
 
 def test_grpo_step_rescores_from_its_sampled_inputs(tmp_path, monkeypatch):
     # the inner epochs after the first re-score one batch at new weights from
-    # the batch's own layer-0 buffer: no step builds teacher-forced inputs or
-    # copies the batch's, and every re-scoring equals a fresh teacher-forced score
+    # the batch's own layer-0 buffer and token entries: no step builds
+    # teacher-forced inputs, copies the batch's or checks its tokens again, and
+    # every re-scoring equals a fresh teacher-forced score
     cfg = quick_cfg(algo="grpo", steps=5, inner_epochs=4, seed=2)
-    updating, built, rescored = [None], [], []
-    build, rescore, update = policy.teacher_forced_inputs, baselines.score, harness._update
+    updating, built, checked, rescored = [None], [], [], []
+    build, check = policy.teacher_forced_inputs, policy._checked_tokens
+    rescore, update = baselines.rescore, harness._update
 
     def counted_build(*args):
         built.append(updating[0] is not None)
         return build(*args)
 
-    def recorded_rescore(net, inputs, tokens):
-        scored = rescore(net, inputs, tokens)
+    def counted_check(*args):
+        checked.append(updating[0] is not None)
+        return check(*args)
+
+    def recorded_rescore(net, sampled):
+        scored = rescore(net, sampled)
         batch = updating[0]
-        assert inputs is batch.scored.act_in[0] and scored.act_in[0] is inputs
-        rescored.append((net.copy(), features_of(batch), tokens.copy(), scored))
+        assert sampled is batch.scored and scored.act_in[0] is sampled.act_in[0]
+        assert scored.entries is sampled.entries
+        rescored.append((net.copy(), features_of(batch), batch.tokens.copy(), scored))
         return scored
 
     def tracked_update(cfg, net, optimizer, microbatch, *args):
@@ -1152,10 +1159,11 @@ def test_grpo_step_rescores_from_its_sampled_inputs(tmp_path, monkeypatch):
             updating[0] = None
 
     monkeypatch.setattr(policy, "teacher_forced_inputs", counted_build)
-    monkeypatch.setattr(baselines, "score", recorded_rescore)
+    monkeypatch.setattr(policy, "_checked_tokens", counted_check)
+    monkeypatch.setattr(baselines, "rescore", recorded_rescore)
     monkeypatch.setattr(harness, "_update", tracked_update)
     harness.train(cfg, tmp_path / "r")
-    assert True not in built
+    assert True not in built and True not in checked
     assert len(rescored) == cfg.steps * (cfg.inner_epochs - 1)
     monkeypatch.setattr(policy, "teacher_forced_inputs", build)
     for net, features, tokens, scored in rescored:
@@ -1169,7 +1177,7 @@ def microbatch_arrays(mb):
     """Every array of ``mb`` that an update reads, as (name, array) pairs."""
     scored = mb.scored
     pairs = [("logprobs", scored.logprobs), ("advantages", mb.advantages)]
-    pairs += [("tokens", mb.tokens)]
+    pairs += [("tokens", mb.tokens), ("entries", scored.entries)]
     pairs += [(f"act_in[{l}]", a) for l, a in enumerate(scored.act_in)]
     return pairs + [(f"grad_out[{l}]", g) for l, g in enumerate(scored.grad_out)]
 
@@ -1184,7 +1192,7 @@ def test_grpo_update_leaves_its_microbatch_unchanged(task_name):
     mb = harness.sample_microbatch(net, task, cfg, 1)
     before = [(name, a.copy()) for name, a in microbatch_arrays(mb)]
     params = net.params.copy()
-    harness._update(cfg, net, baselines.OptimizerState(), mb, None, {})
+    harness._update(cfg, net, baselines.OptimizerState(), mb, None, {}, np.empty_like(net.params))
     assert not np.array_equal(net.params, params)  # four steps were taken
     for (name, a), (_, b) in zip(microbatch_arrays(mb), before, strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

@@ -91,3 +91,23 @@ def test_degenerate_count_passthrough(small_net, small_task, microbatch):
         0, RunConfig(), small_net, ref, small_task, microbatch, (norms, flags), kl_u(small_task)
     )
     assert row["degenerate_sequences"] == 3
+
+
+def test_step_zero_kl_samples_nothing(small_net, small_task, microbatch, monkeypatch):
+    # at step 0 the row's table is the reference itself, so its KL is 0.0
+    # without sampling; a later row still samples its KL
+    def refuse(*args):
+        raise AssertionError("step 0 sampled its KL")
+
+    monkeypatch.setattr(metrics, "kl_from_reference", refuse)
+    row, _ = row_for(microbatch, small_net, small_task)
+    assert row["kl_from_init"] == 0.0 and not np.signbit(row["kl_from_init"])
+    calls = []
+    monkeypatch.setattr(metrics, "kl_from_reference", lambda *args: calls.append(args) or 0.5)
+    positions = overlap(microbatch, 16, stream(0, "ms"))
+    fisher_norms = isopo.sequence_fisher_norms(microbatch.scored, positions)
+    ref = metrics.reference_table(small_net, small_task)
+    u = kl_u(small_task)
+    row = metrics.collect(5, RunConfig(), small_net, ref, small_task, microbatch, fisher_norms, u)
+    assert row["kl_from_init"] == 0.5
+    assert len(calls) == 1 and calls[0][1] is ref and calls[0][2] is u

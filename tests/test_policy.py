@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -516,6 +517,21 @@ def test_score_rejects_bad_tokens(small_net, small_task):
         policy.sample_and_score(small_net, np.repeat(features, 2, axis=0), np.zeros((3, 2)))
 
 
+def test_rescore_reads_the_batch_entries(small_net, microbatch):
+    # rescore scores a scored batch at other weights from its layer-0 inputs
+    # and checked token entries, which it shares, with the bits of ``score``
+    net = small_net.copy()
+    net.params += 0.2 * stream(11, "drift").standard_normal(net.param_count)
+    scored = microbatch.scored
+    vocab = small_net.vocab_size
+    assert np.array_equal(scored.entries, policy._token_entries(microbatch.tokens, vocab))
+    rescored = policy.rescore(net, scored)
+    assert rescored.act_in[0] is scored.act_in[0] and rescored.entries is scored.entries
+    assert_scored_equal(rescored, policy.score(net, scored.act_in[0], microbatch.tokens), rel=0)
+    with pytest.raises(ContractViolation, match="no token entries"):
+        policy.rescore(net, replace(scored, entries=None))
+
+
 def kl(net, ref, prompts, n_samples, rng):
     """The MC KL of ``net`` from ``ref`` over ``prompts``, from their two tables
     and ``n_samples`` rows of ``rng``'s uniforms."""
@@ -779,7 +795,8 @@ def test_weights_stay_views_of_params(tmp_path, small_net):
     for kind in ("sgd", "adamw"):
         cfg = RunConfig(optimizer=kind, lr=0.1)
         state = baselines.OptimizerState()
-        baselines.optimizer_step(cfg, state, net, [np.ones_like(w) for w in net.weights])
+        ones = net.flatten([np.ones_like(w) for w in net.weights])
+        baselines.optimizer_step(cfg, state, net, ones)
         assert net.params is params
         assert_weights_view_params(net)
     assert np.allclose(net.params, small_net.params - 0.2, rtol=0.0, atol=1e-8)

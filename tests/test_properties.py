@@ -4,6 +4,7 @@ estimators and config I/O."""
 from __future__ import annotations
 
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -279,3 +280,96 @@ def test_reg2_without_regularization_skips_the_ema_term_bit_for_bit(xs, v):
         got = isopo._reg2(x, (0, "fisher_sq"), RunConfig(reg_strength=0.0), ema)
         want = np.sqrt(np.maximum(x * x + 0.0 * v, isopo.RESCALE_FLOOR))
     assert got.tobytes() == want.tobytes()
+
+
+# NaN of both signs, infinities, signed zeros and subnormals
+ROW_MAX_SPECIALS = np.array(
+    [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]
+)
+
+
+def assert_row_max_agrees(logits):
+    """``_normalize``'s max equals the reduction along the last axis bit for
+    bit, except the sign of a zero max that a row holds with both signs, or
+    of a NaN max; e, its sum and the log softmax of every row without a NaN
+    are the bits that the last-axis max gives."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        m, e, total = policy._normalize(logits)
+        want = np.maximum.reduce(logits, axis=-1, keepdims=True)
+        want_e = np.exp(logits - want)
+        want_total = np.add.reduce(want_e, axis=-1, keepdims=True)
+        log_softmax = logits - m - np.log(total)
+        want_log_softmax = logits - want - np.log(want_total)
+    nan = np.isnan(want)
+    zeros = logits == 0.0
+    negative = np.any(zeros & np.signbit(logits), axis=-1, keepdims=True)
+    positive = np.any(zeros & ~np.signbit(logits), axis=-1, keepdims=True)
+    both_zeros = (want == 0.0) & negative & positive
+    assert np.array_equal(np.isnan(m), nan) and np.all(m[both_zeros] == 0.0)
+    exact = ~nan & ~both_zeros
+    assert m[exact].tobytes() == want[exact].tobytes()
+    rows = ~nan[..., 0]
+    for got, expected in [(e, want_e), (total, want_total), (log_softmax, want_log_softmax)]:
+        assert got[rows].tobytes() == expected[rows].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    vocab=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+)
+def test_row_max_is_the_last_axis_reduction(lead, vocab, seed, density):
+    # logits of every scale, subnormals included, with a share replaced by NaN,
+    # infinities, signed zeros and subnormals
+    rng = np.random.default_rng(seed)
+    shape = (*lead, vocab)
+    logits = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    special = rng.random(shape) < density
+    logits[special] = rng.choice(ROW_MAX_SPECIALS, np.count_nonzero(special))
+    assert_row_max_agrees(logits)
+
+
+def test_row_max_of_rows_with_both_zeros():
+    # the rows whose max is a zero held with both signs, where the sign of the
+    # max may depend on the order of the reduction
+    row = [-0.0, -5e-324, 0.0, -np.inf, 0.0, -0.0, 0.0, -0.0, -1.0]
+    assert_row_max_agrees(np.array([row, row[::-1]]))
+    assert_row_max_agrees(np.array([[0.0, -0.0], [-0.0, 0.0]]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    group=st.integers(0, 1),
+    shift=st.floats(0.25, 4.0) | st.floats(-4.0, -0.25),
+    normalize_std=st.booleans(),
+)
+def test_group_mean_baseline(seed, group, shift, normalize_std):
+    # each group's advantages sum to zero, and a constant added to one group's
+    # rewards leaves the REINFORCE gradient as it was: every sequence's
+    # advantage is measured from its own group's mean reward
+    prompts = [TASK.train_prompts[(seed + 5 * g) % len(TASK.train_prompts)] for g in range(2)]
+    u = stream(seed, "baseline").random((N_SEQ, TASK.seq_len))
+
+    def offset_rewards(batch_prompts, tokens):
+        lifted = np.array([p is prompts[group] for p in batch_prompts])
+        return TASK.rewards(batch_prompts, tokens) + shift * lifted
+
+    mb = tasks.build_microbatch(NET, TASK, prompts, u, normalize_std)
+    offset = SimpleNamespace(rewards=offset_rewards)
+    shifted = tasks.build_microbatch(NET, offset, prompts, u, normalize_std)
+    assert not np.array_equal(shifted.rewards, mb.rewards)
+    for batch in (mb, shifted):
+        adv = batch.advantages
+        scale = max(1.0, float(np.max(np.abs(adv))), float(np.max(np.abs(batch.rewards))))
+        assert np.all(np.abs(adv.reshape(2, -1).sum(axis=1)) <= 1e-12 * scale)
+    for got, want, g, a in zip(
+        baselines.reinforce_grad(shifted),
+        baselines.reinforce_grad(mb),
+        mb.scored.grad_out,
+        mb.scored.act_in,
+    ):
+        bound = policy.grad_sum(np.abs(g), np.abs(a), np.abs(mb.advantages) + 1.0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(bound)

@@ -1,4 +1,4 @@
-"""Print one digest line per training run of a fixed set of 108 runs, then
+"""Print one digest line per training run of a fixed set of 110 runs, then
 one line per self-check suite.
 
 Usage, with no flags, from any directory:
@@ -24,7 +24,9 @@ same bytes of that file on every run of the set:
   ``exact_match_reward = true``, seed 0, 60 steps, a row every 7;
 - each algorithm on seqtask with SGD at lr 0.03, and isopo-int and
   generalized isopo-ni with ``ema_decay = 0.5``, seed 0, 60 steps, a row
-  every 7.
+  every 7;
+- GRPO on seqtask with ``inner_epochs = 1`` and ``inner_epochs = 8``, seed 0,
+  60 steps, a row every 7.
 
 After the run lines comes one line per self-check suite at seeds 0-2, at
 each seed those of ``gradcheck`` and then of ``oracle-check``: its label
@@ -59,6 +61,7 @@ SEQTASK_SWITCHES = {
 }
 SGD = "optimizer = sgd\nlr = 0.03\n"
 EMA_DECAY = {"isopo-int": "algo = isopo-int\n", "isopo-ni-qr-reg": GENERALIZED}
+INNER_EPOCHS = (1, 8)
 OUTPUTS = ("metrics.csv", "checkpoint.txt", "config.txt", "ABORTED")
 
 
@@ -98,6 +101,10 @@ def run_set() -> list[tuple[str, str]]:
     runs += [
         (f"{name}/seqtask/ema-decay0.5", lines + "ema_decay = 0.5\n" + seqtask)
         for name, lines in EMA_DECAY.items()
+    ]
+    runs += [
+        (f"grpo/seqtask/inner-epochs{n}", f"algo = grpo\ninner_epochs = {n}\n" + seqtask)
+        for n in INNER_EPOCHS
     ]
     return runs
 
