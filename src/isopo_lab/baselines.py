@@ -14,14 +14,15 @@ views ``PolicyNet.split`` of one flat gradient, a gradient writes there.
 
 Both optimizers descend, theta <- theta - lr * g, elementwise over the
 policy's flat ``params`` and one flat gradient, computing into buffers that
-``OptimizerState`` owns. ``optimizer_step`` checks the gradient and then
-the updated weights for finiteness before it writes the weights or swaps the
-new moments in, so a failing step leaves the weights, moments and step
-count as they were, and an aborted run keeps its last finite weights.
+``OptimizerState`` owns. ``optimizer_step`` checks the gradient, the updated
+weights and AdamW's second moment for finiteness before it writes the
+weights or swaps the moments in, so a failing step leaves weights, moments
+and step count as they were, and an aborted run keeps its last finite weights.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,9 +109,10 @@ def optimizer_step(
     config's ``optimizer`` and ``lr``, for ``grad`` in the layout of ``net.params``.
 
     AdamW uses the standard bias-corrected moment estimates (weight decay
-    zero). Raises NonFiniteGradientError if the gradient contains NaN or
-    infinities, and NonFiniteWeightError if an updated weight would be NaN
-    or infinite; either way before touching any weight or the state.
+    zero). Raises NonFiniteGradientError for a NaN or infinite gradient or
+    second moment (an inf one would make every later update 0), and
+    NonFiniteWeightError for a NaN or infinite updated weight; either way
+    before touching any weight or the state.
     """
     if np.shape(grad) != net.params.shape:
         raise ContractViolation(f"gradient shape {np.shape(grad)} != params {net.params.shape}")
@@ -118,7 +120,7 @@ def optimizer_step(
         state.scratch = [np.empty_like(net.params) for _ in range(4)]
     m, v, tmp, updated = state.scratch
     t = state.step_count + 1
-    # an overflow shows as a non-finite updated weight, which the check reports
+    # an overflow shows as a non-finite updated weight or second moment, which a check reports
     with np.errstate(over="ignore", invalid="ignore"):
         _check_finite(net, grad, NonFiniteGradientError, "gradient")
         if cfg.optimizer == "sgd":
@@ -137,6 +139,8 @@ def optimizer_step(
             step = np.multiply(cfg.lr, np.divide(m, bc1, out=tmp), out=tmp)
             np.subtract(net.params, np.divide(step, denominator, out=tmp), out=updated)
         _check_finite(net, updated, NonFiniteWeightError, "updated weight")
+        if cfg.optimizer == "adamw":
+            _check_finite(net, v, NonFiniteGradientError, "second moment")
     state.step_count = t
     if cfg.optimizer == "adamw":
         if state.exp_avg is None:
@@ -150,7 +154,7 @@ def optimizer_step(
 def _check_finite(net: PolicyNet, flat: np.ndarray, error, what: str) -> None:
     """``error`` naming the first layer of ``flat`` (in the layout of
     ``net.params``) that holds a NaN or an infinity, and how many."""
-    if np.isfinite(flat.sum()):  # a NaN or an infinity makes the sum NaN or infinite
+    if math.isfinite(flat.sum()):  # a NaN or an infinity makes the sum NaN or infinite
         return
     for l, layer in enumerate(net.split(flat)):
         bad = int(np.count_nonzero(~np.isfinite(layer)))

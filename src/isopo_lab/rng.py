@@ -7,13 +7,16 @@ how much randomness any other part of the run consumed; this makes runs
 byte-reproducible and algorithm swaps sampling-identical.
 
 ``stream`` builds one generator and is the reference. ``uniforms`` derives
-the keys of many labels at once, doing numpy's ``SeedSequence`` mixing on
-arrays (``_stream_keys``), and runs Philox4x64-10 (Salmon et al., "Parallel
-Random Numbers: As Easy as 1, 2, 3", SC 2011) on them, so row i of
-``uniforms(seed, labels, n)`` equals ``stream(seed, labels[i]).random(n)``
-bit for bit. ``draws`` serves a draw that needs numpy's own algorithm
-(``choice``, ``permutation``): ``draws(seed, [(label, draw)])[0]`` equals
-``draw(stream(seed, label))``.
+the keys of many labels at once (``_stream_keys``) and runs Philox4x64-10
+(Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011) on
+them, so row i of ``uniforms(seed, labels, n)`` equals
+``stream(seed, labels[i]).random(n)`` bit for bit. The keys are numpy's
+``SeedSequence`` mixing done on one fixed-shape array, except for a label
+with a SHA-256 word below 2**32 (about one in 2**30): numpy mixes such a
+word as one uint32, not two, so numpy's own ``SeedSequence`` keys that row
+and the array code keeps one shape. ``draws`` serves a draw that needs
+numpy's own algorithm (``choice``, ``permutation``):
+``draws(seed, [(label, draw)])[0]`` equals ``draw(stream(seed, label))``.
 """
 
 from __future__ import annotations
@@ -52,9 +55,8 @@ def stream(seed: int, label: str) -> np.random.Generator:
 
 def _stream_keys(seed: int, labels) -> np.ndarray:
     """Philox keys (len(labels), 2): row i is the key of ``stream(seed, labels[i])``."""
-    labels = list(labels)
     digests = b"".join(hashlib.sha256(label.encode("utf-8")).digest() for label in labels)
-    return _entropy_keys(seed, np.frombuffer(digests, dtype="<u8").reshape(len(labels), 4))
+    return _entropy_keys(seed, np.frombuffer(digests, dtype="<u8").reshape(-1, 4))
 
 
 def uniforms(seed: int, labels, n: int) -> np.ndarray:
@@ -69,7 +71,8 @@ def draws(seed: int, requests) -> list:
     Each draw gets this call's one generator with its Philox state set to
     what ``stream(seed, label)`` starts from: the label's key, a zero counter
     and an empty buffer. A draw must return what it drew and not keep the
-    generator, which the next request re-keys.
+    generator, which the next request re-keys: that gives the bits of a
+    fresh ``Generator(Philox(key=key))`` per request in about half the time.
     """
     requests = list(requests)
     keys = _stream_keys(seed, [label for label, _ in requests])
@@ -89,43 +92,26 @@ def draws(seed: int, requests) -> list:
     return results
 
 
-def _uint32_words(value: int) -> list[int]:
-    """numpy's coercion of one non-negative entropy int: 32-bit words, low first."""
-    if value < 0:
-        raise ValueError(f"entropy must be non-negative, got {value}")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
 def _entropy_keys(seed: int, words) -> np.ndarray:
     """Philox keys (rows, 2) of ``SeedSequence([seed, *words[i]])`` per row i.
 
-    ``words`` is a (rows, k) array of 64-bit entropy words. numpy coerces a
-    word below 2**32 to one uint32 and a larger one to two, so rows are
-    grouped by which of their words need two and each group is mixed as one
-    (rows, length) array.
+    ``words`` is a (rows, k) array of 64-bit words. numpy coerces an entropy
+    int to uint32 words, low first: two for a word of ``words`` unless it is
+    below 2**32. ``_seed_key`` mixes every row in the two-per-word form. A
+    SHA-256 row has a shorter word with probability about k * 2**-32, too
+    rarely to earn a second array shape, so such a row is re-keyed by numpy's
+    own ``SeedSequence``: the derivation ``stream`` runs.
     """
-    words = np.asarray(words, dtype=np.uint64)
-    seed_words = np.array(_uint32_words(int(seed)), dtype=np.uint32)
-    low, high = words & np.uint64(_MASK32), words >> np.uint64(32)
-    # columns lo0, hi0, lo1, hi1, ...: each word's uint32 halves, low first
-    halves = np.stack([low, high], axis=-1).astype(np.uint32)
-    halves = halves.reshape(len(words), 2 * words.shape[1])
-    pattern = (high != 0) @ (1 << np.arange(words.shape[1]))
-    keys = np.empty((len(words), 2), dtype=np.uint64)
-    # a set, not np.unique, which would import numpy.ma (about 1 MB) into every run
-    for code in set(pattern.tolist()):
-        rows = np.flatnonzero(pattern == code)
-        cols = [2 * j + h for j in range(words.shape[1]) for h in (0, 1)[: 1 + (code >> j & 1)]]
-        entropy = np.concatenate(
-            [np.broadcast_to(seed_words, (len(rows), len(seed_words))), halves[rows][:, cols]],
-            axis=1,
-        )
-        keys[rows] = _seed_key(entropy)
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"entropy must be non-negative, got {seed}")
+    n_seed = (seed.bit_length() + 31) // 32 or 1  # seed 0 is one word
+    seed_words = np.frombuffer(seed.to_bytes(4 * n_seed, "little"), "<u4")
+    words = np.asarray(words, dtype="<u8")
+    halves = words.view("<u4")  # columns lo0, hi0, lo1, hi1, ...
+    keys = _seed_key(np.concatenate([np.tile(seed_words, (len(words), 1)), halves], axis=1))
+    for i in np.flatnonzero((halves[:, 1::2] == 0).any(axis=1)):
+        keys[i] = np.random.SeedSequence([seed, *words[i].tolist()]).generate_state(2, np.uint64)
     return keys
 
 
@@ -149,7 +135,7 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _seed_key(entropy: np.ndarray) -> np.ndarray:
-    """Philox keys (rows, 2) of SeedSequence(entropy rows of uint32).
+    """Philox keys (rows, 2) of SeedSequence(entropy rows of 4 or more uint32 words).
 
     The hash constants advance the same way for every row, so they stay
     Python ints, and the pool is one (4, rows) array: each source word is
@@ -157,9 +143,7 @@ def _seed_key(entropy: np.ndarray) -> np.ndarray:
     fourth for all four pool words at once.
     """
     rows, length = entropy.shape
-    pool = np.zeros((_POOL_SIZE, rows), dtype=np.uint32)
-    pool[: min(length, _POOL_SIZE)] = entropy[:, :_POOL_SIZE].T
-    pool, const = _hashmix(pool, _INIT_A)
+    pool, const = _hashmix(entropy[:, :_POOL_SIZE].T, _INIT_A)
     for src in range(_POOL_SIZE):
         dst = [d for d in range(_POOL_SIZE) if d != src]
         mixed, const = _hashmix(np.broadcast_to(pool[src], (len(dst), rows)), const)

@@ -6,6 +6,7 @@ imported. The scan matches by name, so it catches code whose last caller
 outside the tests is gone; an entry of ``ALLOWED`` keeps such code on purpose,
 with the reason. An entry of ``PERFBENCH_ONLY`` names code that only
 ``perfbench/`` reads, which can go once the benchmark stops reading it.
+The package's modules also stay within a line budget.
 """
 
 from __future__ import annotations
@@ -82,3 +83,8 @@ def test_every_perfbench_only_name_is_read_by_perfbench_alone():
     for key in PERFBENCH_ONLY:
         assert key in defined, key
         assert defined[key] not in in_src and defined[key] in in_perfbench, key
+
+
+def test_package_stays_within_the_line_budget():
+    lines = sum(len(path.read_bytes().splitlines()) for path in PACKAGE.glob("*.py"))
+    assert lines <= 3000, f"src/isopo_lab/*.py is {lines} lines, over the 3000-line budget"

@@ -236,6 +236,24 @@ def test_step_to_nonfinite_weights_names_the_layer_and_mutates_nothing(kind):
     assert state.step_count == 1
 
 
+def test_adamw_second_moment_overflow_aborts_and_mutates_nothing():
+    # g**2 overflows for g above about 4e155: v would be inf, every later
+    # update m / sqrt(v) of that weight 0, and the run would go on frozen
+    cfg = RunConfig(optimizer="adamw", lr=0.1)
+    net = policy.PolicyNet([np.zeros((2, 1))], vocab_size=2, context_dim=0)
+    state = baselines.OptimizerState()
+    with pytest.raises(NonFiniteGradientError, match="layer 0 second moment has 2 non-finite"):
+        baselines.optimizer_step(cfg, state, net, np.full(2, 1e160))
+    assert np.array_equal(net.params, [0.0, 0.0])
+    assert state.step_count == 0 and state.exp_avg is None and state.exp_avg_sq is None
+    fresh, fresh_state = policy.PolicyNet([np.zeros((2, 1))], 2, 0), baselines.OptimizerState()
+    for _ in range(2):
+        baselines.optimizer_step(cfg, state, net, np.ones(2))
+        baselines.optimizer_step(cfg, fresh_state, fresh, np.ones(2))
+    assert net.params.tobytes() == fresh.params.tobytes()
+    assert np.all(net.params < -0.19)
+
+
 def test_zero_grad_no_weight_decay_is_noop():
     net = policy.PolicyNet([np.full((2, 3), 0.7)], vocab_size=2, context_dim=2)
     cfg = RunConfig(optimizer="adamw", lr=0.5)

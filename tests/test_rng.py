@@ -60,6 +60,21 @@ def test_entropy_words_below_two_to_the_32():
         assert np.array_equal(_philox_random(_entropy_keys(seed, words), 6), np.stack(expected))
 
 
+# a word below 2**32 (0 included) is one uint32 to numpy, a larger one two
+WORDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**70),
+    rows=st.lists(st.lists(WORDS, min_size=4, max_size=4), max_size=8),
+)
+def test_entropy_keys_match_seed_sequence_property(seed, rows):
+    words = np.array(rows, dtype=np.uint64).reshape(len(rows), 4)
+    expected = [np.random.SeedSequence([seed, *row]).generate_state(2, np.uint64) for row in rows]
+    assert np.array_equal(_entropy_keys(seed, words), np.reshape(expected, (len(rows), 2)))
+
+
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         uniforms(-1, ["x"], 2)
