@@ -128,16 +128,18 @@ def run_gradcheck(seed: int = 0) -> list[SuiteResult]:
             errors.append(abs(norms[b, l] - slow) / max(slow, 1e-12))
     results.append(verdict("rank-one-equivalence", errors, 1e-10))
 
-    # 5. factor-form NTK-preconditioned update vs flattened dense solve
+    # 5. factor-form NTK-preconditioned update, every layer in training's one
+    # stacked solve, vs flattened dense solves
     errors = []
     adv = microbatch.advantages
-    for l, seq_grads in enumerate(scored.seq_grads):
-        jac = seq_grads.reshape(len(seq_grads), -1)
-        c = 0.1 * float(np.mean(np.sum(jac * jac, axis=1))) + 1e-6
-        update = isopo.interacting_update(scored.grad_out[l], scored.act_in[l], adv, c)
-        dense = jac.T @ np.linalg.solve(jac @ jac.T + c * np.eye(len(seq_grads)), adv)
+    jacs = [seq_grads.reshape(len(seq_grads), -1) for seq_grads in scored.seq_grads]
+    cs = [0.1 * float(np.mean(np.sum(jac * jac, axis=1))) + 1e-6 for jac in jacs]
+    factors = list(zip(scored.grad_out, scored.act_in))
+    weights = isopo.ntk_weights([isopo.build_ntk(g, a)[0] for g, a in factors], adv, cs)
+    for jac, (g, a), w, c in zip(jacs, factors, weights, cs):
+        dense = jac.T @ np.linalg.solve(jac @ jac.T + c * np.eye(len(jac)), adv)
         scale = max(float(np.linalg.norm(dense)), 1e-12)
-        errors.append(float(np.linalg.norm(update.ravel() - dense)) / scale)
+        errors.append(float(np.linalg.norm(policy.grad_sum(g, a, w).ravel() - dense)) / scale)
     results.append(verdict("ntk-dense-equivalence", errors, 1e-9))
 
     return results
@@ -204,11 +206,11 @@ def npg_directional_trial(seed: int):
     damping = 1e-6 * np.trace(fisher) / len(fisher)
     npg = oracle.exact_npg(fisher, vanilla, damping)
 
-    pieces = []
-    for g, a, sq_norms in zip(scored.grad_out, scored.act_in, scored.sq_norms):
-        c = max(isopo.mean_ntk_eigenvalue(sq_norms), 1e-12)
-        pieces.append(isopo.interacting_update(g, a, advantages, c))
-    preconditioned = net.flatten(pieces)
+    factors = list(zip(scored.grad_out, scored.act_in))
+    grams, sq_norms = zip(*[isopo.build_ntk(g, a) for g, a in factors])
+    cs = [max(isopo.mean_ntk_eigenvalue(sq), 1e-12) for sq in sq_norms]
+    weights = isopo.ntk_weights(grams, advantages, cs)
+    preconditioned = net.flatten([policy.grad_sum(g, a, w) for (g, a), w in zip(factors, weights)])
 
     def cosine(a, b):
         return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))

@@ -209,7 +209,7 @@ def _update(cfg, net, optimizer, microbatch, fisher_norms, ema, grad) -> None:
         elif cfg.algo == "isopo-ni":
             isopo.noninteracting_update(microbatch, fisher_norms()[0], cfg, ema, out)
         else:
-            isopo.interacting_microbatch_update(microbatch, cfg, ema, out)
+            isopo.interacting_update(microbatch, cfg, ema, out)
         baselines.optimizer_step(cfg, optimizer, net, np.negative(grad, out=grad))
 
 
@@ -247,7 +247,8 @@ def train(cfg: RunConfig, out_dir=None) -> RunResult:
         for step, drawn in plan.items():
             microbatch = sample_microbatch(net, task, cfg, step, plan)
             # estimated on first read, by isopo-ni's update or the row; an
-            # update leaves its microbatch as it was sampled
+            # update changes no array of its microbatch (isopo-int's fills
+            # the Scored.sq_norms cache)
             fisher_norms = functools.cache(
                 functools.partial(isopo.sequence_fisher_norms, microbatch.scored, drawn.overlap)
             )

@@ -27,11 +27,13 @@ Interacting variant
 -------------------
 Per layer, the update is sum_i [(K + c I)^-1 A]_i V_i: the advantages A are
 preconditioned by the layer's empirical neural tangent kernel
-K_ij = <V_i, V_j>, Tikhonov-regularized by c, and solved by Cholesky. A
-system that is not finite or not positive definite raises
-SingularMatrixError, which aborts the run. Each layer's c is reg_factor
-times the EMA over steps of the mean NTK eigenvalue trace(K) / m =
-mean_i |V_i|^2 (``Scored.sq_norms``).
+K_ij = <V_i, V_j>, Tikhonov-regularized by c, and solved by Cholesky. Each
+layer forms one product of all its positions' factors, which gives both K
+and every |V_i|^2 (``build_ntk``); the latter become ``Scored.sq_norms``.
+Each layer's c is reg_factor times the EMA over steps of the mean NTK
+eigenvalue trace(K) / m = mean_i |V_i|^2. All layers' systems are solved as
+one stack (``ntk_weights``); one that is not finite or not positive definite
+raises SingularMatrixError, which aborts the run.
 
 EMA
 ---
@@ -49,7 +51,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ContractViolation, SingularMatrixError
-from .policy import Scored, grad_projections, grad_sum
+from .policy import Scored, block_sq_norms, grad_projections, grad_sum
 from .tasks import Microbatch
 
 RESCALE_FLOOR = 1e-8
@@ -219,50 +221,73 @@ def _as_factors(grad_out, act_in) -> tuple[np.ndarray, np.ndarray]:
     return grad_out, act_in
 
 
-def build_ntk(grad_out, act_in) -> np.ndarray:
-    """Gram matrix K_ij = <V_i, V_j> of one layer's sequence gradients, from their
-    factors grad_out (m, T, out) and act_in (m, T, in + 1).
+def build_ntk(grad_out, act_in) -> tuple[np.ndarray, np.ndarray]:
+    """One layer's NTK, the Gram matrix K_ij = <V_i, V_j> of its sequence
+    gradients, and every |V_i|^2, from their factors grad_out (m, T, out) and
+    act_in (m, T, in + 1) through one position product.
 
-    K is the block sum over positions (t, s) of (G G^T) * (A A^T), with G and
-    A stacking the factors of all m T positions; it is symmetrized exactly,
-    since block sums in different orders round differently.
+    With G and A stacking the factors of all m T positions, block (i, j) of
+    P = (G G^T) * (A A^T) holds (g_it . g_js)(a_it . a_js). K sums each block
+    over t and then, in order, over s, and is symmetrized exactly, since block
+    sums in different orders round differently. |V_i|^2 is
+    ``policy.block_sq_norms`` of the diagonal blocks.
     """
     grad_out, act_in = _as_factors(grad_out, act_in)
     m, seq_len = grad_out.shape[:2]
-    # (m, m T): the projections of every V_i onto the factors of every position
-    blocks = grad_projections(
-        grad_out, act_in, grad_out.reshape(m * seq_len, -1), act_in.reshape(m * seq_len, -1)
-    )
-    gram = blocks.reshape(m, m, seq_len).sum(axis=2)
-    return 0.5 * (gram + gram.T)
+    g = grad_out.reshape(m * seq_len, -1)
+    a = act_in.reshape(m * seq_len, -1)
+    # each second operand a transposed view of the first: numpy's syrk
+    prod = g @ g.T
+    prod *= a @ a.T
+    blocks = prod.reshape(m, seq_len, m, seq_len)
+    diag = np.arange(m)
+    sq_norms = block_sq_norms(blocks[diag, :, diag, :])
+    per_s = np.add.reduce(blocks, axis=1)  # (m, m, T)
+    # numpy's order for a last axis shorter than 8, without its per-entry loop
+    gram = per_s[..., 0].copy()
+    for s in range(1, seq_len):
+        gram += per_s[..., s]
+    return 0.5 * (gram + gram.T), sq_norms
 
 
-def interacting_update(grad_out, act_in, advantages, c: float, out=None) -> np.ndarray:
-    """NTK-preconditioned microbatch update sum_i [(K + cI)^-1 A]_i V_i of one
-    layer, from the factors of its sequence gradients (see ``build_ntk``),
-    written into ``out`` if given.
+def ntk_weights(grams, advantages, cs) -> np.ndarray:
+    """The weights (K_l + c_l I)^-1 A (L, m) of L layers' NTKs ``grams``, each
+    with its Tikhonov constant ``cs[l]``.
 
-    Raises ContractViolation for c < 0 or advantages that are not one per
-    sequence, and SingularMatrixError when K + cI is not finite or not
-    numerically positive definite.
+    The L systems are one (L, m, m) stack: one finiteness test, one Cholesky
+    and two solves, each bit for bit the per-layer call. Raises
+    ContractViolation for a c < 0 or advantages that are not one per
+    sequence, and SingularMatrixError naming the c of the first layer whose
+    K + cI is not finite or not numerically positive definite.
     """
-    if c < 0:
-        raise ContractViolation(f"regularization must be nonnegative, got {c}")
-    gram = build_ntk(grad_out, act_in)
-    m = len(gram)
+    systems = np.stack(grams)
+    n_layers, m = systems.shape[:2]
+    cs = np.asarray(cs, dtype=float)
+    if np.any(cs < 0):
+        raise ContractViolation(f"regularization must be nonnegative, got {cs}")
     advantages = np.asarray(advantages, dtype=float)
     if advantages.shape != (m,):
         raise ContractViolation(f"{m} sequences but advantages of shape {advantages.shape}")
-    system = gram + c * np.eye(m)
-    # numpy's cholesky passes NaN through without raising
-    if not np.all(np.isfinite(system)):
-        raise SingularMatrixError(f"K + cI with c = {c:.3e} is not finite")
+    diag = np.arange(m)
+    systems[:, diag, diag] += cs[:, None]
     try:
-        chol = np.linalg.cholesky(system)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"K + cI with c = {c:.3e} is not positive definite") from exc
-    weights = np.linalg.solve(chol.T, np.linalg.solve(chol, advantages))
-    return grad_sum(grad_out, act_in, weights, out)
+        # numpy's cholesky passes NaN through without raising
+        if not np.all(np.isfinite(systems)):
+            raise np.linalg.LinAlgError
+        chol = np.linalg.cholesky(systems)
+    except np.linalg.LinAlgError:
+        for system, c in zip(systems, cs):
+            if not np.all(np.isfinite(system)):
+                raise SingularMatrixError(f"K + cI with c = {c:.3e} is not finite") from None
+            try:
+                np.linalg.cholesky(system)
+            except np.linalg.LinAlgError as exc:
+                raise SingularMatrixError(
+                    f"K + cI with c = {c:.3e} is not positive definite"
+                ) from exc
+        raise
+    rhs = np.broadcast_to(advantages[:, None], (n_layers, m, 1))
+    return np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, rhs))[..., 0]
 
 
 def mean_ntk_eigenvalue(sq_norms) -> float:
@@ -270,17 +295,24 @@ def mean_ntk_eigenvalue(sq_norms) -> float:
     return float(np.add.reduce(sq_norms) / len(sq_norms))  # np.mean, bit for bit
 
 
-def interacting_microbatch_update(
+def interacting_update(
     microbatch: Microbatch, cfg: RunConfig, ema: dict, out=None
 ) -> list[np.ndarray]:
-    """Every layer's ``interacting_update`` with c = reg_factor times the EMA
-    over steps of the layer's mean NTK eigenvalue mean_i |V_i|^2
-    (``Scored.sq_norms``), written into the per-layer arrays ``out`` if given."""
-    advantages = microbatch.advantages
+    """NTK-preconditioned update sum_i [(K + cI)^-1 A]_i V_i of every layer,
+    written into the per-layer arrays ``out`` if given.
+
+    Each layer's ``build_ntk`` gives K and the |V_i|^2, which become the
+    microbatch's ``Scored.sq_norms``, so its row reads the bits c read. c is
+    reg_factor times the EMA over steps of the layer's mean NTK eigenvalue
+    mean_i |V_i|^2, and ``ntk_weights`` solves every layer's system at once.
+    """
     scored = microbatch.scored
-    grads = []
-    for l, (sq_norms, o) in enumerate(zip(scored.sq_norms, out or [None] * len(scored.act_in))):
-        mean_eig = mean_ntk_eigenvalue(sq_norms)
-        c = cfg.reg_factor * ema_update(ema, (l, "ntk_mean_eig"), mean_eig, cfg.ema_decay)
-        grads.append(interacting_update(scored.grad_out[l], scored.act_in[l], advantages, c, o))
-    return grads
+    grams, sq_norms = zip(*map(build_ntk, scored.grad_out, scored.act_in))
+    scored.sq_norms = list(sq_norms)
+    cs = [
+        cfg.reg_factor * ema_update(ema, (l, "ntk_mean_eig"), mean_eig, cfg.ema_decay)
+        for l, mean_eig in enumerate(map(mean_ntk_eigenvalue, sq_norms))
+    ]
+    weights = ntk_weights(grams, microbatch.advantages, cs)
+    layers = zip(scored.grad_out, scored.act_in, weights, out or [None] * len(grams))
+    return [grad_sum(g, a, w, o) for g, a, w, o in layers]

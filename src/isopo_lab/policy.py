@@ -42,12 +42,14 @@ times the augmented layer input. ``score`` returns the factors grad_out[l]
     |V_b|^2            = sum_{t,s} (g_bt . g_bs)(a_bt . a_bs)    (``grad_sq_norms``)
     g_j . V_b a_j      = sum_t (g_j . g_bt)(a_bt . a_j)          (``grad_projections``)
     sum_b w_b V_b      = G^T diag(w (x) 1_T) A                   (``grad_sum``)
-    <V_i, V_j>         = sum_s g_js . V_i a_js                   (``isopo.build_ntk``)
+    <V_i, V_j>         = sum_{t,s} (g_it . g_js)(a_it . a_js)    (``isopo.build_ntk``)
 
 where G and A stack the factors of all B T positions; ``Scored.seq_grads``
-materializes the V_b as the checks' reference. The backward's matmuls stay
-batched per sequence, (B, T, .) by (., .): one flat (B T)-row gemm sums in
-another blocking, which moves bandit's metrics.
+materializes the V_b as the checks' reference. ``block_sq_norms`` owns the
+reduction of |V_b|^2, so the NTK's diagonal blocks give the same bits
+wherever their syrk rounds each block as the per-sequence one does. The
+backward's matmuls stay batched per sequence, (B, T, .) by (., .): one flat
+(B T)-row gemm sums in another blocking, which moves bandit's metrics.
 
 A checkpoint is text: every weight as the 16 hex digits of its IEEE-754
 binary64 bit pattern, one line per weight row.
@@ -143,9 +145,12 @@ class Scored:
     gradient of the sequence's log-probability with respect to the layer's
     pre-activation there; the gradient of ``logprobs[b]`` with respect to
     layer l is V_b = sum_t outer(grad_out[l][b, t], act_in[l][b, t]).
-    ``sq_norms`` caches every |V_b|^2 on first use, so the factor arrays are
-    not to be changed after it is read. ``entries`` are the checked tokens'
-    ``_token_entries``, from which ``rescore`` scores the batch at other weights.
+    ``sq_norms`` caches every |V_b|^2, so the factor arrays are not to be
+    changed after it is read: ``grad_sq_norms`` gives them on first read,
+    unless isopo-int's update first stored those of its NTKs' diagonal
+    blocks (``isopo.build_ntk``), which it computes anyway. ``entries`` are
+    the checked tokens' ``_token_entries``, from which ``rescore`` scores the
+    batch at other weights.
     """
 
     logprobs: np.ndarray  # (B,)
@@ -173,7 +178,13 @@ def grad_sq_norms(grad_out: np.ndarray, act_in: np.ndarray) -> np.ndarray:
     # each second operand a transposed view of the first: numpy's batched syrk
     gg = grad_out @ grad_out.swapaxes(1, 2)
     gg *= act_in @ act_in.swapaxes(1, 2)
-    return np.maximum(np.add.reduce(gg, axis=(1, 2)), 0.0)
+    return block_sq_norms(gg)
+
+
+def block_sq_norms(blocks: np.ndarray) -> np.ndarray:
+    """|V_b|^2 (B,) from each sequence's (T, T) block of position products
+    (g_bt . g_bs)(a_bt . a_bs), a C-contiguous (B, T, T) array, clamped at 0."""
+    return np.maximum(np.add.reduce(blocks, axis=(1, 2)), 0.0)
 
 
 def grad_projections(

@@ -21,6 +21,7 @@ numpy's own algorithm (``choice``, ``permutation``):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -115,18 +116,39 @@ def _entropy_keys(seed: int, words) -> np.ndarray:
     return keys
 
 
-def _hashmix(value: np.ndarray, const: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
-    """SeedSequence's hash of uint32 words: ``value[j]`` (one word per row) is
-    hashed with the j-th of ``len(value)`` successive hash constants. Returns
-    the hashes and the next constant."""
+def _hash_constants(n: int, const: int, mult: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``n`` successive SeedSequence hash constants from ``const``: the xor
+    and multiplier of each as (n, 1) uint32 columns, and the next constant."""
     xors, mults = [], []
-    for _ in range(len(value)):
+    for _ in range(n):
         xors.append(const)
         const = (const * mult) & _MASK32
         mults.append(const)
-    value = value ^ np.array(xors, dtype=np.uint32)[:, None]
-    value = value * np.array(mults, dtype=np.uint32)[:, None]
-    return value ^ (value >> np.uint32(16)), const
+    columns = [np.array(c, dtype=np.uint32)[:, None] for c in (xors, mults)]
+    return columns[0], columns[1], const
+
+
+@functools.cache
+def _hash_schedule(length: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The (xors, mults) columns of every hash ``_seed_key`` runs on entropy
+    of ``length`` words, in its order: the 4 pool words, then each pool
+    word's 3 destinations, then each later word's 4 pool words, and last the
+    4 output words. The constants advance the same way for every row and
+    every call, so each length's schedule is made once."""
+    schedule, const = [], _INIT_A
+    for n in [_POOL_SIZE] + [_POOL_SIZE - 1] * _POOL_SIZE + [_POOL_SIZE] * (length - _POOL_SIZE):
+        xors, mults, const = _hash_constants(n, const, _MULT_A)
+        schedule.append((xors, mults))
+    return (*schedule, _hash_constants(_POOL_SIZE, _INIT_B, _MULT_B)[:2])
+
+
+def _hashmix(value: np.ndarray, constants: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """SeedSequence's hash of uint32 words: ``value`` (words, rows), or one
+    row that numpy broadcasts, with the j-th word hashed by the j-th of the
+    (xors, mults) ``constants``."""
+    xors, mults = constants
+    value = (value ^ xors) * mults
+    return value ^ (value >> np.uint32(16))
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -137,22 +159,19 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _seed_key(entropy: np.ndarray) -> np.ndarray:
     """Philox keys (rows, 2) of SeedSequence(entropy rows of 4 or more uint32 words).
 
-    The hash constants advance the same way for every row, so they stay
-    Python ints, and the pool is one (4, rows) array: each source word is
-    hashed for all its destinations at once, and each entropy word past the
-    fourth for all four pool words at once.
+    The pool is one (4, rows) array: each source word is hashed for all its
+    destinations at once, and each entropy word past the fourth for all four
+    pool words at once, with the constants of ``_hash_schedule``.
     """
-    rows, length = entropy.shape
-    pool, const = _hashmix(entropy[:, :_POOL_SIZE].T, _INIT_A)
-    for src in range(_POOL_SIZE):
+    first, *spread, last = _hash_schedule(entropy.shape[1])
+    pool = _hashmix(entropy[:, :_POOL_SIZE].T, first)
+    for src, constants in enumerate(spread[:_POOL_SIZE]):
         dst = [d for d in range(_POOL_SIZE) if d != src]
-        mixed, const = _hashmix(np.broadcast_to(pool[src], (len(dst), rows)), const)
-        pool[dst] = _mix(pool[dst], mixed)
-    for src in range(_POOL_SIZE, length):
-        mixed, const = _hashmix(np.broadcast_to(entropy[:, src], pool.shape), const)
-        pool = _mix(pool, mixed)
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+    for src, constants in enumerate(spread[_POOL_SIZE:], _POOL_SIZE):
+        pool = _mix(pool, _hashmix(entropy[:, src], constants))
     # generate_state(2, uint64): four uint32 words read in pairs, low word first
-    state = _hashmix(pool, _INIT_B, _MULT_B)[0].astype(np.uint64)
+    state = _hashmix(pool, last).astype(np.uint64)
     return (state[0::2] | state[1::2] << np.uint64(32)).T
 
 

@@ -73,6 +73,14 @@ def as_factors(jac):
     return np.swapaxes(jac, 1, 2), np.broadcast_to(np.eye(cols), (m, cols, cols))
 
 
+def ntk_update(grad_out, act_in, advantages, c):
+    """One layer's NTK-preconditioned update sum_i [(K + cI)^-1 A]_i V_i at a
+    given c, through training's stacked solve of a one-layer stack."""
+    gram, _ = isopo.build_ntk(grad_out, act_in)
+    (weights,) = isopo.ntk_weights([gram], advantages, [c])
+    return policy.grad_sum(grad_out, act_in, weights)
+
+
 def scale_grad_out(mb, s):
     """Copy of ``mb`` with every position's backpropagated factor scaled by ``s``;
     keeps the rank-one structure (the sequence gradients are re-contracted)."""

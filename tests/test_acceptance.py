@@ -32,7 +32,7 @@ from isopo_lab import baselines, checks, harness, isopo, oracle, policy, tasks
 from isopo_lab.config import RunConfig
 from isopo_lab.rng import stream, uniforms
 
-from conftest import overlap, sampled_mats
+from conftest import ntk_update, overlap, sampled_mats
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -118,9 +118,7 @@ def test_criterion_03_interacting_update_equivalence():
         dense = jac.T @ np.linalg.solve(
             jac @ jac.T + c * np.eye(len(seq_grads)), advantages
         )
-        update = isopo.interacting_update(
-            mb.scored.grad_out[l][rows], mb.scored.act_in[l][rows], advantages, c
-        )
+        update = ntk_update(mb.scored.grad_out[l][rows], mb.scored.act_in[l][rows], advantages, c)
         errors.append(
             float(np.linalg.norm(update.ravel() - dense))
             / max(float(np.linalg.norm(dense)), 1e-12)
@@ -199,8 +197,8 @@ def test_criterion_06_definitional_degeneracies():
     scored = mb.scored
     for seq_grads, gout, act in zip(scored.seq_grads, scored.grad_out, scored.act_in):
         vanilla = sum(a * g for a, g in zip(mb.advantages, seq_grads)).ravel()
-        k_norm = float(np.linalg.norm(isopo.build_ntk(gout, act)))
-        update = isopo.interacting_update(gout, act, mb.advantages, 1e6 * k_norm).ravel()
+        k_norm = float(np.linalg.norm(isopo.build_ntk(gout, act)[0]))
+        update = ntk_update(gout, act, mb.advantages, 1e6 * k_norm).ravel()
         cos = float(
             update @ vanilla / (np.linalg.norm(update) * np.linalg.norm(vanilla))
         )
@@ -301,10 +299,8 @@ def test_nan_fails_the_criterion(monkeypatch, capsys, criterion):
     elif criterion == 5:
         monkeypatch.setattr(checks, "rescaling_minimizer_gap", lambda seed: np.nan)
     else:
-        interacting_update = isopo.interacting_update
-        monkeypatch.setattr(
-            isopo, "interacting_update", lambda *args: interacting_update(*args) * np.nan
-        )
+        ntk_weights = isopo.ntk_weights
+        monkeypatch.setattr(isopo, "ntk_weights", lambda *args: ntk_weights(*args) * np.nan)
     run = {
         1: test_criterion_01_gradient_exactness,
         3: test_criterion_03_interacting_update_equivalence,

@@ -342,7 +342,7 @@ def every_update(mb, net):
         "reinforce": lambda out=None: baselines.reinforce_grad(mb, out),
         "grpo": lambda out=None: baselines.grpo_clipped_grad(mb, shifted, 0.2, out),
         "isopo-ni": lambda out=None: isopo.noninteracting_update(mb, norms, ni_cfg, {}, out),
-        "isopo-int": lambda out=None: isopo.interacting_microbatch_update(
+        "isopo-int": lambda out=None: isopo.interacting_update(
             mb, RunConfig(reg_factor=0.5), {}, out
         ),
     }

@@ -703,7 +703,7 @@ NAN_RESULTS = {
     "reinforce-surrogate-fd": (baselines, "reinforce_grad", _nan_last_layer),
     "grpo-surrogate-fd": (baselines, "grpo_clipped_grad", _nan_last_layer),
     "rank-one-equivalence": (isopo, "sequence_fisher_norms", lambda r: (r[0] * np.nan, r[1])),
-    "ntk-dense-equivalence": (isopo, "interacting_update", lambda update: update * np.nan),
+    "ntk-dense-equivalence": (isopo, "ntk_weights", lambda weights: weights * np.nan),
 }
 
 
@@ -1005,9 +1005,38 @@ def test_ntk_column_is_mean_ntk_eigenvalue(tmp_path):
     task = harness.make_task(cfg)
     mb = harness.sample_microbatch(harness.build_policy(task, cfg.seed), task, cfg, 0)
     for l, (gout, act) in enumerate(zip(mb.scored.grad_out, mb.scored.act_in)):
-        expected = float(np.trace(isopo.build_ntk(gout, act))) / len(gout)
+        expected = float(np.trace(isopo.build_ntk(gout, act)[0])) / len(gout)
         assert row[f"l{l}_ntk_eigen_mean"] == pytest.approx(expected, rel=1e-12, abs=0)
         assert row[f"l{l}_ntk_eigen_mean"] > 0
+
+
+def test_ntk_column_reads_the_sq_norms_that_c_read(tmp_path, monkeypatch):
+    # at T = 1 the NTK's diagonal rounds |V_b|^2 otherwise than grad_sq_norms;
+    # the update stores its values as Scored.sq_norms, so step 1's row and its
+    # c (reg_factor 1 times the EMA's first mean) hold the same bits
+    cfg = quick_cfg(task="bandit", algo="isopo-int", steps=1, eval_every=1, reg_factor=1.0)
+    seen = {}
+    sample, ntk_weights = harness.sample_microbatch, isopo.ntk_weights
+
+    def tracked_sample(*args):
+        seen["batch"] = sample(*args)
+        return seen["batch"]
+
+    def tracked_weights(grams, advantages, cs):
+        seen["cs"] = list(cs)
+        return ntk_weights(grams, advantages, cs)
+
+    monkeypatch.setattr(harness, "sample_microbatch", tracked_sample)
+    monkeypatch.setattr(isopo, "ntk_weights", tracked_weights)
+    row = harness.train(cfg, tmp_path / "r").rows[1]
+    scored = seen["batch"].scored
+    for l, c in enumerate(seen["cs"]):
+        assert row[f"l{l}_ntk_eigen_mean"] == c
+    own = [
+        isopo.mean_ntk_eigenvalue(policy.grad_sq_norms(g, a))
+        for g, a in zip(scored.grad_out, scored.act_in)
+    ]
+    assert own != seen["cs"]
 
 
 def test_aborted_run_recorded_and_excluded(tmp_path, monkeypatch):

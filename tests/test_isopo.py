@@ -11,7 +11,14 @@ from isopo_lab.config import RunConfig
 from isopo_lab.errors import ContractViolation, SingularMatrixError
 from isopo_lab.rng import stream, uniforms
 
-from conftest import as_factors, make_microbatch, overlap, sampled_mats, scale_grad_out
+from conftest import (
+    as_factors,
+    make_microbatch,
+    ntk_update,
+    overlap,
+    sampled_mats,
+    scale_grad_out,
+)
 
 
 def random_factors(rng, n, out_dim, in_dim):
@@ -339,8 +346,8 @@ def test_cancelling_positions_give_finite_updates(small_net, small_task):
         upd = isopo.noninteracting_update(mb, norms, ni_cfg, {})
         assert np.all(np.isfinite(np.concatenate([g.ravel() for g in upd])))
     for gout, act in zip(mb.scored.grad_out, mb.scored.act_in):
-        c = float(np.trace(isopo.build_ntk(gout, act))) / len(gout)
-        upd = isopo.interacting_update(gout, act, mb.advantages, c)
+        c = float(np.trace(isopo.build_ntk(gout, act)[0])) / len(gout)
+        upd = ntk_update(gout, act, mb.advantages, c)
         assert np.all(np.isfinite(upd))
 
 
@@ -429,14 +436,14 @@ def test_build_ntk_orthonormal_grads():
     grads[0, 0, 0] = 1.0
     grads[1, 0, 1] = 1.0
     grads[2, 1, 2] = 1.0
-    assert np.array_equal(isopo.build_ntk(*as_factors(grads)), np.eye(3))
+    assert np.array_equal(isopo.build_ntk(*as_factors(grads))[0], np.eye(3))
 
 
 def test_build_ntk_duplicated_gradient():
     rng = np.random.default_rng(10)
     g = rng.standard_normal((3, 4))
     sq = float(np.sum(g * g))
-    gram = isopo.build_ntk(*as_factors(np.stack([g, g])))
+    gram = isopo.build_ntk(*as_factors(np.stack([g, g])))[0]
     assert np.allclose(gram, sq * np.array([[1.0, 1.0], [1.0, 1.0]]))
     assert np.allclose(np.linalg.eigvalsh(gram), [0.0, 2.0 * sq], atol=1e-12 * sq)
     # the mean eigenvalue trace(K)/m is the mean squared gradient norm
@@ -448,13 +455,29 @@ def test_build_ntk_matches_entrywise_sum(microbatch):
     # agree to rounding relative to the Cauchy-Schwarz bound sqrt(K_ii K_jj)
     scored = microbatch.scored
     for seq_grads, gout, act in zip(scored.seq_grads, scored.grad_out, scored.act_in):
-        gram = isopo.build_ntk(gout, act)
+        gram = isopo.build_ntk(gout, act)[0]
         assert np.array_equal(gram, gram.T)
         m = len(seq_grads)
         for i in range(m):
             for j in range(m):
                 ref = float(np.sum(seq_grads[i] * seq_grads[j]))
                 assert abs(gram[i, j] - ref) <= 1e-14 * np.sqrt(gram[i, i] * gram[j, j])
+
+
+@pytest.mark.parametrize("seq_len", [2, 3, 5])
+def test_build_ntk_reads_grad_sq_norms_and_numpy_block_sums_bit_for_bit(seq_len):
+    # the diagonal blocks of the position product give Scored.sq_norms' bits,
+    # and below T = 8 the in-order sum over s is numpy's own last-axis sum
+    rng = np.random.default_rng(seq_len)
+    for out_dim, in_dim in ((32, 51), (16, 32)):
+        gout = rng.standard_normal((32, seq_len, out_dim))
+        act = rng.standard_normal((32, seq_len, in_dim + 1))
+        gram, sq_norms = isopo.build_ntk(gout, act)
+        assert np.array_equal(sq_norms, policy.grad_sq_norms(gout, act))
+        flat_g, flat_a = gout.reshape(-1, out_dim), act.reshape(-1, in_dim + 1)
+        blocks = policy.grad_projections(gout, act, flat_g, flat_a).reshape(32, 32, seq_len)
+        summed = blocks.sum(axis=2)
+        assert np.array_equal(gram, 0.5 * (summed + summed.T))
 
 
 def test_build_ntk_rejects_bad_input():
@@ -467,15 +490,15 @@ def test_build_ntk_rejects_bad_input():
         with pytest.raises(ContractViolation):
             isopo.build_ntk(gout, act)
         with pytest.raises(ContractViolation):
-            isopo.interacting_update(gout, act, np.zeros(len(gout)), 0.3)
+            ntk_update(gout, act, np.zeros(len(gout)), 0.3)
 
 
 def test_interacting_rejects_bad_arguments():
     gout, act = as_factors(np.random.default_rng(5).standard_normal((3, 2, 4)))
     with pytest.raises(ContractViolation):
-        isopo.interacting_update(gout, act, np.ones(3), -1.0)
+        ntk_update(gout, act, np.ones(3), -1.0)
     with pytest.raises(ContractViolation):
-        isopo.interacting_update(gout, act, np.ones(4), 0.5)
+        ntk_update(gout, act, np.ones(4), 0.5)
 
 
 def test_interacting_numeric_failures_are_singular():
@@ -483,14 +506,59 @@ def test_interacting_numeric_failures_are_singular():
     # two equal sequence gradients: K is singular, and c = 0 leaves it so
     gout, act = as_factors(np.stack([g, g]))
     with pytest.raises(SingularMatrixError, match="not positive definite"):
-        isopo.interacting_update(gout, act, np.ones(2), 0.0)
-    assert np.all(np.isfinite(isopo.interacting_update(gout, act, np.ones(2), 0.1)))
+        ntk_update(gout, act, np.ones(2), 0.0)
+    assert np.all(np.isfinite(ntk_update(gout, act, np.ones(2), 0.1)))
     # cholesky would pass a NaN system through without raising
     gout_inf = gout.copy()
     gout_inf[0, 0, 0] = np.inf
     for factor, c in ((gout, np.nan), (gout, np.inf), (gout_inf, 0.1)):
         with np.errstate(invalid="ignore"), pytest.raises(SingularMatrixError, match="not finite"):
-            isopo.interacting_update(factor, act, np.ones(2), c)
+            ntk_update(factor, act, np.ones(2), c)
+
+
+def layer_stack(rng, m=6, n_layers=3):
+    """NTKs (n_layers, m, m) of random gradients, positive definite at any c >= 0."""
+    jac = rng.standard_normal((n_layers, m, 2 * m))
+    return jac @ jac.swapaxes(1, 2)
+
+
+def test_stacked_solve_equals_per_layer_cholesky_and_solves(microbatch):
+    # each layer with its own c; the stack's one cholesky and two solves give
+    # the per-layer calls' bits
+    rng = np.random.default_rng(12)
+    scored = microbatch.scored
+    stacks = [
+        [isopo.build_ntk(g, a)[0] for g, a in zip(scored.grad_out, scored.act_in)],
+        list(layer_stack(rng, m=len(microbatch.advantages))),
+    ]
+    for grams in stacks:
+        cs = [0.05 * (l + 1) * float(np.trace(k)) / len(k) for l, k in enumerate(grams)]
+        adv = microbatch.advantages
+        weights = isopo.ntk_weights(grams, adv, cs)
+        for gram, c, w in zip(grams, cs, weights, strict=True):
+            chol = np.linalg.cholesky(gram + c * np.eye(len(gram)))
+            assert np.array_equal(w, np.linalg.solve(chol.T, np.linalg.solve(chol, adv)))
+
+
+def test_stacked_solve_names_the_c_of_the_first_failing_layer():
+    rng = np.random.default_rng(13)
+    cs = [0.5, 0.25, 0.125]
+    nan_layer = layer_stack(rng)
+    nan_layer[1, 2, 3] = np.nan
+    singular = layer_stack(rng)
+    singular[1] = np.ones((6, 6))  # rank one, and c = 0 leaves it so
+    cases = [
+        (nan_layer, cs, "K + cI with c = 2.500e-01 is not finite"),
+        (singular, [0.5, 0.0, 0.125], "K + cI with c = 0.000e+00 is not positive definite"),
+    ]
+    # a failing layer before a non-finite one is the one named, as layer by layer
+    both = singular.copy()
+    both[2, 0, 0] = np.inf
+    cases.append((both, [0.5, 0.0, 0.125], "K + cI with c = 0.000e+00 is not positive definite"))
+    for grams, c, message in cases:
+        with np.errstate(invalid="ignore"), pytest.raises(SingularMatrixError) as err:
+            isopo.ntk_weights(grams, np.ones(6), c)
+        assert str(err.value) == message
 
 
 def test_interacting_single_sequence():
@@ -498,7 +566,7 @@ def test_interacting_single_sequence():
     g = rng.standard_normal((2, 5))
     sq = float(np.sum(g * g))
     a1, c = 0.8, 0.3
-    upd = isopo.interacting_update(*as_factors(g[None]), np.array([a1]), c)
+    upd = ntk_update(*as_factors(g[None]), np.array([a1]), c)
     assert np.allclose(upd, a1 / (sq + c) * g, rtol=1e-12)
 
 
@@ -508,7 +576,7 @@ def test_interacting_orthonormal_grads_diagonal():
         grads[i, r, c] = 1.0
     adv = np.array([1.0, -2.0, 0.5, 3.0])
     c = 0.7
-    upd = isopo.interacting_update(*as_factors(grads), adv, c)
+    upd = ntk_update(*as_factors(grads), adv, c)
     expected = sum(a / (1.0 + c) * g for a, g in zip(adv, grads))
     assert np.allclose(upd, expected, rtol=1e-12)
 
@@ -519,7 +587,7 @@ def test_interacting_matches_flattened_dense_oracle(microbatch):
     for seq_grads, gout, act in zip(scored.seq_grads, scored.grad_out, scored.act_in):
         jac = seq_grads.reshape(len(seq_grads), -1)
         c = 0.05 * float(np.trace(jac @ jac.T)) / len(seq_grads) + 1e-9
-        upd = isopo.interacting_update(gout, act, adv, c)
+        upd = ntk_update(gout, act, adv, c)
         dense = jac.T @ np.linalg.solve(jac @ jac.T + c * np.eye(len(seq_grads)), adv)
         assert np.linalg.norm(upd.ravel() - dense) <= 1e-9 * np.linalg.norm(dense)
 
@@ -529,24 +597,24 @@ def test_interacting_large_c_approaches_vanilla(microbatch):
     scored = microbatch.scored
     seq_grads = scored.seq_grads[0]
     vanilla = sum(a * g for a, g in zip(adv, seq_grads)).ravel()
-    k_norm = float(np.linalg.norm(isopo.build_ntk(scored.grad_out[0], scored.act_in[0])))
-    upd = isopo.interacting_update(scored.grad_out[0], scored.act_in[0], adv, 1e6 * k_norm)
+    k_norm = float(np.linalg.norm(isopo.build_ntk(scored.grad_out[0], scored.act_in[0])[0]))
+    upd = ntk_update(scored.grad_out[0], scored.act_in[0], adv, 1e6 * k_norm)
     upd = upd.ravel()
     cos = upd @ vanilla / (np.linalg.norm(upd) * np.linalg.norm(vanilla))
     assert math.acos(min(cos, 1.0)) < 1e-3
 
 
-def test_interacting_microbatch_update_sets_c_from_ntk_trace(microbatch):
+def test_interacting_update_sets_c_from_ntk_trace(microbatch):
     # c = reg_factor * EMA of trace(K) / m; a second step on the same batch
     # blends the EMA with an equal mean, so c stays put up to rounding
     ema = {}
     for _ in range(2):
-        upd = isopo.interacting_microbatch_update(microbatch, RunConfig(reg_factor=0.5), ema)
+        upd = isopo.interacting_update(microbatch, RunConfig(reg_factor=0.5), ema)
     scored = microbatch.scored
     for l, (g, a) in enumerate(zip(scored.grad_out, scored.act_in)):
-        mean_eig = float(np.trace(isopo.build_ntk(g, a))) / len(g)
+        mean_eig = float(np.trace(isopo.build_ntk(g, a)[0])) / len(g)
         assert ema[(l, "ntk_mean_eig")] == pytest.approx(mean_eig, rel=1e-12)
-        expected = isopo.interacting_update(g, a, microbatch.advantages, 0.5 * mean_eig)
+        expected = ntk_update(g, a, microbatch.advantages, 0.5 * mean_eig)
         assert np.allclose(upd[l], expected, rtol=1e-9, atol=1e-15)
 
 
@@ -558,16 +626,14 @@ def test_interacting_c_is_reg_factor_times_the_ema_of_mean_eigenvalues(small_net
     d, ema, expected_ema = cfg.ema_decay, {}, {}
     for seed in (1, 2, 3, 4):
         mb = make_microbatch(small_net, small_task, seed=seed)
-        upd = isopo.interacting_microbatch_update(mb, cfg, ema)
+        upd = isopo.interacting_update(mb, cfg, ema)
         scored = mb.scored
         for l, sq_norms in enumerate(scored.sq_norms):
             own = float(np.mean(sq_norms))
             # the EMA adopts the first mean, then blends in each next one
             expected_ema[l] = d * expected_ema[l] + (1 - d) * own if l in expected_ema else own
             c = cfg.reg_factor * expected_ema[l]
-            expected = isopo.interacting_update(
-                scored.grad_out[l], scored.act_in[l], mb.advantages, c
-            )
+            expected = ntk_update(scored.grad_out[l], scored.act_in[l], mb.advantages, c)
             assert np.allclose(upd[l], expected, rtol=1e-9, atol=1e-15)
 
 

@@ -23,7 +23,7 @@ from isopo_lab.config import (
 from isopo_lab.errors import ConfigError
 from isopo_lab.rng import stream
 
-from conftest import make_microbatch, overlap, sampled_mats
+from conftest import make_microbatch, ntk_update, overlap, sampled_mats
 
 TASK = tasks.SeqAdditionTask(modulus=5, seq_len=2)
 NET = policy.init_policy(
@@ -51,8 +51,8 @@ def assert_close(a, b):
 def int_update(mb):
     grads = []
     for gout, act in zip(mb.scored.grad_out, mb.scored.act_in):
-        c = float(np.trace(isopo.build_ntk(gout, act))) / len(gout)
-        grads.append(isopo.interacting_update(gout, act, mb.advantages, c))
+        c = float(np.trace(isopo.build_ntk(gout, act)[0])) / len(gout)
+        grads.append(ntk_update(gout, act, mb.advantages, c))
     return grads
 
 
@@ -130,7 +130,7 @@ def test_factor_identities_match_materialized_gradients(factors):
 
     # NTK entries, against the Cauchy-Schwarz scale of the summed terms
     flat = seq_grads.reshape(len(seq_grads), -1)
-    gram = isopo.build_ntk(grad_out, act_in)
+    gram = isopo.build_ntk(grad_out, act_in)[0]
     assert np.array_equal(gram, gram.T)
     assert np.all(np.abs(gram - flat @ flat.T) <= 1e-14 * np.outer(scale, scale))
 

@@ -20,7 +20,7 @@ def load_tool(name: str):
 def test_output_digests_repeat_for_one_run(tmp_path):
     tool = load_tool("output_digests")
     labels = [label for label, _ in tool.run_set()]
-    assert len(labels) == len(set(labels)) == 110
+    assert len(labels) == len(set(labels)) == 112
     text = "algo = isopo-ni\nsteps = 2\neval_every = 1\ngroup_size = 4\ngroups_per_microbatch = 2\n"
     first = tool.digest_line("smoke", text, tmp_path / "a")
     assert first == tool.digest_line("smoke", text, tmp_path / "b")

@@ -1,4 +1,4 @@
-"""Print one digest line per training run of a fixed set of 110 runs, then
+"""Print one digest line per training run of a fixed set of 112 runs, then
 one line per self-check suite.
 
 Usage, with no flags, from any directory:
@@ -26,7 +26,10 @@ same bytes of that file on every run of the set:
   generalized isopo-ni with ``ema_decay = 0.5``, seed 0, 60 steps, a row
   every 7;
 - GRPO on seqtask with ``inner_epochs = 1`` and ``inner_epochs = 8``, seed 0,
-  60 steps, a row every 7.
+  60 steps, a row every 7;
+- isopo-int and isopo-ni on seqtask at ``seq_len = 12``, seed 0, 60 steps, a
+  row every 7: from T = 8 on, numpy sums a length-T axis pairwise, not in
+  order, so a change of summation order over positions shows here first.
 
 After the run lines comes one line per self-check suite at seeds 0-2, at
 each seed those of ``gradcheck`` and then of ``oracle-check``: its label
@@ -62,6 +65,7 @@ SEQTASK_SWITCHES = {
 SGD = "optimizer = sgd\nlr = 0.03\n"
 EMA_DECAY = {"isopo-int": "algo = isopo-int\n", "isopo-ni-qr-reg": GENERALIZED}
 INNER_EPOCHS = (1, 8)
+LONG = ("isopo-int", "isopo-ni")
 OUTPUTS = ("metrics.csv", "checkpoint.txt", "config.txt", "ABORTED")
 
 
@@ -106,6 +110,7 @@ def run_set() -> list[tuple[str, str]]:
         (f"grpo/seqtask/inner-epochs{n}", f"algo = grpo\ninner_epochs = {n}\n" + seqtask)
         for n in INNER_EPOCHS
     ]
+    runs += [(f"{algo}/seqtask/seq-len12", f"algo = {algo}\nseq_len = 12\n" + seqtask) for algo in LONG]
     return runs
 
 
