@@ -134,9 +134,8 @@ def run_gradcheck(seed: int = 0) -> list[SuiteResult]:
     adv = microbatch.advantages
     jacs = [seq_grads.reshape(len(seq_grads), -1) for seq_grads in scored.seq_grads]
     cs = [0.1 * float(np.mean(np.sum(jac * jac, axis=1))) + 1e-6 for jac in jacs]
-    factors = list(zip(scored.grad_out, scored.act_in))
-    weights = isopo.ntk_weights([isopo.build_ntk(g, a)[0] for g, a in factors], adv, cs)
-    for jac, (g, a), w, c in zip(jacs, factors, weights, cs):
+    weights = isopo.ntk_weights(isopo.build_ntk(scored.grad_out, scored.act_in)[0], adv, cs)
+    for jac, g, a, w, c in zip(jacs, scored.grad_out, scored.act_in, weights, cs):
         dense = jac.T @ np.linalg.solve(jac @ jac.T + c * np.eye(len(jac)), adv)
         scale = max(float(np.linalg.norm(dense)), 1e-12)
         errors.append(float(np.linalg.norm(policy.grad_sum(g, a, w).ravel() - dense)) / scale)
@@ -206,11 +205,11 @@ def npg_directional_trial(seed: int):
     damping = 1e-6 * np.trace(fisher) / len(fisher)
     npg = oracle.exact_npg(fisher, vanilla, damping)
 
-    factors = list(zip(scored.grad_out, scored.act_in))
-    grams, sq_norms = zip(*[isopo.build_ntk(g, a) for g, a in factors])
+    grams, sq_norms = isopo.build_ntk(scored.grad_out, scored.act_in)
     cs = [max(isopo.mean_ntk_eigenvalue(sq), 1e-12) for sq in sq_norms]
     weights = isopo.ntk_weights(grams, advantages, cs)
-    preconditioned = net.flatten([policy.grad_sum(g, a, w) for (g, a), w in zip(factors, weights)])
+    layers = zip(scored.grad_out, scored.act_in, weights)
+    preconditioned = net.flatten([policy.grad_sum(g, a, w) for g, a, w in layers])
 
     def cosine(a, b):
         return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))

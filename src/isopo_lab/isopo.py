@@ -9,8 +9,11 @@ random sample of the microbatch's per-position rank-one gradient factors
 
     F_norm(V) = sqrt( sum_j (g_j . V a_j)^2 ) / sqrt( sum_j (|g_j| |a_j|)^2 )
 
-The denominator removes the overall scale of the samples. The rescaling
-multiplies V by
+With F^ = (1/n) sum_j vec(g_j a_j^T) vec(g_j a_j^T)^T the empirical Fisher
+of the n samples, the numerator is sqrt(n v^T F^ v) for v = vec(V) and the
+denominator sqrt(n tr F^), so the estimate is sqrt(v^T F^ v / tr F^) per
+layer: V's length in the sampled Fisher metric, relative to that metric's
+mean scale. The rescaling multiplies V by
 
     reg2(F_norm)^p * reg2(|V|)^q * reg2(F_norm / |V|)^r
 
@@ -27,13 +30,16 @@ Interacting variant
 -------------------
 Per layer, the update is sum_i [(K + c I)^-1 A]_i V_i: the advantages A are
 preconditioned by the layer's empirical neural tangent kernel
-K_ij = <V_i, V_j>, Tikhonov-regularized by c, and solved by Cholesky. Each
-layer forms one product of all its positions' factors, which gives both K
-and every |V_i|^2 (``build_ntk``); the latter become ``Scored.sq_norms``.
-Each layer's c is reg_factor times the EMA over steps of the mean NTK
-eigenvalue trace(K) / m = mean_i |V_i|^2. All layers' systems are solved as
-one stack (``ntk_weights``); one that is not finite or not positive definite
-raises SingularMatrixError, which aborts the run.
+K_ij = <V_i, V_j>, Tikhonov-regularized by c. The layers are one stack end
+to end. ``build_ntk`` writes each layer's product of all its positions'
+factors into one (L, mT, mT) array, and reduces the whole stack to every
+layer's K and |V_i|^2; the latter become ``Scored.sq_norms``. Each layer's
+c is reg_factor times the EMA over steps of the mean NTK eigenvalue
+trace(K) / m = mean_i |V_i|^2. ``ntk_weights`` adds c to the stack's
+diagonals; one Cholesky of the stack checks that every K + cI is positive
+definite, and one LU solve gives every layer's weights. A system that is
+not finite or not positive definite raises SingularMatrixError, which
+aborts the run.
 
 EMA
 ---
@@ -209,58 +215,70 @@ def noninteracting_update(
     return grads
 
 
-def _as_factors(grad_out, act_in) -> tuple[np.ndarray, np.ndarray]:
-    grad_out = np.asarray(grad_out, dtype=float)
-    act_in = np.asarray(act_in, dtype=float)
-    if (grad_out.ndim, act_in.ndim) != (3, 3) or act_in.shape[:2] != grad_out.shape[:2]:
-        raise ContractViolation(
-            f"need factors (m, T, out) and (m, T, in + 1), got {grad_out.shape} and {act_in.shape}"
-        )
-    if not len(grad_out):
+def _as_factors(grad_outs, act_ins) -> list[tuple[np.ndarray, np.ndarray]]:
+    if len(grad_outs) != len(act_ins) or not len(grad_outs):
+        raise ContractViolation(f"need 1 or more layers, got {len(grad_outs)} and {len(act_ins)}")
+    factors = [(np.asarray(g, float), np.asarray(a, float)) for g, a in zip(grad_outs, act_ins)]
+    m_t = factors[0][0].shape[:2]
+    for g, a in factors:
+        if (g.ndim, a.ndim) != (3, 3) or not g.shape[:2] == a.shape[:2] == m_t:
+            raise ContractViolation(
+                "need factors (m, T, out) and (m, T, in + 1), one (m, T) in every layer, "
+                f"got {g.shape} and {a.shape}"
+            )
+    if not m_t[0]:
         raise ContractViolation("need at least one sequence")
-    return grad_out, act_in
+    return factors
 
 
-def build_ntk(grad_out, act_in) -> tuple[np.ndarray, np.ndarray]:
-    """One layer's NTK, the Gram matrix K_ij = <V_i, V_j> of its sequence
-    gradients, and every |V_i|^2, from their factors grad_out (m, T, out) and
-    act_in (m, T, in + 1) through one position product.
+def build_ntk(grad_outs, act_ins) -> tuple[np.ndarray, np.ndarray]:
+    """Every layer's NTK, the Gram matrix K_ij = <V_i, V_j> of its sequence
+    gradients, and every |V_i|^2, as stacks K (L, m, m) and |V|^2 (L, m),
+    from the L layers' factors grad_outs[l] (m, T, out_l) and act_ins[l]
+    (m, T, in_l + 1), which share m and T.
 
-    With G and A stacking the factors of all m T positions, block (i, j) of
-    P = (G G^T) * (A A^T) holds (g_it . g_js)(a_it . a_js). K sums each block
-    over t and then, in order, over s, and is symmetrized exactly, since block
+    With G and A stacking a layer's factors of all m T positions, block
+    (i, j) of its position product P = (G G^T) * (A A^T) holds
+    (g_it . g_js)(a_it . a_js). The L products form one (L, mT, mT) array,
+    and everything after them runs once on the stack: K sums each block over
+    t and then, in order, over s, and is symmetrized exactly, since block
     sums in different orders round differently. |V_i|^2 is
     ``policy.block_sq_norms`` of the diagonal blocks.
     """
-    grad_out, act_in = _as_factors(grad_out, act_in)
-    m, seq_len = grad_out.shape[:2]
-    g = grad_out.reshape(m * seq_len, -1)
-    a = act_in.reshape(m * seq_len, -1)
-    # each second operand a transposed view of the first: numpy's syrk
-    prod = g @ g.T
-    prod *= a @ a.T
-    blocks = prod.reshape(m, seq_len, m, seq_len)
+    factors = _as_factors(grad_outs, act_ins)
+    m, seq_len = factors[0][0].shape[:2]
+    prod = np.empty((len(factors), m * seq_len, m * seq_len))
+    for layer_prod, (grad_out, act_in) in zip(prod, factors):
+        g = grad_out.reshape(m * seq_len, -1)
+        a = act_in.reshape(m * seq_len, -1)
+        # each second operand a transposed view of the first: numpy's syrk
+        np.matmul(g, g.T, out=layer_prod)
+        layer_prod *= a @ a.T
+    blocks = prod.reshape(-1, m, seq_len, m, seq_len)
     diag = np.arange(m)
-    sq_norms = block_sq_norms(blocks[diag, :, diag, :])
-    per_s = np.add.reduce(blocks, axis=1)  # (m, m, T)
+    sq_norms = block_sq_norms(blocks.transpose(0, 1, 3, 2, 4)[:, diag, diag])
+    per_s = np.add.reduce(blocks, axis=2)  # (L, m, m, T)
     # numpy's order for a last axis shorter than 8, without its per-entry loop
     gram = per_s[..., 0].copy()
     for s in range(1, seq_len):
         gram += per_s[..., s]
-    return 0.5 * (gram + gram.T), sq_norms
+    return 0.5 * (gram + gram.swapaxes(1, 2)), sq_norms
 
 
 def ntk_weights(grams, advantages, cs) -> np.ndarray:
-    """The weights (K_l + c_l I)^-1 A (L, m) of L layers' NTKs ``grams``, each
-    with its Tikhonov constant ``cs[l]``.
+    """The weights (K_l + c_l I)^-1 A (L, m) of the L layers' NTKs ``grams``
+    (L, m, m), each with its Tikhonov constant ``cs[l]``. A C-contiguous
+    float array ``grams`` is overwritten with the systems K_l + c_l I.
 
-    The L systems are one (L, m, m) stack: one finiteness test, one Cholesky
-    and two solves, each bit for bit the per-layer call. Raises
-    ContractViolation for a c < 0 or advantages that are not one per
-    sequence, and SingularMatrixError naming the c of the first layer whose
-    K + cI is not finite or not numerically positive definite.
+    The L systems are solved as one stack. One finiteness test and one
+    Cholesky check that every system is positive definite; one LU solve of
+    the stack then gives every layer's weights, bit for bit the per-layer
+    ``np.linalg.solve``. Raises ContractViolation for a c < 0 or advantages
+    that are not one per sequence, and SingularMatrixError naming the c of
+    the first layer whose K + cI is not finite or not numerically positive
+    definite.
     """
-    systems = np.stack(grams)
+    systems = np.ascontiguousarray(grams, dtype=float)
     n_layers, m = systems.shape[:2]
     cs = np.asarray(cs, dtype=float)
     if np.any(cs < 0):
@@ -268,13 +286,13 @@ def ntk_weights(grams, advantages, cs) -> np.ndarray:
     advantages = np.asarray(advantages, dtype=float)
     if advantages.shape != (m,):
         raise ContractViolation(f"{m} sequences but advantages of shape {advantages.shape}")
-    diag = np.arange(m)
-    systems[:, diag, diag] += cs[:, None]
+    # a strided view of every layer's diagonal
+    systems.reshape(n_layers, m * m)[:, :: m + 1] += cs[:, None]
     try:
         # numpy's cholesky passes NaN through without raising
         if not np.all(np.isfinite(systems)):
             raise np.linalg.LinAlgError
-        chol = np.linalg.cholesky(systems)
+        np.linalg.cholesky(systems)
     except np.linalg.LinAlgError:
         for system, c in zip(systems, cs):
             if not np.all(np.isfinite(system)):
@@ -287,7 +305,7 @@ def ntk_weights(grams, advantages, cs) -> np.ndarray:
                 ) from exc
         raise
     rhs = np.broadcast_to(advantages[:, None], (n_layers, m, 1))
-    return np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, rhs))[..., 0]
+    return np.linalg.solve(systems, rhs)[..., 0]
 
 
 def mean_ntk_eigenvalue(sq_norms) -> float:
@@ -301,13 +319,13 @@ def interacting_update(
     """NTK-preconditioned update sum_i [(K + cI)^-1 A]_i V_i of every layer,
     written into the per-layer arrays ``out`` if given.
 
-    Each layer's ``build_ntk`` gives K and the |V_i|^2, which become the
-    microbatch's ``Scored.sq_norms``, so its row reads the bits c read. c is
+    One ``build_ntk`` gives every layer's K and |V_i|^2; the latter become
+    the microbatch's ``Scored.sq_norms``, so its row reads the bits c read. c is
     reg_factor times the EMA over steps of the layer's mean NTK eigenvalue
     mean_i |V_i|^2, and ``ntk_weights`` solves every layer's system at once.
     """
     scored = microbatch.scored
-    grams, sq_norms = zip(*map(build_ntk, scored.grad_out, scored.act_in))
+    grams, sq_norms = build_ntk(scored.grad_out, scored.act_in)
     scored.sq_norms = list(sq_norms)
     cs = [
         cfg.reg_factor * ema_update(ema, (l, "ntk_mean_eig"), mean_eig, cfg.ema_decay)

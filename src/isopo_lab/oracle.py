@@ -7,8 +7,8 @@ oracles exist to test the stochastic estimators and layer-wise preconditioned
 updates against, and are shipped in the library (not in the test tree) so the
 CLI can expose them as a self-check.
 
-Dense solves in this module go through numpy's LAPACK LU solve, a route
-independent of the Cholesky solve that training uses.
+Dense solves in this module go through numpy's LAPACK LU solve of each dense
+system, a route independent of training's stacked NTK build and solve.
 """
 
 from __future__ import annotations

@@ -182,9 +182,9 @@ def grad_sq_norms(grad_out: np.ndarray, act_in: np.ndarray) -> np.ndarray:
 
 
 def block_sq_norms(blocks: np.ndarray) -> np.ndarray:
-    """|V_b|^2 (B,) from each sequence's (T, T) block of position products
-    (g_bt . g_bs)(a_bt . a_bs), a C-contiguous (B, T, T) array, clamped at 0."""
-    return np.maximum(np.add.reduce(blocks, axis=(1, 2)), 0.0)
+    """|V_b|^2 (..., B) from each sequence's (T, T) block of position products
+    (g_bt . g_bs)(a_bt . a_bs), a C-contiguous (..., B, T, T) array, clamped at 0."""
+    return np.maximum(np.add.reduce(blocks, axis=(-2, -1)), 0.0)
 
 
 def grad_projections(

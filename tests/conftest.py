@@ -76,8 +76,8 @@ def as_factors(jac):
 def ntk_update(grad_out, act_in, advantages, c):
     """One layer's NTK-preconditioned update sum_i [(K + cI)^-1 A]_i V_i at a
     given c, through training's stacked solve of a one-layer stack."""
-    gram, _ = isopo.build_ntk(grad_out, act_in)
-    (weights,) = isopo.ntk_weights([gram], advantages, [c])
+    grams, _ = isopo.build_ntk([grad_out], [act_in])
+    (weights,) = isopo.ntk_weights(grams, advantages, [c])
     return policy.grad_sum(grad_out, act_in, weights)
 
 

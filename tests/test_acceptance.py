@@ -197,7 +197,7 @@ def test_criterion_06_definitional_degeneracies():
     scored = mb.scored
     for seq_grads, gout, act in zip(scored.seq_grads, scored.grad_out, scored.act_in):
         vanilla = sum(a * g for a, g in zip(mb.advantages, seq_grads)).ravel()
-        k_norm = float(np.linalg.norm(isopo.build_ntk(gout, act)[0]))
+        k_norm = float(np.linalg.norm(isopo.build_ntk([gout], [act])[0]))
         update = ntk_update(gout, act, mb.advantages, 1e6 * k_norm).ravel()
         cos = float(
             update @ vanilla / (np.linalg.norm(update) * np.linalg.norm(vanilla))

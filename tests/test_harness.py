@@ -1004,8 +1004,9 @@ def test_ntk_column_is_mean_ntk_eigenvalue(tmp_path):
     row = harness.read_metrics_csv(res.csv_path)[0]
     task = harness.make_task(cfg)
     mb = harness.sample_microbatch(harness.build_policy(task, cfg.seed), task, cfg, 0)
-    for l, (gout, act) in enumerate(zip(mb.scored.grad_out, mb.scored.act_in)):
-        expected = float(np.trace(isopo.build_ntk(gout, act)[0])) / len(gout)
+    grams = isopo.build_ntk(mb.scored.grad_out, mb.scored.act_in)[0]
+    for l, gram in enumerate(grams):
+        expected = float(np.trace(gram)) / len(gram)
         assert row[f"l{l}_ntk_eigen_mean"] == pytest.approx(expected, rel=1e-12, abs=0)
         assert row[f"l{l}_ntk_eigen_mean"] > 0
 

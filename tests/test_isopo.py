@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from isopo_lab import baselines, checks, isopo, metrics, oracle, policy, tasks
+from isopo_lab import baselines, checks, harness, isopo, metrics, oracle, policy, tasks
 from isopo_lab.config import RunConfig
 from isopo_lab.errors import ContractViolation, SingularMatrixError
 from isopo_lab.rng import stream, uniforms
@@ -345,8 +345,9 @@ def test_cancelling_positions_give_finite_updates(small_net, small_task):
     for ni_cfg in (RunConfig(p=-1.0), RunConfig(p=-1.0, q=0.5, r=-2.0)):
         upd = isopo.noninteracting_update(mb, norms, ni_cfg, {})
         assert np.all(np.isfinite(np.concatenate([g.ravel() for g in upd])))
-    for gout, act in zip(mb.scored.grad_out, mb.scored.act_in):
-        c = float(np.trace(isopo.build_ntk(gout, act)[0])) / len(gout)
+    grams = isopo.build_ntk(mb.scored.grad_out, mb.scored.act_in)[0]
+    for gout, act, gram in zip(mb.scored.grad_out, mb.scored.act_in, grams):
+        c = float(np.trace(gram)) / len(gout)
         upd = ntk_update(gout, act, mb.advantages, c)
         assert np.all(np.isfinite(upd))
 
@@ -436,14 +437,16 @@ def test_build_ntk_orthonormal_grads():
     grads[0, 0, 0] = 1.0
     grads[1, 0, 1] = 1.0
     grads[2, 1, 2] = 1.0
-    assert np.array_equal(isopo.build_ntk(*as_factors(grads))[0], np.eye(3))
+    gout, act = as_factors(grads)
+    assert np.array_equal(isopo.build_ntk([gout], [act])[0], np.eye(3)[None])
 
 
 def test_build_ntk_duplicated_gradient():
     rng = np.random.default_rng(10)
     g = rng.standard_normal((3, 4))
     sq = float(np.sum(g * g))
-    gram = isopo.build_ntk(*as_factors(np.stack([g, g])))[0]
+    gout, act = as_factors(np.stack([g, g]))
+    (gram,) = isopo.build_ntk([gout], [act])[0]
     assert np.allclose(gram, sq * np.array([[1.0, 1.0], [1.0, 1.0]]))
     assert np.allclose(np.linalg.eigvalsh(gram), [0.0, 2.0 * sq], atol=1e-12 * sq)
     # the mean eigenvalue trace(K)/m is the mean squared gradient norm
@@ -454,8 +457,8 @@ def test_build_ntk_matches_entrywise_sum(microbatch):
     # one gemm sums in another order than the entry-wise reference, so entries
     # agree to rounding relative to the Cauchy-Schwarz bound sqrt(K_ii K_jj)
     scored = microbatch.scored
-    for seq_grads, gout, act in zip(scored.seq_grads, scored.grad_out, scored.act_in):
-        gram = isopo.build_ntk(gout, act)[0]
+    grams = isopo.build_ntk(scored.grad_out, scored.act_in)[0]
+    for seq_grads, gram in zip(scored.seq_grads, grams):
         assert np.array_equal(gram, gram.T)
         m = len(seq_grads)
         for i in range(m):
@@ -469,15 +472,31 @@ def test_build_ntk_reads_grad_sq_norms_and_numpy_block_sums_bit_for_bit(seq_len)
     # the diagonal blocks of the position product give Scored.sq_norms' bits,
     # and below T = 8 the in-order sum over s is numpy's own last-axis sum
     rng = np.random.default_rng(seq_len)
-    for out_dim, in_dim in ((32, 51), (16, 32)):
-        gout = rng.standard_normal((32, seq_len, out_dim))
-        act = rng.standard_normal((32, seq_len, in_dim + 1))
-        gram, sq_norms = isopo.build_ntk(gout, act)
-        assert np.array_equal(sq_norms, policy.grad_sq_norms(gout, act))
-        flat_g, flat_a = gout.reshape(-1, out_dim), act.reshape(-1, in_dim + 1)
+    dims = ((32, 51), (16, 32))
+    gouts = [rng.standard_normal((32, seq_len, out_dim)) for out_dim, _ in dims]
+    acts = [rng.standard_normal((32, seq_len, in_dim + 1)) for _, in_dim in dims]
+    grams, sq_norms = isopo.build_ntk(gouts, acts)
+    assert grams.shape == (2, 32, 32) and sq_norms.shape == (2, 32)
+    for gout, act, gram, sq in zip(gouts, acts, grams, sq_norms, strict=True):
+        assert np.array_equal(sq, policy.grad_sq_norms(gout, act))
+        flat_g, flat_a = gout.reshape(32 * seq_len, -1), act.reshape(32 * seq_len, -1)
         blocks = policy.grad_projections(gout, act, flat_g, flat_a).reshape(32, 32, seq_len)
         summed = blocks.sum(axis=2)
         assert np.array_equal(gram, 0.5 * (summed + summed.T))
+
+
+@pytest.mark.parametrize("seq_len", [1, 3, 12])
+def test_build_ntk_stack_equals_its_one_layer_stacks(seq_len):
+    # the stacked build gives each layer the bits of that layer built alone
+    rng = np.random.default_rng(20 + seq_len)
+    dims = ((32, 51), (16, 33))
+    gouts = [rng.standard_normal((32, seq_len, out_dim)) for out_dim, _ in dims]
+    acts = [rng.standard_normal((32, seq_len, in_dim)) for _, in_dim in dims]
+    grams, sq_norms = isopo.build_ntk(gouts, acts)
+    for l, (gout, act) in enumerate(zip(gouts, acts)):
+        gram, sq = isopo.build_ntk([gout], [act])
+        assert np.array_equal(grams[l], gram[0])
+        assert np.array_equal(sq_norms[l], sq[0])
 
 
 def test_build_ntk_rejects_bad_input():
@@ -488,9 +507,19 @@ def test_build_ntk_rejects_bad_input():
     ]
     for gout, act in bad_pairs:
         with pytest.raises(ContractViolation):
-            isopo.build_ntk(gout, act)
+            isopo.build_ntk([gout], [act])
         with pytest.raises(ContractViolation):
             ntk_update(gout, act, np.zeros(len(gout)), 0.3)
+    good = (np.zeros((2, 3, 4)), np.zeros((2, 3, 5)))
+    mismatched = [
+        ([], []),  # no layers
+        ([good[0]], [good[1], good[1]]),  # layer counts disagree
+        ([good[0], np.zeros((3, 3, 4))], [good[1], np.zeros((3, 3, 5))]),  # m differs
+        ([good[0], np.zeros((2, 2, 4))], [good[1], np.zeros((2, 2, 5))]),  # T differs
+    ]
+    for gouts, acts in mismatched:
+        with pytest.raises(ContractViolation):
+            isopo.build_ntk(gouts, acts)
 
 
 def test_interacting_rejects_bad_arguments():
@@ -522,22 +551,22 @@ def layer_stack(rng, m=6, n_layers=3):
     return jac @ jac.swapaxes(1, 2)
 
 
-def test_stacked_solve_equals_per_layer_cholesky_and_solves(microbatch):
-    # each layer with its own c; the stack's one cholesky and two solves give
-    # the per-layer calls' bits
+def test_stacked_solve_equals_per_layer_solves(microbatch):
+    # each layer with its own c; the stack's one LU solve gives each layer the
+    # bits of np.linalg.solve of its own K + cI
     rng = np.random.default_rng(12)
     scored = microbatch.scored
     stacks = [
-        [isopo.build_ntk(g, a)[0] for g, a in zip(scored.grad_out, scored.act_in)],
-        list(layer_stack(rng, m=len(microbatch.advantages))),
+        isopo.build_ntk(scored.grad_out, scored.act_in)[0],
+        layer_stack(rng, m=len(microbatch.advantages)),
     ]
     for grams in stacks:
         cs = [0.05 * (l + 1) * float(np.trace(k)) / len(k) for l, k in enumerate(grams)]
         adv = microbatch.advantages
+        systems = [gram + c * np.eye(len(gram)) for gram, c in zip(grams, cs)]
         weights = isopo.ntk_weights(grams, adv, cs)
-        for gram, c, w in zip(grams, cs, weights, strict=True):
-            chol = np.linalg.cholesky(gram + c * np.eye(len(gram)))
-            assert np.array_equal(w, np.linalg.solve(chol.T, np.linalg.solve(chol, adv)))
+        for system, w in zip(systems, weights, strict=True):
+            assert np.array_equal(w, np.linalg.solve(system, adv))
 
 
 def test_stacked_solve_names_the_c_of_the_first_failing_layer():
@@ -597,7 +626,7 @@ def test_interacting_large_c_approaches_vanilla(microbatch):
     scored = microbatch.scored
     seq_grads = scored.seq_grads[0]
     vanilla = sum(a * g for a, g in zip(adv, seq_grads)).ravel()
-    k_norm = float(np.linalg.norm(isopo.build_ntk(scored.grad_out[0], scored.act_in[0])[0]))
+    k_norm = float(np.linalg.norm(isopo.build_ntk(scored.grad_out[:1], scored.act_in[:1])[0]))
     upd = ntk_update(scored.grad_out[0], scored.act_in[0], adv, 1e6 * k_norm)
     upd = upd.ravel()
     cos = upd @ vanilla / (np.linalg.norm(upd) * np.linalg.norm(vanilla))
@@ -611,8 +640,9 @@ def test_interacting_update_sets_c_from_ntk_trace(microbatch):
     for _ in range(2):
         upd = isopo.interacting_update(microbatch, RunConfig(reg_factor=0.5), ema)
     scored = microbatch.scored
-    for l, (g, a) in enumerate(zip(scored.grad_out, scored.act_in)):
-        mean_eig = float(np.trace(isopo.build_ntk(g, a)[0])) / len(g)
+    grams = isopo.build_ntk(scored.grad_out, scored.act_in)[0]
+    for l, (g, a, gram) in enumerate(zip(scored.grad_out, scored.act_in, grams)):
+        mean_eig = float(np.trace(gram)) / len(g)
         assert ema[(l, "ntk_mean_eig")] == pytest.approx(mean_eig, rel=1e-12)
         expected = ntk_update(g, a, microbatch.advantages, 0.5 * mean_eig)
         assert np.allclose(upd[l], expected, rtol=1e-9, atol=1e-15)
@@ -635,6 +665,91 @@ def test_interacting_c_is_reg_factor_times_the_ema_of_mean_eigenvalues(small_net
             c = cfg.reg_factor * expected_ema[l]
             expected = ntk_update(scored.grad_out[l], scored.act_in[l], mb.advantages, c)
             assert np.allclose(upd[l], expected, rtol=1e-9, atol=1e-15)
+
+
+def test_interacting_update_builds_every_layer_in_one_call(microbatch, monkeypatch):
+    calls = []
+    build = isopo.build_ntk
+
+    def counted(grad_outs, act_ins):
+        calls.append(len(grad_outs))
+        return build(grad_outs, act_ins)
+
+    monkeypatch.setattr(isopo, "build_ntk", counted)
+    isopo.interacting_update(microbatch, RunConfig(algo="isopo-int"), {})
+    assert calls == [len(microbatch.scored.grad_out)] and calls[0] > 1
+
+
+# ------------------------------------------------------ the variants compared
+
+
+def test_diagonal_interacting_update_is_generalized_noninteracting(
+    small_net, small_task, monkeypatch
+):
+    # with K's off-diagonal dropped, isopo-int weighs sequence i by
+    # A_i / (|V_i|^2 + c), c = reg_factor * EMA of mean_i |V_i|^2; isopo-ni at
+    # p = 0, q = -2 scales it by reg2(|V_i|)^-2 = 1 / (|V_i|^2 + reg_strength *
+    # EMA of the same means), so the two agree at reg_strength = reg_factor
+    build = isopo.build_ntk
+
+    def diagonal_ntk(grad_outs, act_ins):
+        grams, sq_norms = build(grad_outs, act_ins)
+        return grams * np.eye(grams.shape[-1]), sq_norms
+
+    monkeypatch.setattr(isopo, "build_ntk", diagonal_ntk)
+    int_cfg = RunConfig(algo="isopo-int", reg_factor=0.3, ema_decay=0.6)
+    ni_cfg = RunConfig(algo="isopo-ni", p=0.0, q=-2.0, reg_strength=0.3, ema_decay=0.6)
+    int_ema, ni_ema = {}, {}
+    for seed in (1, 2, 3, 4):
+        mb = make_microbatch(small_net, small_task, seed=seed)
+        positions = overlap(mb, 6, stream(seed, "o"))
+        norms, degenerate = isopo.sequence_fisher_norms(mb.scored, positions)
+        # a degenerate sequence would leave isopo-ni's EMA mean out of step
+        assert not np.any(degenerate)
+        ni = isopo.noninteracting_update(mb, norms, ni_cfg, ni_ema)
+        diagonal = isopo.interacting_update(mb, int_cfg, int_ema)
+        for got, want in zip(diagonal, ni, strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for l in range(len(diagonal)):
+        assert int_ema[(l, "ntk_mean_eig")] == pytest.approx(ni_ema[(l, "grad_sq")], rel=1e-12)
+
+
+def rescaled_inputs(mb, betas):
+    """Copy of ``mb`` with layer l's augmented inputs scaled by betas[l]: the
+    factors of the same function at weights W_l / betas[l], where V_l becomes
+    betas[l] V_l."""
+    scored = mb.scored
+    act_in = [beta * a for beta, a in zip(betas, scored.act_in, strict=True)]
+    return replace(mb, scored=policy.Scored(scored.logprobs, act_in, scored.grad_out))
+
+
+@pytest.mark.parametrize("betas", [(3.0, 0.5, 2.0), (0.7, 1.3, 2.9)])
+def test_reparametrization_covariance(betas):
+    # an update U' in the rescaled coordinates moves the old weights by
+    # beta U'. isopo-int's move is invariant, because K and c scale by beta^2;
+    # REINFORCE's scales by beta^2, and isopo-ni's (p = -1) by beta, because its
+    # Fisher-norm estimate scales by beta, not beta^2
+    cfg = RunConfig()
+    task = harness.make_task(cfg)
+    plan = harness.draw_steps(task, cfg, [1])
+    mb = harness.sample_microbatch(harness.build_policy(task, cfg.seed), task, cfg, 1, plan)
+    positions = plan[1].overlap
+
+    def noninteracting(batch):
+        norms, degenerate = isopo.sequence_fisher_norms(batch.scored, positions)
+        assert not np.any(degenerate)
+        return isopo.noninteracting_update(batch, norms, RunConfig(algo="isopo-ni"), {})
+
+    def interacting(batch):
+        return isopo.interacting_update(batch, RunConfig(algo="isopo-int"), {})
+
+    assert len(mb.scored.act_in) == len(betas) and np.any(mb.advantages)
+    for update, power in ((interacting, 0), (baselines.reinforce_grad, 2), (noninteracting, 1)):
+        base = update(mb)
+        moved = update(rescaled_inputs(mb, betas))
+        for beta, got, want in zip(betas, moved, base, strict=True):
+            expected = beta**power * want
+            assert np.max(np.abs(beta * got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 # ----------------------------------------------------------------------- EMA

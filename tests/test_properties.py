@@ -50,8 +50,9 @@ def assert_close(a, b):
 
 def int_update(mb):
     grads = []
-    for gout, act in zip(mb.scored.grad_out, mb.scored.act_in):
-        c = float(np.trace(isopo.build_ntk(gout, act)[0])) / len(gout)
+    grams = isopo.build_ntk(mb.scored.grad_out, mb.scored.act_in)[0]
+    for gout, act, gram in zip(mb.scored.grad_out, mb.scored.act_in, grams):
+        c = float(np.trace(gram)) / len(gout)
         grads.append(ntk_update(gout, act, mb.advantages, c))
     return grads
 
@@ -130,7 +131,7 @@ def test_factor_identities_match_materialized_gradients(factors):
 
     # NTK entries, against the Cauchy-Schwarz scale of the summed terms
     flat = seq_grads.reshape(len(seq_grads), -1)
-    gram = isopo.build_ntk(grad_out, act_in)[0]
+    (gram,) = isopo.build_ntk([grad_out], [act_in])[0]
     assert np.array_equal(gram, gram.T)
     assert np.all(np.abs(gram - flat @ flat.T) <= 1e-14 * np.outer(scale, scale))
 
